@@ -26,16 +26,11 @@ PHASE_TYPE2 = np.exp(-1j * np.pi / 8)
 
 @dataclass(frozen=True)
 class TLRep:
-    """Temperley-Lieb representation: generators T_1..T_{N-1} and loop value d.
-
-    ``site_dim`` is the per-site dimension when the generators act on a
-    tensor power; None for directly given low-dimensional representations.
-    """
+    """Temperley-Lieb representation: generators T_1..T_{N-1} and loop value d."""
 
     strand_count: int
     generators: tuple[np.ndarray, ...]
     loop_value: float
-    site_dim: int | None = None
 
     def __post_init__(self):
         if len(self.generators) != self.strand_count - 1:
@@ -81,7 +76,7 @@ def _lifted(local: np.ndarray, n_strands: int) -> tuple[np.ndarray, ...]:
 
 def tl_rep_from_local(local: np.ndarray, n_strands: int, loop_value: float) -> TLRep:
     """Lift a 4x4 two-site TL generator to an N-strand qubit chain."""
-    return TLRep(n_strands, _lifted(local, n_strands), loop_value, site_dim=2)
+    return TLRep(n_strands, _lifted(local, n_strands), loop_value)
 
 
 def braid_rep_from_local(local: np.ndarray, n_strands: int, alpha: complex | None = None) -> BraidRep:

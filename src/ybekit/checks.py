@@ -1,0 +1,180 @@
+"""Residual-check registry: the relation suites behind ``ybekit verify``.
+
+``SUITES`` runs them in this order:
+
+tl         Temperley-Lieb relations of the type-I and type-II representations
+braid      braid relations, alpha-d consistency and braids built from TL
+ybe        worst Yang-Baxter residual of each bundled R-matrix family
+reduction  fusion-basis orthonormality, reduced braid generators and the
+           three-body reduction at the GHZ/W preimages and random triples
+
+The rule is fail-closed: a :class:`Check` passes only when
+``residual <= tol``, which is False for NaN, and :func:`worst` keeps a NaN
+sample (``max(0.0, nan)`` is 0.0) and reads NaN for an empty sample set.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Iterable
+
+import numpy as np
+
+from .braiding import (
+    ALPHA_TYPE1, ALPHA_TYPE2, PHASE_TYPE1, PHASE_TYPE2, bell_braid, braid2x2_type1,
+    braid2x2_type2, braid_from_tl, braid_rep_from_local, check_braid_relations,
+    check_tl_relations, lift_two_site, permutation_matrix, quantum_dimension, tl2x2_type1,
+    tl2x2_type2, tl_rep_from_local, tl_type1_local, tl_type2_local,
+)
+from .fusionbasis import (
+    fusion_basis_type1, fusion_basis_type2, reduce_operator, verify_basis_reduction,
+)
+from .rmatrix import RMatrixFamily, bundled_families, check_ybe
+from .tensor import norm_inf
+from .threebody import AngleTriple, random_constrained_triple
+
+REDUCTION_SAMPLE_CAP = 200
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named residual; it passes only when ``residual <= tol``, never for NaN."""
+
+    name: str
+    residual: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.tol)
+
+
+def worst(residuals: Iterable[float]) -> float:
+    """Largest residual; NaN if any residual is NaN or there are none."""
+    values = np.fromiter(residuals, dtype=float)
+    return float(values.max()) if values.size else math.nan
+
+
+def _relation_checks(fixtures, checker, tol: float) -> list[Check]:
+    return [Check(f"{name}: {relation}", residual, tol)
+            for name, rep in fixtures for relation, residual in checker(rep).items()]
+
+
+def tl_suite(tol: float, perturb: float = 0.0) -> list[Check]:
+    """TL relations; ``perturb`` shifts one type-I generator entry to show a failure."""
+    local1 = tl_type1_local()
+    if perturb:
+        local1 = local1.copy()
+        local1[1, 1] += perturb
+    return _relation_checks([
+        ("tl.type1.4x4.n3", tl_rep_from_local(local1, 3, 2.0)),
+        ("tl.type2.4x4.n3", tl_rep_from_local(tl_type2_local(0.0), 3, math.sqrt(2.0))),
+        ("tl.type1.2x2.strands4", tl2x2_type1()),
+        ("tl.type2.2x2.strands4", tl2x2_type2()),
+    ], check_tl_relations, tol)
+
+
+def braid_suite(tol: float) -> list[Check]:
+    """Braid relations, alpha-d consistency and the braid-from-TL constructions."""
+    checks = _relation_checks([
+        ("braid.bell.n3", braid_rep_from_local(bell_braid(0.0), 3)),
+        ("braid.permutation.n3", braid_rep_from_local(permutation_matrix(), 3)),
+        ("braid.type1.2x2.strands4", braid2x2_type1()),
+        ("braid.type2.2x2.strands4", braid2x2_type2()),
+    ], check_braid_relations, tol)
+    checks += [
+        Check("alpha-d consistency: type1 (alpha=i, d=2)",
+              abs(quantum_dimension(ALPHA_TYPE1) - 2.0), 1e-14),
+        Check("alpha-d consistency: type2 (alpha=e^{3i pi/8}, d=sqrt2)",
+              abs(quantum_dimension(ALPHA_TYPE2) - math.sqrt(2.0)), 1e-14),
+    ]
+    for label, alpha, tl_local, loop_value, phase, braid_local in [
+        ("type1 reproduces the permutation braid",
+         ALPHA_TYPE1, tl_type1_local(), 2.0, PHASE_TYPE1, permutation_matrix()),
+        ("type2 reproduces the Bell braid",
+         ALPHA_TYPE2, tl_type2_local(0.0), math.sqrt(2.0), PHASE_TYPE2, bell_braid(0.0)),
+    ]:
+        built = braid_from_tl(alpha, tl_rep_from_local(tl_local, 3, loop_value), phase)
+        target = braid_rep_from_local(braid_local, 3)
+        deviation = worst(norm_inf(a - b) for a, b in zip(built.generators, target.generators))
+        checks.append(Check(f"braid-from-tl {label}", deviation, tol))
+    return checks
+
+
+def _ybe_parameters(family: RMatrixFamily, rng: np.random.Generator, samples: int):
+    """Yield ``samples`` admissible (p1, p3); Galilean pairs within 0.05 of
+    the coupling pole ``(p1 + p3)^2 = 1`` are redrawn."""
+    produced = 0
+    while produced < samples:
+        if family.additivity == "galilean":
+            p1, p3 = rng.uniform(-0.9, 0.9, size=2)
+            if abs(1.0 - (p1 + p3) ** 2) < 0.05:
+                continue
+        else:
+            p1, p3 = rng.uniform(0.01, 1.55, size=2)
+        produced += 1
+        yield float(p1), float(p3)
+
+
+def ybe_suite(tol: float, samples: int, seed: int, family: str = "all") -> list[Check]:
+    """Worst YBE residual of each bundled family whose name starts with
+    ``family`` (or of all), sampled in name order from one generator."""
+    rng = np.random.default_rng(seed)
+    return [
+        Check(f"ybe.{name} ({samples} samples)",
+              worst(check_ybe(fam, p1, p3) for p1, p3 in _ybe_parameters(fam, rng, samples)),
+              tol)
+        for name, fam in sorted(bundled_families().items())
+        if family == "all" or name.startswith(family)
+    ]
+
+
+def random_reduction(samples: int, seed: int) -> float:
+    """Worst three-body reduction residual over ``samples`` random constrained triples."""
+    rng = np.random.default_rng(seed)
+    return worst(verify_basis_reduction(random_constrained_triple(rng)) for _ in range(samples))
+
+
+def reduction_suite(tol: float, samples: int, seed: int) -> list[Check]:
+    """Fusion-basis checks; the lifted braid generators must reduce to the
+    2x2 four-strand braids.  At most ``REDUCTION_SAMPLE_CAP`` random triples."""
+    samples = min(samples, REDUCTION_SAMPLE_CAP)
+    basis2 = fusion_basis_type2(0.0)
+    basis1 = fusion_basis_type1()
+    checks = [
+        Check(f"fusion-basis.{label} orthonormality",
+              worst([abs(np.vdot(basis.e1, basis.e1) - 1.0),
+                     abs(np.vdot(basis.e2, basis.e2) - 1.0), abs(np.vdot(basis.e1, basis.e2))]),
+              1e-13)
+        for label, basis in (("type1", basis1), ("type2", basis2))
+    ]
+    type1, type2 = braid2x2_type1().generators, braid2x2_type2().generators
+    for label, local, site, basis, expected in [
+        ("type2 braid generator 1 -> e^{-i pi/4} diag(1, i)",
+         bell_braid(0.0), 1, basis2, type2[0]),
+        ("type2 braid generator 2 -> [[1,-i],[-i,1]]/sqrt2", bell_braid(0.0), 2, basis2, type2[1]),
+        ("type1 braid generator 2 -> [[1,-sqrt3],[-sqrt3,-1]]/2",
+         permutation_matrix(), 2, basis1, type1[1]),
+    ]:
+        reduced = reduce_operator(lift_two_site(local, site, 4), basis, tol=1e-10)
+        checks.append(Check(f"reduce.{label}", norm_inf(reduced - expected), tol))
+    for label, triple in [
+        ("ghz preimage (0, pi/4, pi/4)", AngleTriple(0.0, math.pi / 4, math.pi / 4)),
+        ("w preimage (pi/8, arctan sqrt2, 3 pi/8)",
+         AngleTriple(math.pi / 8, math.atan(math.sqrt(2.0)), 3 * math.pi / 8)),
+    ]:
+        checks.append(Check(f"reduce.three-body {label}", verify_basis_reduction(triple), 1e-11))
+    checks.append(Check(f"reduce.three-body random triples ({samples})",
+                        random_reduction(samples, seed), 1e-10))
+    return checks
+
+
+# Suite name -> runner over the options of ``ybekit verify``: any object
+# with ``tol``, ``samples``, ``seed``, ``family`` and ``perturb`` attributes.
+SUITES: dict[str, Callable[..., list[Check]]] = {
+    "tl": lambda o: tl_suite(o.tol, o.perturb),
+    "braid": lambda o: braid_suite(o.tol),
+    "ybe": lambda o: ybe_suite(o.tol, o.samples, o.seed, o.family),
+    "reduction": lambda o: reduction_suite(o.tol, o.samples, o.seed),
+}

@@ -25,32 +25,11 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .braiding import (
-    ALPHA_TYPE1,
-    ALPHA_TYPE2,
-    PHASE_TYPE1,
-    PHASE_TYPE2,
-    bell_braid,
-    braid2x2_type1,
-    braid2x2_type2,
-    braid_from_tl,
-    braid_rep_from_local,
-    check_braid_relations,
-    check_tl_relations,
-    lift_two_site,
-    permutation_matrix,
-    quantum_dimension,
-    tl2x2_type1,
-    tl2x2_type2,
-    tl_rep_from_local,
-    tl_type1_local,
-    tl_type2_local,
-)
+from .checks import SUITES, random_reduction
 from .entanglement import classify_slocc, entanglement_report
 from .fusionbasis import (
     LeakageError,
     embed_three_body,
-    fusion_basis_type1,
     fusion_basis_type2,
     reduce_operator,
     verify_basis_reduction,
@@ -65,7 +44,6 @@ from .landscape import (
     sample_surface,
     section,
 )
-from .rmatrix import bundled_families, check_ybe
 from .threebody import (
     AngleTriple,
     ConstraintViolation,
@@ -73,7 +51,6 @@ from .threebody import (
     angles_to_params,
     fusion_form,
     product_form,
-    random_constrained_triple,
     state_from_params,
 )
 
@@ -116,178 +93,51 @@ def parse_axis(raw: str, name: str) -> AxisSpec:
     return AxisSpec(name, start, stop, n)
 
 
+def number(kind: type = float, minimum: int | None = None):
+    """argparse type for a finite ``kind`` value no smaller than ``minimum``:
+    a NaN slips through every ``<=`` gate and a count below the minimum
+    passes vacuously, so both are usage errors (exit 2)."""
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or (minimum is not None and value < minimum):
+            what = "an integer" if kind is int else "a finite number"
+            bound = "" if minimum is None else f" >= {minimum}"
+            raise argparse.ArgumentTypeError(f"expected {what}{bound}, got {raw!r}")
+        return value
+    return parse
+
+
 def parse_thetas(raw: str) -> AngleTriple:
+    """argparse type for ``t1,t2,t3``: three finite angles."""
     parts = raw.split(",")
     if len(parts) != 3:
-        raise ValueError(f"--thetas needs three comma-separated angles, got {raw!r}")
-    return AngleTriple(float(parts[0]), float(parts[1]), float(parts[2]))
+        raise argparse.ArgumentTypeError(f"needs three comma-separated angles, got {raw!r}")
+    return AngleTriple(*map(number(), parts))
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-def _tl_suite(tol: float, perturb: float) -> list[tuple[str, float, float]]:
-    rows = []
-    local1 = tl_type1_local()
-    if perturb:
-        local1 = local1.copy()
-        local1[1, 1] += perturb
-    fixtures = [
-        ("tl.type1.4x4.n3", tl_rep_from_local(local1, 3, 2.0)),
-        ("tl.type2.4x4.n3", tl_rep_from_local(tl_type2_local(0.0), 3, math.sqrt(2.0))),
-        ("tl.type1.2x2.strands4", tl2x2_type1()),
-        ("tl.type2.2x2.strands4", tl2x2_type2()),
-    ]
-    for name, rep in fixtures:
-        for relation, residual in check_tl_relations(rep).items():
-            rows.append((f"{name}: {relation}", residual, tol))
-    return rows
-
-
-def _braid_suite(tol: float) -> list[tuple[str, float, float]]:
-    rows = []
-    fixtures = [
-        ("braid.bell.n3", braid_rep_from_local(bell_braid(0.0), 3)),
-        ("braid.permutation.n3", braid_rep_from_local(permutation_matrix(), 3)),
-        ("braid.type1.2x2.strands4", braid2x2_type1()),
-        ("braid.type2.2x2.strands4", braid2x2_type2()),
-    ]
-    for name, rep in fixtures:
-        for relation, residual in check_braid_relations(rep).items():
-            rows.append((f"{name}: {relation}", residual, tol))
-
-    rows.append(
-        ("alpha-d consistency: type1 (alpha=i, d=2)",
-         abs(quantum_dimension(ALPHA_TYPE1) - 2.0), 1e-14)
-    )
-    rows.append(
-        ("alpha-d consistency: type2 (alpha=e^{3i pi/8}, d=sqrt2)",
-         abs(quantum_dimension(ALPHA_TYPE2) - math.sqrt(2.0)), 1e-14)
-    )
-
-    rep1 = tl_rep_from_local(tl_type1_local(), 3, 2.0)
-    built1 = braid_from_tl(ALPHA_TYPE1, rep1, PHASE_TYPE1)
-    target1 = braid_rep_from_local(permutation_matrix(), 3)
-    dev1 = max(
-        float(np.max(np.abs(a - b)))
-        for a, b in zip(built1.generators, target1.generators)
-    )
-    rows.append(("braid-from-tl type1 reproduces the permutation braid", dev1, tol))
-
-    rep2 = tl_rep_from_local(tl_type2_local(0.0), 3, math.sqrt(2.0))
-    built2 = braid_from_tl(ALPHA_TYPE2, rep2, PHASE_TYPE2)
-    target2 = braid_rep_from_local(bell_braid(0.0), 3)
-    dev2 = max(
-        float(np.max(np.abs(a - b)))
-        for a, b in zip(built2.generators, target2.generators)
-    )
-    rows.append(("braid-from-tl type2 reproduces the Bell braid", dev2, tol))
-    return rows
-
-
-def _ybe_suite(tol: float, samples: int, seed: int, family_filter: str) -> list[tuple[str, float, float]]:
-    rows = []
-    rng = np.random.default_rng(seed)
-    for name, family in sorted(bundled_families().items()):
-        if family_filter != "all" and not name.startswith(family_filter):
-            continue
-        worst = 0.0
-        produced = 0
-        while produced < samples:
-            if family.additivity == "galilean":
-                p1, p3 = rng.uniform(-0.9, 0.9, size=2)
-                if abs(1.0 - (p1 + p3) ** 2) < 0.05:
-                    continue
-            else:
-                p1, p3 = rng.uniform(0.01, 1.55, size=2)
-            worst = max(worst, check_ybe(family, float(p1), float(p3)))
-            produced += 1
-        rows.append((f"ybe.{name} ({samples} samples)", worst, tol))
-    return rows
-
-
-def _reduction_suite(tol: float, samples: int, seed: int) -> list[tuple[str, float, float]]:
-    rows = []
-    basis2 = fusion_basis_type2(0.0)
-    basis1 = fusion_basis_type1()
-
-    for label, basis in (("type1", basis1), ("type2", basis2)):
-        gram_dev = max(
-            abs(np.vdot(basis.e1, basis.e1) - 1.0),
-            abs(np.vdot(basis.e2, basis.e2) - 1.0),
-            abs(np.vdot(basis.e1, basis.e2)),
-        )
-        rows.append((f"fusion-basis.{label} orthonormality", float(gram_dev), 1e-13))
-
-    b_bell_1 = lift_two_site(bell_braid(0.0), 1, 4)
-    red_b1 = reduce_operator(b_bell_1, basis2, tol=1e-10)
-    expect_b1 = np.exp(-1j * np.pi / 4) * np.diag([1.0, 1j])
-    rows.append(
-        ("reduce.type2 braid generator 1 -> e^{-i pi/4} diag(1, i)",
-         float(np.max(np.abs(red_b1 - expect_b1))), tol)
-    )
-    b_bell_2 = lift_two_site(bell_braid(0.0), 2, 4)
-    red_b2 = reduce_operator(b_bell_2, basis2, tol=1e-10)
-    expect_b2 = np.array([[1, -1j], [-1j, 1]], dtype=complex) / math.sqrt(2.0)
-    rows.append(
-        ("reduce.type2 braid generator 2 -> [[1,-i],[-i,1]]/sqrt2",
-         float(np.max(np.abs(red_b2 - expect_b2))), tol)
-    )
-
-    b_perm_2 = lift_two_site(permutation_matrix(), 2, 4)
-    red_p2 = reduce_operator(b_perm_2, basis1, tol=1e-10)
-    expect_p2 = 0.5 * np.array([[1, -math.sqrt(3)], [-math.sqrt(3), -1]], dtype=complex)
-    rows.append(
-        ("reduce.type1 braid generator 2 -> [[1,-sqrt3],[-sqrt3,-1]]/2",
-         float(np.max(np.abs(red_p2 - expect_p2))), tol)
-    )
-
-    rng = np.random.default_rng(seed)
-    named = [
-        ("ghz preimage (0, pi/4, pi/4)", AngleTriple(0.0, math.pi / 4, math.pi / 4)),
-        ("w preimage (pi/8, arctan sqrt2, 3 pi/8)",
-         AngleTriple(math.pi / 8, math.atan(math.sqrt(2.0)), 3 * math.pi / 8)),
-    ]
-    for label, triple in named:
-        rows.append((f"reduce.three-body {label}", verify_basis_reduction(triple), 1e-11))
-    worst = 0.0
-    for _ in range(samples):
-        worst = max(worst, verify_basis_reduction(random_constrained_triple(rng)))
-    rows.append((f"reduce.three-body random triples ({samples})", worst, 1e-10))
-    return rows
-
-
 def cmd_verify(args) -> int:
-    rows: list[tuple[str, float, float]] = []
-    suites = (
-        ["tl", "braid", "ybe", "reduction"] if args.suite == "all" else [args.suite]
-    )
-    if "tl" in suites:
-        rows += _tl_suite(args.tol, args.perturb)
-    if "braid" in suites:
-        rows += _braid_suite(args.tol)
-    if "ybe" in suites:
-        rows += _ybe_suite(args.tol, args.samples, args.seed, args.family)
-    if "reduction" in suites:
-        rows += _reduction_suite(args.tol, min(args.samples, 200), args.seed)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    rows = [check for name in names for check in SUITES[name](args)]
 
-    failed = 0
-    lines = []
-    for name, residual, tol in rows:
-        ok = residual <= tol
-        failed += 0 if ok else 1
-        lines.append(
-            f"{'PASS' if ok else 'FAIL'}  {name:<64s} residual {fmt(residual):>24s}  tol {tol:.1e}"
-        )
+    failed = sum(not c.passed for c in rows)
+    lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name:<64s} "
+             f"residual {fmt(c.residual):>24s}  tol {c.tol:.1e}" for c in rows]
     summary = f"{len(rows) - failed}/{len(rows)} checks passed"
     text = "\n".join(lines + [summary]) + "\n"
 
     if args.format == "json":
         payload = {
             "checks": [
-                {"name": n, "residual": float(r), "tol": float(t), "pass": bool(r <= t)}
-                for n, r, t in rows
+                {"name": c.name, "residual": float(c.residual), "tol": float(c.tol),
+                 "pass": c.passed}
+                for c in rows
             ],
             "meta": {"seed": args.seed, "tol": args.tol, "version": __version__},
         }
@@ -443,11 +293,10 @@ def _axis_bounds(raw: str) -> tuple[float, float]:
 
 def _params_from_args(args) -> tuple[ScatterParams, AngleTriple | None]:
     if args.thetas:
-        triple = parse_thetas(args.thetas)
-        return angles_to_params(triple, args.tol), triple
+        return angles_to_params(args.thetas, args.tol), args.thetas
     if args.eta is None or args.beta is None:
         raise ValueError("provide either --thetas or both --eta and --beta")
-    return ScatterParams(float(args.eta), float(args.beta)).canonical(), None
+    return ScatterParams(args.eta, args.beta).canonical(), None
 
 
 def cmd_state(args) -> int:
@@ -500,10 +349,7 @@ def _format_matrix(m: np.ndarray) -> list[str]:
 
 def cmd_reduce(args) -> int:
     if args.random:
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for _ in range(args.random):
-            worst = max(worst, verify_basis_reduction(random_constrained_triple(rng)))
+        worst = random_reduction(args.random, args.seed)
         ok = worst <= args.tol
         sys.stdout.write(
             f"{args.random} random constrained triples: max residual {fmt(worst)} "
@@ -513,7 +359,7 @@ def cmd_reduce(args) -> int:
 
     if not args.thetas:
         raise ValueError("provide --thetas t1,t2,t3 or --random N")
-    triple = parse_thetas(args.thetas)
+    triple = args.thetas
     triple.check(args.constraint_tol)
     reduced = reduce_operator(
         embed_three_body(product_form(triple, args.constraint_tol)),
@@ -550,14 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run relation/residual suites")
-    p_verify.add_argument("--suite", default="all",
-                          choices=["tl", "braid", "ybe", "reduction", "all"])
+    p_verify.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     p_verify.add_argument("--family", default="all",
                           choices=["type1", "type2", "all"],
                           help="restrict the YBE suite to one family")
-    p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument("--samples", type=number(int, minimum=1), default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=1e-12)
+    p_verify.add_argument("--tol", type=number(), default=1e-12)
     p_verify.add_argument("--perturb", type=float, default=0.0,
                           help="perturb a TL generator entry (failure-path demo)")
     p_verify.add_argument("--output", default=None)
@@ -580,28 +425,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--beta", default=None, help="start:stop domain")
     p_ext.add_argument("--theta", default=None, help="start:stop domain (1-D)")
     p_ext.add_argument("--coarse", type=int, default=400)
-    p_ext.add_argument("--tol", type=float, default=1e-8)
+    p_ext.add_argument("--tol", type=number(), default=1e-8)
     p_ext.add_argument("--output", default=None)
     p_ext.add_argument("--format", default="csv", choices=["csv", "json"])
     p_ext.set_defaults(func=cmd_extrema)
 
     p_state = sub.add_parser("state", help="report one scattering output state")
-    p_state.add_argument("--eta", type=float, default=None)
-    p_state.add_argument("--beta", type=float, default=None)
-    p_state.add_argument("--thetas", default=None, help="t1,t2,t3 on the constraint line")
-    p_state.add_argument("--tol", type=float, default=1e-4,
+    p_state.add_argument("--eta", type=number(), default=None)
+    p_state.add_argument("--beta", type=number(), default=None)
+    p_state.add_argument("--thetas", type=parse_thetas, default=None,
+                         help="t1,t2,t3 on the constraint line")
+    p_state.add_argument("--tol", type=number(), default=1e-4,
                          help="input tolerance: bounds the --thetas constraint "
                               "residual and the classification thresholds")
     p_state.add_argument("--format", default="text", choices=["text", "json"])
     p_state.set_defaults(func=cmd_state)
 
     p_red = sub.add_parser("reduce", help="cross-check the fusion-space reduction")
-    p_red.add_argument("--thetas", default=None, help="t1,t2,t3 on the constraint line")
-    p_red.add_argument("--random", type=int, default=0,
+    p_red.add_argument("--thetas", type=parse_thetas, default=None,
+                       help="t1,t2,t3 on the constraint line")
+    p_red.add_argument("--random", type=number(int, minimum=0), default=0,
                        help="check N random constrained triples instead")
     p_red.add_argument("--seed", type=int, default=0)
-    p_red.add_argument("--tol", type=float, default=1e-10)
-    p_red.add_argument("--constraint-tol", type=float, default=1e-4)
+    p_red.add_argument("--tol", type=number(), default=1e-10)
+    p_red.add_argument("--constraint-tol", type=number(), default=1e-4)
     p_red.set_defaults(func=cmd_reduce)
 
     return parser

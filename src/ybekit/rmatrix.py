@@ -205,7 +205,6 @@ class RMatrixFamily:
     dim: int
     additivity: str
     evaluators: tuple[Callable[[float], np.ndarray], ...]
-    a0: float = DEFAULT_A0
 
     def middle(self, p1: float, p3: float) -> float:
         """Middle parameter from the additivity rule; raises near tan poles."""

@@ -19,7 +19,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 ALGEBRA_TOL = 1e-12   # single algebraic identities at 64-bit precision
-PRODUCT_TOL = 1e-9    # after iterated products / exponentials
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,24 +8,7 @@ import time
 import numpy as np
 
 from conftest import SUITE_BUDGET_SECONDS, session_elapsed
-from ybekit.braiding import (
-    ALPHA_TYPE1,
-    ALPHA_TYPE2,
-    bell_braid,
-    braid2x2_type1,
-    braid2x2_type2,
-    braid_rep_from_local,
-    check_braid_relations,
-    check_tl_relations,
-    lift_two_site,
-    permutation_matrix,
-    quantum_dimension,
-    tl2x2_type1,
-    tl2x2_type2,
-    tl_rep_from_local,
-    tl_type1_local,
-    tl_type2_local,
-)
+from ybekit.checks import braid_suite, reduction_suite, tl_suite, ybe_suite
 from ybekit.entanglement import (
     GHZ_CLASS,
     W_CLASS,
@@ -36,22 +19,15 @@ from ybekit.entanglement import (
     three_body_l1,
     three_tangle,
 )
-from ybekit.fusionbasis import (
-    fusion_basis_type1,
-    fusion_basis_type2,
-    reduce_operator,
-    verify_basis_reduction,
-)
 from ybekit.landscape import (
     LOCAL_MAX,
     SADDLE,
     find_critical_points_1d,
     find_critical_points_2d,
 )
-from ybekit.rmatrix import bundled_families, check_ybe, phi_from_theta, phi_from_three_thetas
+from ybekit.rmatrix import phi_from_theta, phi_from_three_thetas
 from ybekit.tensor import expm_series, ket, max_diff_up_to_phase, norm_inf
 from ybekit.threebody import (
-    AngleTriple,
     BETA_STAR,
     ScatterParams,
     angles_to_params,
@@ -63,8 +39,6 @@ from ybekit.threebody import (
 
 GHZ_PARAMS = ScatterParams(math.pi / 3, BETA_STAR)
 W_PARAMS = ScatterParams(math.pi / 2, BETA_STAR)
-GHZ_TRIPLE = AngleTriple(0.0, math.pi / 4, math.pi / 4)
-W_TRIPLE = AngleTriple(math.pi / 8, math.atan(math.sqrt(2.0)), 3 * math.pi / 8)
 
 
 @contextlib.contextmanager
@@ -80,45 +54,20 @@ def criterion(num: int, label: str):
 def test_c01_ybe_residuals_randomized():
     with criterion(1, "YBE residuals over randomized admissible triples"):
         start = time.perf_counter()
-        rng = np.random.default_rng(12345)
-        samples = 1000
-        for name, family in sorted(bundled_families().items()):
-            worst = 0.0
-            produced = 0
-            while produced < samples:
-                if family.additivity == "galilean":
-                    p1, p3 = rng.uniform(-0.9, 0.9, size=2)
-                    if abs(1.0 - (p1 + p3) ** 2) < 0.05:
-                        continue
-                else:
-                    p1, p3 = rng.uniform(0.01, 1.55, size=2)
-                worst = max(worst, check_ybe(family, float(p1), float(p3)))
-                produced += 1
-            assert worst < 1e-12, f"{name}: worst residual {worst:.3e}"
+        rows = ybe_suite(tol=1e-12, samples=1000, seed=12345)
+        assert len(rows) == 4
+        for row in rows:
+            assert row.residual < 1e-12, row
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"YBE sweep took {elapsed:.2f}s"
 
 
 def test_c02_algebra_suites():
     with criterion(2, "TL and braid relation suites with alpha-d consistency"):
-        tl_reps = [
-            tl_rep_from_local(tl_type1_local(), 3, 2.0),
-            tl_rep_from_local(tl_type2_local(0.0), 3, math.sqrt(2.0)),
-            tl2x2_type1(),
-            tl2x2_type2(),
-        ]
-        for rep in tl_reps:
-            assert max(check_tl_relations(rep).values()) < 1e-12
-        braid_reps = [
-            braid_rep_from_local(permutation_matrix(), 3),
-            braid_rep_from_local(bell_braid(0.0), 3),
-            braid2x2_type1(),
-            braid2x2_type2(),
-        ]
-        for rep in braid_reps:
-            assert max(check_braid_relations(rep).values()) < 1e-12
-        assert abs(quantum_dimension(ALPHA_TYPE1) - 2.0) < 1e-14
-        assert abs(quantum_dimension(ALPHA_TYPE2) - math.sqrt(2.0)) < 1e-14
+        rows = tl_suite(tol=1e-12) + braid_suite(tol=1e-12)
+        for row in rows:
+            assert row.passed and row.residual < 1e-12, row
+        assert all(r.tol == 1e-14 for r in rows if r.name.startswith("alpha-d"))
 
 
 def test_c03_ghz_w_generation():
@@ -243,22 +192,10 @@ def test_c08_phase_constraint_formulas():
 
 def test_c09_topological_reduction():
     with criterion(9, "fusion-basis reductions and the three-body cross-check"):
-        basis2 = fusion_basis_type2(0.0)
-        red_b1 = reduce_operator(lift_two_site(bell_braid(0.0), 1, 4), basis2)
-        assert norm_inf(red_b1 - np.exp(-1j * math.pi / 4) * np.diag([1.0, 1j])) < 1e-12
-
-        basis1 = fusion_basis_type1()
-        red_p2 = reduce_operator(lift_two_site(permutation_matrix(), 2, 4), basis1)
-        expected = 0.5 * np.array([[1, -math.sqrt(3)], [-math.sqrt(3), -1]], dtype=complex)
-        assert norm_inf(red_p2 - expected) < 1e-12
-
-        assert verify_basis_reduction(GHZ_TRIPLE) < 1e-10
-        assert verify_basis_reduction(W_TRIPLE) < 1e-10
-        rng = np.random.default_rng(31)
-        worst = max(
-            verify_basis_reduction(random_constrained_triple(rng)) for _ in range(100)
-        )
-        assert worst < 1e-10, f"worst reduction residual {worst:.3e}"
+        rows = reduction_suite(tol=1e-12, samples=100, seed=31)
+        assert rows[-1].name == "reduce.three-body random triples (100)"
+        for row in rows:
+            assert row.passed, row
 
 
 def test_c10_cross_form_equality():

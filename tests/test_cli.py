@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ybekit import cli
+from ybekit import checks, cli
 
 
 def run_cli(args, capsys):
@@ -245,6 +245,44 @@ def test_reduce_random_batch(capsys):
     code, out = run_cli(["reduce", "--random", "100", "--seed", "3"], capsys)
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "0"],
+    ["verify", "--suite", "ybe", "--samples", "-5"],
+    ["verify", "--suite", "tl", "--tol", "nan"],
+    ["reduce", "--random", "-3"],
+    ["reduce", "--random", "5", "--tol", "inf"],
+    ["reduce", "--thetas", "nan,0,0"],
+    ["state", "--eta", "nan", "--beta", "0"],
+    ["state", "--eta", "0", "--beta", "inf"],
+    ["state", "--thetas", "nan,0,0"],
+    ["state", "--eta", "0", "--beta", "0", "--tol", "nan"],
+    ["extrema", "--fn", "l1_wigner", "--tol", "nan"],
+], ids=" ".join)
+def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
+    code, _ = run_cli(argv, capsys)
+    assert code == 2
+
+
+@pytest.mark.parametrize("argv, patched", [
+    (["verify", "--suite", "reduction", "--samples", "20"], "verify_basis_reduction"),
+    (["verify", "--suite", "ybe", "--samples", "20"], "check_ybe"),
+    (["reduce", "--random", "10"], "verify_basis_reduction"),
+], ids=["verify-reduction", "verify-ybe", "reduce-random"])
+def test_nan_residual_fails(argv, patched, monkeypatch, capsys):
+    """One NaN sample among finite ones must surface as a FAIL, not vanish
+    into the worst-residual aggregate."""
+    real, calls = getattr(checks, patched), []
+
+    def third_call_nan(*args, **kwargs):
+        calls.append(None)
+        return math.nan if len(calls) == 3 else real(*args, **kwargs)
+
+    monkeypatch.setattr(checks, patched, third_call_nan)
+    code, out = run_cli(argv, capsys)
+    assert code == 1
+    assert any("FAIL" in ln and " nan " in f"{ln} " for ln in out.splitlines())
 
 
 def test_negative_range_values_accepted(capsys):
