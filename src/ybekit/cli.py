@@ -135,8 +135,10 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         payload = {
             "checks": [
-                {"name": c.name, "residual": float(c.residual), "tol": float(c.tol),
-                 "pass": c.passed}
+                # strict JSON has no NaN: a non-finite residual is written as null
+                {"name": c.name,
+                 "residual": float(c.residual) if math.isfinite(c.residual) else None,
+                 "tol": float(c.tol), "pass": c.passed}
                 for c in rows
             ],
             "meta": {"seed": args.seed, "tol": args.tol, "version": __version__},
@@ -156,6 +158,14 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
 
 
+def _csv_numbers(columns: dict[str, np.ndarray]) -> str:
+    """CSV of equal-length float columns, keyed by header, formatted in one
+    ``%.17g`` pass; each cell reads exactly as :func:`fmt` renders it."""
+    table = np.column_stack([np.ravel(c) for c in columns.values()])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+
+
 def _json_text(fn: str, axes: list[AxisSpec], values: list[float], meta: dict) -> str:
     payload = {
         "fn": fn,
@@ -168,73 +178,57 @@ def _json_text(fn: str, axes: list[AxisSpec], values: list[float], meta: dict) -
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _check_axis_flags(args, spec) -> None:
+    """Axis flags that the function's arity has no use for are usage errors,
+    not silently ignored."""
+    unused = ("theta",) if spec.arity == 2 else ("eta", "beta", "section")
+    for flag in unused:
+        if getattr(args, flag, None) is not None:
+            raise ValueError(f"--{flag} does not apply to the "
+                             f"{spec.arity}-parameter function {spec.tag}")
+
+
 def cmd_landscape(args) -> int:
     spec = get_function(args.fn)
+    _check_axis_flags(args, spec)
     meta = {"seed": None, "tol": None}
 
     if spec.arity == 1:
-        axis = parse_axis(args.theta, "theta") if args.theta else AxisSpec(
-            "theta", spec.default_domain[0][0], spec.default_domain[0][1], 500
-        )
-        data = sample_curve(args.fn, axis)
-        if args.format == "json":
-            text = _json_text(args.fn, [axis], [float(v) for v in data[:, 1]], meta)
-        else:
-            text = _csv_text(
-                ["theta", "value"], [[fmt(x), fmt(v)] for x, v in data]
-            )
-        _emit(args.output, text)
-        return EXIT_OK
-
-    if args.section:
+        axes = [_sampling_axis(args, spec, "theta")]
+        values = sample_curve(args.fn, axes[0])[:, 1]
+        columns = {"theta": axes[0].points(), "value": values}
+    elif args.section:
         fixed_axis, _, raw_value = args.section.partition("=")
         fixed_axis = fixed_axis.strip()
         if fixed_axis not in ("eta", "beta") or not raw_value:
             raise ValueError(f"--section must be eta=VALUE or beta=VALUE, got {args.section!r}")
         fixed_value = float(raw_value)
-        moving = "beta" if fixed_axis == "eta" else "eta"
-        if moving == "eta":
-            axis = parse_axis(args.eta, "eta") if args.eta else _default_axis(spec, 0, "eta")
-        else:
-            axis = parse_axis(args.beta, "beta") if args.beta else _default_axis(spec, 1, "beta")
-        data = section(args.fn, fixed_axis, fixed_value, axis)
-        if args.format == "json":
-            text = _json_text(args.fn, [axis], [float(v) for v in data[:, 1]],
-                              dict(meta, section=f"{fixed_axis}={fmt(fixed_value)}"))
-        else:
-            rows = []
-            for x, v in data:
-                eta = fmt(x) if moving == "eta" else fmt(fixed_value)
-                beta = fmt(fixed_value) if moving == "eta" else fmt(x)
-                rows.append([eta, beta, fmt(v)])
-            text = _csv_text(["eta", "beta", "value"], rows)
-        _emit(args.output, text)
-        return EXIT_OK
-
-    eta_axis = parse_axis(args.eta, "eta") if args.eta else _default_axis(spec, 0, "eta")
-    beta_axis = parse_axis(args.beta, "beta") if args.beta else _default_axis(spec, 1, "beta")
-    grid = sample_surface(args.fn, eta_axis, beta_axis)
-    if args.format == "json":
-        text = _json_text(
-            args.fn, [eta_axis, beta_axis],
-            [float(v) for v in grid.values.reshape(-1)], meta,
-        )
+        axes = [_sampling_axis(args, spec, "eta" if fixed_axis == "beta" else "beta")]
+        values = section(args.fn, fixed_axis, fixed_value, axes[0])[:, 1]
+        meta = dict(meta, section=f"{fixed_axis}={fmt(fixed_value)}")
+        coords = {axes[0].name: axes[0].points(), fixed_axis: np.full(axes[0].n, fixed_value)}
+        columns = {"eta": coords["eta"], "beta": coords["beta"], "value": values}
     else:
-        etas = eta_axis.points()
-        betas = beta_axis.points()
-        rows = [
-            [fmt(etas[i]), fmt(betas[j]), fmt(grid.values[i, j])]
-            for i in range(eta_axis.n)
-            for j in range(beta_axis.n)
-        ]
-        text = _csv_text(["eta", "beta", "value"], rows)
+        axes = [_sampling_axis(args, spec, "eta"), _sampling_axis(args, spec, "beta")]
+        values = sample_surface(args.fn, *axes).values
+        etas, betas = np.meshgrid(axes[0].points(), axes[1].points(), indexing="ij")
+        columns = {"eta": etas, "beta": betas, "value": values}
+
+    if args.format == "json":
+        text = _json_text(args.fn, axes, values.reshape(-1).tolist(), meta)
+    else:
+        text = _csv_numbers(columns)
     _emit(args.output, text)
     return EXIT_OK
 
 
-def _default_axis(spec, index: int, name: str) -> AxisSpec:
-    lo, hi = spec.default_domain[index]
-    return AxisSpec(name, lo, hi, 200)
+def _sampling_axis(args, spec, name: str) -> AxisSpec:
+    """The --NAME axis, or the function's default domain for that axis."""
+    raw = getattr(args, name)
+    if raw:
+        return parse_axis(raw, name)
+    lo, hi = spec.default_domain[1 if name == "beta" else 0]
+    return AxisSpec(name, lo, hi, 500 if name == "theta" else 200)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +237,7 @@ def _default_axis(spec, index: int, name: str) -> AxisSpec:
 
 def cmd_extrema(args) -> int:
     spec = get_function(args.fn)
+    _check_axis_flags(args, spec)
     if spec.arity == 2:
         eta_dom = _axis_bounds(args.eta) if args.eta else None
         beta_dom = _axis_bounds(args.beta) if args.beta else None
@@ -442,10 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.set_defaults(func=cmd_state)
 
     p_red = sub.add_parser("reduce", help="cross-check the fusion-space reduction")
-    p_red.add_argument("--thetas", type=parse_thetas, default=None,
-                       help="t1,t2,t3 on the constraint line")
-    p_red.add_argument("--random", type=number(int, minimum=0), default=0,
-                       help="check N random constrained triples instead")
+    p_red_mode = p_red.add_mutually_exclusive_group()
+    p_red_mode.add_argument("--thetas", type=parse_thetas, default=None,
+                            help="t1,t2,t3 on the constraint line")
+    p_red_mode.add_argument("--random", type=number(int, minimum=0), default=0,
+                            help="check N random constrained triples instead")
     p_red.add_argument("--seed", type=int, default=0)
     p_red.add_argument("--tol", type=number(), default=1e-10)
     p_red.add_argument("--constraint-tol", type=number(), default=1e-4)

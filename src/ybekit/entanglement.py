@@ -33,49 +33,49 @@ def l1_norm(psi: np.ndarray) -> float:
     return float(np.sum(np.abs(np.asarray(psi, dtype=complex))))
 
 
-def wigner_l1(d_matrix: np.ndarray) -> float:
+def wigner_l1(d_matrix: np.ndarray) -> float | np.ndarray:
     """Entry-modulus norm of a spin-1/2 rotation matrix: sum(|entries|)/2.
 
     Evaluates to |cos(theta)| + |sin(theta)| independently of the phase
-    angle.  Only the 2x2 case is supported.
+    angle.  Only the 2x2 case is supported; a stack of shape (2, 2, ...)
+    gives one norm per trailing index.
     """
     d_matrix = np.asarray(d_matrix, dtype=complex)
-    if d_matrix.shape != (2, 2):
+    if d_matrix.shape[:2] != (2, 2):
         raise ValueError(f"only the spin-1/2 (2x2) case is supported, got {d_matrix.shape}")
-    return float(np.sum(np.abs(d_matrix))) / 2.0
+    return np.sum(np.abs(d_matrix.reshape(4, *d_matrix.shape[2:])), axis=0) / 2.0
 
 
-def three_body_l1(params: ScatterParams) -> float:
+def three_body_l1(params: ScatterParams) -> float | np.ndarray:
     """l1-norm of the three-body matrix and of its output state:
 
     |cos(eta)| + sqrt(2)|cos(beta) sin(eta)| + |sin(beta) sin(eta)|.
     """
-    ce, se = math.cos(params.eta), math.sin(params.eta)
-    cb, sb = math.cos(params.beta), math.sin(params.beta)
-    return abs(ce) + math.sqrt(2.0) * abs(cb * se) + abs(sb * se)
+    ce, se = np.cos(params.eta), np.sin(params.eta)
+    cb, sb = np.cos(params.beta), np.sin(params.beta)
+    return np.abs(ce) + math.sqrt(2.0) * np.abs(cb * se) + np.abs(sb * se)
 
 
-def fusion_l1(params: ScatterParams) -> float:
+def fusion_l1(params: ScatterParams) -> float | np.ndarray:
     """l1-norm of the 2x2 fusion-space matrix.
 
     Sums |Re| + |Im| over the first-row entries; equals
     :func:`three_body_l1` identically.
     """
     row = fusion_form(params)[0]
-    return float(np.sum(np.abs(row.real)) + np.sum(np.abs(row.imag)))
+    return np.sum(np.abs(row.real), axis=0) + np.sum(np.abs(row.imag), axis=0)
 
 
-def binary_entropy(p: float) -> float:
+def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
     """H(p) in bits with the 0*log(0) = 0 convention."""
-    if p < -1e-12 or p > 1.0 + 1e-12:
-        raise ValueError(f"probability out of range: {p}")
-    p = min(max(p, 0.0), 1.0)
-    out = 0.0
-    if p > 0.0:
-        out -= p * math.log2(p)
-    if p < 1.0:
-        out -= (1.0 - p) * math.log2(1.0 - p)
-    return out
+    p = np.asarray(p, dtype=float)[()]  # a float stays a numpy scalar
+    outside = (p < -1e-12) | (p > 1.0 + 1e-12)
+    if np.count_nonzero(outside):
+        raise ValueError(f"probability out of range: {np.extract(outside, p)[0]}")
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    q = 1.0 - p
+    # log2(1) = 0 stands in at p = 0 and q = 0; 0.0 - ... keeps H = +0.0
+    return 0.0 - p * np.log2(p + (p == 0.0)) - q * np.log2(q + (q == 0.0))
 
 
 def von_neumann_entropy(psi: np.ndarray, keep: list[int], dims: list[int] | None = None) -> float:
@@ -101,14 +101,14 @@ def von_neumann_entropy(psi: np.ndarray, keep: list[int], dims: list[int] | None
     return out
 
 
-def fusion_entropy(params: ScatterParams) -> float:
+def fusion_entropy(params: ScatterParams) -> float | np.ndarray:
     """Entropy (bits) of the fusion-space output amplitudes.
 
     Binary entropy of |first row, first entry|^2; the first row is a unit
     vector by unitarity.
     """
     top_left = fusion_form(params)[0, 0]
-    return binary_entropy(abs(top_left) ** 2)
+    return binary_entropy(np.abs(top_left) ** 2)
 
 
 _TANGLE_INDEX = {

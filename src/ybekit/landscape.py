@@ -1,5 +1,9 @@
 """Scalar landscapes over (eta, beta) or a single angle, and their extrema.
 
+Every function in the registry takes broadcast arrays, so a grid, a
+section or a curve is one call; the critical-point refinement calls the
+same functions with floats.
+
 The surfaces of interest are built from absolute values of trigonometric
 functions, so some extrema sit on V-shaped kinks where derivative-based
 classification fails.  Critical points are therefore located by a strict
@@ -23,22 +27,19 @@ vn_xi                 1      entanglement entropy of the two-qubit output
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .entanglement import (
+    binary_entropy,
     fusion_entropy,
     fusion_l1,
     three_body_l1,
-    von_neumann_entropy,
     wigner_l1,
 )
-from .rmatrix import type2_r_4x4, wigner_d_half
-from .tensor import ket
+from .rmatrix import wigner_d_half
 from .threebody import ScatterParams
 
 PLATEAU_TOL = 1e-12
@@ -142,8 +143,8 @@ def _l1_wigner(theta: float) -> float:
 
 
 def _vn_xi(theta: float) -> float:
-    xi = type2_r_4x4(theta, 0.0) @ ket("00")
-    return von_neumann_entropy(xi, [0])
+    # type2_r_4x4(theta) |00> = cos(theta) |00> - sin(theta) |11>
+    return binary_entropy(np.cos(theta) ** 2)
 
 
 @dataclass(frozen=True)
@@ -176,39 +177,17 @@ def get_function(tag: str) -> LandscapeFunction:
         raise ValueError(f"unknown function tag {tag!r}; known: {sorted(FUNCTIONS)}") from None
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("YBE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sample_surface(tag: str, eta_axis: AxisSpec, beta_axis: AxisSpec) -> LandscapeGrid:
-    """Deterministic grid of a two-parameter function.
-
-    Rows may be evaluated in parallel (YBE_THREADS); results are assembled
-    in index order so the grid is identical either way.
-    """
+    """Deterministic grid of a two-parameter function, evaluated in one
+    call over the (eta, beta) mesh."""
     spec = get_function(tag)
     if spec.arity != 2:
         raise ValueError(f"{tag} is a 1-parameter function; use sample_curve")
     for axis in (eta_axis, beta_axis):
         if axis.n < 3:
             raise ValueError(f"axis {axis.name} needs at least 3 samples for a grid, got {axis.n}")
-    etas = eta_axis.points()
-    betas = beta_axis.points()
-
-    def row(i: int) -> np.ndarray:
-        return np.array([spec.fn(etas[i], b) for b in betas])
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(eta_axis.n)))
-    else:
-        rows = [row(i) for i in range(eta_axis.n)]
-    return LandscapeGrid(tag, eta_axis, beta_axis, np.vstack(rows))
+    etas, betas = np.meshgrid(eta_axis.points(), beta_axis.points(), indexing="ij")
+    return LandscapeGrid(tag, eta_axis, beta_axis, spec.fn(etas, betas))
 
 
 def sample_curve(tag: str, axis: AxisSpec) -> np.ndarray:
@@ -217,7 +196,7 @@ def sample_curve(tag: str, axis: AxisSpec) -> np.ndarray:
     if spec.arity != 1:
         raise ValueError(f"{tag} is a 2-parameter function; use sample_surface or section")
     xs = axis.points()
-    return np.column_stack([xs, [spec.fn(x) for x in xs]])
+    return np.column_stack([xs, spec.fn(xs)])
 
 
 def section(tag: str, fixed_axis: str, fixed_value: float, axis: AxisSpec) -> np.ndarray:
@@ -232,10 +211,7 @@ def section(tag: str, fixed_axis: str, fixed_value: float, axis: AxisSpec) -> np
     if fixed_axis not in ("eta", "beta"):
         raise ValueError(f"fixed axis must be 'eta' or 'beta', got {fixed_axis!r}")
     xs = axis.points()
-    if fixed_axis == "beta":
-        vals = [spec.fn(x, fixed_value) for x in xs]
-    else:
-        vals = [spec.fn(fixed_value, x) for x in xs]
+    vals = spec.fn(xs, fixed_value) if fixed_axis == "beta" else spec.fn(fixed_value, xs)
     return np.column_stack([xs, vals])
 
 
@@ -243,19 +219,19 @@ def section(tag: str, fixed_axis: str, fixed_value: float, axis: AxisSpec) -> np
 # critical points
 # ---------------------------------------------------------------------------
 
-def _axis_kind(center: float, lo: float, hi: float) -> str | None:
-    """Per-axis behavior with a tie tolerance.
+def _axis_kind(center, lo, hi) -> np.ndarray:
+    """Per-axis behavior with a tie tolerance, elementwise over broadcast
+    arrays: "max", "min", or "" for neither.
 
     An extremum of a symmetric curve can land exactly between two grid
     nodes, leaving two equal-to-rounding samples at the top; such a point
     must still count, so one strict neighbor comparison plus one
     tolerance-level tie qualifies.
     """
-    if center > min(lo, hi) + PLATEAU_TOL and center >= max(lo, hi) - PLATEAU_TOL:
-        return "max"
-    if center < max(lo, hi) - PLATEAU_TOL and center <= min(lo, hi) + PLATEAU_TOL:
-        return "min"
-    return None
+    low, high = np.minimum(lo, hi), np.maximum(lo, hi)
+    is_max = (center > low + PLATEAU_TOL) & (center >= high - PLATEAU_TOL)
+    is_min = (center < high - PLATEAU_TOL) & (center <= low + PLATEAU_TOL)
+    return np.where(is_max, "max", np.where(is_min, "min", ""))
 
 
 def _shrink_bracket(fn1d: Callable[[float], float], lo: float, hi: float,
@@ -290,7 +266,7 @@ def _kinked(fn1d: Callable[[float], float], x: float, h: float) -> bool:
     points.
     """
     s_minus, s_plus = _one_sided_slopes(fn1d, x, h)
-    return abs(s_plus - s_minus) > 10.0 * max(h, abs(s_plus + s_minus))
+    return bool(abs(s_plus - s_minus) > 10.0 * max(h, abs(s_plus + s_minus)))
 
 
 def _classify(axis_kinds: tuple[str, ...]) -> str:
@@ -325,36 +301,59 @@ def find_critical_points_2d(tag: str,
         beta_domain = spec.default_domain[1]
     eta_axis = AxisSpec("eta", eta_domain[0], eta_domain[1], coarse_n)
     beta_axis = AxisSpec("beta", beta_domain[0], beta_domain[1], coarse_n)
-    grid = sample_surface(tag, eta_axis, beta_axis)
-    vals = grid.values
+    vals = sample_surface(tag, eta_axis, beta_axis).values
     etas = eta_axis.points()
     betas = beta_axis.points()
 
     results: list[CriticalPoint] = []
-    for i in range(1, eta_axis.n - 1):
-        for j in range(1, beta_axis.n - 1):
-            center = vals[i, j]
-            block = vals[i - 1 : i + 2, j - 1 : j + 2]
-            if np.max(np.abs(block - center)) < PLATEAU_TOL:
-                continue  # degenerate plateau
-            kind_eta = _axis_kind(center, vals[i - 1, j], vals[i + 1, j])
-            kind_beta = _axis_kind(center, vals[i, j - 1], vals[i, j + 1])
-            if kind_eta is None or kind_beta is None:
-                continue
-            if kind_eta == kind_beta:
-                diag = [vals[i - 1, j - 1], vals[i - 1, j + 1], vals[i + 1, j - 1], vals[i + 1, j + 1]]
-                if kind_eta == "max" and not all(center > d - PLATEAU_TOL for d in diag):
-                    continue
-                if kind_eta == "min" and not all(center < d + PLATEAU_TOL for d in diag):
-                    continue
-
-            point = _refine_2d(
-                spec.fn, (etas[i], betas[j]), (eta_axis.step, beta_axis.step),
-                (kind_eta, kind_beta), refine_tol, kink_probe,
-            )
-            if point is not None:
-                results.append(point)
+    for i, j, kind_eta, kind_beta in zip(*_scan_2d(vals)):
+        point = _refine_2d(
+            spec.fn, (etas[i], betas[j]), (eta_axis.step, beta_axis.step),
+            (kind_eta, kind_beta), refine_tol, kink_probe,
+        )
+        if point is not None:
+            results.append(point)
     return _dedupe(results, refine_tol * 10.0)
+
+
+def _scan_2d(vals: np.ndarray) -> tuple:
+    """Coarse candidates of a sampled surface in row-major order, as their
+    grid indices i, j and their kinds along eta and beta.
+
+    The 8 neighbors of the interior nodes are shifted views of the grid,
+    folded in one at a time so that no stack of eight grid-sized arrays is
+    held; a max (min) along both axes must also beat (undercut) the
+    diagonals.
+    """
+    def shifted(di: int, dj: int) -> np.ndarray:
+        return vals[1 + di : vals.shape[0] - 1 + di, 1 + dj : vals.shape[1] - 1 + dj]
+
+    center = shifted(0, 0)
+    kind_eta = _axis_kind(center, shifted(-1, 0), shifted(1, 0))
+    kind_beta = _axis_kind(center, shifted(0, -1), shifted(0, 1))
+    spread = np.zeros_like(center)
+    above_diag = np.ones(center.shape, dtype=bool)
+    below_diag = np.ones(center.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            neighbor = shifted(di, dj)
+            np.maximum(spread, np.abs(neighbor - center), out=spread)
+            if di and dj:
+                above_diag &= center > neighbor - PLATEAU_TOL
+                below_diag &= center < neighbor + PLATEAU_TOL
+    keep = (spread >= PLATEAU_TOL) & (kind_eta != "") & (kind_beta != "")
+    keep &= (kind_eta != kind_beta) | np.where(kind_eta == "max", above_diag, below_diag)
+    i, j = np.nonzero(keep)
+    return i + 1, j + 1, kind_eta[i, j].tolist(), kind_beta[i, j].tolist()
+
+
+def _scan_1d(vals: np.ndarray) -> tuple:
+    """Coarse candidates of a sampled curve: their indices and kinds."""
+    center, lo, hi = vals[1:-1], vals[:-2], vals[2:]
+    kinds = _axis_kind(center, lo, hi)
+    plateau = np.maximum(np.abs(lo - center), np.abs(hi - center)) < PLATEAU_TOL
+    (i,) = np.nonzero(~plateau & (kinds != ""))
+    return i + 1, kinds[i].tolist()
 
 
 def _flat_axis(fn1d: Callable[[float], float], x: float, probe: float = 1e-4) -> bool:
@@ -406,16 +405,9 @@ def find_critical_points_1d(tag: str,
         domain = spec.default_domain[0]
     axis = AxisSpec("theta", domain[0], domain[1], coarse_n)
     xs = axis.points()
-    vals = np.array([spec.fn(x) for x in xs])
 
     results: list[CriticalPoint] = []
-    for i in range(1, axis.n - 1):
-        center = vals[i]
-        if max(abs(vals[i - 1] - center), abs(vals[i + 1] - center)) < PLATEAU_TOL:
-            continue
-        kind = _axis_kind(center, vals[i - 1], vals[i + 1])
-        if kind is None:
-            continue
+    for i, kind in zip(*_scan_1d(spec.fn(xs))):
         x = _shrink_bracket(spec.fn, xs[i] - axis.step, xs[i] + axis.step,
                             kind == "max", refine_tol)
         results.append(

@@ -67,7 +67,10 @@ class ConstraintViolation(ValueError):
 @dataclass(frozen=True)
 class ScatterParams:
     """The two free parameters of the three-body matrix, canonicalized to
-    eta in [0, 2*pi) and beta in [-pi, pi)."""
+    eta in [0, 2*pi) and beta in [-pi, pi).
+
+    The fields may also be broadcast arrays; the landscape kernels pass
+    whole grids through one instance."""
 
     eta: float
     beta: float
@@ -191,15 +194,20 @@ def fusion_form(params: ScatterParams) -> np.ndarray:
     [[cos(eta) + i cos(beta) sin(eta)/sqrt2,  (i cos(beta)/sqrt2 + sin(beta)) sin(eta)],
      [(i cos(beta)/sqrt2 - sin(beta)) sin(eta),  cos(eta) - i cos(beta) sin(eta)/sqrt2]]
 
-    Unitary for all parameters.
+    Unitary for all parameters.  Array parameters give a stack of shape
+    (2, 2, ...), one matrix per trailing index.
     """
-    ce, se = math.cos(params.eta), math.sin(params.eta)
-    cb, sb = math.cos(params.beta), math.sin(params.beta)
-    diag_im = 1j * cb / math.sqrt(2.0)
+    ce, se = np.cos(params.eta), np.sin(params.eta)
+    cb, sb = np.cos(params.beta), np.sin(params.beta)
+    # cb / sqrt2 is divided in reals: numpy divides a complex by a real
+    # through its reciprocal, which rounds differently from Python.  The
+    # complex term comes first in each sum so that float arguments stay in
+    # fast Python complex arithmetic; the sums are the same bits either way.
+    diag_im = 1j * (cb / math.sqrt(2.0))
     return np.array(
         [
-            [ce + diag_im * se, (diag_im + sb) * se],
-            [(diag_im - sb) * se, ce - diag_im * se],
+            [diag_im * se + ce, (diag_im + sb) * se],
+            [(diag_im - sb) * se, -(diag_im * se) + ce],
         ],
         dtype=complex,
     )

@@ -156,8 +156,8 @@ def find_critical_points_1d_section():
     vals = [fn(x) for x in xs]
     out = []
     for i in range(1, axis.n - 1):
-        kind = _axis_kind(vals[i], vals[i - 1], vals[i + 1])
-        if kind is None:
+        kind = str(_axis_kind(vals[i], vals[i - 1], vals[i + 1]))
+        if not kind:
             continue
         x = _shrink_bracket(fn, xs[i] - axis.step, xs[i] + axis.step, kind == "max", 1e-9)
         out.append(CriticalPoint((x,), fn(x), f"local-{kind}", (kind,), (False,)))

@@ -259,6 +259,14 @@ def test_reduce_random_batch(capsys):
     ["state", "--thetas", "nan,0,0"],
     ["state", "--eta", "0", "--beta", "0", "--tol", "nan"],
     ["extrema", "--fn", "l1_wigner", "--tol", "nan"],
+    ["reduce", "--random", "5", "--thetas", "0.1,0.2,0.3"],
+    ["landscape", "--fn", "l1_wigner", "--section", "eta=1"],
+    ["landscape", "--fn", "l1_wigner", "--eta", "0:1:5"],
+    ["landscape", "--fn", "vn_xi", "--beta", "0:1:5"],
+    ["landscape", "--fn", "l1_S3", "--theta", "0:1:5"],
+    ["extrema", "--fn", "l1_wigner", "--eta", "0:1"],
+    ["extrema", "--fn", "vn_xi", "--beta", "0:1"],
+    ["extrema", "--fn", "l1_S3", "--theta", "0:1"],
 ], ids=" ".join)
 def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
     code, _ = run_cli(argv, capsys)
@@ -269,10 +277,12 @@ def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
     (["verify", "--suite", "reduction", "--samples", "20"], "verify_basis_reduction"),
     (["verify", "--suite", "ybe", "--samples", "20"], "check_ybe"),
     (["reduce", "--random", "10"], "verify_basis_reduction"),
-], ids=["verify-reduction", "verify-ybe", "reduce-random"])
+    (["verify", "--suite", "ybe", "--samples", "20", "--format", "json"], "check_ybe"),
+], ids=["verify-reduction", "verify-ybe", "reduce-random", "verify-ybe-json"])
 def test_nan_residual_fails(argv, patched, monkeypatch, capsys):
     """One NaN sample among finite ones must surface as a FAIL, not vanish
-    into the worst-residual aggregate."""
+    into the worst-residual aggregate; JSON output writes it as null, since
+    strict parsers reject a bare NaN token."""
     real, calls = getattr(checks, patched), []
 
     def third_call_nan(*args, **kwargs):
@@ -282,7 +292,27 @@ def test_nan_residual_fails(argv, patched, monkeypatch, capsys):
     monkeypatch.setattr(checks, patched, third_call_nan)
     code, out = run_cli(argv, capsys)
     assert code == 1
-    assert any("FAIL" in ln and " nan " in f"{ln} " for ln in out.splitlines())
+    if "json" in argv:
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+        checks_out = json.loads(out, parse_constant=reject)["checks"]
+        assert any(c["residual"] is None and c["pass"] is False for c in checks_out)
+    else:
+        assert any("FAIL" in ln and " nan " in f"{ln} " for ln in out.splitlines())
+
+
+def test_bulk_csv_matches_per_cell_fmt():
+    n = 6
+    columns = {
+        "eta": np.array([-0.0, 1e-300, 0.1, 2.0 / 3.0, math.pi, -5e-324]),
+        "beta": np.full(n, 0.61547970867038737),  # a section's fixed coordinate
+        "value": np.array([0.30000000000000004, -1e-300, 1.0000000000000002,
+                           123456789.12345679, 1.0 / 3.0, -0.0]),
+    }
+    expected = "eta,beta,value\n" + "".join(
+        ",".join(cli.fmt(c[k]) for c in columns.values()) + "\n" for k in range(n))
+    assert cli._csv_numbers(columns) == expected
+    assert expected.splitlines()[1].startswith("-0,")
 
 
 def test_negative_range_values_accepted(capsys):

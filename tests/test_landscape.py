@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ybekit.entanglement import binary_entropy
+from ybekit.entanglement import binary_entropy, l1_norm, von_neumann_entropy, wigner_l1
 from ybekit.landscape import (
+    FUNCTIONS,
     AxisSpec,
     LOCAL_MAX,
     LOCAL_MIN,
+    PLATEAU_TOL,
     SADDLE,
+    _scan_1d,
+    _scan_2d,
     find_critical_points_1d,
     find_critical_points_2d,
     get_function,
@@ -17,7 +21,9 @@ from ybekit.landscape import (
     sample_surface,
     section,
 )
-from ybekit.threebody import BETA_STAR
+from ybekit.rmatrix import type2_r_4x4, wigner_d_half
+from ybekit.tensor import ket
+from ybekit.threebody import BETA_STAR, ScatterParams, closed_form
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
@@ -181,10 +187,129 @@ def test_refinement_converges():
     assert abs(coarse[0].location[0] - fine[0].location[0]) < 1e-5
 
 
-def test_thread_env_does_not_change_values(monkeypatch):
-    eta_axis = AxisSpec("eta", 0.0, TWO_PI, 50)
-    beta_axis = AxisSpec("beta", -1.5, 1.5, 50)
-    serial = sample_surface("l1_S3", eta_axis, beta_axis)
-    monkeypatch.setenv("YBE_THREADS", "4")
-    threaded = sample_surface("l1_S3", eta_axis, beta_axis)
-    assert np.array_equal(serial.values, threaded.values)
+def _entropy(p):
+    return -sum(x * math.log2(x) for x in (p, 1.0 - p) if x > 0.0)
+
+
+def _dense_oracle(tag, *coords):
+    """Each landscape value through the dense matrices, one point at a time."""
+    if tag in ("l1_S3", "l1_Sprime"):
+        return l1_norm(closed_form(ScatterParams(*coords))[:, 0])
+    if tag == "vn_Sprime":
+        psi = closed_form(ScatterParams(*coords)) @ ket("000")
+        return _entropy(abs(psi[0b000]) ** 2 + abs(psi[0b011]) ** 2)
+    if tag == "vn_xi":
+        return von_neumann_entropy(type2_r_4x4(coords[0]) @ ket("00"), [0])
+    return wigner_l1(wigner_d_half(coords[0], 0.0))
+
+
+def _kernel_inputs(spec):
+    if spec.arity == 2:
+        return np.meshgrid(np.linspace(-7.0, 7.0, 15), np.linspace(-3.0, 3.0, 13), indexing="ij")
+    return (np.linspace(-3.0, 3.0, 41),)
+
+
+@pytest.mark.parametrize("tag", sorted(FUNCTIONS))
+def test_kernel_matches_dense_oracle(tag):
+    spec = get_function(tag)
+    coords = _kernel_inputs(spec)
+    values = spec.fn(*coords)
+    for idx in np.ndindex(values.shape):
+        point = [float(c[idx]) for c in coords]
+        assert abs(values[idx] - _dense_oracle(tag, *point)) < 1e-13, point
+
+
+@pytest.mark.parametrize("tag", sorted(FUNCTIONS))
+def test_kernel_array_call_is_bit_equal_to_float_calls(tag):
+    """The scan samples a kernel over arrays and the refinement calls it
+    with floats; both must give the same bits."""
+    spec = get_function(tag)
+    coords = _kernel_inputs(spec)
+    values = spec.fn(*coords)
+    pointwise = np.array([spec.fn(*(float(c[idx]) for c in coords))
+                          for idx in np.ndindex(values.shape)])
+    assert values.tobytes() == pointwise.reshape(values.shape).tobytes()
+
+
+def test_l1_finder_returns_the_full_closed_form_set():
+    w = math.acos(1.0 / math.sqrt(3.0))
+    expected = (
+        [((eta, s * BETA_STAR), 2.0, LOCAL_MAX)  # GHZ
+         for eta in (math.pi / 3, 2 * math.pi / 3, 4 * math.pi / 3, 5 * math.pi / 3)
+         for s in (1, -1)]
+        + [((eta, s * BETA_STAR), math.sqrt(3.0), SADDLE)  # W
+           for eta in (math.pi / 2, 3 * math.pi / 2) for s in (1, -1)]
+        + [((eta, 0.0), math.sqrt(3.0), SADDLE)
+           for eta in (w, math.pi - w, math.pi + w, TWO_PI - w)]
+        + [((eta, 0.0), math.sqrt(2.0), LOCAL_MIN) for eta in (math.pi / 2, 3 * math.pi / 2)]
+    )
+    points = find_critical_points_2d("l1_S3", coarse_n=400)
+    assert len(points) == len(expected) == 18
+    for location, value, kind in expected:
+        near = [p for p in points
+                if all(abs(a - b) < 1e-6 for a, b in zip(p.location, location))]
+        assert len(near) == 1, location
+        assert near[0].kind == kind, location
+        assert abs(near[0].value - value) < 1e-6, location
+
+
+def _axis_kind_scalar(center, lo, hi):
+    if center > min(lo, hi) + PLATEAU_TOL and center >= max(lo, hi) - PLATEAU_TOL:
+        return "max"
+    if center < max(lo, hi) - PLATEAU_TOL and center <= min(lo, hi) + PLATEAU_TOL:
+        return "min"
+    return None
+
+
+def _scan_2d_loop(vals):
+    """The per-node scan that the array scan replaced, kept as its reference."""
+    out = []
+    for i in range(1, vals.shape[0] - 1):
+        for j in range(1, vals.shape[1] - 1):
+            center = vals[i, j]
+            if np.max(np.abs(vals[i - 1 : i + 2, j - 1 : j + 2] - center)) < PLATEAU_TOL:
+                continue
+            kind_eta = _axis_kind_scalar(center, vals[i - 1, j], vals[i + 1, j])
+            kind_beta = _axis_kind_scalar(center, vals[i, j - 1], vals[i, j + 1])
+            if kind_eta is None or kind_beta is None:
+                continue
+            if kind_eta == kind_beta:
+                diag = [vals[i - 1, j - 1], vals[i - 1, j + 1], vals[i + 1, j - 1], vals[i + 1, j + 1]]
+                if kind_eta == "max" and not all(center > d - PLATEAU_TOL for d in diag):
+                    continue
+                if kind_eta == "min" and not all(center < d + PLATEAU_TOL for d in diag):
+                    continue
+            out.append((i, j, kind_eta, kind_beta))
+    return out
+
+
+def _scan_1d_loop(vals):
+    out = []
+    for i in range(1, len(vals) - 1):
+        center = vals[i]
+        if max(abs(vals[i - 1] - center), abs(vals[i + 1] - center)) < PLATEAU_TOL:
+            continue
+        kind = _axis_kind_scalar(center, vals[i - 1], vals[i + 1])
+        if kind is not None:
+            out.append((i, kind))
+    return out
+
+
+def _scan_grids():
+    rng = np.random.default_rng(5)
+    levels = rng.integers(0, 3, size=(40, 40)).astype(float)  # ties and plateaus
+    return [
+        levels,
+        levels + rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=levels.shape) * PLATEAU_TOL,
+        rng.normal(size=(30, 50)),
+        sample_surface("l1_S3", AxisSpec("eta", 0.0, TWO_PI, 120),
+                       AxisSpec("beta", -1.6, 1.6, 90)).values,
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["levels", "ties", "noise", "l1_S3"])
+def test_array_scans_match_the_per_node_loop(case):
+    vals = _scan_grids()[case]
+    assert list(zip(*_scan_2d(vals))) == _scan_2d_loop(vals)
+    for line in (*vals, *vals.T):
+        assert list(zip(*_scan_1d(line))) == _scan_1d_loop(line)
