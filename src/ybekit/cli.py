@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .checks import SUITES, random_reduction
+from .checks import SUITES, random_reduction, worst
 from .entanglement import classify_slocc, entanglement_report
 from .fusionbasis import (
     LeakageError,
@@ -179,13 +179,16 @@ def _json_text(fn: str, axes: list[AxisSpec], values: list[float], meta: dict) -
 
 
 def _check_axis_flags(args, spec) -> None:
-    """Axis flags that the function's arity has no use for are usage errors,
-    not silently ignored."""
+    """Axis flags that the function's arity has no use for, or that name the
+    axis a ``--section`` fixes, are usage errors, not silently ignored."""
     unused = ("theta",) if spec.arity == 2 else ("eta", "beta", "section")
     for flag in unused:
         if getattr(args, flag, None) is not None:
             raise ValueError(f"--{flag} does not apply to the "
                              f"{spec.arity}-parameter function {spec.tag}")
+    fixed = (getattr(args, "section", None) or "").partition("=")[0].strip()
+    if fixed in ("eta", "beta") and getattr(args, fixed) is not None:
+        raise ValueError(f"--{fixed} does not apply: --section {args.section} fixes that axis")
 
 
 def cmd_landscape(args) -> int:
@@ -344,10 +347,10 @@ def _format_matrix(m: np.ndarray) -> list[str]:
 
 def cmd_reduce(args) -> int:
     if args.random:
-        worst = random_reduction(args.random, args.seed)
-        ok = worst <= args.tol
+        residual = worst(random_reduction(args.random, args.seed))
+        ok = residual <= args.tol
         sys.stdout.write(
-            f"{args.random} random constrained triples: max residual {fmt(worst)} "
+            f"{args.random} random constrained triples: max residual {fmt(residual)} "
             f"(tol {args.tol:.1e}) {'PASS' if ok else 'FAIL'}\n"
         )
         return EXIT_OK if ok else EXIT_TOLERANCE

@@ -21,6 +21,7 @@ from .tensor import partial_trace
 from .threebody import ScatterParams, fusion_form
 
 CLASS_TOL = 1e-6
+NORM_TOL = 1e-10
 
 PRODUCT = "product"
 BISEPARABLE = "biseparable"
@@ -150,13 +151,23 @@ def three_tangle(psi: np.ndarray) -> float:
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
+def _require_normalized(psi: np.ndarray) -> None:
+    """Raise ValueError unless psi is finite with unit l2 norm (to NORM_TOL):
+    the measures below read nonsense, such as negative entropies, otherwise."""
+    norm = math.sqrt(np.vdot(psi, psi).real)
+    if not abs(norm - 1.0) <= NORM_TOL:  # a NaN or infinite norm fails too
+        raise ValueError(f"expected a finite normalized state, got norm {norm}")
+
+
 def classify_slocc(psi: np.ndarray, tol: float = CLASS_TOL) -> str:
     """SLOCC class label of a normalized three-qubit pure state.
 
     GHZ-class when the 3-tangle exceeds ``tol``; otherwise W-class when all
     three single-qubit cuts carry entropy above ``tol``; otherwise
-    biseparable or product by the number of zero-entropy cuts.
+    biseparable or product by the number of zero-entropy cuts.  Raises
+    ValueError on a non-finite or unnormalized state.
     """
+    _require_normalized(psi)
     tau = three_tangle(psi)
     if tau > tol:
         return GHZ_CLASS
@@ -180,7 +191,9 @@ class EntanglementReport:
 
 
 def entanglement_report(psi: np.ndarray, tol: float = CLASS_TOL) -> EntanglementReport:
-    """All measures for one state: l1, per-cut entropies, 3-tangle, class."""
+    """All measures for one state: l1, per-cut entropies, 3-tangle, class.
+    Raises ValueError on a non-finite or unnormalized state."""
+    _require_normalized(psi)
     return EntanglementReport(
         l1=l1_norm(psi),
         vn_entropies={k: von_neumann_entropy(psi, [k]) for k in range(3)},

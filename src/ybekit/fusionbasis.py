@@ -15,7 +15,9 @@ matrix against its 2x2 closed form through this machinery.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -101,8 +103,33 @@ def phased_antiparallel_state() -> np.ndarray:
     return np.array([0, 1, -1j, 0], dtype=complex) / np.sqrt(2)
 
 
+@functools.cache
+def _shared(build, *args) -> FusionBasis:
+    """One build of a constant basis, with read-only arrays so that no
+    caller can change the shared copy."""
+    basis = build(*args)
+    basis.e1.setflags(write=False)
+    basis.e2.setflags(write=False)
+    return basis
+
+
 def fusion_basis_type1() -> FusionBasis:
-    """Singlet-pair basis with loop value 2."""
+    """Singlet-pair basis with loop value 2; built once, read-only."""
+    return _shared(_build_type1)
+
+
+def fusion_basis_type2(varphi: float = 0.0) -> FusionBasis:
+    """Phased-pair basis with loop value sqrt(2).
+
+    The defining combination for e2 is orthonormal at varphi = 0; away from
+    that point the constructor re-orthogonalizes e2 against e1 and records
+    the correction norm.  The basis at varphi = 0 is built once and is
+    read-only; any other varphi builds a fresh basis.
+    """
+    return _shared(_build_type2, 0.0) if varphi == 0.0 else _build_type2(varphi)
+
+
+def _build_type1() -> FusionBasis:
     s = singlet_state()
     nested = two_pair_state((1, 2), s, (3, 4), s)
     crossed = two_pair_state((4, 1), s, (2, 3), s)
@@ -111,13 +138,7 @@ def fusion_basis_type1() -> FusionBasis:
     return FusionBasis(e1, e2, 2.0, "type1")
 
 
-def fusion_basis_type2(varphi: float = 0.0) -> FusionBasis:
-    """Phased-pair basis with loop value sqrt(2).
-
-    The defining combination for e2 is orthonormal at varphi = 0; away from
-    that point the constructor re-orthogonalizes e2 against e1 and records
-    the correction norm.
-    """
+def _build_type2(varphi: float) -> FusionBasis:
     par = phased_parallel_state(varphi)
     anti = phased_antiparallel_state()
     e1 = (
@@ -148,36 +169,39 @@ def reduce_operator(op: np.ndarray, basis: FusionBasis, tol: float = 1e-10) -> n
 
     Entry (i, j) is <e_i| Op |e_j>, so reducing the identity gives the
     identity and reduction is multiplicative over span-preserving
-    operators.  Raises :class:`LeakageError` when Op maps a basis vector
-    outside the span by more than ``tol``.
+    operators.  A (..., 16, 16) stack reduces to a (..., 2, 2) stack.
+    Raises :class:`LeakageError` when Op maps a basis vector outside the
+    span by more than ``tol``, in any operator of the stack.
     """
     op = np.asarray(op, dtype=complex)
-    if op.shape != (16, 16):
+    if op.shape[-2:] != (16, 16):
         raise ValueError(f"expected a 16x16 operator, got shape {op.shape}")
     vecs = (basis.e1, basis.e2)
-    reduced = np.empty((2, 2), dtype=complex)
-    leakage = 0.0
+    reduced = np.empty(op.shape[:-2] + (2, 2), dtype=complex)
+    leakage = np.zeros(op.shape[:-2])
     for j, v in enumerate(vecs):
-        image = op @ v
-        coeffs = [np.vdot(w, image) for w in vecs]
-        reduced[0, j], reduced[1, j] = coeffs
-        residual = image - coeffs[0] * vecs[0] - coeffs[1] * vecs[1]
-        leakage = max(leakage, float(np.linalg.norm(residual)))
-    if leakage > tol:
-        raise LeakageError(leakage, tol)
+        image = np.matmul(op, v)
+        # <w|image> as a matmul with the conjugate row: the same bits as np.vdot
+        coeffs = [np.matmul(w.conj(), image[..., None])[..., 0] for w in vecs]
+        reduced[..., 0, j], reduced[..., 1, j] = coeffs
+        residual = image - coeffs[0][..., None] * vecs[0] - coeffs[1][..., None] * vecs[1]
+        leakage = np.fmax(leakage, np.linalg.norm(residual, axis=-1))
+    if np.any(leakage > tol):
+        raise LeakageError(float(np.max(leakage)), tol)
     return reduced
 
 
 def embed_three_body(op8: np.ndarray) -> np.ndarray:
-    """Lift an 8x8 operator on qubits 1-3 to the 4-qubit chain as Op (x) I."""
+    """Lift an 8x8 operator on qubits 1-3 to the 4-qubit chain as Op (x) I;
+    a (..., 8, 8) stack lifts to a (..., 16, 16) stack."""
     op8 = np.asarray(op8, dtype=complex)
-    if op8.shape != (8, 8):
+    if op8.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 operator, got shape {op8.shape}")
     return kron(op8, IDENTITY_2)
 
 
-def verify_basis_reduction(triple: AngleTriple, tol: float = 1e-10,
-                           constraint_tol: float = DEFAULT_CONSTRAINT_TOL) -> float:
+def verify_basis_reduction(triple: AngleTriple | Sequence[AngleTriple], tol: float = 1e-10,
+                           constraint_tol: float = DEFAULT_CONSTRAINT_TOL) -> float | np.ndarray:
     """Residual between the reduced 8x8 product and the 2x2 closed form.
 
     The factorized scattering matrix is lifted to four qubits, reduced on
@@ -186,8 +210,17 @@ def verify_basis_reduction(triple: AngleTriple, tol: float = 1e-10,
     2x2 solution family with reversed angle orientation, so the closed form
     is conjugated to match that orientation before the single global phase
     is aligned.
+
+    A sequence of triples gives one residual per triple: the product and
+    the reduction run as stacks, while the closed form and the phase
+    alignment stay per triple, in the Python floats whose bits their numpy
+    forms would move.
     """
-    op16 = embed_three_body(product_form(triple, constraint_tol))
+    block = [triple] if isinstance(triple, AngleTriple) else triple
+    op16 = embed_three_body(product_form(block, constraint_tol))
     reduced = reduce_operator(op16, fusion_basis_type2(0.0), tol=tol)
-    target = fusion_form(angles_to_params(triple, constraint_tol))
-    return max_diff_up_to_phase(reduced, target.conj())
+    residuals = np.array([
+        max_diff_up_to_phase(r, fusion_form(angles_to_params(t, constraint_tol)).conj())
+        for r, t in zip(reduced, block)
+    ])
+    return float(residuals[0]) if block is not triple else residuals

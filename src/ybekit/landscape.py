@@ -320,10 +320,11 @@ def _scan_2d(vals: np.ndarray) -> tuple:
     """Coarse candidates of a sampled surface in row-major order, as their
     grid indices i, j and their kinds along eta and beta.
 
-    The 8 neighbors of the interior nodes are shifted views of the grid,
-    folded in one at a time so that no stack of eight grid-sized arrays is
-    held; a max (min) along both axes must also beat (undercut) the
-    diagonals.
+    The neighbors of the interior nodes are shifted views of the grid.  A
+    node must be a max or a min along both axes; the tie tolerance of
+    :func:`_axis_kind` already drops nodes on a plateau.  A max (min) along
+    both axes must also beat (undercut) the four diagonals, folded in one
+    at a time so that no stack of grid-sized arrays is held.
     """
     def shifted(di: int, dj: int) -> np.ndarray:
         return vals[1 + di : vals.shape[0] - 1 + di, 1 + dj : vals.shape[1] - 1 + dj]
@@ -331,17 +332,14 @@ def _scan_2d(vals: np.ndarray) -> tuple:
     center = shifted(0, 0)
     kind_eta = _axis_kind(center, shifted(-1, 0), shifted(1, 0))
     kind_beta = _axis_kind(center, shifted(0, -1), shifted(0, 1))
-    spread = np.zeros_like(center)
     above_diag = np.ones(center.shape, dtype=bool)
     below_diag = np.ones(center.shape, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
+    for di in (-1, 1):
+        for dj in (-1, 1):
             neighbor = shifted(di, dj)
-            np.maximum(spread, np.abs(neighbor - center), out=spread)
-            if di and dj:
-                above_diag &= center > neighbor - PLATEAU_TOL
-                below_diag &= center < neighbor + PLATEAU_TOL
-    keep = (spread >= PLATEAU_TOL) & (kind_eta != "") & (kind_beta != "")
+            above_diag &= center > neighbor - PLATEAU_TOL
+            below_diag &= center < neighbor + PLATEAU_TOL
+    keep = (kind_eta != "") & (kind_beta != "")
     keep &= (kind_eta != kind_beta) | np.where(kind_eta == "max", above_diag, below_diag)
     i, j = np.nonzero(keep)
     return i + 1, j + 1, kind_eta[i, j].tolist(), kind_beta[i, j].tolist()

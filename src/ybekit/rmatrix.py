@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .braiding import permutation_matrix
-from .tensor import IDENTITY_2, kron, norm_inf
+from .tensor import IDENTITY_2, kron
 
 TAN_POLE_GUARD = 1e-8
 DEFAULT_A0 = -1.0
@@ -34,60 +34,65 @@ DEFAULT_A0 = -1.0
 V_MATRIX = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
 
 
+def _stack(rows) -> np.ndarray:
+    """Complex (..., d, d) stack from d rows of d broadcastable entries."""
+    entries = np.broadcast_arrays(*[np.asarray(e, dtype=complex) for row in rows for e in row])
+    return np.stack(entries, axis=-1).reshape(*entries[0].shape, len(rows), len(rows))
+
+
+def _type1_scale(mu) -> np.ndarray:
+    """sqrt(|1 - mu^2|); raises at the normalization pole |mu| = 1."""
+    denom = 1.0 - mu * mu
+    pole = np.abs(denom) < 1e-12
+    if np.any(pole):
+        raise ValueError(f"normalization pole at |mu| = 1 (mu = {np.extract(pole, mu)[0]})")
+    return np.sqrt(np.abs(denom))[..., None, None]
+
+
 def type2_r_4x4(theta: float, varphi: float = 0.0) -> np.ndarray:
     """Trigonometric 4x4 solution; unitary for every (theta, varphi).
 
-    At theta = pi/4, varphi = 0 this is the Bell braid matrix.
+    At theta = pi/4, varphi = 0 this is the Bell braid matrix.  Like every
+    R-matrix builder here, array parameters give a (..., 4, 4) stack.
     """
     c, s = np.cos(theta), np.sin(theta)
     e_plus = np.exp(1j * varphi)
     e_minus = np.exp(-1j * varphi)
-    return np.array(
-        [
-            [c, 0, 0, s * e_plus],
-            [0, c, s, 0],
-            [0, -s, c, 0],
-            [-s * e_minus, 0, 0, c],
-        ],
-        dtype=complex,
-    )
+    return _stack([
+        [c, 0, 0, s * e_plus],
+        [0, c, s, 0],
+        [0, -s, c, 0],
+        [-s * e_minus, 0, 0, c],
+    ])
 
 
 def type1_r_4x4(mu: float) -> np.ndarray:
     """Rational 4x4 solution (I + mu*P)/sqrt(|1 - mu^2|); not unitary for mu != 0."""
-    denom = 1.0 - mu * mu
-    if abs(denom) < 1e-12:
-        raise ValueError(f"normalization pole at |mu| = 1 (mu = {mu})")
-    return (np.eye(4, dtype=complex) + mu * permutation_matrix()) / np.sqrt(abs(denom))
+    scaled_swap = np.asarray(mu)[..., None, None] * permutation_matrix()
+    return (np.eye(4, dtype=complex) + scaled_swap) / _type1_scale(mu)
 
 
 def type1_r1_2x2(mu: float) -> np.ndarray:
     """Diagonal member of the rational 2x2 pair."""
-    denom = 1.0 - mu * mu
-    if abs(denom) < 1e-12:
-        raise ValueError(f"normalization pole at |mu| = 1 (mu = {mu})")
-    return np.diag([1.0 - mu, 1.0 + mu]).astype(complex) / np.sqrt(abs(denom))
+    return _stack([[1.0 - mu, 0], [0, 1.0 + mu]]) / _type1_scale(mu)
 
 
 def type1_r2_2x2(mu: float) -> np.ndarray:
     """Mixing member of the rational 2x2 pair."""
-    denom = 1.0 - mu * mu
-    if abs(denom) < 1e-12:
-        raise ValueError(f"normalization pole at |mu| = 1 (mu = {mu})")
-    return np.array(
-        [[2 + mu, -np.sqrt(3) * mu], [-np.sqrt(3) * mu, 2 - mu]], dtype=complex
-    ) / (2 * np.sqrt(abs(denom)))
+    return _stack(
+        [[2 + mu, -np.sqrt(3) * mu], [-np.sqrt(3) * mu, 2 - mu]]
+    ) / (2 * _type1_scale(mu))
 
 
 def type2_r1_2x2(theta: float) -> np.ndarray:
     """Diagonal member of the trigonometric 2x2 pair (full-angle convention)."""
-    return np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
+    return _stack([[np.exp(1j * theta), 0], [0, np.exp(-1j * theta)]])
 
 
 def type2_r2_2x2(theta: float) -> np.ndarray:
     """Mixing member of the trigonometric 2x2 pair (full-angle convention)."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
+    return _stack([[c, 1j * s], [1j * s, c]])
 
 
 def wigner_d_half(theta: float, phi: float) -> np.ndarray:
@@ -181,15 +186,16 @@ def rational_f(mu: float, nu: float, d: float, a0: float = DEFAULT_A0) -> float:
 # families and the YBE checker
 # ---------------------------------------------------------------------------
 
-def _galilean_middle(p1: float, p3: float) -> float:
+def _galilean_middle(p1, p3):
     return p1 + p3
 
 
-def _lorentzian_middle(p1: float, p3: float) -> float:
+def _lorentzian_middle(p1, p3):
     for p in (p1, p3):
-        if abs(np.cos(p)) < TAN_POLE_GUARD:
-            raise ValueError(f"angle {p} too close to a tangent pole")
-    return float(np.arctan2(np.sin(p1 + p3), np.cos(p1 - p3)))
+        pole = np.abs(np.cos(p)) < TAN_POLE_GUARD
+        if np.any(pole):
+            raise ValueError(f"angle {np.extract(pole, p)[0]} too close to a tangent pole")
+    return np.arctan2(np.sin(p1 + p3), np.cos(p1 - p3))
 
 
 @dataclass(frozen=True)
@@ -207,7 +213,8 @@ class RMatrixFamily:
     evaluators: tuple[Callable[[float], np.ndarray], ...]
 
     def middle(self, p1: float, p3: float) -> float:
-        """Middle parameter from the additivity rule; raises near tan poles."""
+        """Middle parameter from the additivity rule, elementwise over arrays;
+        raises if any sample is near a tan pole."""
         if self.additivity == "galilean":
             return _galilean_middle(p1, p3)
         if self.additivity == "lorentzian":
@@ -215,7 +222,8 @@ class RMatrixFamily:
         raise ValueError(f"unknown additivity rule {self.additivity!r}")
 
     def role_matrices(self, p: float) -> tuple[np.ndarray, np.ndarray]:
-        """(R12, R23) at parameter p, lifted to the common checking space."""
+        """(R12, R23) at parameter p, lifted to the common checking space;
+        array parameters give stacks."""
         if self.dim == 4:
             r = self.evaluators[0](p)
             return kron(r, IDENTITY_2), kron(IDENTITY_2, r)
@@ -224,14 +232,18 @@ class RMatrixFamily:
 
 
 def check_ybe(family: RMatrixFamily, p1: float, p3: float) -> float:
-    """Max-abs residual of the Yang-Baxter equation at (p1, middle, p3)."""
+    """Max-abs residual of the Yang-Baxter equation at (p1, middle, p3).
+
+    Array parameters give one residual per sample, from stacked matmuls
+    that are bit-equal to the per-sample products.
+    """
     p2 = family.middle(p1, p3)
     r12_1, r23_1 = family.role_matrices(p1)
     r12_2, r23_2 = family.role_matrices(p2)
     r12_3, r23_3 = family.role_matrices(p3)
     lhs = r12_1 @ r23_2 @ r12_3
     rhs = r23_3 @ r12_2 @ r23_1
-    return norm_inf(lhs - rhs)
+    return np.abs(lhs - rhs).max(axis=(-2, -1))
 
 
 def bundled_families() -> dict[str, RMatrixFamily]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -160,16 +161,23 @@ def closed_form(params: ScatterParams) -> np.ndarray:
     return expm_involutive(n_dot_lambda(params.beta), -params.eta)
 
 
-def product_form(triple: AngleTriple, tol: float = DEFAULT_CONSTRAINT_TOL) -> np.ndarray:
+def product_form(triple: AngleTriple | Sequence[AngleTriple],
+                 tol: float = DEFAULT_CONSTRAINT_TOL) -> np.ndarray:
     """The 8x8 scattering matrix as the factorized triple product.
 
-    Raises :class:`ConstraintViolation` off the constraint line, where the
-    two bracketing orders of the product would disagree.
+    A sequence of triples gives an (n, 8, 8) stack, whose stacked matmuls
+    are bit-equal to the per-triple products.  Raises
+    :class:`ConstraintViolation` if any triple is off the constraint line,
+    where the two bracketing orders of the product would disagree.
     """
-    triple.check(tol)
+    block = [triple] if isinstance(triple, AngleTriple) else triple
+    for t in block:
+        t.check(tol)
+    t1, t2, t3 = np.array([(t.t1, t.t2, t.t3) for t in block]).T
     r12 = lambda t: kron(type2_r_4x4(t, 0.0), IDENTITY_2)
     r23 = lambda t: kron(IDENTITY_2, type2_r_4x4(t, 0.0))
-    return r12(triple.t1) @ r23(triple.t2) @ r12(triple.t3)
+    stack = r12(t1) @ r23(t2) @ r12(t3)
+    return stack[0] if block is not triple else stack
 
 
 def state_from_params(params: ScatterParams) -> np.ndarray:

@@ -267,6 +267,8 @@ def test_reduce_random_batch(capsys):
     ["extrema", "--fn", "l1_wigner", "--eta", "0:1"],
     ["extrema", "--fn", "vn_xi", "--beta", "0:1"],
     ["extrema", "--fn", "l1_S3", "--theta", "0:1"],
+    ["landscape", "--fn", "l1_S3", "--section", "eta=1", "--eta", "0:1:3"],
+    ["landscape", "--fn", "vn_Sprime", "--section", "beta=0.5", "--beta", "0:1:3"],
 ], ids=" ".join)
 def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
     code, _ = run_cli(argv, capsys)
@@ -282,14 +284,20 @@ def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
 def test_nan_residual_fails(argv, patched, monkeypatch, capsys):
     """One NaN sample among finite ones must surface as a FAIL, not vanish
     into the worst-residual aggregate; JSON output writes it as null, since
-    strict parsers reject a bare NaN token."""
-    real, calls = getattr(checks, patched), []
+    strict parsers reject a bare NaN token.  The patched residual function
+    is batched, so the NaN goes into the third sample of each array it
+    returns."""
+    real = getattr(checks, patched)
 
-    def third_call_nan(*args, **kwargs):
-        calls.append(None)
-        return math.nan if len(calls) == 3 else real(*args, **kwargs)
+    def third_sample_nan(*args, **kwargs):
+        residuals = real(*args, **kwargs)
+        if np.ndim(residuals) == 0:
+            return residuals
+        residuals = residuals.copy()
+        residuals[2] = math.nan
+        return residuals
 
-    monkeypatch.setattr(checks, patched, third_call_nan)
+    monkeypatch.setattr(checks, patched, third_sample_nan)
     code, out = run_cli(argv, capsys)
     assert code == 1
     if "json" in argv:

@@ -201,3 +201,22 @@ def test_entanglement_report_fields():
     assert report.slocc_class == GHZ_CLASS
     assert set(report.vn_entropies) == {0, 1, 2}
     assert abs(report.three_tangle - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("psi", [
+    np.full(8, np.nan, dtype=complex),
+    np.array([np.inf, 0, 0, 0, 0, 0, 0, 0], dtype=complex),
+    2.0 * ket("000"),
+    (1.0 + 1e-9) * ket("000"),
+], ids=["nan", "inf", "norm-2", "norm-1+1e-9"])
+def test_non_finite_or_unnormalized_state_is_rejected(psi):
+    # unchecked, an all-NaN state read "product" and 2|000> read entropies
+    # of -8 bits with class "product"
+    with pytest.raises(ValueError, match="normalized"):
+        classify_slocc(psi)
+    with pytest.raises(ValueError, match="normalized"):
+        entanglement_report(psi)
+
+
+def test_state_within_norm_tolerance_is_accepted():
+    assert classify_slocc((1.0 + 1e-12) * ket("000")) == PRODUCT
