@@ -1,8 +1,9 @@
 """Scalar landscapes over (eta, beta) or a single angle, and their extrema.
 
 Every function in the registry takes broadcast arrays, so a grid, a
-section or a curve is one call; the critical-point refinement calls the
-same functions with floats.
+section or a curve is one call, and so is each step of the critical-point
+refinement, which moves all candidates in lockstep.  An array call gives
+the bits of the same call made one float at a time.
 
 The surfaces of interest are built from absolute values of trigonometric
 functions, so some extrema sit on V-shaped kinks where derivative-based
@@ -26,6 +27,7 @@ vn_xi                 1      entanglement entropy of the two-qubit output
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -234,39 +236,53 @@ def _axis_kind(center, lo, hi) -> np.ndarray:
     return np.where(is_max, "max", np.where(is_min, "min", ""))
 
 
-def _shrink_bracket(fn1d: Callable[[float], float], lo: float, hi: float,
-                    want_max: bool, tol: float) -> float:
-    """Trisection search for the extremum of a unimodal 1-D section.
+def _shrink_bracket(fn1d: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    lo: np.ndarray, hi: np.ndarray, want_max: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """Trisection search for the extrema of unimodal 1-D sections, one per
+    bracket [lo, hi], all brackets in lockstep.
 
+    ``fn1d(u, k)`` evaluates the sections numbered ``k`` at the points
+    ``u``; each step calls it once at ``a`` and once at ``b`` for every
+    bracket still wider than ``tol``.  Rounding of ``hi - lo`` can give two
+    brackets of one nominal width different step counts, so each bracket
+    stops on its own, after the float steps a search of its own would take.
     Works on V-shaped (non-differentiable) extrema as well as smooth ones.
     """
-    sign = 1.0 if want_max else -1.0
-    while hi - lo > tol:
-        third = (hi - lo) / 3.0
-        a = lo + third
-        b = hi - third
-        if sign * fn1d(a) < sign * fn1d(b):
-            lo = a
-        else:
-            hi = b
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    sign = np.where(want_max, 1.0, -1.0)
+    k = np.flatnonzero(hi - lo > tol)
+    while k.size:
+        third = (hi[k] - lo[k]) / 3.0
+        a = lo[k] + third
+        b = hi[k] - third
+        up = sign[k] * fn1d(a, k) < sign[k] * fn1d(b, k)
+        lo[k[up]] = a[up]
+        hi[k[~up]] = b[~up]
+        k = k[hi[k] - lo[k] > tol]
     return 0.5 * (lo + hi)
 
 
-def _one_sided_slopes(fn1d: Callable[[float], float], x: float, h: float) -> tuple[float, float]:
-    f0 = fn1d(x)
-    return (f0 - fn1d(x - h)) / h, (fn1d(x + h) - f0) / h
+def _flat_axis(fn1d: Callable[[np.ndarray], np.ndarray], x: np.ndarray, f0: np.ndarray,
+               probe: float = 1e-4) -> np.ndarray:
+    """True where the section moves by less than the plateau tolerance at
+    ``probe`` on both sides of ``x``; ``f0`` holds the values at ``x``."""
+    return ((np.abs(fn1d(x + probe) - f0) < PLATEAU_TOL)
+            & (np.abs(fn1d(x - probe) - f0) < PLATEAU_TOL))
 
 
-def _kinked(fn1d: Callable[[float], float], x: float, h: float) -> bool:
-    """Kink test at a refined extremum.
+def _kinked(fn1d: Callable[[np.ndarray], np.ndarray], x: np.ndarray, f0: np.ndarray,
+            h: float) -> np.ndarray:
+    """Kink test at refined extrema; ``f0`` holds the values at ``x``.
 
     At a smooth extremum both one-sided slopes vanish linearly with h, so
     their gap shrinks with the probe; at a V kink the gap stays order one.
     The floor max(h, |s- + s+|) keeps float noise from flagging smooth
     points.
     """
-    s_minus, s_plus = _one_sided_slopes(fn1d, x, h)
-    return bool(abs(s_plus - s_minus) > 10.0 * max(h, abs(s_plus + s_minus)))
+    s_minus = (f0 - fn1d(x - h)) / h
+    s_plus = (fn1d(x + h) - f0) / h
+    return np.abs(s_plus - s_minus) > 10.0 * np.maximum(h, np.abs(s_plus + s_minus))
 
 
 def _classify(axis_kinds: tuple[str, ...]) -> str:
@@ -287,8 +303,11 @@ def find_critical_points_2d(tag: str,
 
     Coarse candidates are strict grid comparisons against all 8 neighbors
     (per-axis max/min patterns admit saddles); plateau points whose whole
-    neighborhood agrees within 1e-12 are dropped.  Each candidate is then
-    refined one axis at a time by bracket shrinking down to ``refine_tol``.
+    neighborhood agrees within 1e-12 are dropped.  All candidates are then
+    refined together, one axis at a time, by bracket shrinking down to
+    ``refine_tol`` (:func:`_shrink_bracket`), and probed for flat axes and
+    kinks with one kernel call per probe over every point.  Each point
+    takes the same float steps as it would refined on its own.
     """
     spec = get_function(tag)
     if spec.arity != 2:
@@ -301,18 +320,31 @@ def find_critical_points_2d(tag: str,
         beta_domain = spec.default_domain[1]
     eta_axis = AxisSpec("eta", eta_domain[0], eta_domain[1], coarse_n)
     beta_axis = AxisSpec("beta", beta_domain[0], beta_domain[1], coarse_n)
-    vals = sample_surface(tag, eta_axis, beta_axis).values
-    etas = eta_axis.points()
-    betas = beta_axis.points()
-
-    results: list[CriticalPoint] = []
-    for i, j, kind_eta, kind_beta in zip(*_scan_2d(vals)):
-        point = _refine_2d(
-            spec.fn, (etas[i], betas[j]), (eta_axis.step, beta_axis.step),
-            (kind_eta, kind_beta), refine_tol, kink_probe,
-        )
-        if point is not None:
-            results.append(point)
+    i, j, kind_eta, kind_beta = _scan_2d(sample_surface(tag, eta_axis, beta_axis).values)
+    fn = spec.fn
+    x, y = eta_axis.points()[i], beta_axis.points()[j]
+    hx, hy = eta_axis.step, beta_axis.step
+    # Alternate full-width per-axis searches, re-centering each round; the
+    # cross-coupling of the surfaces here is weak so three rounds converge.
+    for _ in range(3):
+        x = _shrink_bracket(lambda u, k: fn(u, y[k]), x - hx, x + hx, kind_eta == "max",
+                            refine_tol)
+        y = _shrink_bracket(lambda v, k: fn(x[k], v), y - hy, y + hy, kind_beta == "max",
+                            refine_tol)
+    value = fn(x, y)
+    # A coarse candidate can converge onto a line where one coordinate no
+    # longer moves the value (constant rows at sin(eta) = 0).  Such points
+    # are degenerate, not extrema; drop them.
+    keep = ~(_flat_axis(lambda u: fn(u, y), x, value) | _flat_axis(lambda v: fn(x, v), y, value))
+    x, y, value = x[keep], y[keep], value[keep]
+    kinks = zip(_kinked(lambda u: fn(u, y), x, value, kink_probe).tolist(),
+                _kinked(lambda v: fn(x, v), y, value, kink_probe).tolist())
+    axis_kinds = zip(kind_eta[keep].tolist(), kind_beta[keep].tolist())
+    results = [
+        CriticalPoint(location=(xe, yb), value=v, kind=_classify(kinds), axis_kinds=kinds,
+                      kinks=flags)
+        for xe, yb, v, kinds, flags in zip(x, y, value, axis_kinds, kinks)
+    ]
     return _dedupe(results, refine_tol * 10.0)
 
 
@@ -342,50 +374,15 @@ def _scan_2d(vals: np.ndarray) -> tuple:
     keep = (kind_eta != "") & (kind_beta != "")
     keep &= (kind_eta != kind_beta) | np.where(kind_eta == "max", above_diag, below_diag)
     i, j = np.nonzero(keep)
-    return i + 1, j + 1, kind_eta[i, j].tolist(), kind_beta[i, j].tolist()
+    return i + 1, j + 1, kind_eta[i, j], kind_beta[i, j]
 
 
 def _scan_1d(vals: np.ndarray) -> tuple:
-    """Coarse candidates of a sampled curve: their indices and kinds."""
-    center, lo, hi = vals[1:-1], vals[:-2], vals[2:]
-    kinds = _axis_kind(center, lo, hi)
-    plateau = np.maximum(np.abs(lo - center), np.abs(hi - center)) < PLATEAU_TOL
-    (i,) = np.nonzero(~plateau & (kinds != ""))
-    return i + 1, kinds[i].tolist()
-
-
-def _flat_axis(fn1d: Callable[[float], float], x: float, probe: float = 1e-4) -> bool:
-    f0 = fn1d(x)
-    return (
-        abs(fn1d(x + probe) - f0) < PLATEAU_TOL
-        and abs(fn1d(x - probe) - f0) < PLATEAU_TOL
-    )
-
-
-def _refine_2d(fn, start, steps, axis_kinds, refine_tol, kink_probe) -> CriticalPoint | None:
-    x, y = start
-    hx, hy = steps
-    # Alternate full-width per-axis searches, re-centering each round; the
-    # cross-coupling of the surfaces here is weak so three rounds converge.
-    for _ in range(3):
-        x = _shrink_bracket(lambda u: fn(u, y), x - hx, x + hx, axis_kinds[0] == "max", refine_tol)
-        y = _shrink_bracket(lambda v: fn(x, v), y - hy, y + hy, axis_kinds[1] == "max", refine_tol)
-    # A coarse candidate can converge onto a line where one coordinate no
-    # longer moves the value (constant rows at sin(eta) = 0).  Such points
-    # are degenerate, not extrema; drop them.
-    if _flat_axis(lambda u: fn(u, y), x) or _flat_axis(lambda v: fn(x, v), y):
-        return None
-    kinks = (
-        _kinked(lambda u: fn(u, y), x, kink_probe),
-        _kinked(lambda v: fn(x, v), y, kink_probe),
-    )
-    return CriticalPoint(
-        location=(x, y),
-        value=fn(x, y),
-        kind=_classify(axis_kinds),
-        axis_kinds=axis_kinds,
-        kinks=kinks,
-    )
+    """Coarse candidates of a sampled curve: their indices and kinds.  The
+    tie tolerance of :func:`_axis_kind` already drops plateau nodes."""
+    kinds = _axis_kind(vals[1:-1], vals[:-2], vals[2:])
+    (i,) = np.nonzero(kinds != "")
+    return i + 1, kinds[i]
 
 
 def find_critical_points_1d(tag: str,
@@ -393,7 +390,8 @@ def find_critical_points_1d(tag: str,
                             coarse_n: int = 400,
                             refine_tol: float = 1e-8,
                             kink_probe: float = 1e-5) -> list[CriticalPoint]:
-    """Locate and classify interior critical points of a 1-D curve."""
+    """Locate and classify interior critical points of a 1-D curve, all
+    candidates refined together as in :func:`find_critical_points_2d`."""
     spec = get_function(tag)
     if spec.arity != 1:
         raise ValueError(f"{tag} is two-dimensional; use find_critical_points_2d")
@@ -403,31 +401,34 @@ def find_critical_points_1d(tag: str,
         domain = spec.default_domain[0]
     axis = AxisSpec("theta", domain[0], domain[1], coarse_n)
     xs = axis.points()
-
-    results: list[CriticalPoint] = []
-    for i, kind in zip(*_scan_1d(spec.fn(xs))):
-        x = _shrink_bracket(spec.fn, xs[i] - axis.step, xs[i] + axis.step,
-                            kind == "max", refine_tol)
-        results.append(
-            CriticalPoint(
-                location=(x,),
-                value=spec.fn(x),
-                kind=LOCAL_MAX if kind == "max" else LOCAL_MIN,
-                axis_kinds=(kind,),
-                kinks=(_kinked(spec.fn, x, kink_probe),),
-            )
-        )
+    fn = spec.fn
+    i, kinds = _scan_1d(fn(xs))
+    x = _shrink_bracket(lambda u, k: fn(u), xs[i] - axis.step, xs[i] + axis.step,
+                        kinds == "max", refine_tol)
+    value = fn(x)
+    results = [
+        CriticalPoint(location=(xv,), value=v, kind=LOCAL_MAX if kind == "max" else LOCAL_MIN,
+                      axis_kinds=(kind,), kinks=(kink,))
+        for xv, v, kind, kink in zip(x, value, kinds.tolist(),
+                                     _kinked(fn, x, value, kink_probe).tolist())
+    ]
     return _dedupe(results, refine_tol * 10.0)
 
 
 def _dedupe(points: list[CriticalPoint], tol: float) -> list[CriticalPoint]:
+    """Points in sorted order, less each one that lies within ``tol`` on
+    every axis of an earlier kept point of its kind.
+
+    Sorting puts the kept points in order of their first coordinate, so
+    only the last few kept, those within ``tol`` of the point on that axis,
+    can match it.
+    """
     kept: list[CriticalPoint] = []
     for p in sorted(points, key=lambda q: q.location):
-        if any(
-            k.kind == p.kind
-            and all(abs(a - b) <= tol for a, b in zip(k.location, p.location))
-            for k in kept
-        ):
-            continue
-        kept.append(p)
+        near = itertools.takewhile(lambda k: p.location[0] - k.location[0] <= tol,
+                                   reversed(kept))
+        if not any(k.kind == p.kind
+                   and all(abs(a - b) <= tol for a, b in zip(k.location, p.location))
+                   for k in near):
+            kept.append(p)
     return kept

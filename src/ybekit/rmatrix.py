@@ -29,7 +29,6 @@ from .braiding import permutation_matrix
 from .tensor import IDENTITY_2, kron
 
 TAN_POLE_GUARD = 1e-8
-DEFAULT_A0 = -1.0
 
 V_MATRIX = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
 
@@ -154,32 +153,6 @@ def phi_from_three_thetas(theta1: float, theta2: float, theta3: float) -> float:
     if not -1.0 - 1e-12 <= ratio <= 1.0 + 1e-12:
         raise ValueError(f"no phase solution: cos(phi) would be {ratio:.6g}")
     return float(np.arccos(np.clip(ratio, -1.0, 1.0)))
-
-
-# ---------------------------------------------------------------------------
-# rational Yang-Baxterization bookkeeping
-# ---------------------------------------------------------------------------
-
-def rational_g(mu: float, d: float, a0: float = DEFAULT_A0) -> float:
-    """Coupling G(mu) = mu / (a0 - d*mu/2) of the rational scheme."""
-    denom = a0 - d * mu / 2.0
-    if abs(denom) < 1e-14:
-        raise ValueError(f"coupling pole at mu = {mu} for d = {d}, a0 = {a0}")
-    return mu / denom
-
-
-def rational_beta_sq(d: float, a0: float = DEFAULT_A0) -> float:
-    """Additivity deformation beta^2 = (d^2 - 4) / (2 a0)^2."""
-    return (d * d - 4.0) / (2.0 * a0) ** 2
-
-
-def rational_f(mu: float, nu: float, d: float, a0: float = DEFAULT_A0) -> float:
-    """Composed parameter f(mu, nu) = (mu + nu) / (1 + beta^2 mu nu)."""
-    beta_sq = rational_beta_sq(d, a0)
-    denom = 1.0 + beta_sq * mu * nu
-    if abs(denom) < 1e-14:
-        raise ValueError(f"additivity pole at (mu, nu) = ({mu}, {nu})")
-    return (mu + nu) / denom
 
 
 # ---------------------------------------------------------------------------

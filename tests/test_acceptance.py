@@ -159,7 +159,8 @@ def find_critical_points_1d_section():
         kind = str(_axis_kind(vals[i], vals[i - 1], vals[i + 1]))
         if not kind:
             continue
-        x = _shrink_bracket(fn, xs[i] - axis.step, xs[i] + axis.step, kind == "max", 1e-9)
+        (x,) = _shrink_bracket(lambda u, k: np.vectorize(fn)(u), [xs[i] - axis.step],
+                               [xs[i] + axis.step], [kind == "max"], 1e-9)
         out.append(CriticalPoint((x,), fn(x), f"local-{kind}", (kind,), (False,)))
     return out
 

@@ -241,6 +241,20 @@ def test_reduce_rejects_off_constraint(capsys):
     assert "residual" in proc.stderr
 
 
+def test_reduce_thetas_honours_constraint_tol(capsys):
+    # 4.3e-6 off the constraint: accepted at --constraint-tol 1e-3, so the
+    # reduction runs and its residual, of the same order, meets --tol or not.
+    argv = ["reduce", "--thetas", "0.1,0.19612,0.1", "--constraint-tol", "1e-3"]
+    code, out = run_cli(argv, capsys)
+    assert code == 1
+    assert "FAIL" in out.splitlines()[-1]
+    residual = float(out.split("residual")[-1].split()[0])
+    assert 1e-6 < residual < 1e-4
+    code, out = run_cli(argv + ["--tol", "1e-4"], capsys)
+    assert code == 0
+    assert "PASS" in out.splitlines()[-1]
+
+
 def test_reduce_random_batch(capsys):
     code, out = run_cli(["reduce", "--random", "100", "--seed", "3"], capsys)
     assert code == 0
@@ -321,6 +335,17 @@ def test_bulk_csv_matches_per_cell_fmt():
         ",".join(cli.fmt(c[k]) for c in columns.values()) + "\n" for k in range(n))
     assert cli._csv_numbers(columns) == expected
     assert expected.splitlines()[1].startswith("-0,")
+
+
+def test_grid_csv_matches_bulk_csv():
+    etas = np.array([-0.0, 1e-300, 0.1, 2.0 / 3.0, math.pi])
+    betas = np.array([-5e-324, 0.61547970867038737, -1.5707963267948966])
+    values = np.array([0.30000000000000004, -1e-300, 1.0000000000000002, 123456789.12345679,
+                       1.0 / 3.0, -0.0, 2.0, 1e22, -7.5, 0.0, 1e-17, 5.0, 6.0, 7.0, 8.0])
+    values = values.reshape(etas.size, betas.size)
+    mesh = np.meshgrid(etas, betas, indexing="ij")
+    expected = cli._csv_numbers({"eta": mesh[0], "beta": mesh[1], "value": values})
+    assert cli._csv_grid(etas, betas, values) == expected
 
 
 def test_negative_range_values_accepted(capsys):

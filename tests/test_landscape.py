@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,12 +9,16 @@ from ybekit.entanglement import binary_entropy, l1_norm, von_neumann_entropy, wi
 from ybekit.landscape import (
     FUNCTIONS,
     AxisSpec,
+    CriticalPoint,
     LOCAL_MAX,
     LOCAL_MIN,
     PLATEAU_TOL,
     SADDLE,
     _scan_1d,
     _scan_2d,
+    _classify,
+    _dedupe,
+    _shrink_bracket,
     find_critical_points_1d,
     find_critical_points_2d,
     get_function,
@@ -313,3 +318,167 @@ def test_array_scans_match_the_per_node_loop(case):
     assert list(zip(*_scan_2d(vals))) == _scan_2d_loop(vals)
     for line in (*vals, *vals.T):
         assert list(zip(*_scan_1d(line))) == _scan_1d_loop(line)
+
+
+# ---------------------------------------------------------------------------
+# the per-candidate refinement, kept as the reference of the lockstep one
+# ---------------------------------------------------------------------------
+
+def _shrink_bracket_loop(fn1d, lo, hi, want_max, tol):
+    """One bracket with float kernel calls; returns the extremum and the
+    number of trisection steps taken."""
+    sign = 1.0 if want_max else -1.0
+    steps = 0
+    while hi - lo > tol:
+        third = (hi - lo) / 3.0
+        a = lo + third
+        b = hi - third
+        if sign * fn1d(a) < sign * fn1d(b):
+            lo = a
+        else:
+            hi = b
+        steps += 1
+    return 0.5 * (lo + hi), steps
+
+
+def _flat_axis_loop(fn1d, x, probe=1e-4):
+    f0 = fn1d(x)
+    return abs(fn1d(x + probe) - f0) < PLATEAU_TOL and abs(fn1d(x - probe) - f0) < PLATEAU_TOL
+
+
+def _kinked_loop(fn1d, x, h):
+    f0 = fn1d(x)
+    s_minus, s_plus = (f0 - fn1d(x - h)) / h, (fn1d(x + h) - f0) / h
+    return bool(abs(s_plus - s_minus) > 10.0 * max(h, abs(s_plus + s_minus)))
+
+
+def _refine_2d_loop(fn, start, steps, axis_kinds, refine_tol=1e-8, kink_probe=1e-5):
+    x, y = start
+    hx, hy = steps
+    for _ in range(3):
+        x = _shrink_bracket_loop(lambda u: fn(u, y), x - hx, x + hx,
+                                 axis_kinds[0] == "max", refine_tol)[0]
+        y = _shrink_bracket_loop(lambda v: fn(x, v), y - hy, y + hy,
+                                 axis_kinds[1] == "max", refine_tol)[0]
+    if _flat_axis_loop(lambda u: fn(u, y), x) or _flat_axis_loop(lambda v: fn(x, v), y):
+        return None
+    kinks = (_kinked_loop(lambda u: fn(u, y), x, kink_probe),
+             _kinked_loop(lambda v: fn(x, v), y, kink_probe))
+    return CriticalPoint((x, y), fn(x, y), _classify(axis_kinds), axis_kinds, kinks)
+
+
+def _dedupe_quadratic(points, tol):
+    kept = []
+    for p in sorted(points, key=lambda q: q.location):
+        if any(k.kind == p.kind and all(abs(a - b) <= tol for a, b in zip(k.location, p.location))
+               for k in kept):
+            continue
+        kept.append(p)
+    return kept
+
+
+@functools.cache
+def _points_loop(tag, domain, coarse_n):
+    """The finder's points before dedupe, in scan order, each candidate
+    refined on its own with float kernel calls."""
+    spec = get_function(tag)
+    names = ("eta", "beta") if spec.arity == 2 else ("theta",)
+    axes = [AxisSpec(name, lo, hi, coarse_n)
+            for name, (lo, hi) in zip(names, domain or spec.default_domain)]
+    fn = spec.fn
+    if spec.arity == 2:
+        etas, betas = axes[0].points(), axes[1].points()
+        refined = (
+            _refine_2d_loop(fn, (etas[i], betas[j]), (axes[0].step, axes[1].step),
+                            (str(kind_eta), str(kind_beta)))
+            for i, j, kind_eta, kind_beta in zip(*_scan_2d(sample_surface(tag, *axes).values))
+        )
+        return tuple(p for p in refined if p is not None)
+    xs, h = axes[0].points(), axes[0].step
+    out = []
+    for i, kind in zip(*_scan_1d(fn(xs))):
+        x = _shrink_bracket_loop(fn, xs[i] - h, xs[i] + h, kind == "max", 1e-8)[0]
+        out.append(CriticalPoint((x,), fn(x), LOCAL_MAX if kind == "max" else LOCAL_MIN,
+                                 (str(kind),), (_kinked_loop(fn, x, 1e-5),)))
+    return tuple(out)
+
+
+def _columns(points):
+    return (np.array([p.location for p in points]), np.array([p.value for p in points]),
+            np.array([p.kind for p in points]), np.array([p.axis_kinds for p in points]),
+            np.array([p.kinks for p in points]))
+
+
+FINDER_CASES = (
+    [(tag, None, coarse) for tag in sorted(FUNCTIONS) for coarse in (400, 101)]
+    + [(tag, ((0.5, 2.0), (0.1, 1.2)), 200) for tag in ("l1_S3", "l1_Sprime", "vn_Sprime")]
+    + [(tag, domain, coarse) for tag in ("l1_wigner", "vn_xi")
+       for domain, coarse in ((((0.2, 1.4),), 400), (((-3.0, 3.0),), 777))]
+)
+
+
+@pytest.mark.parametrize("tag, domain, coarse_n", FINDER_CASES)
+def test_lockstep_refinement_matches_per_candidate_loop(tag, domain, coarse_n):
+    if get_function(tag).arity == 2:
+        points = find_critical_points_2d(tag, *(domain or (None, None)), coarse_n=coarse_n)
+    else:
+        points = find_critical_points_1d(tag, *(domain or (None,)), coarse_n=coarse_n)
+    reference = _dedupe_quadratic(list(_points_loop(tag, domain, coarse_n)), 1e-7)
+    assert len(points) == len(reference) > 0
+    for got, want in zip(_columns(points), _columns(reference)):
+        assert np.array_equal(got, want)
+
+
+def test_lockstep_brackets_stop_on_their_own():
+    """Brackets of different widths take different step counts; so do
+    brackets of one nominal width whose rounded widths straddle the
+    tolerance.  Each must end where its own float search ends."""
+    axis = AxisSpec("theta", -3.0, 3.0, 777)
+    centers = axis.points()[1:-1]
+    fn = get_function("l1_wigner").fn
+    rounded = (centers - axis.step, centers + axis.step)
+    scales = np.geomspace(1e-9, 1.0, centers.size)
+    cases = [
+        (*rounded, float(np.min(rounded[1] - rounded[0]))),
+        (centers - scales, centers + 2.0 * scales, 1e-8),
+    ]
+    want_max = np.arange(centers.size) % 3 != 0
+    for lo, hi, tol in cases:
+        loop = [_shrink_bracket_loop(fn, a, b, m, tol) for a, b, m in zip(lo, hi, want_max)]
+        assert len({steps for _, steps in loop}) > 1
+        lockstep = _shrink_bracket(lambda u, k: fn(u), lo, hi, want_max, tol)
+        assert np.array_equal(lockstep, [x for x, _ in loop])
+
+
+def _near_duplicates():
+    """Points around a few centers, offset by halves of the tolerance on
+    each axis, of mixed kinds.  Centers, offsets and the tolerance are
+    dyadic, so coordinates differ by exactly 0.5, 1 or 1.5 tolerances and
+    the ``<= tol`` boundary is hit exactly; many share a first coordinate."""
+    rng = np.random.default_rng(11)
+    tol = 2.0 ** -23
+    offsets = np.array([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]) * tol
+    kinds = (LOCAL_MAX, LOCAL_MIN, SADDLE)
+    points = []
+    for cx, cy in rng.integers(-1024, 1024, size=(6, 2)) / 1024.0:
+        for dx in offsets:
+            for dy in rng.choice(offsets, size=3):
+                points.append(CriticalPoint((cx + dx, cy + dy), 0.0, kinds[rng.integers(3)],
+                                            ("max", "max"), (False, False)))
+    for cx in rng.integers(-1024, 1024, size=4) / 1024.0:
+        for dx in rng.choice(offsets, size=5):
+            points.append(CriticalPoint((cx + dx,), 0.0, kinds[rng.integers(2)], ("max",),
+                                        (False,)))
+    rng.shuffle(points)
+    return points, tol
+
+
+def test_sorted_dedupe_matches_quadratic_dedupe():
+    synthetic, tol = _near_duplicates()
+    for points in (list(_points_loop("vn_Sprime", None, 400)),
+                   list(_points_loop("l1_S3", None, 400)),
+                   [p for p in synthetic if len(p.location) == 2],
+                   [p for p in synthetic if len(p.location) == 1]):
+        kept = _dedupe(points, tol)
+        assert [id(p) for p in kept] == [id(p) for p in _dedupe_quadratic(points, tol)]
+    assert _dedupe([], tol) == []

@@ -10,9 +10,6 @@ from ybekit.rmatrix import (
     conjugate_by_v,
     phi_from_theta,
     phi_from_three_thetas,
-    rational_beta_sq,
-    rational_f,
-    rational_g,
     type1_r_4x4,
     type2_r1_2x2,
     type2_r2_2x2,
@@ -224,19 +221,3 @@ def test_phi_three_thetas_rejects_zero_tangent():
         phi_from_three_thetas(0.0, 0.5, 0.5)
     with pytest.raises(ValueError):
         phi_from_three_thetas(0.5, np.pi / 2, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# rational scheme bookkeeping
-# ---------------------------------------------------------------------------
-
-def test_rational_scheme_values():
-    assert rational_beta_sq(2.0, -1.0) == 0.0
-    assert abs(rational_beta_sq(np.sqrt(2.0), -1.0) + 0.5) < 1e-15
-    assert rational_f(0.3, 0.4, 2.0) == pytest.approx(0.7)  # galilean at d=2
-    assert rational_g(0.5, 2.0, -1.0) == pytest.approx(0.5 / (-1.0 - 0.5))
-
-
-def test_rational_g_pole():
-    with pytest.raises(ValueError, match="pole"):
-        rational_g(-1.0, 2.0, -1.0)
