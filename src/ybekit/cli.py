@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 tolerance failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -93,18 +94,20 @@ def parse_axis(raw: str, name: str) -> AxisSpec:
     return AxisSpec(name, start, stop, n)
 
 
-def number(kind: type = float, minimum: int | None = None):
-    """argparse type for a finite ``kind`` value no smaller than ``minimum``:
-    a NaN slips through every ``<=`` gate and a count below the minimum
-    passes vacuously, so both are usage errors (exit 2)."""
+def number(kind: type = float, minimum: int | None = None, positive: bool = False):
+    """argparse type for a finite ``kind`` value no smaller than ``minimum``,
+    and above 0 if ``positive``: a NaN slips through every ``<=`` gate, a
+    count below the minimum passes vacuously, and a bracket search to a
+    tolerance of 0 never ends, so all three are usage errors (exit 2)."""
     def parse(raw: str):
         try:
             value = kind(raw)
         except ValueError:
             value = math.nan
-        if not math.isfinite(value) or (minimum is not None and value < minimum):
+        if (not math.isfinite(value) or (minimum is not None and value < minimum)
+                or (positive and value <= 0)):
             what = "an integer" if kind is int else "a finite number"
-            bound = "" if minimum is None else f" >= {minimum}"
+            bound = " > 0" if positive else "" if minimum is None else f" >= {minimum}"
             raise argparse.ArgumentTypeError(f"expected {what}{bound}, got {raw!r}")
         return value
     return parse
@@ -215,6 +218,8 @@ def cmd_landscape(args) -> int:
         if fixed_axis not in ("eta", "beta") or not raw_value:
             raise ValueError(f"--section must be eta=VALUE or beta=VALUE, got {args.section!r}")
         fixed_value = float(raw_value)
+        if not math.isfinite(fixed_value):
+            raise ValueError(f"--section needs a finite value, got {args.section!r}")
         axes = [_sampling_axis(args, spec, "eta" if fixed_axis == "beta" else "beta")]
         values = section(args.fn, fixed_axis, fixed_value, axes[0])[:, 1]
         meta = dict(meta, section=f"{fixed_axis}={fmt(fixed_value)}")
@@ -432,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--beta", default=None, help="start:stop domain")
     p_ext.add_argument("--theta", default=None, help="start:stop domain (1-D)")
     p_ext.add_argument("--coarse", type=int, default=400)
-    p_ext.add_argument("--tol", type=number(), default=1e-8)
+    p_ext.add_argument("--tol", type=number(positive=True), default=1e-8)
     p_ext.add_argument("--output", default=None)
     p_ext.add_argument("--format", default="csv", choices=["csv", "json"])
     p_ext.set_defaults(func=cmd_extrema)
@@ -462,13 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = {"--eta", "--beta", "--theta", "--thetas"}
+_VALUE_FLAGS = {"--eta", "--beta", "--theta", "--thetas", "--perturb"}
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join flags with values that start with a minus sign (e.g. ranges like
-    ``--beta -1.57:1.57:200``) into ``--flag=value`` form so argparse does
-    not mistake the value for an option."""
+    ``--beta -1.57:1.57:200``, or ``--perturb -1e-3``, whose exponent form
+    argparse does not read as a number) into ``--flag=value`` form so
+    argparse does not mistake the value for an option."""
     out: list[str] = []
     i = 0
     while i < len(argv):
@@ -484,11 +490,20 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The one parser every :func:`main` call in a process uses, since
+    building it takes longer than parsing and running a short query.  Reuse
+    is safe because parsing leaves it as built: each ``parse_args`` fills a
+    new namespace, no default is mutable, and usage and error text is
+    formatted when it is printed."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    args = _shared_parser().parse_args(_merge_negative_values(list(argv)))
     try:
         return args.func(args)
     except ConstraintViolation as exc:

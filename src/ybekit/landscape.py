@@ -247,19 +247,23 @@ def _shrink_bracket(fn1d: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bracket still wider than ``tol``.  Rounding of ``hi - lo`` can give two
     brackets of one nominal width different step counts, so each bracket
     stops on its own, after the float steps a search of its own would take.
+    A bracket also stops once a step leaves both its ends as they were:
+    below the float spacing at its ends it would repeat that step forever.
     Works on V-shaped (non-differentiable) extrema as well as smooth ones.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     sign = np.where(want_max, 1.0, -1.0)
     k = np.flatnonzero(hi - lo > tol)
     while k.size:
-        third = (hi[k] - lo[k]) / 3.0
-        a = lo[k] + third
-        b = hi[k] - third
+        lo_k, hi_k = lo[k], hi[k]
+        third = (hi_k - lo_k) / 3.0
+        a = lo_k + third
+        b = hi_k - third
         up = sign[k] * fn1d(a, k) < sign[k] * fn1d(b, k)
+        moved = np.where(up, a != lo_k, b != hi_k)
         lo[k[up]] = a[up]
         hi[k[~up]] = b[~up]
-        k = k[hi[k] - lo[k] > tol]
+        k = k[moved & (hi[k] - lo[k] > tol)]
     return 0.5 * (lo + hi)
 
 
@@ -283,6 +287,11 @@ def _kinked(fn1d: Callable[[np.ndarray], np.ndarray], x: np.ndarray, f0: np.ndar
     s_minus = (f0 - fn1d(x - h)) / h
     s_plus = (fn1d(x + h) - f0) / h
     return np.abs(s_plus - s_minus) > 10.0 * np.maximum(h, np.abs(s_plus + s_minus))
+
+
+def _check_refine_tol(refine_tol: float) -> None:
+    if not refine_tol > 0.0:
+        raise ValueError(f"refinement tolerance must be positive, got {refine_tol!r}")
 
 
 def _classify(axis_kinds: tuple[str, ...]) -> str:
@@ -314,6 +323,7 @@ def find_critical_points_2d(tag: str,
         raise ValueError(f"{tag} is one-dimensional; use find_critical_points_1d")
     if coarse_n < 3:
         raise ValueError(f"coarse grid needs at least 3 points per axis, got {coarse_n}")
+    _check_refine_tol(refine_tol)
     if eta_domain is None:
         eta_domain = spec.default_domain[0]
     if beta_domain is None:
@@ -397,6 +407,7 @@ def find_critical_points_1d(tag: str,
         raise ValueError(f"{tag} is two-dimensional; use find_critical_points_2d")
     if coarse_n < 3:
         raise ValueError(f"coarse grid needs at least 3 points, got {coarse_n}")
+    _check_refine_tol(refine_tol)
     if domain is None:
         domain = spec.default_domain[0]
     axis = AxisSpec("theta", domain[0], domain[1], coarse_n)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -9,20 +10,26 @@ import pytest
 from ybekit import checks, cli
 
 
-def run_cli(args, capsys):
-    """In-process invocation returning (exit_code, stdout)."""
+def run_cli_streams(args, capsys):
+    """In-process invocation returning (exit_code, stdout, stderr)."""
     try:
         code = cli.main(list(args))
     except SystemExit as exc:  # argparse errors
         code = exc.code
-    out = capsys.readouterr().out
-    return code, out
+    return (code, *capsys.readouterr())
+
+
+def run_cli(args, capsys):
+    """In-process invocation returning (exit_code, stdout)."""
+    return run_cli_streams(args, capsys)[:2]
 
 
 def run_cli_subprocess(args):
+    """A fresh ``python -m ybekit.cli`` process, killed after 60 s so that a
+    search that never ends fails its test instead of stalling the suite."""
     proc = subprocess.run(
         [sys.executable, "-m", "ybekit.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
     )
     return proc
 
@@ -283,6 +290,10 @@ def test_reduce_random_batch(capsys):
     ["extrema", "--fn", "l1_S3", "--theta", "0:1"],
     ["landscape", "--fn", "l1_S3", "--section", "eta=1", "--eta", "0:1:3"],
     ["landscape", "--fn", "vn_Sprime", "--section", "beta=0.5", "--beta", "0:1:3"],
+    ["landscape", "--fn", "l1_S3", "--section", "beta=nan"],
+    ["landscape", "--fn", "l1_Sprime", "--section", "beta=inf", "--format", "json"],
+    ["landscape", "--fn", "vn_Sprime", "--section", "eta=nan"],
+    ["landscape", "--fn", "l1_S3", "--section", "eta=-inf", "--format", "json"],
 ], ids=" ".join)
 def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
     code, _ = run_cli(argv, capsys)
@@ -362,3 +373,107 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["extrema", "--fn", "l1_wigner", "--tol", "0"],
+    ["extrema", "--fn", "l1_wigner", "--tol", "-1"],
+    ["extrema", "--fn", "vn_xi", "--tol", "-0.000000001"],
+    ["extrema", "--tol", "0"],
+], ids=" ".join)
+def test_extrema_non_positive_tol_is_usage_error(argv):
+    proc = run_cli_subprocess(argv)
+    assert proc.returncode == 2
+    assert "expected a finite number > 0" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_extrema_tol_below_float_spacing_returns():
+    """A bracket narrower than --tol cannot get below the float spacing at
+    its ends; the search must stop there, not repeat its last step."""
+    proc = run_cli_subprocess(["extrema", "--fn", "l1_wigner", "--tol", "1e-16"])
+    assert proc.returncode == 0
+    _, rows = _csv_rows(proc.stdout)
+    assert rows
+    for theta, value, kind, smooth in rows:
+        # a smooth maximum is flat to rounding over ~1e-8 around pi/4, so
+        # its location is resolved that finely and its value to 1 ulp
+        assert abs(float(value) - math.sqrt(2.0)) < 1e-12
+        assert abs(float(theta) - math.pi / 4) < 1e-6
+        assert (kind, smooth) == ("local-max", "true")
+    proc = run_cli_subprocess(["extrema", "--fn", "l1_S3", "--tol", "1e-16", "--coarse", "60"])
+    assert proc.returncode == 0
+    _, rows = _csv_rows(proc.stdout)
+    assert max(float(r[2]) for r in rows) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_verify_perturb_accepts_exponent_form_negative(capsys):
+    runs = [run_cli_streams(["verify", "--suite", "tl", "--perturb", value], capsys)
+            for value in ("-1e-3", "-0.001")]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1 and "FAIL" in runs[0][1]
+
+
+# Every kind of call the shared parser must survive, in an order that would
+# show state carried from one call into the next.
+REUSE_SEQUENCE = [
+    (["verify", "--samples", "0"], 2),
+    (["verify", "--suite", "tl", "--samples", "5"], 0),
+    (["--version"], 0),
+    (["reduce", "--random", "5"], 0),
+    (["reduce", "--thetas", "0,0.7854,0.7854"], 0),
+    (["reduce", "--random", "5", "--thetas", "0,0.7854,0.7854"], 2),
+    (["landscape", "--fn", "l1_S3", "--section", "beta=0.61548", "--eta", "0:6:5"], 0),
+    (["landscape", "--fn", "l1_S3", "--eta", "0:6:5", "--beta", "-1:1:4"], 0),
+    (["verify", "--suite", "tl", "--perturb", "1e-3"], 1),
+    (["verify", "--suite", "tl"], 0),
+    (["state", "--eta", "1.0472", "--beta", "0.61548", "--format", "json"], 0),
+    (["state", "--eta", "1.0472", "--beta", "0.61548"], 0),
+]
+
+
+def _namespace(parser, argv, capsys):
+    try:
+        return vars(parser.parse_args(cli._merge_negative_values(list(argv))))
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+
+
+def test_shared_parser_reuse_is_stateless(monkeypatch, capsys):
+    """One process, one parser: each call prints, writes to stderr and exits
+    as it does with a parser of its own, and parses to the same namespace."""
+    shared = []
+    for argv, expected_code in REUSE_SEQUENCE:
+        shared.append(run_cli_streams(argv, capsys))
+        assert shared[-1][0] == expected_code, argv
+        assert (_namespace(cli._shared_parser(), argv, capsys)
+                == _namespace(cli.build_parser(), argv, capsys)), argv
+    # the surface after a section is a surface, and verify passes again
+    # after a perturbed run
+    surface = shared[7][1].splitlines()
+    assert surface[0] == "eta,beta,value" and len(surface) == 1 + 5 * 4
+    assert "FAIL" in shared[8][1] and "FAIL" not in shared[9][1]
+
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = [run_cli_streams(argv, capsys) for argv, _ in REUSE_SEQUENCE]
+    for argv, got, want in zip(REUSE_SEQUENCE, shared, fresh):
+        assert got == want, argv
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    cli.main(["state", "--eta", "0", "--beta", "0"])
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for k in range(10):
+        assert cli.main(["state", "--eta", str(0.1 * k), "--beta", "0.5"]) == 0
+    capsys.readouterr()
+    assert built == []
+    # build_parser itself still builds a new parser on each call
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second and len(built) == 2 * 6

@@ -326,18 +326,21 @@ def test_array_scans_match_the_per_node_loop(case):
 
 def _shrink_bracket_loop(fn1d, lo, hi, want_max, tol):
     """One bracket with float kernel calls; returns the extremum and the
-    number of trisection steps taken."""
+    number of trisection steps taken, negative if the last step moved
+    neither end."""
     sign = 1.0 if want_max else -1.0
     steps = 0
     while hi - lo > tol:
         third = (hi - lo) / 3.0
         a = lo + third
         b = hi - third
-        if sign * fn1d(a) < sign * fn1d(b):
-            lo = a
-        else:
-            hi = b
         steps += 1
+        if sign * fn1d(a) < sign * fn1d(b):
+            lo, stuck = a, a == lo
+        else:
+            hi, stuck = b, b == hi
+        if stuck:
+            return 0.5 * (lo + hi), -steps
     return 0.5 * (lo + hi), steps
 
 
@@ -448,6 +451,38 @@ def test_lockstep_brackets_stop_on_their_own():
         assert len({steps for _, steps in loop}) > 1
         lockstep = _shrink_bracket(lambda u, k: fn(u), lo, hi, want_max, tol)
         assert np.array_equal(lockstep, [x for x, _ in loop])
+
+
+@pytest.mark.parametrize("tol", [1e-16, 3e-16, 0.0])
+def test_brackets_below_float_spacing_stop(tol):
+    """A bracket that no step can narrow further stops where a search of
+    its own stops; brackets beside it that reach ``tol`` keep their bits.
+    The kernel raises after far more calls than any search needs, so a
+    bracket that never stops fails the test instead of hanging it."""
+    centers = np.concatenate([np.geomspace(1e-3, 3.0, 40), -np.geomspace(1e-3, 3.0, 40)])
+    lo, hi = centers - 1e-3, centers + 2e-3
+    want_max = np.arange(centers.size) % 2 == 0
+    kernel = get_function("l1_wigner").fn
+    loop = [_shrink_bracket_loop(kernel, a, b, m, tol) for a, b, m in zip(lo, hi, want_max)]
+    stuck = [steps < 0 for _, steps in loop]
+    assert any(stuck) and (tol == 0.0 or not all(stuck))
+    calls = []
+
+    def fn(u, k):
+        calls.append(1)
+        if len(calls) > 10000:
+            raise RuntimeError("bracket search does not stop")
+        return kernel(u)
+
+    assert np.array_equal(_shrink_bracket(fn, lo, hi, want_max, tol), [x for x, _ in loop])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+def test_finders_reject_non_positive_tol(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        find_critical_points_2d("l1_S3", coarse_n=20, refine_tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        find_critical_points_1d("l1_wigner", refine_tol=tol)
 
 
 def _near_duplicates():
