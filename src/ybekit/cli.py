@@ -161,33 +161,87 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
 
 
+def _reused_strings(values: np.ndarray, render) -> np.ndarray | None:
+    """One string per value of ``values`` in flat order, as an object
+    array, with ``render`` (floats to strings) called once over the
+    distinct floats and each string reused wherever its value repeats; or
+    None when more than 2/3 of the values are distinct, where the lookups
+    cost about what the formatting they save does.  Values are keyed by bit
+    pattern, which keeps -0.0 and 0.0 apart.  A sort and count decides
+    before any lookup is built."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
+    ordered = np.sort(bits)
+    if 3 * (np.count_nonzero(ordered[1:] != ordered[:-1]) + 1) > 2 * bits.size:
+        return None
+    distinct, where = np.unique(bits, return_inverse=True)
+    return np.array(render(distinct.view(np.float64).tolist()), dtype=object)[where]
+
+
+def _fmt_floats(xs: list[float]) -> list[str]:
+    """:func:`fmt` of each float, in one ``%.17g`` pass."""
+    return ("%.17g\n" * len(xs) % tuple(xs)).split("\n")[:-1]
+
+
+def _json_floats(xs: list[float]) -> list[str]:
+    """Each float as ``json.dumps`` renders it inside an array."""
+    return json.dumps(xs, separators=(",", ":"))[1:-1].split(",")
+
+
 def _csv_numbers(columns: dict[str, np.ndarray]) -> str:
     """CSV of equal-length float columns, keyed by header, formatted in one
-    ``%.17g`` pass; each cell reads exactly as :func:`fmt` renders it."""
-    table = np.column_stack([np.ravel(c) for c in columns.values()])
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    ``%`` pass; each cell reads exactly as :func:`fmt` renders it.  A column
+    whose values repeat enough is formatted once per distinct value and
+    its strings go in through ``%s`` (:func:`_reused_strings`), so a
+    section's fixed coordinate is one string; any other column goes in as
+    floats through ``%.17g``."""
+    flat = [np.ravel(c) for c in columns.values()]
+    table = np.empty((flat[0].size, len(flat)), dtype=object)
+    specs = []
+    for k, column in enumerate(flat):
+        strings = _reused_strings(column, _fmt_floats)
+        specs.append("%.17g" if strings is None else "%s")
+        table[:, k] = column if strings is None else strings
+    row = ",".join(specs) + "\n"
     return ",".join(columns) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def _csv_grid(etas: np.ndarray, betas: np.ndarray, values: np.ndarray) -> str:
     """CSV of a sampled surface, the bytes of :func:`_csv_numbers` over its
-    ``ij`` meshgrid: each axis coordinate is formatted once and reused on
-    every row it appears in, and the values get one ``%.17g`` pass."""
-    cells = [fmt(b) + ",%.17g\n" for b in betas]
-    rows = "".join(f"{e}," + f"{e},".join(cells) for e in map(fmt, etas))
-    return "eta,beta,value\n" + rows % tuple(values.ravel().tolist())
+    ``ij`` meshgrid, with each axis coordinate formatted once and reused on
+    every row it appears in.  The values get one ``%.17g`` pass, or, when
+    enough of them repeat, are formatted once per distinct value and joined
+    with the coordinates, each row led by its newline."""
+    strings = _reused_strings(values, _fmt_floats)
+    if strings is None:
+        cells = [fmt(b) + ",%.17g\n" for b in betas]
+        rows = "".join(f"{e}," + f"{e},".join(cells) for e in map(fmt, etas))
+        return "eta,beta,value\n" + rows % tuple(values.ravel().tolist())
+    table = np.empty((etas.size, betas.size, 3), dtype=object)
+    table[:, :, 0] = np.array([f"\n{fmt(e)}," for e in etas], dtype=object)[:, None]
+    table[:, :, 1] = np.array([fmt(b) + "," for b in betas], dtype=object)
+    table[:, :, 2] = strings.reshape(values.shape)
+    return "eta,beta,value" + "".join(table.ravel().tolist()) + "\n"
 
 
-def _json_text(fn: str, axes: list[AxisSpec], values: list[float], meta: dict) -> str:
+def _json_text(fn: str, axes: list[AxisSpec], values: np.ndarray, meta: dict) -> str:
+    """The landscape JSON document, rendered by ``json.dumps``.  When
+    enough values repeat, ``json`` renders each distinct value once
+    (:func:`_reused_strings`) and the strings are spliced in as the
+    ``values`` array, which sorts last among the keys."""
+    strings = _reused_strings(values, _json_floats)
     payload = {
         "fn": fn,
         "axes": [
             {"name": a.name, "start": a.start, "stop": a.stop, "n": a.n} for a in axes
         ],
-        "values": values,
+        "values": values.reshape(-1).tolist() if strings is None else [],
         "meta": dict(meta, version=__version__),
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if strings is not None:
+        head, _, tail = text.rpartition('"values":[]')
+        text = f'{head}"values":[{",".join(strings.tolist())}]{tail}'
+    return text + "\n"
 
 
 def _check_axis_flags(args, spec) -> None:
@@ -231,7 +285,7 @@ def cmd_landscape(args) -> int:
         columns = None  # written by _csv_grid
 
     if args.format == "json":
-        text = _json_text(args.fn, axes, values.reshape(-1).tolist(), meta)
+        text = _json_text(args.fn, axes, values, meta)
     elif columns is None:
         text = _csv_grid(axes[0].points(), axes[1].points(), values)
     else:
@@ -415,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=number(int, minimum=1), default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=number(), default=1e-12)
-    p_verify.add_argument("--perturb", type=float, default=0.0,
+    p_verify.add_argument("--perturb", type=number(), default=0.0,
                           help="perturb a TL generator entry (failure-path demo)")
     p_verify.add_argument("--output", default=None)
     p_verify.add_argument("--format", default="text", choices=["text", "json"])

@@ -45,6 +45,7 @@ from .rmatrix import wigner_d_half
 from .threebody import ScatterParams
 
 PLATEAU_TOL = 1e-12
+LOCATION_RESOLUTION = 1e-7  # dedupe floor, see _dedupe_tol
 
 LOCAL_MAX = "local-max"
 LOCAL_MIN = "local-min"
@@ -181,15 +182,17 @@ def get_function(tag: str) -> LandscapeFunction:
 
 def sample_surface(tag: str, eta_axis: AxisSpec, beta_axis: AxisSpec) -> LandscapeGrid:
     """Deterministic grid of a two-parameter function, evaluated in one
-    call over the (eta, beta) mesh."""
+    call over the broadcast axes ``eta[:, None]`` and ``beta[None, :]``:
+    each per-axis factor is computed on the axis points, not on the mesh,
+    and every value has the bits of the ``ij`` meshgrid call."""
     spec = get_function(tag)
     if spec.arity != 2:
         raise ValueError(f"{tag} is a 1-parameter function; use sample_curve")
     for axis in (eta_axis, beta_axis):
         if axis.n < 3:
             raise ValueError(f"axis {axis.name} needs at least 3 samples for a grid, got {axis.n}")
-    etas, betas = np.meshgrid(eta_axis.points(), beta_axis.points(), indexing="ij")
-    return LandscapeGrid(tag, eta_axis, beta_axis, spec.fn(etas, betas))
+    values = spec.fn(eta_axis.points()[:, None], beta_axis.points()[None, :])
+    return LandscapeGrid(tag, eta_axis, beta_axis, values)
 
 
 def sample_curve(tag: str, axis: AxisSpec) -> np.ndarray:
@@ -289,6 +292,17 @@ def _kinked(fn1d: Callable[[np.ndarray], np.ndarray], x: np.ndarray, f0: np.ndar
     return np.abs(s_plus - s_minus) > 10.0 * np.maximum(h, np.abs(s_plus + s_minus))
 
 
+def _dedupe_tol(refine_tol: float) -> float:
+    """Distance within which two refined points of one kind are one point.
+
+    A smooth extremum is flat to rounding over about sqrt(eps) times the
+    axis scale, so its location is resolved to ~1e-8 however small
+    ``refine_tol`` is; below that floor, candidates that converged onto one
+    extremum would be kept as several.
+    """
+    return max(10.0 * refine_tol, LOCATION_RESOLUTION)
+
+
 def _check_refine_tol(refine_tol: float) -> None:
     if not refine_tol > 0.0:
         raise ValueError(f"refinement tolerance must be positive, got {refine_tol!r}")
@@ -355,7 +369,7 @@ def find_critical_points_2d(tag: str,
                       kinks=flags)
         for xe, yb, v, kinds, flags in zip(x, y, value, axis_kinds, kinks)
     ]
-    return _dedupe(results, refine_tol * 10.0)
+    return _dedupe(results, _dedupe_tol(refine_tol))
 
 
 def _scan_2d(vals: np.ndarray) -> tuple:
@@ -423,7 +437,7 @@ def find_critical_points_1d(tag: str,
         for xv, v, kind, kink in zip(x, value, kinds.tolist(),
                                      _kinked(fn, x, value, kink_probe).tolist())
     ]
-    return _dedupe(results, refine_tol * 10.0)
+    return _dedupe(results, _dedupe_tol(refine_tol))
 
 
 def _dedupe(points: list[CriticalPoint], tol: float) -> list[CriticalPoint]:

@@ -1,13 +1,16 @@
 import argparse
 import json
 import math
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ybekit import checks, cli
+from ybekit.landscape import AxisSpec
 
 
 def run_cli_streams(args, capsys):
@@ -294,6 +297,9 @@ def test_reduce_random_batch(capsys):
     ["landscape", "--fn", "l1_Sprime", "--section", "beta=inf", "--format", "json"],
     ["landscape", "--fn", "vn_Sprime", "--section", "eta=nan"],
     ["landscape", "--fn", "l1_S3", "--section", "eta=-inf", "--format", "json"],
+    ["verify", "--suite", "tl", "--perturb", "nan"],
+    ["verify", "--suite", "tl", "--perturb", "inf"],
+    ["verify", "--suite", "tl", "--perturb=-inf"],
 ], ids=" ".join)
 def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
     code, _ = run_cli(argv, capsys)
@@ -357,6 +363,99 @@ def test_grid_csv_matches_bulk_csv():
     mesh = np.meshgrid(etas, betas, indexing="ij")
     expected = cli._csv_numbers({"eta": mesh[0], "beta": mesh[1], "value": values})
     assert cli._csv_grid(etas, betas, values) == expected
+
+
+# The writers as they were before values were formatted once per distinct
+# float, kept as the byte-for-byte references for the writers in cli.
+
+def _csv_numbers_reference(columns):
+    table = np.column_stack([np.ravel(c) for c in columns.values()])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _csv_grid_reference(etas, betas, values):
+    cells = [cli.fmt(b) + ",%.17g\n" for b in betas]
+    rows = "".join(f"{e}," + f"{e},".join(cells) for e in map(cli.fmt, etas))
+    return "eta,beta,value\n" + rows % tuple(values.ravel().tolist())
+
+
+def _json_text_reference(fn, axes, values, meta):
+    payload = {
+        "fn": fn,
+        "axes": [{"name": a.name, "start": a.start, "stop": a.stop, "n": a.n} for a in axes],
+        "values": values.reshape(-1).tolist(),
+        "meta": dict(meta, version=cli.__version__),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _bits(x):
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+# signed zeros, subnormals and values whose 17 digits are all significant
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0 / 3.0,
+               0.30000000000000004, 123456789.12345679]
+
+
+@st.composite
+def _column(draw, n, repeats, non_finite):
+    """``n`` floats that repeat, drawn from a pool of at most n // 3 (the
+    writers reuse strings), or that are all distinct bit patterns (the
+    writers format every value); NaN and +-inf only if ``non_finite``."""
+    elements = st.one_of(st.sampled_from(EDGE_FLOATS),
+                         st.floats(allow_nan=non_finite, allow_infinity=non_finite))
+    if repeats:
+        pool = draw(st.lists(elements, min_size=1, max_size=n // 3))
+        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    else:
+        values = draw(st.lists(elements, min_size=n, max_size=n, unique_by=_bits))
+    return np.array(values)
+
+
+def _reuses(values, render):
+    return cli._reused_strings(values, render) is not None
+
+
+@pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])
+@pytest.mark.parametrize("constant", [True, False], ids=["fixed-column", "free-column"])
+@given(data=st.data())
+def test_bulk_csv_matches_reference(repeats, constant, data):
+    """Every mix of columns formatted once per distinct value and columns
+    given one %.17g pass, a section's constant coordinate among them."""
+    n = data.draw(st.integers(3, 40))
+    columns = {name: data.draw(_column(n, repeats, non_finite=True))
+               for name in ("eta", "beta", "value")}
+    if constant:
+        columns["beta"] = np.full(n, data.draw(st.sampled_from(EDGE_FLOATS) | st.floats()))
+    for name, values in columns.items():
+        assert _reuses(values, cli._fmt_floats) == (repeats or (constant and name == "beta"))
+    assert cli._csv_numbers(columns) == _csv_numbers_reference(columns)
+
+
+@pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])
+@given(data=st.data())
+def test_grid_csv_matches_reference(repeats, data):
+    shape = data.draw(st.tuples(st.integers(1, 9), st.integers(3, 9)))
+    values = data.draw(_column(shape[0] * shape[1], repeats, non_finite=False)).reshape(shape)
+    etas, betas = (data.draw(_column(k, False, non_finite=False)) for k in shape)
+    assert _reuses(values, cli._fmt_floats) == repeats
+    assert cli._csv_grid(etas, betas, values) == _csv_grid_reference(etas, betas, values)
+
+
+@pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])
+@given(data=st.data())
+def test_json_matches_reference(repeats, data):
+    """NaN and +-inf are rendered by json itself, one per distinct bit
+    pattern when values repeat."""
+    shape = data.draw(st.sampled_from([(40,), (3,), (5, 7), (9, 3)]))
+    values = data.draw(_column(math.prod(shape), repeats, non_finite=True)).reshape(shape)
+    axes = [AxisSpec(name, 0.0, 1.0, k) for name, k in zip(("eta", "beta"), shape)]
+    meta = {"seed": None, "tol": None, "section": '"values":[]'}
+    assert _reuses(values, cli._json_floats) == repeats
+    assert (cli._json_text("l1_S3", axes, values, meta)
+            == _json_text_reference("l1_S3", axes, values, meta))
 
 
 def test_negative_range_values_accepted(capsys):

@@ -1,10 +1,12 @@
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ybekit import landscape
 from ybekit.entanglement import binary_entropy, l1_norm, von_neumann_entropy, wigner_l1
 from ybekit.landscape import (
     FUNCTIONS,
@@ -71,6 +73,26 @@ def test_surface_grid_max_near_two():
         AxisSpec("beta", -math.pi / 2, math.pi / 2, 200),
     )
     assert abs(grid.values.max() - 2.0) < 1e-4
+
+
+SURFACE_AXES = [
+    (AxisSpec("eta", 0.0, TWO_PI, 3), AxisSpec("beta", -math.pi / 2, math.pi / 2, 3)),
+    (AxisSpec("eta", 0.0, TWO_PI, 3), AxisSpec("beta", -1.5, 1.2, 17)),
+    (AxisSpec("eta", -7.0, 7.0, 41), AxisSpec("beta", -3.0, 3.0, 5)),
+    (AxisSpec("eta", 0.5, 2.0, 23), AxisSpec("beta", 0.1, 1.2, 40)),
+    # the coarse grid of the critical-point scan
+    (AxisSpec("eta", 0.0, TWO_PI, 400), AxisSpec("beta", -math.pi / 2, math.pi / 2, 400)),
+]
+
+
+@pytest.mark.parametrize("tag", ["l1_S3", "l1_Sprime", "vn_Sprime"])
+@pytest.mark.parametrize("axes", SURFACE_AXES, ids=lambda a: f"{a[0].n}x{a[1].n}")
+def test_surface_over_broadcast_axes_is_bit_equal_to_meshgrid(tag, axes):
+    values = sample_surface(tag, *axes).values
+    oracle = get_function(tag).fn(*np.meshgrid(axes[0].points(), axes[1].points(),
+                                               indexing="ij"))
+    assert values.shape == oracle.shape == (axes[0].n, axes[1].n)
+    assert values.tobytes() == oracle.tobytes()
 
 
 def test_vn_section_matches_binary_entropy_formula():
@@ -483,6 +505,35 @@ def test_finders_reject_non_positive_tol(tol):
         find_critical_points_2d("l1_S3", coarse_n=20, refine_tol=tol)
     with pytest.raises(ValueError, match="tolerance must be positive"):
         find_critical_points_1d("l1_wigner", refine_tol=tol)
+
+
+def _find(tag, **kwargs):
+    if get_function(tag).arity == 2:
+        return find_critical_points_2d(tag, **kwargs)
+    return find_critical_points_1d(tag, **kwargs)
+
+
+@pytest.mark.parametrize("tag", sorted(FUNCTIONS))
+def test_point_count_does_not_depend_on_refine_tol(tag):
+    """Below ~1e-8 a tighter tolerance cannot place a smooth extremum more
+    finely, so it must not split one extremum into several points."""
+    counts = {tol: Counter(p.kind for p in _find(tag, refine_tol=tol))
+              for tol in (1e-8, 1e-10, 1e-12, 1e-16)}
+    assert all(c == counts[1e-8] for c in counts.values()), counts
+    if tag == "l1_wigner":
+        assert counts[1e-10] == {LOCAL_MAX: 1}
+    if tag in ("l1_S3", "l1_Sprime"):
+        assert counts[1e-16] == {LOCAL_MAX: 8, LOCAL_MIN: 2, SADDLE: 8}
+
+
+@pytest.mark.parametrize("tag", sorted(FUNCTIONS))
+def test_default_tol_dedupes_at_ten_tolerances(tag, monkeypatch):
+    """The floor lies at the default tolerance's dedupe distance, so the
+    default output is the one a dedupe at 10 * refine_tol gives."""
+    assert landscape._dedupe_tol(1e-8) == 1e-8 * 10.0
+    points = _find(tag)
+    monkeypatch.setattr(landscape, "_dedupe_tol", lambda tol: tol * 10.0)
+    assert _find(tag) == points
 
 
 def _near_duplicates():
