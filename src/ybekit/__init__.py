@@ -40,8 +40,7 @@ from .landscape import (
     AxisSpec,
     CriticalPoint,
     LandscapeGrid,
-    find_critical_points_1d,
-    find_critical_points_2d,
+    find_critical_points,
     sample_curve,
     sample_surface,
     section,

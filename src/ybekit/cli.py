@@ -37,8 +37,7 @@ from .fusionbasis import (
 from .landscape import (
     AxisSpec,
     FUNCTIONS,
-    find_critical_points_1d,
-    find_critical_points_2d,
+    find_critical_points,
     get_function,
     sample_curve,
     sample_surface,
@@ -85,13 +84,20 @@ def _emit(path: str | None, text: str) -> None:
         _write_atomic(path, text)
 
 
-def parse_axis(raw: str, name: str) -> AxisSpec:
+def parse_axis(raw: str, name: str, count: int | None = None) -> AxisSpec:
+    """The ``--NAME`` value ``start:stop:count`` as an axis.  Given
+    ``count``, the axis has that many points and the value may also be
+    ``start:stop``; a count it holds must still be an integer."""
     parts = raw.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--{name} must look like start:stop:count, got {raw!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    n = int(parts[2])
-    return AxisSpec(name, start, stop, n)
+    form = "start:stop:count" if count is None else "start:stop[:count]"
+    try:
+        if len(parts) not in ((3,) if count is None else (2, 3)):
+            raise ValueError
+        start, stop = float(parts[0]), float(parts[1])
+        n = int(parts[2]) if len(parts) == 3 else count
+    except ValueError:
+        raise ValueError(f"--{name} must look like {form}, got {raw!r}") from None
+    return AxisSpec(name, start, stop, n if count is None else count)
 
 
 def number(kind: type = float, minimum: int | None = None, positive: bool = False):
@@ -294,13 +300,14 @@ def cmd_landscape(args) -> int:
     return EXIT_OK
 
 
-def _sampling_axis(args, spec, name: str) -> AxisSpec:
-    """The --NAME axis, or the function's default domain for that axis."""
+def _sampling_axis(args, spec, name: str, count: int | None = None) -> AxisSpec:
+    """The --NAME axis, or the function's default domain for that axis; of
+    ``count`` points when given (see :func:`parse_axis`)."""
     raw = getattr(args, name)
     if raw:
-        return parse_axis(raw, name)
-    lo, hi = spec.default_domain[1 if name == "beta" else 0]
-    return AxisSpec(name, lo, hi, 500 if name == "theta" else 200)
+        return parse_axis(raw, name, count)
+    lo, hi = spec.default_domain[spec.axes.index(name)]
+    return AxisSpec(name, lo, hi, count or (500 if name == "theta" else 200))
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +317,16 @@ def _sampling_axis(args, spec, name: str) -> AxisSpec:
 def cmd_extrema(args) -> int:
     spec = get_function(args.fn)
     _check_axis_flags(args, spec)
-    if spec.arity == 2:
-        eta_dom = _axis_bounds(args.eta) if args.eta else None
-        beta_dom = _axis_bounds(args.beta) if args.beta else None
-        points = find_critical_points_2d(
-            args.fn, eta_dom, beta_dom, coarse_n=args.coarse, refine_tol=args.tol
-        )
-        header = ["eta", "beta", "value", "kind", "smooth", "slocc_class"]
-        rows = []
-        for p in points:
-            label = classify_slocc(state_from_params(ScatterParams(*p.location)))
-            rows.append(
-                [fmt(p.location[0]), fmt(p.location[1]), fmt(p.value),
-                 p.kind, str(p.smooth).lower(), label]
-            )
-    else:
-        dom = _axis_bounds(args.theta) if args.theta else None
-        points = find_critical_points_1d(
-            args.fn, dom, coarse_n=args.coarse, refine_tol=args.tol
-        )
-        header = ["theta", "value", "kind", "smooth"]
-        rows = [
-            [fmt(p.location[0]), fmt(p.value), p.kind, str(p.smooth).lower()]
-            for p in points
-        ]
+    axes = [_sampling_axis(args, spec, name, args.coarse) for name in spec.axes]
+    points = find_critical_points(args.fn, [(a.start, a.stop) for a in axes],
+                                  coarse_n=args.coarse, refine_tol=args.tol)
+    header = [*spec.axes, "value", "kind", "smooth"]
+    rows = [[*map(fmt, p.location), fmt(p.value), p.kind, str(p.smooth).lower()]
+            for p in points]
+    if spec.arity == 2:  # the three-body landscapes: label each point's state
+        header.append("slocc_class")
+        for row, p in zip(rows, points):
+            row.append(classify_slocc(state_from_params(ScatterParams(*p.location))))
     if args.format == "json":
         payload = {
             "fn": args.fn,
@@ -345,13 +338,6 @@ def cmd_extrema(args) -> int:
         text = _csv_text(header, rows)
     _emit(args.output, text)
     return EXIT_OK
-
-
-def _axis_bounds(raw: str) -> tuple[float, float]:
-    parts = raw.split(":")
-    if len(parts) < 2:
-        raise ValueError(f"domain must look like start:stop[:count], got {raw!r}")
-    return float(parts[0]), float(parts[1])
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--eta", default=None, help="start:stop domain")
     p_ext.add_argument("--beta", default=None, help="start:stop domain")
     p_ext.add_argument("--theta", default=None, help="start:stop domain (1-D)")
-    p_ext.add_argument("--coarse", type=int, default=400)
+    p_ext.add_argument("--coarse", type=number(int, minimum=3), default=400,
+                       help="coarse grid points per axis")
     p_ext.add_argument("--tol", type=number(positive=True), default=1e-8)
     p_ext.add_argument("--output", default=None)
     p_ext.add_argument("--format", default="csv", choices=["csv", "json"])
@@ -526,8 +513,8 @@ _VALUE_FLAGS = {"--eta", "--beta", "--theta", "--thetas", "--perturb"}
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join flags with values that start with a minus sign (e.g. ranges like
-    ``--beta -1.57:1.57:200``, or ``--perturb -1e-3``, whose exponent form
-    argparse does not read as a number) into ``--flag=value`` form so
+    ``--beta -1.57:1.57:200``, or ``--perturb -1e-3`` and ``--eta -inf``,
+    which argparse does not read as numbers) into ``--flag=value`` form so
     argparse does not mistake the value for an option."""
     out: list[str] = []
     i = 0
@@ -535,7 +522,8 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
         tok = argv[i]
         if tok in _VALUE_FLAGS and i + 1 < len(argv):
             nxt = argv[i + 1]
-            if len(nxt) > 1 and nxt[0] == "-" and (nxt[1].isdigit() or nxt[1] == "."):
+            if nxt[:1] == "-" and (nxt[1:2].isdigit() or nxt[1:2] == "."
+                                   or nxt[1:4].lower() in ("inf", "nan")):
                 out.append(f"{tok}={nxt}")
                 i += 2
                 continue

@@ -168,10 +168,15 @@ def classify_slocc(psi: np.ndarray, tol: float = CLASS_TOL) -> str:
     ValueError on a non-finite or unnormalized state.
     """
     _require_normalized(psi)
-    tau = three_tangle(psi)
+    entropies = (von_neumann_entropy(psi, [k]) for k in range(3))  # computed off GHZ only
+    return _slocc_label(three_tangle(psi), entropies, tol)
+
+
+def _slocc_label(tau: float, entropies, tol: float) -> str:
+    """The class of a state from its 3-tangle and its three single-qubit
+    cut entropies, which are read only when ``tau`` is at most ``tol``."""
     if tau > tol:
         return GHZ_CLASS
-    entropies = [von_neumann_entropy(psi, [k]) for k in range(3)]
     zero_cuts = sum(1 for s in entropies if s <= tol)
     if zero_cuts == 0:
         return W_CLASS
@@ -194,9 +199,7 @@ def entanglement_report(psi: np.ndarray, tol: float = CLASS_TOL) -> Entanglement
     """All measures for one state: l1, per-cut entropies, 3-tangle, class.
     Raises ValueError on a non-finite or unnormalized state."""
     _require_normalized(psi)
-    return EntanglementReport(
-        l1=l1_norm(psi),
-        vn_entropies={k: von_neumann_entropy(psi, [k]) for k in range(3)},
-        three_tangle=three_tangle(psi),
-        slocc_class=classify_slocc(psi, tol),
-    )
+    entropies = {k: von_neumann_entropy(psi, [k]) for k in range(3)}
+    tau = three_tangle(psi)
+    return EntanglementReport(l1=l1_norm(psi), vn_entropies=entropies, three_tangle=tau,
+                              slocc_class=_slocc_label(tau, entropies.values(), tol))

@@ -14,15 +14,15 @@ non-smooth axes.
 
 Function tags:
 
-====================  =====  =================================================
-tag                   arity  value
-====================  =====  =================================================
-l1_S3                 2      l1-norm of the 8x8 three-body matrix / its state
-l1_Sprime             2      l1-norm of the 2x2 fusion-space matrix
-vn_Sprime             2      entropy (bits) of the fusion-space amplitudes
-l1_wigner             1      |cos| + |sin| of the spin-1/2 rotation matrix
-vn_xi                 1      entanglement entropy of the two-qubit output
-====================  =====  =================================================
+==========  ===========  ===============================================
+tag         axes         value
+==========  ===========  ===============================================
+l1_S3       eta, beta    l1-norm of the 8x8 three-body matrix / its state
+l1_Sprime   eta, beta    l1-norm of the 2x2 fusion-space matrix
+vn_Sprime   eta, beta    entropy (bits) of the fusion-space amplitudes
+l1_wigner   theta        |cos| + |sin| of the spin-1/2 rotation matrix
+vn_xi       theta        entanglement entropy of the two-qubit output
+==========  ===========  ===============================================
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -152,24 +152,29 @@ def _vn_xi(theta: float) -> float:
 
 @dataclass(frozen=True)
 class LandscapeFunction:
+    """A landscape: ``fn`` takes one broadcast array per axis named in
+    ``axes``, and ``default_domain`` holds one (start, stop) per axis."""
+
     tag: str
-    arity: int
+    axes: tuple[str, ...]
     fn: Callable[..., float]
     default_domain: tuple[tuple[float, float], ...]
 
+    @property
+    def arity(self) -> int:
+        return len(self.axes)
+
+
+_ETA_BETA = ("eta", "beta")
+_ETA_BETA_DOMAIN = ((0.0, 2.0 * math.pi), (-math.pi / 2, math.pi / 2))
+_THETA_DOMAIN = ((0.0, math.pi / 2),)
 
 FUNCTIONS: dict[str, LandscapeFunction] = {
-    "l1_S3": LandscapeFunction(
-        "l1_S3", 2, _l1_s3, ((0.0, 2.0 * math.pi), (-math.pi / 2, math.pi / 2))
-    ),
-    "l1_Sprime": LandscapeFunction(
-        "l1_Sprime", 2, _l1_sprime, ((0.0, 2.0 * math.pi), (-math.pi / 2, math.pi / 2))
-    ),
-    "vn_Sprime": LandscapeFunction(
-        "vn_Sprime", 2, _vn_sprime, ((0.0, 2.0 * math.pi), (-math.pi / 2, math.pi / 2))
-    ),
-    "l1_wigner": LandscapeFunction("l1_wigner", 1, _l1_wigner, ((0.0, math.pi / 2),)),
-    "vn_xi": LandscapeFunction("vn_xi", 1, _vn_xi, ((0.0, math.pi / 2),)),
+    "l1_S3": LandscapeFunction("l1_S3", _ETA_BETA, _l1_s3, _ETA_BETA_DOMAIN),
+    "l1_Sprime": LandscapeFunction("l1_Sprime", _ETA_BETA, _l1_sprime, _ETA_BETA_DOMAIN),
+    "vn_Sprime": LandscapeFunction("vn_Sprime", _ETA_BETA, _vn_sprime, _ETA_BETA_DOMAIN),
+    "l1_wigner": LandscapeFunction("l1_wigner", ("theta",), _l1_wigner, _THETA_DOMAIN),
+    "vn_xi": LandscapeFunction("vn_xi", ("theta",), _vn_xi, _THETA_DOMAIN),
 }
 
 
@@ -303,11 +308,6 @@ def _dedupe_tol(refine_tol: float) -> float:
     return max(10.0 * refine_tol, LOCATION_RESOLUTION)
 
 
-def _check_refine_tol(refine_tol: float) -> None:
-    if not refine_tol > 0.0:
-        raise ValueError(f"refinement tolerance must be positive, got {refine_tol!r}")
-
-
 def _classify(axis_kinds: tuple[str, ...]) -> str:
     if all(k == "max" for k in axis_kinds):
         return LOCAL_MAX
@@ -316,128 +316,93 @@ def _classify(axis_kinds: tuple[str, ...]) -> str:
     return SADDLE
 
 
-def find_critical_points_2d(tag: str,
-                            eta_domain: tuple[float, float] | None = None,
-                            beta_domain: tuple[float, float] | None = None,
-                            coarse_n: int = 400,
-                            refine_tol: float = 1e-8,
-                            kink_probe: float = 1e-5) -> list[CriticalPoint]:
-    """Locate and classify interior critical points of a 2-D landscape.
+def find_critical_points(tag: str,
+                         domains: Sequence[tuple[float, float] | None] | None = None,
+                         coarse_n: int = 400,
+                         refine_tol: float = 1e-8,
+                         kink_probe: float = 1e-5) -> list[CriticalPoint]:
+    """Locate and classify interior critical points of a landscape.
 
-    Coarse candidates are strict grid comparisons against all 8 neighbors
-    (per-axis max/min patterns admit saddles); plateau points whose whole
-    neighborhood agrees within 1e-12 are dropped.  All candidates are then
+    ``domains`` holds one (start, stop) per axis of the function, or None
+    for an axis's default domain.  Coarse candidates are strict comparisons
+    against every grid neighbor (:func:`_scan`).  All candidates are then
     refined together, one axis at a time, by bracket shrinking down to
     ``refine_tol`` (:func:`_shrink_bracket`), and probed for flat axes and
     kinks with one kernel call per probe over every point.  Each point
     takes the same float steps as it would refined on its own.
     """
     spec = get_function(tag)
-    if spec.arity != 2:
-        raise ValueError(f"{tag} is one-dimensional; use find_critical_points_1d")
+    domains = (None,) * spec.arity if domains is None else tuple(domains)
+    if len(domains) != spec.arity:
+        raise ValueError(f"{tag} has axes {spec.axes}, got {len(domains)} domains")
     if coarse_n < 3:
         raise ValueError(f"coarse grid needs at least 3 points per axis, got {coarse_n}")
-    _check_refine_tol(refine_tol)
-    if eta_domain is None:
-        eta_domain = spec.default_domain[0]
-    if beta_domain is None:
-        beta_domain = spec.default_domain[1]
-    eta_axis = AxisSpec("eta", eta_domain[0], eta_domain[1], coarse_n)
-    beta_axis = AxisSpec("beta", beta_domain[0], beta_domain[1], coarse_n)
-    i, j, kind_eta, kind_beta = _scan_2d(sample_surface(tag, eta_axis, beta_axis).values)
+    if not refine_tol > 0.0:
+        raise ValueError(f"refinement tolerance must be positive, got {refine_tol!r}")
+    axes = [AxisSpec(name, *(default if domain is None else domain), coarse_n)
+            for name, domain, default in zip(spec.axes, domains, spec.default_domain)]
+    grid = [axis.points() for axis in axes]
     fn = spec.fn
-    x, y = eta_axis.points()[i], beta_axis.points()[j]
-    hx, hy = eta_axis.step, beta_axis.step
+    vals = fn(*np.meshgrid(*grid, indexing="ij", sparse=True))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("landscape contains non-finite values")
+    found = _scan(vals)
+    coords, kinds = [x[i] for x, i in zip(grid, found)], found[len(axes):]
+
+    def along(a: int):
+        """``fn`` of axis ``a``'s coordinate through the points ``coords``
+        (optionally only through the points numbered ``k``)."""
+        return lambda u, k=slice(None): fn(*(u if b == a else c[k] for b, c in enumerate(coords)))
+
     # Alternate full-width per-axis searches, re-centering each round; the
-    # cross-coupling of the surfaces here is weak so three rounds converge.
-    for _ in range(3):
-        x = _shrink_bracket(lambda u, k: fn(u, y[k]), x - hx, x + hx, kind_eta == "max",
-                            refine_tol)
-        y = _shrink_bracket(lambda v, k: fn(x[k], v), y - hy, y + hy, kind_beta == "max",
-                            refine_tol)
-    value = fn(x, y)
+    # cross-coupling of the surfaces here is weak so three rounds converge,
+    # and a curve, with no other axis to re-center on, needs one.
+    for _ in range(3 if len(axes) > 1 else 1):
+        for a, axis in enumerate(axes):
+            coords[a] = _shrink_bracket(along(a), coords[a] - axis.step, coords[a] + axis.step,
+                                        kinds[a] == "max", refine_tol)
+    value = fn(*coords)
     # A coarse candidate can converge onto a line where one coordinate no
     # longer moves the value (constant rows at sin(eta) = 0).  Such points
     # are degenerate, not extrema; drop them.
-    keep = ~(_flat_axis(lambda u: fn(u, y), x, value) | _flat_axis(lambda v: fn(x, v), y, value))
-    x, y, value = x[keep], y[keep], value[keep]
-    kinks = zip(_kinked(lambda u: fn(u, y), x, value, kink_probe).tolist(),
-                _kinked(lambda v: fn(x, v), y, value, kink_probe).tolist())
-    axis_kinds = zip(kind_eta[keep].tolist(), kind_beta[keep].tolist())
-    results = [
-        CriticalPoint(location=(xe, yb), value=v, kind=_classify(kinds), axis_kinds=kinds,
-                      kinks=flags)
-        for xe, yb, v, kinds, flags in zip(x, y, value, axis_kinds, kinks)
-    ]
+    keep = ~np.logical_or.reduce([_flat_axis(along(a), x, value) for a, x in enumerate(coords)])
+    coords, value, kinds = [x[keep] for x in coords], value[keep], [k[keep] for k in kinds]
+    kinks = zip(*(_kinked(along(a), x, value, kink_probe).tolist() for a, x in enumerate(coords)))
+    axis_kinds = zip(*(k.tolist() for k in kinds))
+    results = [CriticalPoint(location, v, _classify(ks), ks, flags)
+               for location, v, ks, flags in zip(zip(*coords), value, axis_kinds, kinks)]
     return _dedupe(results, _dedupe_tol(refine_tol))
 
 
-def _scan_2d(vals: np.ndarray) -> tuple:
-    """Coarse candidates of a sampled surface in row-major order, as their
-    grid indices i, j and their kinds along eta and beta.
+def _scan(vals: np.ndarray) -> tuple:
+    """Coarse candidates of a sampled landscape in row-major order: their
+    grid indices, one array per axis, then their kinds along each axis.
 
     The neighbors of the interior nodes are shifted views of the grid.  A
-    node must be a max or a min along both axes; the tie tolerance of
+    node must be a max or a min along every axis; the tie tolerance of
     :func:`_axis_kind` already drops nodes on a plateau.  A max (min) along
-    both axes must also beat (undercut) the four diagonals, folded in one
-    at a time so that no stack of grid-sized arrays is held.
+    every axis must also beat (undercut) the diagonal neighbors, those one
+    step off on two axes or more, folded in one at a time so that no stack
+    of grid-sized arrays is held; a curve has none.
     """
-    def shifted(di: int, dj: int) -> np.ndarray:
-        return vals[1 + di : vals.shape[0] - 1 + di, 1 + dj : vals.shape[1] - 1 + dj]
+    def shifted(offset) -> np.ndarray:
+        return vals[tuple(slice(1 + d, n - 1 + d) for d, n in zip(offset, vals.shape))]
 
-    center = shifted(0, 0)
-    kind_eta = _axis_kind(center, shifted(-1, 0), shifted(1, 0))
-    kind_beta = _axis_kind(center, shifted(0, -1), shifted(0, 1))
+    center = shifted((0,) * vals.ndim)
+    kinds = [_axis_kind(center, shifted(-unit), shifted(unit))
+             for unit in np.eye(vals.ndim, dtype=int)]
     above_diag = np.ones(center.shape, dtype=bool)
     below_diag = np.ones(center.shape, dtype=bool)
-    for di in (-1, 1):
-        for dj in (-1, 1):
-            neighbor = shifted(di, dj)
+    for offset in itertools.product((-1, 0, 1), repeat=vals.ndim):
+        if np.count_nonzero(offset) >= 2:
+            neighbor = shifted(offset)
             above_diag &= center > neighbor - PLATEAU_TOL
             below_diag &= center < neighbor + PLATEAU_TOL
-    keep = (kind_eta != "") & (kind_beta != "")
-    keep &= (kind_eta != kind_beta) | np.where(kind_eta == "max", above_diag, below_diag)
-    i, j = np.nonzero(keep)
-    return i + 1, j + 1, kind_eta[i, j], kind_beta[i, j]
-
-
-def _scan_1d(vals: np.ndarray) -> tuple:
-    """Coarse candidates of a sampled curve: their indices and kinds.  The
-    tie tolerance of :func:`_axis_kind` already drops plateau nodes."""
-    kinds = _axis_kind(vals[1:-1], vals[:-2], vals[2:])
-    (i,) = np.nonzero(kinds != "")
-    return i + 1, kinds[i]
-
-
-def find_critical_points_1d(tag: str,
-                            domain: tuple[float, float] | None = None,
-                            coarse_n: int = 400,
-                            refine_tol: float = 1e-8,
-                            kink_probe: float = 1e-5) -> list[CriticalPoint]:
-    """Locate and classify interior critical points of a 1-D curve, all
-    candidates refined together as in :func:`find_critical_points_2d`."""
-    spec = get_function(tag)
-    if spec.arity != 1:
-        raise ValueError(f"{tag} is two-dimensional; use find_critical_points_2d")
-    if coarse_n < 3:
-        raise ValueError(f"coarse grid needs at least 3 points, got {coarse_n}")
-    _check_refine_tol(refine_tol)
-    if domain is None:
-        domain = spec.default_domain[0]
-    axis = AxisSpec("theta", domain[0], domain[1], coarse_n)
-    xs = axis.points()
-    fn = spec.fn
-    i, kinds = _scan_1d(fn(xs))
-    x = _shrink_bracket(lambda u, k: fn(u), xs[i] - axis.step, xs[i] + axis.step,
-                        kinds == "max", refine_tol)
-    value = fn(x)
-    results = [
-        CriticalPoint(location=(xv,), value=v, kind=LOCAL_MAX if kind == "max" else LOCAL_MIN,
-                      axis_kinds=(kind,), kinks=(kink,))
-        for xv, v, kind, kink in zip(x, value, kinds.tolist(),
-                                     _kinked(fn, x, value, kink_probe).tolist())
-    ]
-    return _dedupe(results, _dedupe_tol(refine_tol))
+    keep = np.logical_and.reduce([kind != "" for kind in kinds])
+    mixed = np.logical_or.reduce([kind != kinds[0] for kind in kinds])
+    keep &= mixed | np.where(kinds[0] == "max", above_diag, below_diag)
+    index = np.nonzero(keep)
+    return (*(i + 1 for i in index), *(kind[index] for kind in kinds))
 
 
 def _dedupe(points: list[CriticalPoint], tol: float) -> list[CriticalPoint]:

@@ -271,6 +271,24 @@ def test_reduce_random_batch(capsys):
     assert "PASS" in out
 
 
+# What the usage errors below say where the wording is pinned: a value
+# that starts with a minus sign reaches its own parser instead of being
+# taken for an option, and an axis flag is read whole.
+USAGE_ERRORS = {
+    "verify --suite tl --perturb -inf": "argument --perturb: expected a finite number, got '-inf'",
+    "state --eta -inf --beta 0": "argument --eta: expected a finite number, got '-inf'",
+    "state --eta 0 --beta -nan": "argument --beta: expected a finite number, got '-nan'",
+    "extrema --fn l1_wigner --theta 0.2:1.4:7:junk":
+        "--theta must look like start:stop[:count], got '0.2:1.4:7:junk'",
+    "extrema --fn l1_wigner --theta 0.2:1.4:abc":
+        "--theta must look like start:stop[:count], got '0.2:1.4:abc'",
+    "extrema --fn vn_xi --theta 0.2": "--theta must look like start:stop[:count]",
+    "extrema --fn l1_S3 --beta -1:1:2.5": "--beta must look like start:stop[:count]",
+    "extrema --fn l1_wigner --coarse 2": "argument --coarse: expected an integer >= 3",
+    "landscape --fn l1_wigner --theta 0:1": "--theta must look like start:stop:count",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--samples", "0"],
     ["verify", "--suite", "ybe", "--samples", "-5"],
@@ -300,10 +318,29 @@ def test_reduce_random_batch(capsys):
     ["verify", "--suite", "tl", "--perturb", "nan"],
     ["verify", "--suite", "tl", "--perturb", "inf"],
     ["verify", "--suite", "tl", "--perturb=-inf"],
+    ["verify", "--suite", "tl", "--perturb", "-inf"],
+    ["state", "--eta", "-inf", "--beta", "0"],
+    ["state", "--eta", "0", "--beta", "-nan"],
+    ["extrema", "--fn", "l1_wigner", "--theta", "0.2:1.4:7:junk"],
+    ["extrema", "--fn", "l1_wigner", "--theta", "0.2:1.4:abc"],
+    ["extrema", "--fn", "vn_xi", "--theta", "0.2"],
+    ["extrema", "--fn", "l1_S3", "--beta", "-1:1:2.5"],
+    ["extrema", "--fn", "l1_wigner", "--coarse", "2"],
+    ["landscape", "--fn", "l1_wigner", "--theta", "0:1"],
 ], ids=" ".join)
 def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
-    code, _ = run_cli(argv, capsys)
+    code, _, err = run_cli_streams(argv, capsys)
     assert code == 2
+    assert USAGE_ERRORS.get(" ".join(argv), "error") in err
+
+
+def test_extrema_domain_count_is_ignored(capsys):
+    """``--coarse`` sets the grid, so a count in an extrema domain changes
+    nothing."""
+    outputs = [run_cli(["extrema", "--fn", "vn_xi", "--theta", raw, "--coarse", "101"], capsys)
+               for raw in ("0.2:1.4", "0.2:1.4:7", "0.2:1.4:-3")]
+    assert outputs[0][0] == 0
+    assert outputs[1:] == outputs[:1] * 2
 
 
 @pytest.mark.parametrize("argv, patched", [

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from collections import Counter
@@ -16,13 +17,11 @@ from ybekit.landscape import (
     LOCAL_MIN,
     PLATEAU_TOL,
     SADDLE,
-    _scan_1d,
-    _scan_2d,
     _classify,
     _dedupe,
+    _scan,
     _shrink_bracket,
-    find_critical_points_1d,
-    find_critical_points_2d,
+    find_critical_points,
     get_function,
     sample_curve,
     sample_surface,
@@ -134,7 +133,7 @@ def test_curve_sampling():
 
 
 def test_find_1d_l1_max():
-    points = find_critical_points_1d("l1_wigner", (0.0, math.pi / 2), coarse_n=400)
+    points = find_critical_points("l1_wigner", [(0.0, math.pi / 2)], coarse_n=400)
     assert len(points) == 1
     p = points[0]
     assert p.kind == LOCAL_MAX
@@ -144,7 +143,7 @@ def test_find_1d_l1_max():
 
 
 def test_find_1d_entropy_max():
-    points = find_critical_points_1d("vn_xi", (0.0, math.pi / 2), coarse_n=401)
+    points = find_critical_points("vn_xi", [(0.0, math.pi / 2)], coarse_n=401)
     assert len(points) == 1
     p = points[0]
     assert p.kind == LOCAL_MAX
@@ -153,7 +152,7 @@ def test_find_1d_entropy_max():
 
 
 def test_find_2d_ghz_maximum():
-    points = find_critical_points_2d("l1_S3", coarse_n=200)
+    points = find_critical_points("l1_S3", coarse_n=200)
     ghz = _closest([p for p in points if p.kind == LOCAL_MAX], (math.pi / 3, BETA_STAR))
     assert abs(ghz.location[0] - math.pi / 3) < 1e-3
     assert abs(ghz.location[1] - BETA_STAR) < 1e-3
@@ -162,7 +161,7 @@ def test_find_2d_ghz_maximum():
 
 
 def test_find_2d_w_saddle():
-    points = find_critical_points_2d("l1_S3", coarse_n=200)
+    points = find_critical_points("l1_S3", coarse_n=200)
     saddles = [p for p in points if p.kind == SADDLE]
     w = _closest(saddles, (math.pi / 2, BETA_STAR))
     assert abs(w.location[0] - math.pi / 2) < 1e-3
@@ -173,7 +172,7 @@ def test_find_2d_w_saddle():
 
 
 def test_find_2d_biseparable_minimum():
-    points = find_critical_points_2d("l1_S3", coarse_n=200)
+    points = find_critical_points("l1_S3", coarse_n=200)
     minima = [p for p in points if p.kind == LOCAL_MIN]
     bisep = _closest(minima, (math.pi / 2, 0.0))
     assert abs(bisep.location[0] - math.pi / 2) < 1e-3
@@ -183,7 +182,7 @@ def test_find_2d_biseparable_minimum():
 
 def test_flat_rows_do_not_produce_points():
     # eta = pi is a constant-in-beta line; nothing should be reported there
-    points = find_critical_points_2d("l1_S3", (2.8, 3.5), (-1.0, 1.0), coarse_n=120)
+    points = find_critical_points("l1_S3", [(2.8, 3.5), (-1.0, 1.0)], coarse_n=120)
     for p in points:
         assert abs(p.location[0] - math.pi) > 1e-3
 
@@ -193,7 +192,7 @@ def test_refined_points_consistent_with_neighbors():
     # in the pattern its kind claims
     fn = get_function("l1_S3").fn
     h = 1e-6
-    for p in find_critical_points_2d("l1_S3", coarse_n=150):
+    for p in find_critical_points("l1_S3", coarse_n=150):
         x, y = p.location
         center = fn(x, y)
         eta_pair = (fn(x - h, y), fn(x + h, y))
@@ -206,10 +205,10 @@ def test_refined_points_consistent_with_neighbors():
 
 
 def test_refinement_converges():
-    coarse = find_critical_points_1d("l1_wigner", (0.0, math.pi / 2), coarse_n=200,
-                                     refine_tol=1e-5)
-    fine = find_critical_points_1d("l1_wigner", (0.0, math.pi / 2), coarse_n=200,
-                                   refine_tol=5e-6)
+    coarse = find_critical_points("l1_wigner", [(0.0, math.pi / 2)], coarse_n=200,
+                                  refine_tol=1e-5)
+    fine = find_critical_points("l1_wigner", [(0.0, math.pi / 2)], coarse_n=200,
+                                refine_tol=5e-6)
     assert len(coarse) == len(fine) == 1
     assert abs(coarse[0].location[0] - fine[0].location[0]) < 1e-5
 
@@ -270,7 +269,7 @@ def test_l1_finder_returns_the_full_closed_form_set():
            for eta in (w, math.pi - w, math.pi + w, TWO_PI - w)]
         + [((eta, 0.0), math.sqrt(2.0), LOCAL_MIN) for eta in (math.pi / 2, 3 * math.pi / 2)]
     )
-    points = find_critical_points_2d("l1_S3", coarse_n=400)
+    points = find_critical_points("l1_S3", coarse_n=400)
     assert len(points) == len(expected) == 18
     for location, value, kind in expected:
         near = [p for p in points
@@ -337,9 +336,9 @@ def _scan_grids():
 @pytest.mark.parametrize("case", range(4), ids=["levels", "ties", "noise", "l1_S3"])
 def test_array_scans_match_the_per_node_loop(case):
     vals = _scan_grids()[case]
-    assert list(zip(*_scan_2d(vals))) == _scan_2d_loop(vals)
+    assert list(zip(*_scan(vals))) == _scan_2d_loop(vals)
     for line in (*vals, *vals.T):
-        assert list(zip(*_scan_1d(line))) == _scan_1d_loop(line)
+        assert list(zip(*_scan(line))) == _scan_1d_loop(line)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +415,12 @@ def _points_loop(tag, domain, coarse_n):
         refined = (
             _refine_2d_loop(fn, (etas[i], betas[j]), (axes[0].step, axes[1].step),
                             (str(kind_eta), str(kind_beta)))
-            for i, j, kind_eta, kind_beta in zip(*_scan_2d(sample_surface(tag, *axes).values))
+            for i, j, kind_eta, kind_beta in zip(*_scan(sample_surface(tag, *axes).values))
         )
         return tuple(p for p in refined if p is not None)
     xs, h = axes[0].points(), axes[0].step
     out = []
-    for i, kind in zip(*_scan_1d(fn(xs))):
+    for i, kind in zip(*_scan(fn(xs))):
         x = _shrink_bracket_loop(fn, xs[i] - h, xs[i] + h, kind == "max", 1e-8)[0]
         out.append(CriticalPoint((x,), fn(x), LOCAL_MAX if kind == "max" else LOCAL_MIN,
                                  (str(kind),), (_kinked_loop(fn, x, 1e-5),)))
@@ -444,10 +443,7 @@ FINDER_CASES = (
 
 @pytest.mark.parametrize("tag, domain, coarse_n", FINDER_CASES)
 def test_lockstep_refinement_matches_per_candidate_loop(tag, domain, coarse_n):
-    if get_function(tag).arity == 2:
-        points = find_critical_points_2d(tag, *(domain or (None, None)), coarse_n=coarse_n)
-    else:
-        points = find_critical_points_1d(tag, *(domain or (None,)), coarse_n=coarse_n)
+    points = find_critical_points(tag, domain, coarse_n=coarse_n)
     reference = _dedupe_quadratic(list(_points_loop(tag, domain, coarse_n)), 1e-7)
     assert len(points) == len(reference) > 0
     for got, want in zip(_columns(points), _columns(reference)):
@@ -502,22 +498,55 @@ def test_brackets_below_float_spacing_stop(tol):
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
 def test_finders_reject_non_positive_tol(tol):
     with pytest.raises(ValueError, match="tolerance must be positive"):
-        find_critical_points_2d("l1_S3", coarse_n=20, refine_tol=tol)
+        find_critical_points("l1_S3", coarse_n=20, refine_tol=tol)
     with pytest.raises(ValueError, match="tolerance must be positive"):
-        find_critical_points_1d("l1_wigner", refine_tol=tol)
+        find_critical_points("l1_wigner", refine_tol=tol)
 
 
-def _find(tag, **kwargs):
-    if get_function(tag).arity == 2:
-        return find_critical_points_2d(tag, **kwargs)
-    return find_critical_points_1d(tag, **kwargs)
+@pytest.mark.parametrize("tag, domains", [
+    ("l1_S3", [(0.0, 1.0)]),
+    ("l1_S3", [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]),
+    ("l1_wigner", [None, None]),
+    ("vn_xi", []),
+])
+def test_finder_rejects_one_domain_per_axis_mismatch(tag, domains):
+    """``zip`` would silently drop an extra domain or an axis without one."""
+    with pytest.raises(ValueError, match="domains"):
+        find_critical_points(tag, domains)
+
+
+@pytest.mark.parametrize("tag", ["l1_wigner", "l1_S3"])
+def test_finder_rejects_too_coarse_a_grid(tag):
+    with pytest.raises(ValueError, match="at least 3 points"):
+        find_critical_points(tag, coarse_n=2)
+
+
+@pytest.mark.parametrize("tag", ["vn_xi", "vn_Sprime"])
+def test_finder_rejects_a_non_finite_coarse_node(tag, monkeypatch):
+    """A NaN on the coarse grid fails every comparison of the scan, so it
+    would silently drop the candidates around it; the finder must raise."""
+    spec = get_function(tag)
+    calls = []
+
+    def nan_at_one_coarse_node(*coords):
+        values = spec.fn(*coords)
+        if not calls:  # the first call samples the coarse grid
+            values = values.copy()
+            values.flat[values.size // 2] = math.nan
+        calls.append(1)
+        return values
+
+    monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(spec, fn=nan_at_one_coarse_node))
+    with pytest.raises(ValueError, match="non-finite"):
+        find_critical_points(tag, coarse_n=41)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("tag", sorted(FUNCTIONS))
 def test_point_count_does_not_depend_on_refine_tol(tag):
     """Below ~1e-8 a tighter tolerance cannot place a smooth extremum more
     finely, so it must not split one extremum into several points."""
-    counts = {tol: Counter(p.kind for p in _find(tag, refine_tol=tol))
+    counts = {tol: Counter(p.kind for p in find_critical_points(tag, refine_tol=tol))
               for tol in (1e-8, 1e-10, 1e-12, 1e-16)}
     assert all(c == counts[1e-8] for c in counts.values()), counts
     if tag == "l1_wigner":
@@ -531,9 +560,9 @@ def test_default_tol_dedupes_at_ten_tolerances(tag, monkeypatch):
     """The floor lies at the default tolerance's dedupe distance, so the
     default output is the one a dedupe at 10 * refine_tol gives."""
     assert landscape._dedupe_tol(1e-8) == 1e-8 * 10.0
-    points = _find(tag)
+    points = find_critical_points(tag)
     monkeypatch.setattr(landscape, "_dedupe_tol", lambda tol: tol * 10.0)
-    assert _find(tag) == points
+    assert find_critical_points(tag) == points
 
 
 def _near_duplicates():
