@@ -39,11 +39,8 @@ from .fusionbasis import (
 from .landscape import (
     AxisSpec,
     CriticalPoint,
-    LandscapeGrid,
     find_critical_points,
-    sample_curve,
-    sample_surface,
-    section,
+    sample,
 )
 from .rmatrix import (
     RMatrixFamily,

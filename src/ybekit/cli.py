@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -39,9 +40,7 @@ from .landscape import (
     FUNCTIONS,
     find_critical_points,
     get_function,
-    sample_curve,
-    sample_surface,
-    section,
+    sample,
 )
 from .tensor import max_diff_up_to_phase
 from .threebody import (
@@ -65,10 +64,21 @@ def fmt(x: float) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and rename it over
+    ``path``, so a reader never sees half a file.  The file gets the mode a
+    plain ``open`` gives it, not the 0600 of ``mkstemp``: a replaced file
+    keeps its mode, and a new one is 0666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ybekit-")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(fd, mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -133,6 +143,11 @@ def parse_thetas(raw: str) -> AngleTriple:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    # a flag that no chosen suite reads is a usage error, not silently ignored
+    if args.perturb and "tl" not in names:
+        raise ValueError(f"--perturb applies only to the tl suite, not --suite {args.suite}")
+    if args.family != "all" and "ybe" not in names:
+        raise ValueError(f"--family applies only to the ybe suite, not --suite {args.suite}")
     rows = [check for name in names for check in SUITES[name](args)]
 
     failed = sum(not c.passed for c in rows)
@@ -183,9 +198,10 @@ def _reused_strings(values: np.ndarray, render) -> np.ndarray | None:
     return np.array(render(distinct.view(np.float64).tolist()), dtype=object)[where]
 
 
-def _fmt_floats(xs: list[float]) -> list[str]:
-    """:func:`fmt` of each float, in one ``%.17g`` pass."""
-    return ("%.17g\n" * len(xs) % tuple(xs)).split("\n")[:-1]
+def _fmt_floats(xs: list[float], spec: str = "%.17g") -> list[str]:
+    """``spec % x`` for each float, in one ``%`` pass; by default
+    :func:`fmt` of each."""
+    return ((spec + "\0") * len(xs) % tuple(xs)).split("\0")[:-1]
 
 
 def _json_floats(xs: list[float]) -> list[str]:
@@ -193,40 +209,28 @@ def _json_floats(xs: list[float]) -> list[str]:
     return json.dumps(xs, separators=(",", ":"))[1:-1].split(",")
 
 
-def _csv_numbers(columns: dict[str, np.ndarray]) -> str:
-    """CSV of equal-length float columns, keyed by header, formatted in one
-    ``%`` pass; each cell reads exactly as :func:`fmt` renders it.  A column
-    whose values repeat enough is formatted once per distinct value and
-    its strings go in through ``%s`` (:func:`_reused_strings`), so a
-    section's fixed coordinate is one string; any other column goes in as
-    floats through ``%.17g``."""
-    flat = [np.ravel(c) for c in columns.values()]
-    table = np.empty((flat[0].size, len(flat)), dtype=object)
-    specs = []
-    for k, column in enumerate(flat):
-        strings = _reused_strings(column, _fmt_floats)
-        specs.append("%.17g" if strings is None else "%s")
-        table[:, k] = column if strings is None else strings
-    row = ",".join(specs) + "\n"
-    return ",".join(columns) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+def _csv_mesh(coords: dict[str, np.ndarray], values: np.ndarray) -> str:
+    """CSV of a landscape sampled on the ``ij`` mesh of ``coords`` (axis
+    name to points, in axis order): a row per value, in flat order, of its
+    axis coordinates and the value, each cell as :func:`fmt` renders it.
 
-
-def _csv_grid(etas: np.ndarray, betas: np.ndarray, values: np.ndarray) -> str:
-    """CSV of a sampled surface, the bytes of :func:`_csv_numbers` over its
-    ``ij`` meshgrid, with each axis coordinate formatted once and reused on
-    every row it appears in.  The values get one ``%.17g`` pass, or, when
-    enough of them repeat, are formatted once per distinct value and joined
-    with the coordinates, each row led by its newline."""
-    strings = _reused_strings(values, _fmt_floats)
+    The cells form one table over the mesh, joined in one pass.  Each axis
+    point is formatted once and its cell broadcast along the other axes.
+    When enough values repeat, each distinct one is formatted once
+    (:func:`_reused_strings`); otherwise every value cell is ``%.17g``,
+    filled by one ``%`` pass over the joined text."""
+    strings = _reused_strings(values, functools.partial(_fmt_floats, spec="%.17g\n"))
+    table = np.empty((*values.shape, values.ndim + 1), dtype=object)
+    for k, points in enumerate(coords.values()):
+        shape = [1] * values.ndim
+        shape[k] = -1
+        cells = np.array(_fmt_floats(points.tolist(), "%.17g,"), dtype=object)
+        table[..., k] = cells.reshape(shape)
+    table[..., -1] = "%.17g\n" if strings is None else strings.reshape(values.shape)
+    text = "".join(table.reshape(-1).tolist())
     if strings is None:
-        cells = [fmt(b) + ",%.17g\n" for b in betas]
-        rows = "".join(f"{e}," + f"{e},".join(cells) for e in map(fmt, etas))
-        return "eta,beta,value\n" + rows % tuple(values.ravel().tolist())
-    table = np.empty((etas.size, betas.size, 3), dtype=object)
-    table[:, :, 0] = np.array([f"\n{fmt(e)}," for e in etas], dtype=object)[:, None]
-    table[:, :, 1] = np.array([fmt(b) + "," for b in betas], dtype=object)
-    table[:, :, 2] = strings.reshape(values.shape)
-    return "eta,beta,value" + "".join(table.ravel().tolist()) + "\n"
+        text %= tuple(values.reshape(-1).tolist())
+    return ",".join([*coords, "value"]) + "\n" + text
 
 
 def _json_text(fn: str, axes: list[AxisSpec], values: np.ndarray, meta: dict) -> str:
@@ -250,64 +254,60 @@ def _json_text(fn: str, axes: list[AxisSpec], values: np.ndarray, meta: dict) ->
     return text + "\n"
 
 
-def _check_axis_flags(args, spec) -> None:
-    """Axis flags that the function's arity has no use for, or that name the
-    axis a ``--section`` fixes, are usage errors, not silently ignored."""
+def cmd_landscape(args) -> int:
+    spec = get_function(args.fn)
+    axes, fixed = _axes(args, spec)
+    values = sample(args.fn, axes)
+    if args.format == "json":
+        meta = {"seed": None, "tol": None}
+        if fixed is not None:
+            meta["section"] = f"{fixed.name}={fmt(fixed.start)}"
+        text = _json_text(args.fn, [a for a in axes if a is not fixed], values, meta)
+    else:
+        text = _csv_mesh({a.name: a.points() for a in axes}, values)
+    _emit(args.output, text)
+    return EXIT_OK
+
+
+def _axes(args, spec, count: int | None = None) -> tuple[list[AxisSpec], AxisSpec | None]:
+    """One axis per axis of ``spec``: the --NAME axis, or the function's
+    default domain for that axis, of ``count`` points when given (see
+    :func:`parse_axis`).  ``--section NAME=VALUE`` makes axis NAME the
+    1-point axis at VALUE, which is also returned; every axis of a surface
+    with no section needs 3 points.  Axis flags that the function's arity
+    has no use for, or that name the axis a section fixes, are usage
+    errors, not silently ignored."""
     unused = ("theta",) if spec.arity == 2 else ("eta", "beta", "section")
     for flag in unused:
         if getattr(args, flag, None) is not None:
             raise ValueError(f"--{flag} does not apply to the "
                              f"{spec.arity}-parameter function {spec.tag}")
-    fixed = (getattr(args, "section", None) or "").partition("=")[0].strip()
-    if fixed in ("eta", "beta") and getattr(args, fixed) is not None:
-        raise ValueError(f"--{fixed} does not apply: --section {args.section} fixes that axis")
-
-
-def cmd_landscape(args) -> int:
-    spec = get_function(args.fn)
-    _check_axis_flags(args, spec)
-    meta = {"seed": None, "tol": None}
-
-    if spec.arity == 1:
-        axes = [_sampling_axis(args, spec, "theta")]
-        values = sample_curve(args.fn, axes[0])[:, 1]
-        columns = {"theta": axes[0].points(), "value": values}
-    elif args.section:
-        fixed_axis, _, raw_value = args.section.partition("=")
-        fixed_axis = fixed_axis.strip()
-        if fixed_axis not in ("eta", "beta") or not raw_value:
-            raise ValueError(f"--section must be eta=VALUE or beta=VALUE, got {args.section!r}")
-        fixed_value = float(raw_value)
-        if not math.isfinite(fixed_value):
-            raise ValueError(f"--section needs a finite value, got {args.section!r}")
-        axes = [_sampling_axis(args, spec, "eta" if fixed_axis == "beta" else "beta")]
-        values = section(args.fn, fixed_axis, fixed_value, axes[0])[:, 1]
-        meta = dict(meta, section=f"{fixed_axis}={fmt(fixed_value)}")
-        coords = {axes[0].name: axes[0].points(), fixed_axis: np.full(axes[0].n, fixed_value)}
-        columns = {"eta": coords["eta"], "beta": coords["beta"], "value": values}
-    else:
-        axes = [_sampling_axis(args, spec, "eta"), _sampling_axis(args, spec, "beta")]
-        values = sample_surface(args.fn, *axes).values
-        columns = None  # written by _csv_grid
-
-    if args.format == "json":
-        text = _json_text(args.fn, axes, values, meta)
-    elif columns is None:
-        text = _csv_grid(axes[0].points(), axes[1].points(), values)
-    else:
-        text = _csv_numbers(columns)
-    _emit(args.output, text)
-    return EXIT_OK
-
-
-def _sampling_axis(args, spec, name: str, count: int | None = None) -> AxisSpec:
-    """The --NAME axis, or the function's default domain for that axis; of
-    ``count`` points when given (see :func:`parse_axis`)."""
-    raw = getattr(args, name)
-    if raw:
-        return parse_axis(raw, name, count)
-    lo, hi = spec.default_domain[spec.axes.index(name)]
-    return AxisSpec(name, lo, hi, count or (500 if name == "theta" else 200))
+    section = getattr(args, "section", None)
+    fixed_name, _, raw = (section or "").partition("=")
+    fixed_name = fixed_name.strip()
+    if fixed_name in ("eta", "beta") and getattr(args, fixed_name) is not None:
+        raise ValueError(f"--{fixed_name} does not apply: --section {section} fixes that axis")
+    if section:
+        if fixed_name not in spec.axes or not raw:
+            raise ValueError(f"--section must be eta=VALUE or beta=VALUE, got {section!r}")
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"--section needs a finite value, got {section!r}")
+    axes, fixed = [], None
+    for name, (lo, hi) in zip(spec.axes, spec.default_domain):
+        if name == fixed_name:  # only a valid --section names an axis
+            fixed = AxisSpec(name, value, value, 1)
+            axes.append(fixed)
+        elif getattr(args, name):
+            axes.append(parse_axis(getattr(args, name), name, count))
+        else:
+            axes.append(AxisSpec(name, lo, hi, count or (500 if name == "theta" else 200)))
+    if spec.arity > 1 and fixed is None:
+        for axis in axes:
+            if axis.n < 3:
+                raise ValueError(f"axis {axis.name} needs at least 3 samples for a grid, "
+                                 f"got {axis.n}")
+    return axes, fixed
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +316,7 @@ def _sampling_axis(args, spec, name: str, count: int | None = None) -> AxisSpec:
 
 def cmd_extrema(args) -> int:
     spec = get_function(args.fn)
-    _check_axis_flags(args, spec)
-    axes = [_sampling_axis(args, spec, name, args.coarse) for name in spec.axes]
+    axes, _ = _axes(args, spec, args.coarse)
     points = find_critical_points(args.fn, [(a.start, a.stop) for a in axes],
                                   coarse_n=args.coarse, refine_tol=args.tol)
     header = [*spec.axes, "value", "kind", "smooth"]
@@ -346,6 +345,8 @@ def cmd_extrema(args) -> int:
 
 def _params_from_args(args) -> tuple[ScatterParams, AngleTriple | None]:
     if args.thetas:
+        if args.eta is not None or args.beta is not None:
+            raise ValueError("--thetas does not combine with --eta or --beta")
         return angles_to_params(args.thetas, args.tol), args.thetas
     if args.eta is None or args.beta is None:
         raise ValueError("provide either --thetas or both --eta and --beta")

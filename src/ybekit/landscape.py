@@ -1,9 +1,14 @@
 """Scalar landscapes over (eta, beta) or a single angle, and their extrema.
 
-Every function in the registry takes broadcast arrays, so a grid, a
-section or a curve is one call, and so is each step of the critical-point
-refinement, which moves all candidates in lockstep.  An array call gives
-the bits of the same call made one float at a time.
+Every function in the registry takes broadcast arrays.  :func:`sample`
+evaluates one on the ``ij`` mesh of one :class:`AxisSpec` per axis, in one
+kernel call: a surface over (eta, beta), a curve over theta, or a section,
+which is a surface with a 1-point axis at the fixed coordinate.  It
+replaces ``sample_surface``, ``section``, ``sample_curve`` and their
+``LandscapeGrid`` wrapper.  The critical-point finder takes its coarse grid
+from :func:`sample` and makes one call per step of its refinement, which
+moves all candidates in lockstep.  An array call gives the bits of the same
+call made one float at a time.
 
 The surfaces of interest are built from absolute values of trigonometric
 functions, so some extrema sit on V-shaped kinks where derivative-based
@@ -56,8 +61,8 @@ SADDLE = "saddle"
 class AxisSpec:
     """Inclusive sampling grid start..stop with n points.
 
-    A single-point axis (n = 1, start = stop) is allowed for sections;
-    grids and extremum scans require at least 3 points per axis.
+    A 1-point axis (n = 1, start = stop) is the fixed coordinate of a
+    section; extremum scans require at least 3 points per axis.
     """
 
     name: str
@@ -77,6 +82,7 @@ class AxisSpec:
             raise ValueError(f"axis {self.name} has empty range [{self.start}, {self.stop}]")
 
     def points(self) -> np.ndarray:
+        # np.linspace(a, a, 1) adds a to 0.0, which turns a = -0.0 into 0.0
         if self.n == 1:
             return np.array([self.start])
         return np.linspace(self.start, self.stop, self.n)
@@ -86,23 +92,6 @@ class AxisSpec:
         if self.n < 2:
             raise ValueError(f"axis {self.name} has no step with {self.n} samples")
         return (self.stop - self.start) / (self.n - 1)
-
-
-@dataclass(frozen=True)
-class LandscapeGrid:
-    """Sampled surface: values[i, j] = fn(eta_i, beta_j)."""
-
-    fn: str
-    eta_axis: AxisSpec
-    beta_axis: AxisSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        expect = (self.eta_axis.n, self.beta_axis.n)
-        if self.values.shape != expect:
-            raise ValueError(f"value grid shape {self.values.shape} != axes {expect}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("landscape contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -185,44 +174,20 @@ def get_function(tag: str) -> LandscapeFunction:
         raise ValueError(f"unknown function tag {tag!r}; known: {sorted(FUNCTIONS)}") from None
 
 
-def sample_surface(tag: str, eta_axis: AxisSpec, beta_axis: AxisSpec) -> LandscapeGrid:
-    """Deterministic grid of a two-parameter function, evaluated in one
-    call over the broadcast axes ``eta[:, None]`` and ``beta[None, :]``:
-    each per-axis factor is computed on the axis points, not on the mesh,
-    and every value has the bits of the ``ij`` meshgrid call."""
+def sample(tag: str, axes: Sequence[AxisSpec]) -> np.ndarray:
+    """Values of a landscape on the ``ij`` mesh of ``axes``, one axis per
+    axis of the function in its order: ``values[i, j] = fn(eta_i, beta_j)``
+    for a surface, shape ``(n,)`` for a curve.  A section is a surface with
+    a 1-point axis.  One kernel call over the sparse mesh computes each
+    per-axis factor on the axis points, with the bits of the dense mesh."""
     spec = get_function(tag)
-    if spec.arity != 2:
-        raise ValueError(f"{tag} is a 1-parameter function; use sample_curve")
-    for axis in (eta_axis, beta_axis):
-        if axis.n < 3:
-            raise ValueError(f"axis {axis.name} needs at least 3 samples for a grid, got {axis.n}")
-    values = spec.fn(eta_axis.points()[:, None], beta_axis.points()[None, :])
-    return LandscapeGrid(tag, eta_axis, beta_axis, values)
-
-
-def sample_curve(tag: str, axis: AxisSpec) -> np.ndarray:
-    """Samples of a one-parameter function; shape (n, 2) columns (x, value)."""
-    spec = get_function(tag)
-    if spec.arity != 1:
-        raise ValueError(f"{tag} is a 2-parameter function; use sample_surface or section")
-    xs = axis.points()
-    return np.column_stack([xs, spec.fn(xs)])
-
-
-def section(tag: str, fixed_axis: str, fixed_value: float, axis: AxisSpec) -> np.ndarray:
-    """1-D slice of a two-parameter function; shape (n, 2) columns (x, value).
-
-    ``fixed_axis`` names the frozen coordinate ("eta" or "beta"); ``axis``
-    provides the varying coordinate.
-    """
-    spec = get_function(tag)
-    if spec.arity != 2:
-        raise ValueError(f"{tag} has no 2-D sections")
-    if fixed_axis not in ("eta", "beta"):
-        raise ValueError(f"fixed axis must be 'eta' or 'beta', got {fixed_axis!r}")
-    xs = axis.points()
-    vals = spec.fn(xs, fixed_value) if fixed_axis == "beta" else spec.fn(fixed_value, xs)
-    return np.column_stack([xs, vals])
+    names = tuple(axis.name for axis in axes)
+    if names != spec.axes:
+        raise ValueError(f"{tag} has axes {spec.axes}, got {names}")
+    values = spec.fn(*np.meshgrid(*(axis.points() for axis in axes), indexing="ij", sparse=True))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("landscape contains non-finite values")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +308,7 @@ def find_critical_points(tag: str,
             for name, domain, default in zip(spec.axes, domains, spec.default_domain)]
     grid = [axis.points() for axis in axes]
     fn = spec.fn
-    vals = fn(*np.meshgrid(*grid, indexing="ij", sparse=True))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("landscape contains non-finite values")
-    found = _scan(vals)
+    found = _scan(sample(tag, axes))
     coords, kinds = [x[i] for x, i in zip(grid, found)], found[len(axes):]
 
     def along(a: int):

@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import os
+import stat
 import struct
 import subprocess
 import sys
@@ -144,6 +146,65 @@ def test_landscape_curve_and_json(capsys):
     assert payload["meta"]["version"]
 
 
+FEW_POINTS = [
+    (["landscape", "--fn", "l1_S3", "--section", "beta=0.5", "--eta", "1:1:1"],
+     ["eta"], "beta=0.5", ["1,0.5,"]),
+    (["landscape", "--fn", "vn_Sprime", "--section", "eta=0.5", "--beta", "-1:-1:1"],
+     ["beta"], "eta=0.5", ["0.5,-1,"]),
+    (["landscape", "--fn", "l1_Sprime", "--section", "eta=-0", "--beta", "-1:1:2"],
+     ["beta"], "eta=-0", ["-0,-1,", "-0,1,"]),
+    (["landscape", "--fn", "l1_wigner", "--theta", "0.5:0.5:1"], ["theta"], None, ["0.5,"]),
+    (["landscape", "--fn", "vn_xi", "--theta", "0:1:2"], ["theta"], None, ["0,", "1,"]),
+]
+
+
+@pytest.mark.parametrize("argv, axes, section, rows", FEW_POINTS,
+                         ids=[" ".join(case[0]) for case in FEW_POINTS])
+def test_one_and_two_point_sections_and_curves(argv, axes, section, rows, capsys):
+    """A section's moving axis and a curve may have 1 or 2 points; JSON
+    lists only the sampled axes, and a section's fixed axis goes in meta."""
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    header, body = _csv_rows(out)
+    assert header == (["theta", "value"] if axes == ["theta"] else ["eta", "beta", "value"])
+    assert [",".join(r[:-1]) + "," for r in body] == rows
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert [a["name"] for a in payload["axes"]] == axes
+    assert payload["meta"].get("section") == section
+    assert len(payload["values"]) == len(rows)
+
+
+def test_output_file_gets_the_mode_of_a_plain_open(tmp_path):
+    """``mkstemp`` makes 0600 files: --output gives a new file 0666 less
+    the umask, as ``open`` does, and a replaced file keeps its mode."""
+    argv = ["landscape", "--fn", "vn_xi", "--theta", "0:1:3", "--output"]
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    kept.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        assert cli.main(argv + [str(tmp_path / "new.csv")]) == 0
+        os.umask(0o077)
+        assert cli.main(argv + [str(tmp_path / "private.csv")]) == 0
+        assert cli.main(argv + [str(kept)]) == 0
+    finally:
+        os.umask(umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"new.csv": 0o644, "private.csv": 0o600, "kept.csv": 0o640}
+    assert kept.read_text().startswith("theta,value\n")
+
+
+def test_verify_suite_flags_apply_under_all(capsys):
+    """``--suite all`` runs the tl and ybe suites, so it reads --perturb
+    and --family."""
+    code, out = run_cli(["verify", "--perturb", "1e-3", "--samples", "20"], capsys)
+    assert code == 1 and "FAIL" in out
+    code, out = run_cli(["verify", "--family", "type1", "--samples", "20"], capsys)
+    assert code == 0 and "FAIL" not in out
+
+
 def test_landscape_grid_json_axes(capsys):
     code, out = run_cli(
         ["landscape", "--fn", "l1_S3", "--eta", "0:6.2832:10",
@@ -275,6 +336,23 @@ def test_reduce_random_batch(capsys):
 # that starts with a minus sign reaches its own parser instead of being
 # taken for an option, and an axis flag is read whole.
 USAGE_ERRORS = {
+    "landscape --fn l1_S3 --eta 0:1:2 --beta 0:1:5":
+        "axis eta needs at least 3 samples for a grid, got 2",
+    "landscape --fn vn_Sprime --beta 1:1:1": "axis beta needs at least 3 samples for a grid, got 1",
+    "landscape --fn l1_S3 --section beta=abc": "could not convert string to float: 'abc'",
+    "landscape --fn l1_S3 --section gamma=1":
+        "--section must be eta=VALUE or beta=VALUE, got 'gamma=1'",
+    "landscape --fn l1_S3 --section beta=nan": "--section needs a finite value, got 'beta=nan'",
+    "state --thetas 0,0.7853981633974483,0.7853981633974483 --eta 1 --beta 1":
+        "--thetas does not combine with --eta or --beta",
+    "state --thetas 0,0.7853981633974483,0.7853981633974483 --beta 0":
+        "--thetas does not combine with --eta or --beta",
+    "verify --suite braid --perturb 0.5":
+        "--perturb applies only to the tl suite, not --suite braid",
+    "verify --suite ybe --perturb -1e-3": "--perturb applies only to the tl suite, not --suite ybe",
+    "verify --suite tl --family type1": "--family applies only to the ybe suite, not --suite tl",
+    "verify --suite reduction --family type2":
+        "--family applies only to the ybe suite, not --suite reduction",
     "verify --suite tl --perturb -inf": "argument --perturb: expected a finite number, got '-inf'",
     "state --eta -inf --beta 0": "argument --eta: expected a finite number, got '-inf'",
     "state --eta 0 --beta -nan": "argument --beta: expected a finite number, got '-nan'",
@@ -327,6 +405,16 @@ USAGE_ERRORS = {
     ["extrema", "--fn", "l1_S3", "--beta", "-1:1:2.5"],
     ["extrema", "--fn", "l1_wigner", "--coarse", "2"],
     ["landscape", "--fn", "l1_wigner", "--theta", "0:1"],
+    ["landscape", "--fn", "l1_S3", "--eta", "0:1:2", "--beta", "0:1:5"],
+    ["landscape", "--fn", "vn_Sprime", "--beta", "1:1:1"],
+    ["landscape", "--fn", "l1_S3", "--section", "beta=abc"],
+    ["landscape", "--fn", "l1_S3", "--section", "gamma=1"],
+    ["state", "--thetas", "0,0.7853981633974483,0.7853981633974483", "--eta", "1", "--beta", "1"],
+    ["state", "--thetas", "0,0.7853981633974483,0.7853981633974483", "--beta", "0"],
+    ["verify", "--suite", "braid", "--perturb", "0.5"],
+    ["verify", "--suite", "ybe", "--perturb", "-1e-3"],
+    ["verify", "--suite", "tl", "--family", "type1"],
+    ["verify", "--suite", "reduction", "--family", "type2"],
 ], ids=" ".join)
 def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
     code, _, err = run_cli_streams(argv, capsys)
@@ -379,16 +467,17 @@ def test_nan_residual_fails(argv, patched, monkeypatch, capsys):
 
 def test_bulk_csv_matches_per_cell_fmt():
     n = 6
-    columns = {
-        "eta": np.array([-0.0, 1e-300, 0.1, 2.0 / 3.0, math.pi, -5e-324]),
-        "beta": np.full(n, 0.61547970867038737),  # a section's fixed coordinate
-        "value": np.array([0.30000000000000004, -1e-300, 1.0000000000000002,
-                           123456789.12345679, 1.0 / 3.0, -0.0]),
-    }
+    etas = np.array([-0.0, 1e-300, 0.1, 2.0 / 3.0, math.pi, -5e-324])
+    values = np.array([0.30000000000000004, -1e-300, 1.0000000000000002,
+                       123456789.12345679, 1.0 / 3.0, -0.0])
+    beta = 0.61547970867038737  # a section's fixed coordinate
     expected = "eta,beta,value\n" + "".join(
-        ",".join(cli.fmt(c[k]) for c in columns.values()) + "\n" for k in range(n))
-    assert cli._csv_numbers(columns) == expected
+        f"{cli.fmt(etas[k])},{cli.fmt(beta)},{cli.fmt(values[k])}\n" for k in range(n))
+    assert cli._csv_mesh({"eta": etas, "beta": np.array([beta])}, values[:, None]) == expected
     assert expected.splitlines()[1].startswith("-0,")
+    curve = cli._csv_mesh({"theta": etas}, values)
+    assert curve == "theta,value\n" + "".join(
+        f"{cli.fmt(etas[k])},{cli.fmt(values[k])}\n" for k in range(n))
 
 
 def test_grid_csv_matches_bulk_csv():
@@ -398,12 +487,13 @@ def test_grid_csv_matches_bulk_csv():
                        1.0 / 3.0, -0.0, 2.0, 1e22, -7.5, 0.0, 1e-17, 5.0, 6.0, 7.0, 8.0])
     values = values.reshape(etas.size, betas.size)
     mesh = np.meshgrid(etas, betas, indexing="ij")
-    expected = cli._csv_numbers({"eta": mesh[0], "beta": mesh[1], "value": values})
-    assert cli._csv_grid(etas, betas, values) == expected
+    expected = _csv_numbers_reference({"eta": mesh[0], "beta": mesh[1], "value": values})
+    assert cli._csv_mesh({"eta": etas, "beta": betas}, values) == expected
 
 
 # The writers as they were before values were formatted once per distinct
-# float, kept as the byte-for-byte references for the writers in cli.
+# float, and before one mesh writer replaced the column and grid writers,
+# kept as the byte-for-byte references for the writers in cli.
 
 def _csv_numbers_reference(columns):
     table = np.column_stack([np.ravel(c) for c in columns.values()])
@@ -444,7 +534,7 @@ def _column(draw, n, repeats, non_finite):
     elements = st.one_of(st.sampled_from(EDGE_FLOATS),
                          st.floats(allow_nan=non_finite, allow_infinity=non_finite))
     if repeats:
-        pool = draw(st.lists(elements, min_size=1, max_size=n // 3))
+        pool = draw(st.lists(elements, min_size=1, max_size=max(1, n // 3)))
         values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     else:
         values = draw(st.lists(elements, min_size=n, max_size=n, unique_by=_bits))
@@ -455,30 +545,48 @@ def _reuses(values, render):
     return cli._reused_strings(values, render) is not None
 
 
+def _mesh_case(data, constant, repeats):
+    """Axis points and values of a section (``constant``: a 1-point axis in
+    either position), or of a curve or a grid, all repeating or all
+    distinct; any float, NaN and +-inf included, may be a coordinate."""
+    if constant:
+        n = data.draw(st.integers(1, 40))
+        shape = data.draw(st.sampled_from([(n, 1), (1, n)]))
+    else:
+        shape = data.draw(st.tuples(st.integers(1, 40))
+                          | st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    names = ("theta",) if len(shape) == 1 else ("eta", "beta")
+    coords = {name: data.draw(_column(k, repeats, non_finite=True))
+              for name, k in zip(names, shape)}
+    values = data.draw(_column(math.prod(shape), repeats, non_finite=True)).reshape(shape)
+    return coords, values
+
+
 @pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])
 @pytest.mark.parametrize("constant", [True, False], ids=["fixed-column", "free-column"])
 @given(data=st.data())
 def test_bulk_csv_matches_reference(repeats, constant, data):
-    """Every mix of columns formatted once per distinct value and columns
-    given one %.17g pass, a section's constant coordinate among them."""
-    n = data.draw(st.integers(3, 40))
-    columns = {name: data.draw(_column(n, repeats, non_finite=True))
-               for name in ("eta", "beta", "value")}
-    if constant:
-        columns["beta"] = np.full(n, data.draw(st.sampled_from(EDGE_FLOATS) | st.floats()))
-    for name, values in columns.items():
-        assert _reuses(values, cli._fmt_floats) == (repeats or (constant and name == "beta"))
-    assert cli._csv_numbers(columns) == _csv_numbers_reference(columns)
+    """The mesh writer gives the bytes of one %.17g pass over the columns of
+    the broadcast ``ij`` mesh, for sections, curves and grids, whether
+    values are formatted once per distinct value or not."""
+    coords, values = _mesh_case(data, constant, repeats)
+    mesh = np.broadcast_arrays(*np.meshgrid(*coords.values(), indexing="ij", sparse=True))
+    columns = {**dict(zip(coords, mesh)), "value": values}
+    if values.size >= 3:
+        assert _reuses(values, cli._fmt_floats) == repeats
+    assert cli._csv_mesh(coords, values) == _csv_numbers_reference(columns)
 
 
 @pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])
 @given(data=st.data())
 def test_grid_csv_matches_reference(repeats, data):
-    shape = data.draw(st.tuples(st.integers(1, 9), st.integers(3, 9)))
+    shape = data.draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
     values = data.draw(_column(shape[0] * shape[1], repeats, non_finite=False)).reshape(shape)
     etas, betas = (data.draw(_column(k, False, non_finite=False)) for k in shape)
-    assert _reuses(values, cli._fmt_floats) == repeats
-    assert cli._csv_grid(etas, betas, values) == _csv_grid_reference(etas, betas, values)
+    if values.size >= 3:
+        assert _reuses(values, cli._fmt_floats) == repeats
+    assert (cli._csv_mesh({"eta": etas, "beta": betas}, values)
+            == _csv_grid_reference(etas, betas, values))
 
 
 @pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])

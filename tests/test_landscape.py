@@ -23,9 +23,7 @@ from ybekit.landscape import (
     _shrink_bracket,
     find_critical_points,
     get_function,
-    sample_curve,
-    sample_surface,
-    section,
+    sample,
 )
 from ybekit.rmatrix import type2_r_4x4, wigner_d_half
 from ybekit.tensor import ket
@@ -48,6 +46,24 @@ def test_axis_spec_validation():
         AxisSpec("eta", 0.0, float("nan"), 10)
     single = AxisSpec("eta", 0.5, 0.5, 1)
     assert single.points().tolist() == [0.5]
+    # a section at -0.0 keeps its sign, which np.linspace(-0.0, -0.0, 1) drops
+    assert math.copysign(1.0, AxisSpec("beta", -0.0, -0.0, 1).points()[0]) == -1.0
+
+
+# The samplers that `sample` replaced, kept as its bit-for-bit references:
+# a surface over broadcast axes, a section at a float coordinate, a curve.
+
+def _sample_surface_reference(tag, eta_axis, beta_axis):
+    return get_function(tag).fn(eta_axis.points()[:, None], beta_axis.points()[None, :])
+
+
+def _section_reference(tag, fixed_axis, fixed_value, axis):
+    fn, xs = get_function(tag).fn, axis.points()
+    return fn(xs, fixed_value) if fixed_axis == "beta" else fn(fixed_value, xs)
+
+
+def _sample_curve_reference(tag, axis):
+    return get_function(tag).fn(axis.points())
 
 
 def test_unknown_tag_rejected():
@@ -56,22 +72,17 @@ def test_unknown_tag_rejected():
 
 
 def test_surface_shape_and_constant_row():
-    grid = sample_surface(
-        "l1_S3", AxisSpec("eta", 0.0, TWO_PI, 40), AxisSpec("beta", -1.5, 1.5, 31)
-    )
-    assert grid.values.shape == (40, 31)
-    assert np.all(np.isfinite(grid.values))
+    values = sample("l1_S3", [AxisSpec("eta", 0.0, TWO_PI, 40), AxisSpec("beta", -1.5, 1.5, 31)])
+    assert values.shape == (40, 31)
+    assert np.all(np.isfinite(values))
     # eta = 0 row: the norm is identically 1 whatever beta is
-    assert np.allclose(grid.values[0], 1.0, atol=1e-14)
+    assert np.allclose(values[0], 1.0, atol=1e-14)
 
 
 def test_surface_grid_max_near_two():
-    grid = sample_surface(
-        "l1_S3",
-        AxisSpec("eta", 0.0, TWO_PI, 200),
-        AxisSpec("beta", -math.pi / 2, math.pi / 2, 200),
-    )
-    assert abs(grid.values.max() - 2.0) < 1e-4
+    values = sample("l1_S3", [AxisSpec("eta", 0.0, TWO_PI, 200),
+                              AxisSpec("beta", -math.pi / 2, math.pi / 2, 200)])
+    assert abs(values.max() - 2.0) < 1e-4
 
 
 SURFACE_AXES = [
@@ -87,35 +98,106 @@ SURFACE_AXES = [
 @pytest.mark.parametrize("tag", ["l1_S3", "l1_Sprime", "vn_Sprime"])
 @pytest.mark.parametrize("axes", SURFACE_AXES, ids=lambda a: f"{a[0].n}x{a[1].n}")
 def test_surface_over_broadcast_axes_is_bit_equal_to_meshgrid(tag, axes):
-    values = sample_surface(tag, *axes).values
+    values = sample(tag, axes)
     oracle = get_function(tag).fn(*np.meshgrid(axes[0].points(), axes[1].points(),
                                                indexing="ij"))
     assert values.shape == oracle.shape == (axes[0].n, axes[1].n)
     assert values.tobytes() == oracle.tobytes()
+    assert values.tobytes() == _sample_surface_reference(tag, *axes).tobytes()
+
+
+def _axis(name, start, width, n):
+    return AxisSpec(name, start, start + width * (n > 1), n)
+
+
+@given(tag=st.sampled_from(["l1_S3", "l1_Sprime", "vn_Sprime"]),
+       fixed=st.sampled_from(["eta", "beta"]), value=st.floats(-7.0, 7.0),
+       start=st.floats(-7.0, 7.0), width=st.floats(1e-3, 7.0), n=st.integers(1, 2500))
+def test_section_is_a_surface_with_a_one_point_axis(tag, fixed, value, start, width, n):
+    """A section's values have the bits of the retired ``section``, a
+    1-point moving axis included, in shape (n, 1) or (1, n)."""
+    moving = _axis("eta" if fixed == "beta" else "beta", start, width, n)
+    point = AxisSpec(fixed, value, value, 1)
+    values = sample(tag, [moving, point] if fixed == "beta" else [point, moving])
+    assert values.shape == ((n, 1) if fixed == "beta" else (1, n))
+    assert values.tobytes() == _section_reference(tag, fixed, value, moving).tobytes()
+
+
+@given(tag=st.sampled_from(["l1_S3", "l1_Sprime", "vn_Sprime"]),
+       eta=st.tuples(st.floats(-7.0, 7.0), st.floats(1e-3, 7.0), st.integers(1, 40)),
+       beta=st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 3.0), st.integers(1, 40)))
+def test_sample_is_bit_equal_to_the_retired_surface_sampler(tag, eta, beta):
+    axes = [_axis("eta", *eta), _axis("beta", *beta)]
+    assert sample(tag, axes).tobytes() == _sample_surface_reference(tag, *axes).tobytes()
+
+
+@given(tag=st.sampled_from(["l1_wigner", "vn_xi"]), start=st.floats(-7.0, 7.0),
+       width=st.floats(1e-3, 7.0), n=st.integers(1, 2500))
+def test_sample_is_bit_equal_to_the_retired_curve_sampler(tag, start, width, n):
+    axis = _axis("theta", start, width, n)
+    values = sample(tag, [axis])
+    assert values.shape == (n,)
+    assert values.tobytes() == _sample_curve_reference(tag, axis).tobytes()
+
+
+@pytest.mark.parametrize("tag, names", [
+    ("l1_S3", ("beta", "eta")),
+    ("l1_S3", ("eta",)),
+    ("l1_S3", ("eta", "beta", "theta")),
+    ("l1_wigner", ("eta",)),
+    ("vn_xi", ("theta", "theta")),
+    ("vn_xi", ()),
+])
+def test_sample_takes_one_axis_per_function_axis_in_order(tag, names):
+    with pytest.raises(ValueError, match="has axes"):
+        sample(tag, [AxisSpec(name, 0.0, 1.0, 3) for name in names])
+
+
+@pytest.mark.parametrize("tag, axes", [
+    ("vn_xi", [AxisSpec("theta", 0.0, 1.0, 9)]),
+    ("vn_Sprime", [AxisSpec("eta", 0.0, 1.0, 9), AxisSpec("beta", 0.5, 0.5, 1)]),
+    ("l1_S3", [AxisSpec("eta", 0.0, 1.0, 9), AxisSpec("beta", 0.0, 1.0, 9)]),
+])
+def test_sample_rejects_non_finite_values(tag, axes, monkeypatch):
+    """Curves and sections are checked as surfaces are."""
+    spec = get_function(tag)
+
+    def nan_in_the_middle(*coords):
+        values = spec.fn(*coords).copy()
+        values.flat[values.size // 2] = math.nan
+        return values
+
+    monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(spec, fn=nan_in_the_middle))
+    with pytest.raises(ValueError, match="non-finite"):
+        sample(tag, axes)
 
 
 def test_vn_section_matches_binary_entropy_formula():
-    data = section("vn_Sprime", "beta", BETA_STAR, AxisSpec("eta", 0.0, TWO_PI, 500))
-    for eta, value in data:
+    etas = AxisSpec("eta", 0.0, TWO_PI, 500)
+    values = sample("vn_Sprime", [etas, AxisSpec("beta", BETA_STAR, BETA_STAR, 1)])
+    for eta, value in zip(etas.points(), values[:, 0]):
         expected = binary_entropy(1.0 / 3.0 + (2.0 / 3.0) * math.cos(eta) ** 2)
         assert abs(value - expected) < 1e-12
 
 
 def test_l1_sections_match_reduced_formulas():
-    data = section("l1_S3", "beta", BETA_STAR, AxisSpec("eta", 0.0, TWO_PI, 300))
-    for eta, value in data:
+    etas = AxisSpec("eta", 0.0, TWO_PI, 300)
+    values = sample("l1_S3", [etas, AxisSpec("beta", BETA_STAR, BETA_STAR, 1)])
+    for eta, value in zip(etas.points(), values[:, 0]):
         expected = abs(math.cos(eta)) + math.sqrt(3.0) * abs(math.sin(eta))
         assert abs(value - expected) < 1e-13
-    data = section("l1_S3", "eta", math.pi / 2, AxisSpec("beta", -1.5, 1.5, 300))
-    for beta, value in data:
+    betas = AxisSpec("beta", -1.5, 1.5, 300)
+    values = sample("l1_S3", [AxisSpec("eta", math.pi / 2, math.pi / 2, 1), betas])
+    for beta, value in zip(betas.points(), values[0]):
         expected = math.sqrt(2.0) * abs(math.cos(beta)) + abs(math.sin(beta))
         assert abs(value - expected) < 1e-13
 
 
 def test_section_single_point():
-    data = section("l1_S3", "beta", BETA_STAR, AxisSpec("eta", math.pi / 3, math.pi / 3, 1))
-    assert data.shape == (1, 2)
-    assert abs(data[0, 1] - 2.0) < 1e-12
+    values = sample("l1_S3", [AxisSpec("eta", math.pi / 3, math.pi / 3, 1),
+                              AxisSpec("beta", BETA_STAR, BETA_STAR, 1)])
+    assert values.shape == (1, 1)
+    assert abs(values[0, 0] - 2.0) < 1e-12
 
 
 @given(etas, betas)
@@ -126,10 +208,11 @@ def test_l1_surface_reflection_symmetries(eta, beta):
 
 
 def test_curve_sampling():
-    data = sample_curve("l1_wigner", AxisSpec("theta", 0.0, math.pi / 2, 100))
-    assert data.shape == (100, 2)
-    mid = data[50]
-    assert abs(mid[1] - (abs(math.cos(mid[0])) + abs(math.sin(mid[0])))) < 1e-14
+    axis = AxisSpec("theta", 0.0, math.pi / 2, 100)
+    values = sample("l1_wigner", [axis])
+    assert values.shape == (100,)
+    theta = axis.points()[50]
+    assert abs(values[50] - (abs(math.cos(theta)) + abs(math.sin(theta)))) < 1e-14
 
 
 def test_find_1d_l1_max():
@@ -328,8 +411,7 @@ def _scan_grids():
         levels,
         levels + rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=levels.shape) * PLATEAU_TOL,
         rng.normal(size=(30, 50)),
-        sample_surface("l1_S3", AxisSpec("eta", 0.0, TWO_PI, 120),
-                       AxisSpec("beta", -1.6, 1.6, 90)).values,
+        sample("l1_S3", [AxisSpec("eta", 0.0, TWO_PI, 120), AxisSpec("beta", -1.6, 1.6, 90)]),
     ]
 
 
@@ -415,7 +497,7 @@ def _points_loop(tag, domain, coarse_n):
         refined = (
             _refine_2d_loop(fn, (etas[i], betas[j]), (axes[0].step, axes[1].step),
                             (str(kind_eta), str(kind_beta)))
-            for i, j, kind_eta, kind_beta in zip(*_scan(sample_surface(tag, *axes).values))
+            for i, j, kind_eta, kind_beta in zip(*_scan(_sample_surface_reference(tag, *axes)))
         )
         return tuple(p for p in refined if p is not None)
     xs, h = axes[0].points(), axes[0].step
