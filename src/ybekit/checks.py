@@ -11,11 +11,16 @@ reduction  fusion-basis orthonormality, reduced braid generators and the
 The rule is fail-closed: a :class:`Check` passes only when
 ``residual <= tol``, which is False for NaN, and :func:`worst` keeps a NaN
 sample (``max(0.0, nan)`` is 0.0) and reads NaN for an empty sample set.
+
+The random suites draw and check ``SAMPLE_BLOCK`` samples at a time: one
+``rng.uniform`` call per block, taking the numbers one draw per sample
+would take, and one stacked residual call.  Each residual has the bits of
+its one-sample call, and a pole, constraint or leakage gate raises when any
+single sample of a block trips it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -58,16 +63,6 @@ def worst(residuals: Iterable[float]) -> float:
     """Largest residual; NaN if any residual is NaN or there are none."""
     values = np.fromiter(residuals, dtype=float)
     return float(values.max()) if values.size else math.nan
-
-
-def _blockwise(residuals: Callable[[list], np.ndarray], samples: Iterable) -> np.ndarray:
-    """Per-sample residuals from one batched ``residuals`` call per block of
-    ``SAMPLE_BLOCK`` consecutive samples; samples are drawn in order."""
-    samples = iter(samples)
-    out = [np.empty(0)]
-    while block := list(itertools.islice(samples, SAMPLE_BLOCK)):
-        out.append(residuals(block))
-    return np.concatenate(out)
 
 
 def _relation_checks(fixtures, checker, tol: float) -> list[Check]:
@@ -116,26 +111,31 @@ def braid_suite(tol: float) -> list[Check]:
     return checks
 
 
-def _ybe_parameters(family: RMatrixFamily, rng: np.random.Generator, samples: int):
-    """Yield ``samples`` admissible (p1, p3); Galilean pairs within 0.05 of
-    the coupling pole ``(p1 + p3)^2 = 1`` are redrawn."""
-    produced = 0
-    while produced < samples:
-        if family.additivity == "galilean":
-            p1, p3 = rng.uniform(-0.9, 0.9, size=2)
-            if abs(1.0 - (p1 + p3) ** 2) < 0.05:
-                continue
-        else:
-            p1, p3 = rng.uniform(0.01, 1.55, size=2)
-        produced += 1
-        yield float(p1), float(p3)
+def _ybe_parameter_blocks(family: RMatrixFamily, rng: np.random.Generator, samples: int):
+    """Yield (p1, p3) arrays of ``SAMPLE_BLOCK`` admissible pairs (fewer in
+    the last block), ``samples`` pairs in all.  Each ``rng.uniform`` call
+    draws the pairs the block still lacks; Galilean pairs within 0.05 of
+    the coupling pole ``(p1 + p3)^2 = 1`` are dropped and drawn again.  The
+    pairs and the final generator state are those of one ``size=2`` draw
+    per pair."""
+    low, high = (-0.9, 0.9) if family.additivity == "galilean" else (0.01, 1.55)
+    for start in range(0, samples, SAMPLE_BLOCK):
+        block = np.empty((0, 2))
+        while short := min(SAMPLE_BLOCK, samples - start) - len(block):
+            pairs = rng.uniform(low, high, size=(short, 2))
+            if family.additivity == "galilean":
+                # float ** 2, not numpy's square: the two round apart on some inputs
+                sums = (pairs[:, 0] + pairs[:, 1]).tolist()
+                pairs = pairs[~np.array([abs(1.0 - s ** 2) < 0.05 for s in sums], dtype=bool)]
+            block = np.concatenate([block, pairs])
+        yield block[:, 0], block[:, 1]
 
 
 def ybe_residuals(family: RMatrixFamily, rng: np.random.Generator, samples: int) -> np.ndarray:
     """Per-sample YBE residuals of ``samples`` admissible pairs, drawn in
     order from ``rng`` and checked one block at a time."""
-    return _blockwise(lambda pairs: check_ybe(family, *np.array(pairs).T),
-                      _ybe_parameters(family, rng, samples))
+    return np.concatenate([np.empty(0)] + [
+        check_ybe(family, p1, p3) for p1, p3 in _ybe_parameter_blocks(family, rng, samples)])
 
 
 def ybe_suite(tol: float, samples: int, seed: int, family: str = "all") -> list[Check]:
@@ -151,10 +151,11 @@ def ybe_suite(tol: float, samples: int, seed: int, family: str = "all") -> list[
 
 def random_reduction(samples: int, seed: int) -> np.ndarray:
     """Per-sample three-body reduction residuals of ``samples`` random
-    constrained triples, reduced one block at a time."""
+    constrained triples, drawn and reduced one block at a time."""
     rng = np.random.default_rng(seed)
-    triples = (random_constrained_triple(rng) for _ in range(samples))
-    return _blockwise(verify_basis_reduction, triples)
+    return np.concatenate([np.empty(0)] + [
+        verify_basis_reduction(random_constrained_triple(rng, size=min(SAMPLE_BLOCK, samples - k)))
+        for k in range(0, samples, SAMPLE_BLOCK)])
 
 
 def reduction_suite(tol: float, samples: int, seed: int) -> list[Check]:

@@ -290,7 +290,10 @@ def _axes(args, spec, count: int | None = None) -> tuple[list[AxisSpec], AxisSpe
     if section:
         if fixed_name not in spec.axes or not raw:
             raise ValueError(f"--section must be eta=VALUE or beta=VALUE, got {section!r}")
-        value = float(raw)
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
         if not math.isfinite(value):
             raise ValueError(f"--section needs a finite value, got {section!r}")
     axes, fixed = [], None

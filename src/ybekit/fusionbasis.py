@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .tensor import IDENTITY_2, kron, max_diff_up_to_phase
+from .tensor import lift, max_diff_up_to_phase
 from .threebody import (
     AngleTriple,
     DEFAULT_CONSTRAINT_TOL,
@@ -197,10 +196,10 @@ def embed_three_body(op8: np.ndarray) -> np.ndarray:
     op8 = np.asarray(op8, dtype=complex)
     if op8.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 operator, got shape {op8.shape}")
-    return kron(op8, IDENTITY_2)
+    return lift(op8, right=2)
 
 
-def verify_basis_reduction(triple: AngleTriple | Sequence[AngleTriple], tol: float = 1e-10,
+def verify_basis_reduction(triple: AngleTriple, tol: float = 1e-10,
                            constraint_tol: float = DEFAULT_CONSTRAINT_TOL) -> float | np.ndarray:
     """Residual between the reduced 8x8 product and the 2x2 closed form.
 
@@ -211,16 +210,12 @@ def verify_basis_reduction(triple: AngleTriple | Sequence[AngleTriple], tol: flo
     is conjugated to match that orientation before the single global phase
     is aligned.
 
-    A sequence of triples gives one residual per triple: the product and
-    the reduction run as stacks, while the closed form and the phase
-    alignment stay per triple, in the Python floats whose bits their numpy
-    forms would move.
+    Array angles give one residual per triple.  The product, the reduction,
+    the closed form and the phase alignment each run once for the whole
+    block, and every residual has the bits of its triple's scalar call.
     """
-    block = [triple] if isinstance(triple, AngleTriple) else triple
-    op16 = embed_three_body(product_form(block, constraint_tol))
+    op16 = embed_three_body(product_form(triple, constraint_tol))
     reduced = reduce_operator(op16, fusion_basis_type2(0.0), tol=tol)
-    residuals = np.array([
-        max_diff_up_to_phase(r, fusion_form(angles_to_params(t, constraint_tol)).conj())
-        for r, t in zip(reduced, block)
-    ])
-    return float(residuals[0]) if block is not triple else residuals
+    # fusion_form stacks its matrices over the trailing axes
+    closed = np.moveaxis(fusion_form(angles_to_params(triple, constraint_tol)), (0, 1), (-2, -1))
+    return max_diff_up_to_phase(reduced, closed.conj())

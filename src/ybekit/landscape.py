@@ -82,10 +82,10 @@ class AxisSpec:
             raise ValueError(f"axis {self.name} has empty range [{self.start}, {self.stop}]")
 
     def points(self) -> np.ndarray:
-        # np.linspace(a, a, 1) adds a to 0.0, which turns a = -0.0 into 0.0
-        if self.n == 1:
-            return np.array([self.start])
-        return np.linspace(self.start, self.stop, self.n)
+        points = np.linspace(self.start, self.stop, self.n)
+        # linspace adds start to 0.0, which turns a start of -0.0 into 0.0
+        points[0] = self.start
+        return points
 
     @property
     def step(self) -> float:

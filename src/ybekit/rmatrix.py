@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .braiding import permutation_matrix
-from .tensor import IDENTITY_2, kron
+from .tensor import lift
 
 TAN_POLE_GUARD = 1e-8
 
@@ -35,8 +35,12 @@ V_MATRIX = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
 
 def _stack(rows) -> np.ndarray:
     """Complex (..., d, d) stack from d rows of d broadcastable entries."""
-    entries = np.broadcast_arrays(*[np.asarray(e, dtype=complex) for row in rows for e in row])
-    return np.stack(entries, axis=-1).reshape(*entries[0].shape, len(rows), len(rows))
+    d = len(rows)
+    entries = [e for row in rows for e in row]
+    out = np.empty(np.broadcast(*entries).shape + (d * d,), dtype=complex)
+    for k, e in enumerate(entries):
+        out[..., k] = e
+    return out.reshape(out.shape[:-1] + (d, d))
 
 
 def _type1_scale(mu) -> np.ndarray:
@@ -199,7 +203,7 @@ class RMatrixFamily:
         array parameters give stacks."""
         if self.dim == 4:
             r = self.evaluators[0](p)
-            return kron(r, IDENTITY_2), kron(IDENTITY_2, r)
+            return lift(r, right=2), lift(r, left=2)
         r12, r23 = self.evaluators
         return r12(p), r23(p)
 

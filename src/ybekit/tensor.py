@@ -26,6 +26,24 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def lift(op: np.ndarray, left: int = 1, right: int = 1) -> np.ndarray:
+    """I_left (x) op (x) I_right for a (..., d, d) stack, by slice assignment.
+
+    The entries of ``op`` are copied into zeros with their bits, where
+    :func:`kron` would multiply them by 1 and by 0; the two differ only in
+    the signs of zeros and where ``op`` is not finite.
+    """
+    op = np.asarray(op, dtype=complex)
+    d = op.shape[-1]
+    n = left * d * right
+    out = np.zeros(op.shape[:-2] + (n, n), dtype=complex)
+    blocks = out.reshape(op.shape[:-2] + (left, d, right, left, d, right))
+    for i in range(left):
+        for j in range(right):
+            blocks[..., i, :, j, i, :, j] = op
+    return out
+
+
 def kron_all(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of any number of factors, left to right."""
     out = np.array([[1.0 + 0j]])
@@ -130,19 +148,27 @@ def is_unitary(m: np.ndarray, tol: float = ALGEBRA_TOL) -> tuple[bool, float]:
     return dev <= tol, dev
 
 
-def max_diff_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
+def max_diff_up_to_phase(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Largest entry difference after aligning one global phase.
 
-    The phase is fixed on the largest-modulus entry of ``a``.
+    The phase is fixed on the largest-modulus entry of ``a``; a (..., m, n)
+    stack gives one difference per matrix, each with the bits of the
+    2-D call.  Moduli of single entries come from ``np.hypot``, which has
+    the bits of ``abs`` on one complex number where ``np.abs`` on an array
+    does not.  A zero ``a`` gives ``norm_inf(b)``.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    idx = np.unravel_index(np.argmax(np.abs(a)), a.shape)
-    if abs(a[idx]) == 0.0:
-        return norm_inf(b)
-    phase = b[idx] / a[idx]
-    mag = abs(phase)
-    phase = phase / mag if mag > 0 else 1.0
-    return norm_inf(a * phase - b)
+    flat_a = a.reshape(a.shape[:-2] + (-1,))
+    idx = np.argmax(np.abs(flat_a), axis=-1)[..., None]
+    pivot = np.take_along_axis(flat_a, idx, axis=-1)[..., 0]
+    target = np.take_along_axis(b.reshape(flat_a.shape), idx, axis=-1)[..., 0]
+    modulus = np.hypot(pivot.real, pivot.imag)
+    phase = np.divide(target, pivot, out=np.zeros_like(target), where=modulus != 0.0)
+    mag = np.hypot(phase.real, phase.imag)
+    phase = np.divide(phase, mag, out=np.ones_like(phase), where=mag > 0)
+    diff = np.where(modulus == 0.0, np.abs(b).max(axis=(-2, -1)),
+                    np.abs(a * phase[..., None, None] - b).max(axis=(-2, -1)))
+    return float(diff) if diff.ndim == 0 else diff

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,8 +41,8 @@ from .tensor import (
     SIGMA_Y,
     SIGMA_Z,
     expm_involutive,
-    kron,
     kron_all,
+    lift,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -84,55 +83,96 @@ class ScatterParams:
 
 @dataclass(frozen=True)
 class AngleTriple:
-    """Three scattering angles (t1, t2, t3) subject to the constraint line."""
+    """Three scattering angles (t1, t2, t3) subject to the constraint line.
+
+    The fields may also be broadcast arrays, one triple per element: a
+    block of triples goes through :func:`angles_to_params`,
+    :func:`product_form` and the reduction check as one instance."""
 
     t1: float
     t2: float
     t3: float
 
     def constraint_residual(self) -> float:
+        xp = _lib(self.t1, self.t2, self.t3)
         return abs(
-            math.sin(self.t2) * math.cos(self.t1 - self.t3)
-            - math.cos(self.t2) * math.sin(self.t1 + self.t3)
+            xp.sin(self.t2) * xp.cos(self.t1 - self.t3)
+            - xp.cos(self.t2) * xp.sin(self.t1 + self.t3)
         )
 
     def check(self, tol: float = DEFAULT_CONSTRAINT_TOL) -> None:
+        """Raise :class:`ConstraintViolation` for the first triple whose
+        residual is not ``<= tol``; a NaN angle fails."""
         res = self.constraint_residual()
-        if res > tol:
-            raise ConstraintViolation((self.t1, self.t2, self.t3), res, tol)
+        passed = np.asarray(res <= tol)
+        if not passed.all():
+            k = passed.argmin()
+            first = tuple(float(np.broadcast_to(t, np.shape(res)).flat[k])
+                          for t in (self.t1, self.t2, self.t3))
+            raise ConstraintViolation(first, float(np.ravel(res)[k]), tol)
 
     def negated(self) -> "AngleTriple":
         return AngleTriple(-self.t1, -self.t2, -self.t3)
 
 
+def _lib(*angles):
+    """``math`` for float angles, ``numpy`` for arrays.  Their sin, cos and
+    sqrt agree bit for bit (tests/test_checks.py compares them on 100,000
+    triples), and on one triple math costs a tenth as much."""
+    return math if all(isinstance(a, float) for a in angles) else np
+
+
+def _per_element(fn, *args):
+    """``fn`` over the broadcast arguments one Python float at a time; a
+    float for float arguments.  ``math.atan2`` and ``float ** 2`` round
+    apart from ``np.arctan2`` and numpy's square on some inputs, and every
+    triple of a block keeps the bits of its own scalar call."""
+    if all(isinstance(a, float) for a in args):
+        return fn(*args)
+    shape = np.broadcast(*args).shape
+    out = map(fn, *(np.broadcast_to(a, shape).ravel().tolist() for a in args))
+    return np.fromiter(out, float, count=math.prod(shape)).reshape(shape)
+
+
 def constrained_triple(t1: float, t3: float) -> AngleTriple:
-    """Complete (t1, t3) with the middle angle solving the constraint."""
-    t2 = math.atan2(math.sin(t1 + t3), math.cos(t1 - t3))
+    """Complete (t1, t3) with the middle angle solving the constraint;
+    elementwise over array angles."""
+    xp = _lib(t1, t3)
+    t2 = _per_element(math.atan2, xp.sin(t1 + t3), xp.cos(t1 - t3))
     return AngleTriple(t1, t2, t3)
 
 
-def random_constrained_triple(rng: np.random.Generator, span: float = 1.3) -> AngleTriple:
-    """Uniformly random outer angles in (-span, span), constrained middle."""
-    t1, t3 = rng.uniform(-span, span, size=2)
-    return constrained_triple(float(t1), float(t3))
+def random_constrained_triple(rng: np.random.Generator, span: float = 1.3,
+                              size: int | None = None) -> AngleTriple:
+    """Uniformly random outer angles in (-span, span), constrained middle.
+
+    ``size`` draws a block of that many triples in one call; it takes the
+    same numbers from ``rng`` as ``size`` calls without it."""
+    if size is None:
+        t1, t3 = rng.uniform(-span, span, size=2).tolist()
+    else:
+        t1, t3 = rng.uniform(-span, span, size=(size, 2)).T
+    return constrained_triple(t1, t3)
 
 
 def angles_to_params(triple: AngleTriple, tol: float = DEFAULT_CONSTRAINT_TOL) -> ScatterParams:
-    """Map a constrained angle triple to (eta, beta).
+    """Map a constrained angle triple to (eta, beta); elementwise over array
+    angles, with each triple's bits from a scalar call.
 
     Quadrants are fixed by the two-argument arctangent applied to the
     (cos, sin) pairs given in the module docstring.
     """
     triple.check(tol)
+    xp = _lib(triple.t1, triple.t2, triple.t3)
     delta = triple.t1 - triple.t3
     sigma = triple.t1 + triple.t3
-    scale = math.sqrt(1.0 + math.cos(delta) ** 2)
-    cos_eta = math.cos(triple.t2) * math.cos(sigma)
-    sin_eta = math.sin(triple.t2) * scale
-    cos_beta = math.sqrt(2.0) * math.cos(delta) / scale
-    sin_beta = -math.sin(delta) / scale
+    scale = xp.sqrt(1.0 + _per_element(lambda c: c ** 2, xp.cos(delta)))
+    cos_eta = xp.cos(triple.t2) * xp.cos(sigma)
+    sin_eta = xp.sin(triple.t2) * scale
+    cos_beta = math.sqrt(2.0) * xp.cos(delta) / scale
+    sin_beta = -xp.sin(delta) / scale
     return ScatterParams(
-        math.atan2(sin_eta, cos_eta), math.atan2(sin_beta, cos_beta)
+        _per_element(math.atan2, sin_eta, cos_eta), _per_element(math.atan2, sin_beta, cos_beta)
     ).canonical()
 
 
@@ -161,23 +201,18 @@ def closed_form(params: ScatterParams) -> np.ndarray:
     return expm_involutive(n_dot_lambda(params.beta), -params.eta)
 
 
-def product_form(triple: AngleTriple | Sequence[AngleTriple],
-                 tol: float = DEFAULT_CONSTRAINT_TOL) -> np.ndarray:
+def product_form(triple: AngleTriple, tol: float = DEFAULT_CONSTRAINT_TOL) -> np.ndarray:
     """The 8x8 scattering matrix as the factorized triple product.
 
-    A sequence of triples gives an (n, 8, 8) stack, whose stacked matmuls
-    are bit-equal to the per-triple products.  Raises
+    Array angles give a (..., 8, 8) stack, whose stacked matmuls are
+    bit-equal to the per-triple products.  Raises
     :class:`ConstraintViolation` if any triple is off the constraint line,
     where the two bracketing orders of the product would disagree.
     """
-    block = [triple] if isinstance(triple, AngleTriple) else triple
-    for t in block:
-        t.check(tol)
-    t1, t2, t3 = np.array([(t.t1, t.t2, t.t3) for t in block]).T
-    r12 = lambda t: kron(type2_r_4x4(t, 0.0), IDENTITY_2)
-    r23 = lambda t: kron(IDENTITY_2, type2_r_4x4(t, 0.0))
-    stack = r12(t1) @ r23(t2) @ r12(t3)
-    return stack[0] if block is not triple else stack
+    triple.check(tol)
+    r12 = lambda t: lift(type2_r_4x4(t, 0.0), right=2)
+    r23 = lambda t: lift(type2_r_4x4(t, 0.0), left=2)
+    return r12(triple.t1) @ r23(triple.t2) @ r12(triple.t3)
 
 
 def state_from_params(params: ScatterParams) -> np.ndarray:

@@ -216,6 +216,22 @@ def test_landscape_grid_json_axes(capsys):
     assert len(payload["values"]) == 120
 
 
+@pytest.mark.parametrize("axes", [
+    ["--fn", "vn_xi", "--theta", "-0:1:3"],
+    ["--fn", "l1_S3", "--eta", "-0.0:1:3", "--beta", "-0:0.5:4"],
+    ["--fn", "l1_S3", "--eta", "0:1:3", "--beta", "-1:1:3"],
+], ids=["curve", "grid", "positive"])
+def test_landscape_csv_and_json_axis_starts_agree(axes, capsys):
+    """The first CSV coordinate of each axis is the JSON start, sign of a
+    -0.0 included."""
+    _, csv_out = run_cli(["landscape", *axes, "--format", "csv"], capsys)
+    _, json_out = run_cli(["landscape", *axes, "--format", "json"], capsys)
+    first_row = [float(cell) for cell in csv_out.splitlines()[1].split(",")]
+    for axis, coordinate in zip(json.loads(json_out)["axes"], first_row):
+        assert (coordinate, math.copysign(1.0, coordinate)) == \
+            (axis["start"], math.copysign(1.0, axis["start"]))
+
+
 def test_landscape_rejects_tiny_grid(capsys):
     code, _ = run_cli(["landscape", "--fn", "l1_S3", "--eta", "0:1:2"], capsys)
     assert code == 2
@@ -339,7 +355,8 @@ USAGE_ERRORS = {
     "landscape --fn l1_S3 --eta 0:1:2 --beta 0:1:5":
         "axis eta needs at least 3 samples for a grid, got 2",
     "landscape --fn vn_Sprime --beta 1:1:1": "axis beta needs at least 3 samples for a grid, got 1",
-    "landscape --fn l1_S3 --section beta=abc": "could not convert string to float: 'abc'",
+    "landscape --fn l1_S3 --section beta=abc":
+        "--section needs a finite value, got 'beta=abc'",
     "landscape --fn l1_S3 --section gamma=1":
         "--section must be eta=VALUE or beta=VALUE, got 'gamma=1'",
     "landscape --fn l1_S3 --section beta=nan": "--section needs a finite value, got 'beta=nan'",
