@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import IDENTITY_2, kron_all, norm_inf
+from .tensor import lift, norm_inf
 
 ALPHA_TYPE1 = 1j
 PHASE_TYPE1 = -1j
@@ -66,8 +66,7 @@ def lift_two_site(op: np.ndarray, position: int, n_sites: int) -> np.ndarray:
     """
     if not 1 <= position <= n_sites - 1:
         raise ValueError(f"position {position} out of range for {n_sites} sites")
-    factors = [IDENTITY_2] * (position - 1) + [op] + [IDENTITY_2] * (n_sites - position - 1)
-    return kron_all(*factors)
+    return lift(op, left=2 ** (position - 1), right=2 ** (n_sites - position - 1))
 
 
 def _lifted(local: np.ndarray, n_strands: int) -> tuple[np.ndarray, ...]:

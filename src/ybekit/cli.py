@@ -65,17 +65,18 @@ def fmt(x: float) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path`` and rename it over
-    ``path``, so a reader never sees half a file.  The file gets the mode a
-    plain ``open`` gives it, not the 0600 of ``mkstemp``: a replaced file
-    keeps its mode, and a new one is 0666 less the umask."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    ``path``, so a reader never sees half a file.  A symlink is followed to
+    its target, as ``open`` follows it, and stays a link.  The file gets the
+    mode a plain ``open`` gives it, not the 0600 of ``mkstemp``: a replaced
+    file keeps its mode, and a new one is 0666 less the umask."""
+    path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ybekit-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".ybekit-")
     try:
         with os.fdopen(fd, "w") as handle:
             os.fchmod(fd, mode)
@@ -113,8 +114,8 @@ def parse_axis(raw: str, name: str, count: int | None = None) -> AxisSpec:
 def number(kind: type = float, minimum: int | None = None, positive: bool = False):
     """argparse type for a finite ``kind`` value no smaller than ``minimum``,
     and above 0 if ``positive``: a NaN slips through every ``<=`` gate, a
-    count below the minimum passes vacuously, and a bracket search to a
-    tolerance of 0 never ends, so all three are usage errors (exit 2)."""
+    value below the minimum passes or fails vacuously, and a bracket search
+    to a tolerance of 0 never ends, so all three are usage errors (exit 2)."""
     def parse(raw: str):
         try:
             value = kind(raw)
@@ -458,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="restrict the YBE suite to one family")
     p_verify.add_argument("--samples", type=number(int, minimum=1), default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=number(), default=1e-12)
+    p_verify.add_argument("--tol", type=number(minimum=0), default=1e-12)
     p_verify.add_argument("--perturb", type=number(), default=0.0,
                           help="perturb a TL generator entry (failure-path demo)")
     p_verify.add_argument("--output", default=None)
@@ -492,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.add_argument("--beta", type=number(), default=None)
     p_state.add_argument("--thetas", type=parse_thetas, default=None,
                          help="t1,t2,t3 on the constraint line")
-    p_state.add_argument("--tol", type=number(), default=1e-4,
+    p_state.add_argument("--tol", type=number(minimum=0), default=1e-4,
                          help="input tolerance: bounds the --thetas constraint "
                               "residual and the classification thresholds")
     p_state.add_argument("--format", default="text", choices=["text", "json"])
@@ -505,14 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_red_mode.add_argument("--random", type=number(int, minimum=0), default=0,
                             help="check N random constrained triples instead")
     p_red.add_argument("--seed", type=int, default=0)
-    p_red.add_argument("--tol", type=number(), default=1e-10)
-    p_red.add_argument("--constraint-tol", type=number(), default=1e-4)
+    p_red.add_argument("--tol", type=number(minimum=0), default=1e-10)
+    p_red.add_argument("--constraint-tol", type=number(minimum=0), default=1e-4)
     p_red.set_defaults(func=cmd_reduce)
 
     return parser
 
 
-_VALUE_FLAGS = {"--eta", "--beta", "--theta", "--thetas", "--perturb"}
+_VALUE_FLAGS = {"--eta", "--beta", "--theta", "--thetas", "--perturb", "--tol", "--constraint-tol"}
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:

@@ -1,0 +1,309 @@
+"""Byte references: retired implementations that the tests hold their
+replacements to, bit for bit, one per contract (CSV and JSON writers,
+landscape sampling, the coarse scan, the critical-point finder and the
+verify suites).  The expensive ones are computed once per session."""
+
+import functools
+import json
+import math
+
+import numpy as np
+
+from ybekit import __version__, checks
+from ybekit.fusionbasis import embed_three_body, fusion_basis_type2, reduce_operator
+from ybekit.landscape import (LOCAL_MAX, LOCAL_MIN, PLATEAU_TOL, AxisSpec, CriticalPoint,
+                              _classify, _scan, get_function, sample)
+from ybekit.rmatrix import bundled_families, type2_r_4x4
+from ybekit.tensor import IDENTITY_2, kron, norm_inf
+from ybekit.threebody import (AngleTriple, ScatterParams, angles_to_params, fusion_form,
+                              product_form, random_constrained_triple)
+
+TWO_PI = 2.0 * math.pi
+
+
+# CSV and JSON writers
+
+def _csv_numbers_reference(columns):
+    """One ``%.17g`` pass over the columns (name to array, in order)."""
+    table = np.column_stack([np.ravel(c) for c in columns.values()])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _json_text_reference(fn, axes, values, meta):
+    payload = {
+        "fn": fn,
+        "axes": [{"name": a.name, "start": a.start, "stop": a.stop, "n": a.n} for a in axes],
+        "values": values.reshape(-1).tolist(),
+        "meta": dict(meta, version=__version__),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# landscape sampling: a surface on the dense ij meshgrid, a section, a curve
+
+def _meshgrid_reference(tag, axes):
+    return get_function(tag).fn(*np.meshgrid(*(a.points() for a in axes), indexing="ij"))
+
+
+def _section_reference(tag, fixed_axis, fixed_value, axis):
+    fn, xs = get_function(tag).fn, axis.points()
+    return fn(xs, fixed_value) if fixed_axis == "beta" else fn(fixed_value, xs)
+
+
+def _sample_curve_reference(tag, axis):
+    return get_function(tag).fn(axis.points())
+
+
+# the coarse scan, one node at a time
+
+def _axis_kind_scalar(center, lo, hi):
+    if center > min(lo, hi) + PLATEAU_TOL and center >= max(lo, hi) - PLATEAU_TOL:
+        return "max"
+    if center < max(lo, hi) - PLATEAU_TOL and center <= min(lo, hi) + PLATEAU_TOL:
+        return "min"
+    return None
+
+
+def _scan_2d_loop(vals):
+    out = []
+    for i in range(1, vals.shape[0] - 1):
+        for j in range(1, vals.shape[1] - 1):
+            center = vals[i, j]
+            if np.max(np.abs(vals[i - 1 : i + 2, j - 1 : j + 2] - center)) < PLATEAU_TOL:
+                continue
+            kind_eta = _axis_kind_scalar(center, vals[i - 1, j], vals[i + 1, j])
+            kind_beta = _axis_kind_scalar(center, vals[i, j - 1], vals[i, j + 1])
+            if kind_eta is None or kind_beta is None:
+                continue
+            if kind_eta == kind_beta:
+                diag = [vals[i - 1, j - 1], vals[i - 1, j + 1], vals[i + 1, j - 1], vals[i + 1, j + 1]]
+                if kind_eta == "max" and not all(center > d - PLATEAU_TOL for d in diag):
+                    continue
+                if kind_eta == "min" and not all(center < d + PLATEAU_TOL for d in diag):
+                    continue
+            out.append((i, j, kind_eta, kind_beta))
+    return out
+
+
+def _scan_1d_loop(vals):
+    out = []
+    for i in range(1, len(vals) - 1):
+        center = vals[i]
+        if max(abs(vals[i - 1] - center), abs(vals[i + 1] - center)) < PLATEAU_TOL:
+            continue
+        kind = _axis_kind_scalar(center, vals[i - 1], vals[i + 1])
+        if kind is not None:
+            out.append((i, kind))
+    return out
+
+
+# the critical-point finder, each candidate refined on its own by float calls
+
+def _shrink_bracket_loop(fn1d, lo, hi, want_max, tol):
+    """One bracket with float kernel calls; returns the extremum and the
+    number of trisection steps taken, negative if the last step moved
+    neither end."""
+    sign = 1.0 if want_max else -1.0
+    steps = 0
+    while hi - lo > tol:
+        third = (hi - lo) / 3.0
+        a = lo + third
+        b = hi - third
+        steps += 1
+        if sign * fn1d(a) < sign * fn1d(b):
+            lo, stuck = a, a == lo
+        else:
+            hi, stuck = b, b == hi
+        if stuck:
+            return 0.5 * (lo + hi), -steps
+    return 0.5 * (lo + hi), steps
+
+
+def _flat_axis_loop(fn1d, x, probe=1e-4):
+    f0 = fn1d(x)
+    return abs(fn1d(x + probe) - f0) < PLATEAU_TOL and abs(fn1d(x - probe) - f0) < PLATEAU_TOL
+
+
+def _kinked_loop(fn1d, x, h):
+    f0 = fn1d(x)
+    s_minus, s_plus = (f0 - fn1d(x - h)) / h, (fn1d(x + h) - f0) / h
+    return bool(abs(s_plus - s_minus) > 10.0 * max(h, abs(s_plus + s_minus)))
+
+
+def _refine_2d_loop(fn, start, steps, axis_kinds, refine_tol=1e-8, kink_probe=1e-5):
+    x, y = start
+    hx, hy = steps
+    for _ in range(3):
+        x = _shrink_bracket_loop(lambda u: fn(u, y), x - hx, x + hx,
+                                 axis_kinds[0] == "max", refine_tol)[0]
+        y = _shrink_bracket_loop(lambda v: fn(x, v), y - hy, y + hy,
+                                 axis_kinds[1] == "max", refine_tol)[0]
+    if _flat_axis_loop(lambda u: fn(u, y), x) or _flat_axis_loop(lambda v: fn(x, v), y):
+        return None
+    kinks = (_kinked_loop(lambda u: fn(u, y), x, kink_probe),
+             _kinked_loop(lambda v: fn(x, v), y, kink_probe))
+    return CriticalPoint((x, y), fn(x, y), _classify(axis_kinds), axis_kinds, kinks)
+
+
+def _dedupe_quadratic(points, tol):
+    kept = []
+    for p in sorted(points, key=lambda q: q.location):
+        if any(k.kind == p.kind and all(abs(a - b) <= tol for a, b in zip(k.location, p.location))
+               for k in kept):
+            continue
+        kept.append(p)
+    return kept
+
+
+@functools.cache
+def _points_loop(tag, domain, coarse_n):
+    """The finder's points before dedupe, in scan order, on the coarse grid
+    that ``sample`` gives."""
+    spec = get_function(tag)
+    axes = [AxisSpec(name, lo, hi, coarse_n)
+            for name, (lo, hi) in zip(spec.axes, domain or spec.default_domain)]
+    fn, grid = spec.fn, sample(tag, axes)
+    if spec.arity == 2:
+        etas, betas = axes[0].points(), axes[1].points()
+        refined = (
+            _refine_2d_loop(fn, (etas[i], betas[j]), (axes[0].step, axes[1].step),
+                            (str(kind_eta), str(kind_beta)))
+            for i, j, kind_eta, kind_beta in zip(*_scan(grid))
+        )
+        return tuple(p for p in refined if p is not None)
+    xs, h = axes[0].points(), axes[0].step
+    out = []
+    for i, kind in zip(*_scan(grid)):
+        x = _shrink_bracket_loop(fn, xs[i] - h, xs[i] + h, kind == "max", 1e-8)[0]
+        out.append(CriticalPoint((x,), fn(x), LOCAL_MAX if kind == "max" else LOCAL_MIN,
+                                 (str(kind),), (_kinked_loop(fn, x, 1e-5),)))
+    return tuple(out)
+
+
+# the verify suites, one sample at a time
+
+def scalar_ybe_parameters(family, rng, samples):
+    produced = 0
+    while produced < samples:
+        if family.additivity == "galilean":
+            p1, p3 = rng.uniform(-0.9, 0.9, size=2)
+            if abs(1.0 - (p1 + p3) ** 2) < 0.05:
+                continue
+        else:
+            p1, p3 = rng.uniform(0.01, 1.55, size=2)
+        produced += 1
+        yield float(p1), float(p3)
+
+
+def scalar_check_ybe(family, p1, p3):
+    def roles(p):
+        if family.dim == 4:
+            r = family.evaluators[0](p)
+            return kron(r, IDENTITY_2), kron(IDENTITY_2, r)
+        return family.evaluators[0](p), family.evaluators[1](p)
+
+    r12_1, r23_1 = roles(p1)
+    r12_2, r23_2 = roles(family.middle(p1, p3))
+    r12_3, r23_3 = roles(p3)
+    return float(np.abs(r12_1 @ r23_2 @ r12_3 - r23_3 @ r12_2 @ r23_1).max())
+
+
+def scalar_stack(rows):
+    entries = np.broadcast_arrays(*[np.asarray(e, dtype=complex) for row in rows for e in row])
+    return np.stack(entries, axis=-1).reshape(*entries[0].shape, len(rows), len(rows))
+
+
+def scalar_random_triple(rng):
+    t1, t3 = rng.uniform(-1.3, 1.3, size=2)
+    t1, t3 = float(t1), float(t3)
+    return t1, math.atan2(math.sin(t1 + t3), math.cos(t1 - t3)), t3
+
+
+def scalar_angles_to_params(t1, t2, t3):
+    delta = t1 - t3
+    sigma = t1 + t3
+    scale = math.sqrt(1.0 + math.cos(delta) ** 2)
+    cos_eta = math.cos(t2) * math.cos(sigma)
+    sin_eta = math.sin(t2) * scale
+    cos_beta = math.sqrt(2.0) * math.cos(delta) / scale
+    sin_beta = -math.sin(delta) / scale
+    eta, beta = math.atan2(sin_eta, cos_eta), math.atan2(sin_beta, cos_beta)
+    return eta % TWO_PI, (beta + math.pi) % TWO_PI - math.pi
+
+
+def scalar_max_diff_up_to_phase(a, b):
+    idx = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    if abs(a[idx]) == 0.0:
+        return norm_inf(b)
+    phase = b[idx] / a[idx]
+    mag = abs(phase)
+    phase = phase / mag if mag > 0 else 1.0
+    return norm_inf(a * phase - b)
+
+
+def scalar_product(t1, t2, t3):
+    r12 = lambda t: kron(type2_r_4x4(t), IDENTITY_2)
+    r23 = lambda t: kron(IDENTITY_2, type2_r_4x4(t))
+    return r12(t1) @ r23(t2) @ r12(t3)
+
+
+def scalar_reduce(op, basis):
+    """The np.vdot reduction of one 2-D operator, as it ran before the stacks."""
+    images = [op @ v for v in (basis.e1, basis.e2)]
+    return np.array([[np.vdot(w, image) for image in images] for w in (basis.e1, basis.e2)])
+
+
+def scalar_reduction_residual(t1, t2, t3):
+    reduced = reduce_operator(kron(scalar_product(t1, t2, t3), IDENTITY_2),
+                              fusion_basis_type2(0.0))
+    closed = fusion_form(ScatterParams(*scalar_angles_to_params(t1, t2, t3)))
+    return scalar_max_diff_up_to_phase(reduced, closed.conj())
+
+
+@functools.cache
+def ybe_reference(name, seed, counts):
+    """Pairs and residuals of the largest of ``counts``, and the generator
+    state after each count."""
+    family = bundled_families()[name]
+    rng = np.random.default_rng(seed)
+    pairs, states = [], {}
+    for pair in scalar_ybe_parameters(family, rng, max(counts)):
+        pairs.append(pair)
+        if len(pairs) in counts:
+            states[len(pairs)] = rng.bit_generator.state
+    residuals = np.array([scalar_check_ybe(family, p1, p3) for p1, p3 in pairs])
+    return np.array(pairs), residuals, states
+
+
+@functools.cache
+def reduction_reference(seed, counts):
+    """Residuals of the largest of ``counts`` triples, and the generator
+    state after each count."""
+    rng = np.random.default_rng(seed)
+    triples, states = [], {}
+    for _ in range(max(counts)):
+        triples.append(scalar_random_triple(rng))
+        if len(triples) in counts:
+            states[len(triples)] = rng.bit_generator.state
+    return np.array([scalar_reduction_residual(*t) for t in triples]), states
+
+
+@functools.cache
+def many_triples():
+    """100,000 seeded triples drawn in blocks of the suite's size, with
+    their reduced products and conjugated closed forms."""
+    rng = np.random.default_rng(20260)
+    blocks = [random_constrained_triple(rng, size=checks.SAMPLE_BLOCK)
+              for _ in range(100_000 // checks.SAMPLE_BLOCK)]
+    triple = AngleTriple(*(np.concatenate([getattr(b, f) for b in blocks])
+                           for f in ("t1", "t2", "t3")))
+    params = angles_to_params(triple)
+    # 5000 products at a time keep the 16x16 stacks near 20 MB
+    reduced = np.concatenate([
+        reduce_operator(embed_three_body(product_form(AngleTriple(
+            triple.t1[k:k + 5000], triple.t2[k:k + 5000], triple.t3[k:k + 5000]))),
+            fusion_basis_type2(0.0))
+        for k in range(0, triple.t1.size, 5000)])
+    closed = np.moveaxis(fusion_form(params), (0, 1), (-2, -1)).conj()
+    return triple, params, reduced, closed

@@ -14,6 +14,8 @@ from hypothesis import given, strategies as st
 from ybekit import checks, cli
 from ybekit.landscape import AxisSpec
 
+from reference import _csv_numbers_reference, _json_text_reference
+
 
 def run_cli_streams(args, capsys):
     """In-process invocation returning (exit_code, stdout, stderr)."""
@@ -52,12 +54,6 @@ def test_verify_all_small_run(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "checks passed" in out
-
-
-def test_verify_perturb_fails(capsys):
-    code, out = run_cli(["verify", "--suite", "tl", "--perturb", "1e-3"], capsys)
-    assert code == 1
-    assert "FAIL" in out
 
 
 def test_verify_seeded_runs_are_byte_identical(tmp_path):
@@ -178,22 +174,28 @@ def test_one_and_two_point_sections_and_curves(argv, axes, section, rows, capsys
 
 def test_output_file_gets_the_mode_of_a_plain_open(tmp_path):
     """``mkstemp`` makes 0600 files: --output gives a new file 0666 less
-    the umask, as ``open`` does, and a replaced file keeps its mode."""
+    the umask, as ``open`` does, and a replaced file keeps its mode, also
+    the target of a symlink, which ``open`` writes through: the link stays."""
     argv = ["landscape", "--fn", "vn_xi", "--theta", "0:1:3", "--output"]
-    kept = tmp_path / "kept.csv"
-    kept.write_text("old\n")
-    kept.chmod(0o640)
+    kept, target, link = (tmp_path / name for name in ("kept.csv", "target.csv", "link.csv"))
+    for old in (kept, target):
+        old.write_text("old\n")
+        old.chmod(0o640)
+    link.symlink_to(target)
     umask = os.umask(0o022)
     try:
         assert cli.main(argv + [str(tmp_path / "new.csv")]) == 0
         os.umask(0o077)
         assert cli.main(argv + [str(tmp_path / "private.csv")]) == 0
         assert cli.main(argv + [str(kept)]) == 0
+        assert cli.main(argv + [str(link)]) == 0
     finally:
         os.umask(umask)
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
-    assert modes == {"new.csv": 0o644, "private.csv": 0o600, "kept.csv": 0o640}
-    assert kept.read_text().startswith("theta,value\n")
+    assert modes == {"new.csv": 0o644, "private.csv": 0o600, "kept.csv": 0o640,
+                     "target.csv": 0o640, "link.csv": 0o640}
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert kept.read_text() == target.read_text() != "old\n"
 
 
 def test_verify_suite_flags_apply_under_all(capsys):
@@ -309,9 +311,9 @@ def test_state_requires_parameters(capsys):
 
 
 def test_state_rejects_off_constraint_thetas(capsys):
-    proc = run_cli_subprocess(["state", "--thetas", "0.1,0.2,0.3"])
-    assert proc.returncode == 2
-    assert "constraint" in proc.stderr
+    code, _, err = run_cli_streams(["state", "--thetas", "0.1,0.2,0.3"], capsys)
+    assert code == 2
+    assert "constraint" in err
 
 
 def test_reduce_constrained_triple(capsys):
@@ -323,9 +325,9 @@ def test_reduce_constrained_triple(capsys):
 
 
 def test_reduce_rejects_off_constraint(capsys):
-    proc = run_cli_subprocess(["reduce", "--thetas", "0.1,0.2,0.3"])
-    assert proc.returncode == 2
-    assert "residual" in proc.stderr
+    code, _, err = run_cli_streams(["reduce", "--thetas", "0.1,0.2,0.3"], capsys)
+    assert code == 2
+    assert "residual" in err
 
 
 def test_reduce_thetas_honours_constraint_tol(capsys):
@@ -381,6 +383,8 @@ USAGE_ERRORS = {
     "extrema --fn l1_S3 --beta -1:1:2.5": "--beta must look like start:stop[:count]",
     "extrema --fn l1_wigner --coarse 2": "argument --coarse: expected an integer >= 3",
     "landscape --fn l1_wigner --theta 0:1": "--theta must look like start:stop:count",
+    "reduce --thetas 0,0,0 --constraint-tol -1": "--constraint-tol: expected a finite number >= 0",
+    "reduce --thetas 0,0,0 --tol -1e-3": "argument --tol: expected a finite number >= 0, got '-1e-3'",
 }
 
 
@@ -432,11 +436,22 @@ USAGE_ERRORS = {
     ["verify", "--suite", "ybe", "--perturb", "-1e-3"],
     ["verify", "--suite", "tl", "--family", "type1"],
     ["verify", "--suite", "reduction", "--family", "type2"],
+    ["verify", "--suite", "tl", "--tol", "-1"],
+    ["reduce", "--thetas", "0,0,0", "--tol", "-1e-3"],
+    ["reduce", "--thetas", "0,0,0", "--constraint-tol", "-1"],
+    ["state", "--eta", "1", "--beta", "0.5", "--tol", "-1"],
 ], ids=" ".join)
 def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
     code, _, err = run_cli_streams(argv, capsys)
     assert code == 2
     assert USAGE_ERRORS.get(" ".join(argv), "error") in err
+
+
+@pytest.mark.parametrize("argv", ["verify --suite tl --tol 0", "state --thetas 0,0,0 --tol 0",
+                                  "reduce --thetas 0,0,0 --tol 0 --constraint-tol 0"])
+def test_zero_tolerance_is_valid(argv, capsys):
+    """A tolerance of 0 asks for exact residuals, which is no usage error."""
+    assert run_cli_streams(argv.split(), capsys)[0] != 2
 
 
 def test_extrema_domain_count_is_ignored(capsys):
@@ -508,32 +523,6 @@ def test_grid_csv_matches_bulk_csv():
     assert cli._csv_mesh({"eta": etas, "beta": betas}, values) == expected
 
 
-# The writers as they were before values were formatted once per distinct
-# float, and before one mesh writer replaced the column and grid writers,
-# kept as the byte-for-byte references for the writers in cli.
-
-def _csv_numbers_reference(columns):
-    table = np.column_stack([np.ravel(c) for c in columns.values()])
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    return ",".join(columns) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
-
-
-def _csv_grid_reference(etas, betas, values):
-    cells = [cli.fmt(b) + ",%.17g\n" for b in betas]
-    rows = "".join(f"{e}," + f"{e},".join(cells) for e in map(cli.fmt, etas))
-    return "eta,beta,value\n" + rows % tuple(values.ravel().tolist())
-
-
-def _json_text_reference(fn, axes, values, meta):
-    payload = {
-        "fn": fn,
-        "axes": [{"name": a.name, "start": a.start, "stop": a.stop, "n": a.n} for a in axes],
-        "values": values.reshape(-1).tolist(),
-        "meta": dict(meta, version=cli.__version__),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _bits(x):
     return struct.unpack("<Q", struct.pack("<d", x))[0]
 
@@ -541,20 +530,19 @@ def _bits(x):
 # signed zeros, subnormals and values whose 17 digits are all significant
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0 / 3.0,
                0.30000000000000004, 123456789.12345679]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
 
 
 @st.composite
-def _column(draw, n, repeats, non_finite):
-    """``n`` floats that repeat, drawn from a pool of at most n // 3 (the
-    writers reuse strings), or that are all distinct bit patterns (the
-    writers format every value); NaN and +-inf only if ``non_finite``."""
-    elements = st.one_of(st.sampled_from(EDGE_FLOATS),
-                         st.floats(allow_nan=non_finite, allow_infinity=non_finite))
+def _column(draw, n, repeats):
+    """``n`` floats, NaN and +-inf included, that repeat, drawn from a pool
+    of at most n // 3 (the writers reuse strings), or that are all distinct
+    bit patterns (the writers format every value)."""
     if repeats:
-        pool = draw(st.lists(elements, min_size=1, max_size=max(1, n // 3)))
+        pool = draw(st.lists(FLOATS, min_size=1, max_size=max(1, n // 3)))
         values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     else:
-        values = draw(st.lists(elements, min_size=n, max_size=n, unique_by=_bits))
+        values = draw(st.lists(FLOATS, min_size=n, max_size=n, unique_by=_bits))
     return np.array(values)
 
 
@@ -573,9 +561,8 @@ def _mesh_case(data, constant, repeats):
         shape = data.draw(st.tuples(st.integers(1, 40))
                           | st.tuples(st.integers(1, 9), st.integers(1, 9)))
     names = ("theta",) if len(shape) == 1 else ("eta", "beta")
-    coords = {name: data.draw(_column(k, repeats, non_finite=True))
-              for name, k in zip(names, shape)}
-    values = data.draw(_column(math.prod(shape), repeats, non_finite=True)).reshape(shape)
+    coords = {name: data.draw(_column(k, repeats)) for name, k in zip(names, shape)}
+    values = data.draw(_column(math.prod(shape), repeats)).reshape(shape)
     return coords, values
 
 
@@ -596,38 +583,16 @@ def test_bulk_csv_matches_reference(repeats, constant, data):
 
 @pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])
 @given(data=st.data())
-def test_grid_csv_matches_reference(repeats, data):
-    shape = data.draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
-    values = data.draw(_column(shape[0] * shape[1], repeats, non_finite=False)).reshape(shape)
-    etas, betas = (data.draw(_column(k, False, non_finite=False)) for k in shape)
-    if values.size >= 3:
-        assert _reuses(values, cli._fmt_floats) == repeats
-    assert (cli._csv_mesh({"eta": etas, "beta": betas}, values)
-            == _csv_grid_reference(etas, betas, values))
-
-
-@pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])
-@given(data=st.data())
 def test_json_matches_reference(repeats, data):
     """NaN and +-inf are rendered by json itself, one per distinct bit
     pattern when values repeat."""
     shape = data.draw(st.sampled_from([(40,), (3,), (5, 7), (9, 3)]))
-    values = data.draw(_column(math.prod(shape), repeats, non_finite=True)).reshape(shape)
+    values = data.draw(_column(math.prod(shape), repeats)).reshape(shape)
     axes = [AxisSpec(name, 0.0, 1.0, k) for name, k in zip(("eta", "beta"), shape)]
     meta = {"seed": None, "tol": None, "section": '"values":[]'}
     assert _reuses(values, cli._json_floats) == repeats
     assert (cli._json_text("l1_S3", axes, values, meta)
             == _json_text_reference("l1_S3", axes, values, meta))
-
-
-def test_negative_range_values_accepted(capsys):
-    code, out = run_cli(
-        ["landscape", "--fn", "l1_S3", "--eta", "0:6.2832:5", "--beta",
-         "-1.5708:1.5708:5"], capsys
-    )
-    assert code == 0
-    _, rows = _csv_rows(out)
-    assert len(rows) == 25
 
 
 def test_version_flag(capsys):
@@ -642,11 +607,11 @@ def test_version_flag(capsys):
     ["extrema", "--fn", "vn_xi", "--tol", "-0.000000001"],
     ["extrema", "--tol", "0"],
 ], ids=" ".join)
-def test_extrema_non_positive_tol_is_usage_error(argv):
-    proc = run_cli_subprocess(argv)
-    assert proc.returncode == 2
-    assert "expected a finite number > 0" in proc.stderr
-    assert proc.stdout == ""
+def test_extrema_non_positive_tol_is_usage_error(argv, capsys):
+    code, out, err = run_cli_streams(argv, capsys)
+    assert code == 2
+    assert "expected a finite number > 0" in err
+    assert out == ""
 
 
 def test_extrema_tol_below_float_spacing_returns():

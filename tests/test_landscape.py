@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 from collections import Counter
 
@@ -17,7 +16,6 @@ from ybekit.landscape import (
     LOCAL_MIN,
     PLATEAU_TOL,
     SADDLE,
-    _classify,
     _dedupe,
     _scan,
     _shrink_bracket,
@@ -28,6 +26,10 @@ from ybekit.landscape import (
 from ybekit.rmatrix import type2_r_4x4, wigner_d_half
 from ybekit.tensor import ket
 from ybekit.threebody import BETA_STAR, ScatterParams, closed_form
+
+from reference import (_dedupe_quadratic, _meshgrid_reference, _points_loop,
+                       _sample_curve_reference, _scan_1d_loop, _scan_2d_loop,
+                       _section_reference, _shrink_bracket_loop)
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
@@ -48,22 +50,6 @@ def test_axis_spec_validation():
     assert single.points().tolist() == [0.5]
     # a section at -0.0 keeps its sign, which np.linspace(-0.0, -0.0, 1) drops
     assert math.copysign(1.0, AxisSpec("beta", -0.0, -0.0, 1).points()[0]) == -1.0
-
-
-# The samplers that `sample` replaced, kept as its bit-for-bit references:
-# a surface over broadcast axes, a section at a float coordinate, a curve.
-
-def _sample_surface_reference(tag, eta_axis, beta_axis):
-    return get_function(tag).fn(eta_axis.points()[:, None], beta_axis.points()[None, :])
-
-
-def _section_reference(tag, fixed_axis, fixed_value, axis):
-    fn, xs = get_function(tag).fn, axis.points()
-    return fn(xs, fixed_value) if fixed_axis == "beta" else fn(fixed_value, xs)
-
-
-def _sample_curve_reference(tag, axis):
-    return get_function(tag).fn(axis.points())
 
 
 def test_unknown_tag_rejected():
@@ -99,11 +85,9 @@ SURFACE_AXES = [
 @pytest.mark.parametrize("axes", SURFACE_AXES, ids=lambda a: f"{a[0].n}x{a[1].n}")
 def test_surface_over_broadcast_axes_is_bit_equal_to_meshgrid(tag, axes):
     values = sample(tag, axes)
-    oracle = get_function(tag).fn(*np.meshgrid(axes[0].points(), axes[1].points(),
-                                               indexing="ij"))
+    oracle = _meshgrid_reference(tag, axes)
     assert values.shape == oracle.shape == (axes[0].n, axes[1].n)
     assert values.tobytes() == oracle.tobytes()
-    assert values.tobytes() == _sample_surface_reference(tag, *axes).tobytes()
 
 
 def _axis(name, start, width, n):
@@ -128,7 +112,7 @@ def test_section_is_a_surface_with_a_one_point_axis(tag, fixed, value, start, wi
        beta=st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 3.0), st.integers(1, 40)))
 def test_sample_is_bit_equal_to_the_retired_surface_sampler(tag, eta, beta):
     axes = [_axis("eta", *eta), _axis("beta", *beta)]
-    assert sample(tag, axes).tobytes() == _sample_surface_reference(tag, *axes).tobytes()
+    assert sample(tag, axes).tobytes() == _meshgrid_reference(tag, axes).tobytes()
 
 
 @given(tag=st.sampled_from(["l1_wigner", "vn_xi"]), start=st.floats(-7.0, 7.0),
@@ -362,48 +346,6 @@ def test_l1_finder_returns_the_full_closed_form_set():
         assert abs(near[0].value - value) < 1e-6, location
 
 
-def _axis_kind_scalar(center, lo, hi):
-    if center > min(lo, hi) + PLATEAU_TOL and center >= max(lo, hi) - PLATEAU_TOL:
-        return "max"
-    if center < max(lo, hi) - PLATEAU_TOL and center <= min(lo, hi) + PLATEAU_TOL:
-        return "min"
-    return None
-
-
-def _scan_2d_loop(vals):
-    """The per-node scan that the array scan replaced, kept as its reference."""
-    out = []
-    for i in range(1, vals.shape[0] - 1):
-        for j in range(1, vals.shape[1] - 1):
-            center = vals[i, j]
-            if np.max(np.abs(vals[i - 1 : i + 2, j - 1 : j + 2] - center)) < PLATEAU_TOL:
-                continue
-            kind_eta = _axis_kind_scalar(center, vals[i - 1, j], vals[i + 1, j])
-            kind_beta = _axis_kind_scalar(center, vals[i, j - 1], vals[i, j + 1])
-            if kind_eta is None or kind_beta is None:
-                continue
-            if kind_eta == kind_beta:
-                diag = [vals[i - 1, j - 1], vals[i - 1, j + 1], vals[i + 1, j - 1], vals[i + 1, j + 1]]
-                if kind_eta == "max" and not all(center > d - PLATEAU_TOL for d in diag):
-                    continue
-                if kind_eta == "min" and not all(center < d + PLATEAU_TOL for d in diag):
-                    continue
-            out.append((i, j, kind_eta, kind_beta))
-    return out
-
-
-def _scan_1d_loop(vals):
-    out = []
-    for i in range(1, len(vals) - 1):
-        center = vals[i]
-        if max(abs(vals[i - 1] - center), abs(vals[i + 1] - center)) < PLATEAU_TOL:
-            continue
-        kind = _axis_kind_scalar(center, vals[i - 1], vals[i + 1])
-        if kind is not None:
-            out.append((i, kind))
-    return out
-
-
 def _scan_grids():
     rng = np.random.default_rng(5)
     levels = rng.integers(0, 3, size=(40, 40)).astype(float)  # ties and plateaus
@@ -421,92 +363,6 @@ def test_array_scans_match_the_per_node_loop(case):
     assert list(zip(*_scan(vals))) == _scan_2d_loop(vals)
     for line in (*vals, *vals.T):
         assert list(zip(*_scan(line))) == _scan_1d_loop(line)
-
-
-# ---------------------------------------------------------------------------
-# the per-candidate refinement, kept as the reference of the lockstep one
-# ---------------------------------------------------------------------------
-
-def _shrink_bracket_loop(fn1d, lo, hi, want_max, tol):
-    """One bracket with float kernel calls; returns the extremum and the
-    number of trisection steps taken, negative if the last step moved
-    neither end."""
-    sign = 1.0 if want_max else -1.0
-    steps = 0
-    while hi - lo > tol:
-        third = (hi - lo) / 3.0
-        a = lo + third
-        b = hi - third
-        steps += 1
-        if sign * fn1d(a) < sign * fn1d(b):
-            lo, stuck = a, a == lo
-        else:
-            hi, stuck = b, b == hi
-        if stuck:
-            return 0.5 * (lo + hi), -steps
-    return 0.5 * (lo + hi), steps
-
-
-def _flat_axis_loop(fn1d, x, probe=1e-4):
-    f0 = fn1d(x)
-    return abs(fn1d(x + probe) - f0) < PLATEAU_TOL and abs(fn1d(x - probe) - f0) < PLATEAU_TOL
-
-
-def _kinked_loop(fn1d, x, h):
-    f0 = fn1d(x)
-    s_minus, s_plus = (f0 - fn1d(x - h)) / h, (fn1d(x + h) - f0) / h
-    return bool(abs(s_plus - s_minus) > 10.0 * max(h, abs(s_plus + s_minus)))
-
-
-def _refine_2d_loop(fn, start, steps, axis_kinds, refine_tol=1e-8, kink_probe=1e-5):
-    x, y = start
-    hx, hy = steps
-    for _ in range(3):
-        x = _shrink_bracket_loop(lambda u: fn(u, y), x - hx, x + hx,
-                                 axis_kinds[0] == "max", refine_tol)[0]
-        y = _shrink_bracket_loop(lambda v: fn(x, v), y - hy, y + hy,
-                                 axis_kinds[1] == "max", refine_tol)[0]
-    if _flat_axis_loop(lambda u: fn(u, y), x) or _flat_axis_loop(lambda v: fn(x, v), y):
-        return None
-    kinks = (_kinked_loop(lambda u: fn(u, y), x, kink_probe),
-             _kinked_loop(lambda v: fn(x, v), y, kink_probe))
-    return CriticalPoint((x, y), fn(x, y), _classify(axis_kinds), axis_kinds, kinks)
-
-
-def _dedupe_quadratic(points, tol):
-    kept = []
-    for p in sorted(points, key=lambda q: q.location):
-        if any(k.kind == p.kind and all(abs(a - b) <= tol for a, b in zip(k.location, p.location))
-               for k in kept):
-            continue
-        kept.append(p)
-    return kept
-
-
-@functools.cache
-def _points_loop(tag, domain, coarse_n):
-    """The finder's points before dedupe, in scan order, each candidate
-    refined on its own with float kernel calls."""
-    spec = get_function(tag)
-    names = ("eta", "beta") if spec.arity == 2 else ("theta",)
-    axes = [AxisSpec(name, lo, hi, coarse_n)
-            for name, (lo, hi) in zip(names, domain or spec.default_domain)]
-    fn = spec.fn
-    if spec.arity == 2:
-        etas, betas = axes[0].points(), axes[1].points()
-        refined = (
-            _refine_2d_loop(fn, (etas[i], betas[j]), (axes[0].step, axes[1].step),
-                            (str(kind_eta), str(kind_beta)))
-            for i, j, kind_eta, kind_beta in zip(*_scan(_sample_surface_reference(tag, *axes)))
-        )
-        return tuple(p for p in refined if p is not None)
-    xs, h = axes[0].points(), axes[0].step
-    out = []
-    for i, kind in zip(*_scan(fn(xs))):
-        x = _shrink_bracket_loop(fn, xs[i] - h, xs[i] + h, kind == "max", 1e-8)[0]
-        out.append(CriticalPoint((x,), fn(x), LOCAL_MAX if kind == "max" else LOCAL_MIN,
-                                 (str(kind),), (_kinked_loop(fn, x, 1e-5),)))
-    return tuple(out)
 
 
 def _columns(points):
