@@ -45,11 +45,10 @@ class TLRep:
 
 @dataclass(frozen=True)
 class BraidRep:
-    """Braid-group representation: generators B_1..B_{N-1}, optional phase alpha."""
+    """Braid-group representation: generators B_1..B_{N-1}."""
 
     strand_count: int
     generators: tuple[np.ndarray, ...]
-    alpha: complex | None = None
 
     def __post_init__(self):
         if len(self.generators) != self.strand_count - 1:
@@ -78,9 +77,9 @@ def tl_rep_from_local(local: np.ndarray, n_strands: int, loop_value: float) -> T
     return TLRep(n_strands, _lifted(local, n_strands), loop_value)
 
 
-def braid_rep_from_local(local: np.ndarray, n_strands: int, alpha: complex | None = None) -> BraidRep:
+def braid_rep_from_local(local: np.ndarray, n_strands: int) -> BraidRep:
     """Lift a 4x4 two-site braid generator to an N-strand qubit chain."""
-    return BraidRep(n_strands, _lifted(local, n_strands), alpha)
+    return BraidRep(n_strands, _lifted(local, n_strands))
 
 
 def quantum_dimension(alpha: complex) -> complex:
@@ -107,7 +106,7 @@ def braid_from_tl(alpha: complex, rep: TLRep, overall_phase: complex = 1.0,
     dim = rep.generators[0].shape[0]
     eye = np.eye(dim, dtype=complex)
     gens = tuple(overall_phase * (alpha * eye + t / alpha) for t in rep.generators)
-    return BraidRep(rep.strand_count, gens, alpha)
+    return BraidRep(rep.strand_count, gens)
 
 
 def check_tl_relations(rep: TLRep) -> dict[str, float]:
@@ -210,14 +209,14 @@ def braid2x2_type1() -> BraidRep:
     """Two-dimensional 4-strand type-I braid representation."""
     b_odd = np.diag([-1.0 + 0j, 1.0])
     b_mid = 0.5 * np.array([[1, -np.sqrt(3)], [-np.sqrt(3), -1]], dtype=complex)
-    return BraidRep(4, (b_odd, b_mid, b_odd), ALPHA_TYPE1)
+    return BraidRep(4, (b_odd, b_mid, b_odd))
 
 
 def braid2x2_type2() -> BraidRep:
     """Two-dimensional 4-strand type-II braid representation."""
     b_odd = np.exp(-1j * np.pi / 4) * np.diag([1.0 + 0j, 1j])
     b_mid = np.array([[1, -1j], [-1j, 1]], dtype=complex) / np.sqrt(2)
-    return BraidRep(4, (b_odd, b_mid, b_odd), ALPHA_TYPE2)
+    return BraidRep(4, (b_odd, b_mid, b_odd))
 
 
 def tl2x2_type1() -> TLRep:

@@ -29,12 +29,7 @@ import numpy as np
 from . import __version__
 from .checks import SUITES, random_reduction, worst
 from .entanglement import classify_slocc, entanglement_report
-from .fusionbasis import (
-    LeakageError,
-    embed_three_body,
-    fusion_basis_type2,
-    reduce_operator,
-)
+from .fusionbasis import LeakageError, reduce_three_body
 from .landscape import (
     AxisSpec,
     FUNCTIONS,
@@ -48,8 +43,6 @@ from .threebody import (
     ConstraintViolation,
     ScatterParams,
     angles_to_params,
-    fusion_form,
-    product_form,
     state_from_params,
 )
 
@@ -86,6 +79,12 @@ def _write_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _json_doc(payload: dict, **meta) -> str:
+    """Indented JSON of ``payload`` with a ``meta`` that holds the version."""
+    return json.dumps(dict(payload, meta=dict(meta, version=__version__)),
+                      sort_keys=True, indent=1) + "\n"
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -158,17 +157,10 @@ def cmd_verify(args) -> int:
     text = "\n".join(lines + [summary]) + "\n"
 
     if args.format == "json":
-        payload = {
-            "checks": [
-                # strict JSON has no NaN: a non-finite residual is written as null
-                {"name": c.name,
-                 "residual": float(c.residual) if math.isfinite(c.residual) else None,
-                 "tol": float(c.tol), "pass": c.passed}
-                for c in rows
-            ],
-            "meta": {"seed": args.seed, "tol": args.tol, "version": __version__},
-        }
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        text = _json_doc({"checks": [
+            # strict JSON has no NaN: a non-finite residual is written as null
+            {"name": c.name, "residual": float(c.residual) if math.isfinite(c.residual) else None,
+             "tol": float(c.tol), "pass": c.passed} for c in rows]}, seed=args.seed, tol=args.tol)
     _emit(args.output, text)
     if args.output is not None:
         sys.stdout.write(summary + "\n")
@@ -270,27 +262,32 @@ def cmd_landscape(args) -> int:
     return EXIT_OK
 
 
+def _axis_names() -> list[str]:
+    """Every axis that a registered function has, in registry order."""
+    return list(dict.fromkeys(name for spec in FUNCTIONS.values() for name in spec.axes))
+
+
 def _axes(args, spec, count: int | None = None) -> tuple[list[AxisSpec], AxisSpec | None]:
     """One axis per axis of ``spec``: the --NAME axis, or the function's
-    default domain for that axis, of ``count`` points when given (see
-    :func:`parse_axis`).  ``--section NAME=VALUE`` makes axis NAME the
-    1-point axis at VALUE, which is also returned; every axis of a surface
-    with no section needs 3 points.  Axis flags that the function's arity
-    has no use for, or that name the axis a section fixes, are usage
-    errors, not silently ignored."""
-    unused = ("theta",) if spec.arity == 2 else ("eta", "beta", "section")
-    for flag in unused:
+    default domain, of ``count`` points when given (see :func:`parse_axis`).
+    ``--section NAME=VALUE`` makes axis NAME the 1-point axis at VALUE,
+    which is also returned; every axis of a surface with no section needs 3
+    points.  Other functions' axis flags, a section of a curve and the flag
+    of the axis a section fixes are usage errors, not silently ignored."""
+    unused = [name for name in _axis_names() if name not in spec.axes]
+    for flag in unused + (["section"] if spec.arity == 1 else []):
         if getattr(args, flag, None) is not None:
             raise ValueError(f"--{flag} does not apply to the "
                              f"{spec.arity}-parameter function {spec.tag}")
     section = getattr(args, "section", None)
     fixed_name, _, raw = (section or "").partition("=")
     fixed_name = fixed_name.strip()
-    if fixed_name in ("eta", "beta") and getattr(args, fixed_name) is not None:
+    if fixed_name in spec.axes and getattr(args, fixed_name) is not None:
         raise ValueError(f"--{fixed_name} does not apply: --section {section} fixes that axis")
     if section:
         if fixed_name not in spec.axes or not raw:
-            raise ValueError(f"--section must be eta=VALUE or beta=VALUE, got {section!r}")
+            forms = " or ".join(f"{name}=VALUE" for name in spec.axes)
+            raise ValueError(f"--section must be {forms}, got {section!r}")
         try:
             value = float(raw)
         except ValueError:
@@ -305,7 +302,7 @@ def _axes(args, spec, count: int | None = None) -> tuple[list[AxisSpec], AxisSpe
         elif getattr(args, name):
             axes.append(parse_axis(getattr(args, name), name, count))
         else:
-            axes.append(AxisSpec(name, lo, hi, count or (500 if name == "theta" else 200)))
+            axes.append(AxisSpec(name, lo, hi, count or (500 if spec.arity == 1 else 200)))
     if spec.arity > 1 and fixed is None:
         for axis in axes:
             if axis.n < 3:
@@ -326,17 +323,13 @@ def cmd_extrema(args) -> int:
     header = [*spec.axes, "value", "kind", "smooth"]
     rows = [[*map(fmt, p.location), fmt(p.value), p.kind, str(p.smooth).lower()]
             for p in points]
-    if spec.arity == 2:  # the three-body landscapes: label each point's state
+    if spec.axes == ("eta", "beta"):  # the three-body landscapes: label each point's state
         header.append("slocc_class")
         for row, p in zip(rows, points):
             row.append(classify_slocc(state_from_params(ScatterParams(*p.location))))
     if args.format == "json":
-        payload = {
-            "fn": args.fn,
-            "points": [dict(zip(header, row)) for row in rows],
-            "meta": {"coarse": args.coarse, "tol": args.tol, "version": __version__},
-        }
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        text = _json_doc({"fn": args.fn, "points": [dict(zip(header, row)) for row in rows]},
+                         coarse=args.coarse, tol=args.tol)
     else:
         text = _csv_text(header, rows)
     _emit(args.output, text)
@@ -365,7 +358,7 @@ def cmd_state(args) -> int:
     report = entanglement_report(psi, tol=max(args.tol, 1e-6))
 
     if args.format == "json":
-        payload = {
+        sys.stdout.write(_json_doc({
             "eta": params.eta,
             "beta": params.beta,
             "thetas": [triple.t1, triple.t2, triple.t3] if triple else None,
@@ -374,9 +367,7 @@ def cmd_state(args) -> int:
             "vn_entropies_bits": {str(k + 1): v for k, v in report.vn_entropies.items()},
             "three_tangle": report.three_tangle,
             "slocc_class": report.slocc_class,
-            "meta": {"version": __version__},
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        }))
         return EXIT_OK
 
     lines = [f"eta  = {fmt(params.eta)}", f"beta = {fmt(params.beta)}"]
@@ -417,14 +408,9 @@ def cmd_reduce(args) -> int:
 
     if not args.thetas:
         raise ValueError("provide --thetas t1,t2,t3 or --random N")
-    triple = args.thetas
-    triple.check(args.constraint_tol)
-    # The residual of verify_basis_reduction, from the one product and
-    # reduction that are printed, at the user's constraint tolerance.
-    reduced = reduce_operator(embed_three_body(product_form(triple, args.constraint_tol)),
-                              fusion_basis_type2(0.0))
-    params = angles_to_params(triple, args.constraint_tol)
-    closed = fusion_form(params)
+    # verify_basis_reduction's residual, of the printed reduction
+    reduced, closed = reduce_three_body(args.thetas, args.constraint_tol)
+    params = angles_to_params(args.thetas, args.constraint_tol)
     residual = max_diff_up_to_phase(reduced, closed.conj())
     lines = ["reduced 8x8 product on the fusion basis:"]
     lines += _format_matrix(reduced)
@@ -458,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["type1", "type2", "all"],
                           help="restrict the YBE suite to one family")
     p_verify.add_argument("--samples", type=number(int, minimum=1), default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=number(int, minimum=0), default=0)
     p_verify.add_argument("--tol", type=number(minimum=0), default=1e-12)
     p_verify.add_argument("--perturb", type=number(), default=0.0,
                           help="perturb a TL generator entry (failure-path demo)")
@@ -467,20 +453,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_land = sub.add_parser("landscape", help="emit grid/section/curve samples")
+    p_ext = sub.add_parser("extrema", help="find and classify critical points")
     p_land.add_argument("--fn", required=True, choices=sorted(FUNCTIONS))
-    p_land.add_argument("--eta", default=None, help="start:stop:count")
-    p_land.add_argument("--beta", default=None, help="start:stop:count")
-    p_land.add_argument("--theta", default=None, help="start:stop:count (1-D functions)")
-    p_land.add_argument("--section", default=None, help="eta=VALUE or beta=VALUE")
+    p_ext.add_argument("--fn", default="l1_S3", choices=sorted(FUNCTIONS))
+    for name in _axis_names():  # one flag per axis of the registered functions
+        tags = ", ".join(tag for tag, spec in FUNCTIONS.items() if name in spec.axes)
+        p_land.add_argument(f"--{name}", default=None, help=f"start:stop:count ({tags})")
+        p_ext.add_argument(f"--{name}", default=None, help=f"start:stop domain ({tags})")
+    p_land.add_argument("--section", default=None, help="AXIS=VALUE (surfaces)")
     p_land.add_argument("--output", default=None)
     p_land.add_argument("--format", default="csv", choices=["csv", "json"])
     p_land.set_defaults(func=cmd_landscape)
 
-    p_ext = sub.add_parser("extrema", help="find and classify critical points")
-    p_ext.add_argument("--fn", default="l1_S3", choices=sorted(FUNCTIONS))
-    p_ext.add_argument("--eta", default=None, help="start:stop domain")
-    p_ext.add_argument("--beta", default=None, help="start:stop domain")
-    p_ext.add_argument("--theta", default=None, help="start:stop domain (1-D)")
     p_ext.add_argument("--coarse", type=number(int, minimum=3), default=400,
                        help="coarse grid points per axis")
     p_ext.add_argument("--tol", type=number(positive=True), default=1e-8)
@@ -503,9 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_red_mode = p_red.add_mutually_exclusive_group()
     p_red_mode.add_argument("--thetas", type=parse_thetas, default=None,
                             help="t1,t2,t3 on the constraint line")
-    p_red_mode.add_argument("--random", type=number(int, minimum=0), default=0,
+    p_red_mode.add_argument("--random", type=number(int, minimum=1), default=0,
                             help="check N random constrained triples instead")
-    p_red.add_argument("--seed", type=int, default=0)
+    p_red.add_argument("--seed", type=number(int, minimum=0), default=0)
     p_red.add_argument("--tol", type=number(minimum=0), default=1e-10)
     p_red.add_argument("--constraint-tol", type=number(minimum=0), default=1e-4)
     p_red.set_defaults(func=cmd_reduce)
@@ -513,27 +497,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = {"--eta", "--beta", "--theta", "--thetas", "--perturb", "--tol", "--constraint-tol"}
-
-
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join flags with values that start with a minus sign (e.g. ranges like
     ``--beta -1.57:1.57:200``, or ``--perturb -1e-3`` and ``--eta -inf``,
     which argparse does not read as numbers) into ``--flag=value`` form so
-    argparse does not mistake the value for an option."""
+    argparse does not mistake the value for an option.  Every long option
+    but ``--help`` and ``--version`` takes a value."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            nxt = argv[i + 1]
-            if nxt[:1] == "-" and (nxt[1:2].isdigit() or nxt[1:2] == "."
-                                   or nxt[1:4].lower() in ("inf", "nan")):
-                out.append(f"{tok}={nxt}")
-                i += 2
-                continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if (flag[:2] == "--" and "=" not in flag and flag not in ("--", "--help", "--version")
+                and tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == "."
+                                        or tok[1:4].lower() in ("inf", "nan"))):
+            out[-1] = f"{flag}={tok}"
+        else:
+            out.append(tok)
     return out
 
 

@@ -112,11 +112,6 @@ def fusion_entropy(params: ScatterParams) -> float | np.ndarray:
     return binary_entropy(np.abs(top_left) ** 2)
 
 
-_TANGLE_INDEX = {
-    (a, b, c): 4 * a + 2 * b + c for a in (0, 1) for b in (0, 1) for c in (0, 1)
-}
-
-
 def three_tangle(psi: np.ndarray) -> float:
     """Residual three-qubit entanglement via the degree-4 hyperdeterminant.
 
@@ -126,27 +121,24 @@ def three_tangle(psi: np.ndarray) -> float:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != 8:
         raise ValueError(f"three qubits required, got state length {psi.size}")
-
-    def c(a, b, k):
-        return psi[_TANGLE_INDEX[(a, b, k)]]
-
+    c = psi.reshape(2, 2, 2)
     d1 = (
-        c(0, 0, 0) ** 2 * c(1, 1, 1) ** 2
-        + c(0, 0, 1) ** 2 * c(1, 1, 0) ** 2
-        + c(0, 1, 0) ** 2 * c(1, 0, 1) ** 2
-        + c(1, 0, 0) ** 2 * c(0, 1, 1) ** 2
+        c[0, 0, 0] ** 2 * c[1, 1, 1] ** 2
+        + c[0, 0, 1] ** 2 * c[1, 1, 0] ** 2
+        + c[0, 1, 0] ** 2 * c[1, 0, 1] ** 2
+        + c[1, 0, 0] ** 2 * c[0, 1, 1] ** 2
     )
     d2 = (
-        c(0, 0, 0) * c(1, 1, 1) * c(0, 1, 1) * c(1, 0, 0)
-        + c(0, 0, 0) * c(1, 1, 1) * c(1, 0, 1) * c(0, 1, 0)
-        + c(0, 0, 0) * c(1, 1, 1) * c(1, 1, 0) * c(0, 0, 1)
-        + c(0, 1, 1) * c(1, 0, 0) * c(1, 0, 1) * c(0, 1, 0)
-        + c(0, 1, 1) * c(1, 0, 0) * c(1, 1, 0) * c(0, 0, 1)
-        + c(1, 0, 1) * c(0, 1, 0) * c(1, 1, 0) * c(0, 0, 1)
+        c[0, 0, 0] * c[1, 1, 1] * c[0, 1, 1] * c[1, 0, 0]
+        + c[0, 0, 0] * c[1, 1, 1] * c[1, 0, 1] * c[0, 1, 0]
+        + c[0, 0, 0] * c[1, 1, 1] * c[1, 1, 0] * c[0, 0, 1]
+        + c[0, 1, 1] * c[1, 0, 0] * c[1, 0, 1] * c[0, 1, 0]
+        + c[0, 1, 1] * c[1, 0, 0] * c[1, 1, 0] * c[0, 0, 1]
+        + c[1, 0, 1] * c[0, 1, 0] * c[1, 1, 0] * c[0, 0, 1]
     )
     d3 = (
-        c(0, 0, 0) * c(1, 1, 0) * c(1, 0, 1) * c(0, 1, 1)
-        + c(1, 1, 1) * c(0, 0, 1) * c(0, 1, 0) * c(1, 0, 0)
+        c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
+        + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0]
     )
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 

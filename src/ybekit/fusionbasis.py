@@ -49,7 +49,6 @@ class FusionBasis:
     e1: np.ndarray
     e2: np.ndarray
     loop_value: float
-    kind: str
     correction_norm: float = 0.0
 
     def __post_init__(self):
@@ -59,32 +58,20 @@ class FusionBasis:
 
 
 def two_pair_state(pair_a: tuple[int, int], state_a: np.ndarray,
-                   pair_b: tuple[int, int], state_b: np.ndarray,
-                   n_sites: int = 4) -> np.ndarray:
-    """Product of two 2-site states placed on arbitrary site pairs.
+                   pair_b: tuple[int, int], state_b: np.ndarray) -> np.ndarray:
+    """Product of two 2-site states placed on arbitrary pairs of 4 sites.
 
     Site labels are 1-based and ordered: state_a's first tensor slot sits on
     pair_a[0], its second on pair_a[1] (the orientation matters for
     antisymmetric pairs such as the singlet).
     """
     sites = list(pair_a) + list(pair_b)
-    if sorted(sites) != list(range(1, n_sites + 1)):
-        raise ValueError(f"pairs {pair_a}, {pair_b} must cover sites 1..{n_sites}")
-    out = np.zeros(2 ** n_sites, dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    bits = [0] * n_sites
-                    bits[pair_a[0] - 1] = a
-                    bits[pair_a[1] - 1] = b
-                    bits[pair_b[0] - 1] = c
-                    bits[pair_b[1] - 1] = d
-                    idx = 0
-                    for bit in bits:
-                        idx = (idx << 1) | bit
-                    out[idx] += state_a[2 * a + b] * state_b[2 * c + d]
-    return out
+    if sorted(sites) != [1, 2, 3, 4]:
+        raise ValueError(f"pairs {pair_a}, {pair_b} must cover sites 1..4")
+    # products of numpy scalars: np.multiply.outer rounds some complex
+    # products apart from them; + 0.0 turns each -0.0 into 0.0
+    product = np.array([x * y for x in state_a for y in state_b], dtype=complex).reshape(2, 2, 2, 2)
+    return np.moveaxis(product, range(4), [s - 1 for s in sites]).reshape(16) + 0.0
 
 
 def singlet_state() -> np.ndarray:
@@ -134,7 +121,7 @@ def _build_type1() -> FusionBasis:
     crossed = two_pair_state((4, 1), s, (2, 3), s)
     e1 = nested
     e2 = (2.0 * crossed - nested) / np.sqrt(3.0)
-    return FusionBasis(e1, e2, 2.0, "type1")
+    return FusionBasis(e1, e2, 2.0)
 
 
 def _build_type2(varphi: float) -> FusionBasis:
@@ -160,7 +147,7 @@ def _build_type2(varphi: float) -> FusionBasis:
         fixed = fixed / fixed_norm
         correction = float(np.linalg.norm(fixed - raw_e2))
         raw_e2 = fixed
-    return FusionBasis(e1, raw_e2, np.sqrt(2.0), "type2", correction)
+    return FusionBasis(e1, raw_e2, np.sqrt(2.0), correction)
 
 
 def reduce_operator(op: np.ndarray, basis: FusionBasis, tol: float = 1e-10) -> np.ndarray:
@@ -199,23 +186,32 @@ def embed_three_body(op8: np.ndarray) -> np.ndarray:
     return lift(op8, right=2)
 
 
-def verify_basis_reduction(triple: AngleTriple, tol: float = 1e-10,
-                           constraint_tol: float = DEFAULT_CONSTRAINT_TOL) -> float | np.ndarray:
-    """Residual between the reduced 8x8 product and the 2x2 closed form.
+def reduce_three_body(triple: AngleTriple, constraint_tol: float = DEFAULT_CONSTRAINT_TOL
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The 8x8 factorized scattering matrix of ``triple``, lifted to four
+    qubits and reduced on the type-II fusion basis, and :func:`fusion_form`
+    at the parameters of the triple.  Array angles give a (..., 2, 2)
+    stack of each.  Raises :class:`ConstraintViolation` for a triple off
+    the constraint line by more than ``constraint_tol``."""
+    op16 = embed_three_body(product_form(triple, constraint_tol))
+    reduced = reduce_operator(op16, fusion_basis_type2(0.0))
+    # fusion_form stacks its matrices over the trailing axes
+    closed = np.moveaxis(fusion_form(angles_to_params(triple, constraint_tol)), (0, 1), (-2, -1))
+    return reduced, closed
 
-    The factorized scattering matrix is lifted to four qubits, reduced on
-    the type-II fusion basis and compared with :func:`fusion_form` at the
-    parameters of the triple.  The fusion-basis matrix elements realize the
-    2x2 solution family with reversed angle orientation, so the closed form
-    is conjugated to match that orientation before the single global phase
-    is aligned.
+
+def verify_basis_reduction(triple: AngleTriple,
+                           constraint_tol: float = DEFAULT_CONSTRAINT_TOL) -> float | np.ndarray:
+    """Residual between the reduced 8x8 product and the 2x2 closed form
+    (:func:`reduce_three_body`).
+
+    The fusion-basis matrix elements realize the 2x2 solution family with
+    reversed angle orientation, so the closed form is conjugated to match
+    that orientation before the single global phase is aligned.
 
     Array angles give one residual per triple.  The product, the reduction,
     the closed form and the phase alignment each run once for the whole
     block, and every residual has the bits of its triple's scalar call.
     """
-    op16 = embed_three_body(product_form(triple, constraint_tol))
-    reduced = reduce_operator(op16, fusion_basis_type2(0.0), tol=tol)
-    # fusion_form stacks its matrices over the trailing axes
-    closed = np.moveaxis(fusion_form(angles_to_params(triple, constraint_tol)), (0, 1), (-2, -1))
+    reduced, closed = reduce_three_body(triple, constraint_tol)
     return max_diff_up_to_phase(reduced, closed.conj())

@@ -17,7 +17,9 @@ coarse-grid neighborhood scan followed by per-axis bracket shrinking, and
 classified by comparing refined neighbor values; a kink flag marks
 non-smooth axes.
 
-Function tags:
+Registering a function is one :data:`FUNCTIONS` entry: the ``ybekit
+landscape`` and ``extrema`` commands take one ``--NAME`` flag per axis
+that a registered function names.  Function tags:
 
 ==========  ===========  ===============================================
 tag         axes         value
@@ -51,6 +53,7 @@ from .threebody import ScatterParams
 
 PLATEAU_TOL = 1e-12
 LOCATION_RESOLUTION = 1e-7  # dedupe floor, see _dedupe_tol
+KINK_PROBE = 1e-5  # step of the one-sided slopes in _kinked
 
 LOCAL_MAX = "local-max"
 LOCAL_MIN = "local-min"
@@ -284,8 +287,7 @@ def _classify(axis_kinds: tuple[str, ...]) -> str:
 def find_critical_points(tag: str,
                          domains: Sequence[tuple[float, float] | None] | None = None,
                          coarse_n: int = 400,
-                         refine_tol: float = 1e-8,
-                         kink_probe: float = 1e-5) -> list[CriticalPoint]:
+                         refine_tol: float = 1e-8) -> list[CriticalPoint]:
     """Locate and classify interior critical points of a landscape.
 
     ``domains`` holds one (start, stop) per axis of the function, or None
@@ -329,7 +331,7 @@ def find_critical_points(tag: str,
     # are degenerate, not extrema; drop them.
     keep = ~np.logical_or.reduce([_flat_axis(along(a), x, value) for a, x in enumerate(coords)])
     coords, value, kinds = [x[keep] for x in coords], value[keep], [k[keep] for k in kinds]
-    kinks = zip(*(_kinked(along(a), x, value, kink_probe).tolist() for a, x in enumerate(coords)))
+    kinks = zip(*(_kinked(along(a), x, value, KINK_PROBE).tolist() for a, x in enumerate(coords)))
     axis_kinds = zip(*(k.tolist() for k in kinds))
     results = [CriticalPoint(location, v, _classify(ks), ks, flags)
                for location, v, ks, flags in zip(zip(*coords), value, axis_kinds, kinks)]

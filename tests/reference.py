@@ -1,7 +1,7 @@
 """Byte references: retired implementations that the tests hold their
 replacements to, bit for bit, one per contract (CSV and JSON writers,
-landscape sampling, the coarse scan, the critical-point finder and the
-verify suites).  The expensive ones are computed once per session."""
+landscape sampling, the coarse scan, the critical-point finder, the
+two-pair fusion states and the verify suites).  The expensive ones are computed once per session."""
 
 import functools
 import json
@@ -19,6 +19,27 @@ from ybekit.threebody import (AngleTriple, ScatterParams, angles_to_params, fusi
                               product_form, random_constrained_triple)
 
 TWO_PI = 2.0 * math.pi
+
+
+# fusion bases
+
+def _two_pair_state_loop(pair_a, state_a, pair_b, state_b):
+    """The product of two 2-site states on 4 sites, one amplitude at a time."""
+    out = np.zeros(16, dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            for c in range(2):
+                for d in range(2):
+                    bits = [0] * 4
+                    bits[pair_a[0] - 1] = a
+                    bits[pair_a[1] - 1] = b
+                    bits[pair_b[0] - 1] = c
+                    bits[pair_b[1] - 1] = d
+                    idx = 0
+                    for bit in bits:
+                        idx = (idx << 1) | bit
+                    out[idx] += state_a[2 * a + b] * state_b[2 * c + d]
+    return out
 
 
 # CSV and JSON writers

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ybekit import checks, cli
-from ybekit.landscape import AxisSpec
+from ybekit.landscape import FUNCTIONS, AxisSpec, LandscapeFunction
 
 from reference import _csv_numbers_reference, _json_text_reference
 
@@ -385,6 +385,10 @@ USAGE_ERRORS = {
     "landscape --fn l1_wigner --theta 0:1": "--theta must look like start:stop:count",
     "reduce --thetas 0,0,0 --constraint-tol -1": "--constraint-tol: expected a finite number >= 0",
     "reduce --thetas 0,0,0 --tol -1e-3": "argument --tol: expected a finite number >= 0, got '-1e-3'",
+    "verify --suite ybe --seed -1": "argument --seed: expected an integer >= 0, got '-1'",
+    "verify --suite tl --seed -1": "argument --seed: expected an integer >= 0, got '-1'",
+    "reduce --random 5 --seed -1": "argument --seed: expected an integer >= 0, got '-1'",
+    "reduce --random 0": "argument --random: expected an integer >= 1, got '0'",
 }
 
 
@@ -440,11 +444,55 @@ USAGE_ERRORS = {
     ["reduce", "--thetas", "0,0,0", "--tol", "-1e-3"],
     ["reduce", "--thetas", "0,0,0", "--constraint-tol", "-1"],
     ["state", "--eta", "1", "--beta", "0.5", "--tol", "-1"],
+    ["verify", "--suite", "ybe", "--seed", "-1"],
+    ["verify", "--suite", "tl", "--seed", "-1"],
+    ["reduce", "--random", "5", "--seed", "-1"],
+    ["reduce", "--random", "0"],
 ], ids=" ".join)
 def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
     code, _, err = run_cli_streams(argv, capsys)
     assert code == 2
     assert USAGE_ERRORS.get(" ".join(argv), "error") in err
+
+
+@pytest.mark.parametrize("tag, axis", [(tag, axis) for tag in FUNCTIONS
+                                       for axis in cli._axis_names()])
+def test_axis_flags_follow_the_registry(tag, axis, capsys):
+    """A function takes the flag of each of its axes, with a negative start
+    too, and no other axis flag."""
+    for argv in (["landscape", "--fn", tag, f"--{axis}", "-1:1:5"],
+                 ["extrema", "--fn", tag, f"--{axis}", "-1:1", "--coarse", "21"]):
+        code, out, err = run_cli_streams(argv, capsys)
+        if axis in FUNCTIONS[tag].axes:
+            assert (code, out.split(",")[0]) == (0, FUNCTIONS[tag].axes[0]), err
+        else:
+            assert code == 2 and f"--{axis} does not apply" in err
+
+
+def test_registered_function_gets_its_axis_flags(monkeypatch, capsys):
+    """One registry entry over new axes is all that ``landscape`` and
+    ``extrema`` need; only (eta, beta) points are labelled with a state."""
+    paraboloid = LandscapeFunction("X", ("u", "v"), lambda u, v: (u - 0.3) ** 2 + (v + 0.2) ** 2,
+                                   ((-1.0, 1.0), (-1.0, 1.0)))
+    monkeypatch.setitem(FUNCTIONS, "X", paraboloid)
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    code, out, _ = run_cli_streams(["landscape", "--fn", "X", "--u", "-1:1:3", "--v", "-1:1:3"],
+                                   capsys)
+    assert code == 0
+    header, rows = _csv_rows(out)
+    assert header == ["u", "v", "value"] and len(rows) == 9
+    code, out, _ = run_cli_streams(["landscape", "--fn", "X", "--section", "u=0.5"], capsys)
+    assert code == 0 and _csv_rows(out)[0] == ["u", "v", "value"]
+    code, _, err = run_cli_streams(["landscape", "--fn", "X", "--section", "eta=1"], capsys)
+    assert code == 2 and "--section must be u=VALUE or v=VALUE, got 'eta=1'" in err
+    code, _, err = run_cli_streams(["landscape", "--fn", "X", "--eta", "0:1:3"], capsys)
+    assert code == 2 and "--eta does not apply to the 2-parameter function X" in err
+    code, out, _ = run_cli_streams(["extrema", "--fn", "X", "--coarse", "21"], capsys)
+    assert code == 0
+    header, rows = _csv_rows(out)
+    assert header == ["u", "v", "value", "kind", "smooth"]
+    assert [(round(float(u), 6), round(float(v), 6), kind) for u, v, _, kind, _ in rows] \
+        == [(0.3, -0.2, "local-min")]
 
 
 @pytest.mark.parametrize("argv", ["verify --suite tl --tol 0", "state --thetas 0,0,0 --tol 0",

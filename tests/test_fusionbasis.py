@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +19,10 @@ from ybekit.fusionbasis import (
     embed_three_body,
     fusion_basis_type1,
     fusion_basis_type2,
+    phased_antiparallel_state,
+    phased_parallel_state,
     reduce_operator,
+    singlet_state,
     two_pair_state,
     verify_basis_reduction,
 )
@@ -29,6 +34,8 @@ from ybekit.threebody import (
     product_form,
     random_constrained_triple,
 )
+
+from reference import _two_pair_state_loop
 
 outer = st.floats(min_value=-1.3, max_value=1.3)
 
@@ -63,6 +70,22 @@ def test_two_pair_state_requires_cover():
     s = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
     with pytest.raises(ValueError):
         two_pair_state((1, 2), s, (2, 3), s)
+
+
+# the bundled pair states, the phased parallel one at 22 phases, 0 and 0.7 included
+PAIR_STATES = [singlet_state(), phased_antiparallel_state(),
+               *(phased_parallel_state(v) for v in [*np.linspace(-np.pi, np.pi, 21), 0.7])]
+
+
+def test_two_pair_state_is_bit_equal_to_the_retired_loop():
+    """Every order of the four sites and every pair of bundled pair states:
+    the products of numpy scalars, placed by ``moveaxis``, keep each bit of
+    the one-amplitude-at-a-time loop, signed zeros included."""
+    for order in itertools.permutations((1, 2, 3, 4)):
+        pairs = order[:2], order[2:]
+        for a, b in itertools.product(PAIR_STATES, repeat=2):
+            got = two_pair_state(pairs[0], a, pairs[1], b)
+            assert got.tobytes() == _two_pair_state_loop(pairs[0], a, pairs[1], b).tobytes()
 
 
 def test_type1_tl_action_on_basis():
