@@ -22,22 +22,17 @@ ALPHA_TYPE1 = 1j
 PHASE_TYPE1 = -1j
 ALPHA_TYPE2 = np.exp(3j * np.pi / 8)
 PHASE_TYPE2 = np.exp(-1j * np.pi / 8)
+ALPHA_TOL = 1e-10  # |alpha| = 1 and loop-value agreement in braid_from_tl
 
 
 @dataclass(frozen=True)
 class TLRep:
     """Temperley-Lieb representation: generators T_1..T_{N-1} and loop value d."""
 
-    strand_count: int
     generators: tuple[np.ndarray, ...]
     loop_value: float
 
     def __post_init__(self):
-        if len(self.generators) != self.strand_count - 1:
-            raise ValueError(
-                f"{self.strand_count} strands need {self.strand_count - 1} generators, "
-                f"got {len(self.generators)}"
-            )
         shapes = {g.shape for g in self.generators}
         if len(shapes) != 1 or any(s[0] != s[1] for s in shapes):
             raise ValueError(f"generators must share one square shape, got {shapes}")
@@ -45,17 +40,9 @@ class TLRep:
 
 @dataclass(frozen=True)
 class BraidRep:
-    """Braid-group representation: generators B_1..B_{N-1}."""
+    """Braid-group representation: generators B_1..B_{N-1} of N strands."""
 
-    strand_count: int
     generators: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.generators) != self.strand_count - 1:
-            raise ValueError(
-                f"{self.strand_count} strands need {self.strand_count - 1} generators, "
-                f"got {len(self.generators)}"
-            )
 
 
 def lift_two_site(op: np.ndarray, position: int, n_sites: int) -> np.ndarray:
@@ -74,12 +61,12 @@ def _lifted(local: np.ndarray, n_strands: int) -> tuple[np.ndarray, ...]:
 
 def tl_rep_from_local(local: np.ndarray, n_strands: int, loop_value: float) -> TLRep:
     """Lift a 4x4 two-site TL generator to an N-strand qubit chain."""
-    return TLRep(n_strands, _lifted(local, n_strands), loop_value)
+    return TLRep(_lifted(local, n_strands), loop_value)
 
 
 def braid_rep_from_local(local: np.ndarray, n_strands: int) -> BraidRep:
     """Lift a 4x4 two-site braid generator to an N-strand qubit chain."""
-    return BraidRep(n_strands, _lifted(local, n_strands))
+    return BraidRep(_lifted(local, n_strands))
 
 
 def quantum_dimension(alpha: complex) -> complex:
@@ -88,25 +75,24 @@ def quantum_dimension(alpha: complex) -> complex:
     return -(alpha ** 2) - alpha ** -2
 
 
-def braid_from_tl(alpha: complex, rep: TLRep, overall_phase: complex = 1.0,
-                  tol: float = 1e-10) -> BraidRep:
+def braid_from_tl(alpha: complex, rep: TLRep, overall_phase: complex = 1.0) -> BraidRep:
     """Braid generators B_i = overall_phase * (alpha*I + alpha^-1 * T_i).
 
     Requires |alpha| = 1 and -alpha^2 - alpha^-2 consistent with the
     representation's loop value; phases are never applied silently.
     """
     alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > tol:
+    if abs(abs(alpha) - 1.0) > ALPHA_TOL:
         raise ValueError(f"alpha must lie on the unit circle, |alpha| = {abs(alpha)}")
     d = quantum_dimension(alpha)
-    if abs(d - rep.loop_value) > tol:
+    if abs(d - rep.loop_value) > ALPHA_TOL:
         raise ValueError(
             f"alpha is inconsistent with loop value: -a^2-a^-2 = {d}, rep has {rep.loop_value}"
         )
     dim = rep.generators[0].shape[0]
     eye = np.eye(dim, dtype=complex)
     gens = tuple(overall_phase * (alpha * eye + t / alpha) for t in rep.generators)
-    return BraidRep(rep.strand_count, gens)
+    return BraidRep(gens)
 
 
 def check_tl_relations(rep: TLRep) -> dict[str, float]:
@@ -209,25 +195,25 @@ def braid2x2_type1() -> BraidRep:
     """Two-dimensional 4-strand type-I braid representation."""
     b_odd = np.diag([-1.0 + 0j, 1.0])
     b_mid = 0.5 * np.array([[1, -np.sqrt(3)], [-np.sqrt(3), -1]], dtype=complex)
-    return BraidRep(4, (b_odd, b_mid, b_odd))
+    return BraidRep((b_odd, b_mid, b_odd))
 
 
 def braid2x2_type2() -> BraidRep:
     """Two-dimensional 4-strand type-II braid representation."""
     b_odd = np.exp(-1j * np.pi / 4) * np.diag([1.0 + 0j, 1j])
     b_mid = np.array([[1, -1j], [-1j, 1]], dtype=complex) / np.sqrt(2)
-    return BraidRep(4, (b_odd, b_mid, b_odd))
+    return BraidRep((b_odd, b_mid, b_odd))
 
 
 def tl2x2_type1() -> TLRep:
     """Two-dimensional 4-strand type-I TL representation (loop value 2)."""
     t_odd = np.diag([2.0 + 0j, 0.0])
     t_mid = np.array([[0.5, np.sqrt(3) / 2], [np.sqrt(3) / 2, 1.5]], dtype=complex)
-    return TLRep(4, (t_odd, t_mid, t_odd), 2.0)
+    return TLRep((t_odd, t_mid, t_odd), 2.0)
 
 
 def tl2x2_type2() -> TLRep:
     """Two-dimensional 4-strand type-II TL representation (loop value sqrt(2))."""
     t_odd = np.diag([np.sqrt(2) + 0j, 0.0])
     t_mid = np.full((2, 2), 1 / np.sqrt(2), dtype=complex)
-    return TLRep(4, (t_odd, t_mid, t_odd), np.sqrt(2))
+    return TLRep((t_odd, t_mid, t_odd), np.sqrt(2))

@@ -162,7 +162,7 @@ def reduction_suite(tol: float, samples: int, seed: int) -> list[Check]:
     """Fusion-basis checks; the lifted braid generators must reduce to the
     2x2 four-strand braids.  At most ``REDUCTION_SAMPLE_CAP`` random triples."""
     samples = min(samples, REDUCTION_SAMPLE_CAP)
-    basis2 = fusion_basis_type2(0.0)
+    basis2 = fusion_basis_type2()
     basis1 = fusion_basis_type1()
     checks = [
         Check(f"fusion-basis.{label} orthonormality",

@@ -148,6 +148,12 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--perturb applies only to the tl suite, not --suite {args.suite}")
     if args.family != "all" and "ybe" not in names:
         raise ValueError(f"--family applies only to the ybe suite, not --suite {args.suite}")
+    for flag, default in (("samples", 1000), ("seed", 0)):
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif {"ybe", "reduction"}.isdisjoint(names):
+            raise ValueError(f"--{flag} applies only to the ybe and reduction suites, "
+                             f"not --suite {args.suite}")
     rows = [check for name in names for check in SUITES[name](args)]
 
     failed = sum(not c.passed for c in rows)
@@ -398,7 +404,9 @@ def _format_matrix(m: np.ndarray) -> list[str]:
 
 def cmd_reduce(args) -> int:
     if args.random:
-        residual = worst(random_reduction(args.random, args.seed))
+        if args.constraint_tol is not None:
+            raise ValueError("--constraint-tol applies only to --thetas, not --random")
+        residual = worst(random_reduction(args.random, args.seed or 0))
         ok = residual <= args.tol
         sys.stdout.write(
             f"{args.random} random constrained triples: max residual {fmt(residual)} "
@@ -408,9 +416,11 @@ def cmd_reduce(args) -> int:
 
     if not args.thetas:
         raise ValueError("provide --thetas t1,t2,t3 or --random N")
+    if args.seed is not None:
+        raise ValueError("--seed applies only to --random")
+    constraint_tol = 1e-4 if args.constraint_tol is None else args.constraint_tol
     # verify_basis_reduction's residual, of the printed reduction
-    reduced, closed = reduce_three_body(args.thetas, args.constraint_tol)
-    params = angles_to_params(args.thetas, args.constraint_tol)
+    reduced, closed, params = reduce_three_body(args.thetas, constraint_tol)
     residual = max_diff_up_to_phase(reduced, closed.conj())
     lines = ["reduced 8x8 product on the fusion basis:"]
     lines += _format_matrix(reduced)
@@ -443,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--family", default="all",
                           choices=["type1", "type2", "all"],
                           help="restrict the YBE suite to one family")
-    p_verify.add_argument("--samples", type=number(int, minimum=1), default=1000)
-    p_verify.add_argument("--seed", type=number(int, minimum=0), default=0)
+    p_verify.add_argument("--samples", type=number(int, minimum=1), default=None)
+    p_verify.add_argument("--seed", type=number(int, minimum=0), default=None)
     p_verify.add_argument("--tol", type=number(minimum=0), default=1e-12)
     p_verify.add_argument("--perturb", type=number(), default=0.0,
                           help="perturb a TL generator entry (failure-path demo)")
@@ -489,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="t1,t2,t3 on the constraint line")
     p_red_mode.add_argument("--random", type=number(int, minimum=1), default=0,
                             help="check N random constrained triples instead")
-    p_red.add_argument("--seed", type=number(int, minimum=0), default=0)
+    p_red.add_argument("--seed", type=number(int, minimum=0), default=None)
     p_red.add_argument("--tol", type=number(minimum=0), default=1e-10)
-    p_red.add_argument("--constraint-tol", type=number(minimum=0), default=1e-4)
+    p_red.add_argument("--constraint-tol", type=number(minimum=0), default=None)
     p_red.set_defaults(func=cmd_reduce)
 
     return parser

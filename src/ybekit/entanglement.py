@@ -183,8 +183,8 @@ class EntanglementReport:
 
     l1: float
     vn_entropies: dict[int, float] = field(compare=False)
-    three_tangle: float = 0.0
-    slocc_class: str = PRODUCT
+    three_tangle: float
+    slocc_class: str
 
 
 def entanglement_report(psi: np.ndarray, tol: float = CLASS_TOL) -> EntanglementReport:

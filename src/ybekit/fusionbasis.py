@@ -24,12 +24,11 @@ from .tensor import lift, max_diff_up_to_phase
 from .threebody import (
     AngleTriple,
     DEFAULT_CONSTRAINT_TOL,
+    ScatterParams,
     angles_to_params,
     fusion_form,
     product_form,
 )
-
-ORTHONORMALITY_TOL = 1e-13
 
 
 class LeakageError(ValueError):
@@ -44,12 +43,10 @@ class LeakageError(ValueError):
 
 @dataclass(frozen=True)
 class FusionBasis:
-    """Orthonormal pair of 16-dim (4-qubit) vectors with its loop value."""
+    """Orthonormal pair of 16-dim (4-qubit) vectors."""
 
     e1: np.ndarray
     e2: np.ndarray
-    loop_value: float
-    correction_norm: float = 0.0
 
     def __post_init__(self):
         for name, vec in (("e1", self.e1), ("e2", self.e2)):
@@ -90,10 +87,10 @@ def phased_antiparallel_state() -> np.ndarray:
 
 
 @functools.cache
-def _shared(build, *args) -> FusionBasis:
+def _shared(build) -> FusionBasis:
     """One build of a constant basis, with read-only arrays so that no
     caller can change the shared copy."""
-    basis = build(*args)
+    basis = build()
     basis.e1.setflags(write=False)
     basis.e2.setflags(write=False)
     return basis
@@ -104,50 +101,30 @@ def fusion_basis_type1() -> FusionBasis:
     return _shared(_build_type1)
 
 
-def fusion_basis_type2(varphi: float = 0.0) -> FusionBasis:
-    """Phased-pair basis with loop value sqrt(2).
-
-    The defining combination for e2 is orthonormal at varphi = 0; away from
-    that point the constructor re-orthogonalizes e2 against e1 and records
-    the correction norm.  The basis at varphi = 0 is built once and is
-    read-only; any other varphi builds a fresh basis.
-    """
-    return _shared(_build_type2, 0.0) if varphi == 0.0 else _build_type2(varphi)
+def fusion_basis_type2() -> FusionBasis:
+    """Phased-pair basis with loop value sqrt(2), of the Bell braid at phase
+    0; built once, read-only."""
+    return _shared(_build_type2)
 
 
 def _build_type1() -> FusionBasis:
     s = singlet_state()
     nested = two_pair_state((1, 2), s, (3, 4), s)
     crossed = two_pair_state((4, 1), s, (2, 3), s)
-    e1 = nested
-    e2 = (2.0 * crossed - nested) / np.sqrt(3.0)
-    return FusionBasis(e1, e2, 2.0)
+    return FusionBasis(nested, (2.0 * crossed - nested) / np.sqrt(3.0))
 
 
-def _build_type2(varphi: float) -> FusionBasis:
-    par = phased_parallel_state(varphi)
+def _build_type2() -> FusionBasis:
+    par = phased_parallel_state()
     anti = phased_antiparallel_state()
     e1 = (
         two_pair_state((1, 2), par, (3, 4), par)
         + two_pair_state((1, 2), anti, (3, 4), anti)
     ) / np.sqrt(2.0)
-    raw_e2 = (
-        (1.0 + np.exp(1j * varphi)) * two_pair_state((2, 3), par, (4, 1), par)
-        - (1.0 - np.exp(-1j * varphi)) * two_pair_state((2, 3), anti, (4, 1), anti)
-    ) / np.sqrt(2.0) - e1
-
-    correction = 0.0
-    overlap = np.vdot(e1, raw_e2)
-    norm_dev = abs(np.linalg.norm(raw_e2) - 1.0)
-    if abs(overlap) > ORTHONORMALITY_TOL or norm_dev > ORTHONORMALITY_TOL:
-        fixed = raw_e2 - overlap * e1
-        fixed_norm = np.linalg.norm(fixed)
-        if fixed_norm < 1e-10:
-            raise ValueError(f"degenerate fusion pair at varphi = {varphi}")
-        fixed = fixed / fixed_norm
-        correction = float(np.linalg.norm(fixed - raw_e2))
-        raw_e2 = fixed
-    return FusionBasis(e1, raw_e2, np.sqrt(2.0), correction)
+    # at phase 0 the crossed antiparallel pair drops out and e2 is
+    # orthonormal to e1 as it stands
+    e2 = 2.0 * two_pair_state((2, 3), par, (4, 1), par) / np.sqrt(2.0) - e1
+    return FusionBasis(e1, e2)
 
 
 def reduce_operator(op: np.ndarray, basis: FusionBasis, tol: float = 1e-10) -> np.ndarray:
@@ -187,17 +164,18 @@ def embed_three_body(op8: np.ndarray) -> np.ndarray:
 
 
 def reduce_three_body(triple: AngleTriple, constraint_tol: float = DEFAULT_CONSTRAINT_TOL
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray, ScatterParams]:
     """The 8x8 factorized scattering matrix of ``triple``, lifted to four
-    qubits and reduced on the type-II fusion basis, and :func:`fusion_form`
-    at the parameters of the triple.  Array angles give a (..., 2, 2)
-    stack of each.  Raises :class:`ConstraintViolation` for a triple off
-    the constraint line by more than ``constraint_tol``."""
+    qubits and reduced on the type-II fusion basis; :func:`fusion_form` at
+    the parameters of the triple; and those parameters.  Array angles give
+    a (..., 2, 2) stack of each matrix.  Raises :class:`ConstraintViolation`
+    for a triple off the constraint line by more than ``constraint_tol``."""
     op16 = embed_three_body(product_form(triple, constraint_tol))
-    reduced = reduce_operator(op16, fusion_basis_type2(0.0))
+    reduced = reduce_operator(op16, fusion_basis_type2())
+    params = angles_to_params(triple, constraint_tol)
     # fusion_form stacks its matrices over the trailing axes
-    closed = np.moveaxis(fusion_form(angles_to_params(triple, constraint_tol)), (0, 1), (-2, -1))
-    return reduced, closed
+    closed = np.moveaxis(fusion_form(params), (0, 1), (-2, -1))
+    return reduced, closed, params
 
 
 def verify_basis_reduction(triple: AngleTriple,
@@ -213,5 +191,5 @@ def verify_basis_reduction(triple: AngleTriple,
     the closed form and the phase alignment each run once for the whole
     block, and every residual has the bits of its triple's scalar call.
     """
-    reduced, closed = reduce_three_body(triple, constraint_tol)
+    reduced, closed, _ = reduce_three_body(triple, constraint_tol)
     return max_diff_up_to_phase(reduced, closed.conj())

@@ -3,12 +3,11 @@
 Every function in the registry takes broadcast arrays.  :func:`sample`
 evaluates one on the ``ij`` mesh of one :class:`AxisSpec` per axis, in one
 kernel call: a surface over (eta, beta), a curve over theta, or a section,
-which is a surface with a 1-point axis at the fixed coordinate.  It
-replaces ``sample_surface``, ``section``, ``sample_curve`` and their
-``LandscapeGrid`` wrapper.  The critical-point finder takes its coarse grid
-from :func:`sample` and makes one call per step of its refinement, which
-moves all candidates in lockstep.  An array call gives the bits of the same
-call made one float at a time.
+which is a surface with a 1-point axis at the fixed coordinate.  The
+critical-point finder takes its coarse grid from :func:`sample` and makes
+one call per step of its refinement, which moves all candidates in
+lockstep.  An array call gives the bits of the same call made one float at
+a time.
 
 The surfaces of interest are built from absolute values of trigonometric
 functions, so some extrema sit on V-shaped kinks where derivative-based
@@ -53,6 +52,7 @@ from .threebody import ScatterParams
 
 PLATEAU_TOL = 1e-12
 LOCATION_RESOLUTION = 1e-7  # dedupe floor, see _dedupe_tol
+FLAT_PROBE = 1e-4  # step of the two-sided flatness test in _flat_axis
 KINK_PROBE = 1e-5  # step of the one-sided slopes in _kinked
 
 LOCAL_MAX = "local-max"
@@ -243,26 +243,26 @@ def _shrink_bracket(fn1d: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return 0.5 * (lo + hi)
 
 
-def _flat_axis(fn1d: Callable[[np.ndarray], np.ndarray], x: np.ndarray, f0: np.ndarray,
-               probe: float = 1e-4) -> np.ndarray:
+def _flat_axis(fn1d: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+               f0: np.ndarray) -> np.ndarray:
     """True where the section moves by less than the plateau tolerance at
-    ``probe`` on both sides of ``x``; ``f0`` holds the values at ``x``."""
-    return ((np.abs(fn1d(x + probe) - f0) < PLATEAU_TOL)
-            & (np.abs(fn1d(x - probe) - f0) < PLATEAU_TOL))
+    ``FLAT_PROBE`` on both sides of ``x``; ``f0`` holds the values at ``x``."""
+    return ((np.abs(fn1d(x + FLAT_PROBE) - f0) < PLATEAU_TOL)
+            & (np.abs(fn1d(x - FLAT_PROBE) - f0) < PLATEAU_TOL))
 
 
-def _kinked(fn1d: Callable[[np.ndarray], np.ndarray], x: np.ndarray, f0: np.ndarray,
-            h: float) -> np.ndarray:
+def _kinked(fn1d: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+            f0: np.ndarray) -> np.ndarray:
     """Kink test at refined extrema; ``f0`` holds the values at ``x``.
 
-    At a smooth extremum both one-sided slopes vanish linearly with h, so
-    their gap shrinks with the probe; at a V kink the gap stays order one.
-    The floor max(h, |s- + s+|) keeps float noise from flagging smooth
-    points.
+    At a smooth extremum both one-sided slopes vanish linearly with the
+    step ``KINK_PROBE``, so their gap shrinks with the probe; at a V kink
+    the gap stays order one.  The floor max(KINK_PROBE, |s- + s+|) keeps
+    float noise from flagging smooth points.
     """
-    s_minus = (f0 - fn1d(x - h)) / h
-    s_plus = (fn1d(x + h) - f0) / h
-    return np.abs(s_plus - s_minus) > 10.0 * np.maximum(h, np.abs(s_plus + s_minus))
+    s_minus = (f0 - fn1d(x - KINK_PROBE)) / KINK_PROBE
+    s_plus = (fn1d(x + KINK_PROBE) - f0) / KINK_PROBE
+    return np.abs(s_plus - s_minus) > 10.0 * np.maximum(KINK_PROBE, np.abs(s_plus + s_minus))
 
 
 def _dedupe_tol(refine_tol: float) -> float:
@@ -331,7 +331,7 @@ def find_critical_points(tag: str,
     # are degenerate, not extrema; drop them.
     keep = ~np.logical_or.reduce([_flat_axis(along(a), x, value) for a, x in enumerate(coords)])
     coords, value, kinds = [x[keep] for x in coords], value[keep], [k[keep] for k in kinds]
-    kinks = zip(*(_kinked(along(a), x, value, KINK_PROBE).tolist() for a, x in enumerate(coords)))
+    kinks = zip(*(_kinked(along(a), x, value).tolist() for a, x in enumerate(coords)))
     axis_kinds = zip(*(k.tolist() for k in kinds))
     results = [CriticalPoint(location, v, _classify(ks), ks, flags)
                for location, v, ks, flags in zip(zip(*coords), value, axis_kinds, kinks)]

@@ -184,7 +184,6 @@ class RMatrixFamily:
     2x2 families (diagonal role, mixing role).
     """
 
-    name: str
     dim: int
     additivity: str
     evaluators: tuple[Callable[[float], np.ndarray], ...]
@@ -224,16 +223,10 @@ def check_ybe(family: RMatrixFamily, p1: float, p3: float) -> float:
 
 
 def bundled_families() -> dict[str, RMatrixFamily]:
-    """The four solution families shipped with the package."""
+    """The four solution families shipped with the package, by name."""
     return {
-        "type1_4x4": RMatrixFamily("type1_4x4", 4, "galilean", (type1_r_4x4,)),
-        "type2_4x4": RMatrixFamily(
-            "type2_4x4", 4, "lorentzian", (lambda t: type2_r_4x4(t, 0.0),)
-        ),
-        "type1_2x2": RMatrixFamily(
-            "type1_2x2", 2, "galilean", (type1_r1_2x2, type1_r2_2x2)
-        ),
-        "type2_2x2": RMatrixFamily(
-            "type2_2x2", 2, "lorentzian", (type2_r1_2x2, type2_r2_2x2)
-        ),
+        "type1_4x4": RMatrixFamily(4, "galilean", (type1_r_4x4,)),
+        "type2_4x4": RMatrixFamily(4, "lorentzian", (lambda t: type2_r_4x4(t, 0.0),)),
+        "type1_2x2": RMatrixFamily(2, "galilean", (type1_r1_2x2, type1_r2_2x2)),
+        "type2_2x2": RMatrixFamily(2, "lorentzian", (type2_r1_2x2, type2_r2_2x2)),
     }

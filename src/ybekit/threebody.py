@@ -51,6 +51,7 @@ TWO_PI = 2.0 * math.pi
 BETA_STAR = math.atan(1.0 / math.sqrt(2.0))
 
 DEFAULT_CONSTRAINT_TOL = 1e-6
+RANDOM_SPAN = 1.3  # outer angles of random_constrained_triple lie in (-1.3, 1.3)
 
 
 class ConstraintViolation(ValueError):
@@ -142,16 +143,15 @@ def constrained_triple(t1: float, t3: float) -> AngleTriple:
     return AngleTriple(t1, t2, t3)
 
 
-def random_constrained_triple(rng: np.random.Generator, span: float = 1.3,
-                              size: int | None = None) -> AngleTriple:
-    """Uniformly random outer angles in (-span, span), constrained middle.
+def random_constrained_triple(rng: np.random.Generator, size: int | None = None) -> AngleTriple:
+    """Outer angles uniform in (-RANDOM_SPAN, RANDOM_SPAN), constrained middle.
 
     ``size`` draws a block of that many triples in one call; it takes the
     same numbers from ``rng`` as ``size`` calls without it."""
     if size is None:
-        t1, t3 = rng.uniform(-span, span, size=2).tolist()
+        t1, t3 = rng.uniform(-RANDOM_SPAN, RANDOM_SPAN, size=2).tolist()
     else:
-        t1, t3 = rng.uniform(-span, span, size=(size, 2)).T
+        t1, t3 = rng.uniform(-RANDOM_SPAN, RANDOM_SPAN, size=(size, 2)).T
     return constrained_triple(t1, t3)
 
 

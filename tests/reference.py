@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 from ybekit import __version__, checks
-from ybekit.fusionbasis import embed_three_body, fusion_basis_type2, reduce_operator
+from ybekit.fusionbasis import (embed_three_body, fusion_basis_type2, phased_antiparallel_state,
+                                phased_parallel_state, reduce_operator)
 from ybekit.landscape import (LOCAL_MAX, LOCAL_MIN, PLATEAU_TOL, AxisSpec, CriticalPoint,
                               _classify, _scan, get_function, sample)
 from ybekit.rmatrix import bundled_families, type2_r_4x4
@@ -40,6 +41,24 @@ def _two_pair_state_loop(pair_a, state_a, pair_b, state_b):
                         idx = (idx << 1) | bit
                     out[idx] += state_a[2 * a + b] * state_b[2 * c + d]
     return out
+
+
+def _type2_basis_phase_general(varphi):
+    """The type-II pair (e1, e2) at any phase, and the norm of the
+    correction to e2: the defining combination is re-orthogonalized
+    against e1 where it is not orthonormal to 1e-13."""
+    par, anti = phased_parallel_state(varphi), phased_antiparallel_state()
+    e1 = (_two_pair_state_loop((1, 2), par, (3, 4), par)
+          + _two_pair_state_loop((1, 2), anti, (3, 4), anti)) / np.sqrt(2.0)
+    e2 = ((1.0 + np.exp(1j * varphi)) * _two_pair_state_loop((2, 3), par, (4, 1), par)
+          - (1.0 - np.exp(-1j * varphi)) * _two_pair_state_loop((2, 3), anti, (4, 1), anti)
+          ) / np.sqrt(2.0) - e1
+    overlap = np.vdot(e1, e2)
+    if abs(overlap) > 1e-13 or abs(np.linalg.norm(e2) - 1.0) > 1e-13:
+        fixed = e2 - overlap * e1
+        fixed = fixed / np.linalg.norm(fixed)
+        return e1, fixed, float(np.linalg.norm(fixed - e2))
+    return e1, e2, 0.0
 
 
 # CSV and JSON writers
@@ -277,7 +296,7 @@ def scalar_reduce(op, basis):
 
 def scalar_reduction_residual(t1, t2, t3):
     reduced = reduce_operator(kron(scalar_product(t1, t2, t3), IDENTITY_2),
-                              fusion_basis_type2(0.0))
+                              fusion_basis_type2())
     closed = fusion_form(ScatterParams(*scalar_angles_to_params(t1, t2, t3)))
     return scalar_max_diff_up_to_phase(reduced, closed.conj())
 
@@ -324,7 +343,7 @@ def many_triples():
     reduced = np.concatenate([
         reduce_operator(embed_three_body(product_form(AngleTriple(
             triple.t1[k:k + 5000], triple.t2[k:k + 5000], triple.t3[k:k + 5000]))),
-            fusion_basis_type2(0.0))
+            fusion_basis_type2())
         for k in range(0, triple.t1.size, 5000)])
     closed = np.moveaxis(fusion_form(params), (0, 1), (-2, -1)).conj()
     return triple, params, reduced, closed

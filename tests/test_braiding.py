@@ -7,6 +7,7 @@ from ybekit.braiding import (
     PHASE_TYPE1,
     PHASE_TYPE2,
     BraidRep,
+    TLRep,
     bell_braid,
     braid2x2_type1,
     braid2x2_type2,
@@ -93,7 +94,7 @@ def test_two_dim_braid_relations():
 
 
 def test_identity_generators_pass_trivially():
-    rep = BraidRep(3, (np.eye(4, dtype=complex), np.eye(4, dtype=complex)))
+    rep = BraidRep((np.eye(4, dtype=complex), np.eye(4, dtype=complex)))
     assert max(check_braid_relations(rep).values()) == 0.0
 
 
@@ -127,5 +128,7 @@ def test_two_dim_tl_relations():
 
 
 def test_rep_validation():
-    with pytest.raises(ValueError, match="generators"):
-        BraidRep(4, (np.eye(4, dtype=complex),))
+    for gens in [(np.eye(4, dtype=complex), np.eye(2, dtype=complex)),
+                 (np.zeros((2, 3), dtype=complex),), ()]:
+        with pytest.raises(ValueError, match="one square shape"):
+            TLRep(gens, 2.0)

@@ -93,7 +93,7 @@ def test_stacked_product_and_reduction_are_bit_equal_to_the_matrix_loop():
     # einsum or a two-column matmul would move bits
     rng = np.random.default_rng(11)
     triples = random_constrained_triple(rng, size=checks.SAMPLE_BLOCK + 1)
-    basis = fusion_basis_type2(0.0)
+    basis = fusion_basis_type2()
     stack = product_form(triples)
     reduced = reduce_operator(embed_three_body(stack), basis)
     for k, angles in enumerate(zip(triples.t1, triples.t2, triples.t3)):
@@ -182,17 +182,15 @@ def test_empty_sample_sets_give_empty_residual_arrays():
 
 def test_constant_fusion_bases_are_cached_read_only_copies():
     for cached, fresh in [(fusion_basis_type1(), _build_type1()),
-                          (fusion_basis_type2(0.0), _build_type2(0.0))]:
+                          (fusion_basis_type2(), _build_type2())]:
         for name in ("e1", "e2"):
             vec = getattr(cached, name)
             assert not vec.flags.writeable
             with pytest.raises(ValueError):
                 vec[0] = 1.0
             assert np.array_equal(vec, getattr(fresh, name))
-        assert cached.loop_value == fresh.loop_value
     assert fusion_basis_type1() is fusion_basis_type1()
-    assert fusion_basis_type2(0.0) is fusion_basis_type2()
-    assert fusion_basis_type2(0.7) is not fusion_basis_type2(0.7)
+    assert fusion_basis_type2() is fusion_basis_type2()
 
 
 # every gate fails closed when one sample of a block trips it
@@ -211,7 +209,7 @@ def test_leakage_of_one_stacked_operator_raises():
     leaking[0, 0] = 1.0
     stack = np.stack([np.eye(16), leaking, np.eye(16)])
     with pytest.raises(LeakageError):
-        reduce_operator(stack, fusion_basis_type2(0.0))
+        reduce_operator(stack, fusion_basis_type2())
 
 
 def _block_with(angles):

@@ -389,6 +389,14 @@ USAGE_ERRORS = {
     "verify --suite tl --seed -1": "argument --seed: expected an integer >= 0, got '-1'",
     "reduce --random 5 --seed -1": "argument --seed: expected an integer >= 0, got '-1'",
     "reduce --random 0": "argument --random: expected an integer >= 1, got '0'",
+    "verify --suite tl --samples 5":
+        "--samples applies only to the ybe and reduction suites, not --suite tl",
+    "verify --suite braid --seed 3":
+        "--seed applies only to the ybe and reduction suites, not --suite braid",
+    "verify --suite tl --seed 0": "--seed applies only to the ybe and reduction suites, not --suite tl",
+    "reduce --thetas 0,0,0 --seed 0": "--seed applies only to --random",
+    "reduce --random 5 --constraint-tol 1e-3":
+        "--constraint-tol applies only to --thetas, not --random",
 }
 
 
@@ -448,6 +456,11 @@ USAGE_ERRORS = {
     ["verify", "--suite", "tl", "--seed", "-1"],
     ["reduce", "--random", "5", "--seed", "-1"],
     ["reduce", "--random", "0"],
+    ["verify", "--suite", "tl", "--samples", "5"],
+    ["verify", "--suite", "braid", "--seed", "3"],
+    ["verify", "--suite", "tl", "--seed", "0"],
+    ["reduce", "--thetas", "0,0,0", "--seed", "0"],
+    ["reduce", "--random", "5", "--constraint-tol", "1e-3"],
 ], ids=" ".join)
 def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
     code, _, err = run_cli_streams(argv, capsys)
@@ -500,6 +513,20 @@ def test_registered_function_gets_its_axis_flags(monkeypatch, capsys):
 def test_zero_tolerance_is_valid(argv, capsys):
     """A tolerance of 0 asks for exact residuals, which is no usage error."""
     assert run_cli_streams(argv.split(), capsys)[0] != 2
+
+
+def test_unset_flags_take_their_defaults_where_read(capsys):
+    """--samples, --seed and --constraint-tol, where a chosen suite or mode
+    reads them, default to 1000, 0 and 1e-4; JSON meta reports the seed."""
+    code, out = run_cli(["verify", "--suite", "tl", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["meta"]["seed"] == 0
+    near = "0.1,0.19612,0.1"  # 4.3e-6 off the constraint line
+    for unset, default in [
+        (["verify", "--suite", "reduction"], ["--samples", "1000", "--seed", "0"]),
+        (["reduce", "--random", "20"], ["--seed", "0"]),
+        (["reduce", "--thetas", near], ["--constraint-tol", "1e-4"]),
+    ]:
+        assert run_cli_streams(unset, capsys) == run_cli_streams(unset + default, capsys), unset
 
 
 def test_extrema_domain_count_is_ignored(capsys):
@@ -585,13 +612,19 @@ FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow
 def _column(draw, n, repeats):
     """``n`` floats, NaN and +-inf included, that repeat, drawn from a pool
     of at most n // 3 (the writers reuse strings), or that are all distinct
-    bit patterns (the writers format every value)."""
+    bit patterns (the writers format every value).  A distinct column is
+    built, not filtered: a draw that repeats an earlier bit pattern takes
+    the next unused one, so no draw is rejected."""
     if repeats:
         pool = draw(st.lists(FLOATS, min_size=1, max_size=max(1, n // 3)))
-        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    else:
-        values = draw(st.lists(FLOATS, min_size=n, max_size=n, unique_by=_bits))
-    return np.array(values)
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    seen = []
+    for x in draw(st.lists(FLOATS, min_size=n, max_size=n)):
+        bits = _bits(x)
+        while bits in seen:
+            bits = (bits + 1) % 2 ** 64
+        seen.append(bits)
+    return np.array(seen, dtype=np.uint64).view(np.float64)
 
 
 def _reuses(values, render):
@@ -692,7 +725,7 @@ def test_verify_perturb_accepts_exponent_form_negative(capsys):
 # show state carried from one call into the next.
 REUSE_SEQUENCE = [
     (["verify", "--samples", "0"], 2),
-    (["verify", "--suite", "tl", "--samples", "5"], 0),
+    (["verify", "--suite", "reduction", "--samples", "5"], 0),
     (["--version"], 0),
     (["reduce", "--random", "5"], 0),
     (["reduce", "--thetas", "0,0.7854,0.7854"], 0),

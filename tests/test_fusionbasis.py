@@ -35,7 +35,7 @@ from ybekit.threebody import (
     random_constrained_triple,
 )
 
-from reference import _two_pair_state_loop
+from reference import _two_pair_state_loop, _type2_basis_phase_general
 
 outer = st.floats(min_value=-1.3, max_value=1.3)
 
@@ -56,14 +56,17 @@ def test_type1_basis_orthonormal():
 
 
 def test_type2_basis_orthonormal():
-    basis = fusion_basis_type2(0.0)
+    basis = fusion_basis_type2()
     assert _gram_deviation(basis) < 1e-13
-    assert basis.correction_norm == 0.0
 
 
-def test_type2_basis_reorthogonalizes_off_zero_phase():
-    basis = fusion_basis_type2(0.7)
-    assert _gram_deviation(basis) < 1e-12
+def test_type2_basis_is_the_phase_general_construction_at_phase_0():
+    """At phase 0 the general construction needs no re-orthogonalization,
+    and the fixed-phase basis has its bits."""
+    e1, e2, correction = _type2_basis_phase_general(0.0)
+    basis = fusion_basis_type2()
+    assert correction == 0.0
+    assert (basis.e1.tobytes(), basis.e2.tobytes()) == (e1.tobytes(), e2.tobytes())
 
 
 def test_two_pair_state_requires_cover():
@@ -103,7 +106,7 @@ def test_type1_tl_action_on_basis():
 
 
 def test_type2_tl_action_on_basis():
-    basis = fusion_basis_type2(0.0)
+    basis = fusion_basis_type2()
     t1 = lift_two_site(tl_type2_local(0.0), 1, 4)
     t2 = lift_two_site(tl_type2_local(0.0), 2, 4)
     sqrt2 = np.sqrt(2.0)
@@ -115,17 +118,17 @@ def test_type2_tl_action_on_basis():
 
 
 def test_reduce_identity():
-    assert norm_inf(reduce_operator(np.eye(16), fusion_basis_type2(0.0)) - np.eye(2)) < 1e-14
+    assert norm_inf(reduce_operator(np.eye(16), fusion_basis_type2()) - np.eye(2)) < 1e-14
 
 
 def test_reduce_bell_braid_generator_one():
-    reduced = reduce_operator(lift_two_site(bell_braid(0.0), 1, 4), fusion_basis_type2(0.0))
+    reduced = reduce_operator(lift_two_site(bell_braid(0.0), 1, 4), fusion_basis_type2())
     expected = np.exp(-1j * np.pi / 4) * np.diag([1.0, 1j])
     assert norm_inf(reduced - expected) < 1e-13
 
 
 def test_reduce_bell_braid_generator_two():
-    reduced = reduce_operator(lift_two_site(bell_braid(0.0), 2, 4), fusion_basis_type2(0.0))
+    reduced = reduce_operator(lift_two_site(bell_braid(0.0), 2, 4), fusion_basis_type2())
     expected = np.array([[1, -1j], [-1j, 1]], dtype=complex) / np.sqrt(2.0)
     assert norm_inf(reduced - expected) < 1e-13
 
@@ -138,7 +141,7 @@ def test_reduce_permutation_generator_two():
 
 def test_every_bundled_generator_preserves_span():
     type1 = fusion_basis_type1()
-    type2 = fusion_basis_type2(0.0)
+    type2 = fusion_basis_type2()
     for pos in (1, 2, 3):
         reduce_operator(lift_two_site(tl_type1_local(), pos, 4), type1, tol=1e-12)
         reduce_operator(lift_two_site(permutation_matrix(), pos, 4), type1, tol=1e-12)
@@ -147,7 +150,7 @@ def test_every_bundled_generator_preserves_span():
 
 
 def test_reduction_is_multiplicative():
-    basis = fusion_basis_type2(0.0)
+    basis = fusion_basis_type2()
     b1 = lift_two_site(bell_braid(0.0), 1, 4)
     b2 = lift_two_site(bell_braid(0.0), 2, 4)
     lhs = reduce_operator(b1 @ b2, basis)
@@ -156,12 +159,12 @@ def test_reduction_is_multiplicative():
 
 
 def test_reduced_tl_generators_satisfy_relations():
-    basis = fusion_basis_type2(0.0)
+    basis = fusion_basis_type2()
     gens = tuple(
         reduce_operator(lift_two_site(tl_type2_local(0.0), pos, 4), basis)
         for pos in (1, 2, 3)
     )
-    rep = TLRep(4, gens, np.sqrt(2.0))
+    rep = TLRep(gens, np.sqrt(2.0))
     assert max(check_tl_relations(rep).values()) < 1e-12
 
     basis1 = fusion_basis_type1()
@@ -169,7 +172,7 @@ def test_reduced_tl_generators_satisfy_relations():
         reduce_operator(lift_two_site(tl_type1_local(), pos, 4), basis1)
         for pos in (1, 2, 3)
     )
-    rep1 = TLRep(4, gens1, 2.0)
+    rep1 = TLRep(gens1, 2.0)
     assert max(check_tl_relations(rep1).values()) < 1e-12
 
 
@@ -178,7 +181,7 @@ def test_reduce_flags_leaking_operator():
     op = np.zeros((16, 16), dtype=complex)
     op[0, 0] = 1.0
     with pytest.raises(LeakageError) as err:
-        reduce_operator(op, fusion_basis_type2(0.0), tol=1e-10)
+        reduce_operator(op, fusion_basis_type2(), tol=1e-10)
     assert err.value.leakage > 1e-3
 
 
@@ -208,7 +211,7 @@ def test_reduction_equals_conjugated_closed_form_exactly(t1, t3):
 
     triple = constrained_triple(t1, t3)
     reduced = reduce_operator(
-        embed_three_body(product_form(triple)), fusion_basis_type2(0.0)
+        embed_three_body(product_form(triple)), fusion_basis_type2()
     )
     target = fusion_form(angles_to_params(triple))
     assert norm_inf(reduced - target.conj()) < 1e-12
