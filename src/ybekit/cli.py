@@ -26,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-from . import __version__
+from . import __version__, floattext
 from .checks import SUITES, random_reduction, worst
 from .entanglement import classify_slocc, entanglement_report
 from .fusionbasis import LeakageError, reduce_three_body
@@ -181,76 +181,44 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
 
 
-def _reused_strings(values: np.ndarray, render) -> np.ndarray | None:
-    """One string per value of ``values`` in flat order, as an object
-    array, with ``render`` (floats to strings) called once over the
-    distinct floats and each string reused wherever its value repeats; or
-    None when more than 2/3 of the values are distinct, where the lookups
-    cost about what the formatting they save does.  Values are keyed by bit
-    pattern, which keeps -0.0 and 0.0 apart.  A sort and count decides
-    before any lookup is built."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
-    ordered = np.sort(bits)
-    if 3 * (np.count_nonzero(ordered[1:] != ordered[:-1]) + 1) > 2 * bits.size:
-        return None
-    distinct, where = np.unique(bits, return_inverse=True)
-    return np.array(render(distinct.view(np.float64).tolist()), dtype=object)[where]
-
-
-def _fmt_floats(xs: list[float], spec: str = "%.17g") -> list[str]:
-    """``spec % x`` for each float, in one ``%`` pass; by default
-    :func:`fmt` of each."""
-    return ((spec + "\0") * len(xs) % tuple(xs)).split("\0")[:-1]
-
-
-def _json_floats(xs: list[float]) -> list[str]:
-    """Each float as ``json.dumps`` renders it inside an array."""
-    return json.dumps(xs, separators=(",", ":"))[1:-1].split(",")
-
-
 def _csv_mesh(coords: dict[str, np.ndarray], values: np.ndarray) -> str:
     """CSV of a landscape sampled on the ``ij`` mesh of ``coords`` (axis
     name to points, in axis order): a row per value, in flat order, of its
     axis coordinates and the value, each cell as :func:`fmt` renders it.
 
-    The cells form one table over the mesh, joined in one pass.  Each axis
-    point is formatted once and its cell broadcast along the other axes.
-    When enough values repeat, each distinct one is formatted once
-    (:func:`_reused_strings`); otherwise every value cell is ``%.17g``,
-    filled by one ``%`` pass over the joined text."""
-    strings = _reused_strings(values, functools.partial(_fmt_floats, spec="%.17g\n"))
-    table = np.empty((*values.shape, values.ndim + 1), dtype=object)
-    for k, points in enumerate(coords.values()):
-        shape = [1] * values.ndim
-        shape[k] = -1
-        cells = np.array(_fmt_floats(points.tolist(), "%.17g,"), dtype=object)
-        table[..., k] = cells.reshape(shape)
-    table[..., -1] = "%.17g\n" if strings is None else strings.reshape(values.shape)
-    text = "".join(table.reshape(-1).tolist())
-    if strings is None:
-        text %= tuple(values.reshape(-1).tolist())
-    return ",".join([*coords, "value"]) + "\n" + text
+    Each axis point is rendered once; a block of rows at a time gathers
+    the coordinate cells of its rows beside its rendered values."""
+    points = [floattext.cells(axis) for axis in coords.values()]
+    flat = values.reshape(-1)
+    ends = b"," * len(points) + b"\n"
+    text = [",".join([*coords, "value"]) + "\n"]
+    for start in range(0, flat.size, floattext.BLOCK):
+        block = flat[start:start + floattext.BLOCK]
+        index = np.unravel_index(np.arange(start, start + block.size), values.shape)
+        columns = [np.take(cells, i, axis=0) for cells, i in zip(points, index)]
+        text.append(floattext.table_text([*columns, floattext.cells(block)], ends))
+    return "".join(text)
 
 
 def _json_text(fn: str, axes: list[AxisSpec], values: np.ndarray, meta: dict) -> str:
-    """The landscape JSON document, rendered by ``json.dumps``.  When
-    enough values repeat, ``json`` renders each distinct value once
-    (:func:`_reused_strings`) and the strings are spliced in as the
-    ``values`` array, which sorts last among the keys."""
-    strings = _reused_strings(values, _json_floats)
+    """The landscape JSON document as ``json.dumps`` renders it, with the
+    ``values`` array, which sorts last among the keys, rendered a block at
+    a time by :mod:`floattext` and spliced in."""
     payload = {
         "fn": fn,
         "axes": [
             {"name": a.name, "start": a.start, "stop": a.stop, "n": a.n} for a in axes
         ],
-        "values": values.reshape(-1).tolist() if strings is None else [],
+        "values": [],
         "meta": dict(meta, version=__version__),
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if strings is not None:
-        head, _, tail = text.rpartition('"values":[]')
-        text = f'{head}"values":[{",".join(strings.tolist())}]{tail}'
-    return text + "\n"
+    head, _, tail = json.dumps(payload, sort_keys=True, separators=(",", ":")).rpartition(
+        '"values":[]')
+    flat = values.reshape(-1)
+    blocks = (flat[start:start + floattext.BLOCK] for start in range(0, flat.size, floattext.BLOCK))
+    numbers = "".join(floattext.table_text([floattext.cells(block, shortest=True)], b",")
+                      for block in blocks)
+    return f'{head}"values":[{numbers[:-1]}]{tail}\n'
 
 
 def cmd_landscape(args) -> int:
@@ -549,6 +517,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_TOLERANCE
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError as exc:  # a grid or --coarse too large to allocate
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_USAGE
 
 

@@ -184,7 +184,6 @@ class RMatrixFamily:
     2x2 families (diagonal role, mixing role).
     """
 
-    dim: int
     additivity: str
     evaluators: tuple[Callable[[float], np.ndarray], ...]
 
@@ -200,7 +199,7 @@ class RMatrixFamily:
     def role_matrices(self, p: float) -> tuple[np.ndarray, np.ndarray]:
         """(R12, R23) at parameter p, lifted to the common checking space;
         array parameters give stacks."""
-        if self.dim == 4:
+        if len(self.evaluators) == 1:
             r = self.evaluators[0](p)
             return lift(r, right=2), lift(r, left=2)
         r12, r23 = self.evaluators
@@ -225,8 +224,8 @@ def check_ybe(family: RMatrixFamily, p1: float, p3: float) -> float:
 def bundled_families() -> dict[str, RMatrixFamily]:
     """The four solution families shipped with the package, by name."""
     return {
-        "type1_4x4": RMatrixFamily(4, "galilean", (type1_r_4x4,)),
-        "type2_4x4": RMatrixFamily(4, "lorentzian", (lambda t: type2_r_4x4(t, 0.0),)),
-        "type1_2x2": RMatrixFamily(2, "galilean", (type1_r1_2x2, type1_r2_2x2)),
-        "type2_2x2": RMatrixFamily(2, "lorentzian", (type2_r1_2x2, type2_r2_2x2)),
+        "type1_4x4": RMatrixFamily("galilean", (type1_r_4x4,)),
+        "type2_4x4": RMatrixFamily("lorentzian", (lambda t: type2_r_4x4(t, 0.0),)),
+        "type1_2x2": RMatrixFamily("galilean", (type1_r1_2x2, type1_r2_2x2)),
+        "type2_2x2": RMatrixFamily("lorentzian", (type2_r1_2x2, type2_r2_2x2)),
     }

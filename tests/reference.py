@@ -238,7 +238,7 @@ def scalar_ybe_parameters(family, rng, samples):
 
 def scalar_check_ybe(family, p1, p3):
     def roles(p):
-        if family.dim == 4:
+        if len(family.evaluators) == 1:
             r = family.evaluators[0](p)
             return kron(r, IDENTITY_2), kron(IDENTITY_2, r)
         return family.evaluators[0](p), family.evaluators[1](p)

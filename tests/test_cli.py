@@ -468,6 +468,28 @@ def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
     assert USAGE_ERRORS.get(" ".join(argv), "error") in err
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 298. GiB for an array with shape (200000, 200000) and data type "
+     "float64", "Unable to allocate 298. GiB"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("argv, target", [
+    (["landscape", "--fn", "l1_S3", "--eta", "0:1:200000", "--beta", "0:1:200000"], "sample"),
+    (["extrema", "--coarse", "200000"], "find_critical_points"),
+], ids=["landscape", "extrema"])
+def test_allocation_failure_is_usage_error(argv, target, message, shown, monkeypatch, capsys):
+    """A grid too large to allocate exits 2 with one error line, not 1 (the
+    tolerance code) with a traceback.  The failed allocation is simulated:
+    nothing here allocates the grid."""
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, target, refuse)
+    code, out, err = run_cli_streams(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {shown}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tag, axis", [(tag, axis) for tag in FUNCTIONS
                                        for axis in cli._axis_names()])
 def test_axis_flags_follow_the_registry(tag, axis, capsys):
@@ -611,10 +633,9 @@ FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow
 @st.composite
 def _column(draw, n, repeats):
     """``n`` floats, NaN and +-inf included, that repeat, drawn from a pool
-    of at most n // 3 (the writers reuse strings), or that are all distinct
-    bit patterns (the writers format every value).  A distinct column is
-    built, not filtered: a draw that repeats an earlier bit pattern takes
-    the next unused one, so no draw is rejected."""
+    of at most n // 3, or that are all distinct bit patterns.  A distinct
+    column is built, not filtered: a draw that repeats an earlier bit
+    pattern takes the next unused one, so no draw is rejected."""
     if repeats:
         pool = draw(st.lists(FLOATS, min_size=1, max_size=max(1, n // 3)))
         return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
@@ -625,10 +646,6 @@ def _column(draw, n, repeats):
             bits = (bits + 1) % 2 ** 64
         seen.append(bits)
     return np.array(seen, dtype=np.uint64).view(np.float64)
-
-
-def _reuses(values, render):
-    return cli._reused_strings(values, render) is not None
 
 
 def _mesh_case(data, constant, repeats):
@@ -652,26 +669,57 @@ def _mesh_case(data, constant, repeats):
 @given(data=st.data())
 def test_bulk_csv_matches_reference(repeats, constant, data):
     """The mesh writer gives the bytes of one %.17g pass over the columns of
-    the broadcast ``ij`` mesh, for sections, curves and grids, whether
-    values are formatted once per distinct value or not."""
+    the broadcast ``ij`` mesh, for sections, curves and grids of repeating
+    or distinct values."""
     coords, values = _mesh_case(data, constant, repeats)
     mesh = np.broadcast_arrays(*np.meshgrid(*coords.values(), indexing="ij", sparse=True))
     columns = {**dict(zip(coords, mesh)), "value": values}
-    if values.size >= 3:
-        assert _reuses(values, cli._fmt_floats) == repeats
     assert cli._csv_mesh(coords, values) == _csv_numbers_reference(columns)
 
 
 @pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])
 @given(data=st.data())
 def test_json_matches_reference(repeats, data):
-    """NaN and +-inf are rendered by json itself, one per distinct bit
-    pattern when values repeat."""
+    """Values, NaN and +-inf included, are rendered as json renders them,
+    and the splice of the values array is not misled by a meta string that
+    looks like it."""
     shape = data.draw(st.sampled_from([(40,), (3,), (5, 7), (9, 3)]))
     values = data.draw(_column(math.prod(shape), repeats)).reshape(shape)
     axes = [AxisSpec(name, 0.0, 1.0, k) for name, k in zip(("eta", "beta"), shape)]
     meta = {"seed": None, "tol": None, "section": '"values":[]'}
-    assert _reuses(values, cli._json_floats) == repeats
+    assert (cli._json_text("l1_S3", axes, values, meta)
+            == _json_text_reference("l1_S3", axes, values, meta))
+
+
+def _block_column(rng, n):
+    """``n`` seeded values: log-uniform over +-[1e-6, 1e17], with NaN,
+    +-inf, +-0, a subnormal and powers of two sprinkled in."""
+    values = np.exp(rng.uniform(math.log(1e-6), math.log(1e17), n)) * rng.choice([-1.0, 1.0], n)
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 0.5, 1.0]
+    values[rng.integers(0, n, 2 * len(specials))] = specials * 2
+    return values
+
+
+BLOCK = cli.floattext.BLOCK
+
+
+@pytest.mark.parametrize("shape", [
+    (BLOCK - 1,), (BLOCK,), (BLOCK + 1,),  # curves
+    (129, 131),  # a grid whose block boundary falls inside a row
+    (BLOCK + 5, 1), (1, BLOCK + 5),  # sections longer than a block
+], ids=str)
+def test_writers_across_blocks(shape):
+    """Both writers give the reference bytes when rows run over the block
+    boundary of the formatter, whose Hypothesis tests draw fewer values."""
+    rng = np.random.default_rng(sum(shape))
+    names = ("theta",) if len(shape) == 1 else ("eta", "beta")
+    coords = {name: _block_column(rng, k) for name, k in zip(names, shape)}
+    values = _block_column(rng, math.prod(shape)).reshape(shape)
+    mesh = np.broadcast_arrays(*np.meshgrid(*coords.values(), indexing="ij", sparse=True))
+    columns = {**dict(zip(coords, mesh)), "value": values}
+    assert cli._csv_mesh(coords, values) == _csv_numbers_reference(columns)
+    axes = [AxisSpec(name, 0.0, 1.0, k) for name, k in zip(names, shape) if k > 1]
+    meta = {"seed": None, "tol": None}
     assert (cli._json_text("l1_S3", axes, values, meta)
             == _json_text_reference("l1_S3", axes, values, meta))
 

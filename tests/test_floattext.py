@@ -1,0 +1,112 @@
+"""The vectorized formatter against Python's own: each cell must be
+``'%.17g' % x`` and each JSON number ``repr(x)`` (``NaN``, ``Infinity`` and
+``-Infinity`` as ``json`` writes them), byte for byte, on and off the fast
+path.  The suite turns a numpy RuntimeWarning into an error, so these also
+check that non-finite values are masked before any integer cast."""
+
+import json
+import math
+from decimal import Decimal
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from ybekit import floattext
+
+
+def _rendered(values, shortest):
+    """One line per value, as the formatter renders it."""
+    return floattext.table_text([floattext.cells(values, shortest)], b"\n")
+
+
+def _expected(values, shortest):
+    """One line per value: ``'%.17g' % x``, or ``repr(x)`` with json's
+    ``NaN`` and ``Infinity``, in one ``%`` pass when all are finite."""
+    xs = values.tolist()
+    if not shortest:
+        return ("%.17g\n" * len(xs)) % tuple(xs)
+    if np.isfinite(values).all():
+        return ("%r\n" * len(xs)) % tuple(xs)
+    return "".join((repr(x) if math.isfinite(x) else json.dumps(x)) + "\n" for x in xs)
+
+
+def _assert_exact(values):
+    values = np.asarray(values, dtype=np.float64)
+    for shortest in (False, True):
+        got, want = _rendered(values, shortest), _expected(values, shortest)
+        if got != want:
+            bad = [(x, g, w) for x, g, w in zip(values.tolist(), got.split("\n"),
+                                                  want.split("\n")) if g != w]
+            raise AssertionError(f"shortest={shortest}: (value, got, expected) {bad[:5]}")
+
+
+def _neighbours(xs, steps=2):
+    """Each of ``xs``, both signs, with its ``steps`` nearest doubles on
+    either side."""
+    out = []
+    for x in xs:
+        up = down = x
+        out.append(x)
+        for _ in range(steps):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+            out += [up, down]
+    return out + [-x for x in out]
+
+
+def _ties(per_exponent=100):
+    """Seeded doubles m / 2^j (m odd) in the fast range whose exact decimal
+    expansion m 5^j / 10^j has 18 significant digits, the last a 5, so
+    that 17 digits are a tie: %.17g rounds it half-to-even, and so does
+    repr where it needs 17 digits."""
+    rng = np.random.default_rng(5)
+    found = []
+    for j in range(3, 31):
+        low, high = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+        if low < high:
+            found += ((rng.integers(low, high, per_exponent) | 1) / 2.0 ** j).tolist()
+    return [x for x in found if 1e-4 <= x < 1e15 and len(Decimal(x).as_tuple().digits) == 18]
+
+
+HARD_CASES = (
+    _neighbours([10.0 ** k for k in range(-6, 18)])
+    + _neighbours([2.0 ** k for k in range(-16, 54)], steps=1)
+    + _neighbours([1e-4, 1e15, 9.999999999999999e14, 9.99999999999999e-5, 0.1, 0.3, 1 / 3, 2 / 3])
+    + _neighbours(_ties(), steps=0)
+    + [123456789012345.125, 123456789012345.375, 12345678901234.125, 0.5 + 2 ** -53]
+    # repr of 15 digits or fewer, and ones that round up to a power of ten
+    + [0.1 * k for k in range(1, 30)] + [1.5, 123.456, 0.000123, 99999.99999999999,
+                                         0.30000000000000004, 9.5, 0.95, 1e-4 * 3]
+    + [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931308623157e308,
+       math.nan, math.inf, -math.inf]
+)
+
+
+def test_hard_cases():
+    _assert_exact(HARD_CASES)
+    assert len(_ties()) > 1500
+
+
+def test_seeded_log_uniform_batch():
+    """A seeded batch of values log-uniform over +-[1e-6, 1e17], which
+    crosses both edges of the fast range."""
+    rng = np.random.default_rng(20240615)
+    n = 1 << 17
+    values = np.exp(rng.uniform(math.log(1e-6), math.log(1e17), n)) * rng.choice([-1.0, 1.0], n)
+    _assert_exact(values)
+
+
+FAST = st.floats(min_value=1e-4, max_value=1e15)
+
+
+@given(st.lists(st.floats() | FAST | FAST.map(lambda x: -x), max_size=50))
+def test_matches_python_on_any_double(xs):
+    """Any doubles: NaN, +-inf, +-0, subnormals and the fast range."""
+    _assert_exact(xs)
+
+
+def test_blocks_of_cells_are_padded_rows():
+    values = np.array([1.5, -0.25, math.nan])
+    table = floattext.cells(values)
+    assert table.shape == (3, floattext.WIDTH) and table.dtype == np.uint8
+    assert floattext.table_text([table, table[::-1]], b",\n") == "1.5,nan\n-0.25,-0.25\nnan,1.5\n"
+    assert floattext.table_text([floattext.cells(np.array([]))], b"\n") == ""

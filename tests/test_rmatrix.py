@@ -116,7 +116,7 @@ def test_lorentzian_middle_rejects_tan_pole():
 
 
 def test_unknown_additivity_rejected():
-    family = RMatrixFamily(4, "elliptic", (type1_r_4x4,))
+    family = RMatrixFamily("elliptic", (type1_r_4x4,))
     with pytest.raises(ValueError, match="additivity"):
         family.middle(0.1, 0.2)
 
