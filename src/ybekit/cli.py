@@ -297,10 +297,10 @@ def cmd_extrema(args) -> int:
     header = [*spec.axes, "value", "kind", "smooth"]
     rows = [[*map(fmt, p.location), fmt(p.value), p.kind, str(p.smooth).lower()]
             for p in points]
-    if spec.axes == ("eta", "beta"):  # the three-body landscapes: label each point's state
+    if spec.params is not None:  # a three-body landscape: label the state its map gives
         header.append("slocc_class")
         for row, p in zip(rows, points):
-            row.append(classify_slocc(state_from_params(ScatterParams(*p.location))))
+            row.append(classify_slocc(state_from_params(spec.params(*p.location))))
     if args.format == "json":
         text = _json_doc({"fn": args.fn, "points": [dict(zip(header, row)) for row in rows]},
                          coarse=args.coarse, tol=args.tol)

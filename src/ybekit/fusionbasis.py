@@ -76,9 +76,9 @@ def singlet_state() -> np.ndarray:
     return np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
-def phased_parallel_state(varphi: float = 0.0) -> np.ndarray:
-    """(|00> - i e^{-i varphi} |11>)/sqrt(2)."""
-    return np.array([1, 0, 0, -1j * np.exp(-1j * varphi)], dtype=complex) / np.sqrt(2)
+def phased_parallel_state() -> np.ndarray:
+    """(|00> - i |11>)/sqrt(2), the phased parallel pair at phase 0."""
+    return np.array([1, 0, 0, -1j], dtype=complex) / np.sqrt(2)
 
 
 def phased_antiparallel_state() -> np.ndarray:

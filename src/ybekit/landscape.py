@@ -18,17 +18,20 @@ non-smooth axes.
 
 Registering a function is one :data:`FUNCTIONS` entry: the ``ybekit
 landscape`` and ``extrema`` commands take one ``--NAME`` flag per axis
-that a registered function names.  Function tags:
+that a registered function names.  An entry is a measure composed with an
+optional coordinate map: the three-body functions map their axes to one
+broadcast :class:`ScatterParams` and measure it, and ``extrema`` labels
+the state at each point through the same map.  Function tags:
 
-==========  ===========  ===============================================
-tag         axes         value
-==========  ===========  ===============================================
-l1_S3       eta, beta    l1-norm of the 8x8 three-body matrix / its state
-l1_Sprime   eta, beta    l1-norm of the 2x2 fusion-space matrix
-vn_Sprime   eta, beta    entropy (bits) of the fusion-space amplitudes
-l1_wigner   theta        |cos| + |sin| of the spin-1/2 rotation matrix
-vn_xi       theta        entanglement entropy of the two-qubit output
-==========  ===========  ===============================================
+==========  ===========  =============  ================================================
+tag         axes         map            measure
+==========  ===========  =============  ================================================
+l1_S3       eta, beta    ScatterParams  l1-norm of the 8x8 three-body matrix / its state
+l1_Sprime   eta, beta    ScatterParams  l1-norm of the 2x2 fusion-space matrix
+vn_Sprime   eta, beta    ScatterParams  entropy (bits) of the fusion-space amplitudes
+l1_wigner   theta        none           |cos| + |sin| of the spin-1/2 rotation matrix
+vn_xi       theta        none           entanglement entropy of the two-qubit output
+==========  ===========  =============  ================================================
 """
 
 from __future__ import annotations
@@ -121,18 +124,6 @@ class CriticalPoint:
 # function registry
 # ---------------------------------------------------------------------------
 
-def _l1_s3(eta: float, beta: float) -> float:
-    return three_body_l1(ScatterParams(eta, beta))
-
-
-def _l1_sprime(eta: float, beta: float) -> float:
-    return fusion_l1(ScatterParams(eta, beta))
-
-
-def _vn_sprime(eta: float, beta: float) -> float:
-    return fusion_entropy(ScatterParams(eta, beta))
-
-
 def _l1_wigner(theta: float) -> float:
     return wigner_l1(wigner_d_half(theta, 0.0))
 
@@ -144,27 +135,34 @@ def _vn_xi(theta: float) -> float:
 
 @dataclass(frozen=True)
 class LandscapeFunction:
-    """A landscape: ``fn`` takes one broadcast array per axis named in
-    ``axes``, and ``default_domain`` holds one (start, stop) per axis."""
+    """A landscape: the measure ``fn`` of ``params``, a map from one
+    broadcast array per axis named in ``axes`` to one :class:`ScatterParams`,
+    or of the axis arrays themselves where ``params`` is None.  Calling it
+    evaluates it.  ``default_domain`` holds one (start, stop) per axis."""
 
     tag: str
     axes: tuple[str, ...]
     fn: Callable[..., float]
     default_domain: tuple[tuple[float, float], ...]
+    params: Callable[..., ScatterParams] | None = None
+
+    def __call__(self, *coords):
+        return self.fn(*coords) if self.params is None else self.fn(self.params(*coords))
 
     @property
     def arity(self) -> int:
         return len(self.axes)
 
 
-_ETA_BETA = ("eta", "beta")
-_ETA_BETA_DOMAIN = ((0.0, 2.0 * math.pi), (-math.pi / 2, math.pi / 2))
+# the three-body functions: the (eta, beta) plane, mapped by the constructor
+_THREE_BODY = dict(axes=("eta", "beta"), params=ScatterParams,
+                   default_domain=((0.0, 2.0 * math.pi), (-math.pi / 2, math.pi / 2)))
 _THETA_DOMAIN = ((0.0, math.pi / 2),)
 
 FUNCTIONS: dict[str, LandscapeFunction] = {
-    "l1_S3": LandscapeFunction("l1_S3", _ETA_BETA, _l1_s3, _ETA_BETA_DOMAIN),
-    "l1_Sprime": LandscapeFunction("l1_Sprime", _ETA_BETA, _l1_sprime, _ETA_BETA_DOMAIN),
-    "vn_Sprime": LandscapeFunction("vn_Sprime", _ETA_BETA, _vn_sprime, _ETA_BETA_DOMAIN),
+    "l1_S3": LandscapeFunction("l1_S3", fn=three_body_l1, **_THREE_BODY),
+    "l1_Sprime": LandscapeFunction("l1_Sprime", fn=fusion_l1, **_THREE_BODY),
+    "vn_Sprime": LandscapeFunction("vn_Sprime", fn=fusion_entropy, **_THREE_BODY),
     "l1_wigner": LandscapeFunction("l1_wigner", ("theta",), _l1_wigner, _THETA_DOMAIN),
     "vn_xi": LandscapeFunction("vn_xi", ("theta",), _vn_xi, _THETA_DOMAIN),
 }
@@ -179,15 +177,16 @@ def get_function(tag: str) -> LandscapeFunction:
 
 def sample(tag: str, axes: Sequence[AxisSpec]) -> np.ndarray:
     """Values of a landscape on the ``ij`` mesh of ``axes``, one axis per
-    axis of the function in its order: ``values[i, j] = fn(eta_i, beta_j)``
-    for a surface, shape ``(n,)`` for a curve.  A section is a surface with
-    a 1-point axis.  One kernel call over the sparse mesh computes each
-    per-axis factor on the axis points, with the bits of the dense mesh."""
+    axis of the function in its order: ``values[i, j]`` is the measure of
+    the mapped point (eta_i, beta_j) for a surface, shape ``(n,)`` for a
+    curve.  A section is a surface with a 1-point axis.  One call of the
+    landscape over the sparse mesh computes each per-axis factor on the
+    axis points, with the bits of the dense mesh."""
     spec = get_function(tag)
     names = tuple(axis.name for axis in axes)
     if names != spec.axes:
         raise ValueError(f"{tag} has axes {spec.axes}, got {names}")
-    values = spec.fn(*np.meshgrid(*(axis.points() for axis in axes), indexing="ij", sparse=True))
+    values = spec(*np.meshgrid(*(axis.points() for axis in axes), indexing="ij", sparse=True))
     if not np.all(np.isfinite(values)):
         raise ValueError("landscape contains non-finite values")
     return values
@@ -309,14 +308,13 @@ def find_critical_points(tag: str,
     axes = [AxisSpec(name, *(default if domain is None else domain), coarse_n)
             for name, domain, default in zip(spec.axes, domains, spec.default_domain)]
     grid = [axis.points() for axis in axes]
-    fn = spec.fn
     found = _scan(sample(tag, axes))
     coords, kinds = [x[i] for x, i in zip(grid, found)], found[len(axes):]
 
     def along(a: int):
-        """``fn`` of axis ``a``'s coordinate through the points ``coords``
+        """The landscape along axis ``a`` through the points ``coords``
         (optionally only through the points numbered ``k``)."""
-        return lambda u, k=slice(None): fn(*(u if b == a else c[k] for b, c in enumerate(coords)))
+        return lambda u, k=slice(None): spec(*(u if b == a else c[k] for b, c in enumerate(coords)))
 
     # Alternate full-width per-axis searches, re-centering each round; the
     # cross-coupling of the surfaces here is weak so three rounds converge,
@@ -325,7 +323,7 @@ def find_critical_points(tag: str,
         for a, axis in enumerate(axes):
             coords[a] = _shrink_bracket(along(a), coords[a] - axis.step, coords[a] + axis.step,
                                         kinds[a] == "max", refine_tol)
-    value = fn(*coords)
+    value = spec(*coords)
     # A coarse candidate can converge onto a line where one coordinate no
     # longer moves the value (constant rows at sin(eta) = 0).  Such points
     # are degenerate, not extrema; drop them.

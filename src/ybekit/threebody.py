@@ -67,11 +67,12 @@ class ConstraintViolation(ValueError):
 
 @dataclass(frozen=True)
 class ScatterParams:
-    """The two free parameters of the three-body matrix, canonicalized to
-    eta in [0, 2*pi) and beta in [-pi, pi).
+    """The two free parameters of the three-body matrix, stored as given:
+    only :meth:`canonical` wraps them to eta in [0, 2*pi) and beta in
+    [-pi, pi).
 
-    The fields may also be broadcast arrays; the landscape kernels pass
-    whole grids through one instance."""
+    The fields may also be broadcast arrays; the landscape maps pass whole
+    raw grids through one instance."""
 
     eta: float
     beta: float
@@ -111,9 +112,6 @@ class AngleTriple:
             first = tuple(float(np.broadcast_to(t, np.shape(res)).flat[k])
                           for t in (self.t1, self.t2, self.t3))
             raise ConstraintViolation(first, float(np.ravel(res)[k]), tol)
-
-    def negated(self) -> "AngleTriple":
-        return AngleTriple(-self.t1, -self.t2, -self.t3)
 
 
 def _lib(*angles):

@@ -11,7 +11,7 @@ import numpy as np
 
 from ybekit import __version__, checks
 from ybekit.fusionbasis import (embed_three_body, fusion_basis_type2, phased_antiparallel_state,
-                                phased_parallel_state, reduce_operator)
+                                reduce_operator)
 from ybekit.landscape import (LOCAL_MAX, LOCAL_MIN, PLATEAU_TOL, AxisSpec, CriticalPoint,
                               _classify, _scan, get_function, sample)
 from ybekit.rmatrix import bundled_families, type2_r_4x4
@@ -43,11 +43,17 @@ def _two_pair_state_loop(pair_a, state_a, pair_b, state_b):
     return out
 
 
+def _phased_parallel_state(varphi):
+    """(|00> - i e^{-i varphi} |11>)/sqrt(2): the phased parallel pair at any
+    phase; at phase 0 it has the bits of ``phased_parallel_state()``."""
+    return np.array([1, 0, 0, -1j * np.exp(-1j * varphi)], dtype=complex) / np.sqrt(2)
+
+
 def _type2_basis_phase_general(varphi):
     """The type-II pair (e1, e2) at any phase, and the norm of the
     correction to e2: the defining combination is re-orthogonalized
     against e1 where it is not orthonormal to 1e-13."""
-    par, anti = phased_parallel_state(varphi), phased_antiparallel_state()
+    par, anti = _phased_parallel_state(varphi), phased_antiparallel_state()
     e1 = (_two_pair_state_loop((1, 2), par, (3, 4), par)
           + _two_pair_state_loop((1, 2), anti, (3, 4), anti)) / np.sqrt(2.0)
     e2 = ((1.0 + np.exp(1j * varphi)) * _two_pair_state_loop((2, 3), par, (4, 1), par)
@@ -83,16 +89,16 @@ def _json_text_reference(fn, axes, values, meta):
 # landscape sampling: a surface on the dense ij meshgrid, a section, a curve
 
 def _meshgrid_reference(tag, axes):
-    return get_function(tag).fn(*np.meshgrid(*(a.points() for a in axes), indexing="ij"))
+    return get_function(tag)(*np.meshgrid(*(a.points() for a in axes), indexing="ij"))
 
 
 def _section_reference(tag, fixed_axis, fixed_value, axis):
-    fn, xs = get_function(tag).fn, axis.points()
+    fn, xs = get_function(tag), axis.points()
     return fn(xs, fixed_value) if fixed_axis == "beta" else fn(fixed_value, xs)
 
 
 def _sample_curve_reference(tag, axis):
-    return get_function(tag).fn(axis.points())
+    return get_function(tag)(axis.points())
 
 
 # the coarse scan, one node at a time
@@ -203,7 +209,7 @@ def _points_loop(tag, domain, coarse_n):
     spec = get_function(tag)
     axes = [AxisSpec(name, lo, hi, coarse_n)
             for name, (lo, hi) in zip(spec.axes, domain or spec.default_domain)]
-    fn, grid = spec.fn, sample(tag, axes)
+    fn, grid = spec, sample(tag, axes)
     if spec.arity == 2:
         etas, betas = axes[0].points(), axes[1].points()
         refined = (

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ybekit import checks, cli
+from ybekit.entanglement import three_body_l1
 from ybekit.landscape import FUNCTIONS, AxisSpec, LandscapeFunction
+from ybekit.threebody import ScatterParams
 
 from reference import _csv_numbers_reference, _json_text_reference
 
@@ -506,10 +508,15 @@ def test_axis_flags_follow_the_registry(tag, axis, capsys):
 
 def test_registered_function_gets_its_axis_flags(monkeypatch, capsys):
     """One registry entry over new axes is all that ``landscape`` and
-    ``extrema`` need; only (eta, beta) points are labelled with a state."""
+    ``extrema`` need; the points of an entry with a ``params`` map, whatever
+    its axes, are labelled with the state that map gives, and no others."""
     paraboloid = LandscapeFunction("X", ("u", "v"), lambda u, v: (u - 0.3) ** 2 + (v + 0.2) ** 2,
                                    ((-1.0, 1.0), (-1.0, 1.0)))
+    swapped = LandscapeFunction("Y", ("b", "e"), three_body_l1,
+                                tuple(reversed(FUNCTIONS["l1_S3"].default_domain)),
+                                params=lambda b, e: ScatterParams(e, b))
     monkeypatch.setitem(FUNCTIONS, "X", paraboloid)
+    monkeypatch.setitem(FUNCTIONS, "Y", swapped)
     monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
     code, out, _ = run_cli_streams(["landscape", "--fn", "X", "--u", "-1:1:3", "--v", "-1:1:3"],
                                    capsys)
@@ -528,6 +535,18 @@ def test_registered_function_gets_its_axis_flags(monkeypatch, capsys):
     assert header == ["u", "v", "value", "kind", "smooth"]
     assert [(round(float(u), 6), round(float(v), 6), kind) for u, v, _, kind, _ in rows] \
         == [(0.3, -0.2, "local-min")]
+    labels = {}
+    for tag in ("l1_S3", "Y"):
+        code, out, _ = run_cli_streams(["extrema", "--fn", tag, "--coarse", "41"], capsys)
+        assert code == 0
+        header, rows = _csv_rows(out)
+        assert header == [*FUNCTIONS[tag].axes, "value", "kind", "smooth", "slocc_class"]
+        labels[tag] = [(float(x), float(y), kind, label) for x, y, _, kind, _, label in rows]
+    assert {label for *_, label in labels["l1_S3"]} >= {"GHZ-class", "W-class"}
+    assert len(labels["Y"]) == len(labels["l1_S3"])
+    for b, e, kind, label in labels["Y"]:
+        assert [(k, lab) for eta, beta, k, lab in labels["l1_S3"]
+                if abs(eta - e) < 1e-6 and abs(beta - b) < 1e-6] == [(kind, label)], (b, e)
 
 
 @pytest.mark.parametrize("argv", ["verify --suite tl --tol 0", "state --thetas 0,0,0 --tol 0",

@@ -20,7 +20,6 @@ from ybekit.fusionbasis import (
     fusion_basis_type1,
     fusion_basis_type2,
     phased_antiparallel_state,
-    phased_parallel_state,
     reduce_operator,
     singlet_state,
     two_pair_state,
@@ -35,7 +34,7 @@ from ybekit.threebody import (
     random_constrained_triple,
 )
 
-from reference import _two_pair_state_loop, _type2_basis_phase_general
+from reference import _phased_parallel_state, _two_pair_state_loop, _type2_basis_phase_general
 
 outer = st.floats(min_value=-1.3, max_value=1.3)
 
@@ -77,7 +76,7 @@ def test_two_pair_state_requires_cover():
 
 # the bundled pair states, the phased parallel one at 22 phases, 0 and 0.7 included
 PAIR_STATES = [singlet_state(), phased_antiparallel_state(),
-               *(phased_parallel_state(v) for v in [*np.linspace(-np.pi, np.pi, 21), 0.7])]
+               *(_phased_parallel_state(v) for v in [*np.linspace(-np.pi, np.pi, 21), 0.7])]
 
 
 def test_two_pair_state_is_bit_equal_to_the_retired_loop():
@@ -216,5 +215,5 @@ def test_reduction_equals_conjugated_closed_form_exactly(t1, t3):
     target = fusion_form(angles_to_params(triple))
     assert norm_inf(reduced - target.conj()) < 1e-12
     # equivalently: the reduction evaluates the closed form on the negated triple
-    mirrored = fusion_form(angles_to_params(triple.negated()))
+    mirrored = fusion_form(angles_to_params(AngleTriple(-triple.t1, -triple.t2, -triple.t3)))
     assert norm_inf(reduced - mirrored) < 1e-12

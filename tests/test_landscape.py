@@ -146,8 +146,8 @@ def test_sample_rejects_non_finite_values(tag, axes, monkeypatch):
     """Curves and sections are checked as surfaces are."""
     spec = get_function(tag)
 
-    def nan_in_the_middle(*coords):
-        values = spec.fn(*coords).copy()
+    def nan_in_the_middle(*args):
+        values = spec.fn(*args).copy()
         values.flat[values.size // 2] = math.nan
         return values
 
@@ -186,7 +186,7 @@ def test_section_single_point():
 
 @given(etas, betas)
 def test_l1_surface_reflection_symmetries(eta, beta):
-    fn = get_function("l1_S3").fn
+    fn = get_function("l1_S3")
     assert abs(fn(eta, beta) - fn(-eta, beta)) < 1e-12
     assert abs(fn(eta, beta) - fn(eta + math.pi, beta)) < 1e-12
 
@@ -257,7 +257,7 @@ def test_flat_rows_do_not_produce_points():
 def test_refined_points_consistent_with_neighbors():
     # each reported point must beat (or sit under) its refined neighborhood
     # in the pattern its kind claims
-    fn = get_function("l1_S3").fn
+    fn = get_function("l1_S3")
     h = 1e-6
     for p in find_critical_points("l1_S3", coarse_n=150):
         x, y = p.location
@@ -306,7 +306,7 @@ def _kernel_inputs(spec):
 def test_kernel_matches_dense_oracle(tag):
     spec = get_function(tag)
     coords = _kernel_inputs(spec)
-    values = spec.fn(*coords)
+    values = spec(*coords)
     for idx in np.ndindex(values.shape):
         point = [float(c[idx]) for c in coords]
         assert abs(values[idx] - _dense_oracle(tag, *point)) < 1e-13, point
@@ -318,8 +318,8 @@ def test_kernel_array_call_is_bit_equal_to_float_calls(tag):
     with floats; both must give the same bits."""
     spec = get_function(tag)
     coords = _kernel_inputs(spec)
-    values = spec.fn(*coords)
-    pointwise = np.array([spec.fn(*(float(c[idx]) for c in coords))
+    values = spec(*coords)
+    pointwise = np.array([spec(*(float(c[idx]) for c in coords))
                           for idx in np.ndindex(values.shape)])
     assert values.tobytes() == pointwise.reshape(values.shape).tobytes()
 
@@ -394,7 +394,7 @@ def test_lockstep_brackets_stop_on_their_own():
     tolerance.  Each must end where its own float search ends."""
     axis = AxisSpec("theta", -3.0, 3.0, 777)
     centers = axis.points()[1:-1]
-    fn = get_function("l1_wigner").fn
+    fn = get_function("l1_wigner")
     rounded = (centers - axis.step, centers + axis.step)
     scales = np.geomspace(1e-9, 1.0, centers.size)
     cases = [
@@ -418,7 +418,7 @@ def test_brackets_below_float_spacing_stop(tol):
     centers = np.concatenate([np.geomspace(1e-3, 3.0, 40), -np.geomspace(1e-3, 3.0, 40)])
     lo, hi = centers - 1e-3, centers + 2e-3
     want_max = np.arange(centers.size) % 2 == 0
-    kernel = get_function("l1_wigner").fn
+    kernel = get_function("l1_wigner")
     loop = [_shrink_bracket_loop(kernel, a, b, m, tol) for a, b, m in zip(lo, hi, want_max)]
     stuck = [steps < 0 for _, steps in loop]
     assert any(stuck) and (tol == 0.0 or not all(stuck))
@@ -466,8 +466,8 @@ def test_finder_rejects_a_non_finite_coarse_node(tag, monkeypatch):
     spec = get_function(tag)
     calls = []
 
-    def nan_at_one_coarse_node(*coords):
-        values = spec.fn(*coords)
+    def nan_at_one_coarse_node(*args):
+        values = spec.fn(*args)
         if not calls:  # the first call samples the coarse grid
             values = values.copy()
             values.flat[values.size // 2] = math.nan
