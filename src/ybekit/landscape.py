@@ -4,10 +4,10 @@ Every function in the registry takes broadcast arrays.  :func:`sample`
 evaluates one on the ``ij`` mesh of one :class:`AxisSpec` per axis, in one
 kernel call: a surface over (eta, beta), a curve over theta, or a section,
 which is a surface with a 1-point axis at the fixed coordinate.  The
-critical-point finder takes its coarse grid from :func:`sample` and makes
-one call per step of its refinement, which moves all candidates in
-lockstep.  An array call gives the bits of the same call made one float at
-a time.
+critical-point finder takes its coarse grid from :func:`sample` and moves
+all candidates in lockstep, one call per refinement step at both trial
+points of every candidate still searching.  An array call gives the bits
+of the same call made one float at a time.
 
 The surfaces of interest are built from absolute values of trigonometric
 functions, so some extrema sit on V-shaped kinks where derivative-based
@@ -79,8 +79,9 @@ class AxisSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"axis {self.name} needs at least 1 sample, got {self.n}")
-        if not math.isfinite(self.start) or not math.isfinite(self.stop):
-            raise ValueError(f"axis {self.name} has non-finite bounds")
+        if not math.isfinite(self.stop - self.start):  # as it is for an inf or nan bound
+            raise ValueError(f"axis {self.name} needs finite bounds and a finite width "
+                             f"stop - start, got [{self.start}, {self.stop}]")
         if self.n == 1:
             if self.stop != self.start:
                 raise ValueError(f"axis {self.name}: a 1-point axis needs start == stop")
@@ -198,7 +199,7 @@ def sample(tag: str, axes: Sequence[AxisSpec]) -> np.ndarray:
 
 def _axis_kind(center, lo, hi) -> np.ndarray:
     """Per-axis behavior with a tie tolerance, elementwise over broadcast
-    arrays: "max", "min", or "" for neither.
+    arrays: ``int8`` 1 for a max, -1 for a min, 0 for neither.
 
     An extremum of a symmetric curve can land exactly between two grid
     nodes, leaving two equal-to-rounding samples at the top; such a point
@@ -208,7 +209,7 @@ def _axis_kind(center, lo, hi) -> np.ndarray:
     low, high = np.minimum(lo, hi), np.maximum(lo, hi)
     is_max = (center > low + PLATEAU_TOL) & (center >= high - PLATEAU_TOL)
     is_min = (center < high - PLATEAU_TOL) & (center <= low + PLATEAU_TOL)
-    return np.where(is_max, "max", np.where(is_min, "min", ""))
+    return is_max.astype(np.int8) - is_min
 
 
 def _shrink_bracket(fn1d: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -218,8 +219,8 @@ def _shrink_bracket(fn1d: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bracket [lo, hi], all brackets in lockstep.
 
     ``fn1d(u, k)`` evaluates the sections numbered ``k`` at the points
-    ``u``; each step calls it once at ``a`` and once at ``b`` for every
-    bracket still wider than ``tol``.  Rounding of ``hi - lo`` can give two
+    ``u``; each step calls it once, at ``a`` and ``b`` of every bracket
+    still wider than ``tol`` together.  Rounding of ``hi - lo`` can give two
     brackets of one nominal width different step counts, so each bracket
     stops on its own, after the float steps a search of its own would take.
     A bracket also stops once a step leaves both its ends as they were:
@@ -232,9 +233,9 @@ def _shrink_bracket(fn1d: Callable[[np.ndarray, np.ndarray], np.ndarray],
     while k.size:
         lo_k, hi_k = lo[k], hi[k]
         third = (hi_k - lo_k) / 3.0
-        a = lo_k + third
-        b = hi_k - third
-        up = sign[k] * fn1d(a, k) < sign[k] * fn1d(b, k)
+        a, b = lo_k + third, hi_k - third
+        f = fn1d(np.concatenate([a, b]), np.concatenate([k, k]))
+        up = sign[k] * f[:k.size] < sign[k] * f[k.size:]
         moved = np.where(up, a != lo_k, b != hi_k)
         lo[k[up]] = a[up]
         hi[k[~up]] = b[~up]
@@ -307,9 +308,8 @@ def find_critical_points(tag: str,
         raise ValueError(f"refinement tolerance must be positive, got {refine_tol!r}")
     axes = [AxisSpec(name, *(default if domain is None else domain), coarse_n)
             for name, domain, default in zip(spec.axes, domains, spec.default_domain)]
-    grid = [axis.points() for axis in axes]
     found = _scan(sample(tag, axes))
-    coords, kinds = [x[i] for x, i in zip(grid, found)], found[len(axes):]
+    coords, kinds = [axis.points()[i] for axis, i in zip(axes, found)], found[len(axes):]
 
     def along(a: int):
         """The landscape along axis ``a`` through the points ``coords``
@@ -338,33 +338,33 @@ def find_critical_points(tag: str,
 
 def _scan(vals: np.ndarray) -> tuple:
     """Coarse candidates of a sampled landscape in row-major order: their
-    grid indices, one array per axis, then their kinds along each axis.
+    grid indices, one array per axis, then their "max" or "min" kinds along
+    each axis.
 
-    The neighbors of the interior nodes are shifted views of the grid.  A
-    node must be a max or a min along every axis; the tie tolerance of
-    :func:`_axis_kind` already drops nodes on a plateau.  A max (min) along
-    every axis must also beat (undercut) the diagonal neighbors, those one
-    step off on two axes or more, folded in one at a time so that no stack
-    of grid-sized arrays is held; a curve has none.
+    A node must be a max or a min along every axis; the tie tolerance of
+    :func:`_axis_kind` already drops nodes on a plateau.  Axis 0 is tested
+    over the whole interior, on shifted views of the grid; the other axes
+    and the diagonal neighbors, those one step off on two axes or more,
+    only at the nodes extreme along axis 0.  A max (min) along every axis
+    must also beat (undercut) its diagonal neighbors; a curve has none.
     """
-    def shifted(offset) -> np.ndarray:
-        return vals[tuple(slice(1 + d, n - 1 + d) for d, n in zip(offset, vals.shape))]
+    core = vals[(slice(None), *(slice(1, -1) for _ in vals.shape[1:]))]
+    first = _axis_kind(core[1:-1], core[:-2], core[2:])
+    nodes = [i + 1 for i in np.nonzero(first)]
 
-    center = shifted((0,) * vals.ndim)
-    kinds = [_axis_kind(center, shifted(-unit), shifted(unit))
-             for unit in np.eye(vals.ndim, dtype=int)]
-    above_diag = np.ones(center.shape, dtype=bool)
-    below_diag = np.ones(center.shape, dtype=bool)
-    for offset in itertools.product((-1, 0, 1), repeat=vals.ndim):
-        if np.count_nonzero(offset) >= 2:
-            neighbor = shifted(offset)
-            above_diag &= center > neighbor - PLATEAU_TOL
-            below_diag &= center < neighbor + PLATEAU_TOL
-    keep = np.logical_and.reduce([kind != "" for kind in kinds])
-    mixed = np.logical_or.reduce([kind != kinds[0] for kind in kinds])
-    keep &= mixed | np.where(kinds[0] == "max", above_diag, below_diag)
-    index = np.nonzero(keep)
-    return (*(i + 1 for i in index), *(kind[index] for kind in kinds))
+    def at(offset) -> np.ndarray:
+        return vals[tuple(i + d for i, d in zip(nodes, offset))]
+
+    center = at((0,) * vals.ndim)
+    kinds = [first[first != 0], *(_axis_kind(center, at(-unit), at(unit))
+                                      for unit in np.eye(vals.ndim, dtype=int)[1:])]
+    diag = [at(offset) for offset in itertools.product((-1, 0, 1), repeat=vals.ndim)
+            if np.count_nonzero(offset) >= 2]
+    above_diag = np.all([center > d - PLATEAU_TOL for d in diag], axis=0)
+    below_diag = np.all([center < d + PLATEAU_TOL for d in diag], axis=0)
+    mixed = np.any([kind != kinds[0] for kind in kinds], axis=0)
+    keep = np.all(kinds, axis=0) & (mixed | np.where(kinds[0] > 0, above_diag, below_diag))
+    return (*(i[keep] for i in nodes), *(np.where(kind[keep] > 0, "max", "min") for kind in kinds))
 
 
 def _dedupe(points: list[CriticalPoint], tol: float) -> list[CriticalPoint]:

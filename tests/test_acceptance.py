@@ -155,8 +155,8 @@ def find_critical_points_1d_section():
     vals = [fn(x) for x in xs]
     out = []
     for i in range(1, axis.n - 1):
-        kind = str(_axis_kind(vals[i], vals[i - 1], vals[i + 1]))
-        if not kind:
+        kind = {1: "max", -1: "min"}.get(int(_axis_kind(vals[i], vals[i - 1], vals[i + 1])))
+        if kind is None:
             continue
         (x,) = _shrink_bracket(lambda u, k: np.vectorize(fn)(u), [xs[i] - axis.step],
                                [xs[i] + axis.step], [kind == "max"], 1e-9)

@@ -6,6 +6,7 @@ import stat
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -468,6 +469,22 @@ def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
     code, _, err = run_cli_streams(argv, capsys)
     assert code == 2
     assert USAGE_ERRORS.get(" ".join(argv), "error") in err
+
+
+@pytest.mark.parametrize("argv, axis", [
+    (["landscape", "--fn", "l1_S3", "--eta", "-1e308:1e308:3", "--beta", "0:1:3"], "eta"),
+    (["extrema", "--fn", "l1_wigner", "--theta", "-1e308:1e308"], "theta"),
+], ids=["landscape", "extrema"])
+def test_axis_whose_width_overflows_is_usage_error(argv, axis, capsys):
+    """Finite bounds whose difference overflows name the axis and exit 2,
+    before anything is sampled, so numpy warns of no overflow."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli_streams(argv, capsys)
+    assert [str(w.message) for w in caught] == []
+    assert code == 2 and out == ""
+    assert err == (f"error: axis {axis} needs finite bounds and a finite width stop - start, "
+                   f"got [-1e+308, 1e+308]\n")
 
 
 @pytest.mark.parametrize("message, shown", [

@@ -46,6 +46,9 @@ def test_axis_spec_validation():
         AxisSpec("eta", 0.0, -1.0, 10)
     with pytest.raises(ValueError):
         AxisSpec("eta", 0.0, float("nan"), 10)
+    with pytest.raises(ValueError, match="axis eta needs finite bounds and a finite width"):
+        AxisSpec("eta", -1e308, 1e308, 10)
+    assert AxisSpec("eta", -8e307, 8e307, 3).step == 8e307
     single = AxisSpec("eta", 0.5, 0.5, 1)
     assert single.points().tolist() == [0.5]
     # a section at -0.0 keeps its sign, which np.linspace(-0.0, -0.0, 1) drops
@@ -354,13 +357,18 @@ def _scan_grids():
         levels + rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=levels.shape) * PLATEAU_TOL,
         rng.normal(size=(30, 50)),
         sample("l1_S3", [AxisSpec("eta", 0.0, TWO_PI, 120), AxisSpec("beta", -1.6, 1.6, 90)]),
+        # every interior node is extreme along axis 0; transposed, about 2/3 are
+        (-1.0) ** np.arange(37)[:, None] + 1e-3 * rng.uniform(-1.0, 1.0, size=(37, 41)),
     ]
 
 
-@pytest.mark.parametrize("case", range(4), ids=["levels", "ties", "noise", "l1_S3"])
+@pytest.mark.parametrize("case", range(5), ids=["levels", "ties", "noise", "l1_S3", "alternating"])
 def test_array_scans_match_the_per_node_loop(case):
+    """A scan may treat its axes differently, so each grid is also
+    scanned transposed."""
     vals = _scan_grids()[case]
-    assert list(zip(*_scan(vals))) == _scan_2d_loop(vals)
+    for grid in (vals, vals.T):
+        assert list(zip(*_scan(grid))) == _scan_2d_loop(grid)
     for line in (*vals, *vals.T):
         assert list(zip(*_scan(line))) == _scan_1d_loop(line)
 
@@ -405,8 +413,12 @@ def test_lockstep_brackets_stop_on_their_own():
     for lo, hi, tol in cases:
         loop = [_shrink_bracket_loop(fn, a, b, m, tol) for a, b, m in zip(lo, hi, want_max)]
         assert len({steps for _, steps in loop}) > 1
-        lockstep = _shrink_bracket(lambda u, k: fn(u), lo, hi, want_max, tol)
+        sizes = []
+        lockstep = _shrink_bracket(lambda u, k: sizes.append(u.size) or fn(u), lo, hi, want_max, tol)
         assert np.array_equal(lockstep, [x for x, _ in loop])
+        # one kernel call per step, at both ends of every bracket still searching
+        steps = [abs(n) for _, n in loop]
+        assert (len(sizes), sum(sizes)) == (max(steps), 2 * sum(steps))
 
 
 @pytest.mark.parametrize("tol", [1e-16, 3e-16, 0.0])
@@ -425,12 +437,14 @@ def test_brackets_below_float_spacing_stop(tol):
     calls = []
 
     def fn(u, k):
-        calls.append(1)
+        calls.append(u.size)
         if len(calls) > 10000:
             raise RuntimeError("bracket search does not stop")
         return kernel(u)
 
     assert np.array_equal(_shrink_bracket(fn, lo, hi, want_max, tol), [x for x, _ in loop])
+    steps = [abs(n) for _, n in loop]
+    assert (len(calls), sum(calls)) == (max(steps), 2 * sum(steps))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
