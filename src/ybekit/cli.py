@@ -292,8 +292,7 @@ def _axes(args, spec, count: int | None = None) -> tuple[list[AxisSpec], AxisSpe
 def cmd_extrema(args) -> int:
     spec = get_function(args.fn)
     axes, _ = _axes(args, spec, args.coarse)
-    points = find_critical_points(args.fn, [(a.start, a.stop) for a in axes],
-                                  coarse_n=args.coarse, refine_tol=args.tol)
+    points = find_critical_points(args.fn, axes, refine_tol=args.tol)
     header = [*spec.axes, "value", "kind", "smooth"]
     rows = [[*map(fmt, p.location), fmt(p.value), p.kind, str(p.smooth).lower()]
             for p in points]

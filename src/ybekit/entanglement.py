@@ -79,20 +79,18 @@ def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
     return 0.0 - p * np.log2(p + (p == 0.0)) - q * np.log2(q + (q == 0.0))
 
 
-def von_neumann_entropy(psi: np.ndarray, keep: list[int], dims: list[int] | None = None) -> float:
-    """Entanglement entropy (bits) of a pure state across a bipartition.
+def von_neumann_entropy(psi: np.ndarray, keep: list[int]) -> float:
+    """Entanglement entropy (bits) of a pure state of qubits, their number
+    inferred from the state length, across a bipartition.
 
-    ``keep`` selects the subsystems of the reduced density matrix; ``dims``
-    defaults to qubits inferred from the state length.
+    ``keep`` selects the qubits of the reduced density matrix.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if dims is None:
-        n = int(round(math.log2(psi.size)))
-        if 2 ** n != psi.size:
-            raise ValueError(f"state length {psi.size} is not a power of two")
-        dims = [2] * n
+    n = int(round(math.log2(psi.size)))
+    if 2 ** n != psi.size:
+        raise ValueError(f"state length {psi.size} is not a power of two")
     rho = np.outer(psi, psi.conj())
-    reduced = partial_trace(rho, dims, keep)
+    reduced = partial_trace(rho, [2] * n, keep)
     evals = np.linalg.eigvalsh(reduced)
     out = 0.0
     for lam in evals:

@@ -4,10 +4,10 @@ Every function in the registry takes broadcast arrays.  :func:`sample`
 evaluates one on the ``ij`` mesh of one :class:`AxisSpec` per axis, in one
 kernel call: a surface over (eta, beta), a curve over theta, or a section,
 which is a surface with a 1-point axis at the fixed coordinate.  The
-critical-point finder takes its coarse grid from :func:`sample` and moves
-all candidates in lockstep, one call per refinement step at both trial
-points of every candidate still searching.  An array call gives the bits
-of the same call made one float at a time.
+critical-point finder scans what :func:`sample` gives on the same axes and
+moves all candidates in lockstep, one call per refinement step at both
+trial points of every candidate still searching.  An array call gives the
+bits of the same call made one float at a time.
 
 The surfaces of interest are built from absolute values of trigonometric
 functions, so some extrema sit on V-shaped kinks where derivative-based
@@ -240,7 +240,9 @@ def _shrink_bracket(fn1d: Callable[[np.ndarray, np.ndarray], np.ndarray],
         lo[k[up]] = a[up]
         hi[k[~up]] = b[~up]
         k = k[moved & (hi[k] - lo[k] > tol)]
-    return 0.5 * (lo + hi)
+    with np.errstate(over="ignore"):  # where the ends' sum overflows, sum their halves
+        mid = 0.5 * (lo + hi)
+    return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
 
 
 def _flat_axis(fn1d: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -284,30 +286,26 @@ def _classify(axis_kinds: tuple[str, ...]) -> str:
     return SADDLE
 
 
-def find_critical_points(tag: str,
-                         domains: Sequence[tuple[float, float] | None] | None = None,
-                         coarse_n: int = 400,
+def find_critical_points(tag: str, axes: Sequence[AxisSpec],
                          refine_tol: float = 1e-8) -> list[CriticalPoint]:
     """Locate and classify interior critical points of a landscape.
 
-    ``domains`` holds one (start, stop) per axis of the function, or None
-    for an axis's default domain.  Coarse candidates are strict comparisons
-    against every grid neighbor (:func:`_scan`).  All candidates are then
-    refined together, one axis at a time, by bracket shrinking down to
-    ``refine_tol`` (:func:`_shrink_bracket`), and probed for flat axes and
-    kinks with one kernel call per probe over every point.  Each point
-    takes the same float steps as it would refined on its own.
+    ``axes`` holds one :class:`AxisSpec` of at least 3 points per axis of
+    the function, in its order, as :func:`sample` takes them.  Coarse
+    candidates are strict comparisons against every grid neighbor
+    (:func:`_scan`).  All candidates are then refined together, one axis at
+    a time, by bracket shrinking down to ``refine_tol``
+    (:func:`_shrink_bracket`), and probed for flat axes and kinks with one
+    kernel call per probe over every point.  Each point takes the same
+    float steps as it would refined on its own; a non-finite refined
+    location or value raises, as a non-finite grid value does.
     """
     spec = get_function(tag)
-    domains = (None,) * spec.arity if domains is None else tuple(domains)
-    if len(domains) != spec.arity:
-        raise ValueError(f"{tag} has axes {spec.axes}, got {len(domains)} domains")
-    if coarse_n < 3:
-        raise ValueError(f"coarse grid needs at least 3 points per axis, got {coarse_n}")
     if not refine_tol > 0.0:
         raise ValueError(f"refinement tolerance must be positive, got {refine_tol!r}")
-    axes = [AxisSpec(name, *(default if domain is None else domain), coarse_n)
-            for name, domain, default in zip(spec.axes, domains, spec.default_domain)]
+    for axis in axes:
+        if axis.n < 3:
+            raise ValueError(f"axis {axis.name} needs at least 3 points to scan, got {axis.n}")
     found = _scan(sample(tag, axes))
     coords, kinds = [axis.points()[i] for axis, i in zip(axes, found)], found[len(axes):]
 
@@ -324,6 +322,8 @@ def find_critical_points(tag: str,
             coords[a] = _shrink_bracket(along(a), coords[a] - axis.step, coords[a] + axis.step,
                                         kinds[a] == "max", refine_tol)
     value = spec(*coords)
+    if not np.all(np.isfinite([*coords, value])):
+        raise ValueError("refined critical points have non-finite locations or values")
     # A coarse candidate can converge onto a line where one coordinate no
     # longer moves the value (constant rows at sin(eta) = 0).  Such points
     # are degenerate, not extrema; drop them.

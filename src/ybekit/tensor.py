@@ -72,17 +72,17 @@ def norm_inf(m: np.ndarray) -> float:
     return 0.0 if arr.size == 0 else float(np.max(np.abs(arr)))
 
 
-def expm_involutive(m: np.ndarray, t: float, tol: float = ALGEBRA_TOL) -> np.ndarray:
+def expm_involutive(m: np.ndarray, t: float) -> np.ndarray:
     """exp(t*M) in closed form for a generator satisfying M^2 = -I.
 
     Returns cos(t)*I + sin(t)*M.  Raises ValueError when ||M^2 + I||_max
-    exceeds ``tol`` since the closed form is then invalid.
+    exceeds ``ALGEBRA_TOL`` since the closed form is then invalid.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"generator must be square, got shape {m.shape}")
     dev = norm_inf(m @ m + np.eye(m.shape[0]))
-    if dev > tol:
+    if dev > ALGEBRA_TOL:
         raise ValueError(f"generator does not square to -I (deviation {dev:.3e})")
     return np.cos(t) * np.eye(m.shape[0], dtype=complex) + np.sin(t) * m
 

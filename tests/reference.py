@@ -12,8 +12,8 @@ import numpy as np
 from ybekit import __version__, checks
 from ybekit.fusionbasis import (embed_three_body, fusion_basis_type2, phased_antiparallel_state,
                                 reduce_operator)
-from ybekit.landscape import (LOCAL_MAX, LOCAL_MIN, PLATEAU_TOL, AxisSpec, CriticalPoint,
-                              _classify, _scan, get_function, sample)
+from ybekit.landscape import (LOCAL_MAX, LOCAL_MIN, PLATEAU_TOL, CriticalPoint, _classify,
+                              _scan, get_function, sample)
 from ybekit.rmatrix import bundled_families, type2_r_4x4
 from ybekit.tensor import IDENTITY_2, kron, norm_inf
 from ybekit.threebody import (AngleTriple, ScatterParams, angles_to_params, fusion_form,
@@ -203,12 +203,10 @@ def _dedupe_quadratic(points, tol):
 
 
 @functools.cache
-def _points_loop(tag, domain, coarse_n):
+def _points_loop(tag, axes):
     """The finder's points before dedupe, in scan order, on the coarse grid
-    that ``sample`` gives."""
+    that ``sample`` gives for ``axes``, a tuple of one AxisSpec per axis."""
     spec = get_function(tag)
-    axes = [AxisSpec(name, lo, hi, coarse_n)
-            for name, (lo, hi) in zip(spec.axes, domain or spec.default_domain)]
     fn, grid = spec, sample(tag, axes)
     if spec.arity == 2:
         etas, betas = axes[0].points(), axes[1].points()

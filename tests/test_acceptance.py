@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from conftest import SUITE_BUDGET_SECONDS, session_elapsed
+from conftest import SUITE_BUDGET_SECONDS, finder_axes, session_elapsed
 from ybekit.checks import braid_suite, reduction_suite, tl_suite, ybe_suite
 from ybekit.entanglement import (
     GHZ_CLASS,
@@ -88,7 +88,7 @@ def test_c03_ghz_w_generation():
 
 def test_c04_l1_landscape_extrema():
     with criterion(4, "l1 landscape: GHZ maximum and kinked W saddle"):
-        points = find_critical_points("l1_S3", coarse_n=400, refine_tol=1e-8)
+        points = find_critical_points("l1_S3", finder_axes("l1_S3", 400), refine_tol=1e-8)
         maxima = [p for p in points if p.kind == LOCAL_MAX]
         assert maxima, "no local maxima found"
         global_max = max(p.value for p in maxima)
@@ -166,12 +166,12 @@ def find_critical_points_1d_section():
 
 def test_c07_two_qubit_figure_peaks():
     with criterion(7, "two-qubit l1 and entropy peak together at pi/4"):
-        l1_points = find_critical_points("l1_wigner", [(0.0, math.pi / 2)], coarse_n=400)
+        l1_points = find_critical_points("l1_wigner", finder_axes("l1_wigner", 400))
         assert len(l1_points) == 1
         assert abs(l1_points[0].location[0] - math.pi / 4) < 1e-4
         assert abs(l1_points[0].value - math.sqrt(2.0)) < 1e-6
 
-        vn_points = find_critical_points("vn_xi", [(0.0, math.pi / 2)], coarse_n=400)
+        vn_points = find_critical_points("vn_xi", finder_axes("vn_xi", 400))
         assert len(vn_points) == 1
         assert abs(vn_points[0].location[0] - math.pi / 4) < 1e-4
         assert abs(vn_points[0].value - 1.0) < 1e-6

@@ -2,11 +2,13 @@ import argparse
 import json
 import math
 import os
+import shlex
 import stat
 import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,6 +489,27 @@ def test_axis_whose_width_overflows_is_usage_error(argv, axis, capsys):
                    f"got [-1e+308, 1e+308]\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["extrema", "--fn", "l1_wigner", "--theta", "0:1.7e308"],
+    ["extrema", "--fn", "l1_S3", "--eta", "0:1.7e308", "--coarse", "7"],
+], ids=["curve", "surface"])
+def test_extrema_near_the_float_range_prints_no_non_finite_cell(argv, capsys):
+    """Brackets whose ends sum past the float range must not refine to an
+    inf location: such a point once printed inf and nan cells with exit 0,
+    or failed in its state label.  Exit 0 prints finite cells only, exit 2
+    one error line, and numpy warns of nothing either way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli_streams(argv, capsys)
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        header, rows = _csv_rows(out)
+        numbers = [float(cell) for row in rows for cell in row[:header.index("kind")]]
+        assert all(map(math.isfinite, numbers)), out
+    else:
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("message, shown", [
     ("Unable to allocate 298. GiB for an array with shape (200000, 200000) and data type "
      "float64", "Unable to allocate 298. GiB"),
@@ -868,3 +891,31 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     # build_parser itself still builds a new parser on each call
     first, second = cli.build_parser(), cli.build_parser()
     assert first is not second and len(built) == 2 * 6
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands():
+    """Each ``ybekit`` line in README's sh blocks, as argv, with the exit
+    code README gives it: 1 where its own comment or the comment lines
+    just above it say ``exit 1``, else 0."""
+    commands, in_sh, comments = [], False, ""
+    for line in README.read_text().splitlines():
+        command, _, comment = line.partition("#")
+        if line.startswith("```"):
+            in_sh, comments = line == "```sh", ""
+        elif in_sh and command.strip().startswith("ybekit "):
+            commands.append((shlex.split(command)[1:], 1 if "exit 1" in comments + comment else 0))
+            comments = ""
+        elif in_sh:
+            comments = comments + comment if line.strip() else ""
+    return commands
+
+
+def test_readme_command_lines_give_the_exit_codes_readme_states(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 14 and any(code == 1 for _, code in commands), commands
+    for argv, expected in commands:
+        code, _, err = run_cli_streams(argv, capsys)
+        assert code == expected, (argv, err)

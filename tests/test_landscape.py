@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from ybekit import landscape
 from ybekit.entanglement import binary_entropy, l1_norm, von_neumann_entropy, wigner_l1
@@ -27,6 +27,7 @@ from ybekit.rmatrix import type2_r_4x4, wigner_d_half
 from ybekit.tensor import ket
 from ybekit.threebody import BETA_STAR, ScatterParams, closed_form
 
+from conftest import finder_axes
 from reference import (_dedupe_quadratic, _meshgrid_reference, _points_loop,
                        _sample_curve_reference, _scan_1d_loop, _scan_2d_loop,
                        _section_reference, _shrink_bracket_loop)
@@ -203,7 +204,7 @@ def test_curve_sampling():
 
 
 def test_find_1d_l1_max():
-    points = find_critical_points("l1_wigner", [(0.0, math.pi / 2)], coarse_n=400)
+    points = find_critical_points("l1_wigner", finder_axes("l1_wigner", 400))
     assert len(points) == 1
     p = points[0]
     assert p.kind == LOCAL_MAX
@@ -213,7 +214,7 @@ def test_find_1d_l1_max():
 
 
 def test_find_1d_entropy_max():
-    points = find_critical_points("vn_xi", [(0.0, math.pi / 2)], coarse_n=401)
+    points = find_critical_points("vn_xi", finder_axes("vn_xi", 401))
     assert len(points) == 1
     p = points[0]
     assert p.kind == LOCAL_MAX
@@ -222,7 +223,7 @@ def test_find_1d_entropy_max():
 
 
 def test_find_2d_ghz_maximum():
-    points = find_critical_points("l1_S3", coarse_n=200)
+    points = find_critical_points("l1_S3", finder_axes("l1_S3", 200))
     ghz = _closest([p for p in points if p.kind == LOCAL_MAX], (math.pi / 3, BETA_STAR))
     assert abs(ghz.location[0] - math.pi / 3) < 1e-3
     assert abs(ghz.location[1] - BETA_STAR) < 1e-3
@@ -231,7 +232,7 @@ def test_find_2d_ghz_maximum():
 
 
 def test_find_2d_w_saddle():
-    points = find_critical_points("l1_S3", coarse_n=200)
+    points = find_critical_points("l1_S3", finder_axes("l1_S3", 200))
     saddles = [p for p in points if p.kind == SADDLE]
     w = _closest(saddles, (math.pi / 2, BETA_STAR))
     assert abs(w.location[0] - math.pi / 2) < 1e-3
@@ -242,7 +243,7 @@ def test_find_2d_w_saddle():
 
 
 def test_find_2d_biseparable_minimum():
-    points = find_critical_points("l1_S3", coarse_n=200)
+    points = find_critical_points("l1_S3", finder_axes("l1_S3", 200))
     minima = [p for p in points if p.kind == LOCAL_MIN]
     bisep = _closest(minima, (math.pi / 2, 0.0))
     assert abs(bisep.location[0] - math.pi / 2) < 1e-3
@@ -252,7 +253,7 @@ def test_find_2d_biseparable_minimum():
 
 def test_flat_rows_do_not_produce_points():
     # eta = pi is a constant-in-beta line; nothing should be reported there
-    points = find_critical_points("l1_S3", [(2.8, 3.5), (-1.0, 1.0)], coarse_n=120)
+    points = find_critical_points("l1_S3", finder_axes("l1_S3", 120, ((2.8, 3.5), (-1.0, 1.0))))
     for p in points:
         assert abs(p.location[0] - math.pi) > 1e-3
 
@@ -262,7 +263,7 @@ def test_refined_points_consistent_with_neighbors():
     # in the pattern its kind claims
     fn = get_function("l1_S3")
     h = 1e-6
-    for p in find_critical_points("l1_S3", coarse_n=150):
+    for p in find_critical_points("l1_S3", finder_axes("l1_S3", 150)):
         x, y = p.location
         center = fn(x, y)
         eta_pair = (fn(x - h, y), fn(x + h, y))
@@ -275,10 +276,9 @@ def test_refined_points_consistent_with_neighbors():
 
 
 def test_refinement_converges():
-    coarse = find_critical_points("l1_wigner", [(0.0, math.pi / 2)], coarse_n=200,
-                                  refine_tol=1e-5)
-    fine = find_critical_points("l1_wigner", [(0.0, math.pi / 2)], coarse_n=200,
-                                refine_tol=5e-6)
+    axes = finder_axes("l1_wigner", 200)
+    coarse = find_critical_points("l1_wigner", axes, refine_tol=1e-5)
+    fine = find_critical_points("l1_wigner", axes, refine_tol=5e-6)
     assert len(coarse) == len(fine) == 1
     assert abs(coarse[0].location[0] - fine[0].location[0]) < 1e-5
 
@@ -339,7 +339,7 @@ def test_l1_finder_returns_the_full_closed_form_set():
            for eta in (w, math.pi - w, math.pi + w, TWO_PI - w)]
         + [((eta, 0.0), math.sqrt(2.0), LOCAL_MIN) for eta in (math.pi / 2, 3 * math.pi / 2)]
     )
-    points = find_critical_points("l1_S3", coarse_n=400)
+    points = find_critical_points("l1_S3", finder_axes("l1_S3", 400))
     assert len(points) == len(expected) == 18
     for location, value, kind in expected:
         near = [p for p in points
@@ -387,10 +387,11 @@ FINDER_CASES = (
 )
 
 
-@pytest.mark.parametrize("tag, domain, coarse_n", FINDER_CASES)
-def test_lockstep_refinement_matches_per_candidate_loop(tag, domain, coarse_n):
-    points = find_critical_points(tag, domain, coarse_n=coarse_n)
-    reference = _dedupe_quadratic(list(_points_loop(tag, domain, coarse_n)), 1e-7)
+@pytest.mark.parametrize("tag, domain, n", FINDER_CASES)
+def test_lockstep_refinement_matches_per_candidate_loop(tag, domain, n):
+    axes = finder_axes(tag, n, domain)
+    points = find_critical_points(tag, axes)
+    reference = _dedupe_quadratic(list(_points_loop(tag, axes)), 1e-7)
     assert len(points) == len(reference) > 0
     for got, want in zip(_columns(points), _columns(reference)):
         assert np.array_equal(got, want)
@@ -450,27 +451,38 @@ def test_brackets_below_float_spacing_stop(tol):
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
 def test_finders_reject_non_positive_tol(tol):
     with pytest.raises(ValueError, match="tolerance must be positive"):
-        find_critical_points("l1_S3", coarse_n=20, refine_tol=tol)
+        find_critical_points("l1_S3", finder_axes("l1_S3", 20), refine_tol=tol)
     with pytest.raises(ValueError, match="tolerance must be positive"):
-        find_critical_points("l1_wigner", refine_tol=tol)
+        find_critical_points("l1_wigner", finder_axes("l1_wigner", 400), refine_tol=tol)
 
 
 @pytest.mark.parametrize("tag, domains", [
-    ("l1_S3", [(0.0, 1.0)]),
-    ("l1_S3", [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]),
-    ("l1_wigner", [None, None]),
+    ("l1_S3", [("eta", 0.0, 1.0)]),
+    ("l1_S3", [("eta", 0.0, 1.0), ("beta", 0.0, 1.0), ("beta", 0.0, 1.0)]),
+    ("l1_wigner", [("theta", 0.0, 1.0), ("theta", 0.0, 1.0)]),
     ("vn_xi", []),
+    ("l1_S3", [("x", 0.0, 1.0), ("y", 0.0, 1.0)]),
+    ("l1_S3", [("beta", 0.0, 1.0), ("eta", 0.0, 1.0)]),
+    ("vn_xi", [("eta", 0.0, 1.0)]),
 ])
 def test_finder_rejects_one_domain_per_axis_mismatch(tag, domains):
-    """``zip`` would silently drop an extra domain or an axis without one."""
-    with pytest.raises(ValueError, match="domains"):
-        find_critical_points(tag, domains)
+    """The finder scans one named axis per axis of the function, in its
+    order: ``zip`` would silently drop an extra axis or one left out, and
+    a swapped pair would scan the landscape with its axes exchanged."""
+    with pytest.raises(ValueError, match="has axes"):
+        find_critical_points(tag, [AxisSpec(name, lo, hi, 5) for name, lo, hi in domains])
 
 
 @pytest.mark.parametrize("tag", ["l1_wigner", "l1_S3"])
 def test_finder_rejects_too_coarse_a_grid(tag):
-    with pytest.raises(ValueError, match="at least 3 points"):
-        find_critical_points(tag, coarse_n=2)
+    """A 1-point section axis samples, but a scan along it finds nothing;
+    each axis short of 3 points is named."""
+    fine, short = finder_axes(tag, 9), get_function(tag).axes[-1]
+    for axis in (AxisSpec(short, 0.0, 1.0, 2), AxisSpec(short, 0.5, 0.5, 1)):
+        with pytest.raises(ValueError, match=f"axis {short} needs at least 3 points"):
+            find_critical_points(tag, (*fine[:-1], axis))
+    with pytest.raises(ValueError, match=f"axis {fine[0].name} needs at least 3 points"):
+        find_critical_points(tag, finder_axes(tag, 2))
 
 
 @pytest.mark.parametrize("tag", ["vn_xi", "vn_Sprime"])
@@ -490,15 +502,58 @@ def test_finder_rejects_a_non_finite_coarse_node(tag, monkeypatch):
 
     monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(spec, fn=nan_at_one_coarse_node))
     with pytest.raises(ValueError, match="non-finite"):
-        find_critical_points(tag, coarse_n=41)
+        find_critical_points(tag, finder_axes(tag, 41))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tag", ["vn_xi", "vn_Sprime"])
+def test_finder_rejects_a_non_finite_refined_point(tag, monkeypatch):
+    """A NaN in the refinement fails every comparison of the bracket
+    search, so it would come back as a point; the finder must raise."""
+    spec = get_function(tag)
+    calls = []
+
+    def nan_after_the_coarse_grid(*args):
+        values = spec.fn(*args)
+        calls.append(1)
+        return values if len(calls) == 1 else np.full_like(values, math.nan)
+
+    monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(spec, fn=nan_after_the_coarse_grid))
+    with pytest.raises(ValueError, match="non-finite"):
+        find_critical_points(tag, finder_axes(tag, 41))
+    assert len(calls) > 1
+
+
+HUGE_AND_SUBNORMAL = st.sampled_from([1.7e308, -1.7e308, 1e308, 5e-324, -5e-324, 1.5e-323,
+                                      2.2250738585072014e-308, 0.0])
+
+
+@given(st.one_of(HUGE_AND_SUBNORMAL, st.floats(allow_nan=False, allow_infinity=False)),
+       st.one_of(HUGE_AND_SUBNORMAL, st.floats(allow_nan=False, allow_infinity=False)))
+@example(5e-324, 5e-324)
+@example(1.7e308, 1.7e308)
+def test_bracket_midpoint_keeps_the_bits_of_the_halved_sum(a, b):
+    """A bracket of finite width, as every bracket inside an axis is,
+    returns a finite midpoint inside it, with the bits of
+    ``0.5 * (lo + hi)`` wherever that sum is finite; halving the ends
+    first would round on subnormal brackets.  An infinite tolerance
+    leaves the bracket as it is given."""
+    assume(math.isfinite(max(a, b) - min(a, b)))
+    lo, hi = np.array([min(a, b)]), np.array([max(a, b)])
+    with np.errstate(over="ignore"):
+        plain = 0.5 * (lo + hi)
+    mid = _shrink_bracket(lambda u, k: u, lo, hi, np.array([True]), math.inf)
+    assert np.isfinite(mid).all() and lo <= mid <= hi
+    if np.isfinite(plain).all():
+        assert mid.tobytes() == plain.tobytes()
 
 
 @pytest.mark.parametrize("tag", sorted(FUNCTIONS))
 def test_point_count_does_not_depend_on_refine_tol(tag):
     """Below ~1e-8 a tighter tolerance cannot place a smooth extremum more
     finely, so it must not split one extremum into several points."""
-    counts = {tol: Counter(p.kind for p in find_critical_points(tag, refine_tol=tol))
+    axes = finder_axes(tag, 400)
+    counts = {tol: Counter(p.kind for p in find_critical_points(tag, axes, refine_tol=tol))
               for tol in (1e-8, 1e-10, 1e-12, 1e-16)}
     assert all(c == counts[1e-8] for c in counts.values()), counts
     if tag == "l1_wigner":
@@ -512,9 +567,10 @@ def test_default_tol_dedupes_at_ten_tolerances(tag, monkeypatch):
     """The floor lies at the default tolerance's dedupe distance, so the
     default output is the one a dedupe at 10 * refine_tol gives."""
     assert landscape._dedupe_tol(1e-8) == 1e-8 * 10.0
-    points = find_critical_points(tag)
+    axes = finder_axes(tag, 400)
+    points = find_critical_points(tag, axes)
     monkeypatch.setattr(landscape, "_dedupe_tol", lambda tol: tol * 10.0)
-    assert find_critical_points(tag) == points
+    assert find_critical_points(tag, axes) == points
 
 
 def _near_duplicates():
@@ -542,8 +598,8 @@ def _near_duplicates():
 
 def test_sorted_dedupe_matches_quadratic_dedupe():
     synthetic, tol = _near_duplicates()
-    for points in (list(_points_loop("vn_Sprime", None, 400)),
-                   list(_points_loop("l1_S3", None, 400)),
+    for points in (list(_points_loop("vn_Sprime", finder_axes("vn_Sprime", 400))),
+                   list(_points_loop("l1_S3", finder_axes("l1_S3", 400))),
                    [p for p in synthetic if len(p.location) == 2],
                    [p for p in synthetic if len(p.location) == 1]):
         kept = _dedupe(points, tol)
