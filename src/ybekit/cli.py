@@ -296,10 +296,11 @@ def cmd_extrema(args) -> int:
     header = [*spec.axes, "value", "kind", "smooth"]
     rows = [[*map(fmt, p.location), fmt(p.value), p.kind, str(p.smooth).lower()]
             for p in points]
-    if spec.params is not None:  # a three-body landscape: label the state its map gives
+    if spec.params is not None:  # a three-body landscape: label the states its map gives
         header.append("slocc_class")
-        for row, p in zip(rows, points):
-            row.append(classify_slocc(state_from_params(spec.params(*p.location))))
+        coords = np.array([p.location for p in points], dtype=float).reshape(-1, spec.arity).T
+        for row, label in zip(rows, classify_slocc(state_from_params(spec.params(*coords)))):
+            row.append(str(label))
     if args.format == "json":
         text = _json_doc({"fn": args.fn, "points": [dict(zip(header, row)) for row in rows]},
                          coarse=args.coarse, tol=args.tol)
@@ -347,14 +348,11 @@ def cmd_state(args) -> int:
     if triple:
         lines.append(f"thetas = ({fmt(triple.t1)}, {fmt(triple.t2)}, {fmt(triple.t3)})")
     lines.append("amplitudes:")
-    for idx, amp in enumerate(psi):
-        if abs(amp) > 1e-15:
-            lines.append(f"  |{idx:03b}>  {fmt(amp.real)} {'+' if amp.imag >= 0 else '-'} {fmt(abs(amp.imag))}j")
-    lines.append(f"l1 norm      = {fmt(report.l1)}")
-    for k in range(3):
-        lines.append(f"entropy cut {k+1}|rest = {fmt(report.vn_entropies[k])} bits")
-    lines.append(f"three-tangle = {fmt(report.three_tangle)}")
-    lines.append(f"class        = {report.slocc_class}")
+    lines += [f"  |{idx:03b}>  {fmt(amp.real)} {'+' if amp.imag >= 0 else '-'} {fmt(abs(amp.imag))}j"
+              for idx, amp in enumerate(psi) if abs(amp) > 1e-15]
+    lines += [f"l1 norm      = {fmt(report.l1)}",
+              *(f"entropy cut {k + 1}|rest = {fmt(s)} bits" for k, s in report.vn_entropies.items()),
+              f"three-tangle = {fmt(report.three_tangle)}", f"class        = {report.slocc_class}"]
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -29,9 +29,9 @@ W_CLASS = "W-class"
 GHZ_CLASS = "GHZ-class"
 
 
-def l1_norm(psi: np.ndarray) -> float:
-    """Sum of amplitude moduli."""
-    return float(np.sum(np.abs(np.asarray(psi, dtype=complex))))
+def l1_norm(psi: np.ndarray) -> float | np.ndarray:
+    """Sum of amplitude moduli; one per state of a stack along the last axis."""
+    return np.sum(np.abs(np.asarray(psi, dtype=complex)), axis=-1)
 
 
 def wigner_l1(d_matrix: np.ndarray) -> float | np.ndarray:
@@ -110,86 +110,82 @@ def fusion_entropy(params: ScatterParams) -> float | np.ndarray:
     return binary_entropy(np.abs(top_left) ** 2)
 
 
-def three_tangle(psi: np.ndarray) -> float:
+def three_tangle(psi: np.ndarray) -> float | np.ndarray:
     """Residual three-qubit entanglement via the degree-4 hyperdeterminant.
 
     tau = 4 |d1 - 2 d2 + 4 d3| in the standard coefficient form; 1 for the
-    GHZ state, 0 for the W state and every product state.
+    GHZ state, 0 for the W state and every product state.  A (..., 8)
+    stack of states gives one value per state; one state is a stack of one,
+    since numpy's scalar complex products round apart from its array loops.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != 8:
-        raise ValueError(f"three qubits required, got state length {psi.size}")
-    c = psi.reshape(2, 2, 2)
-    d1 = (
-        c[0, 0, 0] ** 2 * c[1, 1, 1] ** 2
-        + c[0, 0, 1] ** 2 * c[1, 1, 0] ** 2
-        + c[0, 1, 0] ** 2 * c[1, 0, 1] ** 2
-        + c[1, 0, 0] ** 2 * c[0, 1, 1] ** 2
-    )
-    d2 = (
-        c[0, 0, 0] * c[1, 1, 1] * c[0, 1, 1] * c[1, 0, 0]
-        + c[0, 0, 0] * c[1, 1, 1] * c[1, 0, 1] * c[0, 1, 0]
-        + c[0, 0, 0] * c[1, 1, 1] * c[1, 1, 0] * c[0, 0, 1]
-        + c[0, 1, 1] * c[1, 0, 0] * c[1, 0, 1] * c[0, 1, 0]
-        + c[0, 1, 1] * c[1, 0, 0] * c[1, 1, 0] * c[0, 0, 1]
-        + c[1, 0, 1] * c[0, 1, 0] * c[1, 1, 0] * c[0, 0, 1]
-    )
-    d3 = (
-        c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
-        + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0]
-    )
-    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape[-1:] != (8,):
+        raise ValueError(f"three qubits required, got states of shape {psi.shape}")
+    c = psi.reshape(-1, 2, 2, 2).transpose(1, 2, 3, 0)  # c[i, j, k, state]
+    d1 = (c[0, 0, 0] ** 2 * c[1, 1, 1] ** 2 + c[0, 0, 1] ** 2 * c[1, 1, 0] ** 2
+          + c[0, 1, 0] ** 2 * c[1, 0, 1] ** 2 + c[1, 0, 0] ** 2 * c[0, 1, 1] ** 2)
+    d2 = (c[0, 0, 0] * c[1, 1, 1] * c[0, 1, 1] * c[1, 0, 0]
+          + c[0, 0, 0] * c[1, 1, 1] * c[1, 0, 1] * c[0, 1, 0]
+          + c[0, 0, 0] * c[1, 1, 1] * c[1, 1, 0] * c[0, 0, 1]
+          + c[0, 1, 1] * c[1, 0, 0] * c[1, 0, 1] * c[0, 1, 0]
+          + c[0, 1, 1] * c[1, 0, 0] * c[1, 1, 0] * c[0, 0, 1]
+          + c[1, 0, 1] * c[0, 1, 0] * c[1, 1, 0] * c[0, 0, 1])
+    d3 = (c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
+          + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0])
+    return (4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)).reshape(psi.shape[:-1])[()]
 
 
-def _require_normalized(psi: np.ndarray) -> None:
-    """Raise ValueError unless psi is finite with unit l2 norm (to NORM_TOL):
-    the measures below read nonsense, such as negative entropies, otherwise."""
-    norm = math.sqrt(np.vdot(psi, psi).real)
-    if not abs(norm - 1.0) <= NORM_TOL:  # a NaN or infinite norm fails too
-        raise ValueError(f"expected a finite normalized state, got norm {norm}")
-
-
-def classify_slocc(psi: np.ndarray, tol: float = CLASS_TOL) -> str:
-    """SLOCC class label of a normalized three-qubit pure state.
-
-    GHZ-class when the 3-tangle exceeds ``tol``; otherwise W-class when all
-    three single-qubit cuts carry entropy above ``tol``; otherwise
-    biseparable or product by the number of zero-entropy cuts.  Raises
-    ValueError on a non-finite or unnormalized state.
-    """
-    _require_normalized(psi)
-    entropies = (von_neumann_entropy(psi, [k]) for k in range(3))  # computed off GHZ only
-    return _slocc_label(three_tangle(psi), entropies, tol)
-
-
-def _slocc_label(tau: float, entropies, tol: float) -> str:
-    """The class of a state from its 3-tangle and its three single-qubit
-    cut entropies, which are read only when ``tau`` is at most ``tol``."""
-    if tau > tol:
-        return GHZ_CLASS
-    zero_cuts = sum(1 for s in entropies if s <= tol)
-    if zero_cuts == 0:
-        return W_CLASS
-    if zero_cuts >= 3:
-        return PRODUCT
-    return BISEPARABLE
+# amplitude indices where qubit 1, 2 or 3 (the columns) is 0, then is 1
+_ZERO = np.array([[0, 1, 2, 3], [0, 1, 4, 5], [0, 2, 4, 6]]).T
+_HALVES = np.stack([_ZERO, _ZERO + [4, 2, 1]])
+# the class of a state indexed by its number of entangled cuts, then GHZ
+_CLASSES = np.array([PRODUCT, BISEPARABLE, BISEPARABLE, W_CLASS, GHZ_CLASS])
 
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Summary of the measures computed for one three-qubit state."""
+    """The measures of one three-qubit state, or of each state of a stack:
+    every field, and every cut's entropy, has the shape of the stack."""
 
-    l1: float
-    vn_entropies: dict[int, float] = field(compare=False)
-    three_tangle: float
-    slocc_class: str
+    l1: float | np.ndarray
+    vn_entropies: dict[int, float | np.ndarray] = field(compare=False)
+    three_tangle: float | np.ndarray
+    slocc_class: str | np.ndarray
 
 
 def entanglement_report(psi: np.ndarray, tol: float = CLASS_TOL) -> EntanglementReport:
-    """All measures for one state: l1, per-cut entropies, 3-tangle, class.
-    Raises ValueError on a non-finite or unnormalized state."""
-    _require_normalized(psi)
-    entropies = {k: von_neumann_entropy(psi, [k]) for k in range(3)}
-    tau = three_tangle(psi)
-    return EntanglementReport(l1=l1_norm(psi), vn_entropies=entropies, three_tangle=tau,
-                              slocc_class=_slocc_label(tau, entropies.values(), tol))
+    """All measures of one state or of a (..., 8) stack: l1, the entropy of
+    each single-qubit cut (keyed 0, 1, 2), 3-tangle and SLOCC class.
+
+    GHZ-class when the 3-tangle exceeds ``tol``; otherwise W-class when all
+    three cuts carry entropy above ``tol``; otherwise biseparable or product
+    by the number of zero-entropy cuts.  Raises ValueError on the first
+    state that is not finite with unit l2 norm (to NORM_TOL), where the
+    measures read nonsense, such as negative entropies.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    norm = np.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2, axis=-1))
+    bad = ~(np.abs(norm - 1.0) <= NORM_TOL)  # a NaN or infinite norm fails too
+    if bad.any():
+        raise ValueError(f"expected a finite normalized state, got norm {np.extract(bad, norm)[0]}")
+    tau = three_tangle(psi)  # which also checks the shape
+    # Each qubit's 2x2 reduced matrix r, summed in one order and in real
+    # arithmetic for every state, has the larger eigenvalue
+    # L = (1 + sqrt((r00 - r11)^2 + 4|r01|^2)) / 2 and the smaller det(r) / L,
+    # which keeps its digits near a product state, where 1 - L cancels.
+    halves = psi.reshape(-1, 8).T[_HALVES]
+    (x0, x1), (y0, y1) = halves.real, halves.imag
+    terms = np.stack([x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x0 * x1 + y0 * y1, y0 * x1 - x0 * y1])
+    r00, r11, re, im = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+    off = re * re + im * im  # |r01|^2
+    larger = (1.0 + np.sqrt((r00 - r11) ** 2 + 4.0 * off)) / 2.0
+    entropies = binary_entropy((r00 * r11 - off) / larger).reshape(3, *psi.shape[:-1])
+    index = np.where(tau > tol, 4, np.count_nonzero(entropies > tol, axis=0))
+    return EntanglementReport(l1=l1_norm(psi), vn_entropies=dict(enumerate(entropies)),
+                              three_tangle=tau, slocc_class=_CLASSES[index])
+
+
+def classify_slocc(psi: np.ndarray, tol: float = CLASS_TOL) -> str | np.ndarray:
+    """SLOCC class label of a normalized three-qubit pure state, or of each
+    state of a stack: the class :func:`entanglement_report` gives."""
+    return entanglement_report(psi, tol).slocc_class

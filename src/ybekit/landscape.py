@@ -306,6 +306,10 @@ def find_critical_points(tag: str, axes: Sequence[AxisSpec],
     for axis in axes:
         if axis.n < 3:
             raise ValueError(f"axis {axis.name} needs at least 3 points to scan, got {axis.n}")
+        for x in (axis.start, axis.stop):  # else every candidate reads as flat
+            if x + KINK_PROBE == x or x - KINK_PROBE == x:
+                raise ValueError(f"axis {axis.name}: the finder's probe step {KINK_PROBE:g} "
+                                 f"vanishes in the float spacing at {x!r}")
     found = _scan(sample(tag, axes))
     coords, kinds = [axis.points()[i] for axis, i in zip(axes, found)], found[len(axes):]
 

@@ -218,14 +218,14 @@ def state_from_params(params: ScatterParams) -> np.ndarray:
 
     Amplitudes: cos(eta) on |000>, -cos(beta) sin(eta)/sqrt(2) on |011> and
     |110>, -sin(beta) sin(eta) on |101>; identical to closed_form @ |000>.
+    Array parameters give a (..., 8) stack, one state per element.
     """
     eta, beta = params.eta, params.beta
-    psi = np.zeros(8, dtype=complex)
-    psi[0b000] = math.cos(eta)
-    pair_amp = -math.cos(beta) * math.sin(eta) / math.sqrt(2.0)
-    psi[0b011] = pair_amp
-    psi[0b110] = pair_amp
-    psi[0b101] = -math.sin(beta) * math.sin(eta)
+    xp = _lib(eta, beta)
+    psi = np.zeros((*np.broadcast(eta, beta).shape, 8), dtype=complex)
+    psi[..., 0b000] = xp.cos(eta)
+    psi[..., 0b011] = psi[..., 0b110] = -xp.cos(beta) * xp.sin(eta) / math.sqrt(2.0)
+    psi[..., 0b101] = -xp.sin(beta) * xp.sin(eta)
     return psi
 
 

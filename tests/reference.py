@@ -1,7 +1,8 @@
 """Byte references: retired implementations that the tests hold their
 replacements to, bit for bit, one per contract (CSV and JSON writers,
 landscape sampling, the coarse scan, the critical-point finder, the
-two-pair fusion states and the verify suites).  The expensive ones are computed once per session."""
+two-pair fusion states, the verify suites and the 3-tangle).  The
+expensive ones are computed once per session."""
 
 import functools
 import json
@@ -274,6 +275,23 @@ def scalar_angles_to_params(t1, t2, t3):
     sin_beta = -math.sin(delta) / scale
     eta, beta = math.atan2(sin_eta, cos_eta), math.atan2(sin_beta, cos_beta)
     return eta % TWO_PI, (beta + math.pi) % TWO_PI - math.pi
+
+
+def scalar_three_tangle(psi):
+    """The hyperdeterminant of one state in numpy's scalar complex
+    arithmetic, as it ran before the stacks."""
+    c = np.asarray(psi, dtype=complex).reshape(2, 2, 2)
+    d1 = (c[0, 0, 0] ** 2 * c[1, 1, 1] ** 2 + c[0, 0, 1] ** 2 * c[1, 1, 0] ** 2
+          + c[0, 1, 0] ** 2 * c[1, 0, 1] ** 2 + c[1, 0, 0] ** 2 * c[0, 1, 1] ** 2)
+    d2 = (c[0, 0, 0] * c[1, 1, 1] * c[0, 1, 1] * c[1, 0, 0]
+          + c[0, 0, 0] * c[1, 1, 1] * c[1, 0, 1] * c[0, 1, 0]
+          + c[0, 0, 0] * c[1, 1, 1] * c[1, 1, 0] * c[0, 0, 1]
+          + c[0, 1, 1] * c[1, 0, 0] * c[1, 0, 1] * c[0, 1, 0]
+          + c[0, 1, 1] * c[1, 0, 0] * c[1, 1, 0] * c[0, 0, 1]
+          + c[1, 0, 1] * c[0, 1, 0] * c[1, 1, 0] * c[0, 0, 1])
+    d3 = (c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
+          + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0])
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
 def scalar_max_diff_up_to_phase(a, b):

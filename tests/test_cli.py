@@ -278,6 +278,47 @@ def test_extrema_empty_domain_rejected(capsys):
     assert code == 2
 
 
+def test_extrema_axis_too_coarse_for_the_probes_is_usage_error(capsys):
+    """Where the float spacing swallows the finder's probe step, every
+    candidate once read as flat: a header alone with exit 0.  Such an axis
+    is named with exit 2; a wide but resolvable one still finds maxima."""
+    code, out, err = run_cli_streams(
+        ["extrema", "--fn", "l1_wigner", "--theta", "1e13:1.00000000001e13"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: axis theta:") and err.count("\n") == 1
+    code, out = run_cli(["extrema", "--fn", "l1_wigner", "--theta", "1e6:1.00001e6"], capsys)
+    assert code == 0
+    _, rows = _csv_rows(out)
+    maxima = {value for _, value, kind, _ in rows if kind == "local-max"}
+    assert maxima == {"1.4142135623730949"}
+
+
+def test_extrema_labels_every_point_in_one_call(monkeypatch, capsys):
+    classify, stacks = cli.classify_slocc, []
+
+    def counted(psi):
+        stacks.append(psi.shape)
+        return classify(psi)
+
+    monkeypatch.setattr(cli, "classify_slocc", counted)
+    code, out = run_cli(["extrema", "--fn", "l1_S3", "--coarse", "41"], capsys)
+    _, rows = _csv_rows(out)
+    assert code == 0 and rows and stacks == [(len(rows), 8)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_extrema_with_no_points_labels_an_empty_stack(fmt, capsys):
+    """A three-body domain with no critical point passes an empty stack of
+    states through the labeller and prints a table with no rows."""
+    code, out = run_cli(["extrema", "--fn", "l1_S3", "--eta", "0:0.1", "--beta", "0:0.1",
+                         "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "csv":
+        assert out == "eta,beta,value,kind,smooth,slocc_class\n"
+    else:
+        assert json.loads(out)["points"] == []
+
+
 def test_state_ghz_report(capsys):
     code, out = run_cli(["state", "--eta", "1.0472", "--beta", "0.61548"], capsys)
     assert code == 0

@@ -24,6 +24,8 @@ from ybekit.rmatrix import type2_r_4x4, wigner_d_half
 from ybekit.tensor import ket, kron
 from ybekit.threebody import BETA_STAR, ScatterParams, state_from_params
 
+from reference import scalar_three_tangle
+
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
 angles = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
@@ -220,3 +222,99 @@ def test_non_finite_or_unnormalized_state_is_rejected(psi):
 
 def test_state_within_norm_tolerance_is_accepted():
     assert classify_slocc((1.0 + 1e-12) * ket("000")) == PRODUCT
+
+
+def _random_states(seed, n):
+    """n seeded random normalized three-qubit states, complex amplitudes."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
+def _scattering_states(seed, n):
+    """n output states at seeded random (eta, beta), and the parameters."""
+    rng = np.random.default_rng(seed)
+    params = ScatterParams(rng.uniform(-7.0, 7.0, n), rng.uniform(-3.2, 3.2, n))
+    return state_from_params(params), params
+
+
+STACKS = {"random": _random_states(11, 400), "scattering": _scattering_states(12, 400)[0]}
+
+
+@pytest.mark.parametrize("kind", STACKS)
+def test_stacked_report_gives_each_state_the_bits_of_its_own_call(kind):
+    stack = STACKS[kind].reshape(20, 20, 8)
+    report = entanglement_report(stack)
+    assert report.l1.shape == report.three_tangle.shape == report.slocc_class.shape == (20, 20)
+    assert sorted(report.vn_entropies) == [0, 1, 2]
+    for index in np.ndindex(20, 20):
+        one = entanglement_report(stack[index])
+        assert report.l1[index] == one.l1
+        assert report.three_tangle[index] == one.three_tangle
+        assert report.slocc_class[index] == one.slocc_class
+        assert [report.vn_entropies[k][index] for k in range(3)] \
+            == [one.vn_entropies[k] for k in range(3)]
+    assert np.array_equal(classify_slocc(stack), report.slocc_class)
+    assert np.array_equal(three_tangle(stack), report.three_tangle)
+
+
+def test_report_of_an_empty_stack_is_empty():
+    report = entanglement_report(np.zeros((0, 8), dtype=complex))
+    assert report.slocc_class.shape == report.l1.shape == report.vn_entropies[2].shape == (0,)
+
+
+@pytest.mark.parametrize("kind", STACKS)
+def test_cut_entropies_agree_with_the_dense_oracle(kind):
+    """The closed-form 2x2 spectra against the partial trace and
+    eigensolver of :func:`von_neumann_entropy`."""
+    stack = STACKS[kind]
+    entropies = entanglement_report(stack).vn_entropies
+    for n, psi in enumerate(stack):
+        for k in range(3):
+            assert abs(entropies[k][n] - von_neumann_entropy(psi, [k])) <= 1e-14
+
+
+def test_three_tangle_keeps_the_scalar_bits_on_scattering_states():
+    stack = STACKS["scattering"]
+    assert three_tangle(stack).tolist() == [scalar_three_tangle(psi) for psi in stack]
+
+
+@pytest.mark.parametrize("bad", [np.full(8, np.nan, dtype=complex), 2.0 * ket("000"),
+                                 (1.0 + 1e-9) * ket("000")], ids=["nan", "norm-2", "norm-1+1e-9"])
+def test_stack_with_one_bad_state_is_rejected(bad):
+    stack = STACKS["scattering"][:50].copy()
+    stack[37] = bad
+    with pytest.raises(ValueError, match="normalized"):
+        entanglement_report(stack)
+    with pytest.raises(ValueError, match="normalized"):
+        classify_slocc(stack.reshape(5, 10, 8))
+
+
+def test_scattering_cut_entropies_are_the_fusion_entropy_and_its_partner():
+    """The paper identity: qubits 1 and 3 of the output state carry the
+    fusion-space entropy vn_Sprime, and qubit 2 carries
+    H(cos^2 eta + sin^2 beta sin^2 eta)."""
+    eta, beta = np.meshgrid(np.linspace(0.0, 2.0 * np.pi, 73),
+                            np.linspace(-np.pi / 2, np.pi / 2, 49), indexing="ij")
+    params = ScatterParams(eta, beta)
+    entropies = entanglement_report(state_from_params(params)).vn_entropies
+    fusion = fusion_entropy(params)
+    partner = binary_entropy(np.cos(eta) ** 2 + np.sin(beta) ** 2 * np.sin(eta) ** 2)
+    assert np.max(np.abs(entropies[0] - fusion)) <= 1e-14
+    assert np.max(np.abs(entropies[2] - fusion)) <= 1e-14
+    assert np.max(np.abs(entropies[1] - partner)) <= 1e-14
+
+
+@pytest.mark.parametrize("eta", [1e-8, 1e-6, 1e-3, np.pi - 1e-7])
+def test_cut_entropies_keep_their_digits_near_a_product_state(eta):
+    """Near |000> each cut's smaller eigenvalue is tiny: taken as 1 less
+    the larger it cancels to a few correct digits; as det(r) over the
+    larger it keeps them.  The closed form here is p^2 + q^2 for qubits 1
+    and 3 and 2 p^2 for qubit 2."""
+    beta = np.linspace(-1.5, 1.5, 31)
+    entropies = entanglement_report(state_from_params(ScatterParams(eta, beta))).vn_entropies
+    pair, lone = np.cos(beta) * np.sin(eta) / math.sqrt(2.0), np.sin(beta) * np.sin(eta)
+    small = [pair ** 2 + lone ** 2, 2.0 * pair ** 2, pair ** 2 + lone ** 2]
+    for k in range(3):
+        want = binary_entropy(small[k])
+        assert np.all(np.abs(entropies[k] - want) <= 1e-12 * want), k

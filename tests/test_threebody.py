@@ -176,6 +176,16 @@ def test_state_is_normalized(eta, beta):
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
+def test_state_stack_keeps_the_bits_of_each_call():
+    rng = np.random.default_rng(3)
+    eta, beta = rng.uniform(-7.0, 7.0, (30, 1)), rng.uniform(-3.2, 3.2, 20)
+    stack = state_from_params(ScatterParams(eta, beta))
+    assert stack.shape == (30, 20, 8)
+    for i, j in np.ndindex(30, 20):
+        one = state_from_params(ScatterParams(float(eta[i, 0]), float(beta[j])))
+        assert stack[i, j].tobytes() == one.tobytes()
+
+
 @given(etas, betas)
 def test_state_equals_closed_form_action(eta, beta):
     params = ScatterParams(eta, beta)
