@@ -23,6 +23,7 @@ import os
 import stat
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -56,12 +57,14 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path`` and rename it over
-    ``path``, so a reader never sees half a file.  A symlink is followed to
-    its target, as ``open`` follows it, and stays a link.  The file gets the
-    mode a plain ``open`` gives it, not the 0600 of ``mkstemp``: a replaced
-    file keeps its mode, and a new one is 0666 less the umask."""
+def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` one at a time to a temporary file beside ``path``
+    and rename it over ``path`` after the last one, so a reader never sees
+    half a file and a failure mid-stream leaves ``path`` as it was, with no
+    temporary file left behind.  A symlink is followed to its target, as
+    ``open`` follows it, and stays a link.  The file gets the mode a plain
+    ``open`` gives it, not the 0600 of ``mkstemp``: a replaced file keeps
+    its mode, and a new one is 0666 less the umask."""
     path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
@@ -71,9 +74,9 @@ def _write_atomic(path: str, text: str) -> None:
         mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".ybekit-")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb") as handle:
             os.fchmod(fd, mode)
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -87,11 +90,14 @@ def _json_doc(payload: dict, **meta) -> str:
                       sort_keys=True, indent=1) + "\n"
 
 
-def _emit(path: str | None, text: str) -> None:
+def _emit(path: str | None, chunks: Iterable[bytes]) -> None:
+    """Write the ASCII ``chunks`` to ``path`` (see :func:`_write_atomic`)
+    or, without one, to stdout, each as it comes."""
     if path is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode("ascii"))
     else:
-        _write_atomic(path, text)
+        _write_atomic(path, chunks)
 
 
 def parse_axis(raw: str, name: str, count: int | None = None) -> AxisSpec:
@@ -167,7 +173,7 @@ def cmd_verify(args) -> int:
             # strict JSON has no NaN: a non-finite residual is written as null
             {"name": c.name, "residual": float(c.residual) if math.isfinite(c.residual) else None,
              "tol": float(c.tol), "pass": c.passed} for c in rows]}, seed=args.seed, tol=args.tol)
-    _emit(args.output, text)
+    _emit(args.output, [text.encode("ascii")])
     if args.output is not None:
         sys.stdout.write(summary + "\n")
     return EXIT_OK if failed == 0 else EXIT_TOLERANCE
@@ -181,29 +187,31 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
 
 
-def _csv_mesh(coords: dict[str, np.ndarray], values: np.ndarray) -> str:
+def _csv_mesh(coords: dict[str, np.ndarray], values: np.ndarray) -> Iterator[bytes]:
     """CSV of a landscape sampled on the ``ij`` mesh of ``coords`` (axis
     name to points, in axis order): a row per value, in flat order, of its
     axis coordinates and the value, each cell as :func:`fmt` renders it.
 
     Each axis point is rendered once; a block of rows at a time gathers
-    the coordinate cells of its rows beside its rendered values."""
+    the coordinate cells of its rows beside its rendered values.  The
+    header and then each block's rows are yielded as ASCII bytes."""
     points = [floattext.cells(axis) for axis in coords.values()]
     flat = values.reshape(-1)
     ends = b"," * len(points) + b"\n"
-    text = [",".join([*coords, "value"]) + "\n"]
+    yield ",".join([*coords, "value"]).encode("ascii") + b"\n"
     for start in range(0, flat.size, floattext.BLOCK):
         block = flat[start:start + floattext.BLOCK]
         index = np.unravel_index(np.arange(start, start + block.size), values.shape)
         columns = [np.take(cells, i, axis=0) for cells, i in zip(points, index)]
-        text.append(floattext.table_text([*columns, floattext.cells(block)], ends))
-    return "".join(text)
+        yield floattext.table_text([*columns, floattext.cells(block)], ends)
 
 
-def _json_text(fn: str, axes: list[AxisSpec], values: np.ndarray, meta: dict) -> str:
-    """The landscape JSON document as ``json.dumps`` renders it, with the
-    ``values`` array, which sorts last among the keys, rendered a block at
-    a time by :mod:`floattext` and spliced in."""
+def _json_text(fn: str, axes: list[AxisSpec], values: np.ndarray,
+               meta: dict) -> Iterator[bytes]:
+    """The landscape JSON document as ``json.dumps`` renders it, as ASCII
+    bytes: the text before the ``values`` array, which sorts last among the
+    keys, then the array a block at a time as :mod:`floattext` renders it,
+    then the text after it."""
     payload = {
         "fn": fn,
         "axes": [
@@ -214,11 +222,13 @@ def _json_text(fn: str, axes: list[AxisSpec], values: np.ndarray, meta: dict) ->
     }
     head, _, tail = json.dumps(payload, sort_keys=True, separators=(",", ":")).rpartition(
         '"values":[]')
+    yield f'{head}"values":['.encode("ascii")
     flat = values.reshape(-1)
-    blocks = (flat[start:start + floattext.BLOCK] for start in range(0, flat.size, floattext.BLOCK))
-    numbers = "".join(floattext.table_text([floattext.cells(block, shortest=True)], b",")
-                      for block in blocks)
-    return f'{head}"values":[{numbers[:-1]}]{tail}\n'
+    for start in range(0, flat.size, floattext.BLOCK):
+        block = flat[start:start + floattext.BLOCK]
+        numbers = floattext.table_text([floattext.cells(block, shortest=True)], b",")
+        yield numbers if start + block.size < flat.size else numbers[:-1]  # no comma after the last
+    yield f"]{tail}\n".encode("ascii")
 
 
 def cmd_landscape(args) -> int:
@@ -229,10 +239,10 @@ def cmd_landscape(args) -> int:
         meta = {"seed": None, "tol": None}
         if fixed is not None:
             meta["section"] = f"{fixed.name}={fmt(fixed.start)}"
-        text = _json_text(args.fn, [a for a in axes if a is not fixed], values, meta)
+        chunks = _json_text(args.fn, [a for a in axes if a is not fixed], values, meta)
     else:
-        text = _csv_mesh({a.name: a.points() for a in axes}, values)
-    _emit(args.output, text)
+        chunks = _csv_mesh({a.name: a.points() for a in axes}, values)
+    _emit(args.output, chunks)
     return EXIT_OK
 
 
@@ -306,7 +316,7 @@ def cmd_extrema(args) -> int:
                          coarse=args.coarse, tol=args.tol)
     else:
         text = _csv_text(header, rows)
-    _emit(args.output, text)
+    _emit(args.output, [text.encode("ascii")])
     return EXIT_OK
 
 

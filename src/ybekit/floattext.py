@@ -31,8 +31,8 @@ one.
 
 A cell is a row of :data:`WIDTH` bytes padded with NULs, which
 :func:`table_text` squeezes out of a table of cells with
-``bytes.translate``.  Callers format :data:`BLOCK` values at a time, so no
-temporary covers a whole landscape.
+``bytes.translate``.  Callers format :data:`BLOCK` values at a time and
+pass each block's bytes on, so no temporary covers a whole landscape.
 """
 
 from __future__ import annotations
@@ -180,11 +180,15 @@ def cells(values: np.ndarray, shortest: bool = False) -> np.ndarray:
     return out
 
 
-def table_text(columns: list[np.ndarray], ends: bytes) -> str:
-    """The rows of cell arrays ``columns`` side by side, each cell followed
-    by its byte of ``ends``, with the NUL padding squeezed out."""
+def table_text(columns: list[np.ndarray], ends: bytes) -> bytes:
+    """The ASCII bytes of the rows of cell arrays ``columns`` side by side,
+    each cell followed by its byte of ``ends``, with the NUL padding
+    squeezed out.  The table is freed before the result is allocated, so a
+    block holds at most two copies of its text at once."""
     table = np.empty((len(columns[0]), len(columns), WIDTH + 1), dtype=np.uint8)
     for j, column in enumerate(columns):
         table[:, j, :WIDTH] = column
         table[:, j, WIDTH] = ends[j]
-    return table.tobytes().translate(None, b"\0").decode("ascii")
+    data = table.tobytes()
+    del table
+    return data.translate(None, b"\0")

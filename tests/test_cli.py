@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from ybekit import checks, cli
 from ybekit.entanglement import three_body_l1
-from ybekit.landscape import FUNCTIONS, AxisSpec, LandscapeFunction
+from ybekit.landscape import FUNCTIONS, AxisSpec, LandscapeFunction, sample
 from ybekit.threebody import ScatterParams
 
 from reference import _csv_numbers_reference, _json_text_reference
@@ -44,6 +46,11 @@ def run_cli_subprocess(args):
         capture_output=True, text=True, timeout=60,
     )
     return proc
+
+
+def _joined(chunks):
+    """The text of a writer's stream of ASCII byte chunks."""
+    return b"".join(chunks).decode("ascii")
 
 
 def _csv_rows(text):
@@ -702,9 +709,10 @@ def test_bulk_csv_matches_per_cell_fmt():
     beta = 0.61547970867038737  # a section's fixed coordinate
     expected = "eta,beta,value\n" + "".join(
         f"{cli.fmt(etas[k])},{cli.fmt(beta)},{cli.fmt(values[k])}\n" for k in range(n))
-    assert cli._csv_mesh({"eta": etas, "beta": np.array([beta])}, values[:, None]) == expected
+    section = cli._csv_mesh({"eta": etas, "beta": np.array([beta])}, values[:, None])
+    assert _joined(section) == expected
     assert expected.splitlines()[1].startswith("-0,")
-    curve = cli._csv_mesh({"theta": etas}, values)
+    curve = _joined(cli._csv_mesh({"theta": etas}, values))
     assert curve == "theta,value\n" + "".join(
         f"{cli.fmt(etas[k])},{cli.fmt(values[k])}\n" for k in range(n))
 
@@ -717,7 +725,7 @@ def test_grid_csv_matches_bulk_csv():
     values = values.reshape(etas.size, betas.size)
     mesh = np.meshgrid(etas, betas, indexing="ij")
     expected = _csv_numbers_reference({"eta": mesh[0], "beta": mesh[1], "value": values})
-    assert cli._csv_mesh({"eta": etas, "beta": betas}, values) == expected
+    assert _joined(cli._csv_mesh({"eta": etas, "beta": betas}, values)) == expected
 
 
 def _bits(x):
@@ -774,7 +782,7 @@ def test_bulk_csv_matches_reference(repeats, constant, data):
     coords, values = _mesh_case(data, constant, repeats)
     mesh = np.broadcast_arrays(*np.meshgrid(*coords.values(), indexing="ij", sparse=True))
     columns = {**dict(zip(coords, mesh)), "value": values}
-    assert cli._csv_mesh(coords, values) == _csv_numbers_reference(columns)
+    assert _joined(cli._csv_mesh(coords, values)) == _csv_numbers_reference(columns)
 
 
 @pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "distinct"])
@@ -787,7 +795,7 @@ def test_json_matches_reference(repeats, data):
     values = data.draw(_column(math.prod(shape), repeats)).reshape(shape)
     axes = [AxisSpec(name, 0.0, 1.0, k) for name, k in zip(("eta", "beta"), shape)]
     meta = {"seed": None, "tol": None, "section": '"values":[]'}
-    assert (cli._json_text("l1_S3", axes, values, meta)
+    assert (_joined(cli._json_text("l1_S3", axes, values, meta))
             == _json_text_reference("l1_S3", axes, values, meta))
 
 
@@ -810,18 +818,95 @@ BLOCK = cli.floattext.BLOCK
 ], ids=str)
 def test_writers_across_blocks(shape):
     """Both writers give the reference bytes when rows run over the block
-    boundary of the formatter, whose Hypothesis tests draw fewer values."""
+    boundary of the formatter, whose Hypothesis tests draw fewer values:
+    the CSV as its header and one chunk per block, the JSON as its head,
+    one chunk per block and its tail."""
     rng = np.random.default_rng(sum(shape))
     names = ("theta",) if len(shape) == 1 else ("eta", "beta")
     coords = {name: _block_column(rng, k) for name, k in zip(names, shape)}
     values = _block_column(rng, math.prod(shape)).reshape(shape)
     mesh = np.broadcast_arrays(*np.meshgrid(*coords.values(), indexing="ij", sparse=True))
     columns = {**dict(zip(coords, mesh)), "value": values}
-    assert cli._csv_mesh(coords, values) == _csv_numbers_reference(columns)
+    blocks = -(-values.size // BLOCK)
+    chunks = list(cli._csv_mesh(coords, values))
+    assert len(chunks) == 1 + blocks
+    assert _joined(chunks) == _csv_numbers_reference(columns)
     axes = [AxisSpec(name, 0.0, 1.0, k) for name, k in zip(names, shape) if k > 1]
     meta = {"seed": None, "tol": None}
-    assert (cli._json_text("l1_S3", axes, values, meta)
-            == _json_text_reference("l1_S3", axes, values, meta))
+    chunks = list(cli._json_text("l1_S3", axes, values, meta))
+    assert len(chunks) == 2 + blocks
+    assert _joined(chunks) == _json_text_reference("l1_S3", axes, values, meta)
+
+
+def test_writers_hold_a_few_blocks_not_the_document():
+    """An 800x800 grid's CSV (35 MiB) and JSON (11 MiB) are streamed with
+    a traced peak of a few blocks: no layer holds the whole document."""
+    axes = [AxisSpec("eta", 0.0, 2.0 * math.pi, 800), AxisSpec("beta", -1.5, 1.5, 800)]
+    values = sample("l1_S3", axes)
+    coords = {a.name: a.points() for a in axes}
+    writers = {"csv": lambda: cli._csv_mesh(coords, values),
+               "json": lambda: cli._json_text("l1_S3", axes, values, {})}
+    for name, writer in writers.items():
+        tracemalloc.start()
+        try:
+            size = sum(map(len, writer()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 10 * 2 ** 20 and peak < 6 * 2 ** 20, (name, size, peak)
+
+
+TWO_BLOCK_GRID = ["landscape", "--fn", "l1_S3", "--eta", "0:1:130", "--beta", "0:1:130"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failure_mid_stream_leaves_the_output_file_as_it_was(fmt, tmp_path, monkeypatch,
+                                                               capsys):
+    """A grid of two blocks whose second block fails to format, after the
+    first was written to the temporary file: exit 2 with one error line,
+    and the target keeps its bytes and mode, with no temporary file left."""
+    target = tmp_path / "grid.out"
+    target.write_bytes(b"old\n")
+    target.chmod(0o640)
+    cells, written = cli.floattext.cells, []
+
+    def second_block_fails(values, shortest=False):
+        if np.size(values) == 130 * 130 - BLOCK:
+            written.extend(p.stat().st_size for p in tmp_path.glob(".ybekit-*"))
+            raise MemoryError
+        return cells(values, shortest)
+
+    monkeypatch.setattr(cli.floattext, "cells", second_block_fails)
+    argv = TWO_BLOCK_GRID + ["--format", fmt, "--output", str(target)]
+    assert run_cli_streams(argv, capsys) == (2, "", "error: out of memory\n")
+    assert len(written) == 1 and written[0] > BLOCK  # the first block was on disk
+    assert target.read_bytes() == b"old\n" and stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.out"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_and_output_file_hold_the_same_bytes(fmt, tmp_path, capsys):
+    argv = TWO_BLOCK_GRID + ["--format", fmt]
+    code, out = run_cli(argv, capsys)
+    path = tmp_path / f"grid.{fmt}"
+    assert (code, run_cli(argv + ["--output", str(path)], capsys)) == (0, (0, ""))
+    assert path.read_bytes() == out.encode("ascii")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_non_finite_landscape_writes_nothing(fmt, monkeypatch, capsys):
+    """The whole grid is checked before the first chunk is written: a NaN
+    in its last value, in the second block, leaves stdout empty."""
+    spec = FUNCTIONS["l1_S3"]
+
+    def nan_at_the_end(params):
+        values = spec.fn(params).copy()
+        values.flat[-1] = math.nan
+        return values
+
+    monkeypatch.setitem(FUNCTIONS, "l1_S3", dataclasses.replace(spec, fn=nan_at_the_end))
+    assert (run_cli_streams(TWO_BLOCK_GRID + ["--format", fmt], capsys)
+            == (2, "", "error: landscape contains non-finite values\n"))
 
 
 def test_version_flag(capsys):

@@ -15,8 +15,8 @@ from ybekit import floattext
 
 
 def _rendered(values, shortest):
-    """One line per value, as the formatter renders it."""
-    return floattext.table_text([floattext.cells(values, shortest)], b"\n")
+    """One line per value, as the formatter renders it, decoded."""
+    return floattext.table_text([floattext.cells(values, shortest)], b"\n").decode("ascii")
 
 
 def _expected(values, shortest):
@@ -108,5 +108,5 @@ def test_blocks_of_cells_are_padded_rows():
     values = np.array([1.5, -0.25, math.nan])
     table = floattext.cells(values)
     assert table.shape == (3, floattext.WIDTH) and table.dtype == np.uint8
-    assert floattext.table_text([table, table[::-1]], b",\n") == "1.5,nan\n-0.25,-0.25\nnan,1.5\n"
-    assert floattext.table_text([floattext.cells(np.array([]))], b"\n") == ""
+    assert floattext.table_text([table, table[::-1]], b",\n") == b"1.5,nan\n-0.25,-0.25\nnan,1.5\n"
+    assert floattext.table_text([floattext.cells(np.array([]))], b"\n") == b""
