@@ -268,7 +268,7 @@ def _axes(args, spec, count: int | None = None) -> tuple[list[AxisSpec], AxisSpe
     fixed_name = fixed_name.strip()
     if fixed_name in spec.axes and getattr(args, fixed_name) is not None:
         raise ValueError(f"--{fixed_name} does not apply: --section {section} fixes that axis")
-    if section:
+    if section is not None:
         if fixed_name not in spec.axes or not raw:
             forms = " or ".join(f"{name}=VALUE" for name in spec.axes)
             raise ValueError(f"--section must be {forms}, got {section!r}")
@@ -283,7 +283,7 @@ def _axes(args, spec, count: int | None = None) -> tuple[list[AxisSpec], AxisSpe
         if name == fixed_name:  # only a valid --section names an axis
             fixed = AxisSpec(name, value, value, 1)
             axes.append(fixed)
-        elif getattr(args, name):
+        elif getattr(args, name) is not None:
             axes.append(parse_axis(getattr(args, name), name, count))
         else:
             axes.append(AxisSpec(name, lo, hi, count or (500 if spec.arity == 1 else 200)))

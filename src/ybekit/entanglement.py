@@ -5,7 +5,11 @@ basis (contrast the l2 probability normalization).  For the 2x2
 fusion-space scattering matrix the corresponding norm sums absolute real
 and imaginary parts of the first-row entries; that real/imaginary split is
 exactly what makes the matrix norm agree with the state norm of the 8x8
-form for every parameter choice.
+form for every parameter choice.  :func:`fusion_l1` and
+:func:`fusion_entropy` are closed forms of that first row, evaluated on the
+parameter arrays alone with the bits of the dense matrix; the dense
+:func:`~ybekit.threebody.fusion_form` serves the basis reduction and the
+tests.
 
 Entropies are in bits throughout, with 0*log(0) = 0.
 """
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import partial_trace
-from .threebody import ScatterParams, fusion_form
+from .threebody import ScatterParams
 
 CLASS_TOL = 1e-6
 NORM_TOL = 1e-10
@@ -58,13 +62,19 @@ def three_body_l1(params: ScatterParams) -> float | np.ndarray:
 
 
 def fusion_l1(params: ScatterParams) -> float | np.ndarray:
-    """l1-norm of the 2x2 fusion-space matrix.
+    """l1-norm of the 2x2 fusion-space matrix: |Re| + |Im| summed over its
+    first row, in closed form.
 
-    Sums |Re| + |Im| over the first-row entries; equals
-    :func:`three_body_l1` identically.
+    The row is (cos(eta) + i c sin(eta), (sin(beta) + i c) sin(eta)) with
+    c = cos(beta)/sqrt2, so the norm is |cos(eta)| + |sin(beta) sin(eta)|
+    + 2|c sin(eta)| = :func:`three_body_l1`, as 2|c| = sqrt2 |cos(beta)|.
+    Each product in :func:`~ybekit.threebody.fusion_form` that feeds these
+    parts has one exactly zero term, so the sum, taken in the order of its
+    real then imaginary parts, has the bits of the matrix route.
     """
-    row = fusion_form(params)[0]
-    return np.sum(np.abs(row.real), axis=0) + np.sum(np.abs(row.imag), axis=0)
+    ce, se = np.cos(params.eta), np.sin(params.eta)
+    cb, sb = np.cos(params.beta), np.sin(params.beta)
+    return (np.abs(ce) + np.abs(sb * se)) + 2.0 * np.abs(cb / math.sqrt(2.0) * se)
 
 
 def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
@@ -103,11 +113,26 @@ def von_neumann_entropy(psi: np.ndarray, keep: list[int]) -> float:
 def fusion_entropy(params: ScatterParams) -> float | np.ndarray:
     """Entropy (bits) of the fusion-space output amplitudes.
 
-    Binary entropy of |first row, first entry|^2; the first row is a unit
-    vector by unitarity.
+    Binary entropy of |m00|^2, where m00 = cos(eta) + i cos(beta) sin(eta)/sqrt2
+    is the first entry of the fusion matrix's first row, a unit vector by
+    unitarity.  Only m00 is built, as a complex array: numpy's complex
+    modulus rounds apart from ``np.hypot`` of its parts.
     """
-    top_left = fusion_form(params)[0, 0]
+    ce, se = np.cos(params.eta), np.sin(params.eta)
+    im = np.cos(params.beta) / math.sqrt(2.0) * se  # has the shape of the mesh
+    top_left = np.empty(np.shape(im), dtype=complex)
+    top_left.real, top_left.imag = ce, im
     return binary_entropy(np.abs(top_left) ** 2)
+
+
+# The factors of the hyperdeterminant's products as amplitude indices
+# 4i + 2j + k of c[i, j, k]: d1 sums the four products of two squares, d2
+# the first six 4-products and d3 the last two.
+_SQUARED = np.array([[0b000, 0b001, 0b010, 0b100], [0b111, 0b110, 0b101, 0b011]])
+_QUARTETS = np.array([[0b000, 0b000, 0b000, 0b011, 0b011, 0b101, 0b000, 0b111],
+                      [0b111, 0b111, 0b111, 0b100, 0b100, 0b010, 0b110, 0b001],
+                      [0b011, 0b101, 0b110, 0b101, 0b110, 0b110, 0b101, 0b010],
+                      [0b100, 0b010, 0b001, 0b010, 0b001, 0b001, 0b011, 0b100]])
 
 
 def three_tangle(psi: np.ndarray) -> float | np.ndarray:
@@ -117,21 +142,20 @@ def three_tangle(psi: np.ndarray) -> float | np.ndarray:
     GHZ state, 0 for the W state and every product state.  A (..., 8)
     stack of states gives one value per state; one state is a stack of one,
     since numpy's scalar complex products round apart from its array loops.
+    Each product multiplies its factors, and each sum adds its terms, left
+    to right.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1:] != (8,):
         raise ValueError(f"three qubits required, got states of shape {psi.shape}")
-    c = psi.reshape(-1, 2, 2, 2).transpose(1, 2, 3, 0)  # c[i, j, k, state]
-    d1 = (c[0, 0, 0] ** 2 * c[1, 1, 1] ** 2 + c[0, 0, 1] ** 2 * c[1, 1, 0] ** 2
-          + c[0, 1, 0] ** 2 * c[1, 0, 1] ** 2 + c[1, 0, 0] ** 2 * c[0, 1, 1] ** 2)
-    d2 = (c[0, 0, 0] * c[1, 1, 1] * c[0, 1, 1] * c[1, 0, 0]
-          + c[0, 0, 0] * c[1, 1, 1] * c[1, 0, 1] * c[0, 1, 0]
-          + c[0, 0, 0] * c[1, 1, 1] * c[1, 1, 0] * c[0, 0, 1]
-          + c[0, 1, 1] * c[1, 0, 0] * c[1, 0, 1] * c[0, 1, 0]
-          + c[0, 1, 1] * c[1, 0, 0] * c[1, 1, 0] * c[0, 0, 1]
-          + c[1, 0, 1] * c[0, 1, 0] * c[1, 1, 0] * c[0, 0, 1])
-    d3 = (c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
-          + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0])
+    amps = psi.reshape(-1, 8).T  # amps[4i + 2j + k, state] = c[i, j, k]
+    squares = amps[_SQUARED] ** 2
+    pairs = squares[0] * squares[1]
+    factors = amps[_QUARTETS]
+    quartets = factors[0] * factors[1] * factors[2] * factors[3]
+    d1 = pairs[0] + pairs[1] + pairs[2] + pairs[3]
+    d2 = quartets[0] + quartets[1] + quartets[2] + quartets[3] + quartets[4] + quartets[5]
+    d3 = quartets[6] + quartets[7]
     return (4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)).reshape(psi.shape[:-1])[()]
 
 

@@ -294,6 +294,25 @@ def scalar_three_tangle(psi):
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
+def three_tangle_by_coordinates(psi):
+    """The hyperdeterminant of a (..., 8) stack written out on c[i, j, k]
+    views, as it ran before the index tables: the byte reference of
+    :func:`ybekit.entanglement.three_tangle`."""
+    psi = np.asarray(psi, dtype=complex)
+    c = psi.reshape(-1, 2, 2, 2).transpose(1, 2, 3, 0)  # c[i, j, k, state]
+    d1 = (c[0, 0, 0] ** 2 * c[1, 1, 1] ** 2 + c[0, 0, 1] ** 2 * c[1, 1, 0] ** 2
+          + c[0, 1, 0] ** 2 * c[1, 0, 1] ** 2 + c[1, 0, 0] ** 2 * c[0, 1, 1] ** 2)
+    d2 = (c[0, 0, 0] * c[1, 1, 1] * c[0, 1, 1] * c[1, 0, 0]
+          + c[0, 0, 0] * c[1, 1, 1] * c[1, 0, 1] * c[0, 1, 0]
+          + c[0, 0, 0] * c[1, 1, 1] * c[1, 1, 0] * c[0, 0, 1]
+          + c[0, 1, 1] * c[1, 0, 0] * c[1, 0, 1] * c[0, 1, 0]
+          + c[0, 1, 1] * c[1, 0, 0] * c[1, 1, 0] * c[0, 0, 1]
+          + c[1, 0, 1] * c[0, 1, 0] * c[1, 1, 0] * c[0, 0, 1])
+    d3 = (c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
+          + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0])
+    return (4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)).reshape(psi.shape[:-1])[()]
+
+
 def scalar_max_diff_up_to_phase(a, b):
     idx = np.unravel_index(np.argmax(np.abs(a)), a.shape)
     if abs(a[idx]) == 0.0:

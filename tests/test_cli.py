@@ -414,6 +414,11 @@ USAGE_ERRORS = {
         "--section needs a finite value, got 'beta=abc'",
     "landscape --fn l1_S3 --section gamma=1":
         "--section must be eta=VALUE or beta=VALUE, got 'gamma=1'",
+    "landscape --fn l1_wigner --theta=": "--theta must look like start:stop:count, got ''",
+    "landscape --fn l1_S3 --section=": "--section must be eta=VALUE or beta=VALUE, got ''",
+    "landscape --fn vn_Sprime --eta= --beta 0:1:3": "--eta must look like start:stop:count, got ''",
+    "extrema --fn l1_wigner --theta=": "--theta must look like start:stop[:count], got ''",
+    "extrema --fn l1_S3 --beta=": "--beta must look like start:stop[:count], got ''",
     "landscape --fn l1_S3 --section beta=nan": "--section needs a finite value, got 'beta=nan'",
     "state --thetas 0,0.7853981633974483,0.7853981633974483 --eta 1 --beta 1":
         "--thetas does not combine with --eta or --beta",
@@ -495,6 +500,11 @@ USAGE_ERRORS = {
     ["landscape", "--fn", "vn_Sprime", "--beta", "1:1:1"],
     ["landscape", "--fn", "l1_S3", "--section", "beta=abc"],
     ["landscape", "--fn", "l1_S3", "--section", "gamma=1"],
+    ["landscape", "--fn", "l1_wigner", "--theta="],
+    ["landscape", "--fn", "l1_S3", "--section="],
+    ["landscape", "--fn", "vn_Sprime", "--eta=", "--beta", "0:1:3"],
+    ["extrema", "--fn", "l1_wigner", "--theta="],
+    ["extrema", "--fn", "l1_S3", "--beta="],
     ["state", "--thetas", "0,0.7853981633974483,0.7853981633974483", "--eta", "1", "--beta", "1"],
     ["state", "--thetas", "0,0.7853981633974483,0.7853981633974483", "--beta", "0"],
     ["verify", "--suite", "braid", "--perturb", "0.5"],

@@ -22,9 +22,9 @@ from ybekit.entanglement import (
 )
 from ybekit.rmatrix import type2_r_4x4, wigner_d_half
 from ybekit.tensor import ket, kron
-from ybekit.threebody import BETA_STAR, ScatterParams, state_from_params
+from ybekit.threebody import BETA_STAR, ScatterParams, fusion_form, state_from_params
 
-from reference import scalar_three_tangle
+from reference import scalar_three_tangle, three_tangle_by_coordinates
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
@@ -85,6 +85,48 @@ def test_fusion_l1_matches_three_body_l1(eta, beta):
 def test_fusion_l1_known_values():
     assert abs(fusion_l1(GHZ_PARAMS) - 2.0) < 1e-14
     assert fusion_l1(ScatterParams(0.0, 0.4)) == 1.0
+
+
+def _fusion_oracle(params):
+    """The matrix route: |Re| + |Im| over the first row of the dense fusion
+    matrix, and the binary entropy of its first entry's squared modulus."""
+    row = fusion_form(params)[0]
+    l1 = np.sum(np.abs(row.real), axis=0) + np.sum(np.abs(row.imag), axis=0)
+    return l1, binary_entropy(np.abs(row[0]) ** 2)
+
+
+_MESH = np.meshgrid(np.random.default_rng(21).uniform(-7.0, 7.0, 150),
+                    np.random.default_rng(22).uniform(-3.2, 3.2, 140), indexing="ij", sparse=True)
+FUSION_POINTS = {
+    "seeded-mesh": ScatterParams(*_MESH),
+    "random-pairs": ScatterParams(np.random.default_rng(23).uniform(-7.0, 7.0, 5000),
+                                  np.random.default_rng(24).uniform(-3.2, 3.2, 5000)),
+    "ghz": GHZ_PARAMS,
+    "w": W_PARAMS,
+    "sin-eta-zero": ScatterParams(0.0, 0.4),
+    "sin-eta-minus-zero": ScatterParams(-0.0, -1.1),
+    "beta-half-pi": ScatterParams(1.3, math.pi / 2),
+    "beta-minus-half-pi": ScatterParams(-2.2, -math.pi / 2),
+    "eta-zero-beta-half-pi": ScatterParams(np.array([0.0, -0.0, 2.0]),
+                                           np.array([math.pi / 2, -math.pi / 2, 0.0])),
+    **{f"float-{k}": ScatterParams(*np.random.default_rng(k).uniform([-7.0, -3.2],
+                                                                     [7.0, 3.2]).tolist())
+       for k in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", FUSION_POINTS)
+def test_fusion_kernels_have_the_bits_of_the_matrix_route(name):
+    """The closed forms of fusion_l1 and fusion_entropy equal the dense
+    fusion_form oracle bit for bit, and float inputs give numpy floats."""
+    params = FUSION_POINTS[name]
+    for kernel, expected in zip((fusion_l1, fusion_entropy), _fusion_oracle(params)):
+        value = kernel(params)
+        assert type(value) is type(expected)
+        assert np.shape(value) == np.shape(expected)
+        assert np.asarray(value).tobytes() == np.asarray(expected).tobytes(), kernel.__name__
+        if isinstance(params.eta, float):
+            assert type(value) is np.float64
 
 
 def test_l1_bounds_on_dense_grid():
@@ -277,6 +319,38 @@ def test_cut_entropies_agree_with_the_dense_oracle(kind):
 def test_three_tangle_keeps_the_scalar_bits_on_scattering_states():
     stack = STACKS["scattering"]
     assert three_tangle(stack).tolist() == [scalar_three_tangle(psi) for psi in stack]
+
+
+TANGLE_STATES = {
+    **STACKS,
+    "random-3d": STACKS["random"].reshape(20, 20, 8),
+    "scattering-at-points": state_from_params(ScatterParams(np.array([np.pi / 3, np.pi / 2, 0.0]),
+                                                            np.full(3, BETA_STAR))),
+}
+SINGLE_STATES = {
+    "ghz": (ket("000") + ket("111")) / math.sqrt(2.0),
+    "w": (ket("001") + ket("010") + ket("100")) / math.sqrt(3.0),
+    "product": ket("010"),
+    "ghz-point": state_from_params(GHZ_PARAMS),
+    "w-point": state_from_params(W_PARAMS),
+    **{f"random-{n}": psi for n, psi in enumerate(STACKS["random"][:40])},
+    **{f"scattering-{n}": psi for n, psi in enumerate(STACKS["scattering"][:40])},
+}
+
+
+@pytest.mark.parametrize("kind", TANGLE_STATES)
+def test_three_tangle_of_a_stack_has_the_bits_of_the_coordinate_form(kind):
+    stack = TANGLE_STATES[kind]
+    tau = three_tangle(stack)
+    assert tau.shape == stack.shape[:-1]
+    assert tau.tobytes() == three_tangle_by_coordinates(stack).tobytes()
+
+
+def test_three_tangle_of_one_state_has_the_bits_of_the_coordinate_form():
+    for name, psi in SINGLE_STATES.items():
+        tau, expected = three_tangle(psi), three_tangle_by_coordinates(psi)
+        assert type(tau) is type(expected) is np.float64, name
+        assert tau.tobytes() == expected.tobytes(), name
 
 
 @pytest.mark.parametrize("bad", [np.full(8, np.nan, dtype=complex), 2.0 * ket("000"),
