@@ -19,14 +19,12 @@ from .braiding import (
 )
 from .entanglement import (
     binary_entropy,
-    classify_slocc,
     entanglement_report,
     fusion_entropy,
     fusion_l1,
     l1_norm,
     three_body_l1,
     three_tangle,
-    von_neumann_entropy,
     wigner_l1,
 )
 from .fusionbasis import (
@@ -54,14 +52,9 @@ from .rmatrix import (
     wigner_d_half,
 )
 from .tensor import (
-    expm_involutive,
-    expm_series,
-    is_unitary,
-    ket,
     kron,
     kron_all,
     max_diff_up_to_phase,
-    partial_trace,
 )
 from .threebody import (
     AngleTriple,
@@ -69,7 +62,6 @@ from .threebody import (
     ConstraintViolation,
     ScatterParams,
     angles_to_params,
-    closed_form,
     constrained_triple,
     fusion_form,
     product_form,

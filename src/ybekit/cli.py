@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, floattext
 from .checks import SUITES, random_reduction, worst
-from .entanglement import classify_slocc, entanglement_report
+from .entanglement import entanglement_report
 from .fusionbasis import LeakageError, reduce_three_body
 from .landscape import (
     AxisSpec,
@@ -38,7 +38,6 @@ from .landscape import (
     get_function,
     sample,
 )
-from .tensor import max_diff_up_to_phase
 from .threebody import (
     AngleTriple,
     ConstraintViolation,
@@ -309,7 +308,8 @@ def cmd_extrema(args) -> int:
     if spec.params is not None:  # a three-body landscape: label the states its map gives
         header.append("slocc_class")
         coords = np.array([p.location for p in points], dtype=float).reshape(-1, spec.arity).T
-        for row, label in zip(rows, classify_slocc(state_from_params(spec.params(*coords)))):
+        labels = entanglement_report(state_from_params(spec.params(*coords))).slocc_class
+        for row, label in zip(rows, labels):
             row.append(str(label))
     if args.format == "json":
         text = _json_doc({"fn": args.fn, "points": [dict(zip(header, row)) for row in rows]},
@@ -394,9 +394,7 @@ def cmd_reduce(args) -> int:
     if args.seed is not None:
         raise ValueError("--seed applies only to --random")
     constraint_tol = 1e-4 if args.constraint_tol is None else args.constraint_tol
-    # verify_basis_reduction's residual, of the printed reduction
-    reduced, closed, params = reduce_three_body(args.thetas, constraint_tol)
-    residual = max_diff_up_to_phase(reduced, closed.conj())
+    reduced, closed, params, residual = reduce_three_body(args.thetas, constraint_tol)
     lines = ["reduced 8x8 product on the fusion basis:"]
     lines += _format_matrix(reduced)
     lines.append("closed 2x2 form at (eta, beta) = "

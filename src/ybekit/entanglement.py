@@ -11,7 +11,9 @@ parameter arrays alone with the bits of the dense matrix; the dense
 :func:`~ybekit.threebody.fusion_form` serves the basis reduction and the
 tests.
 
-Entropies are in bits throughout, with 0*log(0) = 0.
+Entropies are in bits throughout, with 0*log(0) = 0.  The dense route, a
+partial trace and an eigensolver, is the tests' oracle
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import partial_trace
 from .threebody import ScatterParams
 
 CLASS_TOL = 1e-6
@@ -87,27 +88,6 @@ def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
     q = 1.0 - p
     # log2(1) = 0 stands in at p = 0 and q = 0; 0.0 - ... keeps H = +0.0
     return 0.0 - p * np.log2(p + (p == 0.0)) - q * np.log2(q + (q == 0.0))
-
-
-def von_neumann_entropy(psi: np.ndarray, keep: list[int]) -> float:
-    """Entanglement entropy (bits) of a pure state of qubits, their number
-    inferred from the state length, across a bipartition.
-
-    ``keep`` selects the qubits of the reduced density matrix.
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    n = int(round(math.log2(psi.size)))
-    if 2 ** n != psi.size:
-        raise ValueError(f"state length {psi.size} is not a power of two")
-    rho = np.outer(psi, psi.conj())
-    reduced = partial_trace(rho, [2] * n, keep)
-    evals = np.linalg.eigvalsh(reduced)
-    out = 0.0
-    for lam in evals:
-        lam = float(lam.real)
-        if lam > 1e-15:
-            out -= lam * math.log2(lam)
-    return out
 
 
 def fusion_entropy(params: ScatterParams) -> float | np.ndarray:
@@ -207,9 +187,3 @@ def entanglement_report(psi: np.ndarray, tol: float = CLASS_TOL) -> Entanglement
     index = np.where(tau > tol, 4, np.count_nonzero(entropies > tol, axis=0))
     return EntanglementReport(l1=l1_norm(psi), vn_entropies=dict(enumerate(entropies)),
                               three_tangle=tau, slocc_class=_CLASSES[index])
-
-
-def classify_slocc(psi: np.ndarray, tol: float = CLASS_TOL) -> str | np.ndarray:
-    """SLOCC class label of a normalized three-qubit pure state, or of each
-    state of a stack: the class :func:`entanglement_report` gives."""
-    return entanglement_report(psi, tol).slocc_class

@@ -164,18 +164,25 @@ def embed_three_body(op8: np.ndarray) -> np.ndarray:
 
 
 def reduce_three_body(triple: AngleTriple, constraint_tol: float = DEFAULT_CONSTRAINT_TOL
-                      ) -> tuple[np.ndarray, np.ndarray, ScatterParams]:
+                      ) -> tuple[np.ndarray, np.ndarray, ScatterParams, float | np.ndarray]:
     """The 8x8 factorized scattering matrix of ``triple``, lifted to four
     qubits and reduced on the type-II fusion basis; :func:`fusion_form` at
-    the parameters of the triple; and those parameters.  Array angles give
-    a (..., 2, 2) stack of each matrix.  Raises :class:`ConstraintViolation`
-    for a triple off the constraint line by more than ``constraint_tol``."""
+    the parameters of the triple; those parameters; and the residual
+    between the two matrices.  Array angles give a (..., 2, 2) stack of
+    each matrix and one residual per triple.  Raises
+    :class:`ConstraintViolation` for a triple off the constraint line by
+    more than ``constraint_tol``.
+
+    The fusion-basis matrix elements realize the 2x2 solution family with
+    reversed angle orientation, so the closed form is conjugated to match
+    that orientation before the single global phase is aligned.
+    """
     op16 = embed_three_body(product_form(triple, constraint_tol))
     reduced = reduce_operator(op16, fusion_basis_type2())
     params = angles_to_params(triple, constraint_tol)
     # fusion_form stacks its matrices over the trailing axes
     closed = np.moveaxis(fusion_form(params), (0, 1), (-2, -1))
-    return reduced, closed, params
+    return reduced, closed, params, max_diff_up_to_phase(reduced, closed.conj())
 
 
 def verify_basis_reduction(triple: AngleTriple,
@@ -183,13 +190,8 @@ def verify_basis_reduction(triple: AngleTriple,
     """Residual between the reduced 8x8 product and the 2x2 closed form
     (:func:`reduce_three_body`).
 
-    The fusion-basis matrix elements realize the 2x2 solution family with
-    reversed angle orientation, so the closed form is conjugated to match
-    that orientation before the single global phase is aligned.
-
     Array angles give one residual per triple.  The product, the reduction,
     the closed form and the phase alignment each run once for the whole
     block, and every residual has the bits of its triple's scalar call.
     """
-    reduced, closed, _ = reduce_three_body(triple, constraint_tol)
-    return max_diff_up_to_phase(reduced, closed.conj())
+    return reduce_three_body(triple, constraint_tol)[3]

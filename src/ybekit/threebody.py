@@ -1,27 +1,25 @@
 """Factorized three-body scattering matrix on three qubits.
 
-The 8x8 matrix is built two ways and cross-checked:
+The 8x8 matrix is the product R12(t1) R23(t2) R12(t3) of the trigonometric
+4x4 solution at varphi = 0 (:func:`product_form`), with the angle triple on
+the constraint line
 
-* product form: R12(t1) R23(t2) R12(t3) from the trigonometric 4x4
-  solution at varphi = 0, with the angle triple on the constraint line
+    sin(t2) cos(t1 - t3) = cos(t2) sin(t1 + t3)
 
-      sin(t2) cos(t1 - t3) = cos(t2) sin(t1 + t3)
-
-* closed form: a one-parameter rotation exp(-eta * n.L) generated by three
-  anticommuting 8x8 involutions L1, L2, L3 with unit vector
-  n = (cos(beta)/sqrt(2), cos(beta)/sqrt(2), sin(beta)).
-
-The pair (eta, beta) is recovered from a constrained triple by
+Two parameters (eta, beta) remain, recovered from a constrained triple by
 
     cos(eta) = cos(t2) cos(t1 + t3)
     sin(eta) = sin(t2) sqrt(1 + cos^2(t1 - t3))
     cos(beta) = sqrt(2) cos(t1 - t3) / sqrt(1 + cos^2(t1 - t3))
     sin(beta) = -sin(t1 - t3) / sqrt(1 + cos^2(t1 - t3))
 
-With the package's Pauli conventions the product form equals
-exp(-eta * n.L) exactly; the generator angle therefore enters the closed
-form with a minus sign so that the two routes and the coefficient form of
-:func:`state_from_params` all agree without residual phase juggling.
+The product equals the rotation exp(-eta * n.L) exactly, generated by
+three anticommuting 8x8 involutions with unit vector
+n = (cos(beta)/sqrt(2), cos(beta)/sqrt(2), sin(beta)); the minus sign on
+the angle is what makes the two agree under the Pauli conventions of the
+tests, which build that rotation as an independent oracle
+(``tests/reference.py``).  :func:`state_from_params` is its first column
+in closed form.
 
 The same scattering operator has a 2x2 form acting on a two-dimensional
 fusion space, see :func:`fusion_form` and :mod:`ybekit.fusionbasis`.
@@ -35,15 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rmatrix import type2_r_4x4
-from .tensor import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    expm_involutive,
-    kron_all,
-    lift,
-)
+from .tensor import lift
 
 TWO_PI = 2.0 * math.pi
 
@@ -174,31 +164,6 @@ def angles_to_params(triple: AngleTriple, tol: float = DEFAULT_CONSTRAINT_TOL) -
     ).canonical()
 
 
-def lambda_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three 8x8 generators: mutually anticommuting, each squares to -I."""
-    l1 = -1j * kron_all(SIGMA_Y, SIGMA_X, IDENTITY_2)
-    l2 = -1j * kron_all(IDENTITY_2, SIGMA_Y, SIGMA_X)
-    l3 = -1j * kron_all(SIGMA_Y, SIGMA_Z, SIGMA_X)
-    return l1, l2, l3
-
-
-def n_dot_lambda(beta: float) -> np.ndarray:
-    """Unit combination n.L with n = (cos(b)/sqrt2, cos(b)/sqrt2, sin(b))."""
-    l1, l2, l3 = lambda_operators()
-    c = math.cos(beta) / math.sqrt(2.0)
-    return c * l1 + c * l2 + math.sin(beta) * l3
-
-
-def closed_form(params: ScatterParams) -> np.ndarray:
-    """The 8x8 scattering matrix as a closed-form rotation; unitary.
-
-    Equals :func:`product_form` on every constrained triple mapping to
-    ``params`` (the minus sign on the rotation angle is what makes the two
-    routes coincide under this package's sign conventions).
-    """
-    return expm_involutive(n_dot_lambda(params.beta), -params.eta)
-
-
 def product_form(triple: AngleTriple, tol: float = DEFAULT_CONSTRAINT_TOL) -> np.ndarray:
     """The 8x8 scattering matrix as the factorized triple product.
 
@@ -217,7 +182,7 @@ def state_from_params(params: ScatterParams) -> np.ndarray:
     """Normalized 3-qubit state generated by scattering from |000>.
 
     Amplitudes: cos(eta) on |000>, -cos(beta) sin(eta)/sqrt(2) on |011> and
-    |110>, -sin(beta) sin(eta) on |101>; identical to closed_form @ |000>.
+    |110>, -sin(beta) sin(eta) on |101>; the first column of exp(-eta * n.L).
     Array parameters give a (..., 8) stack, one state per element.
     """
     eta, beta = params.eta, params.beta

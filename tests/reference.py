@@ -1,4 +1,13 @@
-"""Byte references: retired implementations that the tests hold their
+"""Test references of two kinds.
+
+Dense-matrix oracles: independent routes to what the program computes in
+closed form (the rotation exp(-eta n.L), partial traces with eigensolver
+entropies, a Taylor-series matrix exponential, the Pauli matrices and
+basis kets they are built from), which the tests hold the program to
+within a tolerance.  No subcommand reaches them, so they live here and
+not in ``ybekit``.
+
+Byte references: retired implementations that the tests hold their
 replacements to, bit for bit, one per contract (CSV and JSON writers,
 landscape sampling, the coarse scan, the critical-point finder, the
 two-pair fusion states, the verify suites and the 3-tangle).  The
@@ -11,16 +20,169 @@ import math
 import numpy as np
 
 from ybekit import __version__, checks
+from ybekit.entanglement import CLASS_TOL, entanglement_report
 from ybekit.fusionbasis import (embed_three_body, fusion_basis_type2, phased_antiparallel_state,
                                 reduce_operator)
 from ybekit.landscape import (LOCAL_MAX, LOCAL_MIN, PLATEAU_TOL, CriticalPoint, _classify,
                               _scan, get_function, sample)
 from ybekit.rmatrix import bundled_families, type2_r_4x4
-from ybekit.tensor import IDENTITY_2, kron, norm_inf
+from ybekit.tensor import kron, kron_all, norm_inf
 from ybekit.threebody import (AngleTriple, ScatterParams, angles_to_params, fusion_form,
                               product_form, random_constrained_triple)
 
 TWO_PI = 2.0 * math.pi
+
+
+# dense-matrix oracles
+
+IDENTITY_2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+ALGEBRA_TOL = 1e-12   # single algebraic identities at 64-bit precision
+
+
+def dag(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return np.asarray(m, dtype=complex).conj().T
+
+
+def ket(bits: str) -> np.ndarray:
+    """Computational basis state from a bit string, e.g. ket("011")."""
+    if not bits or any(c not in "01" for c in bits):
+        raise ValueError(f"bit string must be nonempty over {{0,1}}, got {bits!r}")
+    vec = np.zeros(2 ** len(bits), dtype=complex)
+    vec[int(bits, 2)] = 1.0
+    return vec
+
+
+def expm_involutive(m: np.ndarray, t: float) -> np.ndarray:
+    """exp(t*M) in closed form for a generator satisfying M^2 = -I.
+
+    Returns cos(t)*I + sin(t)*M.  Raises ValueError when ||M^2 + I||_max
+    exceeds ``ALGEBRA_TOL`` since the closed form is then invalid.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"generator must be square, got shape {m.shape}")
+    dev = norm_inf(m @ m + np.eye(m.shape[0]))
+    if dev > ALGEBRA_TOL:
+        raise ValueError(f"generator does not square to -I (deviation {dev:.3e})")
+    return np.cos(t) * np.eye(m.shape[0], dtype=complex) + np.sin(t) * m
+
+
+def expm_series(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling-and-squaring of the Taylor series.
+
+    Independent oracle for :func:`expm_involutive`; makes no structural
+    assumption about the generator.
+    """
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[0]
+    scale = norm_inf(m)
+    squarings = 0
+    if scale > 0.5:
+        squarings = int(np.ceil(np.log2(scale / 0.5)))
+    x = m / (2 ** squarings)
+    term = np.eye(n, dtype=complex)
+    out = np.eye(n, dtype=complex)
+    for k in range(1, 40):
+        term = term @ x / k
+        out = out + term
+        if norm_inf(term) < 1e-20:
+            break
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
+    """Reduced density matrix on the ``keep`` subsystems.
+
+    ``dims`` lists the subsystem dimensions in tensor order; ``keep`` holds
+    the (0-based) indices of the subsystems to retain.
+    """
+    dims = [int(d) for d in dims]
+    n = len(dims)
+    total = int(np.prod(dims))
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (total, total):
+        raise ValueError(f"density matrix shape {rho.shape} does not match dims {dims}")
+    keep = sorted(set(int(k) for k in keep))
+    if not keep or any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
+    row = [chr(ord("a") + i) for i in range(n)]
+    col = [chr(ord("a") + n + i) for i in range(n)]
+    for j in range(n):
+        if j not in keep:
+            col[j] = row[j]
+    out_idx = "".join(row[k] for k in keep) + "".join(col[k] for k in keep)
+    sub = "".join(row) + "".join(col) + "->" + out_idx
+    reduced = np.einsum(sub, rho.reshape(dims + dims))
+    kept_dim = int(np.prod([dims[k] for k in keep]))
+    return reduced.reshape(kept_dim, kept_dim)
+
+
+def is_unitary(m: np.ndarray, tol: float = ALGEBRA_TOL) -> tuple[bool, float]:
+    """Check ||M^dag M - I||_max <= tol; returns (verdict, deviation)."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"unitarity check needs a square matrix, got shape {m.shape}")
+    dev = norm_inf(dag(m) @ m - np.eye(m.shape[0]))
+    return dev <= tol, dev
+
+
+def von_neumann_entropy(psi: np.ndarray, keep: list[int]) -> float:
+    """Entanglement entropy (bits) of a pure state of qubits, their number
+    inferred from the state length, across a bipartition.
+
+    ``keep`` selects the qubits of the reduced density matrix.
+    """
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    n = int(round(math.log2(psi.size)))
+    if 2 ** n != psi.size:
+        raise ValueError(f"state length {psi.size} is not a power of two")
+    rho = np.outer(psi, psi.conj())
+    reduced = partial_trace(rho, [2] * n, keep)
+    evals = np.linalg.eigvalsh(reduced)
+    out = 0.0
+    for lam in evals:
+        lam = float(lam.real)
+        if lam > 1e-15:
+            out -= lam * math.log2(lam)
+    return out
+
+
+def classify_slocc(psi: np.ndarray, tol: float = CLASS_TOL) -> str | np.ndarray:
+    """SLOCC class label of a normalized three-qubit pure state, or of each
+    state of a stack: the class :func:`entanglement_report` gives."""
+    return entanglement_report(psi, tol).slocc_class
+
+
+def lambda_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three 8x8 generators: mutually anticommuting, each squares to -I."""
+    l1 = -1j * kron_all(SIGMA_Y, SIGMA_X, IDENTITY_2)
+    l2 = -1j * kron_all(IDENTITY_2, SIGMA_Y, SIGMA_X)
+    l3 = -1j * kron_all(SIGMA_Y, SIGMA_Z, SIGMA_X)
+    return l1, l2, l3
+
+
+def n_dot_lambda(beta: float) -> np.ndarray:
+    """Unit combination n.L with n = (cos(b)/sqrt2, cos(b)/sqrt2, sin(b))."""
+    l1, l2, l3 = lambda_operators()
+    c = math.cos(beta) / math.sqrt(2.0)
+    return c * l1 + c * l2 + math.sin(beta) * l3
+
+
+def closed_form(params: ScatterParams) -> np.ndarray:
+    """The 8x8 scattering matrix as a closed-form rotation; unitary.
+
+    Equals :func:`product_form` on every constrained triple mapping to
+    ``params`` (the minus sign on the rotation angle is what makes the two
+    routes coincide under this package's sign conventions).
+    """
+    return expm_involutive(n_dot_lambda(params.beta), -params.eta)
 
 
 # fusion bases

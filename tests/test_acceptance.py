@@ -13,7 +13,6 @@ from ybekit.entanglement import (
     GHZ_CLASS,
     W_CLASS,
     binary_entropy,
-    classify_slocc,
     fusion_entropy,
     fusion_l1,
     three_body_l1,
@@ -25,16 +24,16 @@ from ybekit.landscape import (
     find_critical_points,
 )
 from ybekit.rmatrix import phi_from_theta, phi_from_three_thetas
-from ybekit.tensor import expm_series, ket, max_diff_up_to_phase, norm_inf
+from ybekit.tensor import max_diff_up_to_phase, norm_inf
 from ybekit.threebody import (
     BETA_STAR,
     ScatterParams,
     angles_to_params,
-    closed_form,
-    n_dot_lambda,
     product_form,
     random_constrained_triple,
 )
+
+from reference import classify_slocc, closed_form, expm_series, ket, n_dot_lambda
 
 GHZ_PARAMS = ScatterParams(math.pi / 3, BETA_STAR)
 W_PARAMS = ScatterParams(math.pi / 2, BETA_STAR)

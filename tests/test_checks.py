@@ -30,7 +30,7 @@ from ybekit.fusionbasis import (
     verify_basis_reduction,
 )
 from ybekit.rmatrix import _stack, bundled_families, check_ybe, type1_r_4x4
-from ybekit.tensor import IDENTITY_2, kron, kron_all, lift, max_diff_up_to_phase, norm_inf
+from ybekit.tensor import kron, kron_all, lift, max_diff_up_to_phase, norm_inf
 from ybekit.threebody import (
     AngleTriple,
     ConstraintViolation,
@@ -39,7 +39,7 @@ from ybekit.threebody import (
     random_constrained_triple,
 )
 
-from reference import (many_triples, reduction_reference, scalar_angles_to_params,
+from reference import (IDENTITY_2, many_triples, reduction_reference, scalar_angles_to_params,
                        scalar_check_ybe, scalar_max_diff_up_to_phase, scalar_product,
                        scalar_reduce, scalar_reduction_residual, scalar_stack,
                        scalar_ybe_parameters, ybe_reference)

@@ -301,13 +301,13 @@ def test_extrema_axis_too_coarse_for_the_probes_is_usage_error(capsys):
 
 
 def test_extrema_labels_every_point_in_one_call(monkeypatch, capsys):
-    classify, stacks = cli.classify_slocc, []
+    report, stacks = cli.entanglement_report, []
 
     def counted(psi):
         stacks.append(psi.shape)
-        return classify(psi)
+        return report(psi)
 
-    monkeypatch.setattr(cli, "classify_slocc", counted)
+    monkeypatch.setattr(cli, "entanglement_report", counted)
     code, out = run_cli(["extrema", "--fn", "l1_S3", "--coarse", "41"], capsys)
     _, rows = _csv_rows(out)
     assert code == 0 and rows and stacks == [(len(rows), 8)]
@@ -1055,3 +1055,88 @@ def test_readme_command_lines_give_the_exit_codes_readme_states(capsys):
     for argv, expected in commands:
         code, _, err = run_cli_streams(argv, capsys)
         assert code == expected, (argv, err)
+
+
+# Functions in src/ybekit that no subcommand enters, each with the reason it stays.
+UNREACHED = {
+    "tensor.kron": "perfbench/tracing.py counts its calls by name and fails without it",
+    "tensor.kron_all": "perfbench/tracing.py counts its calls by name and fails without it",
+    "rmatrix.conjugate_by_v": "phase helper, kept for the paper suite (ROADMAP item 4)",
+    "rmatrix.phi_from_theta": "phase helper, kept for the paper suite (ROADMAP item 4)",
+    "rmatrix.phi_from_three_thetas": "phase helper, kept for the paper suite (ROADMAP item 4)",
+    "fusionbasis.LeakageError.__init__": "no valid input leaks out of the fusion span",
+}
+
+# Runs every subcommand on tiny inputs under sys.setprofile and prints the
+# exit codes, every function and property getter whose code lives in the
+# package directory (dataclass-generated methods have another co_filename),
+# and those of them that were entered.
+_TRAFFIC = r"""
+import contextlib, importlib, inspect, io, json, os, pkgutil, sys
+
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
+import ybekit
+from ybekit import cli
+
+out = sys.argv[1]
+ghz = "0,0.7853981633974483,0.7853981633974483"
+runs = [["verify", "--perturb", "1e-3", "--samples", "2"],
+        ["verify", "--samples", "2", "--format", "json", "--output", os.path.join(out, "v")],
+        ["reduce", "--random", "2"], ["reduce", "--thetas", ghz],
+        ["state", "--eta", "1", "--beta", "0.6"], ["state", "--thetas", ghz, "--format", "json"],
+        ["state", "--thetas", "0.1,0.2,0.3"]]
+for tag, spec in cli.FUNCTIONS.items():
+    axes = [f"--{name}=0:1:5" for name in spec.axes]
+    runs += [["landscape", "--fn", tag, *axes],
+             ["landscape", "--fn", tag, *axes, "--format", "json", "--output", os.path.join(out, "l")],
+             ["extrema", "--fn", tag, "--coarse", "11"],
+             ["extrema", "--fn", tag, "--coarse", "11", "--format", "json",
+              "--output", os.path.join(out, "e")]]
+    if spec.arity == 2:
+        runs.append(["landscape", "--fn", tag, f"--section={spec.axes[0]}=0.5",
+                     f"--{spec.axes[1]}=0:1:5"])
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+sys.setprofile(None)
+
+home = os.path.dirname(ybekit.__file__)
+functions = {}
+for info in pkgutil.iter_modules([home]):
+    module = importlib.import_module("ybekit." + info.name)
+    for name, value in vars(module).items():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue  # imported from elsewhere, or not a function or class
+        found = [(name, value)]
+        if inspect.isclass(value):
+            found = [(f"{name}.{attr}", getattr(item, "fget", item))
+                     for attr, item in vars(value).items()
+                     if inspect.isfunction(item) or isinstance(item, property)]
+        for qualname, fn in found:
+            code = getattr(inspect.unwrap(fn), "__code__", None)
+            if code is not None and os.path.dirname(code.co_filename) == home:
+                functions[f"{info.name}.{qualname}"] = code
+print(json.dumps({"codes": codes, "defined": sorted(functions),
+                  "entered": sorted(n for n, code in functions.items() if code in entered)}))
+"""
+
+
+def test_every_src_function_is_entered_by_a_subcommand(tmp_path):
+    """src holds what the program runs: a function that no subcommand
+    enters belongs with the test oracles in tests/reference.py, unless
+    UNREACHED names it with its reason.  A fresh process, so that the
+    cached parser and fusion bases are built under the profiler."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _TRAFFIC, str(tmp_path)], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    # the perturbed suite fails, the off-line triple is refused, the rest pass
+    assert report["codes"] == [1, 0, 0, 0, 0, 0, 2] + [0] * (len(report["codes"]) - 7)
+    defined, entered = set(report["defined"]), set(report["entered"])
+    assert set(UNREACHED) <= defined, set(UNREACHED) - defined
+    assert not set(UNREACHED) & entered, set(UNREACHED) & entered
+    assert defined - entered == set(UNREACHED), defined - entered - set(UNREACHED)

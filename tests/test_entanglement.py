@@ -10,21 +10,20 @@ from ybekit.entanglement import (
     PRODUCT,
     W_CLASS,
     binary_entropy,
-    classify_slocc,
     entanglement_report,
     fusion_entropy,
     fusion_l1,
     l1_norm,
     three_body_l1,
     three_tangle,
-    von_neumann_entropy,
     wigner_l1,
 )
 from ybekit.rmatrix import type2_r_4x4, wigner_d_half
-from ybekit.tensor import ket, kron
+from ybekit.tensor import kron
 from ybekit.threebody import BETA_STAR, ScatterParams, fusion_form, state_from_params
 
-from reference import scalar_three_tangle, three_tangle_by_coordinates
+from reference import (classify_slocc, ket, scalar_three_tangle, three_tangle_by_coordinates,
+                       von_neumann_entropy)
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)

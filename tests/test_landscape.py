@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from ybekit import landscape
-from ybekit.entanglement import binary_entropy, l1_norm, von_neumann_entropy, wigner_l1
+from ybekit.entanglement import binary_entropy, l1_norm, wigner_l1
 from ybekit.landscape import (
     FUNCTIONS,
     AxisSpec,
@@ -25,13 +25,13 @@ from ybekit.landscape import (
     sample,
 )
 from ybekit.rmatrix import type2_r_4x4, wigner_d_half
-from ybekit.tensor import ket
-from ybekit.threebody import BETA_STAR, ScatterParams, closed_form
+from ybekit.threebody import BETA_STAR, ScatterParams
 
 from conftest import finder_axes
 from reference import (_dedupe_quadratic, _meshgrid_reference, _points_loop,
                        _sample_curve_reference, _scan_1d_loop, _scan_2d_loop,
-                       _section_reference, _shrink_bracket_loop)
+                       _section_reference, _shrink_bracket_loop, closed_form, ket,
+                       von_neumann_entropy)
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)

@@ -16,7 +16,9 @@ from ybekit.rmatrix import (
     type2_r_4x4,
     wigner_d_half,
 )
-from ybekit.tensor import is_unitary, ket, norm_inf
+from ybekit.tensor import norm_inf
+
+from reference import is_unitary, ket
 
 open_angles = st.floats(min_value=0.05, max_value=1.5)
 any_angles = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)

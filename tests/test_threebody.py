@@ -3,30 +3,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ybekit.rmatrix import type2_r1_2x2, type2_r2_2x2, type2_r_4x4
-from ybekit.tensor import (
-    IDENTITY_2,
-    expm_series,
-    is_unitary,
-    ket,
-    kron,
-    max_diff_up_to_phase,
-    norm_inf,
-)
+from ybekit.tensor import kron, max_diff_up_to_phase, norm_inf
 from ybekit.threebody import (
     AngleTriple,
     BETA_STAR,
     ConstraintViolation,
     ScatterParams,
     angles_to_params,
-    closed_form,
     constrained_triple,
     fusion_form,
-    lambda_operators,
-    n_dot_lambda,
     product_form,
     random_constrained_triple,
     state_from_params,
 )
+
+from reference import (IDENTITY_2, closed_form, expm_series, is_unitary, ket, lambda_operators,
+                       n_dot_lambda)
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
