@@ -226,7 +226,9 @@ def _json_text(fn: str, axes: list[AxisSpec], values: np.ndarray,
     for start in range(0, flat.size, floattext.BLOCK):
         block = flat[start:start + floattext.BLOCK]
         numbers = floattext.table_text([floattext.cells(block, shortest=True)], b",")
-        yield numbers if start + block.size < flat.size else numbers[:-1]  # no comma after the last
+        if start + block.size == flat.size:
+            del numbers[-1]  # no comma after the last
+        yield numbers
     yield f"]{tail}\n".encode("ascii")
 
 

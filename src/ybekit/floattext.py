@@ -31,15 +31,22 @@ one.
 
 A cell is a row of :data:`WIDTH` bytes padded with NULs, which
 :func:`table_text` squeezes out of a table of cells with
-``bytes.translate``.  Callers format :data:`BLOCK` values at a time and
-pass each block's bytes on, so no temporary covers a whole landscape.
+``bytearray.translate``.  Callers format :data:`BLOCK` values at a time
+and pass each block's bytes on, so no temporary covers a whole landscape.
+
+A block's working set is bounded by :data:`BLOCK` alone.  :func:`cells`
+frees or overwrites each temporary once its step is done, so it holds
+about nine arrays of 8 bytes per value at once (0.6 MiB for a block,
+its 192 KiB of cells included), and :func:`table_text` lays the padded
+table out in the buffer it squeezes, so a table holds its padded and its
+squeezed text and nothing more (1.2 MiB for a block of three columns).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BLOCK = 1 << 14  # values per formatted block
+BLOCK = 1 << 13  # values per formatted block
 WIDTH = 24  # bytes of the longest cell, "-2.2250738585072014e-308"
 
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
@@ -74,18 +81,34 @@ def _two_product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = a * _POW10[k]
     a_hi, a_lo = _split(a)
     b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, in that order,
+    # each product written over a factor that is not needed again
+    e = a_hi * b_hi
+    e -= p
+    a_hi *= b_lo
+    e += a_hi
+    b_hi *= a_lo
+    e += b_hi
+    b_lo *= a_lo
+    e += b_lo
+    return p, e
 
 
 def _nearest_multiple(n: np.ndarray, f: np.ndarray, m: int, half: np.ndarray):
     """The multiple of ``m`` nearest to v = n + f (n an integer, |f| <= 1/2),
     whether it lies strictly inside v -+ ``half``, and whether either answer
     is ambiguous: v halfway between two multiples, or on the bound."""
-    rem = n - n // m * m  # faster than %
+    rem = n // m
+    rem *= m
+    np.subtract(n, rem, out=rem)  # faster than %
     t = rem + f
     up = t > m / 2
-    gap = np.abs((rem - m * up) + f)
-    return n - rem + m * up, gap < half, (t == m / 2) | (gap == half)
+    tie = t == m / 2
+    del t
+    rem -= m * up  # v - the nearest multiple, less f
+    gap = rem + f
+    np.abs(gap, out=gap)
+    return n - rem, gap < half, tie | (gap == half)
 
 
 def _json_fallback(xs: list[float]) -> list[str]:
@@ -103,20 +126,29 @@ def _significand(x: np.ndarray, shortest: bool):
     exponent X, and which values the fast path renders."""
     magnitude = np.abs(x)
     fast = (magnitude >= 1e-4) & (magnitude < 1e15)
-    magnitude = np.where(fast, magnitude, 1.5)  # a stand-in no step below warns on
+    magnitude[~fast] = 1.5  # a stand-in no step below warns on
     k = np.clip(16 - np.floor(np.log10(magnitude)).astype(np.int64), 0, 22)
     p, e = _two_product(magnitude, k)
     whole = np.rint(e)
-    digits = p.astype(np.int64) + whole.astype(np.int64)
+    digits = p.astype(np.int64)
+    del p
+    digits += whole.astype(np.int64)
     e -= whole  # exact: v = digits + e, |e| <= 1/2
+    del whole
     fast &= (digits > 10 ** 16) | ((digits == 10 ** 16) & (e >= 0))  # v >= 10^16
     if shortest:
         # ulp(x)/2: the double whose exponent field is that of |x| less 53
-        half = ((magnitude.view(np.uint64) >> 52) - 53 << 52).view(np.float64) * _POW10[k]
+        bits = magnitude.view(np.uint64)
+        bits >>= 52
+        bits -= 53
+        bits <<= 52
+        half = magnitude  # the buffer of bits, read as that double
+        half *= _POW10[k]
         tens, in_tens, unsure_tens = _nearest_multiple(digits, e, 10, half)
         hundreds, in_hundreds, unsure_hundreds = _nearest_multiple(digits, e, 100, half)
         fast &= ~(unsure_tens | unsure_hundreds)
-        digits = np.where(in_hundreds, hundreds, np.where(in_tens, tens, digits))
+        np.copyto(digits, tens, where=in_tens)
+        np.copyto(digits, hundreds, where=in_hundreds)
     fast &= digits < 10 ** 17
     return digits, 16 - k, fast
 
@@ -130,28 +162,29 @@ def cells(values: np.ndarray, shortest: bool = False) -> np.ndarray:
     digits, exponent, fast = _significand(x, shortest)
 
     # "000", then the 17 digits with their trailing zeros as NULs: the
-    # lead digit, then four groups of four, a group with only zeros after
-    # it looked up in the second half of the table
-    head, top = digits // 10 ** 16, digits // 10 ** 8
-    high, low = top - head * 10 ** 8, digits - top * 10 ** 8  # digits 1-8 and 9-16
-    groups = [high // 10_000, high - high // 10_000 * 10_000,
-              low // 10_000, low - low // 10_000 * 10_000]
+    # lead digit, then four groups of four, the last group first, a group
+    # with only zeros after it looked up in the second half of the table
     words = np.empty((x.size, 5), dtype=np.uint32)
-    words[:, 0] = _GROUPS[head]
     tail = np.ones(x.size, dtype=bool)
     for j in range(4, 0, -1):
-        words[:, j] = _GROUPS[groups[j - 1] + 10_000 * tail]
-        tail &= groups[j - 1] == 0
-    text = words.view(np.uint8)
+        rest = digits // 10_000
+        group = digits - rest * 10_000
+        words[:, j] = _GROUPS[group + 10_000 * tail]
+        tail &= group == 0
+        digits = rest
+    words[:, 0] = _GROUPS[digits]
+    del digits, rest, group, tail
 
     # Laid out one exponent X at a time, in rows sorted by X: X + 1
     # integer digits (zeros put back), a point and the fraction; or for
     # X < 0 "0.", -X - 1 zeros and the digits.  The point of a whole number
     # is dropped, or with ``shortest`` followed by "0".
     key = np.where(fast, exponent, 15).astype(np.int8)
+    del exponent
     order = np.argsort(key, kind="stable")
     bounds = np.searchsorted(key[order], np.arange(-4, 16)).tolist()
-    text = np.take(text, order, axis=0)  # take is faster than fancy indexing
+    text = np.take(words.view(np.uint8), order, axis=0)  # take is faster than fancy indexing
+    del words, key
     body = np.zeros((x.size, WIDTH), dtype=np.uint8)
     for X, a, b in zip(range(-4, 15), bounds, bounds[1:]):
         if a == b:
@@ -169,9 +202,12 @@ def cells(values: np.ndarray, shortest: bool = False) -> np.ndarray:
             rows[:, 2 + X] = _POINT
         else:
             rows[:, 2 + X] = np.where(first != 0, _POINT, 0)
+    del text
     rank = np.empty_like(order)
     rank[order] = np.arange(x.size)
+    del order
     out = np.take(body, rank, axis=0)
+    del body, rank
     out[:, 0] = np.where(x < 0, _MINUS, 0)
     slow = np.flatnonzero(~fast)
     if slow.size:
@@ -180,15 +216,15 @@ def cells(values: np.ndarray, shortest: bool = False) -> np.ndarray:
     return out
 
 
-def table_text(columns: list[np.ndarray], ends: bytes) -> bytes:
+def table_text(columns: list[np.ndarray], ends: bytes) -> bytearray:
     """The ASCII bytes of the rows of cell arrays ``columns`` side by side,
     each cell followed by its byte of ``ends``, with the NUL padding
-    squeezed out.  The table is freed before the result is allocated, so a
-    block holds at most two copies of its text at once."""
-    table = np.empty((len(columns[0]), len(columns), WIDTH + 1), dtype=np.uint8)
+    squeezed out.  The table is laid out in the buffer that is squeezed, so
+    a block holds two copies of its text at most: the padded and the
+    squeezed."""
+    table = bytearray(len(columns[0]) * len(columns) * (WIDTH + 1))
+    rows = np.frombuffer(table, dtype=np.uint8).reshape(len(columns[0]), len(columns), WIDTH + 1)
     for j, column in enumerate(columns):
-        table[:, j, :WIDTH] = column
-        table[:, j, WIDTH] = ends[j]
-    data = table.tobytes()
-    del table
-    return data.translate(None, b"\0")
+        rows[:, j, :WIDTH] = column
+        rows[:, j, WIDTH] = ends[j]
+    return table.translate(None, b"\0")

@@ -36,6 +36,7 @@ vn_xi       theta        none           entanglement entropy of the two-qubit ou
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ import numpy as np
 
 from .entanglement import (
     binary_entropy,
+    by_strips,
     fusion_entropy,
     fusion_l1,
     three_body_l1,
@@ -89,9 +91,16 @@ class AxisSpec:
             raise ValueError(f"axis {self.name} has empty range [{self.start}, {self.stop}]")
 
     def points(self) -> np.ndarray:
+        """The n points, built on the first call; every call returns that
+        one read-only array."""
+        return self._points
+
+    @functools.cached_property
+    def _points(self) -> np.ndarray:
         points = np.linspace(self.start, self.stop, self.n)
         # linspace adds start to 0.0, which turns a start of -0.0 into 0.0
         points[0] = self.start
+        points.flags.writeable = False
         return points
 
     @property
@@ -206,9 +215,10 @@ def _axis_kind(center, lo, hi) -> np.ndarray:
     must still count, so one strict neighbor comparison plus one
     tolerance-level tie qualifies.
     """
-    low, high = np.minimum(lo, hi), np.maximum(lo, hi)
-    is_max = (center > low + PLATEAU_TOL) & (center >= high - PLATEAU_TOL)
-    is_min = (center < high - PLATEAU_TOL) & (center <= low + PLATEAU_TOL)
+    above_low = np.minimum(lo, hi) + PLATEAU_TOL
+    below_high = np.maximum(lo, hi) - PLATEAU_TOL
+    is_max = (center > above_low) & (center >= below_high)
+    is_min = (center < below_high) & (center <= above_low)
     return is_max.astype(np.int8) - is_min
 
 
@@ -347,13 +357,14 @@ def _scan(vals: np.ndarray) -> tuple:
 
     A node must be a max or a min along every axis; the tie tolerance of
     :func:`_axis_kind` already drops nodes on a plateau.  Axis 0 is tested
-    over the whole interior, on shifted views of the grid; the other axes
+    over the whole interior, on shifted views of the grid a strip at a time
+    (:func:`~ybekit.entanglement.by_strips`); the other axes
     and the diagonal neighbors, those one step off on two axes or more,
     only at the nodes extreme along axis 0.  A max (min) along every axis
     must also beat (undercut) its diagonal neighbors; a curve has none.
     """
     core = vals[(slice(None), *(slice(1, -1) for _ in vals.shape[1:]))]
-    first = _axis_kind(core[1:-1], core[:-2], core[2:])
+    first = by_strips(_axis_kind, core[1:-1], core[:-2], core[2:])
     nodes = [i + 1 for i in np.nonzero(first)]
 
     def at(offset) -> np.ndarray:

@@ -822,9 +822,11 @@ BLOCK = cli.floattext.BLOCK
 
 
 @pytest.mark.parametrize("shape", [
-    (BLOCK - 1,), (BLOCK,), (BLOCK + 1,),  # curves
-    (129, 131),  # a grid whose block boundary falls inside a row
-    (BLOCK + 5, 1), (1, BLOCK + 5),  # sections longer than a block
+    # curves that end one value before, on and after a block boundary, the
+    # second, so that each also crosses the first
+    (2 * BLOCK - 1,), (2 * BLOCK,), (2 * BLOCK + 1,),
+    (129, 131),  # a grid whose block boundaries fall inside rows
+    (2 * BLOCK + 5, 1), (1, 2 * BLOCK + 5),  # sections longer than a block
 ], ids=str)
 def test_writers_across_blocks(shape):
     """Both writers give the reference bytes when rows run over the block
@@ -849,24 +851,51 @@ def test_writers_across_blocks(shape):
 
 
 def test_writers_hold_a_few_blocks_not_the_document():
-    """An 800x800 grid's CSV (35 MiB) and JSON (11 MiB) are streamed with
-    a traced peak of a few blocks: no layer holds the whole document."""
-    axes = [AxisSpec("eta", 0.0, 2.0 * math.pi, 800), AxisSpec("beta", -1.5, 1.5, 800)]
-    values = sample("l1_S3", axes)
-    coords = {a.name: a.points() for a in axes}
-    writers = {"csv": lambda: cli._csv_mesh(coords, values),
-               "json": lambda: cli._json_text("l1_S3", axes, values, {})}
-    for name, writer in writers.items():
-        tracemalloc.start()
-        try:
-            size = sum(map(len, writer()))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert size > 10 * 2 ** 20 and peak < 6 * 2 ** 20, (name, size, peak)
+    """The figures' 200x200 surface, and an 800x800 grid whose CSV (35 MiB)
+    and JSON (11 MiB) are streamed, each with a traced peak under 2.5 MiB,
+    a few blocks: no layer holds the whole document.  With block
+    temporaries kept alive, the 200x200 CSV peaked at 4.1 MiB."""
+    for n in (200, 800):
+        axes = [AxisSpec("eta", 0.0, 2.0 * math.pi, n), AxisSpec("beta", -1.5, 1.5, n)]
+        values = sample("l1_S3", axes)
+        coords = {a.name: a.points() for a in axes}
+        writers = {"csv": lambda: cli._csv_mesh(coords, values),
+                   "json": lambda: cli._json_text("l1_S3", axes, values, {})}
+        for name, writer in writers.items():
+            tracemalloc.start()
+            try:
+                size = sum(map(len, writer()))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert size > (10 * 2 ** 20 if n == 800 else 0) and peak < 2.5 * 2 ** 20, (
+                n, name, size, peak)
 
 
-TWO_BLOCK_GRID = ["landscape", "--fn", "l1_S3", "--eta", "0:1:130", "--beta", "0:1:130"]
+@pytest.mark.parametrize("argv, axes", [
+    (["landscape", "--fn", "l1_S3", "--eta", "0:1:5", "--beta", "0:1:4"], 2),
+    (["landscape", "--fn", "l1_S3", "--section", "beta=0.5", "--eta", "0:1:5"], 2),
+    (["landscape", "--fn", "vn_xi", "--theta", "0:1:5"], 1),
+    (["extrema", "--fn", "l1_S3", "--coarse", "40"], 2),
+    (["extrema", "--fn", "l1_wigner", "--coarse", "40"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_each_axis_is_spaced_once_per_job(argv, axes, monkeypatch, capsys):
+    """A job builds the points of each of its axes once: the sampler, the
+    CSV coordinates and the finder's candidates read the same array."""
+    calls, linspace = [], np.linspace
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return linspace(*args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", counted)
+    assert run_cli(argv, capsys)[0] == 0
+    assert len(calls) == axes, calls
+
+
+# a square grid of two blocks, the second a part of a row
+SIDE = math.isqrt(BLOCK) + 1
+TWO_BLOCK_GRID = ["landscape", "--fn", "l1_S3", "--eta", f"0:1:{SIDE}", "--beta", f"0:1:{SIDE}"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -881,7 +910,7 @@ def test_a_failure_mid_stream_leaves_the_output_file_as_it_was(fmt, tmp_path, mo
     cells, written = cli.floattext.cells, []
 
     def second_block_fails(values, shortest=False):
-        if np.size(values) == 130 * 130 - BLOCK:
+        if np.size(values) == SIDE * SIDE - BLOCK:
             written.extend(p.stat().st_size for p in tmp_path.glob(".ybekit-*"))
             raise MemoryError
         return cells(values, shortest)

@@ -6,6 +6,7 @@ check that non-finite values are masked before any integer cast."""
 
 import json
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -110,3 +111,21 @@ def test_blocks_of_cells_are_padded_rows():
     assert table.shape == (3, floattext.WIDTH) and table.dtype == np.uint8
     assert floattext.table_text([table, table[::-1]], b",\n") == b"1.5,nan\n-0.25,-0.25\nnan,1.5\n"
     assert floattext.table_text([floattext.cells(np.array([]))], b"\n") == b""
+
+
+def test_one_block_holds_a_few_arrays_per_value():
+    """Formatting one block, either way, peaks below 12 float64 arrays of
+    the block (1.5 MiB for 16,384 values), its cells included: each
+    temporary is freed or overwritten once its step is done.  With every
+    temporary kept to the end it peaked near 26."""
+    rng = np.random.default_rng(7)
+    n = floattext.BLOCK
+    values = np.exp(rng.uniform(math.log(1e-6), math.log(1e17), n)) * rng.choice([-1.0, 1.0], n)
+    for shortest in (False, True):
+        tracemalloc.start()
+        try:
+            floattext.cells(values, shortest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * n, (shortest, peak / (8 * n))

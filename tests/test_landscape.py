@@ -164,8 +164,10 @@ def test_sample_rejects_non_finite_values(tag, axes, monkeypatch):
 @pytest.mark.parametrize("tag", ["l1_Sprime", "vn_Sprime"])
 def test_fusion_kernels_hold_a_few_mesh_arrays_not_the_matrix_stack(tag):
     """A 400x400 grid (1.2 MiB per float array) is sampled with a traced
-    peak below 12 MiB: the kernels build no (2, 2, 400, 400) complex stack,
-    whose 10 MiB and temporaries peaked near 20 MiB."""
+    peak below 2.25 MiB, its values and 1 MiB of strips: the kernels build
+    no (2, 2, 400, 400) complex stack, whose 10 MiB and temporaries peaked
+    near 20 MiB, and no grid-sized temporaries, with which l1_Sprime
+    peaked at 3.7 MiB and vn_Sprime at 9.9 MiB."""
     axes = [AxisSpec("eta", 0.0, TWO_PI, 400), AxisSpec("beta", -math.pi / 2, math.pi / 2, 400)]
     tracemalloc.start()
     try:
@@ -174,7 +176,35 @@ def test_fusion_kernels_hold_a_few_mesh_arrays_not_the_matrix_stack(tag):
     finally:
         tracemalloc.stop()
     assert values.shape == (400, 400)
-    assert peak < 12 * 2 ** 20, peak
+    assert peak < 2.25 * 2 ** 20, peak
+
+
+def test_finder_holds_its_coarse_grid_and_a_few_strips():
+    """The l1_S3 finder at the default coarse 400 peaks below 2.75 MiB
+    traced: its 1.2 MiB coarse grid, a few strips of the kernel and of the
+    scan, and the candidates.  With grid-sized temporaries in the kernel and
+    the scan it peaked at 5.4 MiB."""
+    axes = finder_axes("l1_S3", 400)
+    tracemalloc.start()
+    try:
+        points = find_critical_points("l1_S3", axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 18
+    assert peak < 2.75 * 2 ** 20, peak
+
+
+def test_axis_points_are_built_once_and_read_only():
+    """Every caller of one axis shares its points, so none may write them."""
+    axis = AxisSpec("eta", -0.0, 1.0, 7)
+    points = axis.points()
+    assert axis.points() is points and not points.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        points[1] = 0.5
+    expected = np.linspace(-0.0, 1.0, 7)
+    expected[0] = -0.0
+    assert points.tobytes() == expected.tobytes()
 
 
 def test_vn_section_matches_binary_entropy_formula():
