@@ -25,7 +25,6 @@ from .entanglement import (
     l1_norm,
     three_body_l1,
     three_tangle,
-    wigner_l1,
 )
 from .fusionbasis import (
     FusionBasis,

@@ -22,7 +22,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -62,19 +61,25 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
     half a file and a failure mid-stream leaves ``path`` as it was, with no
     temporary file left behind.  A symlink is followed to its target, as
     ``open`` follows it, and stays a link.  The file gets the mode a plain
-    ``open`` gives it, not the 0600 of ``mkstemp``: a replaced file keeps
-    its mode, and a new one is 0666 less the umask."""
+    ``open`` gives it: a replaced file keeps its mode, and a new one is
+    created 0666 for the kernel to apply the umask, which is never read, so
+    no other thread's file is created while it is changed."""
     path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".ybekit-")
+        mode = None
+    while True:
+        tmp = os.path.join(os.path.dirname(path), f".ybekit-{os.urandom(6).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as handle:
-            os.fchmod(fd, mode)
+            if mode is not None:
+                os.fchmod(fd, mode)
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -186,23 +191,52 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
 
 
+def _mesh_cells(columns: list[np.ndarray], axes: list[np.ndarray], start: int) -> None:
+    """Write the coordinate cells of the rows ``start``, ``start + 1``, ...
+    of the ``ij`` mesh of one or two ``axes`` (cell items) into the table
+    ``columns``.  Along a row of the mesh the last axis runs through its
+    cells and the first stays on one; the block is the rest of its first
+    mesh row, whole mesh rows, and the start of one more."""
+    last = axes[-1]
+    n, size = len(last), len(columns[0])
+    row, at = divmod(start, n)
+    head = min(size, n - at) if at else 0
+    whole, tail = divmod(size - head, n)
+    rows = slice(head, head + whole * n)
+    columns[-1][:head] = last[at:at + head]
+    columns[-1][rows].reshape(whole, n)[...] = last
+    columns[-1][size - tail:] = last[:tail]
+    if len(axes) == 2:
+        columns[0][:head] = axes[0][row]
+        after = axes[0][row + (at > 0):]  # the points of the mesh rows after the first
+        columns[0][rows].reshape(whole, n)[...] = after[:whole, None]
+        if tail:
+            columns[0][size - tail:] = after[whole]
+
+
 def _csv_mesh(coords: dict[str, np.ndarray], values: np.ndarray) -> Iterator[bytes]:
     """CSV of a landscape sampled on the ``ij`` mesh of ``coords`` (axis
-    name to points, in axis order): a row per value, in flat order, of its
-    axis coordinates and the value, each cell as :func:`fmt` renders it.
+    name to points, in axis order, one or two axes): a row per value, in
+    flat order, of its axis coordinates and the value, each cell as
+    :func:`fmt` renders it.
 
-    Each axis point is rendered once; a block of rows at a time gathers
-    the coordinate cells of its rows beside its rendered values.  The
-    header and then each block's rows are yielded as ASCII bytes."""
-    points = [floattext.cells(axis) for axis in coords.values()]
+    All axis points are rendered in one call; a block of rows at a time,
+    their coordinate cells are copied into the block's table beside its
+    rendered values.  The header and then each block's rows are yielded as
+    ASCII bytes."""
+    points = floattext.cells(np.concatenate(list(coords.values())))
+    bounds = np.cumsum([0, *map(len, coords.values())])
+    axes = [floattext.items(points[a:b]) for a, b in zip(bounds, bounds[1:])]
     flat = values.reshape(-1)
-    ends = b"," * len(points) + b"\n"
+    ends = b"," * len(axes) + b"\n"
     yield ",".join([*coords, "value"]).encode("ascii") + b"\n"
     for start in range(0, flat.size, floattext.BLOCK):
-        block = flat[start:start + floattext.BLOCK]
-        index = np.unravel_index(np.arange(start, start + block.size), values.shape)
-        columns = [np.take(cells, i, axis=0) for cells, i in zip(points, index)]
-        yield floattext.table_text([*columns, floattext.cells(block)], ends)
+        block = floattext.items(floattext.cells(flat[start:start + floattext.BLOCK]))
+        widths = [column.itemsize for column in (*axes, block)]
+        table, columns = floattext.padded_table(block.size, widths, ends)
+        _mesh_cells(columns[:-1], axes, start)
+        columns[-1][...] = block
+        yield floattext.squeezed(table)
 
 
 def _json_text(fn: str, axes: list[AxisSpec], values: np.ndarray,

@@ -44,19 +44,6 @@ def l1_norm(psi: np.ndarray) -> float | np.ndarray:
     return np.sum(np.abs(np.asarray(psi, dtype=complex)), axis=-1)
 
 
-def wigner_l1(d_matrix: np.ndarray) -> float | np.ndarray:
-    """Entry-modulus norm of a spin-1/2 rotation matrix: sum(|entries|)/2.
-
-    Evaluates to |cos(theta)| + |sin(theta)| independently of the phase
-    angle.  Only the 2x2 case is supported; a stack of shape (2, 2, ...)
-    gives one norm per trailing index.
-    """
-    d_matrix = np.asarray(d_matrix, dtype=complex)
-    if d_matrix.shape[:2] != (2, 2):
-        raise ValueError(f"only the spin-1/2 (2x2) case is supported, got {d_matrix.shape}")
-    return np.sum(np.abs(d_matrix.reshape(4, *d_matrix.shape[2:])), axis=0) / 2.0
-
-
 def by_strips(kernel: Callable[..., np.ndarray], *factors) -> np.ndarray:
     """``kernel(*factors)`` for an elementwise ``kernel``, evaluated over the
     broadcast mesh of ``factors`` a strip at a time into one result.

@@ -27,22 +27,44 @@ the double it is compared with; a sum that lands on it is ambiguous.  Every
 cell off this fast path goes to Python's own formatting: non-finite
 values, +-0, |x| < 1e-4 or >= 1e15, ambiguous comparisons, digits that
 round up to the next power of ten, and values whose ``log10`` is off by
-one.
+one.  X is taken as ``floor(log10 |x|)``; ``log10`` is faithful and -4 and
+15 are doubles, so for a fast value, and for the stand-in that takes a
+slow value's place (a fast value of the block, or 1.5), X lies in
+[-4, 15] and k in [1, 20], inside the table of exact powers with no clip.
 
-A cell is a row of :data:`WIDTH` bytes padded with NULs, which
-:func:`table_text` squeezes out of a table of cells with
-``bytearray.translate``.  Callers format :data:`BLOCK` values at a time
+A row of text is six ``uint32`` words.  For each exponent X a schedule
+splits the 17 digits where the words of its text split them: the sign
+byte, X + 1 integer digits, the point and the fraction, or for X < 0 "0.",
+-X - 1 zeros and the digits.  A table maps the digits of each word to its
+four bytes, with the trailing zeros of the fraction as NULs, the point of
+a whole number dropped, or with ``shortest`` followed by "0".  A block
+whose values share one exponent, as every ``l1_S3``, ``l1_Sprime`` and
+``l1_wigner`` block and many ``vn_Sprime`` ones do, is so laid out in
+place, a word at a time, with no sort or gather.  A block of several
+exponents is laid out in rows sorted by exponent, one exponent at a time,
+and then put in order.
+
+A cell is a row of at most :data:`WIDTH` bytes padded with NULs; the rows
+of a block run from the first byte that some cell writes to the last, so
+a block of positive values has no sign byte.  :func:`padded_table` lays
+the cells of a block out beside their separators, one item a row, and
+:func:`squeezed` squeezes the NULs out with ``bytearray.translate``; so
+does :func:`table_text`.  Callers format :data:`BLOCK` values at a time
 and pass each block's bytes on, so no temporary covers a whole landscape.
 
 A block's working set is bounded by :data:`BLOCK` alone.  :func:`cells`
 frees or overwrites each temporary once its step is done, so it holds
 about nine arrays of 8 bytes per value at once (0.6 MiB for a block,
-its 192 KiB of cells included), and :func:`table_text` lays the padded
-table out in the buffer it squeezes, so a table holds its padded and its
-squeezed text and nothing more (1.2 MiB for a block of three columns).
+its 192 KiB of cells included), and the padded table is the buffer that
+is squeezed, so a table holds its padded and its squeezed text and
+nothing more (at most 1.2 MiB for a block of three columns).  The word
+tables are built once per process, on first use, and a word of four
+digits shares :data:`_GROUPS`; all of them together hold 0.16 MiB.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -51,7 +73,7 @@ WIDTH = 24  # bytes of the longest cell, "-2.2250738585072014e-308"
 
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitting constant
-_ZERO, _POINT, _MINUS = ord("0"), ord("."), ord("-")
+_POINT, _MINUS = ord("."), ord("-")
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,28 +91,30 @@ def _digit_groups() -> np.ndarray:
     text; then the same groups with their trailing zeros as NULs."""
     digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy()  # row n: n's digits
     trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
-    text = digits + np.uint8(_ZERO)
+    text = digits + np.uint8(ord("0"))
     return np.concatenate([text, np.where(trailing, 0, text)]).view(np.uint32).reshape(-1)
 
 
 _GROUPS = _digit_groups()
+_GROUPS.flags.writeable = False  # shared by the word tables of every exponent
 
 
-def _two_product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, e) with p = fl(a 10^k) and p + e == a 10^k exactly."""
+def _two_product(a: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a 10^k) and p + e == a 10^k exactly, for one int
+    ``k`` or an array of them."""
     p = a * _POW10[k]
     a_hi, a_lo = _split(a)
     b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
     # ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, in that order,
-    # each product written over a factor that is not needed again
+    # each product written over an array factor that is not needed again
     e = a_hi * b_hi
     e -= p
     a_hi *= b_lo
     e += a_hi
-    b_hi *= a_lo
-    e += b_hi
-    b_lo *= a_lo
-    e += b_lo
+    np.multiply(a_lo, b_hi, out=a_hi)
+    e += a_hi
+    a_lo *= b_lo
+    e += a_lo
     return p, e
 
 
@@ -121,13 +145,21 @@ def _printf_fallback(xs: list[float]) -> list[str]:
 
 
 def _significand(x: np.ndarray, shortest: bool):
-    """(digits, exponent, fast): the 17-digit integer whose digits the
-    rendering of each |x| writes (trailing zeros included), its decimal
-    exponent X, and which values the fast path renders."""
+    """(digits, k, fast): the 17-digit integer whose digits the rendering
+    of each |x| writes (trailing zeros included), the power of ten k = 16 -
+    X that scales |x| to it, and which values the fast path renders.  k is
+    one int where all values share their exponent X, else an array."""
     magnitude = np.abs(x)
     fast = (magnitude >= 1e-4) & (magnitude < 1e15)
-    magnitude[~fast] = 1.5  # a stand-in no step below warns on
-    k = np.clip(16 - np.floor(np.log10(magnitude)).astype(np.int64), 0, 22)
+    first = fast.argmax()
+    # a stand-in that no step below warns on, with a fast value's exponent
+    magnitude[~fast] = magnitude[first] if fast[first] else 1.5
+    exponent = np.floor(np.log10(magnitude))  # in [-4, 15]
+    if exponent.min() == exponent.max():
+        k = 16 - int(exponent[0])
+    else:
+        k = 16 - exponent.astype(np.int64)
+    del exponent
     p, e = _two_product(magnitude, k)
     whole = np.rint(e)
     digits = p.astype(np.int64)
@@ -150,81 +182,179 @@ def _significand(x: np.ndarray, shortest: bool):
         np.copyto(digits, tens, where=in_tens)
         np.copyto(digits, hundreds, where=in_hundreds)
     fast &= digits < 10 ** 17
-    return digits, 16 - k, fast
+    return digits, k, fast
+
+
+@functools.cache
+def _word_table(word: bytes, kept: tuple[bool, ...], whole: bool, last: bool) -> np.ndarray:
+    """The table of a word that holds digits (see :func:`_schedule`).
+    ``word`` is its text with a ``d`` for each digit; ``kept[j]`` is whether
+    its j-th digit is written where it and every digit after it are 0,
+    rather than NUL; ``whole`` whether its point is dropped where the
+    fraction is 0; ``last`` whether no digit follows the word."""
+    size = 10 ** len(kept)
+    if word == b"dddd" and not any(kept):  # four fraction digits
+        return _GROUPS[10_000:] if last else _GROUPS
+    if word == b"dddd" and all(kept):  # four integer digits
+        return _GROUPS[:10_000]
+    text = np.empty((2, size, 4), dtype=np.uint8)  # [every later digit is 0][d]
+    text[...] = np.frombuffer(word, dtype=np.uint8)
+    digits = _GROUPS.view(np.uint8).reshape(2, 10_000, 4)[:, :size, 4 - len(kept):]
+    at = [b for b in range(4) if word[b] == ord("d")]
+    for j, b in enumerate(at):
+        text[:, :, b] = digits[0, :, j] if kept[j] else digits[:, :, j]
+    if whole:  # NUL where the first fraction digit is, or is the next word's
+        b = word.index(b".")
+        text[:, :, b] = np.where(text[:, :, b + 1], _POINT, 0) if b < 3 else [[_POINT], [0]]
+    if last:
+        text = text[1]
+    elif (text[0] == text[1]).all():
+        text = text[0]
+    table = text.copy().view(np.uint32).reshape(-1)
+    table.flags.writeable = False  # one table serves every caller
+    return table
+
+
+@functools.cache
+def _schedule(X: int, shortest: bool):
+    """How a row of exponent X is written as six ``uint32`` words: the
+    words that hold no digit, as (word, value), and from the last word to
+    the first, each word that holds c of the 17 digits as (word, 10^c,
+    table).  Its table maps the c digits d to the word's text, and d + 10^c
+    to it where every digit after the word is 0; a table of 10^c words
+    does not depend on that, as the last word's does not."""
+    if X < 0:  # "0.", -X - 1 zeros and the digits
+        pattern = "\0" + "0." + "0" * (-X - 1) + "d" * 17
+    else:  # X + 1 integer digits, the point and the fraction
+        pattern = "\0" + "d" * (X + 1) + "." + "d" * (16 - X)
+    pattern = pattern.ljust(WIDTH, "\0").encode("ascii")
+    point = pattern.index(b".")
+    constants, schedule = [], []
+    for w in range(WIDTH // 4 - 1, -1, -1):
+        word = pattern[4 * w:4 * w + 4]
+        at = [4 * w + b for b in range(4) if word[b] == ord("d")]
+        if not at:
+            constants.append((w, np.frombuffer(word, dtype=np.uint32)[0]))
+            continue
+        # a fraction digit is NUL where it and every digit after it are 0,
+        # but with shortest not the first, so that 1.0 keeps its 0
+        kept = tuple(b < point or (shortest and b == point + 1) for b in at)
+        whole = X >= 0 and not shortest and point // 4 == w
+        table = _word_table(word, kept, whole, not schedule)
+        schedule.append((w, 10 ** len(at), table))
+    return constants, schedule
+
+
+def _lay_out(rows: np.ndarray, digits: np.ndarray, X: int, shortest: bool) -> None:
+    """Write the text of |x| into the C-contiguous ``(n, WIDTH)`` ``uint8``
+    ``rows`` from the ``digits`` of values of exponent X (see
+    :func:`_significand`), a word of each row at a time, leaving the sign
+    byte NUL.  ``digits`` is used up.
+
+    Each word is first written as if a later digit were not 0, and then
+    rewritten in the rows whose every later digit is 0: those whose text
+    may end before the word, found among the few that end in a 0."""
+    words = rows.view(np.uint32)
+    constants, schedule = _schedule(X, shortest)
+    for w, value in constants:
+        words[:, w] = value
+    top = schedule[-1][0]
+    ends = None  # the rows whose every digit after the word is 0
+    for w, size, table in schedule:
+        if w == top:  # the rest, which off the fast path may exceed the word
+            chunk = digits
+        else:
+            digits, chunk = digits // size, digits
+            chunk -= digits * size
+        words[:, w] = table.take(chunk, mode="clip")
+        if ends is None:
+            ends = (chunk == 0).nonzero()[0]
+        elif ends.size and table.size > size:
+            chunk = chunk[ends]
+            words[ends, w] = table[chunk + size]
+            ends = ends[chunk == 0]
 
 
 def cells(values: np.ndarray, shortest: bool = False) -> np.ndarray:
-    """A ``(n, WIDTH)`` ``uint8`` array: row i holds the text of the i-th
-    value of ``values`` in flat order, NUL-padded: ``'%.17g' % x``, or with
-    ``shortest`` the float as ``json.dumps`` renders it.  Python formats
-    the values off the fast path, one at a time."""
+    """A ``(n, w)`` ``uint8`` array, w <= :data:`WIDTH`: row i holds the
+    text of the i-th value of ``values`` in flat order, NUL-padded: ``'%.17g'
+    % x``, or with ``shortest`` the float as ``json.dumps`` renders it.  Its
+    columns run from the first byte that some cell writes to the last, so
+    a row of positive values has no sign byte.  Python formats the values
+    off the fast path, one at a time."""
     x = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    digits, exponent, fast = _significand(x, shortest)
-
-    # "000", then the 17 digits with their trailing zeros as NULs: the
-    # lead digit, then four groups of four, the last group first, a group
-    # with only zeros after it looked up in the second half of the table
-    words = np.empty((x.size, 5), dtype=np.uint32)
-    tail = np.ones(x.size, dtype=bool)
-    for j in range(4, 0, -1):
-        rest = digits // 10_000
-        group = digits - rest * 10_000
-        words[:, j] = _GROUPS[group + 10_000 * tail]
-        tail &= group == 0
-        digits = rest
-    words[:, 0] = _GROUPS[digits]
-    del digits, rest, group, tail
-
-    # Laid out one exponent X at a time, in rows sorted by X: X + 1
-    # integer digits (zeros put back), a point and the fraction; or for
-    # X < 0 "0.", -X - 1 zeros and the digits.  The point of a whole number
-    # is dropped, or with ``shortest`` followed by "0".
-    key = np.where(fast, exponent, 15).astype(np.int8)
-    del exponent
-    order = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(key[order], np.arange(-4, 16)).tolist()
-    text = np.take(words.view(np.uint8), order, axis=0)  # take is faster than fancy indexing
-    del words, key
-    body = np.zeros((x.size, WIDTH), dtype=np.uint8)
-    for X, a, b in zip(range(-4, 15), bounds, bounds[1:]):
-        if a == b:
-            continue
-        rows = body[a:b]
-        if X < 0:
-            rows[:, 1:2 - X] = [_ZERO, _POINT] + [_ZERO] * (-X - 1)
-            rows[:, 2 - X:19 - X] = text[a:b, 3:]
-            continue
-        np.maximum(text[a:b, 3:4 + X], _ZERO, out=rows[:, 1:2 + X])
-        rows[:, 3 + X:19] = text[a:b, 4 + X:]
-        first = rows[:, 3 + X]
-        if shortest:
-            np.maximum(first, _ZERO, out=first)
-            rows[:, 2 + X] = _POINT
-        else:
-            rows[:, 2 + X] = np.where(first != 0, _POINT, 0)
-    del text
-    rank = np.empty_like(order)
-    rank[order] = np.arange(x.size)
-    del order
-    out = np.take(body, rank, axis=0)
-    del body, rank
-    out[:, 0] = np.where(x < 0, _MINUS, 0)
-    slow = np.flatnonzero(~fast)
+    if not x.size:
+        return np.empty((0, WIDTH), dtype=np.uint8)
+    digits, k, fast = _significand(x, shortest)
+    if isinstance(k, int):  # one exponent: laid out in place
+        out = np.empty((x.size, WIDTH), dtype=np.uint8)
+        _lay_out(out, digits, 16 - k, shortest)
+        low = 16 - k
+    else:
+        # laid out one exponent X at a time, in rows sorted by X; the rows
+        # off the fast path, sorted last, are written below
+        key = np.where(fast, 16 - k, 15).astype(np.int8)
+        del k
+        order = key.argsort(kind="stable")
+        bounds = key[order].searchsorted(np.arange(-4, 16)).tolist()
+        del key
+        digits = digits.take(order)  # take is faster than fancy indexing
+        body = np.empty((x.size, WIDTH), dtype=np.uint8)
+        low = 0
+        for X, a, b in zip(range(-4, 15), bounds, bounds[1:]):
+            if a < b:
+                _lay_out(body[a:b], digits[a:b], X, shortest)
+                low = min(low, X)
+        del digits
+        out = np.empty_like(body)
+        items(out)[order] = items(body)
+        del body, order
+    end = 19 - min(low, 0)  # a row of exponent X ends by byte 18 - min(X, 0)
+    negative = x < 0
+    slow = (~fast).nonzero()[0]
+    if not slow.size and not negative.any():
+        return out[:, 1:end]
+    out[:, 0] = np.where(negative, _MINUS, 0)
     if slow.size:
         text = (_json_fallback if shortest else _printf_fallback)(x[slow].tolist())
         out[slow] = np.array(text, dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
-    return out
+        end = max(end, *map(len, text))
+    return out[:, :end]
+
+
+def items(cells: np.ndarray) -> np.ndarray:
+    """The rows of a :func:`cells` array as one item each, which copies
+    faster than their bytes do."""
+    return cells.view(np.dtype((np.void, cells.shape[1])))[:, 0]
+
+
+def padded_table(rows: int, widths: list[int], ends: bytes) -> tuple[bytearray, list[np.ndarray]]:
+    """A table of ``rows`` rows of NUL cells, one of ``widths[j]`` bytes
+    for each byte ``ends[j]`` that follows it, and a view of each column of
+    cells, one item a row (see :func:`items`), to write the cells into.
+    The squeezed table, :func:`squeezed`, is their text."""
+    slots = b"".join(b"\0" * width + bytes([end]) for width, end in zip(widths, ends))
+    table = bytearray(slots) * rows
+    grid = np.frombuffer(table, dtype=np.uint8).reshape(rows, len(slots))
+    columns, start = [], 0
+    for width in widths:
+        columns.append(items(grid[:, start:start + width]))
+        start += width + 1
+    return table, columns
+
+
+def squeezed(table: bytearray) -> bytearray:
+    """The bytes of a :func:`padded_table` with the NUL padding squeezed out."""
+    return table.translate(None, b"\0")
 
 
 def table_text(columns: list[np.ndarray], ends: bytes) -> bytearray:
-    """The ASCII bytes of the rows of cell arrays ``columns`` side by side,
-    each cell followed by its byte of ``ends``, with the NUL padding
-    squeezed out.  The table is laid out in the buffer that is squeezed, so
-    a block holds two copies of its text at most: the padded and the
-    squeezed."""
-    table = bytearray(len(columns[0]) * len(columns) * (WIDTH + 1))
-    rows = np.frombuffer(table, dtype=np.uint8).reshape(len(columns[0]), len(columns), WIDTH + 1)
-    for j, column in enumerate(columns):
-        rows[:, j, :WIDTH] = column
-        rows[:, j, WIDTH] = ends[j]
-    return table.translate(None, b"\0")
+    """The ASCII bytes of the rows of :func:`cells` arrays ``columns`` side
+    by side, each cell followed by its byte of ``ends``, with the NUL
+    padding squeezed out.  The table is laid out in the buffer that is
+    squeezed, so a block holds two copies of its text at most: the padded
+    and the squeezed."""
+    table, slots = padded_table(len(columns[0]), [c.shape[1] for c in columns], ends)
+    for slot, column in zip(slots, columns):
+        slot[...] = items(column)
+    return squeezed(table)

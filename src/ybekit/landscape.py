@@ -50,9 +50,7 @@ from .entanglement import (
     fusion_entropy,
     fusion_l1,
     three_body_l1,
-    wigner_l1,
 )
-from .rmatrix import wigner_d_half
 from .threebody import ScatterParams
 
 PLATEAU_TOL = 1e-12
@@ -135,7 +133,14 @@ class CriticalPoint:
 # ---------------------------------------------------------------------------
 
 def _l1_wigner(theta: float) -> float:
-    return wigner_l1(wigner_d_half(theta, 0.0))
+    # the moduli of the spin-1/2 rotation [[cos, -sin], [sin, cos]], summed
+    # in the order of its entries, halved: the bits of the matrix route
+    c, s = np.abs(np.cos(theta)), np.abs(np.sin(theta))
+    total = c + s
+    total += s
+    total += c
+    total /= 2.0
+    return total
 
 
 def _vn_xi(theta: float) -> float:

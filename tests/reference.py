@@ -154,6 +154,19 @@ def von_neumann_entropy(psi: np.ndarray, keep: list[int]) -> float:
     return out
 
 
+def wigner_l1(d_matrix: np.ndarray) -> float | np.ndarray:
+    """Entry-modulus norm of a spin-1/2 rotation matrix: sum(|entries|)/2.
+
+    Evaluates to |cos(theta)| + |sin(theta)| independently of the phase
+    angle.  Only the 2x2 case is supported; a stack of shape (2, 2, ...)
+    gives one norm per trailing index.
+    """
+    d_matrix = np.asarray(d_matrix, dtype=complex)
+    if d_matrix.shape[:2] != (2, 2):
+        raise ValueError(f"only the spin-1/2 (2x2) case is supported, got {d_matrix.shape}")
+    return np.sum(np.abs(d_matrix.reshape(4, *d_matrix.shape[2:])), axis=0) / 2.0
+
+
 def classify_slocc(psi: np.ndarray, tol: float = CLASS_TOL) -> str | np.ndarray:
     """SLOCC class label of a normalized three-qubit pure state, or of each
     state of a stack: the class :func:`entanglement_report` gives."""

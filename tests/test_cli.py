@@ -210,6 +210,31 @@ def test_output_file_gets_the_mode_of_a_plain_open(tmp_path):
     assert kept.read_text() == target.read_text() != "old\n"
 
 
+def test_a_write_never_changes_the_umask(tmp_path, monkeypatch):
+    """A new --output file is created 0666 for the kernel to apply the
+    umask, so the umask is never set, not even for a moment in which
+    another thread's new file would get mode 0666; a replaced file keeps
+    its mode."""
+    argv = ["landscape", "--fn", "vn_xi", "--theta", "0:1:3", "--output"]
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    kept.chmod(0o604)
+    umask = os.umask(0o027)
+
+    def refuse(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    try:
+        assert cli.main(argv + [str(tmp_path / "new.csv")]) == 0
+        assert cli.main(argv + [str(kept)]) == 0
+    finally:
+        monkeypatch.undo()
+        os.umask(umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"new.csv": 0o640, "kept.csv": 0o604}
+
+
 def test_verify_suite_flags_apply_under_all(capsys):
     """``--suite all`` runs the tl and ybe suites, so it reads --perturb
     and --family."""
@@ -893,6 +918,42 @@ def test_each_axis_is_spaced_once_per_job(argv, axes, monkeypatch, capsys):
     assert len(calls) == axes, calls
 
 
+@pytest.mark.parametrize("argv, shape", [
+    (["landscape", "--fn", "l1_S3", "--eta", "0:1:91", "--beta", "-1:1:181"], (91, 181)),
+    (["landscape", "--fn", "vn_Sprime", "--section", "eta=0.5", "--beta", f"-1:1:{BLOCK + 1}"],
+     (1, BLOCK + 1)),
+    (["landscape", "--fn", "l1_Sprime", "--section", "beta=-0.5", "--eta", "0:6:9"], (9, 1)),
+    (["landscape", "--fn", "l1_wigner", "--theta", f"-0:2:{2 * BLOCK}"], (2 * BLOCK,)),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_csv_job_formats_its_axis_points_once_and_each_block_once(argv, shape, monkeypatch,
+                                                                  capsys):
+    """A landscape CSV job formats all its axis points in one call and then
+    each block of values in one call; the coordinate cells of a block's rows
+    come by arithmetic on the flat index, with no np.unravel_index, and the
+    output is its header and one chunk per block."""
+    calls, chunks, cells = [], [], cli.floattext.cells
+
+    def counted(values, shortest=False):
+        calls.append(np.size(values))
+        return cells(values, shortest)
+
+    def unravel_index(*args, **kwargs):
+        raise AssertionError("np.unravel_index called")
+
+    def emit(path, stream):
+        chunks.extend(stream)
+
+    monkeypatch.setattr(cli.floattext, "cells", counted)
+    monkeypatch.setattr(np, "unravel_index", unravel_index)
+    monkeypatch.setattr(cli, "_emit", emit)
+    assert run_cli(argv, capsys)[0] == 0
+    size = math.prod(shape)
+    blocks = [min(BLOCK, size - start) for start in range(0, size, BLOCK)]
+    assert calls == [sum(shape)] + blocks
+    assert len(chunks) == 1 + len(blocks)
+    assert sum(chunk.count(b"\n") for chunk in chunks) == 1 + size
+
+
 # a square grid of two blocks, the second a part of a row
 SIDE = math.isqrt(BLOCK) + 1
 TWO_BLOCK_GRID = ["landscape", "--fn", "l1_S3", "--eta", f"0:1:{SIDE}", "--beta", f"0:1:{SIDE}"]
@@ -1093,6 +1154,7 @@ UNREACHED = {
     "rmatrix.conjugate_by_v": "phase helper, kept for the paper suite (ROADMAP item 4)",
     "rmatrix.phi_from_theta": "phase helper, kept for the paper suite (ROADMAP item 4)",
     "rmatrix.phi_from_three_thetas": "phase helper, kept for the paper suite (ROADMAP item 4)",
+    "rmatrix.wigner_d_half": "rotation behind l1_wigner, kept for the paper suite (ROADMAP item 4)",
     "fusionbasis.LeakageError.__init__": "no valid input leaks out of the fusion span",
 }
 

@@ -18,7 +18,6 @@ from ybekit.entanglement import (
     l1_norm,
     three_body_l1,
     three_tangle,
-    wigner_l1,
 )
 from ybekit.rmatrix import type2_r_4x4, wigner_d_half
 from ybekit.tensor import kron
@@ -26,7 +25,7 @@ from ybekit.threebody import BETA_STAR, ScatterParams, fusion_form, state_from_p
 
 from reference import (binary_entropy_whole, classify_slocc, fusion_entropy_whole,
                        fusion_l1_whole, ket, scalar_three_tangle, three_body_l1_whole,
-                       three_tangle_by_coordinates, von_neumann_entropy)
+                       three_tangle_by_coordinates, von_neumann_entropy, wigner_l1)
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)

@@ -10,6 +10,7 @@ import tracemalloc
 from decimal import Decimal
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from ybekit import floattext
@@ -105,27 +106,84 @@ def test_matches_python_on_any_double(xs):
     _assert_exact(xs)
 
 
+def _one_exponent(X, sign, n=256):
+    """``n`` seeded values of exponent X: spread over the decade, whole
+    numbers where X >= 0, a few short decimals; all positive, all negative
+    or of mixed sign."""
+    rng = np.random.default_rng(X + 10)
+    values = rng.uniform(1.0, 9.99, n) * 10.0 ** X
+    values[::7] = np.round(values[::7], 2 - X)
+    if X >= 0:
+        values[::5] = rng.integers(10 ** X, 10 ** (X + 1), values[::5].size)
+    values[:2] = 10.0 ** X, 2.5 * 10.0 ** X
+    signs = {"+": 1.0, "-": -1.0, "+-": rng.choice([-1.0, 1.0], n)}[sign]
+    return values * signs
+
+
+@pytest.mark.parametrize("sign", ["+", "-", "+-"])
+@pytest.mark.parametrize("X", range(-4, 15))
+def test_blocks_of_one_exponent(X, sign):
+    """Blocks whose values share one exponent are laid out in place: each X
+    of the fast path, either sign, whole numbers (CSV drops their point),
+    and a block of one value repeated; then the same blocks with one value
+    of another exponent, or one cell off the fast path, first or last."""
+    values = _one_exponent(X, sign)
+    _assert_exact(values)
+    _assert_exact(np.full(300, values[5]))
+    for other in (values[0] * 10.0, values[0] / 10.0, 0.0, math.nan, 1e-5):
+        for at in (0, -1):
+            mixed = values.copy()
+            mixed[at] = other
+            _assert_exact(mixed)
+
+
+def test_a_block_whose_log10_reads_the_next_decade():
+    """log10 of the double below 1e15 rounds to 15: a block of it has one
+    exponent past the fast path, and every cell goes to Python."""
+    _assert_exact(np.full(5, 9.999999999999999e14))
+    _assert_exact(np.full(5, -9.999999999999999e14))
+
+
+def test_an_empty_array_has_no_cells():
+    for shortest in (False, True):
+        assert floattext.cells(np.array([]), shortest).shape[0] == 0
+    _assert_exact([])
+
+
 def test_blocks_of_cells_are_padded_rows():
+    """Cells are NUL-padded rows that run from the first byte some cell
+    writes to the last: the sign byte where a cell is negative or off the
+    fast path, and no more than the longest cell of the exponents present."""
     values = np.array([1.5, -0.25, math.nan])
     table = floattext.cells(values)
-    assert table.shape == (3, floattext.WIDTH) and table.dtype == np.uint8
+    assert table.shape == (3, 20) and table.dtype == np.uint8  # "-0." and 17 digits
     assert floattext.table_text([table, table[::-1]], b",\n") == b"1.5,nan\n-0.25,-0.25\nnan,1.5\n"
     assert floattext.table_text([floattext.cells(np.array([]))], b"\n") == b""
+    positive = floattext.cells(np.array([1.25, 2.0]))
+    assert positive.shape == (2, 18) and bytes(positive[1]) == b"2" + b"\0" * 17
+    assert floattext.cells(np.array([-1e300])).shape == (1, len("%.17g" % -1e300))
 
 
 def test_one_block_holds_a_few_arrays_per_value():
     """Formatting one block, either way, peaks below 12 float64 arrays of
     the block (1.5 MiB for 16,384 values), its cells included: each
     temporary is freed or overwritten once its step is done.  With every
-    temporary kept to the end it peaked near 26."""
+    temporary kept to the end it peaked near 26.  A block of many
+    exponents, sorted, and one of one exponent, laid out in place, both
+    hold."""
     rng = np.random.default_rng(7)
     n = floattext.BLOCK
-    values = np.exp(rng.uniform(math.log(1e-6), math.log(1e17), n)) * rng.choice([-1.0, 1.0], n)
-    for shortest in (False, True):
-        tracemalloc.start()
-        try:
-            floattext.cells(values, shortest)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 8 * n, (shortest, peak / (8 * n))
+    blocks = {
+        "log-uniform": np.exp(rng.uniform(math.log(1e-6), math.log(1e17), n))
+        * rng.choice([-1.0, 1.0], n),
+        "one exponent": rng.uniform(1.0, 2.0, n),
+    }
+    for kind, values in blocks.items():
+        for shortest in (False, True):
+            tracemalloc.start()
+            try:
+                floattext.cells(values, shortest)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * 8 * n, (kind, shortest, peak / (8 * n))
