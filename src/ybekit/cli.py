@@ -191,60 +191,22 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
 
 
-def _mesh_cells(columns: list[np.ndarray], axes: list[np.ndarray], start: int) -> None:
-    """Write the coordinate cells of the rows ``start``, ``start + 1``, ...
-    of the ``ij`` mesh of one or two ``axes`` (cell items) into the table
-    ``columns``.  Along a row of the mesh the last axis runs through its
-    cells and the first stays on one; the block is the rest of its first
-    mesh row, whole mesh rows, and the start of one more."""
-    last = axes[-1]
-    n, size = len(last), len(columns[0])
-    row, at = divmod(start, n)
-    head = min(size, n - at) if at else 0
-    whole, tail = divmod(size - head, n)
-    rows = slice(head, head + whole * n)
-    columns[-1][:head] = last[at:at + head]
-    columns[-1][rows].reshape(whole, n)[...] = last
-    columns[-1][size - tail:] = last[:tail]
-    if len(axes) == 2:
-        columns[0][:head] = axes[0][row]
-        after = axes[0][row + (at > 0):]  # the points of the mesh rows after the first
-        columns[0][rows].reshape(whole, n)[...] = after[:whole, None]
-        if tail:
-            columns[0][size - tail:] = after[whole]
-
-
 def _csv_mesh(coords: dict[str, np.ndarray], values: np.ndarray) -> Iterator[bytes]:
     """CSV of a landscape sampled on the ``ij`` mesh of ``coords`` (axis
     name to points, in axis order, one or two axes): a row per value, in
     flat order, of its axis coordinates and the value, each cell as
-    :func:`fmt` renders it.
-
-    All axis points are rendered in one call; a block of rows at a time,
-    their coordinate cells are copied into the block's table beside its
-    rendered values.  The header and then each block's rows are yielded as
-    ASCII bytes."""
-    points = floattext.cells(np.concatenate(list(coords.values())))
-    bounds = np.cumsum([0, *map(len, coords.values())])
-    axes = [floattext.items(points[a:b]) for a, b in zip(bounds, bounds[1:])]
-    flat = values.reshape(-1)
-    ends = b"," * len(axes) + b"\n"
+    :func:`fmt` renders it.  The header and then each block of rows that
+    :func:`floattext.mesh_blocks` renders are yielded as ASCII bytes."""
     yield ",".join([*coords, "value"]).encode("ascii") + b"\n"
-    for start in range(0, flat.size, floattext.BLOCK):
-        block = floattext.items(floattext.cells(flat[start:start + floattext.BLOCK]))
-        widths = [column.itemsize for column in (*axes, block)]
-        table, columns = floattext.padded_table(block.size, widths, ends)
-        _mesh_cells(columns[:-1], axes, start)
-        columns[-1][...] = block
-        yield floattext.squeezed(table)
+    yield from floattext.mesh_blocks(values, list(coords.values()), b"," * len(coords) + b"\n")
 
 
 def _json_text(fn: str, axes: list[AxisSpec], values: np.ndarray,
                meta: dict) -> Iterator[bytes]:
     """The landscape JSON document as ``json.dumps`` renders it, as ASCII
     bytes: the text before the ``values`` array, which sorts last among the
-    keys, then the array a block at a time as :mod:`floattext` renders it,
-    then the text after it."""
+    keys, then the array a block at a time as :func:`floattext.mesh_blocks`
+    renders it, then the text after it."""
     payload = {
         "fn": fn,
         "axes": [
@@ -256,11 +218,9 @@ def _json_text(fn: str, axes: list[AxisSpec], values: np.ndarray,
     head, _, tail = json.dumps(payload, sort_keys=True, separators=(",", ":")).rpartition(
         '"values":[]')
     yield f'{head}"values":['.encode("ascii")
-    flat = values.reshape(-1)
-    for start in range(0, flat.size, floattext.BLOCK):
-        block = flat[start:start + floattext.BLOCK]
-        numbers = floattext.table_text([floattext.cells(block, shortest=True)], b",")
-        if start + block.size == flat.size:
+    last = (values.size - 1) // floattext.BLOCK
+    for k, numbers in enumerate(floattext.mesh_blocks(values, [], b",", shortest=True)):
+        if k == last:
             del numbers[-1]  # no comma after the last
         yield numbers
     yield f"]{tail}\n".encode("ascii")

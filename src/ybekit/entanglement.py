@@ -9,10 +9,9 @@ form for every parameter choice.  :func:`fusion_l1` and
 :func:`fusion_entropy` are closed forms of that first row, evaluated on the
 parameter arrays alone with the bits of the dense matrix; the dense
 :func:`~ybekit.threebody.fusion_form` serves the basis reduction and the
-tests.  Each kernel computes its trigonometric factors on the parameter
-arrays as given, one per axis of a sparse mesh, and combines them over the
-mesh a strip at a time (:func:`by_strips`), so a grid holds its result and
-a scratch of a few strips.
+tests.  Each kernel is one elementwise expression over broadcast arrays;
+the landscape sampler bounds its working set by calling it a strip of the
+mesh at a time.
 
 Entropies are in bits throughout, with 0*log(0) = 0.  The dense route, a
 partial trace and an eigensolver, is the tests' oracle
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from .threebody import ScatterParams
 
 CLASS_TOL = 1e-6
 NORM_TOL = 1e-10
-STRIP = 1 << 13  # values per strip of a mesh in by_strips
 
 PRODUCT = "product"
 BISEPARABLE = "biseparable"
@@ -44,42 +41,13 @@ def l1_norm(psi: np.ndarray) -> float | np.ndarray:
     return np.sum(np.abs(np.asarray(psi, dtype=complex)), axis=-1)
 
 
-def by_strips(kernel: Callable[..., np.ndarray], *factors) -> np.ndarray:
-    """``kernel(*factors)`` for an elementwise ``kernel``, evaluated over the
-    broadcast mesh of ``factors`` a strip at a time into one result.
-
-    A strip is a run of about :data:`STRIP` values along the first axis of
-    the mesh that is longer than 1, and at least one index of that axis, so
-    the kernel's temporaries cover a strip, not the mesh.  Each value has
-    the bits of one call over the whole mesh.  A mesh of at most ``STRIP``
-    values, a float included, is one call.
-    """
-    mesh = np.broadcast(*factors)
-    if mesh.size <= STRIP:
-        return kernel(*factors)
-    axis = next(a for a, n in enumerate(mesh.shape) if n > 1) - mesh.nd  # from the end
-    step = max(1, STRIP * mesh.shape[axis] // mesh.size)
-    sliced = [np.ndim(f) >= -axis and np.shape(f)[axis] > 1 for f in factors]
-    out = None
-    for start in range(0, mesh.shape[axis], step):
-        rows = (..., slice(start, start + step)) + (slice(None),) * (-axis - 1)
-        part = kernel(*(f[rows] if cut else f for f, cut in zip(factors, sliced)))
-        if out is None:
-            out = np.empty(mesh.shape, dtype=part.dtype)
-        out[rows] = part
-    return out
-
-
 def three_body_l1(params: ScatterParams) -> float | np.ndarray:
     """l1-norm of the three-body matrix and of its output state:
 
     |cos(eta)| + sqrt(2)|cos(beta) sin(eta)| + |sin(beta) sin(eta)|.
     """
-    return by_strips(_three_body_l1, np.cos(params.eta), np.sin(params.eta),
-                     np.cos(params.beta), np.sin(params.beta))
-
-
-def _three_body_l1(ce, se, cb, sb):
+    ce, se = np.cos(params.eta), np.sin(params.eta)
+    cb, sb = np.cos(params.beta), np.sin(params.beta)
     return np.abs(ce) + math.sqrt(2.0) * np.abs(cb * se) + np.abs(sb * se)
 
 
@@ -94,21 +62,14 @@ def fusion_l1(params: ScatterParams) -> float | np.ndarray:
     parts has one exactly zero term, so the sum, taken in the order of its
     real then imaginary parts, has the bits of the matrix route.
     """
-    return by_strips(_fusion_l1, np.cos(params.eta), np.sin(params.eta),
-                     np.cos(params.beta) / math.sqrt(2.0), np.sin(params.beta))
-
-
-def _fusion_l1(ce, se, c, sb):
+    ce, se = np.cos(params.eta), np.sin(params.eta)
+    c, sb = np.cos(params.beta) / math.sqrt(2.0), np.sin(params.beta)
     return (np.abs(ce) + np.abs(sb * se)) + 2.0 * np.abs(c * se)
 
 
 def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
     """H(p) in bits with the 0*log(0) = 0 convention."""
     p = np.asarray(p, dtype=float)[()]  # a float stays a numpy scalar
-    return by_strips(_binary_entropy, p)
-
-
-def _binary_entropy(p):
     outside = (p < -1e-12) | (p > 1.0 + 1e-12)
     if np.count_nonzero(outside):
         raise ValueError(f"probability out of range: {np.extract(outside, p)[0]}")
@@ -126,15 +87,11 @@ def fusion_entropy(params: ScatterParams) -> float | np.ndarray:
     unitarity.  Only m00 is built, as a complex array: numpy's complex
     modulus rounds apart from ``np.hypot`` of its parts.
     """
-    return by_strips(_fusion_entropy, np.cos(params.eta), np.sin(params.eta),
-                     np.cos(params.beta) / math.sqrt(2.0))
-
-
-def _fusion_entropy(ce, se, c):
-    im = c * se  # has the shape of the mesh
+    ce, se = np.cos(params.eta), np.sin(params.eta)
+    im = np.cos(params.beta) / math.sqrt(2.0) * se  # has the broadcast shape
     top_left = np.empty(np.shape(im), dtype=complex)
     top_left.real, top_left.imag = ce, im
-    return _binary_entropy(np.abs(top_left) ** 2)
+    return binary_entropy(np.abs(top_left) ** 2)
 
 
 # The factors of the hyperdeterminant's products as amplitude indices

@@ -46,25 +46,28 @@ and then put in order.
 
 A cell is a row of at most :data:`WIDTH` bytes padded with NULs; the rows
 of a block run from the first byte that some cell writes to the last, so
-a block of positive values has no sign byte.  :func:`padded_table` lays
-the cells of a block out beside their separators, one item a row, and
-:func:`squeezed` squeezes the NULs out with ``bytearray.translate``; so
-does :func:`table_text`.  Callers format :data:`BLOCK` values at a time
-and pass each block's bytes on, so no temporary covers a whole landscape.
+a block of positive values has no sign byte.  :func:`mesh_blocks` renders
+the body of a landscape, its CSV rows or its JSON numbers, :data:`BLOCK`
+values at a time: each block's cells, and the coordinate cells of its
+rows, are laid out beside their separators in a NUL-padded table, which
+``bytearray.translate`` squeezes into the block's bytes, so no temporary
+covers a whole landscape.
 
 A block's working set is bounded by :data:`BLOCK` alone.  :func:`cells`
 frees or overwrites each temporary once its step is done, so it holds
 about nine arrays of 8 bytes per value at once (0.6 MiB for a block,
-its 192 KiB of cells included), and the padded table is the buffer that
-is squeezed, so a table holds its padded and its squeezed text and
-nothing more (at most 1.2 MiB for a block of three columns).  The word
-tables are built once per process, on first use, and a word of four
-digits shares :data:`_GROUPS`; all of them together hold 0.16 MiB.
+its 192 KiB of cells included).  The cells are released once they are in
+the table, and the table once it is squeezed, so a block holds its padded
+and its squeezed text and nothing more (at most 1.2 MiB for a block of
+three columns), and none of it is kept while the next block is formatted.
+The word tables are built once per process, on first use, and a word of
+four digits shares :data:`_GROUPS`; all of them together hold 0.16 MiB.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -307,7 +310,7 @@ def cells(values: np.ndarray, shortest: bool = False) -> np.ndarray:
                 low = min(low, X)
         del digits
         out = np.empty_like(body)
-        items(out)[order] = items(body)
+        _items(out)[order] = _items(body)
         del body, order
     end = 19 - min(low, 0)  # a row of exponent X ends by byte 18 - min(X, 0)
     negative = x < 0
@@ -322,39 +325,64 @@ def cells(values: np.ndarray, shortest: bool = False) -> np.ndarray:
     return out[:, :end]
 
 
-def items(cells: np.ndarray) -> np.ndarray:
+def mesh_blocks(values: np.ndarray, axes: Sequence[np.ndarray], ends: bytes,
+                shortest: bool = False) -> Iterator[bytearray]:
+    """The ASCII rows of ``values`` sampled on the ``ij`` mesh of ``axes``
+    (zero, one or two arrays of points), :data:`BLOCK` rows at a time: row
+    i holds the cells of the coordinates of the i-th value in flat order,
+    then the cell of the value, each followed by its byte of ``ends``.  All
+    axis points are rendered in one call, and each block of values in one."""
+    flat = values.reshape(-1)
+    if axes:
+        points = _items(cells(np.concatenate(axes), shortest))
+        bounds = np.cumsum([0, *map(len, axes)]).tolist()
+        axes = [points[a:b] for a, b in zip(bounds, bounds[1:])]
+    for start in range(0, flat.size, BLOCK):
+        yield _block_text(_items(cells(flat[start:start + BLOCK], shortest)), axes, start, ends)
+
+
+def _items(cells: np.ndarray) -> np.ndarray:
     """The rows of a :func:`cells` array as one item each, which copies
     faster than their bytes do."""
     return cells.view(np.dtype((np.void, cells.shape[1])))[:, 0]
 
 
-def padded_table(rows: int, widths: list[int], ends: bytes) -> tuple[bytearray, list[np.ndarray]]:
-    """A table of ``rows`` rows of NUL cells, one of ``widths[j]`` bytes
-    for each byte ``ends[j]`` that follows it, and a view of each column of
-    cells, one item a row (see :func:`items`), to write the cells into.
-    The squeezed table, :func:`squeezed`, is their text."""
+def _block_text(block: np.ndarray, axes: list[np.ndarray], start: int,
+                ends: bytes) -> bytearray:
+    """The rows ``start``, ``start + 1``, ... of :func:`mesh_blocks`, whose
+    value cells are the items ``block`` and coordinate cells are taken from
+    the items ``axes``.  The cells are copied into a table of NUL-padded
+    slots, each followed by its byte of ``ends``, and the NULs are squeezed
+    out with ``bytearray.translate``; ``block`` is released first, so only
+    the padded and the squeezed text are held at once.
+
+    Along a row of the mesh the last axis runs through its cells and the
+    first stays on one; the block is the rest of its first mesh row, whole
+    mesh rows, and the start of one more."""
+    size = block.size
+    widths = [column.itemsize for column in (*axes, block)]
     slots = b"".join(b"\0" * width + bytes([end]) for width, end in zip(widths, ends))
-    table = bytearray(slots) * rows
-    grid = np.frombuffer(table, dtype=np.uint8).reshape(rows, len(slots))
-    columns, start = [], 0
+    table = bytearray(slots) * size
+    grid = np.frombuffer(table, dtype=np.uint8).reshape(size, len(slots))
+    columns, at = [], 0
     for width in widths:
-        columns.append(items(grid[:, start:start + width]))
-        start += width + 1
-    return table, columns
-
-
-def squeezed(table: bytearray) -> bytearray:
-    """The bytes of a :func:`padded_table` with the NUL padding squeezed out."""
+        columns.append(_items(grid[:, at:at + width]))
+        at += width + 1
+    columns[-1][...] = block
+    del block
+    if axes:
+        last, n = axes[-1], len(axes[-1])
+        row, at = divmod(start, n)
+        head = min(size, n - at) if at else 0
+        whole, tail = divmod(size - head, n)
+        rows = slice(head, head + whole * n)
+        columns[-2][:head] = last[at:at + head]
+        columns[-2][rows].reshape(whole, n)[...] = last
+        columns[-2][size - tail:] = last[:tail]
+        if len(axes) == 2:
+            columns[0][:head] = axes[0][row]
+            after = axes[0][row + (at > 0):]  # the points of the mesh rows after the first
+            columns[0][rows].reshape(whole, n)[...] = after[:whole, None]
+            if tail:
+                columns[0][size - tail:] = after[whole]
     return table.translate(None, b"\0")
-
-
-def table_text(columns: list[np.ndarray], ends: bytes) -> bytearray:
-    """The ASCII bytes of the rows of :func:`cells` arrays ``columns`` side
-    by side, each cell followed by its byte of ``ends``, with the NUL
-    padding squeezed out.  The table is laid out in the buffer that is
-    squeezed, so a block holds two copies of its text at most: the padded
-    and the squeezed."""
-    table, slots = padded_table(len(columns[0]), [c.shape[1] for c in columns], ends)
-    for slot, column in zip(slots, columns):
-        slot[...] = items(column)
-    return squeezed(table)

@@ -9,9 +9,9 @@ not in ``ybekit``.
 
 Byte references: retired implementations that the tests hold their
 replacements to, bit for bit, one per contract (CSV and JSON writers,
-the landscape kernels and landscape sampling, the coarse scan, the
-critical-point finder, the two-pair fusion states, the verify suites and
-the 3-tangle).  The expensive ones are computed once per session."""
+landscape sampling, the coarse scan, the critical-point finder, the
+two-pair fusion states, the verify suites and the 3-tangle).  The
+expensive ones are computed once per session."""
 
 import functools
 import json
@@ -260,39 +260,6 @@ def _json_text_reference(fn, axes, values, meta):
         "meta": dict(meta, version=__version__),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-# the kernels as one whole-array expression each, as they ran before they
-# were evaluated a strip at a time
-
-def three_body_l1_whole(params):
-    ce, se = np.cos(params.eta), np.sin(params.eta)
-    cb, sb = np.cos(params.beta), np.sin(params.beta)
-    return np.abs(ce) + math.sqrt(2.0) * np.abs(cb * se) + np.abs(sb * se)
-
-
-def fusion_l1_whole(params):
-    ce, se = np.cos(params.eta), np.sin(params.eta)
-    cb, sb = np.cos(params.beta), np.sin(params.beta)
-    return (np.abs(ce) + np.abs(sb * se)) + 2.0 * np.abs(cb / math.sqrt(2.0) * se)
-
-
-def binary_entropy_whole(p):
-    p = np.asarray(p, dtype=float)[()]
-    outside = (p < -1e-12) | (p > 1.0 + 1e-12)
-    if np.count_nonzero(outside):
-        raise ValueError(f"probability out of range: {np.extract(outside, p)[0]}")
-    p = np.minimum(np.maximum(p, 0.0), 1.0)
-    q = 1.0 - p
-    return 0.0 - p * np.log2(p + (p == 0.0)) - q * np.log2(q + (q == 0.0))
-
-
-def fusion_entropy_whole(params):
-    ce, se = np.cos(params.eta), np.sin(params.eta)
-    im = np.cos(params.beta) / math.sqrt(2.0) * se
-    top_left = np.empty(np.shape(im), dtype=complex)
-    top_left.real, top_left.imag = ce, im
-    return binary_entropy_whole(np.abs(top_left) ** 2)
 
 
 # landscape sampling: a surface on the dense ij meshgrid, a section, a curve

@@ -8,10 +8,8 @@ from ybekit.entanglement import (
     BISEPARABLE,
     GHZ_CLASS,
     PRODUCT,
-    STRIP,
     W_CLASS,
     binary_entropy,
-    by_strips,
     entanglement_report,
     fusion_entropy,
     fusion_l1,
@@ -23,9 +21,8 @@ from ybekit.rmatrix import type2_r_4x4, wigner_d_half
 from ybekit.tensor import kron
 from ybekit.threebody import BETA_STAR, ScatterParams, fusion_form, state_from_params
 
-from reference import (binary_entropy_whole, classify_slocc, fusion_entropy_whole,
-                       fusion_l1_whole, ket, scalar_three_tangle, three_body_l1_whole,
-                       three_tangle_by_coordinates, von_neumann_entropy, wigner_l1)
+from reference import (classify_slocc, ket, scalar_three_tangle, three_tangle_by_coordinates,
+                       von_neumann_entropy, wigner_l1)
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
@@ -69,6 +66,7 @@ def test_three_body_l1_known_values():
     assert abs(three_body_l1(GHZ_PARAMS) - 2.0) < 1e-14
     assert abs(three_body_l1(W_PARAMS) - math.sqrt(3.0)) < 1e-14
     assert three_body_l1(ScatterParams(0.0, 1.23)) == 1.0
+    assert type(three_body_l1(ScatterParams(0.7, -0.4))) is np.float64
 
 
 @given(etas, betas)
@@ -130,93 +128,13 @@ def test_fusion_kernels_have_the_bits_of_the_matrix_route(name):
             assert type(value) is np.float64
 
 
-_RNG = np.random.default_rng(31)
-_LONG = _RNG.uniform(-7.0, 7.0, 3 * STRIP + 5)  # four strips
-_ETA, _BETA = _RNG.uniform(-7.0, 7.0, 301), _RNG.uniform(-3.2, 3.2, 283)
-_GRID = _RNG.uniform(-7.0, 7.0, (283, 301))
-# every input form a kernel takes, each mesh longer than a strip
-STRIP_FORMS = {
-    "float": ScatterParams(0.7, -0.4),
-    "0-d": ScatterParams(np.array(0.7), np.array(-0.4)),
-    "1-d": ScatterParams(_LONG, np.flip(_LONG) / 2.0),
-    "sparse-mesh": ScatterParams(_ETA[:, None], _BETA[None, :]),
-    "section": ScatterParams(np.array([[1.3]]), _LONG[None, :] / 2.0),
-    "non-contiguous": ScatterParams(_ETA[::2, None], _BETA[None, ::-1]),
-    "transposed-grid": ScatterParams(_GRID.T, 0.3),
-    "ghz": GHZ_PARAMS,
-    "w": W_PARAMS,
-}
-WHOLE_BODIES = {three_body_l1: three_body_l1_whole, fusion_l1: fusion_l1_whole,
-                fusion_entropy: fusion_entropy_whole}
-
-
-def _assert_same_bits(value, expected):
-    assert type(value) is type(expected)
-    assert np.shape(value) == np.shape(expected)
-    assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
-
-
-@pytest.mark.parametrize("form", STRIP_FORMS)
-@pytest.mark.parametrize("kernel", WHOLE_BODIES, ids=lambda kernel: kernel.__name__)
-def test_kernels_by_strips_have_the_bits_of_the_whole_array_bodies(kernel, form):
-    """A kernel evaluated a strip at a time gives the type, shape and bits
-    of its body evaluated over the whole input at once; a float gives a
-    numpy float."""
-    params = STRIP_FORMS[form]
-    value = kernel(params)
-    _assert_same_bits(value, WHOLE_BODIES[kernel](params))
-    if isinstance(params.eta, float):
-        assert type(value) is np.float64
-
-
-_P = np.random.default_rng(32).uniform(0.0, 1.0, (97, 211))
-_P[0, :6] = [0.0, 1.0, 1e-300, 1.0 - 1e-16, -1e-13, 1.0 + 1e-13]
-ENTROPY_FORMS = {"float": 0.3, "zero": 0.0, "0-d": np.array(0.3), "1-d": _P.reshape(-1),
-                 "mesh": _P, "section": _P.reshape(1, -1), "non-contiguous": _P.T[::-1]}
-
-
-@pytest.mark.parametrize("form", ENTROPY_FORMS)
-def test_binary_entropy_by_strips_has_the_bits_of_the_whole_array_body(form):
-    p = ENTROPY_FORMS[form]
-    value = binary_entropy(p)
-    _assert_same_bits(value, binary_entropy_whole(p))
-    if isinstance(p, float):
-        assert type(value) is np.float64
-
-
 def test_binary_entropy_names_the_first_value_out_of_range():
-    """The first value out of range in flat order is named, though later
-    strips are never reached and an earlier strip holds none."""
+    """The first value out of range in flat order is named, though others,
+    below and above the range, follow it."""
     p = np.full((40, 500), 0.5)
     p[30, 7], p[35, 0], p[39, 499] = 1.5, -0.5, 2.0
-    for kernel in (binary_entropy, binary_entropy_whole):
-        with pytest.raises(ValueError, match=r"out of range: 1\.5$"):
-            kernel(p)
-
-
-@pytest.mark.parametrize("shapes", [
-    [(301, 1), (1, 283)],  # a surface: strips of rows
-    [(1, 3 * STRIP + 1), ()],  # a section along the second axis, times a float
-    [(1, 5, 3000), (5, 1)],  # the first axis longer than 1 is the second
-    [(STRIP + 1,), (STRIP + 1,)],  # a curve
-    [(40, 1), (1, 50)],  # one strip
-], ids=str)
-def test_strips_cover_the_mesh_a_bounded_piece_at_a_time(shapes):
-    """The strips cover the broadcast mesh once, none of them more than
-    STRIP values and all but the last more than half that, and give the
-    bits of one call over the mesh."""
-    rng = np.random.default_rng(33)
-    x, y = (rng.uniform(-2.0, 2.0, shape)[()] for shape in shapes)
-    sizes = []
-
-    def kernel(a, b):
-        sizes.append(np.broadcast(a, b).size)
-        return a * b - a
-
-    value = by_strips(kernel, x, y)
-    _assert_same_bits(value, x * y - x)
-    assert sum(sizes) == value.size and max(sizes) <= STRIP
-    assert all(size > STRIP // 2 for size in sizes[:-1])  # no needless calls
+    with pytest.raises(ValueError, match=r"out of range: 1\.5$"):
+        binary_entropy(p)
 
 
 def test_l1_bounds_on_dense_grid():
@@ -257,6 +175,7 @@ def test_vn_entropy_single_qubit_cut_range(seed):
 
 def test_binary_entropy_edges():
     assert binary_entropy(0.0) == 0.0
+    assert type(binary_entropy(0.3)) is type(binary_entropy(np.array(0.3))) is np.float64
     assert binary_entropy(1.0) == 0.0
     assert abs(binary_entropy(0.5) - 1.0) < 1e-15
     with pytest.raises(ValueError):

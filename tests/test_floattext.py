@@ -18,7 +18,7 @@ from ybekit import floattext
 
 def _rendered(values, shortest):
     """One line per value, as the formatter renders it, decoded."""
-    return floattext.table_text([floattext.cells(values, shortest)], b"\n").decode("ascii")
+    return b"".join(floattext.mesh_blocks(values, [], b"\n", shortest)).decode("ascii")
 
 
 def _expected(values, shortest):
@@ -153,12 +153,19 @@ def test_an_empty_array_has_no_cells():
 def test_blocks_of_cells_are_padded_rows():
     """Cells are NUL-padded rows that run from the first byte some cell
     writes to the last: the sign byte where a cell is negative or off the
-    fast path, and no more than the longest cell of the exponents present."""
+    fast path, and no more than the longest cell of the exponents present.
+    A mesh body lays them out beside the coordinate cells of the ``ij``
+    mesh, each followed by its byte of ``ends``, with the padding
+    squeezed out."""
     values = np.array([1.5, -0.25, math.nan])
     table = floattext.cells(values)
     assert table.shape == (3, 20) and table.dtype == np.uint8  # "-0." and 17 digits
-    assert floattext.table_text([table, table[::-1]], b",\n") == b"1.5,nan\n-0.25,-0.25\nnan,1.5\n"
-    assert floattext.table_text([floattext.cells(np.array([]))], b"\n") == b""
+    assert b"".join(floattext.mesh_blocks(values, [values[::-1]], b",\n")) == (
+        b"nan,1.5\n-0.25,-0.25\n1.5,nan\n")
+    mesh = floattext.mesh_blocks(np.arange(6.0).reshape(2, 3),
+                                 [np.array([1.5, -0.25]), np.array([math.nan, 2.0, 3.0])], b",,\n")
+    assert b"".join(mesh) == b"1.5,nan,0\n1.5,2,1\n1.5,3,2\n-0.25,nan,3\n-0.25,2,4\n-0.25,3,5\n"
+    assert b"".join(floattext.mesh_blocks(np.array([]), [], b"\n")) == b""
     positive = floattext.cells(np.array([1.25, 2.0]))
     assert positive.shape == (2, 18) and bytes(positive[1]) == b"2" + b"\0" * 17
     assert floattext.cells(np.array([-1e300])).shape == (1, len("%.17g" % -1e300))

@@ -17,9 +17,11 @@ from ybekit.landscape import (
     LOCAL_MIN,
     PLATEAU_TOL,
     SADDLE,
+    STRIP,
     _dedupe,
     _scan,
     _shrink_bracket,
+    by_strips,
     find_critical_points,
     get_function,
     sample,
@@ -127,6 +129,71 @@ def test_sample_is_bit_equal_to_the_retired_curve_sampler(tag, start, width, n):
     values = sample(tag, [axis])
     assert values.shape == (n,)
     assert values.tobytes() == _sample_curve_reference(tag, axis).tobytes()
+
+
+@pytest.mark.parametrize("n", [STRIP + 1, 3 * STRIP + 5])
+@pytest.mark.parametrize("tag", list(FUNCTIONS))
+def test_sections_and_curves_of_several_strips_keep_their_bits(tag, n):
+    """A curve, or a section along either axis, of more points than a strip
+    has the bits of one call of the function over all its points."""
+    if FUNCTIONS[tag].arity == 1:
+        axis = AxisSpec("theta", -0.0, 7.0, n)
+        assert sample(tag, [axis]).tobytes() == _sample_curve_reference(tag, axis).tobytes()
+        return
+    for fixed, moving in (("beta", AxisSpec("eta", -0.0, 7.0, n)),
+                          ("eta", AxisSpec("beta", -3.2, 3.2, n))):
+        point = AxisSpec(fixed, 0.7, 0.7, 1)
+        values = sample(tag, [moving, point] if fixed == "beta" else [point, moving])
+        assert values.tobytes() == _section_reference(tag, fixed, 0.7, moving).tobytes()
+
+
+@pytest.mark.parametrize("tag", list(FUNCTIONS))
+def test_sample_calls_a_function_on_a_strip_at_a_time(tag, monkeypatch):
+    """Whatever its measure, a registered function is called on at most
+    STRIP values at a time: a 400x400 surface, a section along the second
+    axis and a curve, each of several strips, are covered once."""
+    spec, sizes = FUNCTIONS[tag], []
+
+    def counted(*coords):
+        sizes.append(np.broadcast(*coords).size)
+        return spec(*coords)
+
+    monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(spec, fn=counted, params=None))
+    if spec.arity == 1:
+        meshes = [[AxisSpec("theta", 0.0, 1.0, 3 * STRIP + 5)]]
+    else:
+        meshes = [[AxisSpec("eta", 0.0, 1.0, 400), AxisSpec("beta", 0.0, 1.0, 400)],
+                  [AxisSpec("eta", 0.5, 0.5, 1), AxisSpec("beta", 0.0, 1.0, 3 * STRIP + 5)]]
+    for axes in meshes:
+        sizes.clear()
+        values = sample(tag, axes)
+        assert sum(sizes) == values.size and max(sizes) <= STRIP, sizes
+
+
+@pytest.mark.parametrize("shapes", [
+    [(301, 1), (1, 283)],  # a surface: strips of rows
+    [(1, 3 * STRIP + 1), ()],  # a section along the second axis, times a float
+    [(1, 5, 3000), (5, 1)],  # the first axis longer than 1 is the second
+    [(STRIP + 1,), (STRIP + 1,)],  # a curve
+    [(40, 1), (1, 50)],  # one strip
+], ids=str)
+def test_strips_cover_the_mesh_a_bounded_piece_at_a_time(shapes):
+    """The strips cover the broadcast mesh once, none of them more than
+    STRIP values and all but the last more than half that, and give the
+    bits of one call over the mesh."""
+    rng = np.random.default_rng(33)
+    x, y = (rng.uniform(-2.0, 2.0, shape)[()] for shape in shapes)
+    sizes = []
+
+    def kernel(a, b):
+        sizes.append(np.broadcast(a, b).size)
+        return a * b - a
+
+    value = by_strips(kernel, x, y)
+    expected = x * y - x
+    assert value.shape == expected.shape and value.tobytes() == expected.tobytes()
+    assert sum(sizes) == value.size and max(sizes) <= STRIP
+    assert all(size > STRIP // 2 for size in sizes[:-1])  # no needless calls
 
 
 @pytest.mark.parametrize("tag, names", [
