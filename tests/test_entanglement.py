@@ -128,6 +128,68 @@ def test_fusion_kernels_have_the_bits_of_the_matrix_route(name):
             assert type(value) is np.float64
 
 
+_RNG = np.random.default_rng(31)
+_LONG = _RNG.uniform(-7.0, 7.0, 2001)
+_ETA, _BETA = _RNG.uniform(-7.0, 7.0, 61), _RNG.uniform(-3.2, 3.2, 53)
+_GRID = _RNG.uniform(-7.0, 7.0, (53, 61))
+# every input form a kernel takes
+KERNEL_FORMS = {
+    "float": ScatterParams(0.7, -0.4),
+    "0-d": ScatterParams(np.array(0.7), np.array(-0.4)),
+    "1-d": ScatterParams(_LONG, np.flip(_LONG) / 2.0),
+    "sparse-mesh": ScatterParams(_ETA[:, None], _BETA[None, :]),
+    "section": ScatterParams(np.array([[1.3]]), _LONG[None, :] / 2.0),
+    "non-contiguous": ScatterParams(_ETA[::2, None], _BETA[None, ::-1]),
+    "transposed-grid": ScatterParams(_GRID.T, 0.3),
+    "ghz": GHZ_PARAMS,
+    "w": W_PARAMS,
+}
+KERNEL_ORACLES = {
+    three_body_l1: lambda params: l1_norm(state_from_params(params)),
+    fusion_l1: lambda params: _fusion_oracle(params)[0],
+    fusion_entropy: lambda params: _fusion_oracle(params)[1],
+}
+
+
+@pytest.mark.parametrize("form", KERNEL_FORMS)
+@pytest.mark.parametrize("kernel", KERNEL_ORACLES, ids=lambda kernel: kernel.__name__)
+def test_kernels_take_every_input_form(kernel, form):
+    """Every input form gives the type and broadcast shape of the matrix
+    route and its values; a float or 0-d input gives a numpy float."""
+    params = KERNEL_FORMS[form]
+    value, expected = kernel(params), KERNEL_ORACLES[kernel](params)
+    assert type(value) is type(expected)
+    assert np.shape(value) == np.shape(expected) == np.broadcast(params.eta, params.beta).shape
+    assert np.max(np.abs(value - expected), initial=0.0) < 1e-13
+    if np.ndim(params.eta) == np.ndim(params.beta) == 0:
+        assert type(value) is np.float64
+
+
+def _scalar_binary_entropy(p):
+    p = min(max(p, 0.0), 1.0)
+    return -sum(x * math.log2(x) for x in (p, 1.0 - p) if x > 0.0)
+
+
+_P = np.random.default_rng(32).uniform(0.0, 1.0, (97, 211))
+_P[0, :6] = [0.0, 1.0, 1e-300, 1.0 - 1e-16, -1e-13, 1.0 + 1e-13]
+ENTROPY_FORMS = {"float": 0.3, "zero": 0.0, "0-d": np.array(0.3), "1-d": _P.reshape(-1),
+                 "mesh": _P, "section": _P.reshape(1, -1), "non-contiguous": _P.T[::-1]}
+
+
+@pytest.mark.parametrize("form", ENTROPY_FORMS)
+def test_binary_entropy_takes_every_input_form(form):
+    """Every input form gives its own shape and, point by point, the scalar
+    entropy of the clamped probability; a float or 0-d input gives a numpy
+    float."""
+    p = ENTROPY_FORMS[form]
+    value = binary_entropy(p)
+    assert np.shape(value) == np.shape(p)
+    expected = np.vectorize(_scalar_binary_entropy, otypes=[float])(p)
+    assert np.max(np.abs(value - expected), initial=0.0) < 1e-15
+    if np.ndim(p) == 0:
+        assert type(value) is np.float64
+
+
 def test_binary_entropy_names_the_first_value_out_of_range():
     """The first value out of range in flat order is named, though others,
     below and above the range, follow it."""
