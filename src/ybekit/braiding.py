@@ -161,31 +161,27 @@ def tl_type1_local() -> np.ndarray:
     )
 
 
-def tl_type2_local(varphi: float = 0.0) -> np.ndarray:
-    """Type-II TL generator (loop value sqrt(2)) with free phase angle varphi."""
-    e_plus = np.exp(1j * varphi)
-    e_minus = np.exp(-1j * varphi)
+def tl_type2_local() -> np.ndarray:
+    """Type-II TL generator (loop value sqrt(2))."""
     return np.array(
         [
-            [1, 0, 0, 1j * e_plus],
+            [1, 0, 0, 1j],
             [0, 1, 1j, 0],
             [0, -1j, 1, 0],
-            [-1j * e_minus, 0, 0, 1],
+            [-1j, 0, 0, 1],
         ],
         dtype=complex,
     ) / np.sqrt(2)
 
 
-def bell_braid(varphi: float = 0.0) -> np.ndarray:
+def bell_braid() -> np.ndarray:
     """Type-II (Bell) braid matrix, an entangling two-qubit gate."""
-    e_plus = np.exp(1j * varphi)
-    e_minus = np.exp(-1j * varphi)
     return np.array(
         [
-            [1, 0, 0, e_plus],
+            [1, 0, 0, 1],
             [0, 1, 1, 0],
             [0, -1, 1, 0],
-            [-e_minus, 0, 0, 1],
+            [-1, 0, 0, 1],
         ],
         dtype=complex,
     ) / np.sqrt(2)

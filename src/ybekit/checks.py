@@ -70,15 +70,11 @@ def _relation_checks(fixtures, checker, tol: float) -> list[Check]:
             for name, rep in fixtures for relation, residual in checker(rep).items()]
 
 
-def tl_suite(tol: float, perturb: float = 0.0) -> list[Check]:
-    """TL relations; ``perturb`` shifts one type-I generator entry to show a failure."""
-    local1 = tl_type1_local()
-    if perturb:
-        local1 = local1.copy()
-        local1[1, 1] += perturb
+def tl_suite(tol: float) -> list[Check]:
+    """TL relations of the type-I and type-II representations."""
     return _relation_checks([
-        ("tl.type1.4x4.n3", tl_rep_from_local(local1, 3, 2.0)),
-        ("tl.type2.4x4.n3", tl_rep_from_local(tl_type2_local(0.0), 3, math.sqrt(2.0))),
+        ("tl.type1.4x4.n3", tl_rep_from_local(tl_type1_local(), 3, 2.0)),
+        ("tl.type2.4x4.n3", tl_rep_from_local(tl_type2_local(), 3, math.sqrt(2.0))),
         ("tl.type1.2x2.strands4", tl2x2_type1()),
         ("tl.type2.2x2.strands4", tl2x2_type2()),
     ], check_tl_relations, tol)
@@ -87,7 +83,7 @@ def tl_suite(tol: float, perturb: float = 0.0) -> list[Check]:
 def braid_suite(tol: float) -> list[Check]:
     """Braid relations, alpha-d consistency and the braid-from-TL constructions."""
     checks = _relation_checks([
-        ("braid.bell.n3", braid_rep_from_local(bell_braid(0.0), 3)),
+        ("braid.bell.n3", braid_rep_from_local(bell_braid(), 3)),
         ("braid.permutation.n3", braid_rep_from_local(permutation_matrix(), 3)),
         ("braid.type1.2x2.strands4", braid2x2_type1()),
         ("braid.type2.2x2.strands4", braid2x2_type2()),
@@ -102,7 +98,7 @@ def braid_suite(tol: float) -> list[Check]:
         ("type1 reproduces the permutation braid",
          ALPHA_TYPE1, tl_type1_local(), 2.0, PHASE_TYPE1, permutation_matrix()),
         ("type2 reproduces the Bell braid",
-         ALPHA_TYPE2, tl_type2_local(0.0), math.sqrt(2.0), PHASE_TYPE2, bell_braid(0.0)),
+         ALPHA_TYPE2, tl_type2_local(), math.sqrt(2.0), PHASE_TYPE2, bell_braid()),
     ]:
         built = braid_from_tl(alpha, tl_rep_from_local(tl_local, 3, loop_value), phase)
         target = braid_rep_from_local(braid_local, 3)
@@ -138,14 +134,13 @@ def ybe_residuals(family: RMatrixFamily, rng: np.random.Generator, samples: int)
         check_ybe(family, p1, p3) for p1, p3 in _ybe_parameter_blocks(family, rng, samples)])
 
 
-def ybe_suite(tol: float, samples: int, seed: int, family: str = "all") -> list[Check]:
-    """Worst YBE residual of each bundled family whose name starts with
-    ``family`` (or of all), sampled in name order from one generator."""
+def ybe_suite(tol: float, samples: int, seed: int) -> list[Check]:
+    """Worst YBE residual of each bundled family, sampled in name order
+    from one generator."""
     rng = np.random.default_rng(seed)
     return [
         Check(f"ybe.{name} ({samples} samples)", worst(ybe_residuals(fam, rng, samples)), tol)
         for name, fam in sorted(bundled_families().items())
-        if family == "all" or name.startswith(family)
     ]
 
 
@@ -174,8 +169,8 @@ def reduction_suite(tol: float, samples: int, seed: int) -> list[Check]:
     type1, type2 = braid2x2_type1().generators, braid2x2_type2().generators
     for label, local, site, basis, expected in [
         ("type2 braid generator 1 -> e^{-i pi/4} diag(1, i)",
-         bell_braid(0.0), 1, basis2, type2[0]),
-        ("type2 braid generator 2 -> [[1,-i],[-i,1]]/sqrt2", bell_braid(0.0), 2, basis2, type2[1]),
+         bell_braid(), 1, basis2, type2[0]),
+        ("type2 braid generator 2 -> [[1,-i],[-i,1]]/sqrt2", bell_braid(), 2, basis2, type2[1]),
         ("type1 braid generator 2 -> [[1,-sqrt3],[-sqrt3,-1]]/2",
          permutation_matrix(), 2, basis1, type1[1]),
     ]:
@@ -193,10 +188,10 @@ def reduction_suite(tol: float, samples: int, seed: int) -> list[Check]:
 
 
 # Suite name -> runner over the options of ``ybekit verify``: any object
-# with ``tol``, ``samples``, ``seed``, ``family`` and ``perturb`` attributes.
+# with ``tol``, ``samples`` and ``seed`` attributes.
 SUITES: dict[str, Callable[..., list[Check]]] = {
-    "tl": lambda o: tl_suite(o.tol, o.perturb),
+    "tl": lambda o: tl_suite(o.tol),
     "braid": lambda o: braid_suite(o.tol),
-    "ybe": lambda o: ybe_suite(o.tol, o.samples, o.seed, o.family),
+    "ybe": lambda o: ybe_suite(o.tol, o.samples, o.seed),
     "reduction": lambda o: reduction_suite(o.tol, o.samples, o.seed),
 }

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, floattext
 from .checks import SUITES, random_reduction, worst
-from .entanglement import entanglement_report
+from .entanglement import CLASS_TOL, entanglement_report
 from .fusionbasis import LeakageError, reduce_three_body
 from .landscape import (
     AxisSpec,
@@ -98,8 +98,9 @@ def _emit(path: str | None, chunks: Iterable[bytes]) -> None:
     """Write the ASCII ``chunks`` to ``path`` (see :func:`_write_atomic`)
     or, without one, to stdout, each as it comes."""
     if path is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk.decode("ascii"))
+        # ``map`` keeps no chunk bound between writes; ``bytes.decode``
+        # would refuse the bytearray chunks
+        sys.stdout.writelines(map(lambda chunk: chunk.decode("ascii"), chunks))
     else:
         _write_atomic(path, chunks)
 
@@ -154,10 +155,6 @@ def parse_thetas(raw: str) -> AngleTriple:
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     # a flag that no chosen suite reads is a usage error, not silently ignored
-    if args.perturb and "tl" not in names:
-        raise ValueError(f"--perturb applies only to the tl suite, not --suite {args.suite}")
-    if args.family != "all" and "ybe" not in names:
-        raise ValueError(f"--family applies only to the ybe suite, not --suite {args.suite}")
     for flag, default in (("samples", 1000), ("seed", 0)):
         if getattr(args, flag) is None:
             setattr(args, flag, default)
@@ -335,7 +332,7 @@ def cmd_state(args) -> int:
     psi = state_from_params(params)
     # Classification thresholds follow the input tolerance: angles typed at
     # a few decimals shift the invariants by the same scale.
-    report = entanglement_report(psi, tol=max(args.tol, 1e-6))
+    report = entanglement_report(psi, tol=max(args.tol, CLASS_TOL))
 
     if args.format == "json":
         sys.stdout.write(_json_doc({
@@ -419,14 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run relation/residual suites")
     p_verify.add_argument("--suite", default="all", choices=[*SUITES, "all"])
-    p_verify.add_argument("--family", default="all",
-                          choices=["type1", "type2", "all"],
-                          help="restrict the YBE suite to one family")
     p_verify.add_argument("--samples", type=number(int, minimum=1), default=None)
     p_verify.add_argument("--seed", type=number(int, minimum=0), default=None)
     p_verify.add_argument("--tol", type=number(minimum=0), default=1e-12)
-    p_verify.add_argument("--perturb", type=number(), default=0.0,
-                          help="perturb a TL generator entry (failure-path demo)")
     p_verify.add_argument("--output", default=None)
     p_verify.add_argument("--format", default="text", choices=["text", "json"])
     p_verify.set_defaults(func=cmd_verify)
@@ -478,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join flags with values that start with a minus sign (e.g. ranges like
-    ``--beta -1.57:1.57:200``, or ``--perturb -1e-3`` and ``--eta -inf``,
+    ``--beta -1.57:1.57:200``, or ``--eta -1e-3`` and ``--beta -inf``,
     which argparse does not read as numbers) into ``--flag=value`` form so
     argparse does not mistake the value for an option.  Every long option
     but ``--help`` and ``--version`` takes a value."""

@@ -52,20 +52,18 @@ def _type1_scale(mu) -> np.ndarray:
     return np.sqrt(np.abs(denom))[..., None, None]
 
 
-def type2_r_4x4(theta: float, varphi: float = 0.0) -> np.ndarray:
-    """Trigonometric 4x4 solution; unitary for every (theta, varphi).
+def type2_r_4x4(theta: float) -> np.ndarray:
+    """Trigonometric 4x4 solution; unitary for every theta.
 
-    At theta = pi/4, varphi = 0 this is the Bell braid matrix.  Like every
-    R-matrix builder here, array parameters give a (..., 4, 4) stack.
+    At theta = pi/4 this is the Bell braid matrix.  Like every R-matrix
+    builder here, array parameters give a (..., 4, 4) stack.
     """
     c, s = np.cos(theta), np.sin(theta)
-    e_plus = np.exp(1j * varphi)
-    e_minus = np.exp(-1j * varphi)
     return _stack([
-        [c, 0, 0, s * e_plus],
+        [c, 0, 0, s],
         [0, c, s, 0],
         [0, -s, c, 0],
-        [-s * e_minus, 0, 0, c],
+        [-s, 0, 0, c],
     ])
 
 
@@ -225,7 +223,7 @@ def bundled_families() -> dict[str, RMatrixFamily]:
     """The four solution families shipped with the package, by name."""
     return {
         "type1_4x4": RMatrixFamily("galilean", (type1_r_4x4,)),
-        "type2_4x4": RMatrixFamily("lorentzian", (lambda t: type2_r_4x4(t, 0.0),)),
+        "type2_4x4": RMatrixFamily("lorentzian", (type2_r_4x4,)),
         "type1_2x2": RMatrixFamily("galilean", (type1_r1_2x2, type1_r2_2x2)),
         "type2_2x2": RMatrixFamily("lorentzian", (type2_r1_2x2, type2_r2_2x2)),
     }

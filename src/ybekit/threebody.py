@@ -1,7 +1,7 @@
 """Factorized three-body scattering matrix on three qubits.
 
 The 8x8 matrix is the product R12(t1) R23(t2) R12(t3) of the trigonometric
-4x4 solution at varphi = 0 (:func:`product_form`), with the angle triple on
+4x4 solution (:func:`product_form`), with the angle triple on
 the constraint line
 
     sin(t2) cos(t1 - t3) = cos(t2) sin(t1 + t3)
@@ -173,8 +173,8 @@ def product_form(triple: AngleTriple, tol: float = DEFAULT_CONSTRAINT_TOL) -> np
     where the two bracketing orders of the product would disagree.
     """
     triple.check(tol)
-    r12 = lambda t: lift(type2_r_4x4(t, 0.0), right=2)
-    r23 = lambda t: lift(type2_r_4x4(t, 0.0), left=2)
+    r12 = lambda t: lift(type2_r_4x4(t), right=2)
+    r23 = lambda t: lift(type2_r_4x4(t), left=2)
     return r12(triple.t1) @ r23(triple.t2) @ r12(triple.t3)
 
 

@@ -33,9 +33,8 @@ def test_type1_tl_relations_three_sites():
     assert max(check_tl_relations(rep).values()) < 1e-14
 
 
-@pytest.mark.parametrize("varphi", [0.0, 0.4, -1.1])
-def test_type2_tl_relations_three_sites(varphi):
-    rep = tl_rep_from_local(tl_type2_local(varphi), 3, SQRT2)
+def test_type2_tl_relations_three_sites():
+    rep = tl_rep_from_local(tl_type2_local(), 3, SQRT2)
     assert max(check_tl_relations(rep).values()) < 1e-14
 
 
@@ -50,7 +49,7 @@ def test_tl_relations_detect_perturbation():
 
 def test_lifting_commutes_with_checking():
     for n_strands in (3, 4):
-        rep = tl_rep_from_local(tl_type2_local(0.0), n_strands, SQRT2)
+        rep = tl_rep_from_local(tl_type2_local(), n_strands, SQRT2)
         assert max(check_tl_relations(rep).values()) < 1e-13
 
 
@@ -68,9 +67,9 @@ def test_braid_from_tl_type1_gives_permutation():
 
 
 def test_braid_from_tl_type2_gives_bell_braid():
-    rep = tl_rep_from_local(tl_type2_local(0.0), 3, SQRT2)
+    rep = tl_rep_from_local(tl_type2_local(), 3, SQRT2)
     braid = braid_from_tl(ALPHA_TYPE2, rep, PHASE_TYPE2)
-    target = braid_rep_from_local(bell_braid(0.0), 3)
+    target = braid_rep_from_local(bell_braid(), 3)
     for built, expect in zip(braid.generators, target.generators):
         assert norm_inf(built - expect) < 1e-13
 
@@ -84,7 +83,7 @@ def test_braid_from_tl_rejects_bad_alpha():
 
 
 def test_bell_braid_relations_three_qubits():
-    rep = braid_rep_from_local(bell_braid(0.0), 3)
+    rep = braid_rep_from_local(bell_braid(), 3)
     assert max(check_braid_relations(rep).values()) < 1e-13
 
 
@@ -104,7 +103,7 @@ def test_permutation_braid_squares_to_identity():
 
 
 def test_bell_braid_eigenvalues():
-    evals = np.linalg.eigvals(bell_braid(0.0))
+    evals = np.linalg.eigvals(bell_braid())
     plus = sum(1 for e in evals if abs(e - np.exp(1j * np.pi / 4)) < 1e-13)
     minus = sum(1 for e in evals if abs(e - np.exp(-1j * np.pi / 4)) < 1e-13)
     assert plus == 2 and minus == 2
@@ -113,7 +112,7 @@ def test_bell_braid_eigenvalues():
 def test_bundled_tl_to_braid_round_trip():
     cases = [
         (tl_rep_from_local(tl_type1_local(), 3, 2.0), ALPHA_TYPE1, PHASE_TYPE1),
-        (tl_rep_from_local(tl_type2_local(0.0), 3, SQRT2), ALPHA_TYPE2, PHASE_TYPE2),
+        (tl_rep_from_local(tl_type2_local(), 3, SQRT2), ALPHA_TYPE2, PHASE_TYPE2),
         (tl2x2_type1(), ALPHA_TYPE1, PHASE_TYPE1),
         (tl2x2_type2(), ALPHA_TYPE2, PHASE_TYPE2),
     ]

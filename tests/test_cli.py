@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shlex
 import stat
 import struct
@@ -77,15 +78,6 @@ def test_verify_seeded_runs_are_byte_identical(tmp_path):
         )
         assert proc.returncode == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-def test_verify_family_filter(capsys):
-    code, out = run_cli(
-        ["verify", "--suite", "ybe", "--family", "type1", "--samples", "40",
-         "--seed", "3"], capsys
-    )
-    assert code == 0
-    assert "type1" in out and "type2" not in out
 
 
 def test_landscape_grid_shape(capsys):
@@ -236,12 +228,16 @@ def test_a_write_never_changes_the_umask(tmp_path, monkeypatch):
 
 
 def test_verify_suite_flags_apply_under_all(capsys):
-    """``--suite all`` runs the tl and ybe suites, so it reads --perturb
-    and --family."""
-    code, out = run_cli(["verify", "--perturb", "1e-3", "--samples", "20"], capsys)
-    assert code == 1 and "FAIL" in out
-    code, out = run_cli(["verify", "--family", "type1", "--samples", "20"], capsys)
+    """``--suite all`` runs the ybe and reduction suites, so it reads
+    --samples and --seed: its rows are theirs at the same flags."""
+    flags = ["--samples", "20", "--seed", "3"]
+    code, out = run_cli(["verify", *flags], capsys)
     assert code == 0 and "FAIL" not in out
+    rows = out.splitlines()
+    for suite in ("ybe", "reduction"):
+        code, alone = run_cli(["verify", "--suite", suite, *flags], capsys)
+        assert code == 0 and set(alone.splitlines()[:-1]) <= set(rows), suite
+    assert "(20 samples)" in out and "random triples (20)" in out
 
 
 def test_landscape_grid_json_axes(capsys):
@@ -430,7 +426,8 @@ def test_reduce_random_batch(capsys):
 
 # What the usage errors below say where the wording is pinned: a value
 # that starts with a minus sign reaches its own parser instead of being
-# taken for an option, and an axis flag is read whole.
+# taken for an option, an axis flag is read whole, and a flag that verify
+# no longer has is refused with any value and suite.
 USAGE_ERRORS = {
     "landscape --fn l1_S3 --eta 0:1:2 --beta 0:1:5":
         "axis eta needs at least 3 samples for a grid, got 2",
@@ -449,13 +446,13 @@ USAGE_ERRORS = {
         "--thetas does not combine with --eta or --beta",
     "state --thetas 0,0.7853981633974483,0.7853981633974483 --beta 0":
         "--thetas does not combine with --eta or --beta",
-    "verify --suite braid --perturb 0.5":
-        "--perturb applies only to the tl suite, not --suite braid",
-    "verify --suite ybe --perturb -1e-3": "--perturb applies only to the tl suite, not --suite ybe",
-    "verify --suite tl --family type1": "--family applies only to the ybe suite, not --suite tl",
-    "verify --suite reduction --family type2":
-        "--family applies only to the ybe suite, not --suite reduction",
-    "verify --suite tl --perturb -inf": "argument --perturb: expected a finite number, got '-inf'",
+    "verify --perturb 1e-3": "unrecognized arguments: --perturb 1e-3",
+    "verify --family type1": "unrecognized arguments: --family type1",
+    "verify --suite braid --perturb 0.5": "unrecognized arguments: --perturb 0.5",
+    "verify --suite ybe --perturb -1e-3": "unrecognized arguments: --perturb=-1e-3",
+    "verify --suite tl --family type1": "unrecognized arguments: --family type1",
+    "verify --suite reduction --family type2": "unrecognized arguments: --family type2",
+    "verify --suite tl --perturb -inf": "unrecognized arguments: --perturb=-inf",
     "state --eta -inf --beta 0": "argument --eta: expected a finite number, got '-inf'",
     "state --eta 0 --beta -nan": "argument --beta: expected a finite number, got '-nan'",
     "extrema --fn l1_wigner --theta 0.2:1.4:7:junk":
@@ -532,6 +529,8 @@ USAGE_ERRORS = {
     ["extrema", "--fn", "l1_S3", "--beta="],
     ["state", "--thetas", "0,0.7853981633974483,0.7853981633974483", "--eta", "1", "--beta", "1"],
     ["state", "--thetas", "0,0.7853981633974483,0.7853981633974483", "--beta", "0"],
+    ["verify", "--perturb", "1e-3"],
+    ["verify", "--family", "type1"],
     ["verify", "--suite", "braid", "--perturb", "0.5"],
     ["verify", "--suite", "ybe", "--perturb", "-1e-3"],
     ["verify", "--suite", "tl", "--family", "type1"],
@@ -898,6 +897,25 @@ def test_writers_hold_a_few_blocks_not_the_document():
                 n, name, size, peak)
 
 
+def test_stdout_holds_one_block_as_text(monkeypatch):
+    """A 400x400 l1_S3 CSV streamed to a text stdout: each block is
+    decoded and written before the next is rendered, so the traced peak
+    stays near the writer's own.  Keeping the previous block bound while
+    the next one and its decoded copy were made peaked at 1.55 MiB."""
+    axes = [AxisSpec("eta", 0.0, 2.0 * math.pi, 400), AxisSpec("beta", -1.5, 1.5, 400)]
+    values = sample("l1_S3", axes)
+    coords = {a.name: a.points() for a in axes}
+    with open(os.devnull, "w", encoding="ascii") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli._emit(None, cli._csv_mesh(coords, values))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.2 * 2 ** 20, peak
+
+
 @pytest.mark.parametrize("argv, axes", [
     (["landscape", "--fn", "l1_S3", "--eta", "0:1:5", "--beta", "0:1:4"], 2),
     (["landscape", "--fn", "l1_S3", "--section", "beta=0.5", "--eta", "0:1:5"], 2),
@@ -1048,11 +1066,12 @@ def test_extrema_tol_below_float_spacing_returns():
     assert max(float(r[2]) for r in rows) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_verify_perturb_accepts_exponent_form_negative(capsys):
-    runs = [run_cli_streams(["verify", "--suite", "tl", "--perturb", value], capsys)
+def test_state_accepts_exponent_form_negative(capsys):
+    runs = [run_cli_streams(["state", "--eta", value, "--beta", "0.5"], capsys)
             for value in ("-1e-3", "-0.001")]
     assert runs[0] == runs[1]
-    assert runs[0][0] == 1 and "FAIL" in runs[0][1]
+    eta = ScatterParams(-0.001, 0.5).canonical().eta
+    assert runs[0][0] == 0 and runs[0][1].startswith(f"eta  = {cli.fmt(eta)}\n")
 
 
 # Every kind of call the shared parser must survive, in an order that would
@@ -1066,7 +1085,7 @@ REUSE_SEQUENCE = [
     (["reduce", "--random", "5", "--thetas", "0,0.7854,0.7854"], 2),
     (["landscape", "--fn", "l1_S3", "--section", "beta=0.61548", "--eta", "0:6:5"], 0),
     (["landscape", "--fn", "l1_S3", "--eta", "0:6:5", "--beta", "-1:1:4"], 0),
-    (["verify", "--suite", "tl", "--perturb", "1e-3"], 1),
+    (["verify", "--suite", "tl", "--tol", "0"], 1),
     (["verify", "--suite", "tl"], 0),
     (["state", "--eta", "1.0472", "--beta", "0.61548", "--format", "json"], 0),
     (["state", "--eta", "1.0472", "--beta", "0.61548"], 0),
@@ -1090,7 +1109,7 @@ def test_shared_parser_reuse_is_stateless(monkeypatch, capsys):
         assert (_namespace(cli._shared_parser(), argv, capsys)
                 == _namespace(cli.build_parser(), argv, capsys)), argv
     # the surface after a section is a surface, and verify passes again
-    # after a perturbed run
+    # after a failing run
     surface = shared[7][1].splitlines()
     assert surface[0] == "eta,beta,value" and len(surface) == 1 + 5 * 4
     assert "FAIL" in shared[8][1] and "FAIL" not in shared[9][1]
@@ -1148,6 +1167,20 @@ def test_readme_command_lines_give_the_exit_codes_readme_states(capsys):
         assert code == expected, (argv, err)
 
 
+def test_readme_names_only_flags_that_exist():
+    """Every ``--flag`` README names is an option of a subcommand or of
+    the figure script, so no removed flag lingers in the docs."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    known = {"--help", "--version"}
+    for parser in subparsers.choices.values():
+        known.update(parser._option_string_actions)
+    script = README.parent / "scripts" / "make_figure_data.py"
+    known.update(re.findall(r'add_argument\("(--[a-z-]+)"', script.read_text()))
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text()))
+    assert named and named <= known, sorted(named - known)
+
+
 # Functions in src/ybekit that no subcommand enters, each with the reason it stays.
 UNREACHED = {
     "tensor.kron": "perfbench/tracing.py counts its calls by name and fails without it",
@@ -1173,7 +1206,7 @@ from ybekit import cli
 
 out = sys.argv[1]
 ghz = "0,0.7853981633974483,0.7853981633974483"
-runs = [["verify", "--perturb", "1e-3", "--samples", "2"],
+runs = [["verify", "--tol", "0", "--samples", "2"],
         ["verify", "--samples", "2", "--format", "json", "--output", os.path.join(out, "v")],
         ["reduce", "--random", "2"], ["reduce", "--thetas", ghz],
         ["state", "--eta", "1", "--beta", "0.6"], ["state", "--thetas", ghz, "--format", "json"],
@@ -1226,7 +1259,7 @@ def test_every_src_function_is_entered_by_a_subcommand(tmp_path):
                           text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    # the perturbed suite fails, the off-line triple is refused, the rest pass
+    # the zero-tolerance suites fail, the off-line triple is refused, the rest pass
     assert report["codes"] == [1, 0, 0, 0, 0, 0, 2] + [0] * (len(report["codes"]) - 7)
     defined, entered = set(report["defined"]), set(report["entered"])
     assert set(UNREACHED) <= defined, set(UNREACHED) - defined

@@ -211,7 +211,7 @@ def test_l1_bounds_on_dense_grid():
 
 
 def test_vn_entropy_two_qubit_output():
-    xi = type2_r_4x4(np.pi / 4, 0.0) @ ket("00")
+    xi = type2_r_4x4(np.pi / 4) @ ket("00")
     assert abs(von_neumann_entropy(xi, [0]) - 1.0) < 1e-12
 
 

@@ -106,8 +106,8 @@ def test_type1_tl_action_on_basis():
 
 def test_type2_tl_action_on_basis():
     basis = fusion_basis_type2()
-    t1 = lift_two_site(tl_type2_local(0.0), 1, 4)
-    t2 = lift_two_site(tl_type2_local(0.0), 2, 4)
+    t1 = lift_two_site(tl_type2_local(), 1, 4)
+    t2 = lift_two_site(tl_type2_local(), 2, 4)
     sqrt2 = np.sqrt(2.0)
     assert norm_inf(t1 @ basis.e1 - sqrt2 * basis.e1) < 1e-13
     assert norm_inf(t1 @ basis.e2) < 1e-13
@@ -121,13 +121,13 @@ def test_reduce_identity():
 
 
 def test_reduce_bell_braid_generator_one():
-    reduced = reduce_operator(lift_two_site(bell_braid(0.0), 1, 4), fusion_basis_type2())
+    reduced = reduce_operator(lift_two_site(bell_braid(), 1, 4), fusion_basis_type2())
     expected = np.exp(-1j * np.pi / 4) * np.diag([1.0, 1j])
     assert norm_inf(reduced - expected) < 1e-13
 
 
 def test_reduce_bell_braid_generator_two():
-    reduced = reduce_operator(lift_two_site(bell_braid(0.0), 2, 4), fusion_basis_type2())
+    reduced = reduce_operator(lift_two_site(bell_braid(), 2, 4), fusion_basis_type2())
     expected = np.array([[1, -1j], [-1j, 1]], dtype=complex) / np.sqrt(2.0)
     assert norm_inf(reduced - expected) < 1e-13
 
@@ -144,14 +144,14 @@ def test_every_bundled_generator_preserves_span():
     for pos in (1, 2, 3):
         reduce_operator(lift_two_site(tl_type1_local(), pos, 4), type1, tol=1e-12)
         reduce_operator(lift_two_site(permutation_matrix(), pos, 4), type1, tol=1e-12)
-        reduce_operator(lift_two_site(tl_type2_local(0.0), pos, 4), type2, tol=1e-12)
-        reduce_operator(lift_two_site(bell_braid(0.0), pos, 4), type2, tol=1e-12)
+        reduce_operator(lift_two_site(tl_type2_local(), pos, 4), type2, tol=1e-12)
+        reduce_operator(lift_two_site(bell_braid(), pos, 4), type2, tol=1e-12)
 
 
 def test_reduction_is_multiplicative():
     basis = fusion_basis_type2()
-    b1 = lift_two_site(bell_braid(0.0), 1, 4)
-    b2 = lift_two_site(bell_braid(0.0), 2, 4)
+    b1 = lift_two_site(bell_braid(), 1, 4)
+    b2 = lift_two_site(bell_braid(), 2, 4)
     lhs = reduce_operator(b1 @ b2, basis)
     rhs = reduce_operator(b1, basis) @ reduce_operator(b2, basis)
     assert norm_inf(lhs - rhs) < 1e-12
@@ -160,7 +160,7 @@ def test_reduction_is_multiplicative():
 def test_reduced_tl_generators_satisfy_relations():
     basis = fusion_basis_type2()
     gens = tuple(
-        reduce_operator(lift_two_site(tl_type2_local(0.0), pos, 4), basis)
+        reduce_operator(lift_two_site(tl_type2_local(), pos, 4), basis)
         for pos in (1, 2, 3)
     )
     rep = TLRep(gens, np.sqrt(2.0))

@@ -26,25 +26,22 @@ small_mu = st.floats(min_value=-0.45, max_value=0.45)
 
 
 def test_type2_identity_at_zero():
-    assert norm_inf(type2_r_4x4(0.0, 0.0) - np.eye(4)) == 0.0
+    assert norm_inf(type2_r_4x4(0.0) - np.eye(4)) == 0.0
 
 
 def test_type2_braid_point_is_bell_matrix():
-    assert norm_inf(type2_r_4x4(np.pi / 4, 0.0) - bell_braid(0.0)) < 1e-15
+    assert norm_inf(type2_r_4x4(np.pi / 4) - bell_braid()) < 1e-15
 
 
-@given(any_angles, any_angles)
-def test_type2_action_on_00(theta, varphi):
-    out = type2_r_4x4(theta, varphi) @ ket("00")
-    mags = np.abs(out)
-    assert abs(mags[0b00] - abs(np.cos(theta))) < 1e-12
-    assert abs(mags[0b11] - abs(np.sin(theta))) < 1e-12
-    assert mags[0b01] == 0.0 and mags[0b10] == 0.0
+@given(any_angles)
+def test_type2_action_on_00(theta):
+    out = type2_r_4x4(theta) @ ket("00")
+    assert np.array_equal(out, [np.cos(theta), 0.0, 0.0, -np.sin(theta)])
 
 
-@given(any_angles, any_angles)
-def test_type2_always_unitary(theta, varphi):
-    ok, dev = is_unitary(type2_r_4x4(theta, varphi))
+@given(any_angles)
+def test_type2_always_unitary(theta):
+    ok, dev = is_unitary(type2_r_4x4(theta))
     assert ok, dev
 
 

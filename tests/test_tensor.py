@@ -164,7 +164,7 @@ def test_is_unitary_identity():
 def test_is_unitary_families():
     from ybekit.rmatrix import type1_r_4x4, type2_r_4x4
 
-    ok, _ = is_unitary(type2_r_4x4(0.3, 0.0))
+    ok, _ = is_unitary(type2_r_4x4(0.3))
     assert ok
     ok, dev = is_unitary(type1_r_4x4(0.5))
     assert not ok and dev > 1e-2

@@ -124,8 +124,8 @@ def test_round_trip_closed_equals_product(t1, t3):
 
 def test_product_orderings_agree_on_constraint():
     rng = np.random.default_rng(2)
-    r12 = lambda t: kron(type2_r_4x4(t, 0.0), IDENTITY_2)
-    r23 = lambda t: kron(IDENTITY_2, type2_r_4x4(t, 0.0))
+    r12 = lambda t: kron(type2_r_4x4(t), IDENTITY_2)
+    r23 = lambda t: kron(IDENTITY_2, type2_r_4x4(t))
     for _ in range(25):
         tr = random_constrained_triple(rng)
         lhs = r12(tr.t1) @ r23(tr.t2) @ r12(tr.t3)
@@ -137,8 +137,8 @@ def test_product_rejects_off_constraint_and_orderings_disagree():
     triple = AngleTriple(0.0, np.pi / 4 + 0.01, np.pi / 4)
     with pytest.raises(ConstraintViolation):
         product_form(triple)
-    r12 = lambda t: kron(type2_r_4x4(t, 0.0), IDENTITY_2)
-    r23 = lambda t: kron(IDENTITY_2, type2_r_4x4(t, 0.0))
+    r12 = lambda t: kron(type2_r_4x4(t), IDENTITY_2)
+    r23 = lambda t: kron(IDENTITY_2, type2_r_4x4(t))
     lhs = r12(triple.t1) @ r23(triple.t2) @ r12(triple.t3)
     rhs = r23(triple.t3) @ r12(triple.t2) @ r23(triple.t1)
     assert norm_inf(lhs - rhs) > 1e-3
