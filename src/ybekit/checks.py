@@ -12,11 +12,10 @@ The rule is fail-closed: a :class:`Check` passes only when
 ``residual <= tol``, which is False for NaN, and :func:`worst` keeps a NaN
 sample (``max(0.0, nan)`` is 0.0) and reads NaN for an empty sample set.
 
-The random suites draw and check ``SAMPLE_BLOCK`` samples at a time: one
-``rng.uniform`` call per block, taking the numbers one draw per sample
-would take, and one stacked residual call.  Each residual has the bits of
-its one-sample call, and a pole, constraint or leakage gate raises when any
-single sample of a block trips it.
+The random suites draw all their samples in one ``rng.uniform`` call (plus
+one per redraw), the numbers one draw per sample would take, and check them
+in bounded blocks; each residual has the bits of its one-sample call, and a
+pole, constraint or leakage gate raises when any single sample trips it.
 """
 
 from __future__ import annotations
@@ -41,9 +40,6 @@ from .tensor import norm_inf
 from .threebody import AngleTriple, random_constrained_triple
 
 REDUCTION_SAMPLE_CAP = 200
-# Samples per batched residual call: large enough that numpy's per-call
-# cost is spread thin, small enough that the stacks stay off peak memory.
-SAMPLE_BLOCK = 50
 
 
 @dataclass(frozen=True)
@@ -107,50 +103,36 @@ def braid_suite(tol: float) -> list[Check]:
     return checks
 
 
-def _ybe_parameter_blocks(family: RMatrixFamily, rng: np.random.Generator, samples: int):
-    """Yield (p1, p3) arrays of ``SAMPLE_BLOCK`` admissible pairs (fewer in
-    the last block), ``samples`` pairs in all.  Each ``rng.uniform`` call
-    draws the pairs the block still lacks; Galilean pairs within 0.05 of
-    the coupling pole ``(p1 + p3)^2 = 1`` are dropped and drawn again.  The
-    pairs and the final generator state are those of one ``size=2`` draw
-    per pair."""
+def _ybe_pairs(family: RMatrixFamily, rng: np.random.Generator, samples: int):
+    """(p1, p3) arrays of ``samples`` admissible pairs from one ``rng.uniform``
+    call, plus one per redraw of Galilean pairs within 0.05 of the pole
+    ``(p1 + p3)^2 = 1``: the pairs and generator state of one draw per pair."""
     low, high = (-0.9, 0.9) if family.additivity == "galilean" else (0.01, 1.55)
-    for start in range(0, samples, SAMPLE_BLOCK):
-        block = np.empty((0, 2))
-        while short := min(SAMPLE_BLOCK, samples - start) - len(block):
-            pairs = rng.uniform(low, high, size=(short, 2))
-            if family.additivity == "galilean":
-                # float ** 2, not numpy's square: the two round apart on some inputs
-                sums = (pairs[:, 0] + pairs[:, 1]).tolist()
-                pairs = pairs[~np.array([abs(1.0 - s ** 2) < 0.05 for s in sums], dtype=bool)]
-            block = np.concatenate([block, pairs])
-        yield block[:, 0], block[:, 1]
-
-
-def ybe_residuals(family: RMatrixFamily, rng: np.random.Generator, samples: int) -> np.ndarray:
-    """Per-sample YBE residuals of ``samples`` admissible pairs, drawn in
-    order from ``rng`` and checked one block at a time."""
-    return np.concatenate([np.empty(0)] + [
-        check_ybe(family, p1, p3) for p1, p3 in _ybe_parameter_blocks(family, rng, samples)])
+    pairs = np.empty((0, 2))
+    while short := samples - len(pairs):
+        drawn = rng.uniform(low, high, size=(short, 2))
+        if family.additivity == "galilean":
+            # float ** 2, not numpy's square: the two round apart on some inputs
+            sums = (drawn[:, 0] + drawn[:, 1]).tolist()
+            drawn = drawn[~np.array([abs(1.0 - s ** 2) < 0.05 for s in sums], dtype=bool)]
+        pairs = np.concatenate([pairs, drawn])
+    return pairs[:, 0], pairs[:, 1]
 
 
 def ybe_suite(tol: float, samples: int, seed: int) -> list[Check]:
     """Worst YBE residual of each bundled family, sampled in name order
     from one generator."""
     rng = np.random.default_rng(seed)
-    return [
-        Check(f"ybe.{name} ({samples} samples)", worst(ybe_residuals(fam, rng, samples)), tol)
-        for name, fam in sorted(bundled_families().items())
-    ]
+    return [Check(f"ybe.{name} ({samples} samples)",
+                  worst(check_ybe(f, *_ybe_pairs(f, rng, samples))), tol)
+            for name, f in sorted(bundled_families().items())]
 
 
 def random_reduction(samples: int, seed: int) -> np.ndarray:
     """Per-sample three-body reduction residuals of ``samples`` random
-    constrained triples, drawn and reduced one block at a time."""
+    constrained triples, drawn in one call."""
     rng = np.random.default_rng(seed)
-    return np.concatenate([np.empty(0)] + [
-        verify_basis_reduction(random_constrained_triple(rng, size=min(SAMPLE_BLOCK, samples - k)))
-        for k in range(0, samples, SAMPLE_BLOCK)])
+    return verify_basis_reduction(random_constrained_triple(rng, size=samples))
 
 
 def reduction_suite(tol: float, samples: int, seed: int) -> list[Check]:

@@ -30,19 +30,9 @@ from . import __version__, floattext
 from .checks import SUITES, random_reduction, worst
 from .entanglement import CLASS_TOL, entanglement_report
 from .fusionbasis import LeakageError, reduce_three_body
-from .landscape import (
-    AxisSpec,
-    FUNCTIONS,
-    find_critical_points,
-    get_function,
-    sample,
-)
+from .landscape import AxisSpec, FUNCTIONS, find_critical_points, get_function, sample
 from .threebody import (
-    AngleTriple,
-    ConstraintViolation,
-    ScatterParams,
-    angles_to_params,
-    state_from_params,
+    AngleTriple, ConstraintViolation, ScatterParams, angles_to_params, state_from_params,
 )
 
 EXIT_OK = 0
@@ -469,21 +459,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Join flags with values that start with a minus sign (e.g. ranges like
-    ``--beta -1.57:1.57:200``, or ``--eta -1e-3`` and ``--beta -inf``,
-    which argparse does not read as numbers) into ``--flag=value`` form so
-    argparse does not mistake the value for an option.  Every long option
-    but ``--help`` and ``--version`` takes a value."""
+    """Join a flag and a value that starts with a minus sign (a range like
+    ``--beta -1.57:1.57:200``, or ``--eta -1e-3`` and ``--beta -inf``, which
+    argparse does not read as numbers) into ``--flag=value``, when the flag
+    is an option of the chosen subcommand that takes a value; any other
+    token stays as typed, so argparse's errors quote argv as given."""
+    command = next((tok for tok in argv if tok[:1] != "-"), None)
     out: list[str] = []
     for tok in argv:
         flag = out[-1] if out else ""
-        if (flag[:2] == "--" and "=" not in flag and flag not in ("--", "--help", "--version")
-                and tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == "."
-                                        or tok[1:4].lower() in ("inf", "nan"))):
+        if (tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == "."
+                                or tok[1:4].lower() in ("inf", "nan"))
+                and flag[:2] == "--" and "=" not in flag and _takes_value(command, flag)):
             out[-1] = f"{flag}={tok}"
         else:
             out.append(tok)
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _takes_value(command: str | None, flag: str) -> bool:
+    """Whether ``flag`` names or abbreviates an option of ``command`` that takes a value."""
+    sub = next(a for a in _shared_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices.get(command)
+    options = {n: a.nargs != 0 for a in (sub._actions if sub else ()) for n in a.option_strings}
+    named = [flag] if flag in options else [n for n in options if n.startswith(flag)]
+    return len(named) == 1 and options[named[0]]
 
 
 @functools.cache

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import lift, max_diff_up_to_phase
+from .tensor import block_size, lift, max_diff_up_to_phase
 from .threebody import (
     AngleTriple,
     DEFAULT_CONSTRAINT_TOL,
@@ -169,16 +169,20 @@ def reduce_three_body(triple: AngleTriple, constraint_tol: float = DEFAULT_CONST
     qubits and reduced on the type-II fusion basis; :func:`fusion_form` at
     the parameters of the triple; those parameters; and the residual
     between the two matrices.  Array angles give a (..., 2, 2) stack of
-    each matrix and one residual per triple.  Raises
-    :class:`ConstraintViolation` for a triple off the constraint line by
-    more than ``constraint_tol``.
+    each matrix and one residual per triple; the 8x8 products are made and
+    reduced a block of ``block_size(8)`` triples at a time, the rest in one
+    pass.  Raises :class:`ConstraintViolation` for a triple off the
+    constraint line by more than ``constraint_tol``.
 
     The fusion-basis matrix elements realize the 2x2 solution family with
     reversed angle orientation, so the closed form is conjugated to match
     that orientation before the single global phase is aligned.
     """
-    op16 = embed_three_body(product_form(triple, constraint_tol))
-    reduced = reduce_operator(op16, fusion_basis_type2())
+    angles = np.broadcast_arrays(triple.t1, triple.t2, triple.t3)
+    flat, n = np.array(angles).reshape(3, -1), block_size(8)
+    reduced = np.concatenate([np.empty((0, 2, 2), complex)] + [reduce_operator(embed_three_body(
+        product_form(AngleTriple(*flat[:, k:k + n]), constraint_tol)), fusion_basis_type2())
+        for k in range(0, flat.shape[1], n)]).reshape(angles[0].shape + (2, 2))
     params = angles_to_params(triple, constraint_tol)
     # fusion_form stacks its matrices over the trailing axes
     closed = np.moveaxis(fusion_form(params), (0, 1), (-2, -1))
@@ -188,10 +192,6 @@ def reduce_three_body(triple: AngleTriple, constraint_tol: float = DEFAULT_CONST
 def verify_basis_reduction(triple: AngleTriple,
                            constraint_tol: float = DEFAULT_CONSTRAINT_TOL) -> float | np.ndarray:
     """Residual between the reduced 8x8 product and the 2x2 closed form
-    (:func:`reduce_three_body`).
-
-    Array angles give one residual per triple.  The product, the reduction,
-    the closed form and the phase alignment each run once for the whole
-    block, and every residual has the bits of its triple's scalar call.
-    """
+    (:func:`reduce_three_body`); array angles give one residual per triple,
+    each with the bits of its triple's scalar call."""
     return reduce_three_body(triple, constraint_tol)[3]

@@ -12,6 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
+# Bytes of a block's (n, d, d) complex product stack, 1024 2x2 or 64 8x8
+# matrices (a reduction block's product is 8x8, its 16x16 lift four times
+# that): numpy's per-call cost is spread thin, and the stacks stay in cache.
+STACK_BYTES = 1 << 16
+
+
+def block_size(dim: int) -> int:
+    """Samples per block whose (n, dim, dim) complex stack fits ``STACK_BYTES``."""
+    return max(1, STACK_BYTES // (16 * dim * dim))
+
 
 # Kept for perfbench/tracing.py, which counts kron calls by name and fails without it.
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -19,17 +29,18 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def lift(op: np.ndarray, left: int = 1, right: int = 1) -> np.ndarray:
+def lift(op: np.ndarray, left: int = 1, right: int = 1, out=None) -> np.ndarray:
     """I_left (x) op (x) I_right for a (..., d, d) stack, by slice assignment.
 
     The entries of ``op`` are copied into zeros with their bits, where
     :func:`kron` would multiply them by 1 and by 0; the two differ only in
-    the signs of zeros and where ``op`` is not finite.
+    the signs of zeros and where ``op`` is not finite.  ``out`` may be a
+    stack that holds those zeros already, such as one lifted into before.
     """
     op = np.asarray(op, dtype=complex)
     d = op.shape[-1]
     n = left * d * right
-    out = np.zeros(op.shape[:-2] + (n, n), dtype=complex)
+    out = np.zeros(op.shape[:-2] + (n, n), dtype=complex) if out is None else out
     blocks = out.reshape(op.shape[:-2] + (left, d, right, left, d, right))
     for i in range(left):
         for j in range(right):
@@ -65,7 +76,7 @@ def max_diff_up_to_phase(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    flat_a = a.reshape(a.shape[:-2] + (-1,))
+    flat_a = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
     idx = np.argmax(np.abs(flat_a), axis=-1)[..., None]
     pivot = np.take_along_axis(flat_a, idx, axis=-1)[..., 0]
     target = np.take_along_axis(b.reshape(flat_a.shape), idx, axis=-1)[..., 0]

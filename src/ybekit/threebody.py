@@ -167,15 +167,15 @@ def angles_to_params(triple: AngleTriple, tol: float = DEFAULT_CONSTRAINT_TOL) -
 def product_form(triple: AngleTriple, tol: float = DEFAULT_CONSTRAINT_TOL) -> np.ndarray:
     """The 8x8 scattering matrix as the factorized triple product.
 
-    Array angles give a (..., 8, 8) stack, whose stacked matmuls are
-    bit-equal to the per-triple products.  Raises
-    :class:`ConstraintViolation` if any triple is off the constraint line,
-    where the two bracketing orders of the product would disagree.
+    Array angles give a (..., 8, 8) stack: one :func:`type2_r_4x4` call
+    for all factors, and stacked matmuls bit-equal to the per-triple
+    products.  Raises :class:`ConstraintViolation` if any triple is off the
+    constraint line, where the two bracketing orders would disagree.
     """
     triple.check(tol)
-    r12 = lambda t: lift(type2_r_4x4(t), right=2)
-    r23 = lambda t: lift(type2_r_4x4(t), left=2)
-    return r12(triple.t1) @ r23(triple.t2) @ r12(triple.t3)
+    r = type2_r_4x4(np.array(np.broadcast_arrays(triple.t1, triple.t2, triple.t3)))
+    r12 = lift(r[0::2], right=2)
+    return r12[0] @ lift(r[1], left=2) @ r12[1]
 
 
 def state_from_params(params: ScatterParams) -> np.ndarray:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ybekit import __version__, checks
+from ybekit import __version__
 from ybekit.entanglement import CLASS_TOL, entanglement_report
 from ybekit.fusionbasis import (embed_three_body, fusion_basis_type2, phased_antiparallel_state,
                                 reduce_operator)
@@ -547,13 +547,9 @@ def reduction_reference(seed, counts):
 
 @functools.cache
 def many_triples():
-    """100,000 seeded triples drawn in blocks of the suite's size, with
-    their reduced products and conjugated closed forms."""
-    rng = np.random.default_rng(20260)
-    blocks = [random_constrained_triple(rng, size=checks.SAMPLE_BLOCK)
-              for _ in range(100_000 // checks.SAMPLE_BLOCK)]
-    triple = AngleTriple(*(np.concatenate([getattr(b, f) for b in blocks])
-                           for f in ("t1", "t2", "t3")))
+    """100,000 seeded triples drawn in one call, with their reduced
+    products and conjugated closed forms."""
+    triple = random_constrained_triple(np.random.default_rng(20260), size=100_000)
     params = angles_to_params(triple)
     # 5000 products at a time keep the 16x16 stacks near 20 MB
     reduced = np.concatenate([

@@ -1,11 +1,14 @@
 """Block-drawn residual suites against copies of the per-sample code.
 
-The suites draw and check their samples one block of ``SAMPLE_BLOCK`` at a
-time: one ``rng.uniform`` call per block, kron-free lifts, the three-body
-parameters and the phase alignment as arrays.  The per-sample code they
-replaced is kept in ``reference.py``.  Every drawn sample, the final
-generator state and every per-sample residual must be bit-equal to it, and
-every gate must still fail closed when a single sample of a block trips it.
+The suites draw each family's samples in one ``rng.uniform`` call (plus one
+per Galilean redraw) and check them one block at a time, each block's
+matrix stack bounded by ``tensor.STACK_BYTES``: kron-free lifts, one
+builder call for all three parameters, the three-body parameters and the
+phase alignment as arrays.  The per-sample code they replaced is kept in
+``reference.py``.  Every drawn sample, the final generator state and every
+per-sample residual must be bit-equal to it, every gate must still fail
+closed when a single sample of a block trips it, and each random suite's
+traced peak must stay under 1 MiB.
 
 Each reference loop runs once per (family, seed) at the largest count; a
 smaller count draws a prefix of the same stream, so it is compared with a
@@ -13,6 +16,7 @@ prefix of that run.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,10 +31,11 @@ from ybekit.fusionbasis import (
     fusion_basis_type1,
     fusion_basis_type2,
     reduce_operator,
+    reduce_three_body,
     verify_basis_reduction,
 )
 from ybekit.rmatrix import _stack, bundled_families, check_ybe, type1_r_4x4
-from ybekit.tensor import kron, kron_all, lift, max_diff_up_to_phase, norm_inf
+from ybekit.tensor import block_size, kron, kron_all, lift, max_diff_up_to_phase, norm_inf
 from ybekit.threebody import (
     AngleTriple,
     ConstraintViolation,
@@ -45,7 +50,11 @@ from reference import (IDENTITY_2, many_triples, reduction_reference, scalar_ang
                        scalar_ybe_parameters, ybe_reference)
 
 SEEDS = [0, 7, 12345]
-COUNTS = (1, checks.SAMPLE_BLOCK - 1, checks.SAMPLE_BLOCK + 1, 1000)
+# one sample, each side of a full block of 2x2 and of 8x8 matrices (the
+# reduction's block is bounded by its 8x8 product), each side of the
+# former 50-sample block, and several blocks
+BLOCKS = (block_size(2), block_size(8))
+COUNTS = tuple(sorted({1, 49, 51, 1000, 2000} | {n + d for n in BLOCKS for d in (-1, 1)}))
 FAMILIES = sorted(bundled_families())
 
 
@@ -56,12 +65,10 @@ def test_batched_ybe_residuals_equal_the_per_sample_loop(name, seed, samples):
     family = bundled_families()[name]
     pairs, residuals, states = ybe_reference(name, seed, COUNTS)
     rng = np.random.default_rng(seed)
-    blocks = list(checks._ybe_parameter_blocks(family, rng, samples))
-    assert all(len(p1) == min(checks.SAMPLE_BLOCK, samples - k * checks.SAMPLE_BLOCK)
-               for k, (p1, _) in enumerate(blocks))
-    assert np.array_equal(np.concatenate([np.column_stack(b) for b in blocks]), pairs[:samples])
+    assert np.array_equal(np.column_stack(checks._ybe_pairs(family, rng, samples)),
+                          pairs[:samples])
     assert rng.bit_generator.state == states[samples]
-    batched = checks.ybe_residuals(family, np.random.default_rng(seed), samples)
+    batched = check_ybe(family, *checks._ybe_pairs(family, np.random.default_rng(seed), samples))
     assert np.array_equal(batched, residuals[:samples])
 
 
@@ -84,15 +91,14 @@ def test_batched_reduction_residuals_equal_the_per_triple_loop(seed, samples):
     residuals, states = reduction_reference(seed, COUNTS)
     assert np.array_equal(checks.random_reduction(samples, seed), residuals[:samples])
     rng = np.random.default_rng(seed)
-    for k in range(0, samples, checks.SAMPLE_BLOCK):
-        random_constrained_triple(rng, size=min(checks.SAMPLE_BLOCK, samples - k))
+    random_constrained_triple(rng, size=samples)
     assert rng.bit_generator.state == states[samples]
 
 
 def test_stacked_product_and_reduction_are_bit_equal_to_the_matrix_loop():
     # einsum or a two-column matmul would move bits
     rng = np.random.default_rng(11)
-    triples = random_constrained_triple(rng, size=checks.SAMPLE_BLOCK + 1)
+    triples = random_constrained_triple(rng, size=block_size(8) + 1)
     basis = fusion_basis_type2()
     stack = product_form(triples)
     reduced = reduce_operator(embed_three_body(stack), basis)
@@ -100,6 +106,20 @@ def test_stacked_product_and_reduction_are_bit_equal_to_the_matrix_loop():
         product = scalar_product(*angles)
         assert np.array_equal(stack[k], product)
         assert np.array_equal(reduced[k], scalar_reduce(kron(product, IDENTITY_2), basis))
+
+
+def test_blocked_reduction_keeps_the_shape_and_scalar_bits_of_any_triple_array():
+    # 3 x 50 triples: more than two blocks of 8x8 products, laid out in 2-D
+    flat = random_constrained_triple(np.random.default_rng(2), size=150)
+    grid = AngleTriple(*(getattr(flat, f).reshape(3, 50) for f in ("t1", "t2", "t3")))
+    reduced, closed, _, residual = reduce_three_body(grid)
+    assert reduced.shape == closed.shape == (3, 50, 2, 2) and residual.shape == (3, 50)
+    assert np.array_equal(residual.ravel(), verify_basis_reduction(flat))
+    for k in (0, 64, 149):
+        angles = (flat.t1[k], flat.t2[k], flat.t3[k])
+        assert residual.flat[k] == scalar_reduction_residual(*angles)
+        assert np.array_equal(reduced.reshape(-1, 2, 2)[k],
+                              reduce_three_body(AngleTriple(*map(float, angles)))[0])
 
 
 def test_array_parameters_equal_the_scalar_formulas():
@@ -176,8 +196,27 @@ def test_filled_stack_equals_the_broadcast_stack():
 
 def test_empty_sample_sets_give_empty_residual_arrays():
     family = bundled_families()["type2_4x4"]
-    assert checks.ybe_residuals(family, np.random.default_rng(0), 0).size == 0
+    assert check_ybe(family, *checks._ybe_pairs(family, np.random.default_rng(0), 0)).size == 0
     assert checks.random_reduction(0, 0).size == 0
+
+
+@pytest.mark.parametrize("suite", [
+    lambda: checks.ybe_suite(tol=1e-12, samples=2000, seed=0),
+    lambda: checks.reduction_suite(tol=1e-10, samples=1000, seed=0),
+    lambda: checks.random_reduction(1000, 0),
+], ids=["ybe_suite", "reduction_suite", "random_reduction"])
+def test_random_suites_peak_below_one_mebibyte(suite):
+    """Blocks bounded by ``STACK_BYTES`` keep the working set flat in the
+    sample count: 0.79, 0.38 and 0.51 MiB (the former 50-sample blocks
+    peaked at 0.49, 0.29 and 0.29 MiB; a 16 times larger bound fails)."""
+    suite()  # the cached fusion bases are built outside the trace
+    tracemalloc.start()
+    try:
+        suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_constant_fusion_bases_are_cached_read_only_copies():

@@ -449,10 +449,10 @@ USAGE_ERRORS = {
     "verify --perturb 1e-3": "unrecognized arguments: --perturb 1e-3",
     "verify --family type1": "unrecognized arguments: --family type1",
     "verify --suite braid --perturb 0.5": "unrecognized arguments: --perturb 0.5",
-    "verify --suite ybe --perturb -1e-3": "unrecognized arguments: --perturb=-1e-3",
+    "verify --suite ybe --perturb -1e-3": "unrecognized arguments: --perturb -1e-3",
     "verify --suite tl --family type1": "unrecognized arguments: --family type1",
     "verify --suite reduction --family type2": "unrecognized arguments: --family type2",
-    "verify --suite tl --perturb -inf": "unrecognized arguments: --perturb=-inf",
+    "verify --suite tl --perturb -inf": "unrecognized arguments: --perturb -inf",
     "state --eta -inf --beta 0": "argument --eta: expected a finite number, got '-inf'",
     "state --eta 0 --beta -nan": "argument --beta: expected a finite number, got '-nan'",
     "extrema --fn l1_wigner --theta 0.2:1.4:7:junk":
@@ -1074,6 +1074,21 @@ def test_state_accepts_exponent_form_negative(capsys):
     assert runs[0][0] == 0 and runs[0][1].startswith(f"eta  = {cli.fmt(eta)}\n")
 
 
+@pytest.mark.parametrize("argv, merged", [
+    (["landscape", "--fn", "l1_S3", "--beta", "-1.57:1.57:200"],
+     ["landscape", "--fn", "l1_S3", "--beta=-1.57:1.57:200"]),
+    (["state", "--eta", "-1e-3", "--bet", "-inf"], ["state", "--eta=-1e-3", "--bet=-inf"]),
+    # not an option of verify, a state option, ambiguous, a flag without a value
+    (["verify", "--perturb", "-1e-3"], ["verify", "--perturb", "-1e-3"]),
+    (["verify", "--eta", "-1"], ["verify", "--eta", "-1"]),
+    (["verify", "--s", "-1"], ["verify", "--s", "-1"]),
+    (["verify", "--help", "-1"], ["verify", "--help", "-1"]),
+    (["--version", "-1"], ["--version", "-1"]),
+])
+def test_negative_values_join_only_value_options_of_the_subcommand(argv, merged):
+    assert cli._merge_negative_values(argv) == merged
+
+
 # Every kind of call the shared parser must survive, in an order that would
 # show state carried from one call into the next.
 REUSE_SEQUENCE = [
@@ -1209,7 +1224,7 @@ ghz = "0,0.7853981633974483,0.7853981633974483"
 runs = [["verify", "--tol", "0", "--samples", "2"],
         ["verify", "--samples", "2", "--format", "json", "--output", os.path.join(out, "v")],
         ["reduce", "--random", "2"], ["reduce", "--thetas", ghz],
-        ["state", "--eta", "1", "--beta", "0.6"], ["state", "--thetas", ghz, "--format", "json"],
+        ["state", "--eta", "1", "--beta", "-0.6"], ["state", "--thetas", ghz, "--format", "json"],
         ["state", "--thetas", "0.1,0.2,0.3"]]
 for tag, spec in cli.FUNCTIONS.items():
     axes = [f"--{name}=0:1:5" for name in spec.axes]
