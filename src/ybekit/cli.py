@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import os
+import re
 import stat
 import sys
 from collections.abc import Iterable, Iterator
@@ -31,9 +32,7 @@ from .checks import SUITES, random_reduction, worst
 from .entanglement import CLASS_TOL, entanglement_report
 from .fusionbasis import LeakageError, reduce_three_body
 from .landscape import AxisSpec, FUNCTIONS, find_critical_points, get_function, sample
-from .threebody import (
-    AngleTriple, ConstraintViolation, ScatterParams, angles_to_params, state_from_params,
-)
+from .threebody import AngleTriple, ScatterParams, angles_to_params, state_from_params
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -53,25 +52,32 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
     ``open`` follows it, and stays a link.  The file gets the mode a plain
     ``open`` gives it: a replaced file keeps its mode, and a new one is
     created 0666 for the kernel to apply the umask, which is never read, so
-    no other thread's file is created while it is changed."""
-    path = os.path.realpath(path)
+    no other thread's file is created while it is changed.  A failure to
+    create or rename the temporary file names ``path`` as given, as
+    ``open`` would."""
+    target = os.path.realpath(path)
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        mode = stat.S_IMODE(os.stat(target).st_mode)
     except FileNotFoundError:
         mode = None
     while True:
-        tmp = os.path.join(os.path.dirname(path), f".ybekit-{os.urandom(6).hex()}")
+        tmp = os.path.join(os.path.dirname(target), f".ybekit-{os.urandom(6).hex()}")
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break
         except FileExistsError:
             continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             if mode is not None:
                 os.fchmod(fd, mode)
             handle.writelines(chunks)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -455,36 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("--constraint-tol", type=number(minimum=0), default=None)
     p_red.set_defaults(func=cmd_reduce)
 
+    # argparse reads a token that a parser's negative-number matcher accepts
+    # as a value, not an option; this one accepts every minus-signed value a
+    # subcommand reads: a range, an exponent form, -.5, -inf and -nan
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = re.compile(r"-(?:[\d.]|(?i:inf|nan))")
     return parser
-
-
-def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Join a flag and a value that starts with a minus sign (a range like
-    ``--beta -1.57:1.57:200``, or ``--eta -1e-3`` and ``--beta -inf``, which
-    argparse does not read as numbers) into ``--flag=value``, when the flag
-    is an option of the chosen subcommand that takes a value; any other
-    token stays as typed, so argparse's errors quote argv as given."""
-    command = next((tok for tok in argv if tok[:1] != "-"), None)
-    out: list[str] = []
-    for tok in argv:
-        flag = out[-1] if out else ""
-        if (tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == "."
-                                or tok[1:4].lower() in ("inf", "nan"))
-                and flag[:2] == "--" and "=" not in flag and _takes_value(command, flag)):
-            out[-1] = f"{flag}={tok}"
-        else:
-            out.append(tok)
-    return out
-
-
-@functools.lru_cache(maxsize=256)
-def _takes_value(command: str | None, flag: str) -> bool:
-    """Whether ``flag`` names or abbreviates an option of ``command`` that takes a value."""
-    sub = next(a for a in _shared_parser()._actions
-               if isinstance(a, argparse._SubParsersAction)).choices.get(command)
-    options = {n: a.nargs != 0 for a in (sub._actions if sub else ()) for n in a.option_strings}
-    named = [flag] if flag in options else [n for n in options if n.startswith(flag)]
-    return len(named) == 1 and options[named[0]]
 
 
 @functools.cache
@@ -498,14 +480,9 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _shared_parser().parse_args(_merge_negative_values(list(argv)))
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConstraintViolation as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except LeakageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_TOLERANCE

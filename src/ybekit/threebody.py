@@ -86,11 +86,16 @@ class AngleTriple:
     t3: float
 
     def constraint_residual(self) -> float:
+        """|sin(t2) cos(t1 - t3) - cos(t2) sin(t1 + t3)|: NaN, with no
+        warning, where t1 + t3 or t1 - t3 overflows to infinity."""
         xp = _lib(self.t1, self.t2, self.t3)
-        return abs(
-            xp.sin(self.t2) * xp.cos(self.t1 - self.t3)
-            - xp.cos(self.t2) * xp.sin(self.t1 + self.t3)
-        )
+        if xp is np:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _residual(np, self.t1, self.t2, self.t3)
+        try:
+            return _residual(math, self.t1, self.t2, self.t3)
+        except ValueError:  # math.sin and math.cos refuse infinity
+            return math.nan
 
     def check(self, tol: float = DEFAULT_CONSTRAINT_TOL) -> None:
         """Raise :class:`ConstraintViolation` for the first triple whose
@@ -109,6 +114,10 @@ def _lib(*angles):
     sqrt agree bit for bit (tests/test_checks.py compares them on 100,000
     triples), and on one triple math costs a tenth as much."""
     return math if all(isinstance(a, float) for a in angles) else np
+
+
+def _residual(xp, t1, t2, t3):
+    return abs(xp.sin(t2) * xp.cos(t1 - t3) - xp.cos(t2) * xp.sin(t1 + t3))
 
 
 def _per_element(fn, *args):

@@ -227,6 +227,21 @@ def test_a_write_never_changes_the_umask(tmp_path, monkeypatch):
     assert modes == {"new.csv": 0o640, "kept.csv": 0o604}
 
 
+@pytest.mark.parametrize("name", ["missing/out.txt", "directory"])
+def test_an_output_that_cannot_be_written_is_named_as_given(name, tmp_path, capsys):
+    """An --output in a missing directory, or that is a directory, fails
+    with the error ``open(path, "w")`` gives, which names the path as
+    given, not the temporary file beside it, and leaves no file behind."""
+    (tmp_path / "directory").mkdir()
+    path = str(tmp_path / name)
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    code, out, err = run_cli_streams(["verify", "--suite", "tl", "--output", path], capsys)
+    assert (code, out, err) == (2, "", f"error: {opened.value}\n")
+    assert ".ybekit-" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
+
+
 def test_verify_suite_flags_apply_under_all(capsys):
     """``--suite all`` runs the ybe and reduction suites, so it reads
     --samples and --seed: its rows are theirs at the same flags."""
@@ -477,6 +492,11 @@ USAGE_ERRORS = {
     "reduce --thetas 0,0,0 --seed 0": "--seed applies only to --random",
     "reduce --random 5 --constraint-tol 1e-3":
         "--constraint-tol applies only to --thetas, not --random",
+    "state --thetas 1e308,0,1e308": "angle triple (1e+308, 0.0, 1e+308) violates the constraint "
+                                    "sin(t2)cos(t1-t3) = cos(t2)sin(t1+t3): residual nan > tol",
+    "reduce --thetas 1e308,1e308,1e308": "angle triple (1e+308, 1e+308, 1e+308) violates the "
+                                         "constraint sin(t2)cos(t1-t3) = cos(t2)sin(t1+t3): "
+                                         "residual nan > tol",
 }
 
 
@@ -548,9 +568,16 @@ USAGE_ERRORS = {
     ["verify", "--suite", "tl", "--seed", "0"],
     ["reduce", "--thetas", "0,0,0", "--seed", "0"],
     ["reduce", "--random", "5", "--constraint-tol", "1e-3"],
+    ["state", "--thetas", "1e308,0,1e308"],
+    ["reduce", "--thetas", "1e308,1e308,1e308"],
 ], ids=" ".join)
 def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
-    code, _, err = run_cli_streams(argv, capsys)
+    """Exit 2 with the error, and numpy warns of nothing: t1 + t3 = inf
+    once raised math's domain error on one path and warned on the other."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli_streams(argv, capsys)
+    assert [str(w.message) for w in caught] == []
     assert code == 2
     assert USAGE_ERRORS.get(" ".join(argv), "error") in err
 
@@ -1074,6 +1101,23 @@ def test_state_accepts_exponent_form_negative(capsys):
     assert runs[0][0] == 0 and runs[0][1].startswith(f"eta  = {cli.fmt(eta)}\n")
 
 
+# What main gives for each argv below: exit code, the start of stdout and
+# the end of stderr.
+NEGATIVE_VALUE_RUNS = {
+    "landscape --fn l1_S3 --beta -1.57:1.57:200":
+        (0, "eta,beta,value\n0,-1.5700000000000001,1\n", ""),
+    "state --eta -1e-3 --bet -inf":
+        (2, "", "ybekit state: error: argument --beta: expected a finite number, got '-inf'\n"),
+    "verify --perturb -1e-3": (2, "", "ybekit: error: unrecognized arguments: --perturb -1e-3\n"),
+    "verify --eta -1": (2, "", "ybekit: error: unrecognized arguments: --eta -1\n"),
+    "verify --s -1":
+        (2, "", "ybekit verify: error: ambiguous option: --s could match --suite, --samples, "
+                "--seed\n"),
+    "verify --help -1": (0, "usage: ybekit verify [-h] [--suite", ""),
+    "--version -1": (0, f"ybekit {cli.__version__}\n", ""),
+}
+
+
 @pytest.mark.parametrize("argv, merged", [
     (["landscape", "--fn", "l1_S3", "--beta", "-1.57:1.57:200"],
      ["landscape", "--fn", "l1_S3", "--beta=-1.57:1.57:200"]),
@@ -1085,8 +1129,39 @@ def test_state_accepts_exponent_form_negative(capsys):
     (["verify", "--help", "-1"], ["verify", "--help", "-1"]),
     (["--version", "-1"], ["--version", "-1"]),
 ])
-def test_negative_values_join_only_value_options_of_the_subcommand(argv, merged):
-    assert cli._merge_negative_values(argv) == merged
+def test_negative_values_join_only_value_options_of_the_subcommand(argv, merged, capsys):
+    """A minus-signed value after an option of the subcommand that takes a
+    value, named or abbreviated, is that option's value: the run prints and
+    exits as the joined ``--flag=value`` form ``merged`` does.  After any
+    other flag it stays a token of its own, which errors quote as typed."""
+    code, out, err = run_cli_streams(argv, capsys)
+    assert run_cli_streams(merged, capsys) == (code, out, err)
+    want_code, want_out, want_err = NEGATIVE_VALUE_RUNS[" ".join(argv)]
+    assert code == want_code and out.startswith(want_out) and err.endswith(want_err), err
+    assert err.startswith("usage: ") == bool(want_err)
+
+
+# minus-signed values a subcommand reads, in each form a user may type
+NEGATIVE_VALUES = ["-1", "-1.5", "-.5", "-1e-3", "-1E+3", "-1:1", "-1e308:1e308:3",
+                   "-1.5707963267948966:1.5707963267948966:400", "-0.2,0.1,0.3", "-1.csv",
+                   "-inf", "-INF", "-Infinity", "-nan", "-NaN"]
+
+
+def test_every_subcommand_reads_minus_signed_values_as_values():
+    """argparse reads a token as a value when its negative-number matcher
+    accepts it, unless an option string of the parser also matches it,
+    which turns that off, or could be read from it: ``-i`` from ``-inf``.
+    An argparse that changes these private names fails here, not on a
+    command line."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, parser in subparsers.choices.items():
+        matcher = parser._negative_number_matcher
+        assert [v for v in NEGATIVE_VALUES if not matcher.match(v)] == [], name
+        assert not parser._has_negative_number_optionals, name
+        for option in parser._option_string_actions:
+            assert not matcher.match(option), (name, option)
+            assert not any(word.startswith(option.lower()) for word in ("-inf", "-nan")), option
 
 
 # Every kind of call the shared parser must survive, in an order that would
@@ -1109,7 +1184,7 @@ REUSE_SEQUENCE = [
 
 def _namespace(parser, argv, capsys):
     try:
-        return vars(parser.parse_args(cli._merge_negative_values(list(argv))))
+        return vars(parser.parse_args(argv))
     except SystemExit as exc:
         return exc.code, *capsys.readouterr()
 
