@@ -31,7 +31,7 @@ from .fusionbasis import (
     fusion_basis_type1,
     fusion_basis_type2,
     reduce_operator,
-    verify_basis_reduction,
+    reduce_three_body,
 )
 from .landscape import (
     AxisSpec,

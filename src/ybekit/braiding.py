@@ -75,7 +75,7 @@ def quantum_dimension(alpha: complex) -> complex:
     return -(alpha ** 2) - alpha ** -2
 
 
-def braid_from_tl(alpha: complex, rep: TLRep, overall_phase: complex = 1.0) -> BraidRep:
+def braid_from_tl(alpha: complex, rep: TLRep, overall_phase: complex) -> BraidRep:
     """Braid generators B_i = overall_phase * (alpha*I + alpha^-1 * T_i).
 
     Requires |alpha| = 1 and -alpha^2 - alpha^-2 consistent with the

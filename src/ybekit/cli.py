@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 tolerance failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -55,6 +56,8 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
     no other thread's file is created while it is changed.  A failure to
     create or rename the temporary file names ``path`` as given, as
     ``open`` would."""
+    if not path:  # realpath("") is the cwd, but open("") names no file
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     target = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(target).st_mode)

@@ -9,7 +9,7 @@ two-site states:
 
 :func:`reduce_operator` extracts the 2x2 matrix of any operator that
 preserves the span and reports the leakage norm otherwise.
-:func:`verify_basis_reduction` cross-checks the 8x8 factorized scattering
+:func:`reduce_three_body` cross-checks the 8x8 factorized scattering
 matrix against its 2x2 closed form through this machinery.
 """
 
@@ -154,15 +154,6 @@ def reduce_operator(op: np.ndarray, basis: FusionBasis, tol: float = 1e-10) -> n
     return reduced
 
 
-def embed_three_body(op8: np.ndarray) -> np.ndarray:
-    """Lift an 8x8 operator on qubits 1-3 to the 4-qubit chain as Op (x) I;
-    a (..., 8, 8) stack lifts to a (..., 16, 16) stack."""
-    op8 = np.asarray(op8, dtype=complex)
-    if op8.shape[-2:] != (8, 8):
-        raise ValueError(f"expected an 8x8 operator, got shape {op8.shape}")
-    return lift(op8, right=2)
-
-
 def reduce_three_body(triple: AngleTriple, constraint_tol: float = DEFAULT_CONSTRAINT_TOL
                       ) -> tuple[np.ndarray, np.ndarray, ScatterParams, float | np.ndarray]:
     """The 8x8 factorized scattering matrix of ``triple``, lifted to four
@@ -172,26 +163,19 @@ def reduce_three_body(triple: AngleTriple, constraint_tol: float = DEFAULT_CONST
     each matrix and one residual per triple; the 8x8 products are made and
     reduced a block of ``block_size(8)`` triples at a time, the rest in one
     pass.  Raises :class:`ConstraintViolation` for a triple off the
-    constraint line by more than ``constraint_tol``.
+    constraint line by more than ``constraint_tol``, before any product is
+    built.
 
     The fusion-basis matrix elements realize the 2x2 solution family with
     reversed angle orientation, so the closed form is conjugated to match
     that orientation before the single global phase is aligned.
     """
+    params = angles_to_params(triple, constraint_tol)
     angles = np.broadcast_arrays(triple.t1, triple.t2, triple.t3)
     flat, n = np.array(angles).reshape(3, -1), block_size(8)
-    reduced = np.concatenate([np.empty((0, 2, 2), complex)] + [reduce_operator(embed_three_body(
-        product_form(AngleTriple(*flat[:, k:k + n]), constraint_tol)), fusion_basis_type2())
+    reduced = np.concatenate([np.empty((0, 2, 2), complex)] + [reduce_operator(lift(
+        product_form(AngleTriple(*flat[:, k:k + n])), right=2), fusion_basis_type2())
         for k in range(0, flat.shape[1], n)]).reshape(angles[0].shape + (2, 2))
-    params = angles_to_params(triple, constraint_tol)
     # fusion_form stacks its matrices over the trailing axes
     closed = np.moveaxis(fusion_form(params), (0, 1), (-2, -1))
     return reduced, closed, params, max_diff_up_to_phase(reduced, closed.conj())
-
-
-def verify_basis_reduction(triple: AngleTriple,
-                           constraint_tol: float = DEFAULT_CONSTRAINT_TOL) -> float | np.ndarray:
-    """Residual between the reduced 8x8 product and the 2x2 closed form
-    (:func:`reduce_three_body`); array angles give one residual per triple,
-    each with the bits of its triple's scalar call."""
-    return reduce_three_body(triple, constraint_tol)[3]

@@ -88,14 +88,9 @@ class AngleTriple:
     def constraint_residual(self) -> float:
         """|sin(t2) cos(t1 - t3) - cos(t2) sin(t1 + t3)|: NaN, with no
         warning, where t1 + t3 or t1 - t3 overflows to infinity."""
-        xp = _lib(self.t1, self.t2, self.t3)
-        if xp is np:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return _residual(np, self.t1, self.t2, self.t3)
-        try:
-            return _residual(math, self.t1, self.t2, self.t3)
-        except ValueError:  # math.sin and math.cos refuse infinity
-            return math.nan
+        t1, t2, t3 = self.t1, self.t2, self.t3
+        with np.errstate(over="ignore", invalid="ignore"):
+            return abs(np.sin(t2) * np.cos(t1 - t3) - np.cos(t2) * np.sin(t1 + t3))
 
     def check(self, tol: float = DEFAULT_CONSTRAINT_TOL) -> None:
         """Raise :class:`ConstraintViolation` for the first triple whose
@@ -107,17 +102,6 @@ class AngleTriple:
             first = tuple(float(np.broadcast_to(t, np.shape(res)).flat[k])
                           for t in (self.t1, self.t2, self.t3))
             raise ConstraintViolation(first, float(np.ravel(res)[k]), tol)
-
-
-def _lib(*angles):
-    """``math`` for float angles, ``numpy`` for arrays.  Their sin, cos and
-    sqrt agree bit for bit (tests/test_checks.py compares them on 100,000
-    triples), and on one triple math costs a tenth as much."""
-    return math if all(isinstance(a, float) for a in angles) else np
-
-
-def _residual(xp, t1, t2, t3):
-    return abs(xp.sin(t2) * xp.cos(t1 - t3) - xp.cos(t2) * xp.sin(t1 + t3))
 
 
 def _per_element(fn, *args):
@@ -135,20 +119,14 @@ def _per_element(fn, *args):
 def constrained_triple(t1: float, t3: float) -> AngleTriple:
     """Complete (t1, t3) with the middle angle solving the constraint;
     elementwise over array angles."""
-    xp = _lib(t1, t3)
-    t2 = _per_element(math.atan2, xp.sin(t1 + t3), xp.cos(t1 - t3))
+    t2 = _per_element(math.atan2, np.sin(t1 + t3), np.cos(t1 - t3))
     return AngleTriple(t1, t2, t3)
 
 
-def random_constrained_triple(rng: np.random.Generator, size: int | None = None) -> AngleTriple:
-    """Outer angles uniform in (-RANDOM_SPAN, RANDOM_SPAN), constrained middle.
-
-    ``size`` draws a block of that many triples in one call; it takes the
-    same numbers from ``rng`` as ``size`` calls without it."""
-    if size is None:
-        t1, t3 = rng.uniform(-RANDOM_SPAN, RANDOM_SPAN, size=2).tolist()
-    else:
-        t1, t3 = rng.uniform(-RANDOM_SPAN, RANDOM_SPAN, size=(size, 2)).T
+def random_constrained_triple(rng: np.random.Generator, size: int) -> AngleTriple:
+    """A block of ``size`` triples, drawn in one call: outer angles uniform
+    in (-RANDOM_SPAN, RANDOM_SPAN), constrained middle."""
+    t1, t3 = rng.uniform(-RANDOM_SPAN, RANDOM_SPAN, size=(size, 2)).T
     return constrained_triple(t1, t3)
 
 
@@ -160,28 +138,26 @@ def angles_to_params(triple: AngleTriple, tol: float = DEFAULT_CONSTRAINT_TOL) -
     (cos, sin) pairs given in the module docstring.
     """
     triple.check(tol)
-    xp = _lib(triple.t1, triple.t2, triple.t3)
     delta = triple.t1 - triple.t3
     sigma = triple.t1 + triple.t3
-    scale = xp.sqrt(1.0 + _per_element(lambda c: c ** 2, xp.cos(delta)))
-    cos_eta = xp.cos(triple.t2) * xp.cos(sigma)
-    sin_eta = xp.sin(triple.t2) * scale
-    cos_beta = math.sqrt(2.0) * xp.cos(delta) / scale
-    sin_beta = -xp.sin(delta) / scale
+    scale = np.sqrt(1.0 + _per_element(lambda c: c ** 2, np.cos(delta)))
+    cos_eta = np.cos(triple.t2) * np.cos(sigma)
+    sin_eta = np.sin(triple.t2) * scale
+    cos_beta = math.sqrt(2.0) * np.cos(delta) / scale
+    sin_beta = -np.sin(delta) / scale
     return ScatterParams(
         _per_element(math.atan2, sin_eta, cos_eta), _per_element(math.atan2, sin_beta, cos_beta)
     ).canonical()
 
 
-def product_form(triple: AngleTriple, tol: float = DEFAULT_CONSTRAINT_TOL) -> np.ndarray:
+def product_form(triple: AngleTriple) -> np.ndarray:
     """The 8x8 scattering matrix as the factorized triple product.
 
     Array angles give a (..., 8, 8) stack: one :func:`type2_r_4x4` call
     for all factors, and stacked matmuls bit-equal to the per-triple
-    products.  Raises :class:`ConstraintViolation` if any triple is off the
-    constraint line, where the two bracketing orders would disagree.
+    products.  The angles are not checked: off the constraint line the two
+    bracketing orders disagree, and :func:`angles_to_params` is the gate.
     """
-    triple.check(tol)
     r = type2_r_4x4(np.array(np.broadcast_arrays(triple.t1, triple.t2, triple.t3)))
     r12 = lift(r[0::2], right=2)
     return r12[0] @ lift(r[1], left=2) @ r12[1]
@@ -195,11 +171,10 @@ def state_from_params(params: ScatterParams) -> np.ndarray:
     Array parameters give a (..., 8) stack, one state per element.
     """
     eta, beta = params.eta, params.beta
-    xp = _lib(eta, beta)
     psi = np.zeros((*np.broadcast(eta, beta).shape, 8), dtype=complex)
-    psi[..., 0b000] = xp.cos(eta)
-    psi[..., 0b011] = psi[..., 0b110] = -xp.cos(beta) * xp.sin(eta) / math.sqrt(2.0)
-    psi[..., 0b101] = -xp.sin(beta) * xp.sin(eta)
+    psi[..., 0b000] = np.cos(eta)
+    psi[..., 0b011] = psi[..., 0b110] = -np.cos(beta) * np.sin(eta) / math.sqrt(2.0)
+    psi[..., 0b101] = -np.sin(beta) * np.sin(eta)
     return psi
 
 

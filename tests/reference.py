@@ -21,12 +21,11 @@ import numpy as np
 
 from ybekit import __version__
 from ybekit.entanglement import CLASS_TOL, entanglement_report
-from ybekit.fusionbasis import (embed_three_body, fusion_basis_type2, phased_antiparallel_state,
-                                reduce_operator)
+from ybekit.fusionbasis import fusion_basis_type2, phased_antiparallel_state, reduce_operator
 from ybekit.landscape import (LOCAL_MAX, LOCAL_MIN, PLATEAU_TOL, CriticalPoint, _classify,
                               _scan, get_function, sample)
 from ybekit.rmatrix import bundled_families, type2_r_4x4
-from ybekit.tensor import kron, kron_all, norm_inf
+from ybekit.tensor import kron, kron_all, lift, norm_inf
 from ybekit.threebody import (AngleTriple, ScatterParams, angles_to_params, fusion_form,
                               product_form, random_constrained_triple)
 
@@ -553,8 +552,8 @@ def many_triples():
     params = angles_to_params(triple)
     # 5000 products at a time keep the 16x16 stacks near 20 MB
     reduced = np.concatenate([
-        reduce_operator(embed_three_body(product_form(AngleTriple(
-            triple.t1[k:k + 5000], triple.t2[k:k + 5000], triple.t3[k:k + 5000]))),
+        reduce_operator(lift(product_form(AngleTriple(
+            triple.t1[k:k + 5000], triple.t2[k:k + 5000], triple.t3[k:k + 5000])), right=2),
             fusion_basis_type2())
         for k in range(0, triple.t1.size, 5000)])
     closed = np.moveaxis(fusion_form(params), (0, 1), (-2, -1)).conj()

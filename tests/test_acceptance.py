@@ -27,13 +27,14 @@ from ybekit.rmatrix import phi_from_theta, phi_from_three_thetas
 from ybekit.tensor import max_diff_up_to_phase, norm_inf
 from ybekit.threebody import (
     BETA_STAR,
+    AngleTriple,
     ScatterParams,
     angles_to_params,
     product_form,
-    random_constrained_triple,
 )
 
-from reference import classify_slocc, closed_form, expm_series, ket, n_dot_lambda
+from reference import (classify_slocc, closed_form, expm_series, ket, n_dot_lambda,
+                       scalar_random_triple)
 
 GHZ_PARAMS = ScatterParams(math.pi / 3, BETA_STAR)
 W_PARAMS = ScatterParams(math.pi / 2, BETA_STAR)
@@ -202,7 +203,7 @@ def test_c10_cross_form_equality():
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(1000):
-            triple = random_constrained_triple(rng)
+            triple = AngleTriple(*scalar_random_triple(rng))
             closed = closed_form(angles_to_params(triple))
             worst = max(worst, max_diff_up_to_phase(product_form(triple), closed))
         assert worst < 1e-11, f"worst cross-form difference {worst:.3e}"

@@ -77,9 +77,9 @@ def test_braid_from_tl_type2_gives_bell_braid():
 def test_braid_from_tl_rejects_bad_alpha():
     rep = tl_rep_from_local(tl_type1_local(), 3, 2.0)
     with pytest.raises(ValueError, match="unit circle"):
-        braid_from_tl(2.0, rep)
+        braid_from_tl(2.0, rep, PHASE_TYPE1)
     with pytest.raises(ValueError, match="inconsistent"):
-        braid_from_tl(ALPHA_TYPE2, rep)  # alpha for d=sqrt2 against d=2
+        braid_from_tl(ALPHA_TYPE2, rep, PHASE_TYPE2)  # alpha for d=sqrt2 against d=2
 
 
 def test_bell_braid_relations_three_qubits():

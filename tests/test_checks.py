@@ -27,12 +27,10 @@ from ybekit.fusionbasis import (
     LeakageError,
     _build_type1,
     _build_type2,
-    embed_three_body,
     fusion_basis_type1,
     fusion_basis_type2,
     reduce_operator,
     reduce_three_body,
-    verify_basis_reduction,
 )
 from ybekit.rmatrix import _stack, bundled_families, check_ybe, type1_r_4x4
 from ybekit.tensor import block_size, kron, kron_all, lift, max_diff_up_to_phase, norm_inf
@@ -101,7 +99,7 @@ def test_stacked_product_and_reduction_are_bit_equal_to_the_matrix_loop():
     triples = random_constrained_triple(rng, size=block_size(8) + 1)
     basis = fusion_basis_type2()
     stack = product_form(triples)
-    reduced = reduce_operator(embed_three_body(stack), basis)
+    reduced = reduce_operator(lift(stack, right=2), basis)
     for k, angles in enumerate(zip(triples.t1, triples.t2, triples.t3)):
         product = scalar_product(*angles)
         assert np.array_equal(stack[k], product)
@@ -114,7 +112,7 @@ def test_blocked_reduction_keeps_the_shape_and_scalar_bits_of_any_triple_array()
     grid = AngleTriple(*(getattr(flat, f).reshape(3, 50) for f in ("t1", "t2", "t3")))
     reduced, closed, _, residual = reduce_three_body(grid)
     assert reduced.shape == closed.shape == (3, 50, 2, 2) and residual.shape == (3, 50)
-    assert np.array_equal(residual.ravel(), verify_basis_reduction(flat))
+    assert np.array_equal(residual.ravel(), reduce_three_body(flat)[3])
     for k in (0, 64, 149):
         angles = (flat.t1[k], flat.t2[k], flat.t3[k])
         assert residual.flat[k] == scalar_reduction_residual(*angles)
@@ -137,13 +135,17 @@ def test_array_parameters_equal_the_scalar_formulas():
 ])
 def test_triples_where_numpy_squares_apart_from_float_pow(angles):
     # numpy's cos(t1 - t3) ** 2 is one ulp off float ** 2 at these triples
-    # (numpy 2.4, x86-64); the parameters must still be the scalar bits
+    # (numpy 2.4, x86-64); the parameters must still be the scalar bits, and
+    # a float, a 0-d array, a 1-element array and a block row agree
+    t1, t2, t3 = angles
+    residual = abs(math.sin(t2) * math.cos(t1 - t3) - math.cos(t2) * math.sin(t1 + t3))
     expected = scalar_angles_to_params(*angles)
-    scalar = angles_to_params(AngleTriple(*angles))
-    block = angles_to_params(AngleTriple(*(np.array([t, 0.0]) for t in angles)))
-    assert (scalar.eta, scalar.beta) == expected
-    assert (block.eta[0], block.beta[0]) == expected
-    assert verify_basis_reduction(AngleTriple(*angles)) == scalar_reduction_residual(*angles)
+    for form in (float, np.array, lambda t: np.array([t]), lambda t: np.array([t, 0.0])):
+        triple = AngleTriple(*map(form, angles))
+        params = angles_to_params(triple)
+        assert np.ravel(triple.constraint_residual())[0] == residual
+        assert (np.ravel(params.eta)[0], np.ravel(params.beta)[0]) == expected
+    assert reduce_three_body(AngleTriple(*angles))[3] == scalar_reduction_residual(*angles)
 
 
 def test_stacked_phase_alignment_equals_the_per_matrix_code():
@@ -261,19 +263,23 @@ def _block_with(angles):
 
 def test_one_off_constraint_triple_raises():
     block = _block_with((0.1, 0.2, 0.3))
-    with pytest.raises(ConstraintViolation, match=r"angle triple \(0\.1, 0\.2, 0\.3\)"):
-        product_form(block)
-    with pytest.raises(ConstraintViolation):
-        verify_basis_reduction(block)
+    for gate in (angles_to_params, reduce_three_body):
+        with pytest.raises(ConstraintViolation, match=r"angle triple \(0\.1, 0\.2, 0\.3\)"):
+            gate(block)
 
 
 def test_a_nan_triple_raises():
     block = _block_with((math.nan, 0.0, 0.0))
-    for gate in (product_form, angles_to_params, verify_basis_reduction):
+    for gate in (angles_to_params, reduce_three_body):
         with pytest.raises(ConstraintViolation, match=r"angle triple \(nan, 0\.0, 0\.0\)"):
             gate(block)
     with pytest.raises(ConstraintViolation):
         angles_to_params(AngleTriple(math.nan, 0.0, 0.0))
+    # t1 + t3 overflows to infinity: NaN, and no warning, in every input form
+    for form in (float, np.array, lambda t: np.array([t])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(AngleTriple(*map(form, (1e308, 0.0, 1e308))).constraint_residual())
 
 
 def test_a_nan_sample_survives_the_block():

@@ -227,13 +227,15 @@ def test_a_write_never_changes_the_umask(tmp_path, monkeypatch):
     assert modes == {"new.csv": 0o640, "kept.csv": 0o604}
 
 
-@pytest.mark.parametrize("name", ["missing/out.txt", "directory"])
-def test_an_output_that_cannot_be_written_is_named_as_given(name, tmp_path, capsys):
-    """An --output in a missing directory, or that is a directory, fails
-    with the error ``open(path, "w")`` gives, which names the path as
-    given, not the temporary file beside it, and leaves no file behind."""
+@pytest.mark.parametrize("name", ["missing/out.txt", "directory", pytest.param("", id="empty")])
+def test_an_output_that_cannot_be_written_is_named_as_given(name, tmp_path, monkeypatch, capsys):
+    """An --output in a missing directory, that is a directory, or that is
+    empty fails with the error ``open(path, "w")`` gives, which names the
+    path as given, not the temporary file beside it, and leaves no file
+    behind, in the working directory's parent either."""
     (tmp_path / "directory").mkdir()
-    path = str(tmp_path / name)
+    monkeypatch.chdir(tmp_path / "directory")
+    path = str(tmp_path / name) if name else name
     with pytest.raises(OSError) as opened:
         open(path, "w")
     code, out, err = run_cli_streams(["verify", "--suite", "tl", "--output", path], capsys)
@@ -729,26 +731,31 @@ def test_extrema_domain_count_is_ignored(capsys):
 
 
 @pytest.mark.parametrize("argv, patched", [
-    (["verify", "--suite", "reduction", "--samples", "20"], "verify_basis_reduction"),
+    (["verify", "--suite", "reduction", "--samples", "20"], "reduce_three_body"),
     (["verify", "--suite", "ybe", "--samples", "20"], "check_ybe"),
-    (["reduce", "--random", "10"], "verify_basis_reduction"),
+    (["reduce", "--random", "10"], "reduce_three_body"),
     (["verify", "--suite", "ybe", "--samples", "20", "--format", "json"], "check_ybe"),
 ], ids=["verify-reduction", "verify-ybe", "reduce-random", "verify-ybe-json"])
 def test_nan_residual_fails(argv, patched, monkeypatch, capsys):
     """One NaN sample among finite ones must surface as a FAIL, not vanish
     into the worst-residual aggregate; JSON output writes it as null, since
     strict parsers reject a bare NaN token.  The patched residual function
-    is batched, so the NaN goes into the third sample of each array it
-    returns."""
+    is batched, so the NaN goes into the third sample of each array of
+    residuals it returns (the last item of ``reduce_three_body``'s tuple)."""
     real = getattr(checks, patched)
 
-    def third_sample_nan(*args, **kwargs):
-        residuals = real(*args, **kwargs)
+    def with_third_nan(residuals):
         if np.ndim(residuals) == 0:
             return residuals
         residuals = residuals.copy()
         residuals[2] = math.nan
         return residuals
+
+    def third_sample_nan(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if isinstance(out, tuple):
+            return (*out[:-1], with_third_nan(out[-1]))
+        return with_third_nan(out)
 
     monkeypatch.setattr(checks, patched, third_sample_nan)
     code, out = run_cli(argv, capsys)

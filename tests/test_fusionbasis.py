@@ -16,25 +16,24 @@ from ybekit.braiding import (
 from ybekit.fusionbasis import (
     FusionBasis,
     LeakageError,
-    embed_three_body,
     fusion_basis_type1,
     fusion_basis_type2,
     phased_antiparallel_state,
     reduce_operator,
+    reduce_three_body,
     singlet_state,
     two_pair_state,
-    verify_basis_reduction,
 )
-from ybekit.tensor import norm_inf
+from ybekit.tensor import lift, norm_inf
 from ybekit.threebody import (
     AngleTriple,
     angles_to_params,
     fusion_form,
     product_form,
-    random_constrained_triple,
 )
 
-from reference import _phased_parallel_state, _two_pair_state_loop, _type2_basis_phase_general
+from reference import (_phased_parallel_state, _two_pair_state_loop, _type2_basis_phase_general,
+                       scalar_random_triple)
 
 outer = st.floats(min_value=-1.3, max_value=1.3)
 
@@ -184,20 +183,15 @@ def test_reduce_flags_leaking_operator():
     assert err.value.leakage > 1e-3
 
 
-def test_embed_three_body_shape_check():
-    with pytest.raises(ValueError):
-        embed_three_body(np.eye(4))
-
-
 def test_reduction_residual_named_preimages():
-    assert verify_basis_reduction(GHZ_TRIPLE) < 1e-11
-    assert verify_basis_reduction(W_TRIPLE) < 1e-11
+    assert reduce_three_body(GHZ_TRIPLE)[3] < 1e-11
+    assert reduce_three_body(W_TRIPLE)[3] < 1e-11
 
 
 def test_reduction_residual_random_triples():
     rng = np.random.default_rng(9)
     worst = max(
-        verify_basis_reduction(random_constrained_triple(rng)) for _ in range(100)
+        reduce_three_body(AngleTriple(*scalar_random_triple(rng)))[3] for _ in range(100)
     )
     assert worst < 1e-10
 
@@ -209,9 +203,7 @@ def test_reduction_equals_conjugated_closed_form_exactly(t1, t3):
     from ybekit.threebody import constrained_triple
 
     triple = constrained_triple(t1, t3)
-    reduced = reduce_operator(
-        embed_three_body(product_form(triple)), fusion_basis_type2()
-    )
+    reduced = reduce_operator(lift(product_form(triple), right=2), fusion_basis_type2())
     target = fusion_form(angles_to_params(triple))
     assert norm_inf(reduced - target.conj()) < 1e-12
     # equivalently: the reduction evaluates the closed form on the negated triple

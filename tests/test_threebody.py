@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ybekit.fusionbasis import reduce_three_body
 from ybekit.rmatrix import type2_r1_2x2, type2_r2_2x2, type2_r_4x4
 from ybekit.tensor import kron, max_diff_up_to_phase, norm_inf
 from ybekit.threebody import (
@@ -13,12 +14,11 @@ from ybekit.threebody import (
     constrained_triple,
     fusion_form,
     product_form,
-    random_constrained_triple,
     state_from_params,
 )
 
 from reference import (IDENTITY_2, closed_form, expm_series, is_unitary, ket, lambda_operators,
-                       n_dot_lambda)
+                       n_dot_lambda, scalar_random_triple)
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
@@ -127,7 +127,7 @@ def test_product_orderings_agree_on_constraint():
     r12 = lambda t: kron(type2_r_4x4(t), IDENTITY_2)
     r23 = lambda t: kron(IDENTITY_2, type2_r_4x4(t))
     for _ in range(25):
-        tr = random_constrained_triple(rng)
+        tr = AngleTriple(*scalar_random_triple(rng))
         lhs = r12(tr.t1) @ r23(tr.t2) @ r12(tr.t3)
         rhs = r23(tr.t3) @ r12(tr.t2) @ r23(tr.t1)
         assert norm_inf(lhs - rhs) < 1e-12
@@ -136,7 +136,7 @@ def test_product_orderings_agree_on_constraint():
 def test_product_rejects_off_constraint_and_orderings_disagree():
     triple = AngleTriple(0.0, np.pi / 4 + 0.01, np.pi / 4)
     with pytest.raises(ConstraintViolation):
-        product_form(triple)
+        reduce_three_body(triple)
     r12 = lambda t: kron(type2_r_4x4(t), IDENTITY_2)
     r23 = lambda t: kron(IDENTITY_2, type2_r_4x4(t))
     lhs = r12(triple.t1) @ r23(triple.t2) @ r12(triple.t3)
@@ -174,8 +174,12 @@ def test_state_stack_keeps_the_bits_of_each_call():
     stack = state_from_params(ScatterParams(eta, beta))
     assert stack.shape == (30, 20, 8)
     for i, j in np.ndindex(30, 20):
-        one = state_from_params(ScatterParams(float(eta[i, 0]), float(beta[j])))
+        pair = float(eta[i, 0]), float(beta[j])
+        one = state_from_params(ScatterParams(*pair))
         assert stack[i, j].tobytes() == one.tobytes()
+        # a 0-d and a 1-element array give the bits of the float call
+        for form in (np.array, lambda t: np.array([t])):
+            assert state_from_params(ScatterParams(*map(form, pair))).tobytes() == one.tobytes()
 
 
 @given(etas, betas)
