@@ -14,8 +14,9 @@ sample (``max(0.0, nan)`` is 0.0) and reads NaN for an empty sample set.
 
 The random suites draw all their samples in one ``rng.uniform`` call (plus
 one per redraw), the numbers one draw per sample would take, and check them
-in bounded blocks; each residual has the bits of its one-sample call, and a
-pole, constraint or leakage gate raises when any single sample trips it.
+in bounded blocks; a sample's residual does not depend on the block it
+falls in, and a pole, constraint or leakage gate raises when any single
+sample trips it.
 """
 
 from __future__ import annotations
@@ -112,9 +113,7 @@ def _ybe_pairs(family: RMatrixFamily, rng: np.random.Generator, samples: int):
     while short := samples - len(pairs):
         drawn = rng.uniform(low, high, size=(short, 2))
         if family.additivity == "galilean":
-            # float ** 2, not numpy's square: the two round apart on some inputs
-            sums = (drawn[:, 0] + drawn[:, 1]).tolist()
-            drawn = drawn[~np.array([abs(1.0 - s ** 2) < 0.05 for s in sums], dtype=bool)]
+            drawn = drawn[~(np.abs(1.0 - np.square(drawn[:, 0] + drawn[:, 1])) < 0.05)]
         pairs = np.concatenate([pairs, drawn])
     return pairs[:, 0], pairs[:, 1]
 

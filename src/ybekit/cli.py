@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, floattext
 from .checks import SUITES, random_reduction, worst
-from .entanglement import CLASS_TOL, entanglement_report
+from .entanglement import CLASS_TOL, entanglement_report, three_body_l1
 from .fusionbasis import LeakageError, reduce_three_body
 from .landscape import AxisSpec, FUNCTIONS, find_critical_points, get_function, sample
 from .threebody import AngleTriple, ScatterParams, angles_to_params, state_from_params
@@ -332,6 +332,7 @@ def cmd_state(args) -> int:
     # Classification thresholds follow the input tolerance: angles typed at
     # a few decimals shift the invariants by the same scale.
     report = entanglement_report(psi, tol=max(args.tol, CLASS_TOL))
+    l1 = three_body_l1(params)  # the l1_S3 kernel, so a point prints as in landscape
 
     if args.format == "json":
         sys.stdout.write(_json_doc({
@@ -339,7 +340,7 @@ def cmd_state(args) -> int:
             "beta": params.beta,
             "thetas": [triple.t1, triple.t2, triple.t3] if triple else None,
             "amplitudes": [[float(a.real), float(a.imag)] for a in psi],
-            "l1": report.l1,
+            "l1": l1,
             "vn_entropies_bits": {str(k + 1): v for k, v in report.vn_entropies.items()},
             "three_tangle": report.three_tangle,
             "slocc_class": report.slocc_class,
@@ -352,7 +353,7 @@ def cmd_state(args) -> int:
     lines.append("amplitudes:")
     lines += [f"  |{idx:03b}>  {fmt(amp.real)} {'+' if amp.imag >= 0 else '-'} {fmt(abs(amp.imag))}j"
               for idx, amp in enumerate(psi) if abs(amp) > 1e-15]
-    lines += [f"l1 norm      = {fmt(report.l1)}",
+    lines += [f"l1 norm      = {fmt(l1)}",
               *(f"entropy cut {k + 1}|rest = {fmt(s)} bits" for k, s in report.vn_entropies.items()),
               f"three-tangle = {fmt(report.three_tangle)}", f"class        = {report.slocc_class}"]
     sys.stdout.write("\n".join(lines) + "\n")

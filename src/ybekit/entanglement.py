@@ -7,11 +7,12 @@ and imaginary parts of the first-row entries; that real/imaginary split is
 exactly what makes the matrix norm agree with the state norm of the 8x8
 form for every parameter choice.  :func:`fusion_l1` and
 :func:`fusion_entropy` are closed forms of that first row, evaluated on the
-parameter arrays alone with the bits of the dense matrix; the dense
-:func:`~ybekit.threebody.fusion_form` serves the basis reduction and the
-tests.  Each kernel is one elementwise expression over broadcast arrays;
-the landscape sampler bounds its working set by calling it a strip of the
-mesh at a time.
+parameter arrays alone: the norm with the bits of the dense matrix, the
+entropy from the two probabilities in closed form, which keeps the smaller
+one's digits; the dense :func:`~ybekit.threebody.fusion_form` serves the
+basis reduction and the tests.  Each kernel is one elementwise expression
+over broadcast arrays; the landscape sampler bounds its working set by
+calling it a strip of the mesh at a time.
 
 Entropies are in bits throughout, with 0*log(0) = 0.  The dense route, a
 partial trace and an eigensolver, is the tests' oracle
@@ -68,30 +69,32 @@ def fusion_l1(params: ScatterParams) -> float | np.ndarray:
 
 
 def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
-    """H(p) in bits with the 0*log(0) = 0 convention."""
+    """H(p) in bits with the 0*log(0) = 0 convention, as
+    -p log2(p) - (1 - p) log1p(-p) / ln 2: accurate to a few ulps for the
+    smaller of the two probabilities, where 1 - p would round away its
+    digits."""
     p = np.asarray(p, dtype=float)[()]  # a float stays a numpy scalar
     outside = (p < -1e-12) | (p > 1.0 + 1e-12)
     if np.count_nonzero(outside):
         raise ValueError(f"probability out of range: {np.extract(outside, p)[0]}")
     p = np.minimum(np.maximum(p, 0.0), 1.0)
-    q = 1.0 - p
-    # log2(1) = 0 stands in at p = 0 and q = 0; 0.0 - ... keeps H = +0.0
-    return 0.0 - p * np.log2(p + (p == 0.0)) - q * np.log2(q + (q == 0.0))
+    # log2(1) and log1p(0) stand in at p = 0 and p = 1; 0.0 - ... keeps H = +0.0
+    return (0.0 - p * np.log2(p + (p == 0.0))
+            - (1.0 - p) * np.log1p(-p + (p == 1.0)) / math.log(2.0))
 
 
 def fusion_entropy(params: ScatterParams) -> float | np.ndarray:
     """Entropy (bits) of the fusion-space output amplitudes.
 
-    Binary entropy of |m00|^2, where m00 = cos(eta) + i cos(beta) sin(eta)/sqrt2
-    is the first entry of the fusion matrix's first row, a unit vector by
-    unitarity.  Only m00 is built, as a complex array: numpy's complex
-    modulus rounds apart from ``np.hypot`` of its parts.
+    The first row (m00, m01) of the fusion matrix is a unit vector, with
+    p = |m00|^2 = cos^2(eta) + cos^2(beta) sin^2(eta) / 2 and
+    q = |m01|^2 = sin^2(eta) (1 + sin^2(beta)) / 2; both are formed in
+    closed form and the smaller goes to :func:`binary_entropy`.
     """
-    ce, se = np.cos(params.eta), np.sin(params.eta)
-    im = np.cos(params.beta) / math.sqrt(2.0) * se  # has the broadcast shape
-    top_left = np.empty(np.shape(im), dtype=complex)
-    top_left.real, top_left.imag = ce, im
-    return binary_entropy(np.abs(top_left) ** 2)
+    se2 = np.square(np.sin(params.eta))
+    p = np.square(np.cos(params.eta)) + np.square(np.cos(params.beta)) * se2 / 2.0
+    q = se2 * (1.0 + np.square(np.sin(params.beta))) / 2.0
+    return binary_entropy(np.minimum(p, q))
 
 
 # The factors of the hyperdeterminant's products as amplitude indices

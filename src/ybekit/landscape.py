@@ -8,7 +8,9 @@ curve over theta, or a section, which is a surface with a 1-point axis at
 the fixed coordinate.  The critical-point finder scans what :func:`sample`
 gives on the same axes and moves all candidates in lockstep, one call per
 refinement step at both trial points of every candidate still searching.
-An array call gives the bits of the same call made one float at a time.
+A point gives the same bits as a float, a 0-d array or an element of any
+array, so a value prints the same in ``landscape``, ``extrema`` and
+``state``.
 
 The surfaces of interest are built from absolute values of trigonometric
 functions, so some extrema sit on V-shaped kinks where derivative-based
@@ -129,19 +131,14 @@ class CriticalPoint:
 # ---------------------------------------------------------------------------
 
 def _l1_wigner(theta: float) -> float:
-    # the moduli of the spin-1/2 rotation [[cos, -sin], [sin, cos]], summed
-    # in the order of its entries, halved: the bits of the matrix route
-    c, s = np.abs(np.cos(theta)), np.abs(np.sin(theta))
-    total = c + s
-    total += s
-    total += c
-    total /= 2.0
-    return total
+    # half the moduli of the spin-1/2 rotation [[cos, -sin], [sin, cos]]
+    return np.abs(np.cos(theta)) + np.abs(np.sin(theta))
 
 
 def _vn_xi(theta: float) -> float:
-    # type2_r_4x4(theta) |00> = cos(theta) |00> - sin(theta) |11>
-    return binary_entropy(np.cos(theta) ** 2)
+    # type2_r_4x4(theta) |00> = cos(theta) |00> - sin(theta) |11>; the
+    # smaller probability keeps its digits where the other nears 1
+    return binary_entropy(np.minimum(np.square(np.cos(theta)), np.square(np.sin(theta))))
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,8 @@ def max_diff_up_to_phase(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Largest entry difference after aligning one global phase.
 
     The phase is fixed on the largest-modulus entry of ``a``; a (..., m, n)
-    stack gives one difference per matrix, each with the bits of the
-    2-D call.  Moduli of single entries come from ``np.hypot``, which has
-    the bits of ``abs`` on one complex number where ``np.abs`` on an array
-    does not.  A zero ``a`` gives ``norm_inf(b)``.
+    stack gives one difference per matrix.  A zero ``a`` gives
+    ``norm_inf(b)``.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -80,9 +78,9 @@ def max_diff_up_to_phase(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     idx = np.argmax(np.abs(flat_a), axis=-1)[..., None]
     pivot = np.take_along_axis(flat_a, idx, axis=-1)[..., 0]
     target = np.take_along_axis(b.reshape(flat_a.shape), idx, axis=-1)[..., 0]
-    modulus = np.hypot(pivot.real, pivot.imag)
+    modulus = np.abs(pivot)
     phase = np.divide(target, pivot, out=np.zeros_like(target), where=modulus != 0.0)
-    mag = np.hypot(phase.real, phase.imag)
+    mag = np.abs(phase)
     phase = np.divide(phase, mag, out=np.ones_like(phase), where=mag > 0)
     diff = np.where(modulus == 0.0, np.abs(b).max(axis=(-2, -1)),
                     np.abs(a * phase[..., None, None] - b).max(axis=(-2, -1)))

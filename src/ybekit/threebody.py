@@ -59,7 +59,7 @@ class ConstraintViolation(ValueError):
 class ScatterParams:
     """The two free parameters of the three-body matrix, stored as given:
     only :meth:`canonical` wraps them to eta in [0, 2*pi) and beta in
-    [-pi, pi).
+    [-pi, pi), and keeps the bits of a value already in its range.
 
     The fields may also be broadcast arrays; the landscape maps pass whole
     raw grids through one instance."""
@@ -69,7 +69,10 @@ class ScatterParams:
 
     def canonical(self) -> "ScatterParams":
         eta = self.eta % TWO_PI
-        beta = (self.beta + math.pi) % TWO_PI - math.pi
+        # (beta + pi) - pi would round away the low digits of a small beta;
+        # + 0.0 makes a zero beta +0.0, the sign that wrapping gives it
+        inside = (-math.pi <= self.beta) & (self.beta < math.pi)
+        beta = np.where(inside, self.beta + 0.0, (self.beta + math.pi) % TWO_PI - math.pi)[()]
         return ScatterParams(eta, beta)
 
 
@@ -104,23 +107,10 @@ class AngleTriple:
             raise ConstraintViolation(first, float(np.ravel(res)[k]), tol)
 
 
-def _per_element(fn, *args):
-    """``fn`` over the broadcast arguments one Python float at a time; a
-    float for float arguments.  ``math.atan2`` and ``float ** 2`` round
-    apart from ``np.arctan2`` and numpy's square on some inputs, and every
-    triple of a block keeps the bits of its own scalar call."""
-    if all(isinstance(a, float) for a in args):
-        return fn(*args)
-    shape = np.broadcast(*args).shape
-    out = map(fn, *(np.broadcast_to(a, shape).ravel().tolist() for a in args))
-    return np.fromiter(out, float, count=math.prod(shape)).reshape(shape)
-
-
 def constrained_triple(t1: float, t3: float) -> AngleTriple:
     """Complete (t1, t3) with the middle angle solving the constraint;
     elementwise over array angles."""
-    t2 = _per_element(math.atan2, np.sin(t1 + t3), np.cos(t1 - t3))
-    return AngleTriple(t1, t2, t3)
+    return AngleTriple(t1, np.arctan2(np.sin(t1 + t3), np.cos(t1 - t3)), t3)
 
 
 def random_constrained_triple(rng: np.random.Generator, size: int) -> AngleTriple:
@@ -132,7 +122,7 @@ def random_constrained_triple(rng: np.random.Generator, size: int) -> AngleTripl
 
 def angles_to_params(triple: AngleTriple, tol: float = DEFAULT_CONSTRAINT_TOL) -> ScatterParams:
     """Map a constrained angle triple to (eta, beta); elementwise over array
-    angles, with each triple's bits from a scalar call.
+    angles.
 
     Quadrants are fixed by the two-argument arctangent applied to the
     (cos, sin) pairs given in the module docstring.
@@ -140,14 +130,12 @@ def angles_to_params(triple: AngleTriple, tol: float = DEFAULT_CONSTRAINT_TOL) -
     triple.check(tol)
     delta = triple.t1 - triple.t3
     sigma = triple.t1 + triple.t3
-    scale = np.sqrt(1.0 + _per_element(lambda c: c ** 2, np.cos(delta)))
+    scale = np.sqrt(1.0 + np.square(np.cos(delta)))
     cos_eta = np.cos(triple.t2) * np.cos(sigma)
     sin_eta = np.sin(triple.t2) * scale
     cos_beta = math.sqrt(2.0) * np.cos(delta) / scale
     sin_beta = -np.sin(delta) / scale
-    return ScatterParams(
-        _per_element(math.atan2, sin_eta, cos_eta), _per_element(math.atan2, sin_beta, cos_beta)
-    ).canonical()
+    return ScatterParams(np.arctan2(sin_eta, cos_eta), np.arctan2(sin_beta, cos_beta)).canonical()
 
 
 def product_form(triple: AngleTriple) -> np.ndarray:
@@ -188,16 +176,6 @@ def fusion_form(params: ScatterParams) -> np.ndarray:
     (2, 2, ...), one matrix per trailing index.
     """
     ce, se = np.cos(params.eta), np.sin(params.eta)
-    cb, sb = np.cos(params.beta), np.sin(params.beta)
-    # cb / sqrt2 is divided in reals: numpy divides a complex by a real
-    # through its reciprocal, which rounds differently from Python.  The
-    # complex term comes first in each sum so that float arguments stay in
-    # fast Python complex arithmetic; the sums are the same bits either way.
-    diag_im = 1j * (cb / math.sqrt(2.0))
-    return np.array(
-        [
-            [diag_im * se + ce, (diag_im + sb) * se],
-            [(diag_im - sb) * se, -(diag_im * se) + ce],
-        ],
-        dtype=complex,
-    )
+    c, sb = np.cos(params.beta) / math.sqrt(2.0), np.sin(params.beta)
+    return np.array([[ce + 1j * c * se, (sb + 1j * c) * se],
+                     [(1j * c - sb) * se, ce - 1j * c * se]], dtype=complex)

@@ -10,8 +10,9 @@ not in ``ybekit``.
 Byte references: retired implementations that the tests hold their
 replacements to, bit for bit, one per contract (CSV and JSON writers,
 landscape sampling, the coarse scan, the critical-point finder, the
-two-pair fusion states, the verify suites and the 3-tangle).  The
-expensive ones are computed once per session."""
+two-pair fusion states, the verify suites and the 3-tangle of a stack).
+The expensive ones are computed once per session.  Accuracy is held
+against mpmath instead, in ``test_accuracy.py``."""
 
 import functools
 import json
@@ -21,15 +22,15 @@ import numpy as np
 
 from ybekit import __version__
 from ybekit.entanglement import CLASS_TOL, entanglement_report
-from ybekit.fusionbasis import fusion_basis_type2, phased_antiparallel_state, reduce_operator
+from ybekit.fusionbasis import (fusion_basis_type2, phased_antiparallel_state, reduce_operator,
+                                reduce_three_body)
 from ybekit.landscape import (LOCAL_MAX, LOCAL_MIN, PLATEAU_TOL, CriticalPoint, _classify,
                               _scan, get_function, sample)
 from ybekit.rmatrix import bundled_families, type2_r_4x4
 from ybekit.tensor import kron, kron_all, lift, norm_inf
-from ybekit.threebody import (AngleTriple, ScatterParams, angles_to_params, fusion_form,
-                              product_form, random_constrained_triple)
-
-TWO_PI = 2.0 * math.pi
+from ybekit.threebody import (RANDOM_SPAN, AngleTriple, ScatterParams, angles_to_params,
+                              constrained_triple, fusion_form, product_form,
+                              random_constrained_triple)
 
 
 # dense-matrix oracles
@@ -407,7 +408,7 @@ def scalar_ybe_parameters(family, rng, samples):
     while produced < samples:
         if family.additivity == "galilean":
             p1, p3 = rng.uniform(-0.9, 0.9, size=2)
-            if abs(1.0 - (p1 + p3) ** 2) < 0.05:
+            if abs(1.0 - (p1 + p3) * (p1 + p3)) < 0.05:
                 continue
         else:
             p1, p3 = rng.uniform(0.01, 1.55, size=2)
@@ -437,35 +438,6 @@ def scalar_random_triple(rng):
     t1, t3 = rng.uniform(-1.3, 1.3, size=2)
     t1, t3 = float(t1), float(t3)
     return t1, math.atan2(math.sin(t1 + t3), math.cos(t1 - t3)), t3
-
-
-def scalar_angles_to_params(t1, t2, t3):
-    delta = t1 - t3
-    sigma = t1 + t3
-    scale = math.sqrt(1.0 + math.cos(delta) ** 2)
-    cos_eta = math.cos(t2) * math.cos(sigma)
-    sin_eta = math.sin(t2) * scale
-    cos_beta = math.sqrt(2.0) * math.cos(delta) / scale
-    sin_beta = -math.sin(delta) / scale
-    eta, beta = math.atan2(sin_eta, cos_eta), math.atan2(sin_beta, cos_beta)
-    return eta % TWO_PI, (beta + math.pi) % TWO_PI - math.pi
-
-
-def scalar_three_tangle(psi):
-    """The hyperdeterminant of one state in numpy's scalar complex
-    arithmetic, as it ran before the stacks."""
-    c = np.asarray(psi, dtype=complex).reshape(2, 2, 2)
-    d1 = (c[0, 0, 0] ** 2 * c[1, 1, 1] ** 2 + c[0, 0, 1] ** 2 * c[1, 1, 0] ** 2
-          + c[0, 1, 0] ** 2 * c[1, 0, 1] ** 2 + c[1, 0, 0] ** 2 * c[0, 1, 1] ** 2)
-    d2 = (c[0, 0, 0] * c[1, 1, 1] * c[0, 1, 1] * c[1, 0, 0]
-          + c[0, 0, 0] * c[1, 1, 1] * c[1, 0, 1] * c[0, 1, 0]
-          + c[0, 0, 0] * c[1, 1, 1] * c[1, 1, 0] * c[0, 0, 1]
-          + c[0, 1, 1] * c[1, 0, 0] * c[1, 0, 1] * c[0, 1, 0]
-          + c[0, 1, 1] * c[1, 0, 0] * c[1, 1, 0] * c[0, 0, 1]
-          + c[1, 0, 1] * c[0, 1, 0] * c[1, 1, 0] * c[0, 0, 1])
-    d3 = (c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
-          + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0])
-    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
 def three_tangle_by_coordinates(psi):
@@ -509,13 +481,6 @@ def scalar_reduce(op, basis):
     return np.array([[np.vdot(w, image) for image in images] for w in (basis.e1, basis.e2)])
 
 
-def scalar_reduction_residual(t1, t2, t3):
-    reduced = reduce_operator(kron(scalar_product(t1, t2, t3), IDENTITY_2),
-                              fusion_basis_type2())
-    closed = fusion_form(ScatterParams(*scalar_angles_to_params(t1, t2, t3)))
-    return scalar_max_diff_up_to_phase(reduced, closed.conj())
-
-
 @functools.cache
 def ybe_reference(name, seed, counts):
     """Pairs and residuals of the largest of ``counts``, and the generator
@@ -533,15 +498,17 @@ def ybe_reference(name, seed, counts):
 
 @functools.cache
 def reduction_reference(seed, counts):
-    """Residuals of the largest of ``counts`` triples, and the generator
-    state after each count."""
+    """Residuals of the largest of ``counts`` triples, each drawn on its own
+    and reduced alone with float angles, and the generator state after each
+    count."""
     rng = np.random.default_rng(seed)
-    triples, states = [], {}
-    for _ in range(max(counts)):
-        triples.append(scalar_random_triple(rng))
-        if len(triples) in counts:
-            states[len(triples)] = rng.bit_generator.state
-    return np.array([scalar_reduction_residual(*t) for t in triples]), states
+    residuals, states = [], {}
+    for n in range(1, max(counts) + 1):
+        t1, t3 = rng.uniform(-RANDOM_SPAN, RANDOM_SPAN, size=2).tolist()
+        residuals.append(reduce_three_body(constrained_triple(t1, t3))[3])
+        if n in counts:
+            states[n] = rng.bit_generator.state
+    return np.array(residuals), states
 
 
 @functools.cache

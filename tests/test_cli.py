@@ -20,7 +20,7 @@ from hypothesis import given, strategies as st
 from ybekit import checks, cli
 from ybekit.entanglement import three_body_l1
 from ybekit.landscape import FUNCTIONS, AxisSpec, LandscapeFunction, sample
-from ybekit.threebody import ScatterParams
+from ybekit.threebody import ScatterParams, angles_to_params, random_constrained_triple
 
 from reference import _csv_numbers_reference, _json_text_reference
 
@@ -394,6 +394,40 @@ def test_state_json_format(capsys):
     payload = json.loads(out)
     assert payload["slocc_class"] == "W-class"
     assert abs(payload["l1"] - math.sqrt(3.0)) < 1e-4
+
+
+def test_a_point_prints_the_same_l1_through_extrema_landscape_and_state(capsys):
+    """One kernel per quantity: each default ``extrema`` row's value is,
+    byte for byte, the value of a 1-point ``landscape`` section and the
+    l1 that ``state`` prints, as text and as JSON, at the row's location."""
+    code, out = run_cli(["extrema", "--fn", "l1_S3"], capsys)
+    assert code == 0
+    rows = _csv_rows(out)[1]
+    assert len(rows) == 18
+    for eta, beta, value, *_ in rows:
+        code, section = run_cli(["landscape", "--fn", "l1_S3", "--section", f"eta={eta}",
+                                 "--beta", f"{beta}:{beta}:1"], capsys)
+        assert code == 0 and _csv_rows(section)[1] == [[eta, beta, value]]
+        code, text = run_cli(["state", "--eta", eta, "--beta", beta], capsys)
+        assert code == 0 and f"l1 norm      = {value}\n" in text
+        code, doc = run_cli(["state", "--eta", eta, "--beta", beta, "--format", "json"], capsys)
+        payload = json.loads(doc)
+        assert [payload["eta"], payload["beta"], payload["l1"]] == [*map(float, (eta, beta, value))]
+
+
+def test_state_and_reduce_print_the_parameters_of_a_block(capsys):
+    """A triple typed on its own maps to the (eta, beta) that a block of
+    triples holding it gives."""
+    triple = random_constrained_triple(np.random.default_rng(8), size=64)
+    params = angles_to_params(triple)
+    for k in range(0, 64, 7):
+        angles = ",".join(cli.fmt(t[k]) for t in (triple.t1, triple.t2, triple.t3))
+        code, doc = run_cli(["state", "--thetas", angles, "--format", "json"], capsys)
+        payload = json.loads(doc)
+        assert code == 0 and (payload["eta"], payload["beta"]) == (params.eta[k], params.beta[k])
+        code, out = run_cli(["reduce", "--thetas", angles], capsys)
+        assert code == 0
+        assert f"({cli.fmt(params.eta[k])}, {cli.fmt(params.beta[k])})" in out
 
 
 def test_state_requires_parameters(capsys):

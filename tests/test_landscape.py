@@ -429,34 +429,37 @@ def test_kernel_matches_dense_oracle(tag):
         assert abs(values[idx] - _dense_oracle(tag, *point)) < 1e-13, point
 
 
+def _consistency_inputs(spec):
+    """The dense-oracle grid, 1000 seeded points of the default domain, and
+    a point where a numpy float's ``** 2`` rounds apart from the array
+    square (numpy 2.4, x86-64), which once split the float and array calls
+    of vn_xi and vn_Sprime; flat, one array per axis."""
+    rng = np.random.default_rng(41)
+    grid = np.broadcast_arrays(*_kernel_inputs(spec))
+    seeded = [rng.uniform(lo, hi, 1000) for lo, hi in spec.default_domain]
+    split = {1: [0.22880459429307234], 2: [5.0709817017556755, -0.1357456672205808]}[spec.arity]
+    return [np.concatenate([g.ravel(), s, [x]]) for g, s, x in zip(grid, seeded, split)]
+
+
 @pytest.mark.parametrize("tag", sorted(FUNCTIONS))
 def test_kernel_array_call_is_bit_equal_to_float_calls(tag):
     """The scan samples a kernel over arrays and the refinement calls it
-    with floats; both must give the same bits."""
+    with floats; both, and a 0-d or 1-element array, give the same bits,
+    and a float gives a numpy float."""
     spec = get_function(tag)
-    coords = _kernel_inputs(spec)
+    coords = _consistency_inputs(spec)
     values = spec(*coords)
-    pointwise = np.array([spec(*(float(c[idx]) for c in coords))
-                          for idx in np.ndindex(values.shape)])
-    assert values.tobytes() == pointwise.reshape(values.shape).tobytes()
+    for k, point in enumerate(zip(*(c.tolist() for c in coords))):
+        value = spec(*point)
+        assert type(value) is np.float64 and value.tobytes() == values[k].tobytes(), point
+        for form in (np.array, lambda t: np.array([t])):
+            assert np.ravel(spec(*map(form, point))).tobytes() == value.tobytes(), point
 
 
-def test_l1_wigner_is_bit_equal_to_the_matrix_route():
-    """The closed form sums |cos|, |sin|, |sin|, |cos| in the order the
-    matrix route sums the moduli of the rotation's entries, so every value
-    keeps its bits, at large and tiny angles too, and a float call still
-    gives a numpy float.  A 100,000-point curve peaks at 2.3 MiB where the
-    (2, 2, n) complex stack of the matrix route peaked at 10.7 MiB."""
+def test_l1_wigner_curve_peaks_below_the_matrix_route():
+    """A 100,000-point curve peaks at 2.3 MiB, where the (2, 2, n) complex
+    stack of the matrix route peaked at 10.7 MiB."""
     l1_wigner = get_function("l1_wigner")
-    rng = np.random.default_rng(23)
-    special = [0.0, -0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2, 1e15, -1e15,
-               5e-324, -5e-324]
-    for theta in (rng.uniform(-10.0, 10.0, 200_000), rng.uniform(-1e6, 1e6, 1_000),
-                  np.array(special)):
-        assert l1_wigner(theta).tobytes() == wigner_l1(wigner_d_half(theta, 0.0)).tobytes()
-    for theta in [*special, *rng.uniform(-10.0, 10.0, 3_000).tolist()]:
-        value = l1_wigner(theta)
-        assert type(value) is np.float64 and value == wigner_l1(wigner_d_half(theta, 0.0))
     theta = np.linspace(0.0, math.pi / 2, 100_000)
     tracemalloc.start()
     try:
