@@ -22,7 +22,6 @@ from .entanglement import (
     entanglement_report,
     fusion_entropy,
     fusion_l1,
-    l1_norm,
     three_body_l1,
     three_tangle,
 )

@@ -12,7 +12,7 @@ entropy from the two probabilities in closed form, which keeps the smaller
 one's digits; the dense :func:`~ybekit.threebody.fusion_form` serves the
 basis reduction and the tests.  Each kernel is one elementwise expression
 over broadcast arrays; the landscape sampler bounds its working set by
-calling it a strip of the mesh at a time.
+calling it a block of the mesh at a time (:func:`~ybekit.tensor.by_blocks`).
 
 Entropies are in bits throughout, with 0*log(0) = 0.  The dense route, a
 partial trace and an eigensolver, is the tests' oracle
@@ -35,11 +35,6 @@ PRODUCT = "product"
 BISEPARABLE = "biseparable"
 W_CLASS = "W-class"
 GHZ_CLASS = "GHZ-class"
-
-
-def l1_norm(psi: np.ndarray) -> float | np.ndarray:
-    """Sum of amplitude moduli; one per state of a stack along the last axis."""
-    return np.sum(np.abs(np.asarray(psi, dtype=complex)), axis=-1)
 
 
 def three_body_l1(params: ScatterParams) -> float | np.ndarray:
@@ -143,15 +138,14 @@ class EntanglementReport:
     """The measures of one three-qubit state, or of each state of a stack:
     every field, and every cut's entropy, has the shape of the stack."""
 
-    l1: float | np.ndarray
     vn_entropies: dict[int, float | np.ndarray] = field(compare=False)
     three_tangle: float | np.ndarray
     slocc_class: str | np.ndarray
 
 
 def entanglement_report(psi: np.ndarray, tol: float = CLASS_TOL) -> EntanglementReport:
-    """All measures of one state or of a (..., 8) stack: l1, the entropy of
-    each single-qubit cut (keyed 0, 1, 2), 3-tangle and SLOCC class.
+    """All measures of one state or of a (..., 8) stack: the entropy of each
+    single-qubit cut (keyed 0, 1, 2), 3-tangle and SLOCC class.
 
     GHZ-class when the 3-tangle exceeds ``tol``; otherwise W-class when all
     three cuts carry entropy above ``tol``; otherwise biseparable or product
@@ -177,5 +171,5 @@ def entanglement_report(psi: np.ndarray, tol: float = CLASS_TOL) -> Entanglement
     larger = (1.0 + np.sqrt((r00 - r11) ** 2 + 4.0 * off)) / 2.0
     entropies = binary_entropy((r00 * r11 - off) / larger).reshape(3, *psi.shape[:-1])
     index = np.where(tau > tol, 4, np.count_nonzero(entropies > tol, axis=0))
-    return EntanglementReport(l1=l1_norm(psi), vn_entropies=dict(enumerate(entropies)),
-                              three_tangle=tau, slocc_class=_CLASSES[index])
+    return EntanglementReport(vn_entropies=dict(enumerate(entropies)), three_tangle=tau,
+                              slocc_class=_CLASSES[index])

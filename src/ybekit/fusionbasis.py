@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import block_size, lift, max_diff_up_to_phase
+from .tensor import block_size, by_blocks, lift, max_diff_up_to_phase
 from .threebody import (
     AngleTriple,
     DEFAULT_CONSTRAINT_TOL,
@@ -161,21 +161,19 @@ def reduce_three_body(triple: AngleTriple, constraint_tol: float = DEFAULT_CONST
     the parameters of the triple; those parameters; and the residual
     between the two matrices.  Array angles give a (..., 2, 2) stack of
     each matrix and one residual per triple; the 8x8 products are made and
-    reduced a block of ``block_size(8)`` triples at a time, the rest in one
-    pass.  Raises :class:`ConstraintViolation` for a triple off the
-    constraint line by more than ``constraint_tol``, before any product is
-    built.
+    reduced a block of ``block_size(8)`` triples at a time
+    (:func:`~ybekit.tensor.by_blocks`), the rest in one pass.  Raises
+    :class:`ConstraintViolation` for a triple off the constraint line by
+    more than ``constraint_tol``, before any product is built.
 
     The fusion-basis matrix elements realize the 2x2 solution family with
     reversed angle orientation, so the closed form is conjugated to match
     that orientation before the single global phase is aligned.
     """
     params = angles_to_params(triple, constraint_tol)
-    angles = np.broadcast_arrays(triple.t1, triple.t2, triple.t3)
-    flat, n = np.array(angles).reshape(3, -1), block_size(8)
-    reduced = np.concatenate([np.empty((0, 2, 2), complex)] + [reduce_operator(lift(
-        product_form(AngleTriple(*flat[:, k:k + n])), right=2), fusion_basis_type2())
-        for k in range(0, flat.shape[1], n)]).reshape(angles[0].shape + (2, 2))
+    reduced = by_blocks(lambda *t: reduce_operator(lift(product_form(AngleTriple(*t)), right=2),
+                                                   fusion_basis_type2()),
+                        triple.t1, triple.t2, triple.t3, size=block_size(8))
     # fusion_form stacks its matrices over the trailing axes
     closed = np.moveaxis(fusion_form(params), (0, 1), (-2, -1))
     return reduced, closed, params, max_diff_up_to_phase(reduced, closed.conj())

@@ -2,15 +2,15 @@
 
 Every function in the registry takes broadcast arrays.  :func:`sample`
 evaluates one on the ``ij`` mesh of one :class:`AxisSpec` per axis, a
-strip of the mesh at a time (:func:`by_strips`), so every registered
-function runs in a bounded working set: a surface over (eta, beta), a
-curve over theta, or a section, which is a surface with a 1-point axis at
-the fixed coordinate.  The critical-point finder scans what :func:`sample`
-gives on the same axes and moves all candidates in lockstep, one call per
-refinement step at both trial points of every candidate still searching.
-A point gives the same bits as a float, a 0-d array or an element of any
-array, so a value prints the same in ``landscape``, ``extrema`` and
-``state``.
+block of the mesh at a time (:func:`~ybekit.tensor.by_blocks`), so every
+registered function runs in a bounded working set: a surface over (eta,
+beta), a curve over theta, or a section, which is a surface with a
+1-point axis at the fixed coordinate.  The critical-point finder scans
+what :func:`sample` gives on the same axes and moves all candidates in
+lockstep, one call per refinement step at both trial points of every
+candidate still searching.  A point gives the same bits as a float, a 0-d
+array or an element of any array, so a value prints the same in
+``landscape``, ``extrema`` and ``state``.
 
 The surfaces of interest are built from absolute values of trigonometric
 functions, so some extrema sit on V-shaped kinks where derivative-based
@@ -48,13 +48,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .entanglement import binary_entropy, fusion_entropy, fusion_l1, three_body_l1
+from .tensor import by_blocks
 from .threebody import ScatterParams
 
 PLATEAU_TOL = 1e-12
 LOCATION_RESOLUTION = 1e-7  # dedupe floor, see _dedupe_tol
 FLAT_PROBE = 1e-4  # step of the two-sided flatness test in _flat_axis
 KINK_PROBE = 1e-5  # step of the one-sided slopes in _kinked
-STRIP = 1 << 13  # values per strip of a mesh in by_strips
 
 LOCAL_MAX = "local-max"
 LOCAL_MIN = "local-min"
@@ -183,44 +183,18 @@ def get_function(tag: str) -> LandscapeFunction:
         raise ValueError(f"unknown function tag {tag!r}; known: {sorted(FUNCTIONS)}") from None
 
 
-def by_strips(kernel: Callable[..., np.ndarray], *factors) -> np.ndarray:
-    """``kernel(*factors)`` for an elementwise ``kernel``, evaluated over the
-    broadcast mesh of ``factors`` a strip at a time into one result.
-
-    A strip is a run of about :data:`STRIP` values along the first axis of
-    the mesh that is longer than 1, and at least one index of that axis, so
-    the kernel's temporaries cover a strip, not the mesh.  Each value has
-    the bits of one call over the whole mesh.  A mesh of at most ``STRIP``
-    values is one call.
-    """
-    mesh = np.broadcast(*factors)
-    if mesh.size <= STRIP:
-        return kernel(*factors)
-    axis = next(a for a, n in enumerate(mesh.shape) if n > 1) - mesh.nd  # from the end
-    step = max(1, STRIP * mesh.shape[axis] // mesh.size)
-    sliced = [np.ndim(f) >= -axis and np.shape(f)[axis] > 1 for f in factors]
-    out = None
-    for start in range(0, mesh.shape[axis], step):
-        rows = (..., slice(start, start + step)) + (slice(None),) * (-axis - 1)
-        part = kernel(*(f[rows] if cut else f for f, cut in zip(factors, sliced)))
-        if out is None:
-            out = np.empty(mesh.shape, dtype=part.dtype)
-        out[rows] = part
-    return out
-
-
 def sample(tag: str, axes: Sequence[AxisSpec]) -> np.ndarray:
     """Values of a landscape on the ``ij`` mesh of ``axes``, one axis per
     axis of the function in its order: ``values[i, j]`` is the measure of
     the mapped point (eta_i, beta_j) for a surface, shape ``(n,)`` for a
     curve.  A section is a surface with a 1-point axis.  The landscape is
-    called on the sparse mesh a strip at a time (:func:`by_strips`), with
+    called on the sparse mesh a block at a time (:func:`by_blocks`), with
     the bits of one call over the dense mesh."""
     spec = get_function(tag)
     names = tuple(axis.name for axis in axes)
     if names != spec.axes:
         raise ValueError(f"{tag} has axes {spec.axes}, got {names}")
-    values = by_strips(spec, *np.meshgrid(*(axis.points() for axis in axes),
+    values = by_blocks(spec, *np.meshgrid(*(axis.points() for axis in axes),
                                           indexing="ij", sparse=True))
     if not np.all(np.isfinite(values)):
         raise ValueError("landscape contains non-finite values")
@@ -382,14 +356,14 @@ def _scan(vals: np.ndarray) -> tuple:
 
     A node must be a max or a min along every axis; the tie tolerance of
     :func:`_axis_kind` already drops nodes on a plateau.  Axis 0 is tested
-    over the whole interior, on shifted views of the grid a strip at a time
-    (:func:`by_strips`); the other axes
-    and the diagonal neighbors, those one step off on two axes or more,
-    only at the nodes extreme along axis 0.  A max (min) along every axis
-    must also beat (undercut) its diagonal neighbors; a curve has none.
+    over the whole interior, on shifted views of the grid a block at a time
+    (:func:`by_blocks`); the other axes and the diagonal neighbors, those
+    one step off on two axes or more, only at the nodes extreme along axis
+    0.  A max (min) along every axis must also beat (undercut) its diagonal
+    neighbors; a curve has none.
     """
     core = vals[(slice(None), *(slice(1, -1) for _ in vals.shape[1:]))]
-    first = by_strips(_axis_kind, core[1:-1], core[:-2], core[2:])
+    first = by_blocks(_axis_kind, core[1:-1], core[:-2], core[2:])
     nodes = [i + 1 for i in np.nonzero(first)]
 
     def at(offset) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .braiding import permutation_matrix
-from .tensor import block_size, lift
+from .tensor import block_size, by_blocks, lift
 
 TAN_POLE_GUARD = 1e-8
 
@@ -194,12 +194,12 @@ class RMatrixFamily:
     def dim(self) -> int:  # side of the checking space of role_matrices
         return 8 if len(self.evaluators) == 1 else 2
 
-    def role_matrices(self, p: float, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """(R12, R23) at parameter p, lifted to the common checking space (into
-        the pair ``out`` if given); array parameters give stacks."""
+    def role_matrices(self, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """(R12, R23) at parameter p, lifted to the common checking space;
+        array parameters give stacks."""
         if len(self.evaluators) == 1:
-            r, (r12, r23) = self.evaluators[0](p), (None, None) if out is None else out
-            return lift(r, right=2, out=r12), lift(r, left=2, out=r23)
+            r = self.evaluators[0](p)
+            return lift(r, right=2), lift(r, left=2)
         r12, r23 = self.evaluators
         return r12(p), r23(p)
 
@@ -208,21 +208,15 @@ def check_ybe(family: RMatrixFamily, p1: float, p3: float) -> float:
     """Max-abs residual of the Yang-Baxter equation at (p1, middle, p3).
 
     Array parameters give one residual per sample, a block of
-    :func:`~ybekit.tensor.block_size` at a time: one role-matrix call on the
-    block's p1, p2 and p3 (a pole raises for its first offending sample, in
-    that order), lifted into 8x8 stacks zero-filled once, and stacked matmuls
-    bit-equal to the per-sample products."""
-    flat = np.array(np.broadcast_arrays(p1, family.middle(p1, p3), p3)).reshape(3, -1)
-    n = block_size(family.dim)
-    lifted = np.zeros((2, 3, min(n, flat.shape[1]), 8, 8), complex) if family.dim == 8 else None
-    residuals = [_ybe_block(family, flat[:, k:k + n], lifted) for k in range(0, flat.shape[1], n)]
-    return np.concatenate([np.empty(0)] + residuals).reshape(np.broadcast(p1, p3).shape)[()]
+    :func:`~ybekit.tensor.block_size` samples at a time
+    (:func:`~ybekit.tensor.by_blocks`): one role-matrix call on the block's
+    p1, p2 and p3 (a pole raises for its first offending sample, in that
+    order), and stacked matmuls bit-equal to the per-sample products."""
+    def residual(*p):
+        r12, r23 = family.role_matrices(np.array(np.broadcast_arrays(*p)))
+        return np.abs(r12[0] @ r23[1] @ r12[2] - r23[2] @ r12[1] @ r23[0]).max(axis=(-2, -1))
 
-
-def _ybe_block(family: RMatrixFamily, p: np.ndarray, lifted: np.ndarray | None) -> np.ndarray:
-    """Residuals of one block from its stacked (p1, p2, p3) rows ``p``."""
-    r12, r23 = family.role_matrices(p, None if lifted is None else lifted[:, :, :p.shape[1]])
-    return np.abs(r12[0] @ r23[1] @ r12[2] - r23[2] @ r12[1] @ r23[0]).max(axis=(-2, -1))
+    return by_blocks(residual, p1, family.middle(p1, p3), p3, size=block_size(family.dim))[()]
 
 
 def bundled_families() -> dict[str, RMatrixFamily]:

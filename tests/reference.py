@@ -1,18 +1,18 @@
 """Test references of two kinds.
 
 Dense-matrix oracles: independent routes to what the program computes in
-closed form (the rotation exp(-eta n.L), partial traces with eigensolver
-entropies, a Taylor-series matrix exponential, the Pauli matrices and
-basis kets they are built from), which the tests hold the program to
-within a tolerance.  No subcommand reaches them, so they live here and
-not in ``ybekit``.
+closed form (the rotation exp(-eta n.L), the l1-norm of a state's
+amplitudes, partial traces with eigensolver entropies, a Taylor-series
+matrix exponential, the Pauli matrices and basis kets they are built
+from), which the tests hold the program to within a tolerance.  No
+subcommand reaches them, so they live here and not in ``ybekit``.
 
 Byte references: retired implementations that the tests hold their
 replacements to, bit for bit, one per contract (CSV and JSON writers,
 landscape sampling, the coarse scan, the critical-point finder, the
-two-pair fusion states, the verify suites and the 3-tangle of a stack).
-The expensive ones are computed once per session.  Accuracy is held
-against mpmath instead, in ``test_accuracy.py``."""
+two-pair fusion states and the verify suites).  The expensive ones are
+computed once per session.  Accuracy is held against mpmath instead, in
+``test_accuracy.py``."""
 
 import functools
 import json
@@ -152,6 +152,12 @@ def von_neumann_entropy(psi: np.ndarray, keep: list[int]) -> float:
         if lam > 1e-15:
             out -= lam * math.log2(lam)
     return out
+
+
+def l1_norm(psi: np.ndarray) -> float | np.ndarray:
+    """Sum of amplitude moduli; one per state of a stack along the last
+    axis: the state route to :func:`ybekit.entanglement.three_body_l1`."""
+    return np.sum(np.abs(np.asarray(psi, dtype=complex)), axis=-1)
 
 
 def wigner_l1(d_matrix: np.ndarray) -> float | np.ndarray:
@@ -438,25 +444,6 @@ def scalar_random_triple(rng):
     t1, t3 = rng.uniform(-1.3, 1.3, size=2)
     t1, t3 = float(t1), float(t3)
     return t1, math.atan2(math.sin(t1 + t3), math.cos(t1 - t3)), t3
-
-
-def three_tangle_by_coordinates(psi):
-    """The hyperdeterminant of a (..., 8) stack written out on c[i, j, k]
-    views, as it ran before the index tables: the byte reference of
-    :func:`ybekit.entanglement.three_tangle`."""
-    psi = np.asarray(psi, dtype=complex)
-    c = psi.reshape(-1, 2, 2, 2).transpose(1, 2, 3, 0)  # c[i, j, k, state]
-    d1 = (c[0, 0, 0] ** 2 * c[1, 1, 1] ** 2 + c[0, 0, 1] ** 2 * c[1, 1, 0] ** 2
-          + c[0, 1, 0] ** 2 * c[1, 0, 1] ** 2 + c[1, 0, 0] ** 2 * c[0, 1, 1] ** 2)
-    d2 = (c[0, 0, 0] * c[1, 1, 1] * c[0, 1, 1] * c[1, 0, 0]
-          + c[0, 0, 0] * c[1, 1, 1] * c[1, 0, 1] * c[0, 1, 0]
-          + c[0, 0, 0] * c[1, 1, 1] * c[1, 1, 0] * c[0, 0, 1]
-          + c[0, 1, 1] * c[1, 0, 0] * c[1, 0, 1] * c[0, 1, 0]
-          + c[0, 1, 1] * c[1, 0, 0] * c[1, 1, 0] * c[0, 0, 1]
-          + c[1, 0, 1] * c[0, 1, 0] * c[1, 1, 0] * c[0, 0, 1])
-    d3 = (c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
-          + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0])
-    return (4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)).reshape(psi.shape[:-1])[()]
 
 
 def scalar_max_diff_up_to_phase(a, b):

@@ -21,8 +21,10 @@ from mpmath import atan2, cos, log, log1p, mpc, mpf, pi, sin, sqrt
 from ybekit.entanglement import (binary_entropy, entanglement_report, fusion_entropy, fusion_l1,
                                  three_body_l1, three_tangle)
 from ybekit.landscape import get_function
-from ybekit.threebody import (RANDOM_SPAN, ScatterParams, angles_to_params, constrained_triple,
-                              state_from_params)
+from ybekit.threebody import (BETA_STAR, RANDOM_SPAN, ScatterParams, angles_to_params,
+                              constrained_triple, state_from_params)
+
+from reference import ket
 
 mpmath.mp.dps = 40
 RNG = np.random.default_rng(2024)
@@ -84,6 +86,17 @@ _wide, _z = np.random.default_rng(12), RNG.normal(size=(150, 8)) + 1j * RNG.norm
 STATES = np.concatenate([state_from_params(ScatterParams(_wide.uniform(-7.0, 7.0, 400),
                                                          _wide.uniform(-3.2, 3.2, 400))),
                          _z / np.linalg.norm(_z, axis=1, keepdims=True)])
+_r11 = np.random.default_rng(11)  # test_entanglement's random stack
+_z11 = _r11.standard_normal((400, 8)) + 1j * _r11.standard_normal((400, 8))
+# three_tangle's inputs: stacks of 550, 20x20 and 3 states, then single
+# states: GHZ, W, a product state and the GHZ and W points
+TANGLE_INPUTS = [STATES, (_z11 / np.linalg.norm(_z11, axis=1, keepdims=True)).reshape(20, 20, 8),
+                 state_from_params(ScatterParams(np.array([np.pi / 3, np.pi / 2, 0.0]),
+                                                 np.full(3, BETA_STAR))),
+                 (ket("000") + ket("111")) / math.sqrt(2.0),
+                 (ket("001") + ket("010") + ket("100")) / math.sqrt(3.0), ket("010"),
+                 state_from_params(ScatterParams(np.pi / 3, BETA_STAR)),
+                 state_from_params(ScatterParams(np.pi / 2, BETA_STAR))]
 THETAS = np.concatenate([RNG.uniform(0.0, math.pi / 2, 300), near([0.0, math.pi / 2], 150)])
 WIGNER_THETAS = np.concatenate([THETAS, RNG.uniform(-10.0, 10.0, 300), RNG.uniform(-1e6, 1e6, 100),
                                 [0.0, -0.0, math.pi / 4, -math.pi / 2, 1e15, -1e15, 5e-324]])
@@ -113,7 +126,9 @@ BUDGETS = {
     "l1_Sprime": (3, "ulp", lambda: fusion_l1(PARAMS), l1, (PARAMS.eta, PARAMS.beta)),  # 2.16
     "l1_wigner": (2, "ulp", lambda: get_function("l1_wigner")(WIGNER_THETAS),  # 0.98
                   lambda t: [abs(cos(t)) + abs(sin(t))], (WIGNER_THETAS,)),
-    "three_tangle": (2, "eps", lambda: three_tangle(STATES), tangle, STATES.T),  # 1.03
+    "three_tangle": (2, "eps",  # 1.03
+                     lambda: np.concatenate([np.ravel(three_tangle(s)) for s in TANGLE_INPUTS]),
+                     tangle, np.concatenate([s.reshape(-1, 8) for s in TANGLE_INPUTS]).T),
     "binary_entropy": (3, "ulp", lambda: binary_entropy(P_SMALL),  # 1.47
                        lambda p: [entropy(mpf(p))], (P_SMALL,)),
     "vn_Sprime": (4, "ulp", lambda: fusion_entropy(ENTROPY_PARAMS),  # 3.27

@@ -1,15 +1,16 @@
 """Block-drawn residual suites against the per-sample code.
 
 The suites draw each family's samples in one ``rng.uniform`` call (plus one
-per Galilean redraw) and check them one block at a time, each block's
-matrix stack bounded by ``tensor.STACK_BYTES``: kron-free lifts, one
-builder call for all three parameters, the three-body parameters and the
-phase alignment as arrays.  Every drawn sample and the final generator
-state must be those of one draw per sample (``reference.py``); each YBE
-residual must be bit-equal to the per-sample matrix code, and each
-reduction residual to the reduction of its triple alone, with float
-angles.  Every gate must still fail closed when a single sample of a block
-trips it, and each random suite's traced peak must stay under 1 MiB.
+per Galilean redraw) and check them one block at a time through
+``tensor.by_blocks``, each block's matrix stack bounded by
+``tensor.STACK_BYTES``: kron-free lifts, one builder call for all three
+parameters, the three-body parameters and the phase alignment as arrays.
+Every drawn sample and the final generator state must be those of one
+draw per sample (``reference.py``); each YBE residual must be bit-equal to
+the per-sample matrix code, and each reduction residual to the reduction
+of its triple alone, with float angles.  Every gate must still fail closed
+when a single sample of a block trips it, and each random suite's traced
+peak must stay under 1 MiB.
 
 Each reference loop runs once per (family, seed) at the largest count; a
 smaller count draws a prefix of the same stream, so it is compared with a

@@ -13,7 +13,6 @@ from ybekit.entanglement import (
     entanglement_report,
     fusion_entropy,
     fusion_l1,
-    l1_norm,
     three_body_l1,
     three_tangle,
 )
@@ -21,8 +20,7 @@ from ybekit.rmatrix import type2_r_4x4, wigner_d_half
 from ybekit.tensor import kron
 from ybekit.threebody import BETA_STAR, ScatterParams, fusion_form, state_from_params
 
-from reference import (classify_slocc, ket, three_tangle_by_coordinates, von_neumann_entropy,
-                       wigner_l1)
+from reference import classify_slocc, ket, l1_norm, von_neumann_entropy, wigner_l1
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
@@ -300,11 +298,14 @@ def test_three_tangle_requires_three_qubits():
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_three_tangle_range_on_random_states(seed):
+    """A stack gives one value per state, and one state an np.float64."""
     rng = np.random.default_rng(seed)
-    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    psi /= np.linalg.norm(psi)
+    psi = rng.standard_normal((2, 3, 8)) + 1j * rng.standard_normal((2, 3, 8))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     tau = three_tangle(psi)
-    assert -1e-9 <= tau <= 1.0 + 1e-9
+    assert tau.shape == (2, 3)
+    assert np.all((-1e-9 <= tau) & (tau <= 1.0 + 1e-9))
+    assert type(three_tangle(psi[1, 2])) is np.float64
 
 
 def test_classify_ghz_and_w():
@@ -320,9 +321,9 @@ def test_classify_biseparable_and_product():
 
 def test_entanglement_report_fields():
     report = entanglement_report(state_from_params(GHZ_PARAMS))
-    assert abs(report.l1 - 2.0) < 1e-12
     assert report.slocc_class == GHZ_CLASS
     assert set(report.vn_entropies) == {0, 1, 2}
+    assert all(abs(s - 1.0) < 1e-12 for s in report.vn_entropies.values())
     assert abs(report.three_tangle - 1.0) < 1e-9
 
 
@@ -366,11 +367,11 @@ STACKS = {"random": _random_states(11, 400), "scattering": _scattering_states(12
 def test_stacked_report_gives_each_state_the_bits_of_its_own_call(kind):
     stack = STACKS[kind].reshape(20, 20, 8)
     report = entanglement_report(stack)
-    assert report.l1.shape == report.three_tangle.shape == report.slocc_class.shape == (20, 20)
+    assert report.vn_entropies[0].shape == report.three_tangle.shape \
+        == report.slocc_class.shape == (20, 20)
     assert sorted(report.vn_entropies) == [0, 1, 2]
     for index in np.ndindex(20, 20):
         one = entanglement_report(stack[index])
-        assert report.l1[index] == one.l1
         assert report.three_tangle[index] == one.three_tangle
         assert report.slocc_class[index] == one.slocc_class
         assert [report.vn_entropies[k][index] for k in range(3)] \
@@ -381,7 +382,8 @@ def test_stacked_report_gives_each_state_the_bits_of_its_own_call(kind):
 
 def test_report_of_an_empty_stack_is_empty():
     report = entanglement_report(np.zeros((0, 8), dtype=complex))
-    assert report.slocc_class.shape == report.l1.shape == report.vn_entropies[2].shape == (0,)
+    assert report.slocc_class.shape == report.three_tangle.shape \
+        == report.vn_entropies[2].shape == (0,)
 
 
 @pytest.mark.parametrize("kind", STACKS)
@@ -393,38 +395,6 @@ def test_cut_entropies_agree_with_the_dense_oracle(kind):
     for n, psi in enumerate(stack):
         for k in range(3):
             assert abs(entropies[k][n] - von_neumann_entropy(psi, [k])) <= 1e-14
-
-
-TANGLE_STATES = {
-    **STACKS,
-    "random-3d": STACKS["random"].reshape(20, 20, 8),
-    "scattering-at-points": state_from_params(ScatterParams(np.array([np.pi / 3, np.pi / 2, 0.0]),
-                                                            np.full(3, BETA_STAR))),
-}
-SINGLE_STATES = {
-    "ghz": (ket("000") + ket("111")) / math.sqrt(2.0),
-    "w": (ket("001") + ket("010") + ket("100")) / math.sqrt(3.0),
-    "product": ket("010"),
-    "ghz-point": state_from_params(GHZ_PARAMS),
-    "w-point": state_from_params(W_PARAMS),
-    **{f"random-{n}": psi for n, psi in enumerate(STACKS["random"][:40])},
-    **{f"scattering-{n}": psi for n, psi in enumerate(STACKS["scattering"][:40])},
-}
-
-
-@pytest.mark.parametrize("kind", TANGLE_STATES)
-def test_three_tangle_of_a_stack_has_the_bits_of_the_coordinate_form(kind):
-    stack = TANGLE_STATES[kind]
-    tau = three_tangle(stack)
-    assert tau.shape == stack.shape[:-1]
-    assert tau.tobytes() == three_tangle_by_coordinates(stack).tobytes()
-
-
-def test_three_tangle_of_one_state_has_the_bits_of_the_coordinate_form():
-    for name, psi in SINGLE_STATES.items():
-        tau, expected = three_tangle(psi), three_tangle_by_coordinates(psi)
-        assert type(tau) is type(expected) is np.float64, name
-        assert tau.tobytes() == expected.tobytes(), name
 
 
 @pytest.mark.parametrize("bad", [np.full(8, np.nan, dtype=complex), 2.0 * ket("000"),

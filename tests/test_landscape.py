@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from ybekit import landscape
-from ybekit.entanglement import binary_entropy, l1_norm
+from ybekit.entanglement import binary_entropy
 from ybekit.landscape import (
     FUNCTIONS,
     AxisSpec,
@@ -17,28 +17,28 @@ from ybekit.landscape import (
     LOCAL_MIN,
     PLATEAU_TOL,
     SADDLE,
-    STRIP,
     _dedupe,
     _scan,
     _shrink_bracket,
-    by_strips,
     find_critical_points,
     get_function,
     sample,
 )
 from ybekit.rmatrix import type2_r_4x4, wigner_d_half
+from ybekit.tensor import STACK_BYTES, block_size, by_blocks
 from ybekit.threebody import BETA_STAR, ScatterParams
 
 from conftest import finder_axes
 from reference import (_dedupe_quadratic, _meshgrid_reference, _points_loop,
                        _sample_curve_reference, _scan_1d_loop, _scan_2d_loop,
-                       _section_reference, _shrink_bracket_loop, closed_form, ket,
+                       _section_reference, _shrink_bracket_loop, closed_form, ket, l1_norm,
                        von_neumann_entropy, wigner_l1)
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
 
 TWO_PI = 2 * math.pi
+BLOCK = STACK_BYTES // 8  # values per block of a sampled mesh
 
 
 def _closest(points, target):
@@ -131,10 +131,10 @@ def test_sample_is_bit_equal_to_the_retired_curve_sampler(tag, start, width, n):
     assert values.tobytes() == _sample_curve_reference(tag, axis).tobytes()
 
 
-@pytest.mark.parametrize("n", [STRIP + 1, 3 * STRIP + 5])
+@pytest.mark.parametrize("n", [BLOCK + 1, 3 * BLOCK + 5])
 @pytest.mark.parametrize("tag", list(FUNCTIONS))
 def test_sections_and_curves_of_several_strips_keep_their_bits(tag, n):
-    """A curve, or a section along either axis, of more points than a strip
+    """A curve, or a section along either axis, of more points than a block
     has the bits of one call of the function over all its points."""
     if FUNCTIONS[tag].arity == 1:
         axis = AxisSpec("theta", -0.0, 7.0, n)
@@ -150,8 +150,8 @@ def test_sections_and_curves_of_several_strips_keep_their_bits(tag, n):
 @pytest.mark.parametrize("tag", list(FUNCTIONS))
 def test_sample_calls_a_function_on_a_strip_at_a_time(tag, monkeypatch):
     """Whatever its measure, a registered function is called on at most
-    STRIP values at a time: a 400x400 surface, a section along the second
-    axis and a curve, each of several strips, are covered once."""
+    BLOCK values at a time: a 400x400 surface, a section along the second
+    axis and a curve, each of several blocks, are covered once."""
     spec, sizes = FUNCTIONS[tag], []
 
     def counted(*coords):
@@ -160,40 +160,69 @@ def test_sample_calls_a_function_on_a_strip_at_a_time(tag, monkeypatch):
 
     monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(spec, fn=counted, params=None))
     if spec.arity == 1:
-        meshes = [[AxisSpec("theta", 0.0, 1.0, 3 * STRIP + 5)]]
+        meshes = [[AxisSpec("theta", 0.0, 1.0, 3 * BLOCK + 5)]]
     else:
         meshes = [[AxisSpec("eta", 0.0, 1.0, 400), AxisSpec("beta", 0.0, 1.0, 400)],
-                  [AxisSpec("eta", 0.5, 0.5, 1), AxisSpec("beta", 0.0, 1.0, 3 * STRIP + 5)]]
+                  [AxisSpec("eta", 0.5, 0.5, 1), AxisSpec("beta", 0.0, 1.0, 3 * BLOCK + 5)]]
     for axes in meshes:
         sizes.clear()
         values = sample(tag, axes)
-        assert sum(sizes) == values.size and max(sizes) <= STRIP, sizes
+        assert sum(sizes) == values.size and max(sizes) <= BLOCK, sizes
 
 
-@pytest.mark.parametrize("shapes", [
-    [(301, 1), (1, 283)],  # a surface: strips of rows
-    [(1, 3 * STRIP + 1), ()],  # a section along the second axis, times a float
-    [(1, 5, 3000), (5, 1)],  # the first axis longer than 1 is the second
-    [(STRIP + 1,), (STRIP + 1,)],  # a curve
-    [(40, 1), (1, 50)],  # one strip
-], ids=str)
-def test_strips_cover_the_mesh_a_bounded_piece_at_a_time(shapes):
-    """The strips cover the broadcast mesh once, none of them more than
-    STRIP values and all but the last more than half that, and give the
-    bits of one call over the mesh."""
+def _meshes(n):
+    """Factor shapes of meshes cut into blocks of at most ``n`` elements."""
+    return [
+        [(37, 1), (1, n // 5)],  # a surface: blocks of rows
+        [(1, 3 * n + 1), ()],  # a section along the second axis, times a float
+        [(1, 5, n // 3), (5, 1)],  # the first axis longer than 1 is the second
+        [(n + 1,), (n + 1,)],  # a curve
+        [(n // 16, 1), (1, 8)],  # one block
+        [(0, 3), ()],  # an empty mesh, one call
+        [(3, 1, 1), (1, 2, 2 * n + 7)],  # rows of rows longer than a block
+    ]
+
+
+# (size, whether the kernel appends a (2, 2) axis, the factor shapes): the
+# landscape blocks with plain values, then both kernels at each block size
+BLOCK_CASES = [
+    *(pytest.param(BLOCK, False, shapes, id=str(shapes)) for shapes in [
+        [(301, 1), (1, 283)],
+        [(1, 3 * BLOCK + 1), ()],
+        [(1, 5, 3000), (5, 1)],
+        [(BLOCK + 1,), (BLOCK + 1,)],
+        [(40, 1), (1, 50)],
+    ]),
+    *(pytest.param(size, trailing, shapes, id=f"{size}-{'2x2-' * trailing}{shapes}")
+      for size in (BLOCK, block_size(2), block_size(8)) for trailing in (False, True)
+      for shapes in _meshes(size) if size != BLOCK or trailing),
+]
+
+
+@pytest.mark.parametrize("size, trailing, shapes", BLOCK_CASES)
+def test_strips_cover_the_mesh_a_bounded_piece_at_a_time(size, trailing, shapes):
+    """The blocks cover the broadcast mesh once, none of them more than
+    ``size`` elements, and give the bits of one call over the mesh, with
+    any trailing axes the kernel appends to each element.  No two
+    consecutive blocks would fit in one, and where one index of the first
+    axis longer than 1 fits in a block, all but the last block hold more
+    than half of ``size``."""
     rng = np.random.default_rng(33)
     x, y = (rng.uniform(-2.0, 2.0, shape)[()] for shape in shapes)
     sizes = []
 
     def kernel(a, b):
         sizes.append(np.broadcast(a, b).size)
-        return a * b - a
+        v = a * b - a
+        return np.stack([v, v + b, -v, a - v], -1).reshape(v.shape + (2, 2)) if trailing else v
 
-    value = by_strips(kernel, x, y)
-    expected = x * y - x
-    assert value.shape == expected.shape and value.tobytes() == expected.tobytes()
-    assert sum(sizes) == value.size and max(sizes) <= STRIP
-    assert all(size > STRIP // 2 for size in sizes[:-1])  # no needless calls
+    value = by_blocks(kernel, x, y, size=size)
+    pieces, whole, mesh = sizes[:], kernel(x, y), np.broadcast(x, y)
+    assert value.shape == whole.shape and value.tobytes() == whole.tobytes()
+    assert sum(pieces) == mesh.size and max(pieces) <= size
+    assert all(a + b > size for a, b in zip(pieces, pieces[1:]))  # no needless calls
+    if mesh.size // next((n for n in mesh.shape if n > 1), 1) <= size:
+        assert all(piece > size / 2 for piece in pieces[:-1])
 
 
 @pytest.mark.parametrize("tag, names", [
@@ -231,7 +260,7 @@ def test_sample_rejects_non_finite_values(tag, axes, monkeypatch):
 @pytest.mark.parametrize("tag", ["l1_Sprime", "vn_Sprime"])
 def test_fusion_kernels_hold_a_few_mesh_arrays_not_the_matrix_stack(tag):
     """A 400x400 grid (1.2 MiB per float array) is sampled with a traced
-    peak below 2.25 MiB, its values and 1 MiB of strips: the kernels build
+    peak below 2.25 MiB, its values and 1 MiB of blocks: the kernels build
     no (2, 2, 400, 400) complex stack, whose 10 MiB and temporaries peaked
     near 20 MiB, and no grid-sized temporaries, with which l1_Sprime
     peaked at 3.7 MiB and vn_Sprime at 9.9 MiB."""
@@ -248,7 +277,7 @@ def test_fusion_kernels_hold_a_few_mesh_arrays_not_the_matrix_stack(tag):
 
 def test_finder_holds_its_coarse_grid_and_a_few_strips():
     """The l1_S3 finder at the default coarse 400 peaks below 2.75 MiB
-    traced: its 1.2 MiB coarse grid, a few strips of the kernel and of the
+    traced: its 1.2 MiB coarse grid, a few blocks of the kernel and of the
     scan, and the candidates.  With grid-sized temporaries in the kernel and
     the scan it peaked at 5.4 MiB."""
     axes = finder_axes("l1_S3", 400)
