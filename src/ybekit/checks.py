@@ -36,7 +36,7 @@ from .braiding import (
 from .fusionbasis import (
     fusion_basis_type1, fusion_basis_type2, reduce_operator, reduce_three_body,
 )
-from .rmatrix import RMatrixFamily, bundled_families, check_ybe
+from .rmatrix import RMatrixFamily, bundled_families, check_ybe, galilean
 from .tensor import norm_inf
 from .threebody import AngleTriple, random_constrained_triple
 
@@ -108,11 +108,11 @@ def _ybe_pairs(family: RMatrixFamily, rng: np.random.Generator, samples: int):
     """(p1, p3) arrays of ``samples`` admissible pairs from one ``rng.uniform``
     call, plus one per redraw of Galilean pairs within 0.05 of the pole
     ``(p1 + p3)^2 = 1``: the pairs and generator state of one draw per pair."""
-    low, high = (-0.9, 0.9) if family.additivity == "galilean" else (0.01, 1.55)
+    low, high = (-0.9, 0.9) if family.rule is galilean else (0.01, 1.55)
     pairs = np.empty((0, 2))
     while short := samples - len(pairs):
         drawn = rng.uniform(low, high, size=(short, 2))
-        if family.additivity == "galilean":
+        if family.rule is galilean:
             drawn = drawn[~(np.abs(1.0 - np.square(drawn[:, 0] + drawn[:, 1])) < 0.05)]
         pairs = np.concatenate([pairs, drawn])
     return pairs[:, 0], pairs[:, 1]

@@ -328,10 +328,13 @@ def cells(values: np.ndarray, shortest: bool = False) -> np.ndarray:
 def mesh_blocks(values: np.ndarray, axes: Sequence[np.ndarray], ends: bytes,
                 shortest: bool = False) -> Iterator[bytearray]:
     """The ASCII rows of ``values`` sampled on the ``ij`` mesh of ``axes``
-    (zero, one or two arrays of points), :data:`BLOCK` rows at a time: row
-    i holds the cells of the coordinates of the i-th value in flat order,
-    then the cell of the value, each followed by its byte of ``ends``.  All
-    axis points are rendered in one call, and each block of values in one."""
+    (zero, one or two arrays of points; more raise ``ValueError``),
+    :data:`BLOCK` rows at a time: row i holds the cells of the coordinates
+    of the i-th value in flat order, then the cell of the value, each
+    followed by its byte of ``ends``.  All axis points are rendered in one
+    call, and each block of values in one."""
+    if len(axes) > 2:
+        raise ValueError(f"mesh_blocks writes zero, one or two axes, got {len(axes)}")
     flat = values.reshape(-1)
     if axes:
         points = _items(cells(np.concatenate(axes), shortest))

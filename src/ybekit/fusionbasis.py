@@ -160,9 +160,10 @@ def reduce_three_body(triple: AngleTriple, constraint_tol: float = DEFAULT_CONST
     qubits and reduced on the type-II fusion basis; :func:`fusion_form` at
     the parameters of the triple; those parameters; and the residual
     between the two matrices.  Array angles give a (..., 2, 2) stack of
-    each matrix and one residual per triple; the 8x8 products are made and
-    reduced a block of ``block_size(8)`` triples at a time
-    (:func:`~ybekit.tensor.by_blocks`), the rest in one pass.  Raises
+    each matrix and one residual per triple.  Only the 8x8 products are
+    made and reduced a block of ``block_size(8)`` triples at a time
+    (:func:`~ybekit.tensor.by_blocks`); the rest takes all triples at once,
+    so the peak grows at about 2.5 times the returned data.  Raises
     :class:`ConstraintViolation` for a triple off the constraint line by
     more than ``constraint_tol``, before any product is built.
 
@@ -174,6 +175,5 @@ def reduce_three_body(triple: AngleTriple, constraint_tol: float = DEFAULT_CONST
     reduced = by_blocks(lambda *t: reduce_operator(lift(product_form(AngleTriple(*t)), right=2),
                                                    fusion_basis_type2()),
                         triple.t1, triple.t2, triple.t3, size=block_size(8))
-    # fusion_form stacks its matrices over the trailing axes
-    closed = np.moveaxis(fusion_form(params), (0, 1), (-2, -1))
+    closed = fusion_form(params)
     return reduced, closed, params, max_diff_up_to_phase(reduced, closed.conj())

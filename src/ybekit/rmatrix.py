@@ -6,9 +6,10 @@ The equation checked throughout is
 
 with the middle parameter fixed by the family's additivity rule:
 
-* galilean:   p2 = p1 + p3 (rational families; for angle-parametrized
+* :func:`galilean`:   p2 = p1 + p3 (rational families; for angle-parametrized
   members this is tan(t2) = tan(t1) + tan(t3))
-* lorentzian: tan(t2) = (tan(t1) + tan(t3)) / (1 + tan(t1) tan(t3))
+* :func:`lorentzian`: tan(t2) = (tan(t1) + tan(t3)) / (1 + tan(t1) tan(t3)),
+  as t2 = arctan2(sin(t1 + t3), cos(t1 - t3)), which has no pole
 
 Four families are bundled: the rational type-I solution and the
 trigonometric type-II solution, each in its 4x4 two-qubit form and in its
@@ -26,21 +27,11 @@ from typing import Callable
 import numpy as np
 
 from .braiding import permutation_matrix
-from .tensor import block_size, by_blocks, lift
+from .tensor import block_size, by_blocks, lift, stack
 
 TAN_POLE_GUARD = 1e-8
 
 V_MATRIX = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
-
-
-def _stack(rows) -> np.ndarray:
-    """Complex (..., d, d) stack from d rows of d broadcastable entries."""
-    d = len(rows)
-    entries = [e for row in rows for e in row]
-    out = np.empty(np.broadcast(*entries).shape + (d * d,), dtype=complex)
-    for k, e in enumerate(entries):
-        out[..., k] = e
-    return out.reshape(out.shape[:-1] + (d, d))
 
 
 def _type1_scale(mu) -> np.ndarray:
@@ -59,7 +50,7 @@ def type2_r_4x4(theta: float) -> np.ndarray:
     builder here, array parameters give a (..., 4, 4) stack.
     """
     c, s = np.cos(theta), np.sin(theta)
-    return _stack([
+    return stack([
         [c, 0, 0, s],
         [0, c, s, 0],
         [0, -s, c, 0],
@@ -75,33 +66,31 @@ def type1_r_4x4(mu: float) -> np.ndarray:
 
 def type1_r1_2x2(mu: float) -> np.ndarray:
     """Diagonal member of the rational 2x2 pair."""
-    return _stack([[1.0 - mu, 0], [0, 1.0 + mu]]) / _type1_scale(mu)
+    return stack([[1.0 - mu, 0], [0, 1.0 + mu]]) / _type1_scale(mu)
 
 
 def type1_r2_2x2(mu: float) -> np.ndarray:
     """Mixing member of the rational 2x2 pair."""
-    return _stack(
+    return stack(
         [[2 + mu, -np.sqrt(3) * mu], [-np.sqrt(3) * mu, 2 - mu]]
     ) / (2 * _type1_scale(mu))
 
 
 def type2_r1_2x2(theta: float) -> np.ndarray:
     """Diagonal member of the trigonometric 2x2 pair (full-angle convention)."""
-    return _stack([[np.exp(1j * theta), 0], [0, np.exp(-1j * theta)]])
+    return stack([[np.exp(1j * theta), 0], [0, np.exp(-1j * theta)]])
 
 
 def type2_r2_2x2(theta: float) -> np.ndarray:
     """Mixing member of the trigonometric 2x2 pair (full-angle convention)."""
     c, s = np.cos(theta), np.sin(theta)
-    return _stack([[c, 1j * s], [1j * s, c]])
+    return stack([[c, 1j * s], [1j * s, c]])
 
 
 def wigner_d_half(theta: float, phi: float) -> np.ndarray:
     """Spin-1/2 rotation matrix [[cos, -sin e^{-i phi}], [sin e^{i phi}, cos]]."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array(
-        [[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]], dtype=complex
-    )
+    return stack([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]])
 
 
 def conjugate_by_v(m: np.ndarray) -> np.ndarray:
@@ -161,11 +150,14 @@ def phi_from_three_thetas(theta1: float, theta2: float, theta3: float) -> float:
 # families and the YBE checker
 # ---------------------------------------------------------------------------
 
-def _lorentzian_middle(p1, p3):
-    for p in (p1, p3):
-        pole = np.abs(np.cos(p)) < TAN_POLE_GUARD
-        if np.any(pole):
-            raise ValueError(f"angle {np.extract(pole, p)[0]} too close to a tangent pole")
+def galilean(p1, p3):
+    """Galilean middle parameter p1 + p3, elementwise over arrays."""
+    return p1 + p3
+
+
+def lorentzian(p1, p3):
+    """Lorentzian middle angle, that of (cos(p1 - p3), sin(p1 + p3)), elementwise
+    with no pole; also the three-body constraint line's middle angle."""
     return np.arctan2(np.sin(p1 + p3), np.cos(p1 - p3))
 
 
@@ -173,22 +165,13 @@ def _lorentzian_middle(p1, p3):
 class RMatrixFamily:
     """A parametrized Yang-Baxter solution with its additivity rule.
 
-    ``evaluators`` holds one function for 4x4 families (both roles are the
-    same matrix, embedded on neighboring qubit pairs) or two functions for
-    2x2 families (diagonal role, mixing role).
+    ``rule`` is :func:`galilean` or :func:`lorentzian`.  ``evaluators`` holds
+    one function for 4x4 families (both roles are the same matrix, embedded
+    on neighboring qubit pairs) or two for 2x2 families (diagonal, mixing).
     """
 
-    additivity: str
+    rule: Callable[[float, float], float]
     evaluators: tuple[Callable[[float], np.ndarray], ...]
-
-    def middle(self, p1: float, p3: float) -> float:
-        """Middle parameter from the additivity rule, elementwise over arrays;
-        raises if any sample is near a tan pole."""
-        if self.additivity == "galilean":
-            return p1 + p3
-        if self.additivity == "lorentzian":
-            return _lorentzian_middle(p1, p3)
-        raise ValueError(f"unknown additivity rule {self.additivity!r}")
 
     @property
     def dim(self) -> int:  # side of the checking space of role_matrices
@@ -210,20 +193,20 @@ def check_ybe(family: RMatrixFamily, p1: float, p3: float) -> float:
     Array parameters give one residual per sample, a block of
     :func:`~ybekit.tensor.block_size` samples at a time
     (:func:`~ybekit.tensor.by_blocks`): one role-matrix call on the block's
-    p1, p2 and p3 (a pole raises for its first offending sample, in that
-    order), and stacked matmuls bit-equal to the per-sample products."""
+    p1, p2 and p3 (a type-I pole raises at its first sample, in that order),
+    and stacked matmuls bit-equal to the per-sample products."""
     def residual(*p):
         r12, r23 = family.role_matrices(np.array(np.broadcast_arrays(*p)))
         return np.abs(r12[0] @ r23[1] @ r12[2] - r23[2] @ r12[1] @ r23[0]).max(axis=(-2, -1))
 
-    return by_blocks(residual, p1, family.middle(p1, p3), p3, size=block_size(family.dim))[()]
+    return by_blocks(residual, p1, family.rule(p1, p3), p3, size=block_size(family.dim))[()]
 
 
 def bundled_families() -> dict[str, RMatrixFamily]:
     """The four solution families shipped with the package, by name."""
     return {
-        "type1_4x4": RMatrixFamily("galilean", (type1_r_4x4,)),
-        "type2_4x4": RMatrixFamily("lorentzian", (type2_r_4x4,)),
-        "type1_2x2": RMatrixFamily("galilean", (type1_r1_2x2, type1_r2_2x2)),
-        "type2_2x2": RMatrixFamily("lorentzian", (type2_r1_2x2, type2_r2_2x2)),
+        "type1_4x4": RMatrixFamily(galilean, (type1_r_4x4,)),
+        "type2_4x4": RMatrixFamily(lorentzian, (type2_r_4x4,)),
+        "type1_2x2": RMatrixFamily(galilean, (type1_r1_2x2, type1_r2_2x2)),
+        "type2_2x2": RMatrixFamily(lorentzian, (type2_r1_2x2, type2_r2_2x2)),
     }

@@ -8,7 +8,7 @@ kets and the dense oracles built on them (matrix exponentials, partial
 traces) live with the tests, in ``tests/reference.py``.
 
 Every stacked evaluation of the package, a landscape over its mesh, the
-Yang-Baxter residuals and the three-body reduction, runs through
+Yang-Baxter residuals and the three-body products, runs through
 :func:`by_blocks` in one working-set budget, :data:`STACK_BYTES`.
 """
 
@@ -60,6 +60,16 @@ def by_blocks(kernel: Callable[..., np.ndarray], *factors, size: int = STACK_BYT
             out = np.empty(mesh.shape + part.shape[mesh.nd:], dtype=part.dtype)
         out[(slice(None),) * axis + (rows,)] = part
     return out
+
+
+def stack(rows) -> np.ndarray:
+    """Complex (..., d, d) stack from d rows of d broadcastable entries."""
+    d = len(rows)
+    entries = [e for row in rows for e in row]
+    out = np.empty(np.broadcast(*entries).shape + (d * d,), dtype=complex)
+    for k, e in enumerate(entries):
+        out[..., k] = e
+    return out.reshape(out.shape[:-1] + (d, d))
 
 
 # Kept for perfbench/tracing.py, which counts kron calls by name and fails without it.

@@ -4,9 +4,11 @@ The 8x8 matrix is the product R12(t1) R23(t2) R12(t3) of the trigonometric
 4x4 solution (:func:`product_form`), with the angle triple on
 the constraint line
 
-    sin(t2) cos(t1 - t3) = cos(t2) sin(t1 + t3)
+    sin(t2) cos(t1 - t3) = cos(t2) sin(t1 + t3),
 
-Two parameters (eta, beta) remain, recovered from a constrained triple by
+the Lorentzian rule of the type-II Yang-Baxter solution, whose middle angle
+is :func:`ybekit.rmatrix.lorentzian`.  Two parameters (eta, beta) remain,
+recovered from a constrained triple by
 
     cos(eta) = cos(t2) cos(t1 + t3)
     sin(eta) = sin(t2) sqrt(1 + cos^2(t1 - t3))
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rmatrix import type2_r_4x4
-from .tensor import lift
+from .rmatrix import lorentzian, type2_r_4x4
+from .tensor import lift, stack
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,9 +110,9 @@ class AngleTriple:
 
 
 def constrained_triple(t1: float, t3: float) -> AngleTriple:
-    """Complete (t1, t3) with the middle angle solving the constraint;
-    elementwise over array angles."""
-    return AngleTriple(t1, np.arctan2(np.sin(t1 + t3), np.cos(t1 - t3)), t3)
+    """Complete (t1, t3) with the middle angle of the constraint line,
+    :func:`~ybekit.rmatrix.lorentzian`; elementwise over array angles."""
+    return AngleTriple(t1, lorentzian(t1, t3), t3)
 
 
 def random_constrained_triple(rng: np.random.Generator, size: int) -> AngleTriple:
@@ -172,10 +174,10 @@ def fusion_form(params: ScatterParams) -> np.ndarray:
     [[cos(eta) + i cos(beta) sin(eta)/sqrt2,  (i cos(beta)/sqrt2 + sin(beta)) sin(eta)],
      [(i cos(beta)/sqrt2 - sin(beta)) sin(eta),  cos(eta) - i cos(beta) sin(eta)/sqrt2]]
 
-    Unitary for all parameters.  Array parameters give a stack of shape
-    (2, 2, ...), one matrix per trailing index.
+    Unitary for all parameters.  Like every matrix builder here, array
+    parameters give a (..., 2, 2) stack.
     """
     ce, se = np.cos(params.eta), np.sin(params.eta)
     c, sb = np.cos(params.beta) / math.sqrt(2.0), np.sin(params.beta)
-    return np.array([[ce + 1j * c * se, (sb + 1j * c) * se],
-                     [(1j * c - sb) * se, ce - 1j * c * se]], dtype=complex)
+    return stack([[ce + 1j * c * se, (sb + 1j * c) * se],
+                  [(1j * c - sb) * se, ce - 1j * c * se]])

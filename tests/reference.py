@@ -22,14 +22,12 @@ import numpy as np
 
 from ybekit import __version__
 from ybekit.entanglement import CLASS_TOL, entanglement_report
-from ybekit.fusionbasis import (fusion_basis_type2, phased_antiparallel_state, reduce_operator,
-                                reduce_three_body)
+from ybekit.fusionbasis import phased_antiparallel_state, reduce_three_body
 from ybekit.landscape import (LOCAL_MAX, LOCAL_MIN, PLATEAU_TOL, CriticalPoint, _classify,
                               _scan, get_function, sample)
-from ybekit.rmatrix import bundled_families, type2_r_4x4
-from ybekit.tensor import kron, kron_all, lift, norm_inf
-from ybekit.threebody import (RANDOM_SPAN, AngleTriple, ScatterParams, angles_to_params,
-                              constrained_triple, fusion_form, product_form,
+from ybekit.rmatrix import bundled_families, galilean, type2_r_4x4
+from ybekit.tensor import kron, kron_all, norm_inf
+from ybekit.threebody import (RANDOM_SPAN, ScatterParams, constrained_triple,
                               random_constrained_triple)
 
 
@@ -412,7 +410,7 @@ def _points_loop(tag, axes):
 def scalar_ybe_parameters(family, rng, samples):
     produced = 0
     while produced < samples:
-        if family.additivity == "galilean":
+        if family.rule is galilean:
             p1, p3 = rng.uniform(-0.9, 0.9, size=2)
             if abs(1.0 - (p1 + p3) * (p1 + p3)) < 0.05:
                 continue
@@ -430,7 +428,7 @@ def scalar_check_ybe(family, p1, p3):
         return family.evaluators[0](p), family.evaluators[1](p)
 
     r12_1, r23_1 = roles(p1)
-    r12_2, r23_2 = roles(family.middle(p1, p3))
+    r12_2, r23_2 = roles(family.rule(p1, p3))
     r12_3, r23_3 = roles(p3)
     return float(np.abs(r12_1 @ r23_2 @ r12_3 - r23_3 @ r12_2 @ r23_1).max())
 
@@ -498,17 +496,9 @@ def reduction_reference(seed, counts):
     return np.array(residuals), states
 
 
-@functools.cache
 def many_triples():
-    """100,000 seeded triples drawn in one call, with their reduced
-    products and conjugated closed forms."""
-    triple = random_constrained_triple(np.random.default_rng(20260), size=100_000)
-    params = angles_to_params(triple)
-    # 5000 products at a time keep the 16x16 stacks near 20 MB
-    reduced = np.concatenate([
-        reduce_operator(lift(product_form(AngleTriple(
-            triple.t1[k:k + 5000], triple.t2[k:k + 5000], triple.t3[k:k + 5000])), right=2),
-            fusion_basis_type2())
-        for k in range(0, triple.t1.size, 5000)])
-    closed = np.moveaxis(fusion_form(params), (0, 1), (-2, -1)).conj()
-    return triple, params, reduced, closed
+    """The reduced products and conjugated closed forms of 100,000 seeded
+    triples drawn in one call."""
+    reduced, closed = reduce_three_body(
+        random_constrained_triple(np.random.default_rng(20260), size=100_000))[:2]
+    return reduced, closed.conj()

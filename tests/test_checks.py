@@ -34,8 +34,8 @@ from ybekit.fusionbasis import (
     reduce_operator,
     reduce_three_body,
 )
-from ybekit.rmatrix import _stack, bundled_families, check_ybe, type1_r_4x4
-from ybekit.tensor import block_size, kron, kron_all, lift, max_diff_up_to_phase, norm_inf
+from ybekit.rmatrix import bundled_families, check_ybe, type1_r_4x4
+from ybekit.tensor import block_size, kron, kron_all, lift, max_diff_up_to_phase, norm_inf, stack
 from ybekit.threebody import (
     AngleTriple,
     ConstraintViolation,
@@ -146,7 +146,7 @@ PHASE_ALIGNMENT_TOL = 8 * np.finfo(float).eps
 
 
 def test_stacked_phase_alignment_equals_the_per_matrix_code():
-    _, _, reduced, closed = many_triples()
+    reduced, closed = many_triples()
     expected = [scalar_max_diff_up_to_phase(a, b) for a, b in zip(reduced, closed)]
     assert np.max(np.abs(max_diff_up_to_phase(reduced, closed) - expected)) <= PHASE_ALIGNMENT_TOL
     # phases off the unit circle (measured: 3.7 eps of the largest entry)
@@ -189,9 +189,9 @@ def test_filled_stack_equals_the_broadcast_stack():
     theta = np.array([[0.1, -0.7, 2.0]])
     mu = np.array([[0.3], [-0.2]])
     rows = [[np.cos(theta), 0, 1j * mu], [mu * theta, 2.5, -1j], [0, np.sin(theta), mu]]
-    assert np.array_equal(_stack(rows), scalar_stack(rows))
-    assert _stack(rows).shape == (2, 3, 3, 3)
-    assert np.array_equal(_stack([[1.5, 0], [0, 2j]]), scalar_stack([[1.5, 0], [0, 2j]]))
+    assert np.array_equal(stack(rows), scalar_stack(rows))
+    assert stack(rows).shape == (2, 3, 3, 3)
+    assert np.array_equal(stack([[1.5, 0], [0, 2j]]), scalar_stack([[1.5, 0], [0, 2j]]))
 
 
 def test_empty_sample_sets_give_empty_residual_arrays():
@@ -239,8 +239,14 @@ def test_a_pole_in_one_sample_raises():
         type1_r_4x4(np.array([0.1, 0.2, 1.0, 0.3]))
     with pytest.raises(ValueError, match="pole"):
         check_ybe(bundled_families()["type1_2x2"], np.array([0.1, -1.0]), np.array([0.2, 0.0]))
-    with pytest.raises(ValueError, match="pole"):
-        check_ybe(bundled_families()["type2_4x4"], np.array([0.3, np.pi / 2]), np.array([0.3, 0.2]))
+
+
+@pytest.mark.parametrize("name", ["type2_4x4", "type2_2x2"])
+def test_a_tan_pole_in_one_sample_is_checked_like_the_rest(name):
+    # the Lorentzian rule has no pole, so a type-II block takes tan poles whole
+    p1, p3 = np.array([[0.3, 0.3], [np.pi / 2, 0.2], [0.5, -np.pi / 2], [0.9, 1.1]]).T
+    residuals = check_ybe(bundled_families()[name], p1, p3)
+    assert residuals.shape == (4,) and np.all(residuals <= 1e-15)
 
 
 def test_leakage_of_one_stacked_operator_raises():

@@ -87,9 +87,9 @@ def test_fusion_l1_known_values():
 def _fusion_oracle(params):
     """The matrix route: |Re| + |Im| over the first row of the dense fusion
     matrix, and the binary entropy of its first entry's squared modulus."""
-    row = fusion_form(params)[0]
-    l1 = np.sum(np.abs(row.real), axis=0) + np.sum(np.abs(row.imag), axis=0)
-    return l1, binary_entropy(np.abs(row[0]) ** 2)
+    row = fusion_form(params)[..., 0, :]
+    l1 = np.sum(np.abs(row.real), axis=-1) + np.sum(np.abs(row.imag), axis=-1)
+    return l1, binary_entropy(np.abs(row[..., 0]) ** 2)
 
 
 _MESH = np.meshgrid(np.random.default_rng(21).uniform(-7.0, 7.0, 150),

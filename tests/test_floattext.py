@@ -171,6 +171,14 @@ def test_blocks_of_cells_are_padded_rows():
     assert floattext.cells(np.array([-1e300])).shape == (1, len("%.17g" % -1e300))
 
 
+def test_a_mesh_of_three_axes_is_refused():
+    """The block layout fills the first and the last coordinate column
+    only, so a third axis would leave empty cells in every row."""
+    axis = np.array([0.5, 1.5])
+    with pytest.raises(ValueError, match="zero, one or two axes, got 3"):
+        next(floattext.mesh_blocks(np.zeros((2, 2, 2)), [axis, axis, axis], b",,,\n"))
+
+
 def test_one_block_holds_a_few_arrays_per_value():
     """Formatting one block, either way, peaks below 12 float64 arrays of
     the block (1.5 MiB for 16,384 values), its cells included: each
