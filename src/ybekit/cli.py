@@ -295,19 +295,20 @@ def cmd_extrema(args) -> int:
     axes, _ = _axes(args, spec, args.coarse)
     points = find_critical_points(args.fn, axes, refine_tol=args.tol)
     header = [*spec.axes, "value", "kind", "smooth"]
-    rows = [[*map(fmt, p.location), fmt(p.value), p.kind, str(p.smooth).lower()]
-            for p in points]
+    rows = [[*map(float, p.location), float(p.value), p.kind, p.smooth] for p in points]
     if spec.params is not None:  # a three-body landscape: label the states its map gives
         header.append("slocc_class")
         coords = np.array([p.location for p in points], dtype=float).reshape(-1, spec.arity).T
         labels = entanglement_report(state_from_params(spec.params(*coords))).slocc_class
         for row, label in zip(rows, labels):
             row.append(str(label))
-    if args.format == "json":
+    if args.format == "json":  # the numbers as json.dumps writes them, smooth a boolean
         text = _json_doc({"fn": args.fn, "points": [dict(zip(header, row)) for row in rows]},
                          coarse=args.coarse, tol=args.tol)
-    else:
-        text = _csv_text(header, rows)
+    else:  # the numbers as fmt renders them, smooth as true or false
+        text = _csv_text(header, [[json.dumps(x) if isinstance(x, bool) else
+                                   fmt(x) if isinstance(x, float) else x for x in row]
+                                  for row in rows])
     _emit(args.output, [text.encode("ascii")])
     return EXIT_OK
 

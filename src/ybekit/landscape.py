@@ -235,44 +235,57 @@ def _shrink_bracket(fn1d: Callable[[np.ndarray, np.ndarray], np.ndarray],
     A bracket also stops once a step leaves both its ends as they were:
     below the float spacing at its ends it would repeat that step forever.
     Works on V-shaped (non-differentiable) extrema as well as smooth ones.
+
+    While no bracket stops, the set still searching is unchanged: its ends
+    and signs stay gathered in compact arrays, updated in place, and its
+    ``k`` (the indices of ``a`` then of ``b``) is one object, so ``fn1d``
+    can gather its fixed coordinates once per searching set.  The ends are
+    written back, and the next set gathered, only when a bracket stops.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     sign = np.where(want_max, 1.0, -1.0)
     k = np.flatnonzero(hi - lo > tol)
     while k.size:
-        lo_k, hi_k = lo[k], hi[k]
-        third = (hi_k - lo_k) / 3.0
-        a, b = lo_k + third, hi_k - third
-        f = fn1d(np.concatenate([a, b]), np.concatenate([k, k]))
-        up = sign[k] * f[:k.size] < sign[k] * f[k.size:]
-        moved = np.where(up, a != lo_k, b != hi_k)
-        lo[k[up]] = a[up]
-        hi[k[~up]] = b[~up]
-        k = k[moved & (hi[k] - lo[k] > tol)]
+        n = k.size
+        lo_k, hi_k, sign_k, both = lo[k], hi[k], sign[k], np.concatenate([k, k])
+        u = np.empty(2 * n)  # a then b, the trial points of every step of this set
+        a, b = u[:n], u[n:]
+        going = np.ones(n, dtype=bool)
+        while going.all():
+            third = (hi_k - lo_k) / 3.0
+            np.add(lo_k, third, out=a)
+            np.subtract(hi_k, third, out=b)
+            f = fn1d(u, both)
+            up = sign_k * f[:n] < sign_k * f[n:]
+            going = np.where(up, a != lo_k, b != hi_k)  # the step moved an end
+            np.copyto(lo_k, a, where=up)
+            np.copyto(hi_k, b, where=~up)
+            going &= hi_k - lo_k > tol
+        lo[k], hi[k] = lo_k, hi_k
+        k = k[going]
     with np.errstate(over="ignore"):  # where the ends' sum overflows, sum their halves
         mid = 0.5 * (lo + hi)
     return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
 
 
-def _flat_axis(fn1d: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-               f0: np.ndarray) -> np.ndarray:
+def _flat_axis(f_plus: np.ndarray, f_minus: np.ndarray, f0: np.ndarray) -> np.ndarray:
     """True where the section moves by less than the plateau tolerance at
-    ``FLAT_PROBE`` on both sides of ``x``; ``f0`` holds the values at ``x``."""
-    return ((np.abs(fn1d(x + FLAT_PROBE) - f0) < PLATEAU_TOL)
-            & (np.abs(fn1d(x - FLAT_PROBE) - f0) < PLATEAU_TOL))
+    ``FLAT_PROBE`` on both sides of a point: ``f_plus`` and ``f_minus``
+    hold its values there, ``f0`` at the point."""
+    return (np.abs(f_plus - f0) < PLATEAU_TOL) & (np.abs(f_minus - f0) < PLATEAU_TOL)
 
 
-def _kinked(fn1d: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-            f0: np.ndarray) -> np.ndarray:
-    """Kink test at refined extrema; ``f0`` holds the values at ``x``.
+def _kinked(f_plus: np.ndarray, f_minus: np.ndarray, f0: np.ndarray) -> np.ndarray:
+    """Kink test at refined extrema from the values ``KINK_PROBE`` after
+    and before each point, ``f_plus`` and ``f_minus``, and at it, ``f0``.
 
     At a smooth extremum both one-sided slopes vanish linearly with the
     step ``KINK_PROBE``, so their gap shrinks with the probe; at a V kink
     the gap stays order one.  The floor max(KINK_PROBE, |s- + s+|) keeps
     float noise from flagging smooth points.
     """
-    s_minus = (f0 - fn1d(x - KINK_PROBE)) / KINK_PROBE
-    s_plus = (fn1d(x + KINK_PROBE) - f0) / KINK_PROBE
+    s_minus = (f0 - f_minus) / KINK_PROBE
+    s_plus = (f_plus - f0) / KINK_PROBE
     return np.abs(s_plus - s_minus) > 10.0 * np.maximum(KINK_PROBE, np.abs(s_plus + s_minus))
 
 
@@ -305,7 +318,7 @@ def find_critical_points(tag: str, axes: Sequence[AxisSpec],
     (:func:`_scan`).  All candidates are then refined together, one axis at
     a time, by bracket shrinking down to ``refine_tol``
     (:func:`_shrink_bracket`), and probed for flat axes and kinks with one
-    kernel call per probe over every point.  Each point takes the same
+    kernel call per axis over every point.  Each point takes the same
     float steps as it would refined on its own; a non-finite refined
     location or value raises, as a non-finite grid value does.
     """
@@ -324,8 +337,17 @@ def find_critical_points(tag: str, axes: Sequence[AxisSpec],
 
     def along(a: int):
         """The landscape along axis ``a`` through the points ``coords``
-        (optionally only through the points numbered ``k``)."""
-        return lambda u, k=slice(None): spec(*(u if b == a else c[k] for b, c in enumerate(coords)))
+        (optionally only through the points numbered ``k``).  The fixed
+        coordinates are gathered on the first call with a ``k`` and reused
+        while later calls pass that same object."""
+        last_k = fixed = None
+
+        def fn1d(u, k=slice(None)):
+            nonlocal last_k, fixed
+            if k is not last_k:
+                last_k, fixed = k, [c[k] for c in coords]
+            return spec(*(u if b == a else c for b, c in enumerate(fixed)))
+        return fn1d
 
     # Alternate full-width per-axis searches, re-centering each round; the
     # cross-coupling of the surfaces here is weak so three rounds converge,
@@ -339,10 +361,13 @@ def find_critical_points(tag: str, axes: Sequence[AxisSpec],
         raise ValueError("refined critical points have non-finite locations or values")
     # A coarse candidate can converge onto a line where one coordinate no
     # longer moves the value (constant rows at sin(eta) = 0).  Such points
-    # are degenerate, not extrema; drop them.
-    keep = ~np.logical_or.reduce([_flat_axis(along(a), x, value) for a, x in enumerate(coords)])
+    # are degenerate, not extrema; drop them.  One call per axis takes the
+    # flatness and kink probes, in rows, at every point.
+    steps = np.array([FLAT_PROBE, -FLAT_PROBE, KINK_PROBE, -KINK_PROBE])[:, None]
+    probes = [along(a)(x + steps) for a, x in enumerate(coords)]
+    keep = ~np.logical_or.reduce([_flat_axis(f[0], f[1], value) for f in probes])
     coords, value, kinds = [x[keep] for x in coords], value[keep], [k[keep] for k in kinds]
-    kinks = zip(*(_kinked(along(a), x, value).tolist() for a, x in enumerate(coords)))
+    kinks = zip(*(_kinked(f[2][keep], f[3][keep], value).tolist() for f in probes))
     axis_kinds = zip(*(k.tolist() for k in kinds))
     results = [CriticalPoint(location, v, _classify(ks), ks, flags)
                for location, v, ks, flags in zip(zip(*coords), value, axis_kinds, kinks)]
@@ -355,23 +380,30 @@ def _scan(vals: np.ndarray) -> tuple:
     each axis.
 
     A node must be a max or a min along every axis; the tie tolerance of
-    :func:`_axis_kind` already drops nodes on a plateau.  Axis 0 is tested
-    over the whole interior, on shifted views of the grid a block at a time
-    (:func:`by_blocks`); the other axes and the diagonal neighbors, those
-    one step off on two axes or more, only at the nodes extreme along axis
-    0.  A max (min) along every axis must also beat (undercut) its diagonal
-    neighbors; a curve has none.
+    :func:`_axis_kind` already drops nodes on a plateau.  One pass over the
+    whole interior, on shifted views of the grid a block at a time
+    (:func:`by_blocks`), keeps only the nodes that meet a necessary
+    condition of an extremum along axis 0: within the tie tolerance of the
+    larger of their two axis-0 neighbors or above it, or of the smaller or
+    below it, the halves of :func:`_axis_kind` that a max and a min need.
+    Every axis, and the diagonal neighbors, those one step off on two axes
+    or more, are then tested only at those nodes.  A max (min) along every
+    axis must also beat (undercut) its diagonal neighbors; a curve has
+    none.
     """
+    def maybe_extreme(center, lo, hi):
+        return ((center >= np.maximum(lo, hi) - PLATEAU_TOL)
+                | (center <= np.minimum(lo, hi) + PLATEAU_TOL))
+
     core = vals[(slice(None), *(slice(1, -1) for _ in vals.shape[1:]))]
-    first = by_blocks(_axis_kind, core[1:-1], core[:-2], core[2:])
-    nodes = [i + 1 for i in np.nonzero(first)]
+    passed = by_blocks(maybe_extreme, core[1:-1], core[:-2], core[2:])
+    nodes = [i + 1 for i in np.unravel_index(np.flatnonzero(passed), passed.shape)]
 
     def at(offset) -> np.ndarray:
         return vals[tuple(i + d for i, d in zip(nodes, offset))]
 
     center = at((0,) * vals.ndim)
-    kinds = [first[first != 0], *(_axis_kind(center, at(-unit), at(unit))
-                                      for unit in np.eye(vals.ndim, dtype=int)[1:])]
+    kinds = [_axis_kind(center, at(-unit), at(unit)) for unit in np.eye(vals.ndim, dtype=int)]
     diag = [at(offset) for offset in itertools.product((-1, 0, 1), repeat=vals.ndim)
             if np.count_nonzero(offset) >= 2]
     above_diag = np.all([center > d - PLATEAU_TOL for d in diag], axis=0)

@@ -364,6 +364,30 @@ def test_extrema_with_no_points_labels_an_empty_stack(fmt, capsys):
         assert json.loads(out)["points"] == []
 
 
+@pytest.mark.parametrize("tag", ["l1_S3", "vn_xi"])
+def test_extrema_json_holds_the_numbers_of_the_csv_rows(tag, capsys):
+    """A JSON point gives its coordinates and value as the floats of its
+    CSV row, bit for bit, and smooth as a boolean; kind and slocc_class
+    stay strings."""
+    code, out = run_cli(["extrema", "--fn", tag], capsys)
+    assert code == 0
+    header, rows = _csv_rows(out)
+    code, doc = run_cli(["extrema", "--fn", tag, "--format", "json"], capsys)
+    assert code == 0
+    points = json.loads(doc)["points"]
+    assert len(points) == len(rows) > 0
+    for row, point in zip(rows, points):
+        assert sorted(point) == sorted(header)
+        for name, cell in zip(header, row):
+            value = point[name]
+            if name == "smooth":
+                assert type(value) is bool and cell == ("true" if value else "false")
+            elif name in ("kind", "slocc_class"):
+                assert type(value) is str and value == cell
+            else:
+                assert type(value) is float and value.hex() == float(cell).hex()
+
+
 def test_state_ghz_report(capsys):
     code, out = run_cli(["state", "--eta", "1.0472", "--beta", "0.61548"], capsys)
     assert code == 0

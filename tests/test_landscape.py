@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ybekit import landscape
 from ybekit.entanglement import binary_entropy
@@ -545,6 +546,24 @@ def test_array_scans_match_the_per_node_loop(case):
         assert list(zip(*_scan(line))) == _scan_1d_loop(line)
 
 
+TIE_GRIDS = st.tuples(st.integers(3, 9), st.integers(3, 9)).flatmap(lambda shape: st.tuples(
+    arrays(float, shape, elements=st.sampled_from([0.0, 1.0, 2.0])),
+    arrays(float, shape, elements=st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5]))))
+
+
+@given(TIE_GRIDS, st.sampled_from([1.0, 1e3, 1e6]))
+def test_scans_of_near_ties_match_the_per_node_loops(grids, scale):
+    """Values a few tie tolerances apart on a few levels put nodes on both
+    sides of every comparison of the scan; at scale 1e6 the offsets round
+    away and exact ties decide."""
+    levels, offsets = grids
+    vals = levels * scale + offsets * PLATEAU_TOL
+    for grid in (vals, vals.T):
+        assert list(zip(*_scan(grid))) == _scan_2d_loop(grid)
+    for line in (*vals, *vals.T):
+        assert list(zip(*_scan(line))) == _scan_1d_loop(line)
+
+
 def _columns(points):
     return (np.array([p.location for p in points]), np.array([p.value for p in points]),
             np.array([p.kind for p in points]), np.array([p.axis_kinds for p in points]),
@@ -556,6 +575,12 @@ FINDER_CASES = (
     + [(tag, ((0.5, 2.0), (0.1, 1.2)), 200) for tag in ("l1_S3", "l1_Sprime", "vn_Sprime")]
     + [(tag, domain, coarse) for tag in ("l1_wigner", "vn_xi")
        for domain, coarse in ((((0.2, 1.4),), 400), (((-3.0, 3.0),), 777))]
+    # the float spacing of eta passes refine_tol at 2**26, inside the domain: of
+    # each eta search's brackets, half stop at the tolerance and half at the
+    # spacing, on one step at coarse 101 and on two at coarse 57, where the
+    # searching set shrinks from 24 brackets to 12
+    + [("l1_S3", ((2.0 ** 26 - 3.0, 2.0 ** 26 - 3.0 + TWO_PI), (-math.pi / 2, math.pi / 2)), n)
+       for n in (101, 57)]
 )
 
 
