@@ -150,7 +150,7 @@ def differences(argv: str, expected: dict, entry: dict, streams: dict[str, bytes
             k = next((k for k in range(0, max(len(old), len(new)), 6)
                       if old[k:k + 6] != new[k:k + 6]), min(len(old), len(new)))
             n = k // 6
-            text = lines[n].decode(errors="replace") if n < len(lines) else "<end of output>"
+            text = lines[n][:120].decode(errors="replace") if n < len(lines) else "<end of output>"
             found.append(f"{argv}: {name} differs ({have[name]['bytes']} bytes, recorded "
                          f"{want[name]['bytes']}); first differing line {n + 1}: {text}")
     return found

@@ -19,11 +19,10 @@ from .braiding import (
 )
 from .entanglement import (
     binary_entropy,
+    cut_entropy,
     entanglement_report,
-    fusion_entropy,
-    fusion_l1,
-    three_body_l1,
     three_tangle,
+    weighted_l1,
 )
 from .fusionbasis import (
     FusionBasis,
@@ -33,6 +32,7 @@ from .fusionbasis import (
     reduce_three_body,
 )
 from .landscape import (
+    FUNCTIONS,
     AxisSpec,
     CriticalPoint,
     find_critical_points,
@@ -62,7 +62,9 @@ from .threebody import (
     angles_to_params,
     constrained_triple,
     fusion_form,
+    fusion_row,
     product_form,
     random_constrained_triple,
+    state_coordinates,
     state_from_params,
 )

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, floattext
 from .checks import SUITES, random_reduction, worst
-from .entanglement import CLASS_TOL, entanglement_report, three_body_l1
+from .entanglement import CLASS_TOL, entanglement_report
 from .fusionbasis import LeakageError, reduce_three_body
 from .landscape import AxisSpec, FUNCTIONS, find_critical_points, get_function, sample
 from .threebody import AngleTriple, ScatterParams, angles_to_params, state_from_params
@@ -299,7 +299,7 @@ def cmd_extrema(args) -> int:
     if spec.params is not None:  # a three-body landscape: label the states its map gives
         header.append("slocc_class")
         coords = np.array([p.location for p in points], dtype=float).reshape(-1, spec.arity).T
-        labels = entanglement_report(state_from_params(spec.params(*coords))).slocc_class
+        labels = entanglement_report(spec.params(*coords)).slocc_class
         for row, label in zip(rows, labels):
             row.append(str(label))
     if args.format == "json":  # the numbers as json.dumps writes them, smooth a boolean
@@ -333,7 +333,7 @@ def cmd_state(args) -> int:
     # Classification thresholds follow the input tolerance: angles typed at
     # a few decimals shift the invariants by the same scale.
     report = entanglement_report(psi, tol=max(args.tol, CLASS_TOL))
-    l1 = three_body_l1(params)  # the l1_S3 kernel, so a point prints as in landscape
+    l1 = FUNCTIONS["l1_S3"](params.eta, params.beta)  # a point prints as in landscape
 
     if args.format == "json":
         sys.stdout.write(_json_doc({

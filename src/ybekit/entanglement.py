@@ -1,18 +1,9 @@
 """Amplitude l1-norms, von Neumann entropies, 3-tangle and SLOCC classes.
 
 The l1-norm of a state is the sum of amplitude moduli in the computational
-basis (contrast the l2 probability normalization).  For the 2x2
-fusion-space scattering matrix the corresponding norm sums absolute real
-and imaginary parts of the first-row entries; that real/imaginary split is
-exactly what makes the matrix norm agree with the state norm of the 8x8
-form for every parameter choice.  :func:`fusion_l1` and
-:func:`fusion_entropy` are closed forms of that first row, evaluated on the
-parameter arrays alone: the norm with the bits of the dense matrix, the
-entropy from the two probabilities in closed form, which keeps the smaller
-one's digits; the dense :func:`~ybekit.threebody.fusion_form` serves the
-basis reduction and the tests.  Each kernel is one elementwise expression
-over broadcast arrays; the landscape sampler bounds its working set by
-calling it a block of the mesh at a time (:func:`~ybekit.tensor.by_blocks`).
+basis (contrast the l2 probability normalization).  The landscapes
+(:mod:`ybekit.landscape`) read real coordinates of a state through the
+measures :func:`weighted_l1` and :func:`cut_entropy`.
 
 Entropies are in bits throughout, with 0*log(0) = 0.  The dense route, a
 partial trace and an eigensolver, is the tests' oracle
@@ -23,10 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
-
-from .threebody import ScatterParams
 
 CLASS_TOL = 1e-6
 NORM_TOL = 1e-10
@@ -37,30 +27,28 @@ W_CLASS = "W-class"
 GHZ_CLASS = "GHZ-class"
 
 
-def three_body_l1(params: ScatterParams) -> float | np.ndarray:
-    """l1-norm of the three-body matrix and of its output state:
-
-    |cos(eta)| + sqrt(2)|cos(beta) sin(eta)| + |sin(beta) sin(eta)|.
-    """
-    ce, se = np.cos(params.eta), np.sin(params.eta)
-    cb, sb = np.cos(params.beta), np.sin(params.beta)
-    return np.abs(ce) + math.sqrt(2.0) * np.abs(cb * se) + np.abs(sb * se)
+def _weighted_sum(weights, terms):
+    # sum_i w_i t_i left to right over the nonzero weights, multiplying by no 1
+    scaled = (t if w == 1.0 else w * t for w, t in zip(weights, terms) if w != 0.0)
+    return sum(scaled, next(scaled))
 
 
-def fusion_l1(params: ScatterParams) -> float | np.ndarray:
-    """l1-norm of the 2x2 fusion-space matrix: |Re| + |Im| summed over its
-    first row, in closed form.
+def weighted_l1(*weights: float) -> Callable[[Iterable], float | np.ndarray]:
+    """The measure sum_i w_i |x_i| of an iterable of real coordinates x_i,
+    each standing for amplitudes whose moduli sum to w_i |x_i|."""
+    return lambda coords: _weighted_sum(weights, map(np.abs, coords))
 
-    The row is (cos(eta) + i c sin(eta), (sin(beta) + i c) sin(eta)) with
-    c = cos(beta)/sqrt2, so the norm is |cos(eta)| + |sin(beta) sin(eta)|
-    + 2|c sin(eta)| = :func:`three_body_l1`, as 2|c| = sqrt2 |cos(beta)|.
-    Each product in :func:`~ybekit.threebody.fusion_form` that feeds these
-    parts has one exactly zero term, so the sum, taken in the order of its
-    real then imaginary parts, has the bits of the matrix route.
-    """
-    ce, se = np.cos(params.eta), np.sin(params.eta)
-    c, sb = np.cos(params.beta) / math.sqrt(2.0), np.sin(params.beta)
-    return (np.abs(ce) + np.abs(sb * se)) + 2.0 * np.abs(c * se)
+
+def cut_entropy(*shares: float) -> Callable[[Iterable], float | np.ndarray]:
+    """The measure H(min(p, q)) of an iterable of real coordinates x_i of a
+    state whose one-qubit cut is diagonal in them: p = sum_i s_i x_i^2 on
+    the qubit's 0 side and q = sum_i (1 - s_i) x_i^2 on its 1 side, each
+    summed on its own, so the smaller keeps its digits."""
+    def entropy(coords):
+        squares = [np.square(x) for x in coords]
+        return binary_entropy(np.minimum(_weighted_sum(shares, squares),
+                                         _weighted_sum([1.0 - s for s in shares], squares)))
+    return entropy
 
 
 def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
@@ -76,20 +64,6 @@ def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
     # log2(1) and log1p(0) stand in at p = 0 and p = 1; 0.0 - ... keeps H = +0.0
     return (0.0 - p * np.log2(p + (p == 0.0))
             - (1.0 - p) * np.log1p(-p + (p == 1.0)) / math.log(2.0))
-
-
-def fusion_entropy(params: ScatterParams) -> float | np.ndarray:
-    """Entropy (bits) of the fusion-space output amplitudes.
-
-    The first row (m00, m01) of the fusion matrix is a unit vector, with
-    p = |m00|^2 = cos^2(eta) + cos^2(beta) sin^2(eta) / 2 and
-    q = |m01|^2 = sin^2(eta) (1 + sin^2(beta)) / 2; both are formed in
-    closed form and the smaller goes to :func:`binary_entropy`.
-    """
-    se2 = np.square(np.sin(params.eta))
-    p = np.square(np.cos(params.eta)) + np.square(np.cos(params.beta)) * se2 / 2.0
-    q = se2 * (1.0 + np.square(np.sin(params.beta))) / 2.0
-    return binary_entropy(np.minimum(p, q))
 
 
 # The factors of the hyperdeterminant's products as amplitude indices

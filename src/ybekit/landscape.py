@@ -19,22 +19,22 @@ coarse-grid neighborhood scan followed by per-axis bracket shrinking, and
 classified by comparing refined neighbor values; a kink flag marks
 non-smooth axes.
 
-Registering a function is one :data:`FUNCTIONS` entry: the ``ybekit
-landscape`` and ``extrema`` commands take one ``--NAME`` flag per axis
-that a registered function names.  An entry is a measure composed with an
-optional coordinate map: the three-body functions map their axes to one
-broadcast :class:`ScatterParams` and measure it, and ``extrema`` labels
-the state at each point through the same map.  Function tags:
+Registering a landscape is a map, a measure and a domain: one
+:data:`FUNCTIONS` entry, whose axes the ``ybekit landscape`` and
+``extrema`` commands take as ``--NAME`` flags.  The map takes the axis
+arrays to real coordinates of a state, which the measure reads
+(:mod:`ybekit.entanglement`); a three-body entry also maps its axes to the
+states that ``extrema`` labels.  Function tags:
 
-==========  ===========  =============  ================================================
-tag         axes         map            measure
-==========  ===========  =============  ================================================
-l1_S3       eta, beta    ScatterParams  l1-norm of the 8x8 three-body matrix / its state
-l1_Sprime   eta, beta    ScatterParams  l1-norm of the 2x2 fusion-space matrix
-vn_Sprime   eta, beta    ScatterParams  entropy (bits) of the fusion-space amplitudes
-l1_wigner   theta        none           |cos| + |sin| of the spin-1/2 rotation matrix
-vn_xi       theta        none           entanglement entropy of the two-qubit output
-==========  ===========  =============  ================================================
+==========  ===========  ===================================  ==========================
+tag         axes         map                                  measure
+==========  ===========  ===================================  ==========================
+l1_S3       eta, beta    state coordinates (a, b, c)          l1, weights (1, sqrt2, 1)
+l1_Sprime   eta, beta    fusion row (Re m00, Re m01, Im m00)  l1, weights (1, 1, 2)
+vn_Sprime   eta, beta    state coordinates (a, b, c)          qubit-1 cut entropy
+l1_wigner   theta        (cos theta, sin theta)               l1, weights (1, 1)
+vn_xi       theta        (cos theta, sin theta)               qubit-1 cut entropy
+==========  ===========  ===================================  ==========================
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .entanglement import binary_entropy, fusion_entropy, fusion_l1, three_body_l1
+from .entanglement import cut_entropy, weighted_l1
 from .tensor import by_blocks
-from .threebody import ScatterParams
+from .threebody import ScatterParams, fusion_row, state_coordinates, state_from_params
 
 PLATEAU_TOL = 1e-12
 LOCATION_RESOLUTION = 1e-7  # dedupe floor, see _dedupe_tol
@@ -130,50 +130,53 @@ class CriticalPoint:
 # function registry
 # ---------------------------------------------------------------------------
 
-def _l1_wigner(theta: float) -> float:
-    # half the moduli of the spin-1/2 rotation [[cos, -sin], [sin, cos]]
-    return np.abs(np.cos(theta)) + np.abs(np.sin(theta))
-
-
-def _vn_xi(theta: float) -> float:
-    # type2_r_4x4(theta) |00> = cos(theta) |00> - sin(theta) |11>; the
-    # smaller probability keeps its digits where the other nears 1
-    return binary_entropy(np.minimum(np.square(np.cos(theta)), np.square(np.sin(theta))))
+def _rotation(theta):
+    # cos(theta)|00> - sin(theta)|11>, the two-qubit R-matrix's output, and half
+    # the moduli of the spin-1/2 rotation; yielded one at a time, so that a
+    # long curve holds one of them
+    yield np.cos(theta)
+    yield np.sin(theta)
 
 
 @dataclass(frozen=True)
 class LandscapeFunction:
-    """A landscape: the measure ``fn`` of ``params``, a map from one
-    broadcast array per axis named in ``axes`` to one :class:`ScatterParams`,
-    or of the axis arrays themselves where ``params`` is None.  Calling it
-    evaluates it.  ``default_domain`` holds one (start, stop) per axis."""
+    """A landscape ``fn`` of one broadcast array per axis named in
+    ``axes``, evaluated by calling the entry.  ``params``, if not None, maps
+    them to the (..., 8) states that ``extrema`` labels.  ``default_domain``
+    holds one (start, stop) per axis."""
 
     tag: str
     axes: tuple[str, ...]
     fn: Callable[..., float]
     default_domain: tuple[tuple[float, float], ...]
-    params: Callable[..., ScatterParams] | None = None
+    params: Callable[..., np.ndarray] | None = None
 
     def __call__(self, *coords):
-        return self.fn(*coords) if self.params is None else self.fn(self.params(*coords))
+        return self.fn(*coords)
 
     @property
     def arity(self) -> int:
         return len(self.axes)
 
 
-# the three-body functions: the (eta, beta) plane, mapped by the constructor
-_THREE_BODY = dict(axes=("eta", "beta"), params=ScatterParams,
-                   default_domain=((0.0, 2.0 * math.pi), (-math.pi / 2, math.pi / 2)))
-_THETA_DOMAIN = ((0.0, math.pi / 2),)
+def _landscape(tag: str, coordinates: Callable, measure: Callable, **kind) -> LandscapeFunction:
+    """The landscape ``measure(coordinates(*axes))``."""
+    return LandscapeFunction(tag, fn=lambda *axes: measure(coordinates(*axes)), **kind)
 
-FUNCTIONS: dict[str, LandscapeFunction] = {
-    "l1_S3": LandscapeFunction("l1_S3", fn=three_body_l1, **_THREE_BODY),
-    "l1_Sprime": LandscapeFunction("l1_Sprime", fn=fusion_l1, **_THREE_BODY),
-    "vn_Sprime": LandscapeFunction("vn_Sprime", fn=fusion_entropy, **_THREE_BODY),
-    "l1_wigner": LandscapeFunction("l1_wigner", ("theta",), _l1_wigner, _THETA_DOMAIN),
-    "vn_xi": LandscapeFunction("vn_xi", ("theta",), _vn_xi, _THETA_DOMAIN),
-}
+
+_THREE_BODY = dict(axes=("eta", "beta"),
+                   params=lambda eta, beta: state_from_params(ScatterParams(eta, beta)),
+                   default_domain=((0.0, 2.0 * math.pi), (-math.pi / 2, math.pi / 2)))
+_THETA = dict(axes=("theta",), default_domain=((0.0, math.pi / 2),))
+
+FUNCTIONS: dict[str, LandscapeFunction] = {spec.tag: spec for spec in [
+    _landscape("l1_S3", state_coordinates, weighted_l1(1.0, math.sqrt(2.0), 1.0), **_THREE_BODY),
+    _landscape("l1_Sprime", fusion_row, weighted_l1(1.0, 1.0, 2.0), **_THREE_BODY),
+    # qubit 1 is 0 on |000> and half of b's pair, 1 on the other half and |101>
+    _landscape("vn_Sprime", state_coordinates, cut_entropy(1.0, 0.5, 0.0), **_THREE_BODY),
+    _landscape("l1_wigner", _rotation, weighted_l1(1.0, 1.0), **_THETA),
+    _landscape("vn_xi", _rotation, cut_entropy(1.0, 0.0), **_THETA),
+]}
 
 
 def get_function(tag: str) -> LandscapeFunction:

@@ -63,8 +63,7 @@ class ScatterParams:
     only :meth:`canonical` wraps them to eta in [0, 2*pi) and beta in
     [-pi, pi), and keeps the bits of a value already in its range.
 
-    The fields may also be broadcast arrays; the landscape maps pass whole
-    raw grids through one instance."""
+    The fields may also be broadcast arrays, as one grid of parameters."""
 
     eta: float
     beta: float
@@ -153,19 +152,39 @@ def product_form(triple: AngleTriple) -> np.ndarray:
     return r12[0] @ lift(r[1], left=2) @ r12[1]
 
 
-def state_from_params(params: ScatterParams) -> np.ndarray:
-    """Normalized 3-qubit state generated by scattering from |000>.
+def _trig(eta, beta):
+    # the one evaluation of the trigonometry of (eta, beta)
+    return np.cos(eta), np.sin(eta), np.cos(beta), np.sin(beta)
 
-    Amplitudes: cos(eta) on |000>, -cos(beta) sin(eta)/sqrt(2) on |011> and
-    |110>, -sin(beta) sin(eta) on |101>; the first column of exp(-eta * n.L).
-    Array parameters give a (..., 8) stack, one state per element.
+
+def state_coordinates(eta, beta):
+    """The state's coordinates (a, b, c) = (cos(eta), cos(beta) sin(eta),
+    sin(beta) sin(eta)) on |000>, (|011> + |110>)/sqrt2 and |101>, unsigned;
+    elementwise over broadcast arrays."""
+    ce, se, cb, sb = _trig(eta, beta)
+    return ce, cb * se, sb * se
+
+
+def state_from_params(params: ScatterParams) -> np.ndarray:
+    """Normalized 3-qubit state generated by scattering from |000>, the
+    first column of exp(-eta * n.L): a|000> - b(|011> + |110>)/sqrt2 - c|101>
+    in the coordinates of :func:`state_coordinates`.  Array parameters give
+    a (..., 8) stack, one state per element.
     """
-    eta, beta = params.eta, params.beta
-    psi = np.zeros((*np.broadcast(eta, beta).shape, 8), dtype=complex)
-    psi[..., 0b000] = np.cos(eta)
-    psi[..., 0b011] = psi[..., 0b110] = -np.cos(beta) * np.sin(eta) / math.sqrt(2.0)
-    psi[..., 0b101] = -np.sin(beta) * np.sin(eta)
+    a, b, c = state_coordinates(params.eta, params.beta)
+    psi = np.zeros((*np.shape(b), 8), dtype=complex)
+    psi[..., 0b000] = a
+    psi[..., 0b011] = psi[..., 0b110] = -b / math.sqrt(2.0)
+    psi[..., 0b101] = -c
     return psi
+
+
+def fusion_row(eta, beta):
+    """The first row of :func:`fusion_form` as real coordinates (Re m00,
+    Re m01, Im m00 = Im m01) = (cos(eta), sin(beta) sin(eta),
+    (cos(beta)/sqrt2) sin(eta)), read from the 2x2 matrix, not the state."""
+    ce, se, cb, sb = _trig(eta, beta)
+    return ce, sb * se, cb / math.sqrt(2.0) * se
 
 
 def fusion_form(params: ScatterParams) -> np.ndarray:
@@ -177,7 +196,7 @@ def fusion_form(params: ScatterParams) -> np.ndarray:
     Unitary for all parameters.  Like every matrix builder here, array
     parameters give a (..., 2, 2) stack.
     """
-    ce, se = np.cos(params.eta), np.sin(params.eta)
-    c, sb = np.cos(params.beta) / math.sqrt(2.0), np.sin(params.beta)
+    ce, se, cb, sb = _trig(params.eta, params.beta)
+    c = cb / math.sqrt(2.0)
     return stack([[ce + 1j * c * se, (sb + 1j * c) * se],
                   [(1j * c - sb) * se, ce - 1j * c * se]])

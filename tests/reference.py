@@ -154,7 +154,7 @@ def von_neumann_entropy(psi: np.ndarray, keep: list[int]) -> float:
 
 def l1_norm(psi: np.ndarray) -> float | np.ndarray:
     """Sum of amplitude moduli; one per state of a stack along the last
-    axis: the state route to :func:`ybekit.entanglement.three_body_l1`."""
+    axis: the state route to the ``l1_S3`` landscape."""
     return np.sum(np.abs(np.asarray(psi, dtype=complex)), axis=-1)
 
 

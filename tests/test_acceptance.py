@@ -13,12 +13,10 @@ from ybekit.entanglement import (
     GHZ_CLASS,
     W_CLASS,
     binary_entropy,
-    fusion_entropy,
-    fusion_l1,
-    three_body_l1,
     three_tangle,
 )
 from ybekit.landscape import (
+    FUNCTIONS,
     LOCAL_MAX,
     SADDLE,
     find_critical_points,
@@ -123,19 +121,20 @@ def test_c05_l1_invariance_between_forms():
         worst = 0.0
         for eta in etas:
             for beta in betas:
-                params = ScatterParams(float(eta), float(beta))
-                worst = max(worst, abs(three_body_l1(params) - fusion_l1(params)))
+                l1_s3, l1_sprime = (FUNCTIONS[tag](float(eta), float(beta))
+                                    for tag in ("l1_S3", "l1_Sprime"))
+                worst = max(worst, abs(l1_s3 - l1_sprime))
         assert worst < 1e-13, f"worst difference {worst:.3e}"
 
 
 def test_c06_entropy_curve():
     with criterion(6, "fusion-space entropy curve along beta = arccot(sqrt 2)"):
-        assert abs(fusion_entropy(ScatterParams(math.pi / 3, BETA_STAR)) - 1.0) < 1e-9
+        assert abs(FUNCTIONS["vn_Sprime"](math.pi / 3, BETA_STAR) - 1.0) < 1e-9
         expected_min = math.log2(3.0) - 2.0 / 3.0
-        assert abs(fusion_entropy(ScatterParams(math.pi / 2, BETA_STAR)) - expected_min) < 1e-9
+        assert abs(FUNCTIONS["vn_Sprime"](math.pi / 2, BETA_STAR) - expected_min) < 1e-9
         for eta in np.linspace(0.0, 2 * math.pi, 1000):
             model = binary_entropy(1.0 / 3.0 + (2.0 / 3.0) * math.cos(eta) ** 2)
-            assert abs(fusion_entropy(ScatterParams(float(eta), BETA_STAR)) - model) < 1e-12
+            assert abs(FUNCTIONS["vn_Sprime"](float(eta), BETA_STAR) - model) < 1e-12
         # max/min classification along the section
         points = find_critical_points_1d_section()
         kinds = {round(p.location[0], 3): p.kind for p in points}
@@ -148,7 +147,7 @@ def find_critical_points_1d_section():
     from ybekit.landscape import AxisSpec, _axis_kind, _shrink_bracket, CriticalPoint
 
     def fn(eta):
-        return fusion_entropy(ScatterParams(float(eta), BETA_STAR))
+        return FUNCTIONS["vn_Sprime"](float(eta), BETA_STAR)
 
     axis = AxisSpec("eta", 0.0, 2 * math.pi, 601)
     xs = axis.points()

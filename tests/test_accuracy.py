@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 from mpmath import atan2, cos, log, log1p, mpc, mpf, pi, sin, sqrt
 
-from ybekit.entanglement import (binary_entropy, entanglement_report, fusion_entropy, fusion_l1,
-                                 three_body_l1, three_tangle)
+from ybekit.entanglement import binary_entropy, entanglement_report, three_tangle
 from ybekit.landscape import get_function
 from ybekit.threebody import (BETA_STAR, RANDOM_SPAN, ScatterParams, angles_to_params,
                               constrained_triple, state_from_params)
@@ -122,8 +121,10 @@ BUDGETS = {
                    lambda: state_from_params(PARAMS)[:, [0b000, 0b011, 0b101]].real,
                    lambda e, b: [cos(e), -cos(b) * sin(e) / sqrt(2), -sin(b) * sin(e)],
                    (PARAMS.eta, PARAMS.beta)),
-    "l1_S3": (3, "ulp", lambda: three_body_l1(PARAMS), l1, (PARAMS.eta, PARAMS.beta)),  # 2.65
-    "l1_Sprime": (3, "ulp", lambda: fusion_l1(PARAMS), l1, (PARAMS.eta, PARAMS.beta)),  # 2.16
+    "l1_S3": (3, "ulp", lambda: get_function("l1_S3")(PARAMS.eta, PARAMS.beta),  # 2.65
+              l1, (PARAMS.eta, PARAMS.beta)),
+    "l1_Sprime": (3, "ulp", lambda: get_function("l1_Sprime")(PARAMS.eta, PARAMS.beta),  # 2.16
+                  l1, (PARAMS.eta, PARAMS.beta)),
     "l1_wigner": (2, "ulp", lambda: get_function("l1_wigner")(WIGNER_THETAS),  # 0.98
                   lambda t: [abs(cos(t)) + abs(sin(t))], (WIGNER_THETAS,)),
     "three_tangle": (2, "eps",  # 1.03
@@ -131,7 +132,8 @@ BUDGETS = {
                      tangle, np.concatenate([s.reshape(-1, 8) for s in TANGLE_INPUTS]).T),
     "binary_entropy": (3, "ulp", lambda: binary_entropy(P_SMALL),  # 1.47
                        lambda p: [entropy(mpf(p))], (P_SMALL,)),
-    "vn_Sprime": (4, "ulp", lambda: fusion_entropy(ENTROPY_PARAMS),  # 3.27
+    "vn_Sprime": (4, "ulp",  # 3.27
+                  lambda: get_function("vn_Sprime")(ENTROPY_PARAMS.eta, ENTROPY_PARAMS.beta),
                   lambda e, b: [entropy(min(cos(e) ** 2 + cos(b) ** 2 * sin(e) ** 2 / 2,
                                             sin(e) ** 2 * (1 + sin(b) ** 2) / 2))],
                   (ENTROPY_PARAMS.eta, ENTROPY_PARAMS.beta)),

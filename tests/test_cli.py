@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ybekit import checks, cli
-from ybekit.entanglement import three_body_l1
 from ybekit.landscape import FUNCTIONS, AxisSpec, LandscapeFunction, sample
 from ybekit.threebody import ScatterParams, angles_to_params, random_constrained_triple
 
@@ -721,9 +720,10 @@ def test_registered_function_gets_its_axis_flags(monkeypatch, capsys):
     its axes, are labelled with the state that map gives, and no others."""
     paraboloid = LandscapeFunction("X", ("u", "v"), lambda u, v: (u - 0.3) ** 2 + (v + 0.2) ** 2,
                                    ((-1.0, 1.0), (-1.0, 1.0)))
-    swapped = LandscapeFunction("Y", ("b", "e"), three_body_l1,
-                                tuple(reversed(FUNCTIONS["l1_S3"].default_domain)),
-                                params=lambda b, e: ScatterParams(e, b))
+    l1_s3 = FUNCTIONS["l1_S3"]
+    swapped = LandscapeFunction("Y", ("b", "e"), lambda b, e: l1_s3(e, b),
+                                tuple(reversed(l1_s3.default_domain)),
+                                params=lambda b, e: l1_s3.params(e, b))
     monkeypatch.setitem(FUNCTIONS, "X", paraboloid)
     monkeypatch.setitem(FUNCTIONS, "Y", swapped)
     monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
@@ -1110,8 +1110,8 @@ def test_a_non_finite_landscape_writes_nothing(fmt, monkeypatch, capsys):
     in its last value, in the second block, leaves stdout empty."""
     spec = FUNCTIONS["l1_S3"]
 
-    def nan_at_the_end(params):
-        values = spec.fn(params).copy()
+    def nan_at_the_end(*coords):
+        values = spec.fn(*coords).copy()
         values.flat[-1] = math.nan
         return values
 

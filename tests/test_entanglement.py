@@ -11,11 +11,9 @@ from ybekit.entanglement import (
     W_CLASS,
     binary_entropy,
     entanglement_report,
-    fusion_entropy,
-    fusion_l1,
-    three_body_l1,
     three_tangle,
 )
+from ybekit.landscape import FUNCTIONS
 from ybekit.rmatrix import type2_r_4x4, wigner_d_half
 from ybekit.tensor import kron
 from ybekit.threebody import BETA_STAR, ScatterParams, fusion_form, state_from_params
@@ -28,6 +26,11 @@ angles = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
 
 GHZ_PARAMS = ScatterParams(np.pi / 3, BETA_STAR)
 W_PARAMS = ScatterParams(np.pi / 2, BETA_STAR)
+
+
+def landscape(tag, params):
+    """The registered landscape ``tag`` at the (eta, beta) of ``params``."""
+    return FUNCTIONS[tag](params.eta, params.beta)
 
 
 def test_l1_basis_state():
@@ -61,27 +64,27 @@ def test_wigner_l1_values_and_domain():
 
 
 def test_three_body_l1_known_values():
-    assert abs(three_body_l1(GHZ_PARAMS) - 2.0) < 1e-14
-    assert abs(three_body_l1(W_PARAMS) - math.sqrt(3.0)) < 1e-14
-    assert three_body_l1(ScatterParams(0.0, 1.23)) == 1.0
-    assert type(three_body_l1(ScatterParams(0.7, -0.4))) is np.float64
+    assert abs(landscape("l1_S3", GHZ_PARAMS) - 2.0) < 1e-14
+    assert abs(landscape("l1_S3", W_PARAMS) - math.sqrt(3.0)) < 1e-14
+    assert landscape("l1_S3", ScatterParams(0.0, 1.23)) == 1.0
+    assert type(landscape("l1_S3", ScatterParams(0.7, -0.4))) is np.float64
 
 
 @given(etas, betas)
 def test_three_body_l1_equals_state_l1(eta, beta):
     params = ScatterParams(eta, beta)
-    assert abs(three_body_l1(params) - l1_norm(state_from_params(params))) < 1e-13
+    assert abs(landscape("l1_S3", params) - l1_norm(state_from_params(params))) < 1e-13
 
 
 @given(etas, betas)
 def test_fusion_l1_matches_three_body_l1(eta, beta):
     params = ScatterParams(eta, beta)
-    assert abs(fusion_l1(params) - three_body_l1(params)) < 1e-13
+    assert abs(landscape("l1_Sprime", params) - landscape("l1_S3", params)) < 1e-13
 
 
 def test_fusion_l1_known_values():
-    assert abs(fusion_l1(GHZ_PARAMS) - 2.0) < 1e-14
-    assert fusion_l1(ScatterParams(0.0, 0.4)) == 1.0
+    assert abs(landscape("l1_Sprime", GHZ_PARAMS) - 2.0) < 1e-14
+    assert landscape("l1_Sprime", ScatterParams(0.0, 0.4)) == 1.0
 
 
 def _fusion_oracle(params):
@@ -114,17 +117,18 @@ FUSION_POINTS = {
 
 # The matrix route's entropy rounds p = |m00|^2 near 1, where the slope
 # log2((1 - p)/p) of H grows: 7.9e-15 at most on FUSION_POINTS.  The
-# kernel's own accuracy is held against mpmath (test_accuracy.py).
+# landscape's own accuracy is held against mpmath (test_accuracy.py).
 FUSION_ENTROPY_TOL = 2e-14
 
 
 @pytest.mark.parametrize("name", FUSION_POINTS)
 def test_fusion_kernels_have_the_bits_of_the_matrix_route(name):
-    """The closed form of fusion_l1 equals the dense fusion_form oracle bit
-    for bit, fusion_entropy to ``FUSION_ENTROPY_TOL``; both have its type
-    and shape, and float inputs give numpy floats."""
+    """l1_Sprime, the weighted l1 of the fusion row, equals the dense
+    fusion_form oracle bit for bit, vn_Sprime to ``FUSION_ENTROPY_TOL``;
+    both have its type and shape, and float inputs give numpy floats."""
     params = FUSION_POINTS[name]
-    (l1, entropy), oracle = (fusion_l1(params), fusion_entropy(params)), _fusion_oracle(params)
+    l1, entropy = landscape("l1_Sprime", params), landscape("vn_Sprime", params)
+    oracle = _fusion_oracle(params)
     for value, expected in zip((l1, entropy), oracle):
         assert type(value) is type(expected)
         assert np.shape(value) == np.shape(expected)
@@ -138,37 +142,49 @@ _RNG = np.random.default_rng(31)
 _LONG = _RNG.uniform(-7.0, 7.0, 2001)
 _ETA, _BETA = _RNG.uniform(-7.0, 7.0, 61), _RNG.uniform(-3.2, 3.2, 53)
 _GRID = _RNG.uniform(-7.0, 7.0, (53, 61))
-# every input form a kernel takes
+# every input form a landscape takes, one array per axis; a curve takes the first
 KERNEL_FORMS = {
-    "float": ScatterParams(0.7, -0.4),
-    "0-d": ScatterParams(np.array(0.7), np.array(-0.4)),
-    "1-d": ScatterParams(_LONG, np.flip(_LONG) / 2.0),
-    "sparse-mesh": ScatterParams(_ETA[:, None], _BETA[None, :]),
-    "section": ScatterParams(np.array([[1.3]]), _LONG[None, :] / 2.0),
-    "non-contiguous": ScatterParams(_ETA[::2, None], _BETA[None, ::-1]),
-    "transposed-grid": ScatterParams(_GRID.T, 0.3),
-    "ghz": GHZ_PARAMS,
-    "w": W_PARAMS,
+    "float": (0.7, -0.4),
+    "0-d": (np.array(0.7), np.array(-0.4)),
+    "1-d": (_LONG, np.flip(_LONG) / 2.0),
+    "sparse-mesh": (_ETA[:, None], _BETA[None, :]),
+    "section": (np.array([[1.3]]), _LONG[None, :] / 2.0),
+    "non-contiguous": (_ETA[::2, None], _BETA[None, ::-1]),
+    "transposed-grid": (_GRID.T, 0.3),
+    "ghz": (np.pi / 3, BETA_STAR),
+    "w": (np.pi / 2, BETA_STAR),
 }
+
+
+def _per_point(oracle):
+    return np.vectorize(oracle, otypes=[float])
+
+
+# each landscape's matrix route, over the same arrays
 KERNEL_ORACLES = {
-    three_body_l1: lambda params: l1_norm(state_from_params(params)),
-    fusion_l1: lambda params: _fusion_oracle(params)[0],
-    fusion_entropy: lambda params: _fusion_oracle(params)[1],
+    "l1_S3": lambda eta, beta: l1_norm(state_from_params(ScatterParams(eta, beta))),
+    "l1_Sprime": lambda eta, beta: _fusion_oracle(ScatterParams(eta, beta))[0],
+    "vn_Sprime": lambda eta, beta: _fusion_oracle(ScatterParams(eta, beta))[1],
+    "l1_wigner": _per_point(lambda theta: wigner_l1(wigner_d_half(theta, 0.0))),
+    "vn_xi": _per_point(lambda theta: von_neumann_entropy(type2_r_4x4(theta) @ ket("00"), [0])),
 }
+
+
+def test_every_landscape_has_a_matrix_route():
+    assert sorted(KERNEL_ORACLES) == sorted(FUNCTIONS)
 
 
 @pytest.mark.parametrize("form", KERNEL_FORMS)
-@pytest.mark.parametrize("kernel", KERNEL_ORACLES, ids=lambda kernel: kernel.__name__)
-def test_kernels_take_every_input_form(kernel, form):
-    """Every input form gives the type and broadcast shape of the matrix
-    route and its values; a float or 0-d input gives a numpy float."""
-    params = KERNEL_FORMS[form]
-    value, expected = kernel(params), KERNEL_ORACLES[kernel](params)
-    assert type(value) is type(expected)
-    assert np.shape(value) == np.shape(expected) == np.broadcast(params.eta, params.beta).shape
+@pytest.mark.parametrize("tag", sorted(FUNCTIONS))
+def test_kernels_take_every_input_form(tag, form):
+    """Every registered landscape takes every input form with the
+    broadcast shape of its axes and the values of its matrix route; a
+    float or 0-d input gives a numpy float, any other an array."""
+    coords = KERNEL_FORMS[form][:FUNCTIONS[tag].arity]
+    value, expected = FUNCTIONS[tag](*coords), KERNEL_ORACLES[tag](*coords)
+    assert np.shape(value) == np.shape(expected) == np.broadcast(*coords).shape
     assert np.max(np.abs(value - expected), initial=0.0) < 1e-13
-    if np.ndim(params.eta) == np.ndim(params.beta) == 0:
-        assert type(value) is np.float64
+    assert type(value) is (np.float64 if np.ndim(value) == 0 else np.ndarray)
 
 
 def _scalar_binary_entropy(p):
@@ -209,11 +225,11 @@ def test_l1_bounds_on_dense_grid():
     etas_grid = np.linspace(0, 2 * np.pi, 120)
     betas_grid = np.linspace(-np.pi / 2, np.pi / 2, 120)
     values = np.array(
-        [[three_body_l1(ScatterParams(e, b)) for b in betas_grid] for e in etas_grid]
+        [[landscape("l1_S3", ScatterParams(e, b)) for b in betas_grid] for e in etas_grid]
     )
     assert values.min() >= 1.0 - 1e-12
     assert values.max() <= 2.0 + 1e-12
-    assert abs(three_body_l1(GHZ_PARAMS) - 2.0) < 1e-14
+    assert abs(landscape("l1_S3", GHZ_PARAMS) - 2.0) < 1e-14
 
 
 def test_vn_entropy_two_qubit_output():
@@ -251,21 +267,21 @@ def test_binary_entropy_edges():
 
 
 def test_fusion_entropy_values():
-    assert abs(fusion_entropy(GHZ_PARAMS) - 1.0) < 1e-12
-    assert abs(fusion_entropy(W_PARAMS) - (math.log2(3.0) - 2.0 / 3.0)) < 1e-12
-    assert fusion_entropy(ScatterParams(0.0, 0.8)) == 0.0
+    assert abs(landscape("vn_Sprime", GHZ_PARAMS) - 1.0) < 1e-12
+    assert abs(landscape("vn_Sprime", W_PARAMS) - (math.log2(3.0) - 2.0 / 3.0)) < 1e-12
+    assert landscape("vn_Sprime", ScatterParams(0.0, 0.8)) == 0.0
 
 
 @given(etas)
 def test_fusion_entropy_section_formula(eta):
     # along beta = arccot(sqrt 2) the curve is H(1/3 + (2/3) cos^2(eta))
     expected = binary_entropy(1.0 / 3.0 + (2.0 / 3.0) * math.cos(eta) ** 2)
-    assert abs(fusion_entropy(ScatterParams(eta, BETA_STAR)) - expected) < 1e-12
+    assert abs(landscape("vn_Sprime", ScatterParams(eta, BETA_STAR)) - expected) < 1e-12
 
 
 @given(etas, betas)
 def test_fusion_entropy_range(eta, beta):
-    assert 0.0 <= fusion_entropy(ScatterParams(eta, beta)) <= 1.0 + 1e-12
+    assert 0.0 <= landscape("vn_Sprime", ScatterParams(eta, beta)) <= 1.0 + 1e-12
 
 
 def test_three_tangle_ghz_point():
@@ -416,7 +432,7 @@ def test_scattering_cut_entropies_are_the_fusion_entropy_and_its_partner():
                             np.linspace(-np.pi / 2, np.pi / 2, 49), indexing="ij")
     params = ScatterParams(eta, beta)
     entropies = entanglement_report(state_from_params(params)).vn_entropies
-    fusion = fusion_entropy(params)
+    fusion = landscape("vn_Sprime", params)
     partner = binary_entropy(np.cos(eta) ** 2 + np.sin(beta) ** 2 * np.sin(eta) ** 2)
     assert np.max(np.abs(entropies[0] - fusion)) <= 1e-14
     assert np.max(np.abs(entropies[2] - fusion)) <= 1e-14
