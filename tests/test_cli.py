@@ -1324,14 +1324,14 @@ def test_readme_command_lines_give_the_exit_codes_readme_states(capsys):
 
 def test_readme_names_only_flags_that_exist():
     """Every ``--flag`` README names is an option of a subcommand or of
-    the figure script, so no removed flag lingers in the docs."""
+    a script in ``scripts/``, so no removed flag lingers in the docs."""
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     known = {"--help", "--version"}
     for parser in subparsers.choices.values():
         known.update(parser._option_string_actions)
-    script = README.parent / "scripts" / "make_figure_data.py"
-    known.update(re.findall(r'add_argument\("(--[a-z-]+)"', script.read_text()))
+    for script in (README.parent / "scripts").glob("*.py"):
+        known.update(re.findall(r'add_argument\("(--[a-z-]+)"', script.read_text()))
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text()))
     assert named and named <= known, sorted(named - known)
 
