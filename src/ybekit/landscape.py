@@ -7,7 +7,7 @@ registered function runs in a bounded working set: a surface over (eta,
 beta), a curve over theta, or a section, which is a surface with a
 1-point axis at the fixed coordinate.  The critical-point finder scans
 what :func:`sample` gives on the same axes and moves all candidates in
-lockstep, one call per refinement step at both trial points of every
+lockstep, one call per refinement step at the five points of every
 candidate still searching.  A point gives the same bits as a float, a 0-d
 array or an element of any array, so a value prints the same in
 ``landscape``, ``extrema`` and ``state``.
@@ -55,6 +55,7 @@ PLATEAU_TOL = 1e-12
 LOCATION_RESOLUTION = 1e-7  # dedupe floor, see _dedupe_tol
 FLAT_PROBE = 1e-4  # step of the two-sided flatness test in _flat_axis
 KINK_PROBE = 1e-5  # step of the one-sided slopes in _kinked
+_SIXTHS = np.arange(1.0, 6.0)[:, None]  # the points of a bracket search step, in sixths
 
 LOCAL_MAX = "local-max"
 LOCAL_MIN = "local-min"
@@ -227,44 +228,46 @@ def _axis_kind(center, lo, hi) -> np.ndarray:
 def _shrink_bracket(fn1d: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     lo: np.ndarray, hi: np.ndarray, want_max: np.ndarray,
                     tol: float) -> np.ndarray:
-    """Trisection search for the extrema of unimodal 1-D sections, one per
-    bracket [lo, hi], all brackets in lockstep.
+    """Five-point section search for the extrema of unimodal 1-D sections,
+    one per bracket [lo, hi], all brackets in lockstep.
 
     ``fn1d(u, k)`` evaluates the sections numbered ``k`` at the points
-    ``u``; each step calls it once, at ``a`` and ``b`` of every bracket
-    still wider than ``tol`` together.  Rounding of ``hi - lo`` can give two
-    brackets of one nominal width different step counts, so each bracket
-    stops on its own, after the float steps a search of its own would take.
-    A bracket also stops once a step leaves both its ends as they were:
-    below the float spacing at its ends it would repeat that step forever.
-    Works on V-shaped (non-differentiable) extrema as well as smooth ones.
+    ``u``; each step calls it once, at the five points lo + i (hi - lo) / 6,
+    i = 1..5, of every bracket still wider than ``tol`` together, and keeps
+    the two sixths on either side of the best point, a third of the
+    bracket.  Rounding of ``hi - lo`` can give two brackets of one nominal
+    width different step counts, so each bracket stops on its own, after
+    the float steps a search of its own would take.  A bracket also stops
+    once a step leaves both its ends as they were: below the float spacing
+    at its ends it would repeat that step forever.  Works on V-shaped
+    (non-differentiable) extrema as well as smooth ones.  The first of
+    equal best values wins, and a NaN ranks above every number, so a
+    search closes in on the NaN values it samples, and the finder raises.
 
     While no bracket stops, the set still searching is unchanged: its ends
-    and signs stay gathered in compact arrays, updated in place, and its
-    ``k`` (the indices of ``a`` then of ``b``) is one object, so ``fn1d``
-    can gather its fixed coordinates once per searching set.  The ends are
-    written back, and the next set gathered, only when a bracket stops.
+    (rows 0 and 6) and the five points between them stay in one array,
+    updated in place, and its ``k`` (five copies of the set's indices) is
+    one object, so ``fn1d`` can gather its fixed coordinates once per
+    searching set.  The ends are written back, and the next set gathered,
+    only when a bracket stops.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     sign = np.where(want_max, 1.0, -1.0)
     k = np.flatnonzero(hi - lo > tol)
     while k.size:
         n = k.size
-        lo_k, hi_k, sign_k, both = lo[k], hi[k], sign[k], np.concatenate([k, k])
-        u = np.empty(2 * n)  # a then b, the trial points of every step of this set
-        a, b = u[:n], u[n:]
+        x, cols, sign_k, ks = np.empty((7, n)), np.arange(n), sign[k], np.tile(k, 5)
+        x[0], x[6] = lo[k], hi[k]
         going = np.ones(n, dtype=bool)
         while going.all():
-            third = (hi_k - lo_k) / 3.0
-            np.add(lo_k, third, out=a)
-            np.subtract(hi_k, third, out=b)
-            f = fn1d(u, both)
-            up = sign_k * f[:n] < sign_k * f[n:]
-            going = np.where(up, a != lo_k, b != hi_k)  # the step moved an end
-            np.copyto(lo_k, a, where=up)
-            np.copyto(hi_k, b, where=~up)
-            going &= hi_k - lo_k > tol
-        lo[k], hi[k] = lo_k, hi_k
+            np.multiply(_SIXTHS, (x[6] - x[0]) / 6.0, out=x[1:6])
+            x[1:6] += x[0]
+            best = np.argmax(sign_k * fn1d(x[1:6].reshape(-1), ks).reshape(5, n), axis=0)
+            ends = x[best, cols], x[best + 2, cols]  # the points either side of the best
+            going = (ends[0] != x[0]) | (ends[1] != x[6])  # the step moved an end
+            x[0], x[6] = ends
+            going &= x[6] - x[0] > tol
+        lo[k], hi[k] = x[0], x[6]
         k = k[going]
     with np.errstate(over="ignore"):  # where the ends' sum overflows, sum their halves
         mid = 0.5 * (lo + hi)

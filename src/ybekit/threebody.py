@@ -152,17 +152,15 @@ def product_form(triple: AngleTriple) -> np.ndarray:
     return r12[0] @ lift(r[1], left=2) @ r12[1]
 
 
-def _trig(eta, beta):
-    # the one evaluation of the trigonometry of (eta, beta)
-    return np.cos(eta), np.sin(eta), np.cos(beta), np.sin(beta)
-
-
 def state_coordinates(eta, beta):
     """The state's coordinates (a, b, c) = (cos(eta), cos(beta) sin(eta),
     sin(beta) sin(eta)) on |000>, (|011> + |110>)/sqrt2 and |101>, unsigned;
-    elementwise over broadcast arrays."""
-    ce, se, cb, sb = _trig(eta, beta)
-    return ce, cb * se, sb * se
+    elementwise over broadcast arrays, yielded one at a time, so that a
+    measure reading them holds one at a time."""
+    se = np.sin(eta)
+    yield np.cos(eta)
+    yield np.cos(beta) * se
+    yield np.sin(beta) * se
 
 
 def state_from_params(params: ScatterParams) -> np.ndarray:
@@ -182,9 +180,12 @@ def state_from_params(params: ScatterParams) -> np.ndarray:
 def fusion_row(eta, beta):
     """The first row of :func:`fusion_form` as real coordinates (Re m00,
     Re m01, Im m00 = Im m01) = (cos(eta), sin(beta) sin(eta),
-    (cos(beta)/sqrt2) sin(eta)), read from the 2x2 matrix, not the state."""
-    ce, se, cb, sb = _trig(eta, beta)
-    return ce, sb * se, cb / math.sqrt(2.0) * se
+    (cos(beta)/sqrt2) sin(eta)), read from the 2x2 matrix, not the state;
+    yielded one at a time, as :func:`state_coordinates` are."""
+    se = np.sin(eta)
+    yield np.cos(eta)
+    yield np.sin(beta) * se
+    yield np.cos(beta) / math.sqrt(2.0) * se
 
 
 def fusion_form(params: ScatterParams) -> np.ndarray:
@@ -196,7 +197,7 @@ def fusion_form(params: ScatterParams) -> np.ndarray:
     Unitary for all parameters.  Like every matrix builder here, array
     parameters give a (..., 2, 2) stack.
     """
-    ce, se, cb, sb = _trig(params.eta, params.beta)
-    c = cb / math.sqrt(2.0)
+    ce, se, sb = np.cos(params.eta), np.sin(params.eta), np.sin(params.beta)
+    c = np.cos(params.beta) / math.sqrt(2.0)
     return stack([[ce + 1j * c * se, (sb + 1j * c) * se],
                   [(1j * c - sb) * se, ce - 1j * c * se]])

@@ -328,21 +328,19 @@ def _scan_1d_loop(vals):
 
 def _shrink_bracket_loop(fn1d, lo, hi, want_max, tol):
     """One bracket with float kernel calls; returns the extremum and the
-    number of trisection steps taken, negative if the last step moved
+    number of five-point steps taken, negative if the last step moved
     neither end."""
     sign = 1.0 if want_max else -1.0
     steps = 0
     while hi - lo > tol:
-        third = (hi - lo) / 3.0
-        a = lo + third
-        b = hi - third
+        sixth = (hi - lo) / 6.0
+        xs = [lo] + [lo + i * sixth for i in range(1, 6)] + [hi]
         steps += 1
-        if sign * fn1d(a) < sign * fn1d(b):
-            lo, stuck = a, a == lo
-        else:
-            hi, stuck = b, b == hi
-        if stuck:
+        values = [sign * fn1d(x) for x in xs[1:6]]
+        best = values.index(max(values))  # the first of equal values, as argmax
+        if (xs[best], xs[best + 2]) == (lo, hi):
             return 0.5 * (lo + hi), -steps
+        lo, hi = xs[best], xs[best + 2]
     return 0.5 * (lo + hi), steps
 
 

@@ -153,8 +153,8 @@ def test_qubit1_cut_of_the_state_is_diagonal_with_the_fusion_probability():
 def test_symbolic_maps_are_the_package_maps():
     eta, beta = (x.ravel() for x in np.meshgrid(ANGLES, ANGLES))
     params = ScatterParams(eta, beta)
-    for symbolic, built in ((STATE, np.transpose(state_coordinates(eta, beta))),
-                            (FUSION_ROW, np.transpose(fusion_row(eta, beta))),
+    for symbolic, built in ((STATE, np.transpose(tuple(state_coordinates(eta, beta)))),
+                            (FUSION_ROW, np.transpose(tuple(fusion_row(eta, beta)))),
                             (embedded(*STATE), state_from_params(params)),
                             (FUSION_FORM, fusion_form(params))):
         evaluate = sp.lambdify((ce, se, cb, sb), sp.Matrix(symbolic), "numpy")
