@@ -148,9 +148,9 @@ def check_braid_relations(rep: BraidRep) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 def permutation_matrix() -> np.ndarray:
-    """Two-qubit swap; the type-I braid matrix."""
+    """Two-qubit swap; the type-I braid matrix, real (float64)."""
     return np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float
     )
 
 

@@ -13,10 +13,14 @@ with the middle parameter fixed by the family's additivity rule:
 
 Four families are bundled: the rational type-I solution and the
 trigonometric type-II solution, each in its 4x4 two-qubit form and in its
-2x2 fusion-space form.  A Wigner rotation-matrix route to the same 2x2
-solutions is provided through :func:`wigner_d_half` and
-:func:`conjugate_by_v`, together with the phase-angle constraints that make
-the rotation matrices braid or satisfy the Yang-Baxter equation.
+2x2 fusion-space form.  Three of them are real, and their builders,
+:func:`type1_r_4x4`, :func:`type1_r1_2x2`, :func:`type1_r2_2x2` and
+:func:`type2_r_4x4`, return float64, so their Yang-Baxter products run in
+real arithmetic; the trigonometric 2x2 pair is complex128.  A Wigner
+rotation-matrix route to the same 2x2 solutions is provided through
+:func:`wigner_d_half` and :func:`conjugate_by_v`, together with the
+phase-angle constraints that make the rotation matrices braid or satisfy
+the Yang-Baxter equation.
 """
 
 from __future__ import annotations
@@ -35,7 +39,11 @@ V_MATRIX = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
 
 
 def _type1_scale(mu) -> np.ndarray:
-    """sqrt(|1 - mu^2|); raises at the normalization pole |mu| = 1."""
+    """sqrt(|1 - mu^2|); raises at the normalization pole |mu| = 1.
+
+    The builders multiply by its reciprocal, as numpy divided their former
+    complex matrices by it, so each real entry has those bits; ``/`` would
+    round some of them apart."""
     denom = 1.0 - mu * mu
     pole = np.abs(denom) < 1e-12
     if np.any(pole):
@@ -61,19 +69,19 @@ def type2_r_4x4(theta: float) -> np.ndarray:
 def type1_r_4x4(mu: float) -> np.ndarray:
     """Rational 4x4 solution (I + mu*P)/sqrt(|1 - mu^2|); not unitary for mu != 0."""
     scaled_swap = np.asarray(mu)[..., None, None] * permutation_matrix()
-    return (np.eye(4, dtype=complex) + scaled_swap) / _type1_scale(mu)
+    return (np.eye(4) + scaled_swap) * (1.0 / _type1_scale(mu))
 
 
 def type1_r1_2x2(mu: float) -> np.ndarray:
     """Diagonal member of the rational 2x2 pair."""
-    return stack([[1.0 - mu, 0], [0, 1.0 + mu]]) / _type1_scale(mu)
+    return stack([[1.0 - mu, 0], [0, 1.0 + mu]]) * (1.0 / _type1_scale(mu))
 
 
 def type1_r2_2x2(mu: float) -> np.ndarray:
     """Mixing member of the rational 2x2 pair."""
     return stack(
         [[2 + mu, -np.sqrt(3) * mu], [-np.sqrt(3) * mu, 2 - mu]]
-    ) / (2 * _type1_scale(mu))
+    ) * (1.0 / (2 * _type1_scale(mu)))
 
 
 def type2_r1_2x2(theta: float) -> np.ndarray:

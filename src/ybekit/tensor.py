@@ -1,9 +1,11 @@
-"""Dense complex linear algebra for small multi-qubit spaces (dim <= 16).
+"""Dense linear algebra for small multi-qubit spaces (dim <= 16).
 
 Basis labels read left to right with the first qubit as the most
 significant bit, so |011> is index 3 of an 8-dim vector; :func:`kron` and
 :func:`lift` place their factors in that order.  Matrices and state vectors
-are plain ``numpy`` arrays of dtype complex128.  The Pauli matrices, basis
+are plain ``numpy`` arrays that take the dtype of their entries: float64
+where every entry is real, complex128 otherwise, so a product of real
+matrices runs in real arithmetic.  The Pauli matrices, basis
 kets and the dense oracles built on them (matrix exponentials, partial
 traces) live with the tests, in ``tests/reference.py``.
 
@@ -20,8 +22,9 @@ import numpy as np
 
 # Bytes of a block: 8,192 float64 values, or an (n, d, d) complex product
 # stack of 1024 2x2 or 64 8x8 matrices (a reduction block's product is 8x8,
-# its 16x16 lift four times that): numpy's per-call cost is spread thin,
-# and the temporaries stay in cache.
+# its 16x16 lift four times that; a real stack of 64 8x8 matrices is half
+# the budget): numpy's per-call cost is spread thin, and the temporaries
+# stay in cache.
 STACK_BYTES = 1 << 16
 
 
@@ -63,10 +66,11 @@ def by_blocks(kernel: Callable[..., np.ndarray], *factors, size: int = STACK_BYT
 
 
 def stack(rows) -> np.ndarray:
-    """Complex (..., d, d) stack from d rows of d broadcastable entries."""
+    """(..., d, d) stack from d rows of d broadcastable entries: float64 when
+    every entry is real, complex128 when any is complex."""
     d = len(rows)
     entries = [e for row in rows for e in row]
-    out = np.empty(np.broadcast(*entries).shape + (d * d,), dtype=complex)
+    out = np.empty(np.broadcast(*entries).shape + (d * d,), dtype=np.result_type(float, *entries))
     for k, e in enumerate(entries):
         out[..., k] = e
     return out.reshape(out.shape[:-1] + (d, d))
@@ -83,12 +87,13 @@ def lift(op: np.ndarray, left: int = 1, right: int = 1) -> np.ndarray:
 
     The entries of ``op`` are copied into zeros with their bits, where
     :func:`kron` would multiply them by 1 and by 0; the two differ only in
-    the signs of zeros and where ``op`` is not finite.
+    the signs of zeros and where ``op`` is not finite.  The lift keeps the
+    dtype of ``op``, so a real stack stays real.
     """
-    op = np.asarray(op, dtype=complex)
+    op = np.asarray(op)
     d = op.shape[-1]
     n = left * d * right
-    out = np.zeros(op.shape[:-2] + (n, n), dtype=complex)
+    out = np.zeros(op.shape[:-2] + (n, n), dtype=op.dtype)
     blocks = out.reshape(op.shape[:-2] + (left, d, right, left, d, right))
     for i in range(left):
         for j in range(right):

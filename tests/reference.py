@@ -10,7 +10,8 @@ subcommand reaches them, so they live here and not in ``ybekit``.
 Byte references: retired implementations that the tests hold their
 replacements to, bit for bit, one per contract (CSV and JSON writers,
 landscape sampling, the coarse scan, the critical-point finder, the
-two-pair fusion states and the verify suites).  The expensive ones are
+two-pair fusion states, the verify suites and the real R-matrix builders
+as they ran in complex arithmetic).  The expensive ones are
 computed once per session.  Accuracy is held against mpmath instead, in
 ``test_accuracy.py``."""
 
@@ -25,7 +26,7 @@ from ybekit.entanglement import CLASS_TOL, entanglement_report
 from ybekit.fusionbasis import phased_antiparallel_state, reduce_three_body
 from ybekit.landscape import (LOCAL_MAX, LOCAL_MIN, PLATEAU_TOL, CriticalPoint, _classify,
                               _scan, get_function, sample)
-from ybekit.rmatrix import bundled_families, galilean, type2_r_4x4
+from ybekit.rmatrix import _type1_scale, bundled_families, galilean, type2_r_4x4
 from ybekit.tensor import kron, kron_all, norm_inf
 from ybekit.threebody import (RANDOM_SPAN, ScatterParams, constrained_triple,
                               random_constrained_triple)
@@ -432,8 +433,37 @@ def scalar_check_ybe(family, p1, p3):
 
 
 def scalar_stack(rows):
+    """The complex128 (..., d, d) stack of ``rows``, every entry cast to
+    complex: what ``tensor.stack`` built before it took the entries' dtype."""
     entries = np.broadcast_arrays(*[np.asarray(e, dtype=complex) for row in rows for e in row])
     return np.stack(entries, axis=-1).reshape(*entries[0].shape, len(rows), len(rows))
+
+
+# the real builders as they ran in complex arithmetic: a real scale divided
+# a complex matrix, which numpy computes as a product with the reciprocal
+
+COMPLEX_PERMUTATION = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+
+
+def complex_type1_r_4x4(mu):
+    scaled_swap = np.asarray(mu)[..., None, None] * COMPLEX_PERMUTATION
+    return (np.eye(4, dtype=complex) + scaled_swap) / _type1_scale(mu)
+
+
+def complex_type1_r1_2x2(mu):
+    return scalar_stack([[1.0 - mu, 0], [0, 1.0 + mu]]) / _type1_scale(mu)
+
+
+def complex_type1_r2_2x2(mu):
+    return scalar_stack(
+        [[2 + mu, -np.sqrt(3) * mu], [-np.sqrt(3) * mu, 2 - mu]]
+    ) / (2 * _type1_scale(mu))
+
+
+def complex_type2_r_4x4(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return scalar_stack([[c, 0, 0, s], [0, c, s, 0], [0, -s, c, 0], [-s, 0, 0, c]])
 
 
 def scalar_random_triple(rng):

@@ -34,7 +34,7 @@ from ybekit.fusionbasis import (
     reduce_operator,
     reduce_three_body,
 )
-from ybekit.rmatrix import bundled_families, check_ybe, type1_r_4x4
+from ybekit.rmatrix import bundled_families, check_ybe, type1_r_4x4, type2_r_4x4
 from ybekit.tensor import block_size, kron, kron_all, lift, max_diff_up_to_phase, norm_inf, stack
 from ybekit.threebody import (
     AngleTriple,
@@ -82,6 +82,36 @@ def test_ybe_suite_reports_the_worst_of_the_per_sample_loop(seed):
         expected.append(max(scalar_check_ybe(family, p1, p3) for p1, p3 in pairs))
     rows = checks.ybe_suite(tol=1e-12, samples=77, seed=seed)
     assert [row.residual for row in rows] == expected
+
+
+# The golden corpus rests on this: BLAS gives a real product the bits of
+# the real part of the same product of complex-cast matrices.
+REAL_FAMILIES = ["type1_2x2", "type1_4x4", "type2_4x4"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", REAL_FAMILIES)
+def test_real_ybe_route_equals_the_complex_route(name, seed):
+    family = bundled_families()[name]
+    p1, p3 = checks._ybe_pairs(family, np.random.default_rng(seed), 1000)
+    r12, r23 = family.role_matrices(np.array([p1, family.rule(p1, p3), p3]))
+    assert r12.dtype == r23.dtype == np.float64
+    c12, c23 = r12.astype(complex), r23.astype(complex)
+    complex_route = np.abs(c12[0] @ c23[1] @ c12[2] - c23[2] @ c12[1] @ c23[0]).max(axis=(-2, -1))
+    assert np.array_equal(check_ybe(family, p1, p3), complex_route), (
+        f"{name}: real residuals differ from the complex route at seed {seed}")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_real_reduction_route_equals_the_complex_route(seed):
+    triples = random_constrained_triple(np.random.default_rng(seed), 1000)
+    reduced, closed, _, residual = reduce_three_body(triples)
+    r = type2_r_4x4(np.array([triples.t1, triples.t2, triples.t3])).astype(complex)
+    r12 = lift(r[0::2], right=2)
+    product = r12[0] @ lift(r[1], left=2) @ r12[1]
+    complex_reduced = reduce_operator(lift(product, right=2), fusion_basis_type2())
+    assert np.array_equal(reduced, complex_reduced), f"type2_4x4 reduction at seed {seed}"
+    assert np.array_equal(residual, max_diff_up_to_phase(complex_reduced, closed.conj()))
 
 
 @pytest.mark.parametrize("samples", COUNTS)
@@ -176,13 +206,15 @@ def test_phase_alignment_of_a_zero_matrix_is_the_norm_of_the_other():
 
 def test_kron_free_lifts_equal_the_kron_products():
     rng = np.random.default_rng(5)
-    op = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-    for left, right in [(1, 2), (2, 1), (2, 2), (1, 1), (4, 1), (1, 4)]:
-        lifted = lift(op, left, right)
-        for k in range(3):
-            expected = kron_all(np.eye(left), op[k], np.eye(right))
-            assert np.array_equal(lifted[k], expected)
-    assert np.array_equal(lift(op[0], right=2), kron(op[0], IDENTITY_2))
+    real = rng.normal(size=(3, 4, 4))
+    for op in (real + 1j * rng.normal(size=(3, 4, 4)), real):
+        for left, right in [(1, 2), (2, 1), (2, 2), (1, 1), (4, 1), (1, 4)]:
+            lifted = lift(op, left, right)
+            assert lifted.dtype == op.dtype
+            for k in range(3):
+                expected = kron_all(np.eye(left), op[k], np.eye(right))
+                assert np.array_equal(lifted[k], expected)
+        assert np.array_equal(lift(op[0], right=2), kron(op[0], IDENTITY_2))
 
 
 def test_filled_stack_equals_the_broadcast_stack():
@@ -192,6 +224,12 @@ def test_filled_stack_equals_the_broadcast_stack():
     assert np.array_equal(stack(rows), scalar_stack(rows))
     assert stack(rows).shape == (2, 3, 3, 3)
     assert np.array_equal(stack([[1.5, 0], [0, 2j]]), scalar_stack([[1.5, 0], [0, 2j]]))
+    # real entries, Python ints among them, make a float64 stack with the
+    # bits of the complex one's real part
+    real_rows = [[np.cos(theta), 0, mu], [mu * theta, 2.5, -1], [0, np.sin(theta), mu]]
+    real = stack(real_rows)
+    assert real.dtype == np.float64 and stack([[1, 0], [0, 1]]).dtype == np.float64
+    assert np.array_equal(real.view(np.uint64), scalar_stack(real_rows).real.view(np.uint64))
 
 
 def test_empty_sample_sets_give_empty_residual_arrays():

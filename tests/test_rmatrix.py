@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ybekit.braiding import bell_braid
+from ybekit.braiding import bell_braid, permutation_matrix
 from ybekit.rmatrix import (
     bundled_families,
     check_ybe,
     conjugate_by_v,
     phi_from_theta,
     phi_from_three_thetas,
+    type1_r1_2x2,
+    type1_r2_2x2,
     type1_r_4x4,
     type2_r1_2x2,
     type2_r2_2x2,
@@ -16,8 +18,10 @@ from ybekit.rmatrix import (
     wigner_d_half,
 )
 from ybekit.tensor import norm_inf
+from ybekit.threebody import ScatterParams, fusion_form
 
-from reference import is_unitary, ket
+from reference import (COMPLEX_PERMUTATION, complex_type1_r1_2x2, complex_type1_r2_2x2,
+                       complex_type1_r_4x4, complex_type2_r_4x4, is_unitary, ket)
 
 open_angles = st.floats(min_value=0.05, max_value=1.5)
 any_angles = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
@@ -118,6 +122,51 @@ def test_type2_ybe_holds_at_tan_poles(name):
     family = bundled_families()[name]
     for p1, p3 in TAN_POLE_PAIRS:
         assert check_ybe(family, p1, p3) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# dtypes: the real families are built in real arithmetic
+# ---------------------------------------------------------------------------
+
+REAL_BUILDERS = [(type1_r_4x4, complex_type1_r_4x4), (type1_r1_2x2, complex_type1_r1_2x2),
+                 (type1_r2_2x2, complex_type1_r2_2x2), (type2_r_4x4, complex_type2_r_4x4)]
+PARAMETERS = {
+    "float": 0.3,
+    "negative float": -0.7,
+    "numpy scalar": np.float64(0.45),
+    "0-d array": np.array(-0.2),
+    "array": np.random.default_rng(4).uniform(-3.0, 3.0, size=(5, 3)),
+    "near the pole": np.array([1 - 1e-12, -(1 - 1e-12), 1 + 1e-12, -(1 + 1e-12)]),
+}
+
+
+@pytest.mark.parametrize("param", PARAMETERS.values(), ids=PARAMETERS.keys())
+@pytest.mark.parametrize("builder, oracle", REAL_BUILDERS, ids=lambda f: f.__name__)
+def test_real_builders_keep_the_bits_of_the_complex_ones(builder, oracle, param):
+    out, expected = builder(param), oracle(param)
+    assert out.dtype == np.float64 and expected.dtype == np.complex128
+    assert out.shape == expected.shape == np.shape(param) + expected.shape[-2:]
+    assert np.all(expected.imag == 0)
+    assert np.array_equal(out.view(np.uint64), expected.real.view(np.uint64))
+
+
+def test_real_mixing_member_at_zero_differs_only_in_the_sign_of_its_zeros():
+    # -sqrt(3) * 0.0 is -0.0, which the complex division turned into +0.0;
+    # no residual reads the sign of a zero
+    out, expected = type1_r2_2x2(0.0), complex_type1_r2_2x2(0.0)
+    assert np.array_equal(out, expected.real) and np.array_equal(out, np.eye(2))
+    assert np.signbit(out).tolist() == [[False, True], [True, False]]
+    assert not np.signbit(expected.real).any()
+
+
+def test_permutation_matrix_is_real_and_the_complex_families_stay_complex():
+    swap = permutation_matrix()
+    assert swap.dtype == np.float64
+    assert np.array_equal(swap.view(np.uint64), COMPLEX_PERMUTATION.real.view(np.uint64))
+    theta = np.array([0.3, -1.1])
+    for matrix in (type2_r1_2x2(theta), type2_r2_2x2(theta), wigner_d_half(theta, 0.7),
+                   fusion_form(ScatterParams(theta, 0.4))):
+        assert matrix.dtype == np.complex128
 
 
 # ---------------------------------------------------------------------------
