@@ -41,9 +41,9 @@ V_MATRIX = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
 def _type1_scale(mu) -> np.ndarray:
     """sqrt(|1 - mu^2|); raises at the normalization pole |mu| = 1.
 
-    The builders multiply by its reciprocal, as numpy divided their former
-    complex matrices by it, so each real entry has those bits; ``/`` would
-    round some of them apart."""
+    The builders multiply by its reciprocal, the rounding of numpy's
+    complex-by-real division that the recorded outputs were made with;
+    ``/`` would round some entries apart."""
     denom = 1.0 - mu * mu
     pole = np.abs(denom) < 1e-12
     if np.any(pole):
