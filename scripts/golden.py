@@ -69,11 +69,17 @@ CORPUS = [
     "verify --suite tl --tol 0",
     "verify --suite braid --seed 3",
     *_landscapes(),
-    *(f"extrema --fn {tag} --coarse {n}" for tag in TAGS for n in (121, 200, 401)),
+    *(f"extrema --fn {tag}" for tag in TAGS),
     "extrema --format json",
     "extrema --fn vn_xi --format json --output out.json",
-    "extrema --fn l1_Sprime --eta 0.5:2.5 --beta -1:1 --coarse 61 --tol 1e-10",
+    "extrema --fn l1_Sprime --eta 0.5:2.5 --beta -1:1",
+    "extrema --fn vn_Sprime --eta -10:10 --beta -4:4",
     "extrema --fn l1_S3 --eta 0:1:x",
+    "extrema --fn vn_xi --theta 0.2:1.4:7",
+    "extrema --coarse 400",
+    "extrema --tol 1e-8",
+    "extrema --fn l1_wigner --theta 1e13:1.00000000001e13",
+    "extrema --eta -1e6:1e6",
     f"state --eta 1.0471975511965976 --beta {BETA_STAR}",
     f"state --eta {HALF_PI} --beta {BETA_STAR} --format json",
     "state --eta 0 --beta 0.5",

@@ -9,7 +9,8 @@ Writes CSV files into --outdir (default: out/):
   l1_section_beta_star.csv    eta section through the GHZ/W points
   l1_section_eta_half_pi.csv  beta section through the W points
   entropy_section_beta_star.csv  fusion-space entropy along the same section
-  extrema.csv                 refined critical points with SLOCC labels
+  extrema.csv                 l1_S3's critical points with SLOCC labels, one
+                              row per preimage in the default (eta, beta) box
 
 Every file goes through the ybekit CLI, so the output format matches what
 `ybekit landscape`/`ybekit extrema` produce by hand.

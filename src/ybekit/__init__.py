@@ -42,12 +42,8 @@ from .rmatrix import (
     RMatrixFamily,
     bundled_families,
     check_ybe,
-    conjugate_by_v,
-    phi_from_theta,
-    phi_from_three_thetas,
     type1_r_4x4,
     type2_r_4x4,
-    wigner_d_half,
 )
 from .tensor import (
     kron,

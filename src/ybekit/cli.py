@@ -4,7 +4,7 @@ Subcommands
 -----------
 verify     run TL / braid / YBE / reduction residual suites (exit 1 on failure)
 landscape  emit grid, section or curve samples as CSV or JSON
-extrema    locate critical points and label the states sitting on them
+extrema    enumerate critical points and label the states sitting on them
 state      report amplitudes and entanglement measures for one parameter point
 reduce     cross-check the 8x8 factorized matrix against its 2x2 fusion form
 
@@ -104,36 +104,32 @@ def _emit(path: str | None, chunks: Iterable[bytes]) -> None:
         _write_atomic(path, chunks)
 
 
-def parse_axis(raw: str, name: str, count: int | None = None) -> AxisSpec:
-    """The ``--NAME`` value ``start:stop:count`` as an axis.  Given
-    ``count``, the axis has that many points and the value may also be
-    ``start:stop``; a count it holds must still be an integer."""
+def parse_fields(raw: str, name: str, *kinds: type) -> list:
+    """The ``--NAME`` value as colon-separated fields of ``kinds``: a
+    landscape axis is ``start:stop:count``, an extrema box side
+    ``start:stop``."""
+    form = ":".join(["start", "stop", "count"][:len(kinds)])
     parts = raw.split(":")
-    form = "start:stop:count" if count is None else "start:stop[:count]"
     try:
-        if len(parts) not in ((3,) if count is None else (2, 3)):
+        if len(parts) != len(kinds):
             raise ValueError
-        start, stop = float(parts[0]), float(parts[1])
-        n = int(parts[2]) if len(parts) == 3 else count
+        return [kind(part) for kind, part in zip(kinds, parts)]
     except ValueError:
         raise ValueError(f"--{name} must look like {form}, got {raw!r}") from None
-    return AxisSpec(name, start, stop, n if count is None else count)
 
 
-def number(kind: type = float, minimum: int | None = None, positive: bool = False):
-    """argparse type for a finite ``kind`` value no smaller than ``minimum``,
-    and above 0 if ``positive``: a NaN slips through every ``<=`` gate, a
-    value below the minimum passes or fails vacuously, and a bracket search
-    to a tolerance of 0 never ends, so all three are usage errors (exit 2)."""
+def number(kind: type = float, minimum: int | None = None):
+    """argparse type for a finite ``kind`` value no smaller than ``minimum``:
+    a NaN slips through every ``<=`` gate and a value below the minimum
+    passes or fails vacuously, so both are usage errors (exit 2)."""
     def parse(raw: str):
         try:
             value = kind(raw)
         except ValueError:
             value = math.nan
-        if (not math.isfinite(value) or (minimum is not None and value < minimum)
-                or (positive and value <= 0)):
+        if not math.isfinite(value) or (minimum is not None and value < minimum):
             what = "an integer" if kind is int else "a finite number"
-            bound = " > 0" if positive else "" if minimum is None else f" >= {minimum}"
+            bound = "" if minimum is None else f" >= {minimum}"
             raise argparse.ArgumentTypeError(f"expected {what}{bound}, got {raw!r}")
         return value
     return parse
@@ -242,18 +238,23 @@ def _axis_names() -> list[str]:
     return list(dict.fromkeys(name for spec in FUNCTIONS.values() for name in spec.axes))
 
 
-def _axes(args, spec, count: int | None = None) -> tuple[list[AxisSpec], AxisSpec | None]:
-    """One axis per axis of ``spec``: the --NAME axis, or the function's
-    default domain, of ``count`` points when given (see :func:`parse_axis`).
-    ``--section NAME=VALUE`` makes axis NAME the 1-point axis at VALUE,
-    which is also returned; every axis of a surface with no section needs 3
-    points.  Other functions' axis flags, a section of a curve and the flag
-    of the axis a section fixes are usage errors, not silently ignored."""
+def _check_axis_flags(args, spec) -> None:
+    """Other functions' axis flags, and a section of a curve, are usage
+    errors, not silently ignored."""
     unused = [name for name in _axis_names() if name not in spec.axes]
     for flag in unused + (["section"] if spec.arity == 1 else []):
         if getattr(args, flag, None) is not None:
             raise ValueError(f"--{flag} does not apply to the "
                              f"{spec.arity}-parameter function {spec.tag}")
+
+
+def _axes(args, spec) -> tuple[list[AxisSpec], AxisSpec | None]:
+    """One axis per axis of ``spec``: the --NAME axis, or the function's
+    default domain.  ``--section NAME=VALUE`` makes axis NAME the 1-point
+    axis at VALUE, which is also returned; every axis of a surface with no
+    section needs 3 points.  The flag of the axis a section fixes is a
+    usage error, as are the flags :func:`_check_axis_flags` refuses."""
+    _check_axis_flags(args, spec)
     section = getattr(args, "section", None)
     fixed_name, _, raw = (section or "").partition("=")
     fixed_name = fixed_name.strip()
@@ -275,9 +276,9 @@ def _axes(args, spec, count: int | None = None) -> tuple[list[AxisSpec], AxisSpe
             fixed = AxisSpec(name, value, value, 1)
             axes.append(fixed)
         elif getattr(args, name) is not None:
-            axes.append(parse_axis(getattr(args, name), name, count))
+            axes.append(AxisSpec(name, *parse_fields(getattr(args, name), name, float, float, int)))
         else:
-            axes.append(AxisSpec(name, lo, hi, count or (500 if spec.arity == 1 else 200)))
+            axes.append(AxisSpec(name, lo, hi, 500 if spec.arity == 1 else 200))
     if spec.arity > 1 and fixed is None:
         for axis in axes:
             if axis.n < 3:
@@ -292,8 +293,10 @@ def _axes(args, spec, count: int | None = None) -> tuple[list[AxisSpec], AxisSpe
 
 def cmd_extrema(args) -> int:
     spec = get_function(args.fn)
-    axes, _ = _axes(args, spec, args.coarse)
-    points = find_critical_points(args.fn, axes, refine_tol=args.tol)
+    _check_axis_flags(args, spec)
+    domain = [parse_fields(getattr(args, name), name, float, float) if getattr(args, name)
+              is not None else bounds for name, bounds in zip(spec.axes, spec.default_domain)]
+    points = find_critical_points(args.fn, domain)
     header = [*spec.axes, "value", "kind", "smooth"]
     rows = [[*map(float, p.location), float(p.value), p.kind, p.smooth] for p in points]
     if spec.params is not None:  # a three-body landscape: label the states its map gives
@@ -303,8 +306,7 @@ def cmd_extrema(args) -> int:
         for row, label in zip(rows, labels):
             row.append(str(label))
     if args.format == "json":  # the numbers as json.dumps writes them, smooth a boolean
-        text = _json_doc({"fn": args.fn, "points": [dict(zip(header, row)) for row in rows]},
-                         coarse=args.coarse, tol=args.tol)
+        text = _json_doc({"fn": args.fn, "points": [dict(zip(header, row)) for row in rows]})
     else:  # the numbers as fmt renders them, smooth as true or false
         text = _csv_text(header, [[json.dumps(x) if isinstance(x, bool) else
                                    fmt(x) if isinstance(x, float) else x for x in row]
@@ -431,15 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _axis_names():  # one flag per axis of the registered functions
         tags = ", ".join(tag for tag, spec in FUNCTIONS.items() if name in spec.axes)
         p_land.add_argument(f"--{name}", default=None, help=f"start:stop:count ({tags})")
-        p_ext.add_argument(f"--{name}", default=None, help=f"start:stop domain ({tags})")
+        p_ext.add_argument(f"--{name}", default=None, help=f"start:stop box side ({tags})")
     p_land.add_argument("--section", default=None, help="AXIS=VALUE (surfaces)")
     p_land.add_argument("--output", default=None)
     p_land.add_argument("--format", default="csv", choices=["csv", "json"])
     p_land.set_defaults(func=cmd_landscape)
 
-    p_ext.add_argument("--coarse", type=number(int, minimum=3), default=400,
-                       help="coarse grid points per axis")
-    p_ext.add_argument("--tol", type=number(positive=True), default=1e-8)
     p_ext.add_argument("--output", default=None)
     p_ext.add_argument("--format", default="csv", choices=["csv", "json"])
     p_ext.set_defaults(func=cmd_extrema)
@@ -494,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except MemoryError as exc:  # a grid or --coarse too large to allocate
+    except MemoryError as exc:  # a grid too large to allocate
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_USAGE
 

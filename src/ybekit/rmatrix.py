@@ -16,11 +16,9 @@ trigonometric type-II solution, each in its 4x4 two-qubit form and in its
 2x2 fusion-space form.  Three of them are real, and their builders,
 :func:`type1_r_4x4`, :func:`type1_r1_2x2`, :func:`type1_r2_2x2` and
 :func:`type2_r_4x4`, return float64, so their Yang-Baxter products run in
-real arithmetic; the trigonometric 2x2 pair is complex128.  A Wigner
-rotation-matrix route to the same 2x2 solutions is provided through
-:func:`wigner_d_half` and :func:`conjugate_by_v`, together with the
-phase-angle constraints that make the rotation matrices braid or satisfy
-the Yang-Baxter equation.
+real arithmetic; the trigonometric 2x2 pair is complex128.  The Wigner
+rotation-matrix route to the same 2x2 solutions, and its phase-angle
+constraints, are test oracles (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -32,10 +30,6 @@ import numpy as np
 
 from .braiding import permutation_matrix
 from .tensor import block_size, by_blocks, lift, stack
-
-TAN_POLE_GUARD = 1e-8
-
-V_MATRIX = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
 
 
 def _type1_scale(mu) -> np.ndarray:
@@ -93,65 +87,6 @@ def type2_r2_2x2(theta: float) -> np.ndarray:
     """Mixing member of the trigonometric 2x2 pair (full-angle convention)."""
     c, s = np.cos(theta), np.sin(theta)
     return stack([[c, 1j * s], [1j * s, c]])
-
-
-def wigner_d_half(theta: float, phi: float) -> np.ndarray:
-    """Spin-1/2 rotation matrix [[cos, -sin e^{-i phi}], [sin e^{i phi}, cos]]."""
-    c, s = np.cos(theta), np.sin(theta)
-    return stack([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]])
-
-
-def conjugate_by_v(m: np.ndarray) -> np.ndarray:
-    """V M V^dag with V = [[1, i], [i, 1]]/sqrt(2).
-
-    Maps wigner_d_half(theta, 0) to diag(e^{i theta}, e^{-i theta}) and
-    wigner_d_half(theta, pi/2) to the trigonometric mixing matrix, i.e. the
-    2x2 pair in the full-angle convention.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    return V_MATRIX @ m @ V_MATRIX.conj().T
-
-
-def phi_from_theta(theta: float) -> float:
-    """Phase angle making the rotation matrices braid at a common theta.
-
-    Solves cos(phi) = cos(2 theta) / (1 - cos(2 theta)) on the principal
-    branch [0, pi]; raises ValueError when the ratio leaves [-1, 1].
-    """
-    c2 = np.cos(2.0 * theta)
-    denom = 1.0 - c2
-    if abs(denom) < 1e-14:
-        raise ValueError(f"no phase solution at theta = {theta} (degenerate rotation)")
-    ratio = c2 / denom
-    if not -1.0 <= ratio <= 1.0:
-        raise ValueError(
-            f"no phase solution at theta = {theta}: cos(phi) would be {ratio:.6g}"
-        )
-    return float(np.arccos(ratio))
-
-
-def phi_from_three_thetas(theta1: float, theta2: float, theta3: float) -> float:
-    """Phase angle for the Yang-Baxter equation of rotation matrices.
-
-    cos(phi) = [((tan t1 + tan t3) - tan t2) / (tan t1 tan t2 tan t3) - 1]/2
-    on the principal branch.  Galilean triples give 2*pi/3, lorentzian
-    triples give pi/2, and equal angles reduce to :func:`phi_from_theta`.
-    """
-    tans = []
-    for t in (theta1, theta2, theta3):
-        if abs(np.cos(t)) < TAN_POLE_GUARD:
-            raise ValueError(f"tangent pole at theta = {t}")
-        tan = np.tan(t)
-        if abs(tan) < 1e-14:
-            raise ValueError(f"vanishing tangent at theta = {t}")
-        tans.append(tan)
-    t1, t2, t3 = tans
-    ratio = 0.5 * (((t1 + t3) - t2) / (t1 * t2 * t3) - 1.0)
-    if not -1.0 - 1e-12 <= ratio <= 1.0 + 1e-12:
-        raise ValueError(f"no phase solution: cos(phi) would be {ratio:.6g}")
-    return float(np.arccos(np.clip(ratio, -1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared test configuration: hypothesis profile, the suite time budget
-and the grids the critical-point finder scans."""
+and the grids that the retired critical-point finder, the completeness
+oracle in ``tests/reference.py``, scans."""
 
 import time
 

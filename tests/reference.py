@@ -7,13 +7,21 @@ matrix exponential, the Pauli matrices and basis kets they are built
 from), which the tests hold the program to within a tolerance.  No
 subcommand reaches them, so they live here and not in ``ybekit``.
 
+The Wigner rotation-matrix route to the type-II 2x2 pair
+(:func:`wigner_d_half`, :func:`conjugate_by_v`) and the phase angles
+that make the rotation matrices braid or solve the Yang-Baxter equation
+(:func:`phi_from_theta`, :func:`phi_from_three_thetas`).
+
 Byte references: retired implementations that the tests hold their
 replacements to, bit for bit, one per contract (CSV and JSON writers,
-landscape sampling, the coarse scan, the critical-point finder, the
-two-pair fusion states, the verify suites and the real R-matrix builders
-as they ran in complex arithmetic).  The expensive ones are
-computed once per session.  Accuracy is held against mpmath instead, in
-``test_accuracy.py``."""
+landscape sampling, the two-pair fusion states, the verify suites and the
+real R-matrix builders as they ran in complex arithmetic).  The expensive
+ones are computed once per session.  Accuracy is held against mpmath
+instead, in ``test_accuracy.py``.
+
+A completeness oracle: the retired grid finder as a per-node loop
+(:func:`_points_loop`), which knows nothing of the critical sets that
+``find_critical_points`` enumerates."""
 
 import functools
 import json
@@ -24,10 +32,9 @@ import numpy as np
 from ybekit import __version__
 from ybekit.entanglement import CLASS_TOL, entanglement_report
 from ybekit.fusionbasis import phased_antiparallel_state, reduce_three_body
-from ybekit.landscape import (LOCAL_MAX, LOCAL_MIN, PLATEAU_TOL, CriticalPoint, _classify,
-                              _scan, get_function, sample)
+from ybekit.landscape import LOCAL_MAX, LOCAL_MIN, SADDLE, get_function, sample
 from ybekit.rmatrix import _type1_scale, bundled_families, galilean, type2_r_4x4
-from ybekit.tensor import kron, kron_all, norm_inf
+from ybekit.tensor import kron, kron_all, norm_inf, stack
 from ybekit.threebody import (RANDOM_SPAN, ScatterParams, constrained_triple,
                               random_constrained_triple)
 
@@ -203,6 +210,71 @@ def closed_form(params: ScatterParams) -> np.ndarray:
     return expm_involutive(n_dot_lambda(params.beta), -params.eta)
 
 
+# the Wigner route and its phase angles
+
+V_MATRIX = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
+
+
+def wigner_d_half(theta, phi):
+    """Spin-1/2 rotation matrix [[cos, -sin e^{-i phi}], [sin e^{i phi}, cos]];
+    array angles give a (..., 2, 2) stack."""
+    c, s = np.cos(theta), np.sin(theta)
+    return stack([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]])
+
+
+def conjugate_by_v(m):
+    """V M V^dag with V = [[1, i], [i, 1]]/sqrt(2).
+
+    Maps wigner_d_half(theta, 0) to diag(e^{i theta}, e^{-i theta}) and
+    wigner_d_half(theta, pi/2) to the trigonometric mixing matrix, i.e. the
+    2x2 pair in the full-angle convention.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    return V_MATRIX @ m @ V_MATRIX.conj().T
+
+
+def phi_from_theta(theta):
+    """Phase angle making the rotation matrices braid at a common theta.
+
+    Solves cos(phi) = cos(2 theta) / (1 - cos(2 theta)) on the principal
+    branch [0, pi]; raises ValueError when the ratio leaves [-1, 1].
+    """
+    c2 = np.cos(2.0 * theta)
+    denom = 1.0 - c2
+    if abs(denom) < 1e-14:
+        raise ValueError(f"no phase solution at theta = {theta} (degenerate rotation)")
+    ratio = c2 / denom
+    if not -1.0 <= ratio <= 1.0:
+        raise ValueError(
+            f"no phase solution at theta = {theta}: cos(phi) would be {ratio:.6g}"
+        )
+    return float(np.arccos(ratio))
+
+
+def phi_from_three_thetas(theta1, theta2, theta3):
+    """Phase angle for the Yang-Baxter equation of rotation matrices.
+
+    cos(phi) = [((tan t1 + tan t3) - tan t2) / (tan t1 tan t2 tan t3) - 1]/2
+    on the principal branch.  Galilean triples give 2*pi/3, lorentzian
+    triples give pi/2, and equal angles reduce to :func:`phi_from_theta`.
+    """
+    tans = []
+    for t in (theta1, theta2, theta3):
+        if abs(np.cos(t)) < 1e-8:
+            raise ValueError(f"tangent pole at theta = {t}")
+        tan = np.tan(t)
+        if abs(tan) < 1e-14:
+            raise ValueError(f"vanishing tangent at theta = {t}")
+        tans.append(tan)
+    t1, t2, t3 = tans
+    ratio = 0.5 * (((t1 + t3) - t2) / (t1 * t2 * t3) - 1.0)
+    if not -1.0 - 1e-12 <= ratio <= 1.0 + 1e-12:
+        raise ValueError(f"no phase solution: cos(phi) would be {ratio:.6g}")
+    return float(np.arccos(np.clip(ratio, -1.0, 1.0)))
+
+
 # fusion bases
 
 def _two_pair_state_loop(pair_a, state_a, pair_b, state_b):
@@ -282,7 +354,11 @@ def _sample_curve_reference(tag, axis):
     return get_function(tag)(axis.points())
 
 
-# the coarse scan, one node at a time
+# the retired grid finder, one node and one candidate at a time: the
+# completeness oracle of the enumerated critical sets
+
+PLATEAU_TOL = 1e-12  # the finder's tie tolerance between grid values
+
 
 def _axis_kind_scalar(center, lo, hi):
     if center > min(lo, hi) + PLATEAU_TOL and center >= max(lo, hi) - PLATEAU_TOL:
@@ -293,18 +369,20 @@ def _axis_kind_scalar(center, lo, hi):
 
 
 def _scan_2d_loop(vals):
+    vals = vals.tolist()  # Python floats: the same comparisons, faster
     out = []
-    for i in range(1, vals.shape[0] - 1):
-        for j in range(1, vals.shape[1] - 1):
-            center = vals[i, j]
-            if np.max(np.abs(vals[i - 1 : i + 2, j - 1 : j + 2] - center)) < PLATEAU_TOL:
-                continue
-            kind_eta = _axis_kind_scalar(center, vals[i - 1, j], vals[i + 1, j])
-            kind_beta = _axis_kind_scalar(center, vals[i, j - 1], vals[i, j + 1])
+    for i in range(1, len(vals) - 1):
+        for j in range(1, len(vals[0]) - 1):
+            center = vals[i][j]
+            kind_eta = _axis_kind_scalar(center, vals[i - 1][j], vals[i + 1][j])
+            kind_beta = _axis_kind_scalar(center, vals[i][j - 1], vals[i][j + 1])
             if kind_eta is None or kind_beta is None:
                 continue
+            if max(abs(v - center) for row in vals[i - 1 : i + 2] for v in row[j - 1 : j + 2]) \
+                    < PLATEAU_TOL:
+                continue
             if kind_eta == kind_beta:
-                diag = [vals[i - 1, j - 1], vals[i - 1, j + 1], vals[i + 1, j - 1], vals[i + 1, j + 1]]
+                diag = [vals[i - 1][j - 1], vals[i - 1][j + 1], vals[i + 1][j - 1], vals[i + 1][j + 1]]
                 if kind_eta == "max" and not all(center > d - PLATEAU_TOL for d in diag):
                     continue
                 if kind_eta == "min" and not all(center < d + PLATEAU_TOL for d in diag):
@@ -325,24 +403,19 @@ def _scan_1d_loop(vals):
     return out
 
 
-# the critical-point finder, each candidate refined on its own by float calls
-
 def _shrink_bracket_loop(fn1d, lo, hi, want_max, tol):
-    """One bracket with float kernel calls; returns the extremum and the
-    number of five-point steps taken, negative if the last step moved
-    neither end."""
+    """The extremum of a unimodal section in one bracket, by five-point
+    steps that keep the two sixths either side of the best point."""
     sign = 1.0 if want_max else -1.0
-    steps = 0
     while hi - lo > tol:
         sixth = (hi - lo) / 6.0
         xs = [lo] + [lo + i * sixth for i in range(1, 6)] + [hi]
-        steps += 1
         values = [sign * fn1d(x) for x in xs[1:6]]
-        best = values.index(max(values))  # the first of equal values, as argmax
+        best = values.index(max(values))  # the first of equal values
         if (xs[best], xs[best + 2]) == (lo, hi):
-            return 0.5 * (lo + hi), -steps
+            break
         lo, hi = xs[best], xs[best + 2]
-    return 0.5 * (lo + hi), steps
+    return 0.5 * (lo + hi)
 
 
 def _flat_axis_loop(fn1d, x, probe=1e-4):
@@ -350,57 +423,47 @@ def _flat_axis_loop(fn1d, x, probe=1e-4):
     return abs(fn1d(x + probe) - f0) < PLATEAU_TOL and abs(fn1d(x - probe) - f0) < PLATEAU_TOL
 
 
-def _kinked_loop(fn1d, x, h):
-    f0 = fn1d(x)
-    s_minus, s_plus = (f0 - fn1d(x - h)) / h, (fn1d(x + h) - f0) / h
-    return bool(abs(s_plus - s_minus) > 10.0 * max(h, abs(s_plus + s_minus)))
+def _classify(axis_kinds):
+    if all(k == "max" for k in axis_kinds):
+        return LOCAL_MAX
+    if all(k == "min" for k in axis_kinds):
+        return LOCAL_MIN
+    return SADDLE
 
 
-def _refine_2d_loop(fn, start, steps, axis_kinds, refine_tol=1e-8, kink_probe=1e-5):
+def _refine_2d_loop(fn, start, steps, axis_kinds, refine_tol=1e-8):
     x, y = start
     hx, hy = steps
     for _ in range(3):
-        x = _shrink_bracket_loop(lambda u: fn(u, y), x - hx, x + hx,
-                                 axis_kinds[0] == "max", refine_tol)[0]
-        y = _shrink_bracket_loop(lambda v: fn(x, v), y - hy, y + hy,
-                                 axis_kinds[1] == "max", refine_tol)[0]
+        x = _shrink_bracket_loop(lambda u: fn(u, y), x - hx, x + hx, axis_kinds[0] == "max",
+                                 refine_tol)
+        y = _shrink_bracket_loop(lambda v: fn(x, v), y - hy, y + hy, axis_kinds[1] == "max",
+                                 refine_tol)
     if _flat_axis_loop(lambda u: fn(u, y), x) or _flat_axis_loop(lambda v: fn(x, v), y):
         return None
-    kinks = (_kinked_loop(lambda u: fn(u, y), x, kink_probe),
-             _kinked_loop(lambda v: fn(x, v), y, kink_probe))
-    return CriticalPoint((x, y), fn(x, y), _classify(axis_kinds), axis_kinds, kinks)
-
-
-def _dedupe_quadratic(points, tol):
-    kept = []
-    for p in sorted(points, key=lambda q: q.location):
-        if any(k.kind == p.kind and all(abs(a - b) <= tol for a, b in zip(k.location, p.location))
-               for k in kept):
-            continue
-        kept.append(p)
-    return kept
+    return (x, y), fn(x, y), _classify(axis_kinds)
 
 
 @functools.cache
 def _points_loop(tag, axes):
-    """The finder's points before dedupe, in scan order, on the coarse grid
-    that ``sample`` gives for ``axes``, a tuple of one AxisSpec per axis."""
+    """The retired finder's points before its dedupe, in scan order, as
+    (location, value, kind): strict neighborhood comparisons on the grid
+    that ``sample`` gives for ``axes``, a tuple of one AxisSpec of at least
+    3 points per axis, then per-axis bracket search around each candidate.
+    Its interior scan cannot see a point on the grid's edge."""
     spec = get_function(tag)
-    fn, grid = spec, sample(tag, axes)
+    grid = sample(tag, axes)
+    steps = [(a.stop - a.start) / (a.n - 1) for a in axes]
     if spec.arity == 2:
         etas, betas = axes[0].points(), axes[1].points()
-        refined = (
-            _refine_2d_loop(fn, (etas[i], betas[j]), (axes[0].step, axes[1].step),
-                            (str(kind_eta), str(kind_beta)))
-            for i, j, kind_eta, kind_beta in zip(*_scan(grid))
-        )
+        refined = (_refine_2d_loop(spec, (etas[i], betas[j]), steps, (kind_eta, kind_beta))
+                   for i, j, kind_eta, kind_beta in _scan_2d_loop(grid))
         return tuple(p for p in refined if p is not None)
-    xs, h = axes[0].points(), axes[0].step
+    xs, (h,) = axes[0].points(), steps
     out = []
-    for i, kind in zip(*_scan(grid)):
-        x = _shrink_bracket_loop(fn, xs[i] - h, xs[i] + h, kind == "max", 1e-8)[0]
-        out.append(CriticalPoint((x,), fn(x), LOCAL_MAX if kind == "max" else LOCAL_MIN,
-                                 (str(kind),), (_kinked_loop(fn, x, 1e-5),)))
+    for i, kind in _scan_1d_loop(grid):
+        x = _shrink_bracket_loop(spec, xs[i] - h, xs[i] + h, kind == "max", 1e-8)
+        out.append(((x,), spec(x), LOCAL_MAX if kind == "max" else LOCAL_MIN))
     return tuple(out)
 
 

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from conftest import SUITE_BUDGET_SECONDS, finder_axes, session_elapsed
+from conftest import SUITE_BUDGET_SECONDS, session_elapsed
 from ybekit.checks import braid_suite, reduction_suite, tl_suite, ybe_suite
 from ybekit.entanglement import (
     GHZ_CLASS,
@@ -18,10 +18,10 @@ from ybekit.entanglement import (
 from ybekit.landscape import (
     FUNCTIONS,
     LOCAL_MAX,
+    LOCAL_MIN,
     SADDLE,
     find_critical_points,
 )
-from ybekit.rmatrix import phi_from_theta, phi_from_three_thetas
 from ybekit.tensor import max_diff_up_to_phase, norm_inf
 from ybekit.threebody import (
     BETA_STAR,
@@ -32,7 +32,7 @@ from ybekit.threebody import (
 )
 
 from reference import (classify_slocc, closed_form, expm_series, ket, n_dot_lambda,
-                       scalar_random_triple)
+                       phi_from_theta, phi_from_three_thetas, scalar_random_triple)
 
 GHZ_PARAMS = ScatterParams(math.pi / 3, BETA_STAR)
 W_PARAMS = ScatterParams(math.pi / 2, BETA_STAR)
@@ -84,34 +84,28 @@ def test_c03_ghz_w_generation():
         assert classify_slocc(w_out) == W_CLASS
 
 
+def _nearest(points, kind, location):
+    return min((p for p in points if p.kind == kind),
+               key=lambda p: sum((a - b) ** 2 for a, b in zip(p.location, location)))
+
+
 def test_c04_l1_landscape_extrema():
     with criterion(4, "l1 landscape: GHZ maximum and kinked W saddle"):
-        points = find_critical_points("l1_S3", finder_axes("l1_S3", 400), refine_tol=1e-8)
+        points = find_critical_points("l1_S3", FUNCTIONS["l1_S3"].default_domain)
         maxima = [p for p in points if p.kind == LOCAL_MAX]
-        assert maxima, "no local maxima found"
-        global_max = max(p.value for p in maxima)
-        assert abs(global_max - 2.0) < 1e-6
+        assert len(maxima) == 8 and all(abs(p.value - 2.0) < 1e-15 for p in maxima)
+        assert max(p.value for p in points) == max(p.value for p in maxima)
 
-        ghz = min(
-            maxima,
-            key=lambda p: (p.location[0] - math.pi / 3) ** 2
-            + (p.location[1] - BETA_STAR) ** 2,
-        )
-        assert abs(ghz.location[0] - math.pi / 3) < 1e-3
-        assert abs(ghz.location[1] - BETA_STAR) < 1e-3
-        assert abs(ghz.value - 2.0) < 1e-6
+        ghz = _nearest(points, LOCAL_MAX, (math.pi / 3, BETA_STAR))
+        assert abs(ghz.location[0] - math.pi / 3) < 1e-15
+        assert abs(ghz.location[1] - BETA_STAR) < 1e-15
+        assert ghz.smooth
 
-        saddles = [p for p in points if p.kind == SADDLE]
-        w = min(
-            saddles,
-            key=lambda p: (p.location[0] - math.pi / 2) ** 2
-            + (p.location[1] - BETA_STAR) ** 2,
-        )
-        assert abs(w.location[0] - math.pi / 2) < 1e-3
-        assert abs(w.location[1] - BETA_STAR) < 1e-3
-        assert abs(w.value - math.sqrt(3.0)) < 1e-6
-        assert w.axis_kinds == ("min", "max")  # min along eta, max along beta
-        assert w.kinks[0], "kink along eta not flagged"
+        w = _nearest(points, SADDLE, (math.pi / 2, BETA_STAR))
+        assert abs(w.location[0] - math.pi / 2) < 1e-15
+        assert abs(w.location[1] - BETA_STAR) < 1e-15
+        assert abs(w.value - math.sqrt(3.0)) < 1e-15
+        assert not w.smooth, "the W saddle's kink is not flagged"
 
 
 def test_c05_l1_invariance_between_forms():
@@ -135,45 +129,20 @@ def test_c06_entropy_curve():
         for eta in np.linspace(0.0, 2 * math.pi, 1000):
             model = binary_entropy(1.0 / 3.0 + (2.0 / 3.0) * math.cos(eta) ** 2)
             assert abs(FUNCTIONS["vn_Sprime"](float(eta), BETA_STAR) - model) < 1e-12
-        # max/min classification along the section
-        points = find_critical_points_1d_section()
-        kinds = {round(p.location[0], 3): p.kind for p in points}
-        assert kinds.get(round(math.pi / 3, 3)) == "local-max"
-        assert kinds.get(round(math.pi / 2, 3)) == "local-min"
-
-
-def find_critical_points_1d_section():
-    """Critical points of the entropy curve eta -> H at beta fixed."""
-    from ybekit.landscape import AxisSpec, _axis_kind, _shrink_bracket, CriticalPoint
-
-    def fn(eta):
-        return FUNCTIONS["vn_Sprime"](float(eta), BETA_STAR)
-
-    axis = AxisSpec("eta", 0.0, 2 * math.pi, 601)
-    xs = axis.points()
-    vals = [fn(x) for x in xs]
-    out = []
-    for i in range(1, axis.n - 1):
-        kind = {1: "max", -1: "min"}.get(int(_axis_kind(vals[i], vals[i - 1], vals[i + 1])))
-        if kind is None:
-            continue
-        (x,) = _shrink_bracket(lambda u, k: np.vectorize(fn)(u), [xs[i] - axis.step],
-                               [xs[i] + axis.step], [kind == "max"], 1e-9)
-        out.append(CriticalPoint((x,), fn(x), f"local-{kind}", (kind,), (False,)))
-    return out
+        # max/min classification along the section: probes either side
+        for eta, kind in ((math.pi / 3, "max"), (math.pi / 2, "min")):
+            center = FUNCTIONS["vn_Sprime"](eta, BETA_STAR)
+            sides = [FUNCTIONS["vn_Sprime"](eta + h, BETA_STAR) for h in (-1e-5, 1e-5)]
+            assert all((s < center) if kind == "max" else (s > center) for s in sides)
 
 
 def test_c07_two_qubit_figure_peaks():
     with criterion(7, "two-qubit l1 and entropy peak together at pi/4"):
-        l1_points = find_critical_points("l1_wigner", finder_axes("l1_wigner", 400))
-        assert len(l1_points) == 1
-        assert abs(l1_points[0].location[0] - math.pi / 4) < 1e-4
-        assert abs(l1_points[0].value - math.sqrt(2.0)) < 1e-6
-
-        vn_points = find_critical_points("vn_xi", finder_axes("vn_xi", 400))
-        assert len(vn_points) == 1
-        assert abs(vn_points[0].location[0] - math.pi / 4) < 1e-4
-        assert abs(vn_points[0].value - 1.0) < 1e-6
+        for tag, peak in (("l1_wigner", math.sqrt(2.0)), ("vn_xi", 1.0)):
+            points = find_critical_points(tag, FUNCTIONS[tag].default_domain)
+            assert [p.kind for p in points] == [LOCAL_MIN, LOCAL_MAX, LOCAL_MIN]
+            assert abs(points[1].location[0] - math.pi / 4) < 1e-15
+            assert abs(points[1].value - peak) < 1e-15
 
 
 def test_c08_phase_constraint_formulas():

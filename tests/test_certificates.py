@@ -19,14 +19,30 @@ vector, the fusion row is the first row of the 2x2 fusion matrix with the
 state's l1-norm, and the state's qubit-1 cut is diagonal with the
 fusion matrix's |m00|^2 on it.
 
+The face lemma that ``extrema`` enumerates is certified for the squared
+l1 weights of the registered landscapes on their unit spheres: (1, 2, 1)
+for ``l1_S3``, (1, 1, 2) for ``l1_Sprime`` once the fusion row's third
+coordinate is scaled by sqrt 2, and (1, 1) for ``l1_wigner``.  On each
+face, the support S and signs s, the point s w_S / |w_S| is a unit vector
+with that support and those signs, it meets the Lagrange condition
+s_i w_i = lambda x_i on S with lambda its value, lambda^2 is the sum of
+the squared weights on S (the number of nonzero amplitudes), the
+Lagrangian's Hessian on the face is -lambda I with lambda > 0, and every
+weight off S is positive, so each direction off the face ascends.
+
 The symbolic matrices and maps are tied to the package: each equals its
-builder at sampled angles, and ``lorentzian`` gives the angle of the pair.
+builder at sampled angles, and ``lorentzian`` gives the angle of the pair;
+the face points and kinds are the package's enumeration.
 """
+
+import itertools
+
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from ybekit.landscape import FUNCTIONS, LOCAL_MAX, LOCAL_MIN, SADDLE
 from ybekit.rmatrix import bundled_families, galilean, lorentzian
 from ybekit.threebody import (ScatterParams, fusion_form, fusion_row, state_coordinates,
                               state_from_params)
@@ -161,3 +177,54 @@ def test_symbolic_maps_are_the_package_maps():
         for k, (e, b) in enumerate(zip(eta, beta)):
             expected = evaluate(np.cos(e), np.sin(e), np.cos(b), np.sin(b))
             assert np.max(np.abs(built[k] - expected.reshape(built[k].shape))) <= 1e-15
+
+
+# the face lemma, for the squared weights of each l1 landscape on its sphere
+SQUARED_WEIGHTS = {"l1_S3": (1, 2, 1), "l1_Sprime": (1, 1, 2), "l1_wigner": (1, 1)}
+
+
+def faces(squared):
+    """Each face (signs s, zero off the support) with its critical point
+    and value, in exact arithmetic."""
+    w = [sp.sqrt(q) for q in squared]
+    for s in itertools.product((-1, 0, 1), repeat=len(w)):
+        if any(s):
+            norm = sp.sqrt(sum(q for q, si in zip(squared, s) if si))
+            yield s, [si * wi / norm for si, wi in zip(s, w)], norm
+
+
+@pytest.mark.parametrize("tag", SQUARED_WEIGHTS)
+def test_face_points_meet_the_lagrange_conditions_exactly(tag):
+    squared = SQUARED_WEIGHTS[tag]
+    w = [sp.sqrt(q) for q in squared]
+    for s, x, value in faces(squared):
+        support = [i for i, si in enumerate(s) if si]
+        assert sp.simplify(sum(xi ** 2 for xi in x) - 1) == 0
+        assert [sp.sign(xi) for xi in x] == list(s)
+        assert sp.simplify(sum(w[i] * sp.Abs(x[i]) for i in support) - value) == 0
+        assert all(sp.simplify(s[i] * w[i] - value * x[i]) == 0 for i in support)
+        assert sp.expand(value ** 2) == sum(squared[i] for i in support)
+        assert value > 0 and all(q > 0 for q in squared)
+
+
+@pytest.mark.parametrize("tag", SQUARED_WEIGHTS)
+def test_the_enumeration_is_the_certified_face_set(tag):
+    """The package's points on the sphere are the certified ones, within
+    1e-15, with the kind the support gives: a max with every coordinate,
+    a min with one, a saddle otherwise.  Counted with (-1)^(|S| - 1), the
+    number of directions that descend, they sum to the Euler
+    characteristic of the sphere, 1 - (-1)^n."""
+    spec = FUNCTIONS[tag]
+    points, kinds, smooth = spec.measure.critical(spec.chart.scale)
+    squared = SQUARED_WEIGHTS[tag]
+    n = len(squared)
+    exact = {tuple(float(xi) for xi in x): s for s, x, _ in faces(squared)}
+    assert len(points) == len(exact) == 3 ** n - 1
+    euler = 0
+    for point, kind, is_smooth in zip(points, kinds, smooth):
+        (s,) = [s for x, s in exact.items() if np.max(np.abs(np.subtract(x, point))) <= 1e-15]
+        size = sum(map(abs, s))
+        assert kind == (LOCAL_MAX if size == n else LOCAL_MIN if size == 1 else SADDLE)
+        assert is_smooth == (size == n)
+        euler += (-1) ** (size - 1)
+    assert euler == 1 - (-1) ** n

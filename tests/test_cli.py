@@ -289,7 +289,7 @@ def test_landscape_rejects_tiny_grid(capsys):
 
 
 def test_extrema_default_contains_ghz_and_w(capsys):
-    code, out = run_cli(["extrema", "--coarse", "200"], capsys)
+    code, out = run_cli(["extrema"], capsys)
     assert code == 0
     header, rows = _csv_rows(out)
     assert header == ["eta", "beta", "value", "kind", "smooth", "slocc_class"]
@@ -311,10 +311,9 @@ def test_extrema_one_dimensional(capsys):
     assert code == 0
     header, rows = _csv_rows(out)
     assert header == ["theta", "value", "kind", "smooth"]
-    assert len(rows) == 1
-    assert abs(float(rows[0][0]) - 0.7854) < 1e-3
-    assert abs(float(rows[0][1]) - 1.41421) < 1e-4
-    assert rows[0][2] == "local-max"
+    assert rows == [["0", "1", "local-min", "false"],
+                    ["0.78539816339744828", "1.4142135623730949", "local-max", "true"],
+                    ["1.5707963267948966", "1", "local-min", "false"]]
 
 
 def test_extrema_empty_domain_rejected(capsys):
@@ -322,19 +321,21 @@ def test_extrema_empty_domain_rejected(capsys):
     assert code == 2
 
 
-def test_extrema_axis_too_coarse_for_the_probes_is_usage_error(capsys):
-    """Where the float spacing swallows the finder's probe step, every
-    candidate once read as flat: a header alone with exit 0.  Such an axis
-    is named with exit 2; a wide but resolvable one still finds maxima."""
+def test_extrema_box_end_too_coarse_for_a_location_is_usage_error(capsys):
+    """Where the float spacing at a box end exceeds 1e-7, no location there
+    is resolved: the box is named with exit 2.  A wide box whose ends
+    resolve one still gives its rows."""
     code, out, err = run_cli_streams(
         ["extrema", "--fn", "l1_wigner", "--theta", "1e13:1.00000000001e13"], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: axis theta:") and err.count("\n") == 1
+    assert err == ("error: axis theta: the float spacing at [10000000000000.0, "
+                   "10000000000100.0] exceeds 1e-07, the resolution of a location\n")
     code, out = run_cli(["extrema", "--fn", "l1_wigner", "--theta", "1e6:1.00001e6"], capsys)
     assert code == 0
     _, rows = _csv_rows(out)
     maxima = {value for _, value, kind, _ in rows if kind == "local-max"}
     assert maxima == {"1.4142135623730949", "1.4142135623730951"}  # the doubles either side of sqrt 2
+    assert len(rows) == 13
 
 
 def test_extrema_labels_every_point_in_one_call(monkeypatch, capsys):
@@ -345,7 +346,7 @@ def test_extrema_labels_every_point_in_one_call(monkeypatch, capsys):
         return report(psi)
 
     monkeypatch.setattr(cli, "entanglement_report", counted)
-    code, out = run_cli(["extrema", "--fn", "l1_S3", "--coarse", "41"], capsys)
+    code, out = run_cli(["extrema", "--fn", "l1_S3"], capsys)
     _, rows = _csv_rows(out)
     assert code == 0 and rows and stacks == [(len(rows), 8)]
 
@@ -426,7 +427,7 @@ def test_a_point_prints_the_same_l1_through_extrema_landscape_and_state(capsys):
     code, out = run_cli(["extrema", "--fn", "l1_S3"], capsys)
     assert code == 0
     rows = _csv_rows(out)[1]
-    assert len(rows) == 18
+    assert len(rows) == 30
     for eta, beta, value, *_ in rows:
         code, section = run_cli(["landscape", "--fn", "l1_S3", "--section", f"eta={eta}",
                                  "--beta", f"{beta}:{beta}:1"], capsys)
@@ -513,8 +514,8 @@ USAGE_ERRORS = {
     "landscape --fn l1_wigner --theta=": "--theta must look like start:stop:count, got ''",
     "landscape --fn l1_S3 --section=": "--section must be eta=VALUE or beta=VALUE, got ''",
     "landscape --fn vn_Sprime --eta= --beta 0:1:3": "--eta must look like start:stop:count, got ''",
-    "extrema --fn l1_wigner --theta=": "--theta must look like start:stop[:count], got ''",
-    "extrema --fn l1_S3 --beta=": "--beta must look like start:stop[:count], got ''",
+    "extrema --fn l1_wigner --theta=": "--theta must look like start:stop, got ''",
+    "extrema --fn l1_S3 --beta=": "--beta must look like start:stop, got ''",
     "landscape --fn l1_S3 --section beta=nan": "--section needs a finite value, got 'beta=nan'",
     "state --thetas 0,0.7853981633974483,0.7853981633974483 --eta 1 --beta 1":
         "--thetas does not combine with --eta or --beta",
@@ -530,12 +531,16 @@ USAGE_ERRORS = {
     "state --eta -inf --beta 0": "argument --eta: expected a finite number, got '-inf'",
     "state --eta 0 --beta -nan": "argument --beta: expected a finite number, got '-nan'",
     "extrema --fn l1_wigner --theta 0.2:1.4:7:junk":
-        "--theta must look like start:stop[:count], got '0.2:1.4:7:junk'",
-    "extrema --fn l1_wigner --theta 0.2:1.4:abc":
-        "--theta must look like start:stop[:count], got '0.2:1.4:abc'",
-    "extrema --fn vn_xi --theta 0.2": "--theta must look like start:stop[:count]",
-    "extrema --fn l1_S3 --beta -1:1:2.5": "--beta must look like start:stop[:count]",
-    "extrema --fn l1_wigner --coarse 2": "argument --coarse: expected an integer >= 3",
+        "--theta must look like start:stop, got '0.2:1.4:7:junk'",
+    "extrema --fn l1_wigner --theta 0.2:1.4:abc": "--theta must look like start:stop, got '0.2:1.4:abc'",
+    "extrema --fn vn_xi --theta 0.2": "--theta must look like start:stop, got '0.2'",
+    "extrema --fn l1_S3 --beta -1:1:2.5": "--beta must look like start:stop, got '-1:1:2.5'",
+    "extrema --fn vn_xi --theta 0.2:1.4:7": "--theta must look like start:stop, got '0.2:1.4:7'",
+    "extrema --fn l1_wigner --coarse 400": "unrecognized arguments: --coarse 400",
+    "extrema --tol 1e-8": "unrecognized arguments: --tol 1e-8",
+    "extrema --fn l1_wigner --theta 1e13:1.00000000001e13":
+        "axis theta: the float spacing at [10000000000000.0, 10000000000100.0] exceeds 1e-07",
+    "extrema --eta -1e6:1e6": "the box could hold 16552120 critical points, above 10000",
     "landscape --fn l1_wigner --theta 0:1": "--theta must look like start:stop:count",
     "reduce --thetas 0,0,0 --constraint-tol -1": "--constraint-tol: expected a finite number >= 0",
     "reduce --thetas 0,0,0 --tol -1e-3": "argument --tol: expected a finite number >= 0, got '-1e-3'",
@@ -570,7 +575,7 @@ USAGE_ERRORS = {
     ["state", "--eta", "0", "--beta", "inf"],
     ["state", "--thetas", "nan,0,0"],
     ["state", "--eta", "0", "--beta", "0", "--tol", "nan"],
-    ["extrema", "--fn", "l1_wigner", "--tol", "nan"],
+    ["extrema", "--tol", "1e-8"],
     ["reduce", "--random", "5", "--thetas", "0.1,0.2,0.3"],
     ["landscape", "--fn", "l1_wigner", "--section", "eta=1"],
     ["landscape", "--fn", "l1_wigner", "--eta", "0:1:5"],
@@ -595,7 +600,10 @@ USAGE_ERRORS = {
     ["extrema", "--fn", "l1_wigner", "--theta", "0.2:1.4:abc"],
     ["extrema", "--fn", "vn_xi", "--theta", "0.2"],
     ["extrema", "--fn", "l1_S3", "--beta", "-1:1:2.5"],
-    ["extrema", "--fn", "l1_wigner", "--coarse", "2"],
+    ["extrema", "--fn", "l1_wigner", "--coarse", "400"],
+    ["extrema", "--fn", "vn_xi", "--theta", "0.2:1.4:7"],
+    ["extrema", "--fn", "l1_wigner", "--theta", "1e13:1.00000000001e13"],
+    ["extrema", "--eta", "-1e6:1e6"],
     ["landscape", "--fn", "l1_wigner", "--theta", "0:1"],
     ["landscape", "--fn", "l1_S3", "--eta", "0:1:2", "--beta", "0:1:5"],
     ["landscape", "--fn", "vn_Sprime", "--beta", "1:1:1"],
@@ -659,13 +667,12 @@ def test_axis_whose_width_overflows_is_usage_error(argv, axis, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["extrema", "--fn", "l1_wigner", "--theta", "0:1.7e308"],
-    ["extrema", "--fn", "l1_S3", "--eta", "0:1.7e308", "--coarse", "7"],
+    ["extrema", "--fn", "l1_S3", "--eta", "0:1.7e308"],
 ], ids=["curve", "surface"])
 def test_extrema_near_the_float_range_prints_no_non_finite_cell(argv, capsys):
-    """Brackets whose ends sum past the float range must not refine to an
-    inf location: such a point once printed inf and nan cells with exit 0,
-    or failed in its state label.  Exit 0 prints finite cells only, exit 2
-    one error line, and numpy warns of nothing either way."""
+    """A box reaching toward the float range once refined to inf locations,
+    printed as inf and nan cells with exit 0.  Exit 0 prints finite cells
+    only, exit 2 one error line, and numpy warns of nothing either way."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli_streams(argv, capsys)
@@ -685,12 +692,12 @@ def test_extrema_near_the_float_range_prints_no_non_finite_cell(argv, capsys):
 ], ids=["numpy", "bare"])
 @pytest.mark.parametrize("argv, target", [
     (["landscape", "--fn", "l1_S3", "--eta", "0:1:200000", "--beta", "0:1:200000"], "sample"),
-    (["extrema", "--coarse", "200000"], "find_critical_points"),
+    (["extrema"], "find_critical_points"),
 ], ids=["landscape", "extrema"])
 def test_allocation_failure_is_usage_error(argv, target, message, shown, monkeypatch, capsys):
-    """A grid too large to allocate exits 2 with one error line, not 1 (the
-    tolerance code) with a traceback.  The failed allocation is simulated:
-    nothing here allocates the grid."""
+    """A failed allocation exits 2 with one error line, not 1 (the
+    tolerance code) with a traceback.  The failure is simulated: nothing
+    here allocates a large array."""
     def refuse(*args, **kwargs):
         raise MemoryError(message)
 
@@ -706,7 +713,7 @@ def test_axis_flags_follow_the_registry(tag, axis, capsys):
     """A function takes the flag of each of its axes, with a negative start
     too, and no other axis flag."""
     for argv in (["landscape", "--fn", tag, f"--{axis}", "-1:1:5"],
-                 ["extrema", "--fn", tag, f"--{axis}", "-1:1", "--coarse", "21"]):
+                 ["extrema", "--fn", tag, f"--{axis}", "-1:1"]):
         code, out, err = run_cli_streams(argv, capsys)
         if axis in FUNCTIONS[tag].axes:
             assert (code, out.split(",")[0]) == (0, FUNCTIONS[tag].axes[0]), err
@@ -715,17 +722,16 @@ def test_axis_flags_follow_the_registry(tag, axis, capsys):
 
 
 def test_registered_function_gets_its_axis_flags(monkeypatch, capsys):
-    """One registry entry over new axes is all that ``landscape`` and
-    ``extrema`` need; the points of an entry with a ``params`` map, whatever
-    its axes, are labelled with the state that map gives, and no others."""
+    """One registry entry over new axes is all that ``landscape`` needs,
+    and ``extrema`` of an entry with a chart and a measure; an entry with
+    neither has no critical set to enumerate.  The points of an entry with
+    a ``params`` map, whatever its axis names, are labelled with the state
+    that map gives."""
     paraboloid = LandscapeFunction("X", ("u", "v"), lambda u, v: (u - 0.3) ** 2 + (v + 0.2) ** 2,
                                    ((-1.0, 1.0), (-1.0, 1.0)))
-    l1_s3 = FUNCTIONS["l1_S3"]
-    swapped = LandscapeFunction("Y", ("b", "e"), lambda b, e: l1_s3(e, b),
-                                tuple(reversed(l1_s3.default_domain)),
-                                params=lambda b, e: l1_s3.params(e, b))
+    renamed = dataclasses.replace(FUNCTIONS["l1_S3"], tag="Y", axes=("e", "b"))
     monkeypatch.setitem(FUNCTIONS, "X", paraboloid)
-    monkeypatch.setitem(FUNCTIONS, "Y", swapped)
+    monkeypatch.setitem(FUNCTIONS, "Y", renamed)
     monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
     code, out, _ = run_cli_streams(["landscape", "--fn", "X", "--u", "-1:1:3", "--v", "-1:1:3"],
                                    capsys)
@@ -738,24 +744,19 @@ def test_registered_function_gets_its_axis_flags(monkeypatch, capsys):
     assert code == 2 and "--section must be u=VALUE or v=VALUE, got 'eta=1'" in err
     code, _, err = run_cli_streams(["landscape", "--fn", "X", "--eta", "0:1:3"], capsys)
     assert code == 2 and "--eta does not apply to the 2-parameter function X" in err
-    code, out, _ = run_cli_streams(["extrema", "--fn", "X", "--coarse", "21"], capsys)
-    assert code == 0
-    header, rows = _csv_rows(out)
-    assert header == ["u", "v", "value", "kind", "smooth"]
-    assert [(round(float(u), 6), round(float(v), 6), kind) for u, v, _, kind, _ in rows] \
-        == [(0.3, -0.2, "local-min")]
-    labels = {}
+    assert run_cli_streams(["extrema", "--fn", "X"], capsys) == (
+        2, "", "error: X declares no critical set\n")
+    outputs = {}
     for tag in ("l1_S3", "Y"):
-        code, out, _ = run_cli_streams(["extrema", "--fn", tag, "--coarse", "41"], capsys)
+        code, out, _ = run_cli_streams(["extrema", "--fn", tag], capsys)
         assert code == 0
         header, rows = _csv_rows(out)
         assert header == [*FUNCTIONS[tag].axes, "value", "kind", "smooth", "slocc_class"]
-        labels[tag] = [(float(x), float(y), kind, label) for x, y, _, kind, _, label in rows]
-    assert {label for *_, label in labels["l1_S3"]} >= {"GHZ-class", "W-class"}
-    assert len(labels["Y"]) == len(labels["l1_S3"])
-    for b, e, kind, label in labels["Y"]:
-        assert [(k, lab) for eta, beta, k, lab in labels["l1_S3"]
-                if abs(eta - e) < 1e-6 and abs(beta - b) < 1e-6] == [(kind, label)], (b, e)
+        outputs[tag] = rows
+    assert {row[-1] for row in outputs["l1_S3"]} >= {"GHZ-class", "W-class"}
+    assert outputs["Y"] == outputs["l1_S3"]
+    code, out, _ = run_cli_streams(["extrema", "--fn", "Y", "--e", "0:1.1", "--b", "0:1"], capsys)
+    assert code == 0 and [row[-1] for row in _csv_rows(out)[1]] == ["W-class", "GHZ-class"]
 
 
 @pytest.mark.parametrize("argv", ["verify --suite tl --tol 0", "state --thetas 0,0,0 --tol 0",
@@ -779,13 +780,12 @@ def test_unset_flags_take_their_defaults_where_read(capsys):
         assert run_cli_streams(unset, capsys) == run_cli_streams(unset + default, capsys), unset
 
 
-def test_extrema_domain_count_is_ignored(capsys):
-    """``--coarse`` sets the grid, so a count in an extrema domain changes
-    nothing."""
-    outputs = [run_cli(["extrema", "--fn", "vn_xi", "--theta", raw, "--coarse", "101"], capsys)
-               for raw in ("0.2:1.4", "0.2:1.4:7", "0.2:1.4:-3")]
-    assert outputs[0][0] == 0
-    assert outputs[1:] == outputs[:1] * 2
+@pytest.mark.parametrize("raw", ["0.2:1.4:7", "0.2:1.4:-3", "0.2:1.4:"])
+def test_extrema_box_side_takes_no_count(raw, capsys):
+    """A count in an extrema box side, once silently ignored, is refused:
+    there is no grid for it to set."""
+    assert run_cli_streams(["extrema", "--fn", "vn_xi", "--theta", raw], capsys) == (
+        2, "", f"error: --theta must look like start:stop, got {raw!r}\n")
 
 
 @pytest.mark.parametrize("argv, patched", [
@@ -1012,12 +1012,10 @@ def test_stdout_holds_one_block_as_text(monkeypatch):
     (["landscape", "--fn", "l1_S3", "--eta", "0:1:5", "--beta", "0:1:4"], 2),
     (["landscape", "--fn", "l1_S3", "--section", "beta=0.5", "--eta", "0:1:5"], 2),
     (["landscape", "--fn", "vn_xi", "--theta", "0:1:5"], 1),
-    (["extrema", "--fn", "l1_S3", "--coarse", "40"], 2),
-    (["extrema", "--fn", "l1_wigner", "--coarse", "40"], 1),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_each_axis_is_spaced_once_per_job(argv, axes, monkeypatch, capsys):
-    """A job builds the points of each of its axes once: the sampler, the
-    CSV coordinates and the finder's candidates read the same array."""
+    """A job builds the points of each of its axes once: the sampler and
+    the CSV coordinates read the same array."""
     calls, linspace = [], np.linspace
 
     def counted(*args, **kwargs):
@@ -1124,38 +1122,6 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
-
-
-@pytest.mark.parametrize("argv", [
-    ["extrema", "--fn", "l1_wigner", "--tol", "0"],
-    ["extrema", "--fn", "l1_wigner", "--tol", "-1"],
-    ["extrema", "--fn", "vn_xi", "--tol", "-0.000000001"],
-    ["extrema", "--tol", "0"],
-], ids=" ".join)
-def test_extrema_non_positive_tol_is_usage_error(argv, capsys):
-    code, out, err = run_cli_streams(argv, capsys)
-    assert code == 2
-    assert "expected a finite number > 0" in err
-    assert out == ""
-
-
-def test_extrema_tol_below_float_spacing_returns():
-    """A bracket narrower than --tol cannot get below the float spacing at
-    its ends; the search must stop there, not repeat its last step."""
-    proc = run_cli_subprocess(["extrema", "--fn", "l1_wigner", "--tol", "1e-16"])
-    assert proc.returncode == 0
-    _, rows = _csv_rows(proc.stdout)
-    assert rows
-    for theta, value, kind, smooth in rows:
-        # a smooth maximum is flat to rounding over ~1e-8 around pi/4, so
-        # its location is resolved that finely and its value to 1 ulp
-        assert abs(float(value) - math.sqrt(2.0)) < 1e-12
-        assert abs(float(theta) - math.pi / 4) < 1e-6
-        assert (kind, smooth) == ("local-max", "true")
-    proc = run_cli_subprocess(["extrema", "--fn", "l1_S3", "--tol", "1e-16", "--coarse", "60"])
-    assert proc.returncode == 0
-    _, rows = _csv_rows(proc.stdout)
-    assert max(float(r[2]) for r in rows) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_state_accepts_exponent_form_negative(capsys):
@@ -1340,10 +1306,6 @@ def test_readme_names_only_flags_that_exist():
 UNREACHED = {
     "tensor.kron": "perfbench/tracing.py counts its calls by name and fails without it",
     "tensor.kron_all": "perfbench/tracing.py counts its calls by name and fails without it",
-    "rmatrix.conjugate_by_v": "phase helper, kept for the paper suite (ROADMAP item 4)",
-    "rmatrix.phi_from_theta": "phase helper, kept for the paper suite (ROADMAP item 4)",
-    "rmatrix.phi_from_three_thetas": "phase helper, kept for the paper suite (ROADMAP item 4)",
-    "rmatrix.wigner_d_half": "rotation behind l1_wigner, kept for the paper suite (ROADMAP item 4)",
     "fusionbasis.LeakageError.__init__": "no valid input leaks out of the fusion span",
 }
 
@@ -1370,8 +1332,8 @@ for tag, spec in cli.FUNCTIONS.items():
     axes = [f"--{name}=0:1:5" for name in spec.axes]
     runs += [["landscape", "--fn", tag, *axes],
              ["landscape", "--fn", tag, *axes, "--format", "json", "--output", os.path.join(out, "l")],
-             ["extrema", "--fn", tag, "--coarse", "11"],
-             ["extrema", "--fn", tag, "--coarse", "11", "--format", "json",
+             ["extrema", "--fn", tag],
+             ["extrema", "--fn", tag, f"--{spec.axes[0]}=0:1", "--format", "json",
               "--output", os.path.join(out, "e")]]
     if spec.arity == 2:
         runs.append(["landscape", "--fn", tag, f"--section={spec.axes[0]}=0.5",

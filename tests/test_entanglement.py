@@ -14,11 +14,12 @@ from ybekit.entanglement import (
     three_tangle,
 )
 from ybekit.landscape import FUNCTIONS
-from ybekit.rmatrix import type2_r_4x4, wigner_d_half
+from ybekit.rmatrix import type2_r_4x4
 from ybekit.tensor import kron
 from ybekit.threebody import BETA_STAR, ScatterParams, fusion_form, state_from_params
 
-from reference import classify_slocc, ket, l1_norm, von_neumann_entropy, wigner_l1
+from reference import (classify_slocc, ket, l1_norm, von_neumann_entropy, wigner_d_half,
+                       wigner_l1)
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)

@@ -13,7 +13,7 @@ FIGURE_FILES = {
     "l1_section_beta_star.csv": ("eta,beta,value", 1000),
     "l1_section_eta_half_pi.csv": ("eta,beta,value", 1000),
     "entropy_section_beta_star.csv": ("eta,beta,value", 1000),
-    "extrema.csv": ("eta,beta,value,kind,smooth,slocc_class", 18),  # the l1_S3 critical set
+    "extrema.csv": ("eta,beta,value,kind,smooth,slocc_class", 30),  # l1_S3's preimages
 }
 
 

@@ -1,40 +1,34 @@
 import dataclasses
-import itertools
 import math
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis import given, strategies as st
 
-from ybekit import landscape
-from ybekit.entanglement import BISEPARABLE, GHZ_CLASS, W_CLASS, binary_entropy, entanglement_report
+from ybekit.entanglement import binary_entropy, cut_entropy, weighted_l1
 from ybekit.landscape import (
     FUNCTIONS,
-    AxisSpec,
-    CriticalPoint,
     LOCAL_MAX,
     LOCAL_MIN,
-    PLATEAU_TOL,
+    MAX_PREIMAGES,
+    RIDGE,
     SADDLE,
-    _dedupe,
-    _scan,
-    _shrink_bracket,
+    AxisSpec,
+    LandscapeFunction,
     find_critical_points,
     get_function,
     sample,
 )
-from ybekit.rmatrix import type2_r_4x4, wigner_d_half
+from ybekit.rmatrix import type2_r_4x4
 from ybekit.tensor import STACK_BYTES, block_size, by_blocks
 from ybekit.threebody import BETA_STAR, ScatterParams
 
 from conftest import finder_axes
-from reference import (_dedupe_quadratic, _meshgrid_reference, _points_loop,
-                       _sample_curve_reference, _scan_1d_loop, _scan_2d_loop,
-                       _section_reference, _shrink_bracket_loop, closed_form, ket, l1_norm,
-                       von_neumann_entropy, wigner_l1)
+from reference import (_meshgrid_reference, _points_loop, _sample_curve_reference,
+                       _section_reference, closed_form, ket, l1_norm, von_neumann_entropy,
+                       wigner_d_half, wigner_l1)
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
@@ -54,7 +48,7 @@ def test_axis_spec_validation():
         AxisSpec("eta", 0.0, float("nan"), 10)
     with pytest.raises(ValueError, match="axis eta needs finite bounds and a finite width"):
         AxisSpec("eta", -1e308, 1e308, 10)
-    assert AxisSpec("eta", -8e307, 8e307, 3).step == 8e307
+    assert AxisSpec("eta", -8e307, 8e307, 3).points().tolist() == [-8e307, 0.0, 8e307]
     single = AxisSpec("eta", 0.5, 0.5, 1)
     assert single.points().tolist() == [0.5]
     # a section at -0.0 keeps its sign, which np.linspace(-0.0, -0.0, 1) drops
@@ -85,7 +79,7 @@ SURFACE_AXES = [
     (AxisSpec("eta", 0.0, TWO_PI, 3), AxisSpec("beta", -1.5, 1.2, 17)),
     (AxisSpec("eta", -7.0, 7.0, 41), AxisSpec("beta", -3.0, 3.0, 5)),
     (AxisSpec("eta", 0.5, 2.0, 23), AxisSpec("beta", 0.1, 1.2, 40)),
-    # the coarse grid of the critical-point scan
+    # the grid the retired critical-point finder scanned
     (AxisSpec("eta", 0.0, TWO_PI, 400), AxisSpec("beta", -math.pi / 2, math.pi / 2, 400)),
 ]
 
@@ -283,22 +277,6 @@ def test_fusion_kernels_hold_a_few_mesh_arrays_not_the_matrix_stack(tag, mib):
     assert peak < mib * 2 ** 20, peak
 
 
-def test_finder_holds_its_coarse_grid_and_a_few_strips():
-    """The l1_S3 finder at the default coarse 400 peaks below 2.75 MiB
-    traced: its 1.2 MiB coarse grid, a few blocks of the kernel and of the
-    scan, and the candidates.  With grid-sized temporaries in the kernel and
-    the scan it peaked at 5.4 MiB."""
-    axes = finder_axes("l1_S3", 400)
-    tracemalloc.start()
-    try:
-        points = find_critical_points("l1_S3", axes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(points) == 18
-    assert peak < 2.75 * 2 ** 20, peak
-
-
 def test_axis_points_are_built_once_and_read_only():
     """Every caller of one axis shares its points, so none may write them."""
     axis = AxisSpec("eta", -0.0, 1.0, 7)
@@ -354,86 +332,6 @@ def test_curve_sampling():
     assert abs(values[50] - (abs(math.cos(theta)) + abs(math.sin(theta)))) < 1e-14
 
 
-def test_find_1d_l1_max():
-    points = find_critical_points("l1_wigner", finder_axes("l1_wigner", 400))
-    assert len(points) == 1
-    p = points[0]
-    assert p.kind == LOCAL_MAX
-    assert abs(p.location[0] - math.pi / 4) < 1e-4
-    assert abs(p.value - math.sqrt(2.0)) < 1e-9
-    assert p.smooth
-
-
-def test_find_1d_entropy_max():
-    points = find_critical_points("vn_xi", finder_axes("vn_xi", 401))
-    assert len(points) == 1
-    p = points[0]
-    assert p.kind == LOCAL_MAX
-    assert abs(p.location[0] - math.pi / 4) < 1e-4
-    assert abs(p.value - 1.0) < 1e-9
-
-
-def test_find_2d_ghz_maximum():
-    points = find_critical_points("l1_S3", finder_axes("l1_S3", 200))
-    ghz = _closest([p for p in points if p.kind == LOCAL_MAX], (math.pi / 3, BETA_STAR))
-    assert abs(ghz.location[0] - math.pi / 3) < 1e-3
-    assert abs(ghz.location[1] - BETA_STAR) < 1e-3
-    assert abs(ghz.value - 2.0) < 1e-6
-    assert ghz.smooth
-
-
-def test_find_2d_w_saddle():
-    points = find_critical_points("l1_S3", finder_axes("l1_S3", 200))
-    saddles = [p for p in points if p.kind == SADDLE]
-    w = _closest(saddles, (math.pi / 2, BETA_STAR))
-    assert abs(w.location[0] - math.pi / 2) < 1e-3
-    assert abs(w.location[1] - BETA_STAR) < 1e-3
-    assert abs(w.value - math.sqrt(3.0)) < 1e-6
-    assert w.axis_kinds == ("min", "max")  # min along eta, max along beta
-    assert w.kinks[0] and not w.smooth
-
-
-def test_find_2d_biseparable_minimum():
-    points = find_critical_points("l1_S3", finder_axes("l1_S3", 200))
-    minima = [p for p in points if p.kind == LOCAL_MIN]
-    bisep = _closest(minima, (math.pi / 2, 0.0))
-    assert abs(bisep.location[0] - math.pi / 2) < 1e-3
-    assert abs(bisep.location[1]) < 1e-3
-    assert abs(bisep.value - math.sqrt(2.0)) < 1e-6
-
-
-def test_flat_rows_do_not_produce_points():
-    # eta = pi is a constant-in-beta line; nothing should be reported there
-    points = find_critical_points("l1_S3", finder_axes("l1_S3", 120, ((2.8, 3.5), (-1.0, 1.0))))
-    for p in points:
-        assert abs(p.location[0] - math.pi) > 1e-3
-
-
-def test_refined_points_consistent_with_neighbors():
-    # each reported point must beat (or sit under) its refined neighborhood
-    # in the pattern its kind claims
-    fn = get_function("l1_S3")
-    h = 1e-6
-    for p in find_critical_points("l1_S3", finder_axes("l1_S3", 150)):
-        x, y = p.location
-        center = fn(x, y)
-        eta_pair = (fn(x - h, y), fn(x + h, y))
-        beta_pair = (fn(x, y - h), fn(x, y + h))
-        for kind, pair in zip(p.axis_kinds, (eta_pair, beta_pair)):
-            if kind == "max":
-                assert center >= max(pair) - 1e-12
-            else:
-                assert center <= min(pair) + 1e-12
-
-
-def test_refinement_converges():
-    axes = finder_axes("l1_wigner", 200)
-    coarse = find_critical_points("l1_wigner", axes, refine_tol=1e-5)
-    fine = find_critical_points("l1_wigner", axes, refine_tol=5e-6)
-    assert len(coarse) == len(fine) == 1
-    assert abs(coarse[0].location[0] - fine[0].location[0]) < 1e-5
-
-
 def _entropy(p):
     return -sum(x * math.log2(x) for x in (p, 1.0 - p) if x > 0.0)
 
@@ -480,7 +378,7 @@ def _consistency_inputs(spec):
 
 @pytest.mark.parametrize("tag", sorted(FUNCTIONS))
 def test_kernel_array_call_is_bit_equal_to_float_calls(tag):
-    """The scan samples a kernel over arrays and the refinement calls it
+    """``landscape`` samples a kernel over arrays and ``state`` calls it
     with floats; both, and a 0-d or 1-element array, give the same bits,
     and a float gives a numpy float."""
     spec = get_function(tag)
@@ -507,365 +405,184 @@ def test_l1_wigner_curve_peaks_below_the_matrix_route():
     assert peak < 2.5 * 2 ** 20, peak
 
 
-def test_l1_finder_returns_the_full_closed_form_set():
-    """At coarse 121, 200, 400 and 401, both l1 landscapes give the 8 GHZ
-    maxima, the 8 W saddles and the 2 biseparable minima, each once: at
-    its closed-form location to 1e-7, with its value to 1e-8, and with the
-    class of the state there."""
+
+
+# ---------------------------------------------------------------------------
+# critical points: enumerated from the measures and charts, checked by
+# probes and by the retired grid finder, neither of which knows the lemma
+# ---------------------------------------------------------------------------
+
+# the default box, then the boxes of ``extrema --eta 0.5:2.5 --beta -1:1``
+# and ``--eta -10:10 --beta -4:4``, and a curve's boxes like them
+BOXES = {2: [None, ((0.5, 2.5), (-1.0, 1.0)), ((-10.0, 10.0), (-4.0, 4.0))],
+         1: [None, ((0.5, 2.5),), ((-10.0, 10.0),)]}
+RING = 16  # directions of the probe ring of a surface point; a curve point has two
+RADIUS = 1e-5
+
+
+def _rows(tag, box=None):
+    return find_critical_points(tag, box or get_function(tag).default_domain)
+
+
+@pytest.mark.parametrize("box", range(3), ids=["default", "narrow", "wide"])
+@pytest.mark.parametrize("tag", sorted(FUNCTIONS))
+def test_a_ring_of_probes_confirms_every_kind(tag, box):
+    """At radius 1e-5 around each row, in 16 directions (2 on a curve): a
+    local max has every probe below it, a local min every probe above, a
+    saddle probes on both sides, and a ridge none above by more than 4
+    ulps and some below.  Each row's value is the landscape's there."""
+    spec = get_function(tag)
+    points = _rows(tag, BOXES[spec.arity][box])
+    assert points
+    if spec.arity == 2:
+        angles = 2.0 * np.pi * np.arange(RING) / RING
+        directions = np.stack([np.cos(angles), np.sin(angles)])
+    else:
+        directions = np.array([[1.0, -1.0]])
+    for p in points:
+        center = spec(*p.location)
+        assert center == p.value, p
+        ring = spec(*(x + RADIUS * d for x, d in zip(p.location, directions)))
+        above, below = ring > center, ring < center
+        assert {LOCAL_MAX: below.all(), LOCAL_MIN: above.all(),
+                SADDLE: above.any() and below.any(),
+                RIDGE: np.all(ring - center <= 4 * np.spacing(center)) and below.any()
+                }[p.kind], (p, ring - center)
+
+
+def _on_an_edge(tag, location):
+    return any(x in bounds for x, bounds in zip(location, get_function(tag).default_domain))
+
+
+@pytest.mark.parametrize("coarse", [121, 200, 401])
+@pytest.mark.parametrize("tag", sorted(FUNCTIONS))
+def test_the_grid_finder_finds_nothing_the_enumeration_lacks(tag, coarse):
+    """Each point the retired grid finder finds in the default box lies
+    within 1e-7 of a row of its kind; vn_Sprime's points, hundreds on its
+    maximum set, lie on that set, a = +-c, cos^2 eta = sin^2 beta sin^2 eta,
+    within 1e-6.  The rows it misses are exactly the edge preimages, which
+    its interior scan cannot see, and the ridge crossings."""
+    rows = _rows(tag)
+    found = _points_loop(tag, finder_axes(tag, coarse))
+    assert found
+    matched = set()
+    for location, _, kind in found:
+        if tag == "vn_Sprime":
+            eta, beta = location
+            assert abs(math.cos(eta) ** 2 - (math.sin(beta) * math.sin(eta)) ** 2) < 1e-6
+            continue
+        near = {k for k, p in enumerate(rows) if p.kind == kind
+                and max(abs(a - b) for a, b in zip(p.location, location)) < 1e-7}
+        assert near, (location, kind)
+        matched |= near
+    missed = {k for k in range(len(rows)) if k not in matched}
+    assert missed == {k for k, p in enumerate(rows)
+                      if p.kind == RIDGE or _on_an_edge(tag, p.location)}
+
+
+def test_default_boxes_give_the_closed_form_sets():
+    """Both l1 surfaces: 8 GHZ maxima at 2, 16 saddles (8 W points at
+    sqrt 3 and 8 edge preimages of (|000> +- |101>)/sqrt2 at sqrt 2) and 6
+    minima (2 biseparable at sqrt 2, 4 edge preimages of +-|101> at 1).
+    vn_Sprime: ridges at +-b and 4 edge minima at +-c.  The curves: their
+    minima at 0 and pi/2 and the maximum at pi/4.  Values within 2 ulps."""
     w = math.acos(1.0 / math.sqrt(3.0))
-    expected = (
-        [((eta, s * BETA_STAR), 2.0, LOCAL_MAX, GHZ_CLASS)
-         for eta in (math.pi / 3, 2 * math.pi / 3, 4 * math.pi / 3, 5 * math.pi / 3)
-         for s in (1, -1)]
-        + [((eta, s * BETA_STAR), math.sqrt(3.0), SADDLE, W_CLASS)
-           for eta in (math.pi / 2, 3 * math.pi / 2) for s in (1, -1)]
-        + [((eta, 0.0), math.sqrt(3.0), SADDLE, W_CLASS)
-           for eta in (w, math.pi - w, math.pi + w, TWO_PI - w)]
-        + [((eta, 0.0), math.sqrt(2.0), LOCAL_MIN, BISEPARABLE)
-           for eta in (math.pi / 2, 3 * math.pi / 2)]
-    )
-    for tag, coarse in itertools.product(("l1_S3", "l1_Sprime"), (121, 200, 400, 401)):
-        points = find_critical_points(tag, finder_axes(tag, coarse))
-        assert len(points) == len(expected) == 18, (tag, coarse)
-        for location, value, kind, label in expected:
-            near = [p for p in points
-                    if all(abs(a - b) < 1e-7 for a, b in zip(p.location, location))]
-            assert len(near) == 1, (tag, coarse, location)
-            (p,) = near
-            state = get_function(tag).params(*p.location)
-            assert (p.kind, entanglement_report(state).slocc_class) == (kind, label), (tag, coarse, location)
-            assert abs(p.value - value) < 1e-8, (tag, coarse, location, p.value)
+    half, ghz_etas = math.pi / 2, [k * math.pi / 3 for k in (1, 2, 4, 5)]
+    l1 = ([((e, s * BETA_STAR), 2.0, LOCAL_MAX) for e in ghz_etas for s in (1, -1)]
+          + [((e, s * BETA_STAR), math.sqrt(3.0), SADDLE) for e in (half, 3 * half) for s in (1, -1)]
+          + [((e, 0.0), math.sqrt(3.0), SADDLE) for e in (w, math.pi - w, math.pi + w, TWO_PI - w)]
+          + [((k * math.pi / 4, s * half), math.sqrt(2.0), SADDLE) for k in (1, 3, 5, 7)
+             for s in (1, -1)]
+          + [((e, 0.0), math.sqrt(2.0), LOCAL_MIN) for e in (half, 3 * half)]
+          + [((e, s * half), 1.0, LOCAL_MIN) for e in (half, 3 * half) for s in (1, -1)])
+    expected = {
+        "l1_S3": l1, "l1_Sprime": l1,
+        "vn_Sprime": [((e, 0.0), 1.0, RIDGE) for e in (half, 3 * half)]
+        + [((e, s * half), 0.0, LOCAL_MIN) for e in (half, 3 * half) for s in (1, -1)],
+        "l1_wigner": [((0.0,), 1.0, LOCAL_MIN), ((math.pi / 4,), math.sqrt(2.0), LOCAL_MAX),
+                      ((half,), 1.0, LOCAL_MIN)],
+        "vn_xi": [((0.0,), 0.0, LOCAL_MIN), ((math.pi / 4,), 1.0, LOCAL_MAX),
+                  ((half,), 0.0, LOCAL_MIN)],
+    }
+    for tag, want in expected.items():
+        rows = _rows(tag)
+        assert len(rows) == len(want), tag
+        for location, value, kind in want:
+            near = [p for p in rows
+                    if max(abs(a - b) for a, b in zip(p.location, location)) < 1e-12]
+            assert [p.kind for p in near] == [kind], (tag, location)
+            assert abs(near[0].value - value) <= 2 * np.spacing(max(value, 1.0)), near
+    counts = Counter(p.kind for p in _rows("l1_S3"))
+    assert counts == {LOCAL_MAX: 8, SADDLE: 16, LOCAL_MIN: 6}
 
 
-def _scan_grids():
-    rng = np.random.default_rng(5)
-    levels = rng.integers(0, 3, size=(40, 40)).astype(float)  # ties and plateaus
-    return [
-        levels,
-        levels + rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=levels.shape) * PLATEAU_TOL,
-        rng.normal(size=(30, 50)),
-        sample("l1_S3", [AxisSpec("eta", 0.0, TWO_PI, 120), AxisSpec("beta", -1.6, 1.6, 90)]),
-        # every interior node is extreme along axis 0; transposed, about 2/3 are
-        (-1.0) ** np.arange(37)[:, None] + 1e-3 * rng.uniform(-1.0, 1.0, size=(37, 41)),
-    ]
+@pytest.mark.parametrize("tag", sorted(FUNCTIONS))
+def test_rows_are_sorted_distinct_and_smooth_only_inside_a_full_face(tag):
+    """Rows come in sorted order of location, each once, and none on a pole
+    line sin eta = 0.  An l1 row is smooth exactly at a maximum, whose face
+    holds every coordinate; every entropy row is smooth."""
+    spec = get_function(tag)
+    for box in BOXES[spec.arity]:
+        rows = _rows(tag, box)
+        locations = [p.location for p in rows]
+        assert locations == sorted(set(locations))
+        for p in rows:
+            assert p.smooth == (p.kind == LOCAL_MAX or tag.startswith("vn_")), p
+            assert spec.arity == 1 or abs(math.sin(p.location[0])) > 1e-3, p
 
 
-@pytest.mark.parametrize("case", range(5), ids=["levels", "ties", "noise", "l1_S3", "alternating"])
-def test_array_scans_match_the_per_node_loop(case):
-    """A scan may treat its axes differently, so each grid is also
-    scanned transposed."""
-    vals = _scan_grids()[case]
-    for grid in (vals, vals.T):
-        assert list(zip(*_scan(grid))) == _scan_2d_loop(grid)
-    for line in (*vals, *vals.T):
-        assert list(zip(*_scan(line))) == _scan_1d_loop(line)
+@pytest.mark.parametrize("tag", sorted(FUNCTIONS))
+def test_a_box_shifted_by_a_period_shifts_its_rows(tag):
+    spec = get_function(tag)
+    for box in BOXES[spec.arity][1:]:
+        shifted = [(lo + TWO_PI, hi + TWO_PI) for lo, hi in box]
+        rows, moved = _rows(tag, box), _rows(tag, shifted)
+        assert [p.kind for p in rows] == [p.kind for p in moved]
+        assert np.allclose([p.location for p in rows], np.subtract(
+            [p.location for p in moved], TWO_PI), rtol=0.0, atol=1e-13)
 
 
-TIE_GRIDS = st.tuples(st.integers(3, 9), st.integers(3, 9)).flatmap(lambda shape: st.tuples(
-    arrays(float, shape, elements=st.sampled_from([0.0, 1.0, 2.0])),
-    arrays(float, shape, elements=st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5]))))
-
-
-@given(TIE_GRIDS, st.sampled_from([1.0, 1e3, 1e6]))
-def test_scans_of_near_ties_match_the_per_node_loops(grids, scale):
-    """Values a few tie tolerances apart on a few levels put nodes on both
-    sides of every comparison of the scan; at scale 1e6 the offsets round
-    away and exact ties decide."""
-    levels, offsets = grids
-    vals = levels * scale + offsets * PLATEAU_TOL
-    for grid in (vals, vals.T):
-        assert list(zip(*_scan(grid))) == _scan_2d_loop(grid)
-    for line in (*vals, *vals.T):
-        assert list(zip(*_scan(line))) == _scan_1d_loop(line)
-
-
-def _columns(points):
-    return (np.array([p.location for p in points]), np.array([p.value for p in points]),
-            np.array([p.kind for p in points]), np.array([p.axis_kinds for p in points]),
-            np.array([p.kinks for p in points]))
-
-
-FINDER_CASES = (
-    [(tag, None, coarse) for tag in sorted(FUNCTIONS) for coarse in (400, 101)]
-    + [(tag, ((0.5, 2.0), (0.1, 1.2)), 200) for tag in ("l1_S3", "l1_Sprime", "vn_Sprime")]
-    + [(tag, domain, coarse) for tag in ("l1_wigner", "vn_xi")
-       for domain, coarse in ((((0.2, 1.4),), 400), (((-3.0, 3.0),), 777))]
-    # the float spacing of eta passes refine_tol at 2**26, inside the domain: of
-    # each eta search's brackets, half stop at the tolerance and half at the
-    # spacing, on one step at coarse 101 and on two at coarse 57, where the
-    # searching set shrinks from 24 brackets to 12
-    + [("l1_S3", ((2.0 ** 26 - 3.0, 2.0 ** 26 - 3.0 + TWO_PI), (-math.pi / 2, math.pi / 2)), n)
-       for n in (101, 57)]
-)
-
-
-@pytest.mark.parametrize("tag, domain, n", FINDER_CASES)
-def test_lockstep_refinement_matches_per_candidate_loop(tag, domain, n):
-    axes = finder_axes(tag, n, domain)
-    points = find_critical_points(tag, axes)
-    reference = _dedupe_quadratic(list(_points_loop(tag, axes)), 1e-7)
-    assert len(points) == len(reference) > 0
-    for got, want in zip(_columns(points), _columns(reference)):
-        assert np.array_equal(got, want)
-
-
-def test_lockstep_brackets_stop_on_their_own():
-    """Brackets of different widths take different step counts; so do
-    brackets of one nominal width whose rounded widths straddle the
-    tolerance.  Each must end where its own float search ends."""
-    axis = AxisSpec("theta", -3.0, 3.0, 777)
-    centers = axis.points()[1:-1]
-    fn = get_function("l1_wigner")
-    rounded = (centers - axis.step, centers + axis.step)
-    scales = np.geomspace(1e-9, 1.0, centers.size)
-    cases = [
-        (*rounded, float(np.min(rounded[1] - rounded[0]))),
-        (centers - scales, centers + 2.0 * scales, 1e-8),
-    ]
-    want_max = np.arange(centers.size) % 3 != 0
-    for lo, hi, tol in cases:
-        loop = [_shrink_bracket_loop(fn, a, b, m, tol) for a, b, m in zip(lo, hi, want_max)]
-        assert len({steps for _, steps in loop}) > 1
-        sizes = []
-        lockstep = _shrink_bracket(lambda u, k: sizes.append(u.size) or fn(u), lo, hi, want_max, tol)
-        assert np.array_equal(lockstep, [x for x, _ in loop])
-        # one kernel call per step, at the five points of every bracket still searching
-        steps = [abs(n) for _, n in loop]
-        assert (len(sizes), sum(sizes)) == (max(steps), 5 * sum(steps))
-
-
-@pytest.mark.parametrize("tol", [1e-16, 3e-16, 0.0])
-def test_brackets_below_float_spacing_stop(tol):
-    """A bracket that no step can narrow further stops where a search of
-    its own stops; brackets beside it that reach ``tol`` keep their bits.
-    The kernel raises after far more calls than any search needs, so a
-    bracket that never stops fails the test instead of hanging it."""
-    centers = np.concatenate([np.geomspace(1e-3, 3.0, 40), -np.geomspace(1e-3, 3.0, 40)])
-    lo, hi = centers - 1e-3, centers + 2e-3
-    want_max = np.arange(centers.size) % 2 == 0
-    kernel = get_function("l1_wigner")
-    loop = [_shrink_bracket_loop(kernel, a, b, m, tol) for a, b, m in zip(lo, hi, want_max)]
-    stuck = [steps < 0 for _, steps in loop]
-    assert any(stuck) and (tol == 0.0 or not all(stuck))
-    calls = []
-
-    def fn(u, k):
-        calls.append(u.size)
-        if len(calls) > 10000:
-            raise RuntimeError("bracket search does not stop")
-        return kernel(u)
-
-    assert np.array_equal(_shrink_bracket(fn, lo, hi, want_max, tol), [x for x, _ in loop])
-    steps = [abs(n) for _, n in loop]
-    assert (len(calls), sum(calls)) == (max(steps), 5 * sum(steps))
-
-
-# unimodal sections with their minimum at d = 0, d = x - c: a V kink, a
-# parabola and a kink with curvature, each asymmetric where b != 0
-_SECTIONS = {
-    "kink": lambda d, a, b: a * np.abs(d) + b * d,
-    "smooth": lambda d, a, b: d * d,
-    "mix": lambda d, a, b: a * np.abs(d) + b * d + d * d,
-}
-_BRACKET = st.tuples(
-    st.sampled_from(sorted(_SECTIONS)), st.booleans(),
-    st.floats(-10.0, 10.0),  # c
-    st.floats(0.1, 10.0), st.floats(-0.9, 0.9),  # a, and b as a share of a
-    st.floats(0.0, 1.0), st.floats(0.0, 1.0),  # c - lo, hi - c
-)
-
-
-@given(st.lists(_BRACKET, min_size=1, max_size=8), st.floats(1e-12, 1e-3))
-def test_bracket_search_finds_the_extremum_of_unimodal_sections(brackets, tol):
-    """Whatever the search's steps, a bracket that holds the extremum c of
-    a unimodal section ends within ``tol / 2`` of it, for maxima and
-    minima alike; the slack is the rounding of the midpoint."""
-    shape, want_max, c, a, share, below, above = map(np.array, zip(*brackets))
-    sections = [_SECTIONS[s] for s in shape]
-
-    def fn1d(u, k):
-        f = np.array([sections[i](x - c[i], a[i], share[i] * a[i]) for x, i in zip(u, k)])
-        return np.where(want_max[k], -f, f)
-
-    x = _shrink_bracket(fn1d, c - below, c + above, want_max, tol)
-    assert np.all(np.abs(x - c) <= tol / 2 + np.spacing(np.abs(c) + tol)), (x - c, tol)
-
-
-def test_a_nan_the_search_meets_ends_in_the_non_finite_error(monkeypatch):
-    """``argmax`` ranks NaN above every number, so a step that samples a
-    NaN keeps it at the middle of the next bracket, and the search ends in
-    it: here a strip of NaN around the eta of two GHZ maxima, met only in
-    the refinement, and the finder raises."""
-    spec = get_function("l1_S3")
-    calls = []
-
-    def nan_strip_after_the_coarse_grid(eta, beta):
-        values = spec.fn(eta, beta)
-        calls.append(1)
-        if len(calls) == 1:
-            return values
-        return np.where(np.abs(eta - math.pi / 3) < 1e-3, math.nan, values)
-
-    monkeypatch.setitem(FUNCTIONS, "l1_S3", dataclasses.replace(spec, fn=nan_strip_after_the_coarse_grid))
-    with pytest.raises(ValueError, match="non-finite"):
-        find_critical_points("l1_S3", finder_axes("l1_S3", 400))
-    assert len(calls) > 1
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
-def test_finders_reject_non_positive_tol(tol):
-    with pytest.raises(ValueError, match="tolerance must be positive"):
-        find_critical_points("l1_S3", finder_axes("l1_S3", 20), refine_tol=tol)
-    with pytest.raises(ValueError, match="tolerance must be positive"):
-        find_critical_points("l1_wigner", finder_axes("l1_wigner", 400), refine_tol=tol)
-
-
-@pytest.mark.parametrize("tag, domains", [
-    ("l1_S3", [("eta", 0.0, 1.0)]),
-    ("l1_S3", [("eta", 0.0, 1.0), ("beta", 0.0, 1.0), ("beta", 0.0, 1.0)]),
-    ("l1_wigner", [("theta", 0.0, 1.0), ("theta", 0.0, 1.0)]),
-    ("vn_xi", []),
-    ("l1_S3", [("x", 0.0, 1.0), ("y", 0.0, 1.0)]),
-    ("l1_S3", [("beta", 0.0, 1.0), ("eta", 0.0, 1.0)]),
-    ("vn_xi", [("eta", 0.0, 1.0)]),
+@pytest.mark.parametrize("domain, message", [
+    ([(0.0, 1.0)], "has axes"),
+    ([(0.0, 1.0)] * 3, "has axes"),
+    ([(1.0, 1.0), (0.0, 1.0)], "axis eta has empty range"),
+    ([(0.0, 1.0), (0.0, math.nan)], "axis beta needs finite bounds"),
+    ([(0.0, 1.0), (-1e308, 1e308)], "axis beta needs finite bounds and a finite width"),
+    ([(1e9, 1e9 + 1.0), (0.0, 1.0)], "axis eta: the float spacing at"),
+    ([(-610.0, 610.0), (-2.0, 2.0)], f"could hold 10140 critical points, above {MAX_PREIMAGES}"),
 ])
-def test_finder_rejects_one_domain_per_axis_mismatch(tag, domains):
-    """The finder scans one named axis per axis of the function, in its
-    order: ``zip`` would silently drop an extra axis or one left out, and
-    a swapped pair would scan the landscape with its axes exchanged."""
-    with pytest.raises(ValueError, match="has axes"):
-        find_critical_points(tag, [AxisSpec(name, lo, hi, 5) for name, lo, hi in domains])
+def test_a_box_fails_closed(domain, message):
+    """A box is one (start, stop) per axis, each non-empty and finite, with
+    a float spacing at its ends no coarser than 1e-7 (2**29 is the first
+    float where it is coarser), and no more preimages than the bound,
+    counted from its widths: 26 points of the sphere, 2 preimages each per
+    2 pi cell.  At eta in [-600, 600] the box has 192 cells and 9,984
+    possible preimages, which pass."""
+    with pytest.raises(ValueError, match=message):
+        find_critical_points("l1_S3", domain)
+    assert np.spacing(2.0 ** 29) > 1e-7 >= np.spacing(np.nextafter(2.0 ** 29, 0.0))
+    assert len(find_critical_points("l1_S3", [(-600.0, 600.0), (-2.0, 2.0)])) == 5730
 
 
-@pytest.mark.parametrize("tag", ["l1_wigner", "l1_S3"])
-def test_finder_rejects_too_coarse_a_grid(tag):
-    """A 1-point section axis samples, but a scan along it finds nothing;
-    each axis short of 3 points is named."""
-    fine, short = finder_axes(tag, 9), get_function(tag).axes[-1]
-    for axis in (AxisSpec(short, 0.0, 1.0, 2), AxisSpec(short, 0.5, 0.5, 1)):
-        with pytest.raises(ValueError, match=f"axis {short} needs at least 3 points"):
-            find_critical_points(tag, (*fine[:-1], axis))
-    with pytest.raises(ValueError, match=f"axis {fine[0].name} needs at least 3 points"):
-        find_critical_points(tag, finder_axes(tag, 2))
+def test_an_entry_with_no_chart_has_no_critical_set(monkeypatch):
+    plain = LandscapeFunction("X", ("u",), lambda u: u * u, ((-1.0, 1.0),))
+    monkeypatch.setitem(FUNCTIONS, "X", plain)
+    with pytest.raises(ValueError, match="X declares no critical set"):
+        find_critical_points("X", [(-1.0, 1.0)])
 
 
-@pytest.mark.parametrize("tag", ["vn_xi", "vn_Sprime"])
-def test_finder_rejects_a_non_finite_coarse_node(tag, monkeypatch):
-    """A NaN on the coarse grid fails every comparison of the scan, so it
-    would silently drop the candidates around it; the finder must raise."""
-    spec = get_function(tag)
-    calls = []
-
-    def nan_at_one_coarse_node(*args):
-        values = spec.fn(*args)
-        if not calls:  # the first call samples the coarse grid
-            values = values.copy()
-            values.flat[values.size // 2] = math.nan
-        calls.append(1)
-        return values
-
-    monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(spec, fn=nan_at_one_coarse_node))
-    with pytest.raises(ValueError, match="non-finite"):
-        find_critical_points(tag, finder_axes(tag, 41))
-    assert len(calls) == 1
+def test_a_non_finite_critical_value_raises(monkeypatch):
+    spec = get_function("vn_xi")
+    monkeypatch.setitem(FUNCTIONS, "vn_xi", dataclasses.replace(
+        spec, fn=lambda theta: np.full(np.shape(theta), math.nan)))
+    with pytest.raises(ValueError, match="critical values are not finite"):
+        find_critical_points("vn_xi", spec.default_domain)
 
 
-@pytest.mark.parametrize("tag", ["vn_xi", "vn_Sprime"])
-def test_finder_rejects_a_non_finite_refined_point(tag, monkeypatch):
-    """A NaN in the refinement fails every comparison of the bracket
-    search, so it would come back as a point; the finder must raise."""
-    spec = get_function(tag)
-    calls = []
-
-    def nan_after_the_coarse_grid(*args):
-        values = spec.fn(*args)
-        calls.append(1)
-        return values if len(calls) == 1 else np.full_like(values, math.nan)
-
-    monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(spec, fn=nan_after_the_coarse_grid))
-    with pytest.raises(ValueError, match="non-finite"):
-        find_critical_points(tag, finder_axes(tag, 41))
-    assert len(calls) > 1
-
-
-HUGE_AND_SUBNORMAL = st.sampled_from([1.7e308, -1.7e308, 1e308, 5e-324, -5e-324, 1.5e-323,
-                                      2.2250738585072014e-308, 0.0])
-
-
-@given(st.one_of(HUGE_AND_SUBNORMAL, st.floats(allow_nan=False, allow_infinity=False)),
-       st.one_of(HUGE_AND_SUBNORMAL, st.floats(allow_nan=False, allow_infinity=False)))
-@example(5e-324, 5e-324)
-@example(1.7e308, 1.7e308)
-def test_bracket_midpoint_keeps_the_bits_of_the_halved_sum(a, b):
-    """A bracket of finite width, as every bracket inside an axis is,
-    returns a finite midpoint inside it, with the bits of
-    ``0.5 * (lo + hi)`` wherever that sum is finite; halving the ends
-    first would round on subnormal brackets.  An infinite tolerance
-    leaves the bracket as it is given."""
-    assume(math.isfinite(max(a, b) - min(a, b)))
-    lo, hi = np.array([min(a, b)]), np.array([max(a, b)])
-    with np.errstate(over="ignore"):
-        plain = 0.5 * (lo + hi)
-    mid = _shrink_bracket(lambda u, k: u, lo, hi, np.array([True]), math.inf)
-    assert np.isfinite(mid).all() and lo <= mid <= hi
-    if np.isfinite(plain).all():
-        assert mid.tobytes() == plain.tobytes()
-
-
-@pytest.mark.parametrize("tag", sorted(FUNCTIONS))
-def test_point_count_does_not_depend_on_refine_tol(tag):
-    """Below ~1e-8 a tighter tolerance cannot place a smooth extremum more
-    finely, so it must not split one extremum into several points."""
-    axes = finder_axes(tag, 400)
-    counts = {tol: Counter(p.kind for p in find_critical_points(tag, axes, refine_tol=tol))
-              for tol in (1e-8, 1e-10, 1e-12, 1e-16)}
-    assert all(c == counts[1e-8] for c in counts.values()), counts
-    if tag == "l1_wigner":
-        assert counts[1e-10] == {LOCAL_MAX: 1}
-    if tag in ("l1_S3", "l1_Sprime"):
-        assert counts[1e-16] == {LOCAL_MAX: 8, LOCAL_MIN: 2, SADDLE: 8}
-
-
-@pytest.mark.parametrize("tag", sorted(FUNCTIONS))
-def test_default_tol_dedupes_at_ten_tolerances(tag, monkeypatch):
-    """The floor lies at the default tolerance's dedupe distance, so the
-    default output is the one a dedupe at 10 * refine_tol gives."""
-    assert landscape._dedupe_tol(1e-8) == 1e-8 * 10.0
-    axes = finder_axes(tag, 400)
-    points = find_critical_points(tag, axes)
-    monkeypatch.setattr(landscape, "_dedupe_tol", lambda tol: tol * 10.0)
-    assert find_critical_points(tag, axes) == points
-
-
-def _near_duplicates():
-    """Points around a few centers, offset by halves of the tolerance on
-    each axis, of mixed kinds.  Centers, offsets and the tolerance are
-    dyadic, so coordinates differ by exactly 0.5, 1 or 1.5 tolerances and
-    the ``<= tol`` boundary is hit exactly; many share a first coordinate."""
-    rng = np.random.default_rng(11)
-    tol = 2.0 ** -23
-    offsets = np.array([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]) * tol
-    kinds = (LOCAL_MAX, LOCAL_MIN, SADDLE)
-    points = []
-    for cx, cy in rng.integers(-1024, 1024, size=(6, 2)) / 1024.0:
-        for dx in offsets:
-            for dy in rng.choice(offsets, size=3):
-                points.append(CriticalPoint((cx + dx, cy + dy), 0.0, kinds[rng.integers(3)],
-                                            ("max", "max"), (False, False)))
-    for cx in rng.integers(-1024, 1024, size=4) / 1024.0:
-        for dx in rng.choice(offsets, size=5):
-            points.append(CriticalPoint((cx + dx,), 0.0, kinds[rng.integers(2)], ("max",),
-                                        (False,)))
-    rng.shuffle(points)
-    return points, tol
-
-
-def test_sorted_dedupe_matches_quadratic_dedupe():
-    synthetic, tol = _near_duplicates()
-    for points in (list(_points_loop("vn_Sprime", finder_axes("vn_Sprime", 400))),
-                   list(_points_loop("l1_S3", finder_axes("l1_S3", 400))),
-                   [p for p in synthetic if len(p.location) == 2],
-                   [p for p in synthetic if len(p.location) == 1]):
-        kept = _dedupe(points, tol)
-        assert [id(p) for p in kept] == [id(p) for p in _dedupe_quadratic(points, tol)]
-    assert _dedupe([], tol) == []
+@pytest.mark.parametrize("measure", [cut_entropy(1.0, 0.3, 0.0), cut_entropy(1.0, 1.0),
+                                     weighted_l1(1.0, 0.0, 1.0)])
+def test_a_measure_declares_no_critical_set_it_cannot_prove(measure):
+    """The face lemma needs positive weights, and the entropy's set is
+    declared for shares (1, 0) and (1, 1/2, 0) alone."""
+    with pytest.raises(ValueError):
+        measure.critical((1.0,) * 3)

@@ -6,22 +6,19 @@ from ybekit.braiding import bell_braid, permutation_matrix
 from ybekit.rmatrix import (
     bundled_families,
     check_ybe,
-    conjugate_by_v,
-    phi_from_theta,
-    phi_from_three_thetas,
     type1_r1_2x2,
     type1_r2_2x2,
     type1_r_4x4,
     type2_r1_2x2,
     type2_r2_2x2,
     type2_r_4x4,
-    wigner_d_half,
 )
 from ybekit.tensor import norm_inf
 from ybekit.threebody import ScatterParams, fusion_form
 
 from reference import (COMPLEX_PERMUTATION, complex_type1_r1_2x2, complex_type1_r2_2x2,
-                       complex_type1_r_4x4, complex_type2_r_4x4, is_unitary, ket)
+                       complex_type1_r_4x4, complex_type2_r_4x4, conjugate_by_v, is_unitary, ket,
+                       phi_from_theta, phi_from_three_thetas, wigner_d_half)
 
 open_angles = st.floats(min_value=0.05, max_value=1.5)
 any_angles = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
