@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ybekit.entanglement import binary_entropy, cut_entropy, weighted_l1
+from ybekit.entanglement import (BISEPARABLE, GHZ_CLASS, W_CLASS, binary_entropy, cut_entropy,
+                                 entanglement_report, weighted_l1)
 from ybekit.landscape import (
+    CIRCLE,
     FUNCTIONS,
+    FUSION,
     LOCAL_MAX,
     LOCAL_MIN,
     MAX_PREIMAGES,
     RIDGE,
     SADDLE,
+    SPHERE,
     AxisSpec,
     LandscapeFunction,
     find_critical_points,
@@ -516,6 +520,100 @@ def test_default_boxes_give_the_closed_form_sets():
     assert counts == {LOCAL_MAX: 8, SADDLE: 16, LOCAL_MIN: 6}
 
 
+def _only(rows, kind, target):
+    """The one row of ``kind`` within 1e-12 of ``target``."""
+    near = [p for p in rows if p.kind == kind
+            and max(abs(a - b) for a, b in zip(p.location, target)) < 1e-12]
+    assert len(near) == 1, (kind, target, rows)
+    return near[0]
+
+
+def test_find_1d_l1_max():
+    (p,) = [p for p in _rows("l1_wigner") if p.kind == LOCAL_MAX]
+    assert abs(p.location[0] - math.pi / 4) < 1e-15
+    assert abs(p.value - math.sqrt(2.0)) < 1e-15
+    assert p.smooth
+
+
+def test_find_1d_entropy_max():
+    (p,) = [p for p in _rows("vn_xi") if p.kind == LOCAL_MAX]
+    assert abs(p.location[0] - math.pi / 4) < 1e-15
+    assert abs(p.value - 1.0) < 1e-15
+    assert p.smooth
+
+
+def _label(tag, p):
+    return entanglement_report(get_function(tag).params(*p.location)).slocc_class
+
+
+def test_find_2d_ghz_maximum():
+    ghz = _only(_rows("l1_S3"), LOCAL_MAX, (math.pi / 3, BETA_STAR))
+    assert abs(ghz.value - 2.0) < 1e-15
+    assert ghz.smooth and _label("l1_S3", ghz) == GHZ_CLASS
+
+
+def test_find_2d_w_saddle():
+    """W is a smooth maximum inside its face and a kinked minimum across it:
+    the l1-norm rises along eta and falls along beta."""
+    fn, h = get_function("l1_S3"), 1e-6
+    w = _only(_rows("l1_S3"), SADDLE, (math.pi / 2, BETA_STAR))
+    eta, beta = w.location
+    assert abs(w.value - math.sqrt(3.0)) < 1e-15
+    assert not w.smooth and _label("l1_S3", w) == W_CLASS
+    assert min(fn(eta - h, beta), fn(eta + h, beta)) > w.value
+    assert max(fn(eta, beta - h), fn(eta, beta + h)) < w.value
+
+
+def test_find_2d_biseparable_minimum():
+    bisep = _only(_rows("l1_S3"), LOCAL_MIN, (math.pi / 2, 0.0))
+    assert abs(bisep.value - math.sqrt(2.0)) < 1e-15
+    assert not bisep.smooth and _label("l1_S3", bisep) == BISEPARABLE
+
+
+def test_flat_rows_do_not_produce_points():
+    """eta = pi is a pole line, where the norm is 1 whatever beta is: no row
+    lies on it, though the box holds it and the GHZ maxima and W saddles
+    either side of it."""
+    rows = _rows("l1_S3", ((2.0, 4.2), (-1.0, 1.0)))
+    assert Counter(p.kind for p in rows) == {LOCAL_MAX: 4, SADDLE: 2}
+    for p in rows:
+        assert abs(p.location[0] - math.pi) > 1e-3, p
+
+
+def _unit_rows(size, count, seed):
+    y = np.random.default_rng(seed).normal(size=(count, size))
+    return y / np.linalg.norm(y, axis=1, keepdims=True)
+
+
+# (chart, the period box in which a point of the sphere off its poles has
+# this many preimages)
+CHARTS = {"sphere": (SPHERE, ((0.0, TWO_PI), (-math.pi, math.pi)), 2),
+          "fusion": (FUSION, ((0.0, TWO_PI), (-math.pi, math.pi)), 2),
+          "circle": (CIRCLE, ((-math.pi, math.pi),), 1)}
+
+
+@pytest.mark.parametrize("box", range(3), ids=["default", "narrow", "wide"])
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_a_chart_maps_each_preimage_back_to_its_point(name, box):
+    """Each preimage a chart gives of 500 seeded unit vectors lies in the
+    box and maps, scaled, onto its vector to 1e-14; over one period of
+    every angle, each vector has as many preimages as the chart covers the
+    sphere (two for the spherical charts, (eta, beta) and (-eta, beta +
+    pi))."""
+    chart, period, covers = CHARTS[name]
+    arity = len(period)
+    domain = BOXES[arity][box] or get_function({2: "l1_S3", 1: "vn_xi"}[arity]).default_domain
+    y = _unit_rows(len(chart.scale), 500, seed=box)
+    index, coords = chart.preimages(y, domain)
+    assert index.size
+    for c, (lo, hi) in zip(coords, domain):
+        assert np.all((lo <= c) & (c <= hi))
+    mapped = np.stack([s * x for s, x in zip(chart.scale, chart.map(*coords))], axis=-1)
+    assert np.allclose(mapped, y[index], rtol=0.0, atol=1e-14)
+    index, _ = chart.preimages(y, period)
+    assert np.bincount(index, minlength=len(y)).tolist() == [covers] * len(y)
+
+
 @pytest.mark.parametrize("tag", sorted(FUNCTIONS))
 def test_rows_are_sorted_distinct_and_smooth_only_inside_a_full_face(tag):
     """Rows come in sorted order of location, each once, and none on a pole
@@ -571,12 +669,13 @@ def test_an_entry_with_no_chart_has_no_critical_set(monkeypatch):
         find_critical_points("X", [(-1.0, 1.0)])
 
 
-def test_a_non_finite_critical_value_raises(monkeypatch):
-    spec = get_function("vn_xi")
-    monkeypatch.setitem(FUNCTIONS, "vn_xi", dataclasses.replace(
-        spec, fn=lambda theta: np.full(np.shape(theta), math.nan)))
+@pytest.mark.parametrize("tag", sorted(FUNCTIONS))
+def test_a_non_finite_critical_value_raises(tag, monkeypatch):
+    spec = get_function(tag)
+    monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(
+        spec, fn=lambda *coords: np.full(np.broadcast(*coords).shape, math.nan)))
     with pytest.raises(ValueError, match="critical values are not finite"):
-        find_critical_points("vn_xi", spec.default_domain)
+        find_critical_points(tag, spec.default_domain)
 
 
 @pytest.mark.parametrize("measure", [cut_entropy(1.0, 0.3, 0.0), cut_entropy(1.0, 1.0),
