@@ -65,7 +65,8 @@ CORPUS = [
     "verify",
     "verify --format json --seed 1 --samples 50",
     "verify --suite ybe --samples 40 --output out.txt",
-    "verify --suite reduction --seed 7 --samples 20 --format json --output out.json",
+    "verify --suite reduction --format json --output out.json",
+    "verify --suite reduction --samples 20",
     "verify --suite tl --tol 0",
     "verify --suite braid --seed 3",
     *_landscapes(),
@@ -89,6 +90,7 @@ CORPUS = [
     "state --thetas 0.1,0.2,0.3",
     "reduce --random 200",
     "reduce --random 200 --seed 5",
+    "reduce --random 20 --seed 7",
     f"reduce --thetas {TRIPLE}",
     "reduce --thetas -1.1,-2.098950083168676,0.7",
     f"{FIGURE_SCRIPT} --grid 21 --outdir out",

@@ -240,13 +240,12 @@ def test_empty_sample_sets_give_empty_residual_arrays():
 
 @pytest.mark.parametrize("suite", [
     lambda: checks.ybe_suite(tol=1e-12, samples=2000, seed=0),
-    lambda: checks.reduction_suite(tol=1e-10, samples=1000, seed=0),
     lambda: checks.random_reduction(1000, 0),
-], ids=["ybe_suite", "reduction_suite", "random_reduction"])
+], ids=["ybe_suite", "random_reduction"])
 def test_random_suites_peak_below_one_mebibyte(suite):
     """Blocks bounded by ``STACK_BYTES`` keep the working set flat in the
-    sample count: 0.79, 0.38 and 0.51 MiB (the former 50-sample blocks
-    peaked at 0.49, 0.29 and 0.29 MiB; a 16 times larger bound fails)."""
+    sample count: 0.79 and 0.51 MiB (the former 50-sample blocks peaked at
+    0.49 and 0.29 MiB; a 16 times larger bound fails)."""
     suite()  # the cached fusion bases are built outside the trace
     tracemalloc.start()
     try:
