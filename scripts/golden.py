@@ -84,6 +84,7 @@ CORPUS = [
     f"state --eta 1.0471975511965976 --beta {BETA_STAR}",
     f"state --eta {HALF_PI} --beta {BETA_STAR} --format json",
     "state --eta 0 --beta 0.5",
+    f"state --eta {HALF_PI} --beta 0",
     "state --eta -7 --beta 4 --format json",
     f"state --thetas {TRIPLE}",
     f"state --thetas {TRIPLE} --format json",

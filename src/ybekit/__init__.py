@@ -21,7 +21,6 @@ from .entanglement import (
     binary_entropy,
     cut_entropy,
     entanglement_report,
-    three_tangle,
     weighted_l1,
 )
 from .fusionbasis import (

@@ -33,7 +33,8 @@ from .checks import SUITES, random_reduction, worst
 from .entanglement import CLASS_TOL, entanglement_report
 from .fusionbasis import LeakageError, reduce_three_body
 from .landscape import AxisSpec, FUNCTIONS, find_critical_points, get_function, sample
-from .threebody import AngleTriple, ScatterParams, angles_to_params, state_from_params
+from .threebody import (AngleTriple, ScatterParams, angles_to_params, state_coordinates,
+                        state_from_params)
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -150,11 +151,14 @@ def parse_thetas(raw: str) -> AngleTriple:
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     # a flag that no chosen suite reads is a usage error, not silently ignored
+    read = {}  # the flags the ybe suite reads, which JSON meta records
     for flag, default in (("samples", 1000), ("seed", 0)):
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-        elif "ybe" not in names:
+        value = getattr(args, flag)
+        if "ybe" in names:
+            read[flag] = default if value is None else value
+        elif value is not None:
             raise ValueError(f"--{flag} applies only to the ybe suite, not --suite {args.suite}")
+    vars(args).update(read)
     rows = [check for name in names for check in SUITES[name](args)]
 
     failed = sum(not c.passed for c in rows)
@@ -163,7 +167,7 @@ def cmd_verify(args) -> int:
         text = _json_doc({"checks": [
             # strict JSON has no NaN: a non-finite residual is written as null
             {"name": c.name, "residual": float(c.residual) if math.isfinite(c.residual) else None,
-             "tol": float(c.tol), "pass": c.passed} for c in rows]}, seed=args.seed, tol=args.tol)
+             "tol": float(c.tol), "pass": c.passed} for c in rows]}, tol=args.tol, **read)
     else:
         text = "".join(f"{'PASS' if c.passed else 'FAIL'}  {c.name:<64s} residual "
                        f"{fmt(c.residual):>24s}  tol {c.tol:.1e}\n" for c in rows) + summary + "\n"
@@ -221,9 +225,7 @@ def cmd_landscape(args) -> int:
     axes, fixed = _axes(args, spec)
     values = sample(args.fn, axes)
     if args.format == "json":
-        meta = {"seed": None, "tol": None}
-        if fixed is not None:
-            meta["section"] = f"{fixed.name}={fmt(fixed.start)}"
+        meta = {} if fixed is None else {"section": f"{fixed.name}={fmt(fixed.start)}"}
         chunks = _json_text(args.fn, [a for a in axes if a is not fixed], values, meta)
     else:
         chunks = _csv_mesh({a.name: a.points() for a in axes}, values)
@@ -297,7 +299,7 @@ def cmd_extrema(args) -> int:
     points = find_critical_points(args.fn, domain)
     header = [*spec.axes, "value", "kind", "smooth"]
     rows = [[*map(float, p.location), float(p.value), p.kind, p.smooth] for p in points]
-    if spec.params is not None:  # a three-body landscape: label the states its map gives
+    if spec.params is not None:  # a three-body landscape: label the states it maps to
         header.append("slocc_class")
         coords = np.array([p.location for p in points], dtype=float).reshape(-1, spec.arity).T
         labels = entanglement_report(spec.params(*coords)).slocc_class
@@ -332,7 +334,8 @@ def cmd_state(args) -> int:
     psi = state_from_params(params)
     # Classification thresholds follow the input tolerance: angles typed at
     # a few decimals shift the invariants by the same scale.
-    report = entanglement_report(psi, tol=max(args.tol, CLASS_TOL))
+    report = entanglement_report(state_coordinates(params.eta, params.beta),
+                                 tol=max(args.tol, CLASS_TOL))
     l1 = FUNCTIONS["l1_S3"](params.eta, params.beta)  # a point prints as in landscape
 
     if args.format == "json":

@@ -6,9 +6,11 @@ basis (contrast the l2 probability normalization).  The landscapes
 measures :func:`weighted_l1` and :func:`cut_entropy`, each of which also
 declares its critical points on the unit sphere of its coordinates.
 
-Entropies are in bits throughout, with 0*log(0) = 0.  The dense route, a
-partial trace and an eigensolver, is the tests' oracle
-(``tests/reference.py``).
+Entropies are in bits throughout, with 0*log(0) = 0.
+:func:`entanglement_report` reads the coordinates of a scattering state
+through the same measures.  The dense routes, a partial trace with an
+eigensolver and the general hyperdeterminant of eight amplitudes, are the
+tests' oracles (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 CLASS_TOL = 1e-6
-NORM_TOL = 1e-10
 
 PRODUCT = "product"
 BISEPARABLE = "biseparable"
@@ -130,45 +131,12 @@ def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
             - (1.0 - p) * np.log1p(-p + (p == 1.0)) / math.log(2.0))
 
 
-# The factors of the hyperdeterminant's products as amplitude indices
-# 4i + 2j + k of c[i, j, k]: d1 sums the four products of two squares, d2
-# the first six 4-products and d3 the last two.
-_SQUARED = np.array([[0b000, 0b001, 0b010, 0b100], [0b111, 0b110, 0b101, 0b011]])
-_QUARTETS = np.array([[0b000, 0b000, 0b000, 0b011, 0b011, 0b101, 0b000, 0b111],
-                      [0b111, 0b111, 0b111, 0b100, 0b100, 0b010, 0b110, 0b001],
-                      [0b011, 0b101, 0b110, 0b101, 0b110, 0b110, 0b101, 0b010],
-                      [0b100, 0b010, 0b001, 0b010, 0b001, 0b001, 0b011, 0b100]])
-
-
-def three_tangle(psi: np.ndarray) -> float | np.ndarray:
-    """Residual three-qubit entanglement via the degree-4 hyperdeterminant.
-
-    tau = 4 |d1 - 2 d2 + 4 d3| in the standard coefficient form; 1 for the
-    GHZ state, 0 for the W state and every product state.  A (..., 8)
-    stack of states gives one value per state; one state is a stack of one,
-    since numpy's scalar complex products round apart from its array loops.
-    Each product multiplies its factors, and each sum adds its terms, left
-    to right.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape[-1:] != (8,):
-        raise ValueError(f"three qubits required, got states of shape {psi.shape}")
-    amps = psi.reshape(-1, 8).T  # amps[4i + 2j + k, state] = c[i, j, k]
-    squares = amps[_SQUARED] ** 2
-    pairs = squares[0] * squares[1]
-    factors = amps[_QUARTETS]
-    quartets = factors[0] * factors[1] * factors[2] * factors[3]
-    d1 = pairs[0] + pairs[1] + pairs[2] + pairs[3]
-    d2 = quartets[0] + quartets[1] + quartets[2] + quartets[3] + quartets[4] + quartets[5]
-    d3 = quartets[6] + quartets[7]
-    return (4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)).reshape(psi.shape[:-1])[()]
-
-
-# amplitude indices where qubit 1, 2 or 3 (the columns) is 0, then is 1
-_ZERO = np.array([[0, 1, 2, 3], [0, 1, 4, 5], [0, 2, 4, 6]]).T
-_HALVES = np.stack([_ZERO, _ZERO + [4, 2, 1]])
 # the class of a state indexed by its number of entangled cuts, then GHZ
 _CLASSES = np.array([PRODUCT, BISEPARABLE, BISEPARABLE, W_CLASS, GHZ_CLASS])
+# Each one-qubit cut of a|000> - b(|011> + |110>)/sqrt2 - c|101> is diagonal,
+# with these 0-side shares of (a, b, c): qubits 1 and 3 are 0 on |000> and
+# on half of b's pair, qubit 2 on |000> and |101>.
+_CUTS = (cut_entropy(1.0, 0.5, 0.0), cut_entropy(1.0, 0.0, 1.0), cut_entropy(1.0, 0.5, 0.0))
 
 
 @dataclass(frozen=True)
@@ -181,33 +149,20 @@ class EntanglementReport:
     slocc_class: str | np.ndarray
 
 
-def entanglement_report(psi: np.ndarray, tol: float = CLASS_TOL) -> EntanglementReport:
-    """All measures of one state or of a (..., 8) stack: the entropy of each
-    single-qubit cut (keyed 0, 1, 2), 3-tangle and SLOCC class.
+def entanglement_report(coords: Iterable, tol: float = CLASS_TOL) -> EntanglementReport:
+    """All measures of the state a|000> - b(|011> + |110>)/sqrt2 - c|101>
+    from its coordinates (a, b, c), as
+    :func:`~ybekit.threebody.state_coordinates` gives them, of one state or
+    of broadcast arrays: the entropy of each single-qubit cut (keyed 0, 1,
+    2), the 3-tangle 8|a b^2 c| and the SLOCC class.
 
     GHZ-class when the 3-tangle exceeds ``tol``; otherwise W-class when all
     three cuts carry entropy above ``tol``; otherwise biseparable or product
-    by the number of zero-entropy cuts.  Raises ValueError on the first
-    state that is not finite with unit l2 norm (to NORM_TOL), where the
-    measures read nonsense, such as negative entropies.
+    by the number of zero-entropy cuts.
     """
-    psi = np.asarray(psi, dtype=complex)
-    norm = np.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2, axis=-1))
-    bad = ~(np.abs(norm - 1.0) <= NORM_TOL)  # a NaN or infinite norm fails too
-    if bad.any():
-        raise ValueError(f"expected a finite normalized state, got norm {np.extract(bad, norm)[0]}")
-    tau = three_tangle(psi)  # which also checks the shape
-    # Each qubit's 2x2 reduced matrix r, summed in one order and in real
-    # arithmetic for every state, has the larger eigenvalue
-    # L = (1 + sqrt((r00 - r11)^2 + 4|r01|^2)) / 2 and the smaller det(r) / L,
-    # which keeps its digits near a product state, where 1 - L cancels.
-    halves = psi.reshape(-1, 8).T[_HALVES]
-    (x0, x1), (y0, y1) = halves.real, halves.imag
-    terms = np.stack([x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x0 * x1 + y0 * y1, y0 * x1 - x0 * y1])
-    r00, r11, re, im = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
-    off = re * re + im * im  # |r01|^2
-    larger = (1.0 + np.sqrt((r00 - r11) ** 2 + 4.0 * off)) / 2.0
-    entropies = binary_entropy((r00 * r11 - off) / larger).reshape(3, *psi.shape[:-1])
-    index = np.where(tau > tol, 4, np.count_nonzero(entropies > tol, axis=0))
+    a, b, c = coords
+    entropies = [cut((a, b, c)) for cut in _CUTS]
+    tau = 8.0 * np.abs(a * b * b * c)
+    index = np.where(tau > tol, 4, np.count_nonzero(np.greater(entropies, tol), axis=0))
     return EntanglementReport(vn_entropies=dict(enumerate(entropies)), three_tangle=tau,
                               slocc_class=_CLASSES[index])

@@ -14,7 +14,7 @@ Registering a landscape is a chart, a measure and a domain: one
 ``extrema`` commands take as ``--NAME`` flags.  The chart's map takes the
 axis arrays to real coordinates of a state, which the measure reads
 (:mod:`ybekit.entanglement`); a three-body entry also maps its axes to the
-states that ``extrema`` labels.  Function tags:
+state coordinates (a, b, c) that ``extrema`` labels.  Function tags:
 
 ==========  ===========  ===================================  ==========================
 tag         axes         map                                  measure
@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,8 +47,7 @@ import numpy as np
 from .entanglement import (LOCAL_MAX, LOCAL_MIN, RIDGE, SADDLE, Measure, cut_entropy,
                            weighted_l1)
 from .tensor import by_blocks
-from .threebody import (TWO_PI, ScatterParams, fusion_row, state_coordinates,
-                        state_from_params)
+from .threebody import TWO_PI, fusion_row, state_coordinates
 
 LOCATION_RESOLUTION = 1e-7  # the finest spacing of floats at a box end that extrema takes
 MAX_PREIMAGES = 10_000  # the most critical points a box may hold, counted from its widths
@@ -187,16 +186,16 @@ CIRCLE = Chart(_rotation, _circle_preimages, (1.0, 1.0))
 class LandscapeFunction:
     """A landscape ``fn`` of one broadcast array per axis named in
     ``axes``, evaluated by calling the entry.  ``params``, if not None, maps
-    them to the (..., 8) states that ``extrema`` labels.  ``default_domain``
-    holds one (start, stop) per axis.  An entry with a ``chart`` and a
-    ``measure``, of which ``fn`` is the composition, has critical points
-    that ``extrema`` can enumerate."""
+    them to the state coordinates (a, b, c) that ``extrema`` labels.
+    ``default_domain`` holds one (start, stop) per axis.  An entry with a
+    ``chart`` and a ``measure``, of which ``fn`` is the composition, has
+    critical points that ``extrema`` can enumerate."""
 
     tag: str
     axes: tuple[str, ...]
     fn: Callable[..., float]
     default_domain: tuple[tuple[float, float], ...]
-    params: Callable[..., np.ndarray] | None = None
+    params: Callable[..., Iterable] | None = None
     chart: Chart | None = None
     measure: Measure | None = None
 
@@ -215,7 +214,7 @@ def _landscape(tag: str, chart: Chart, measure: Measure, **kind) -> LandscapeFun
 
 
 _THREE_BODY = dict(axes=("eta", "beta"),
-                   params=lambda eta, beta: state_from_params(ScatterParams(eta, beta)),
+                   params=state_coordinates,
                    default_domain=((0.0, 2.0 * math.pi), (-math.pi / 2, math.pi / 2)))
 _THETA = dict(axes=("theta",), default_domain=((0.0, math.pi / 2),))
 

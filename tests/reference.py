@@ -2,10 +2,11 @@
 
 Dense-matrix oracles: independent routes to what the program computes in
 closed form (the rotation exp(-eta n.L), the l1-norm of a state's
-amplitudes, partial traces with eigensolver entropies, a Taylor-series
-matrix exponential, the Pauli matrices and basis kets they are built
-from), which the tests hold the program to within a tolerance.  No
-subcommand reaches them, so they live here and not in ``ybekit``.
+amplitudes, partial traces with eigensolver entropies, the 3-tangle and
+SLOCC class of a general three-qubit state, a Taylor-series matrix
+exponential, the Pauli matrices and basis kets they are built from),
+which the tests hold the program to within a tolerance.  No subcommand
+reaches them, so they live here and not in ``ybekit``.
 
 The Wigner rotation-matrix route to the type-II 2x2 pair
 (:func:`wigner_d_half`, :func:`conjugate_by_v`) and the phase angles
@@ -24,13 +25,14 @@ A completeness oracle: the retired grid finder as a per-node loop
 ``find_critical_points`` enumerates."""
 
 import functools
+import itertools
 import json
 import math
 
 import numpy as np
 
 from ybekit import __version__
-from ybekit.entanglement import CLASS_TOL, entanglement_report
+from ybekit.entanglement import BISEPARABLE, CLASS_TOL, GHZ_CLASS, PRODUCT, W_CLASS
 from ybekit.fusionbasis import phased_antiparallel_state, reduce_three_body
 from ybekit.landscape import LOCAL_MAX, LOCAL_MIN, SADDLE, get_function, sample
 from ybekit.rmatrix import _type1_scale, bundled_families, galilean, type2_r_4x4
@@ -179,10 +181,35 @@ def wigner_l1(d_matrix: np.ndarray) -> float | np.ndarray:
     return np.sum(np.abs(d_matrix.reshape(4, *d_matrix.shape[2:])), axis=0) / 2.0
 
 
-def classify_slocc(psi: np.ndarray, tol: float = CLASS_TOL) -> str | np.ndarray:
-    """SLOCC class label of a normalized three-qubit pure state, or of each
-    state of a stack: the class :func:`entanglement_report` gives."""
-    return entanglement_report(psi, tol).slocc_class
+def hyperdeterminant(c):
+    """d1 - 2 d2 + 4 d3 of the eight amplitudes c[x] of a three-qubit
+    state, x = 4i + 2j + k (Coffman, Kundu and Wootters): d1 sums the
+    squares of the four antipodal products c[x] c[7 - x], d2 their six
+    pairwise products, and d3 the products over the even- and the
+    odd-weight x.  Numbers, arrays and sympy expressions alike."""
+    pairs = [c[x] * c[7 - x] for x in (0b000, 0b001, 0b010, 0b100)]
+    d1 = sum(p * p for p in pairs)
+    d2 = sum(p * q for p, q in itertools.combinations(pairs, 2))
+    d3 = c[0b000] * c[0b011] * c[0b101] * c[0b110] + c[0b001] * c[0b010] * c[0b100] * c[0b111]
+    return d1 - 2 * d2 + 4 * d3
+
+
+def three_tangle(psi: np.ndarray) -> float | np.ndarray:
+    """The 3-tangle 4|hyperdeterminant| of a three-qubit state, or of each
+    state of a (..., 8) stack."""
+    return 4.0 * np.abs(hyperdeterminant(np.moveaxis(np.asarray(psi, dtype=complex), -1, 0)))
+
+
+def classify_slocc(psi: np.ndarray, tol: float = CLASS_TOL) -> str:
+    """SLOCC class of a normalized three-qubit pure state by the rule of
+    :func:`entanglement_report`, on the dense route: GHZ-class when the
+    3-tangle exceeds ``tol``; otherwise W-class when every one-qubit cut
+    carries entropy above ``tol``; otherwise biseparable or product by the
+    number of cuts that carry none."""
+    if three_tangle(psi) > tol:
+        return GHZ_CLASS
+    entangled = sum(von_neumann_entropy(psi, [k]) > tol for k in range(3))
+    return [PRODUCT, BISEPARABLE, BISEPARABLE, W_CLASS][entangled]
 
 
 def lambda_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

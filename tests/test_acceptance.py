@@ -14,7 +14,7 @@ from ybekit.entanglement import (
     GHZ_CLASS,
     W_CLASS,
     binary_entropy,
-    three_tangle,
+    entanglement_report,
 )
 from ybekit.landscape import (
     FUNCTIONS,
@@ -30,10 +30,12 @@ from ybekit.threebody import (
     ScatterParams,
     angles_to_params,
     product_form,
+    state_coordinates,
 )
 
 from reference import (classify_slocc, closed_form, expm_series, ket, n_dot_lambda,
-                       phi_from_theta, phi_from_three_thetas, scalar_random_triple)
+                       phi_from_theta, phi_from_three_thetas, scalar_random_triple,
+                       three_tangle)
 
 GHZ_PARAMS = ScatterParams(math.pi / 3, BETA_STAR)
 W_PARAMS = ScatterParams(math.pi / 2, BETA_STAR)
@@ -76,6 +78,8 @@ def test_c03_ghz_w_generation():
         assert norm_inf(np.abs(ghz_out) - expected) < 1e-12
         assert abs(three_tangle(ghz_out) - 1.0) < 1e-9
         assert classify_slocc(ghz_out) == GHZ_CLASS
+        ghz = entanglement_report(state_coordinates(GHZ_PARAMS.eta, GHZ_PARAMS.beta))
+        assert abs(ghz.three_tangle - 1.0) < 1e-9 and ghz.slocc_class == GHZ_CLASS
 
         w_out = closed_form(W_PARAMS) @ ket("000")
         expected = np.zeros(8)
@@ -83,6 +87,8 @@ def test_c03_ghz_w_generation():
         assert norm_inf(np.abs(w_out) - expected) < 1e-12
         assert three_tangle(w_out) < 1e-9
         assert classify_slocc(w_out) == W_CLASS
+        w = entanglement_report(state_coordinates(W_PARAMS.eta, W_PARAMS.beta))
+        assert w.three_tangle < 1e-9 and w.slocc_class == W_CLASS
 
 
 def _nearest(points, kind, location):

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 from mpmath import atan2, cos, log, log1p, mpc, mpf, pi, sin, sqrt
 
-from ybekit.entanglement import binary_entropy, entanglement_report, three_tangle
+from ybekit.entanglement import binary_entropy, entanglement_report
 from ybekit.landscape import get_function
-from ybekit.threebody import (BETA_STAR, RANDOM_SPAN, ScatterParams, angles_to_params,
-                              constrained_triple, state_from_params)
+from ybekit.threebody import (RANDOM_SPAN, ScatterParams, angles_to_params, constrained_triple,
+                              state_coordinates, state_from_params)
 
-from reference import ket
+from reference import hyperdeterminant
 
 mpmath.mp.dps = 40
 RNG = np.random.default_rng(2024)
@@ -54,13 +54,11 @@ def l1(eta, beta):
     return [abs(cos(eta)) + sqrt(2) * abs(cos(beta) * sin(eta)) + abs(sin(beta) * sin(eta))]
 
 
-def tangle(*amps):
-    c = [mpc(a) for a in amps]
-    d1 = (c[0] * c[7]) ** 2 + (c[1] * c[6]) ** 2 + (c[2] * c[5]) ** 2 + (c[4] * c[3]) ** 2
-    d2 = (c[0] * c[7] * (c[3] * c[4] + c[5] * c[2] + c[6] * c[1])
-          + c[3] * c[4] * (c[5] * c[2] + c[6] * c[1]) + c[5] * c[2] * c[6] * c[1])
-    d3 = c[0] * c[6] * c[5] * c[3] + c[7] * c[1] * c[2] * c[4]
-    return [4 * abs(d1 - 2 * d2 + 4 * d3)]
+def amplitudes(a, b, c):
+    """The eight amplitudes of a|000> - b(|011> + |110>)/sqrt2 - c|101>."""
+    amps = [mpf(0)] * 8
+    amps[0b000], amps[0b011], amps[0b110], amps[0b101] = a, -b / sqrt(2), -b / sqrt(2), -c
+    return amps
 
 
 def cut_entropies(*amps):
@@ -80,22 +78,7 @@ TRIPLE = constrained_triple(*RNG.uniform(-RANDOM_SPAN, RANDOM_SPAN, (2, 2000)))
 ANGLES = (TRIPLE.t1, TRIPLE.t2, TRIPLE.t3)
 PARAMS = ScatterParams(RNG.uniform(0.0, 2.0 * math.pi, 500),
                        RNG.uniform(-math.pi / 2, math.pi / 2, 500))
-# the states of test_entanglement's scattering stack, and random ones
-_wide, _z = np.random.default_rng(12), RNG.normal(size=(150, 8)) + 1j * RNG.normal(size=(150, 8))
-STATES = np.concatenate([state_from_params(ScatterParams(_wide.uniform(-7.0, 7.0, 400),
-                                                         _wide.uniform(-3.2, 3.2, 400))),
-                         _z / np.linalg.norm(_z, axis=1, keepdims=True)])
-_r11 = np.random.default_rng(11)  # test_entanglement's random stack
-_z11 = _r11.standard_normal((400, 8)) + 1j * _r11.standard_normal((400, 8))
-# three_tangle's inputs: stacks of 550, 20x20 and 3 states, then single
-# states: GHZ, W, a product state and the GHZ and W points
-TANGLE_INPUTS = [STATES, (_z11 / np.linalg.norm(_z11, axis=1, keepdims=True)).reshape(20, 20, 8),
-                 state_from_params(ScatterParams(np.array([np.pi / 3, np.pi / 2, 0.0]),
-                                                 np.full(3, BETA_STAR))),
-                 (ket("000") + ket("111")) / math.sqrt(2.0),
-                 (ket("001") + ket("010") + ket("100")) / math.sqrt(3.0), ket("010"),
-                 state_from_params(ScatterParams(np.pi / 3, BETA_STAR)),
-                 state_from_params(ScatterParams(np.pi / 2, BETA_STAR))]
+RNG.normal(size=(2, 150, 8))  # unused draws: the points below keep their values
 THETAS = np.concatenate([RNG.uniform(0.0, math.pi / 2, 300), near([0.0, math.pi / 2], 150)])
 WIGNER_THETAS = np.concatenate([THETAS, RNG.uniform(-10.0, 10.0, 300), RNG.uniform(-1e6, 1e6, 100),
                                 [0.0, -0.0, math.pi / 4, -math.pi / 2, 1e15, -1e15, 5e-324]])
@@ -105,7 +88,9 @@ ENTROPY_PARAMS = ScatterParams(
                     [1e-8, 1e-6, 1e-4]]),
     np.concatenate([PARAMS.beta[:200], RNG.uniform(-math.pi / 2, math.pi / 2, 200),
                     math.pi / 2 + near([0.0], 200), [0.3, 0.3, 0.3]]))
-ENTROPY_STATES = state_from_params(ENTROPY_PARAMS)
+# the report's inputs, the state coordinates at those points
+COORDS = tuple(state_coordinates(PARAMS.eta, PARAMS.beta))
+ENTROPY_COORDS = tuple(state_coordinates(ENTROPY_PARAMS.eta, ENTROPY_PARAMS.beta))
 P_SMALL = np.concatenate([10.0 ** RNG.uniform(-300.0, 0.0, 200) / 2, RNG.uniform(0.0, 0.5, 200)])
 
 # name: (bound, unit, the program's values, the mpmath values at one input
@@ -127,9 +112,9 @@ BUDGETS = {
                   l1, (PARAMS.eta, PARAMS.beta)),
     "l1_wigner": (2, "ulp", lambda: get_function("l1_wigner")(WIGNER_THETAS),  # 0.98
                   lambda t: [abs(cos(t)) + abs(sin(t))], (WIGNER_THETAS,)),
-    "three_tangle": (2, "eps",  # 1.03
-                     lambda: np.concatenate([np.ravel(three_tangle(s)) for s in TANGLE_INPUTS]),
-                     tangle, np.concatenate([s.reshape(-1, 8) for s in TANGLE_INPUTS]).T),
+    "three_tangle": (2, "eps",  # 0.75
+                     lambda: entanglement_report(COORDS).three_tangle,
+                     lambda *abc: [4 * abs(hyperdeterminant(amplitudes(*abc)))], COORDS),
     "binary_entropy": (3, "ulp", lambda: binary_entropy(P_SMALL),  # 1.47
                        lambda p: [entropy(mpf(p))], (P_SMALL,)),
     "vn_Sprime": (4, "ulp",  # 3.27
@@ -139,9 +124,9 @@ BUDGETS = {
                   (ENTROPY_PARAMS.eta, ENTROPY_PARAMS.beta)),
     "vn_xi": (3, "ulp", lambda: get_function("vn_xi")(THETAS),  # 2.20
               lambda t: [entropy(min(cos(t) ** 2, sin(t) ** 2))], (THETAS,)),
-    "cut_entropies": (4, "ulp",  # 3.06
-                      lambda: list(zip(*entanglement_report(ENTROPY_STATES).vn_entropies.values())),
-                      cut_entropies, ENTROPY_STATES.T),
+    "cut_entropies": (4, "ulp",  # 1.78
+                      lambda: list(zip(*entanglement_report(ENTROPY_COORDS).vn_entropies.values())),
+                      lambda *abc: cut_entropies(*amplitudes(*abc)), ENTROPY_COORDS),
 }
 
 

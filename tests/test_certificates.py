@@ -17,7 +17,10 @@ The landscapes' coordinate maps are certified the same way, in the
 cosines and sines of (eta, beta): the state's coordinates are a unit
 vector, the fusion row is the first row of the 2x2 fusion matrix with the
 state's l1-norm, and the state's qubit-1 cut is diagonal with the
-fusion matrix's |m00|^2 on it.
+fusion matrix's |m00|^2 on it.  For any real coordinates (a, b, c), every
+one-qubit cut of a|000> - b(|011> + |110>)/sqrt2 - c|101> is diagonal,
+with the 0-side weights that ``entanglement_report`` reads, and the
+state's hyperdeterminant gives the 3-tangle 8|a b^2 c|.
 
 The face lemma that ``extrema`` enumerates is certified for the squared
 l1 weights of the registered landscapes on their unit spheres: (1, 2, 1)
@@ -42,10 +45,13 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from ybekit.entanglement import binary_entropy, entanglement_report
 from ybekit.landscape import FUNCTIONS, LOCAL_MAX, LOCAL_MIN, SADDLE
 from ybekit.rmatrix import bundled_families, galilean, lorentzian
 from ybekit.threebody import (ScatterParams, fusion_form, fusion_row, state_coordinates,
                               state_from_params)
+
+from reference import hyperdeterminant
 
 c1, s1, c3, s3 = sp.symbols("c1 s1 c3 s3", real=True)
 UNIT_CIRCLES = [c1 ** 2 + s1 ** 2 - 1, c3 ** 2 + s3 ** 2 - 1]
@@ -164,6 +170,43 @@ def test_qubit1_cut_of_the_state_is_diagonal_with_the_fusion_probability():
     assert r == sp.Matrix([[sp.expand(a ** 2 + b ** 2 / 2), 0], [0, sp.expand(b ** 2 / 2 + c ** 2)]])
     m00 = FUSION_FORM[0, 0]
     assert sp.expand(m00 * sp.conjugate(m00) - r[0, 0]) == 0
+
+
+# the coordinates (a, b, c) of the state, and each qubit's 0-side weight
+a_, b_, c_ = sp.symbols("a b c", real=True)
+ZERO_SIDE = [a_ ** 2 + b_ ** 2 / 2, a_ ** 2 + c_ ** 2, a_ ** 2 + b_ ** 2 / 2]
+
+
+@pytest.mark.parametrize("qubit", range(3))
+def test_each_one_qubit_cut_of_the_state_is_diagonal(qubit):
+    """The reduced matrix of qubit 1, 2 or 3 pairs each amplitude where the
+    qubit is 0 with the one where it is 1 and the others agree: its
+    off-diagonal entry vanishes and its 0-side entry is ZERO_SIDE."""
+    psi = embedded(a_, b_, c_)
+    bit = 1 << (2 - qubit)
+    m = sp.Matrix([[psi[x] for x in range(8) if x & bit == side] for side in (0, bit)])
+    r = (m * m.H).applyfunc(sp.expand)
+    assert r == sp.diag(sp.expand(ZERO_SIDE[qubit]),
+                        sp.expand(a_ ** 2 + b_ ** 2 + c_ ** 2 - ZERO_SIDE[qubit]))
+
+
+def test_three_tangle_of_the_state_is_8_a_b2_c():
+    """4 (d1 - 2 d2 + 4 d3) = -8 a b^2 c, so 4|d1 - 2 d2 + 4 d3| = 8|a b^2 c|."""
+    assert sp.expand(4 * hyperdeterminant(embedded(a_, b_, c_)) + 8 * a_ * b_ ** 2 * c_) == 0
+
+
+def test_the_report_reads_the_certified_cuts_and_tangle():
+    """At sampled points, each cut's entropy is H of its certified 0-side
+    weight, and the 3-tangle 8|a b^2 c|, within 1e-15."""
+    eta, beta = (x.ravel() for x in np.meshgrid(ANGLES, ANGLES))
+    coords = tuple(state_coordinates(eta, beta))
+    report = entanglement_report(coords)
+    for qubit, weight in enumerate(ZERO_SIDE):
+        p = sp.lambdify((a_, b_, c_), weight, "numpy")(*coords)
+        want = binary_entropy(np.minimum(p, 1.0 - p))
+        assert np.max(np.abs(report.vn_entropies[qubit] - want)) <= 1e-15
+    tangle = sp.lambdify((a_, b_, c_), 8 * sp.Abs(a_ * b_ ** 2 * c_), "numpy")(*coords)
+    assert np.max(np.abs(report.three_tangle - tangle)) <= 1e-15
 
 
 def test_symbolic_maps_are_the_package_maps():

@@ -339,16 +339,19 @@ def test_extrema_box_end_too_coarse_for_a_location_is_usage_error(capsys):
 
 
 def test_extrema_labels_every_point_in_one_call(monkeypatch, capsys):
-    report, stacks = cli.entanglement_report, []
+    """One report labels every point, from the coordinates (a, b, c) of
+    the states, one array each."""
+    report, calls = cli.entanglement_report, []
 
-    def counted(psi):
-        stacks.append(psi.shape)
-        return report(psi)
+    def counted(coords):
+        coords = tuple(coords)
+        calls.append([np.shape(x) for x in coords])
+        return report(coords)
 
     monkeypatch.setattr(cli, "entanglement_report", counted)
     code, out = run_cli(["extrema", "--fn", "l1_S3"], capsys)
     _, rows = _csv_rows(out)
-    assert code == 0 and rows and stacks == [(len(rows), 8)]
+    assert code == 0 and rows and calls == [[(len(rows),)] * 3]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -437,6 +440,29 @@ def test_a_point_prints_the_same_l1_through_extrema_landscape_and_state(capsys):
         code, doc = run_cli(["state", "--eta", eta, "--beta", beta, "--format", "json"], capsys)
         payload = json.loads(doc)
         assert [payload["eta"], payload["beta"], payload["l1"]] == [*map(float, (eta, beta, value))]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_state_prints_the_vn_sprime_landscape_as_cuts_1_and_3(fmt, capsys):
+    """One kernel per quantity: at seeded points, the entropies of cuts 1
+    and 3 that ``state`` prints are, byte for byte as text and bit for bit
+    as JSON, the value of a 1-point ``landscape --fn vn_Sprime`` section at
+    the same (eta, beta)."""
+    rng = np.random.default_rng(5)
+    for eta, beta in zip(map(cli.fmt, rng.uniform(0.0, 2.0 * math.pi, 200)),
+                         map(cli.fmt, rng.uniform(-math.pi / 2, math.pi / 2, 200))):
+        code, section = run_cli(["landscape", "--fn", "vn_Sprime", "--section", f"eta={eta}",
+                                 "--beta", f"{beta}:{beta}:1"], capsys)
+        assert code == 0
+        [[_, _, value]] = _csv_rows(section)[1]
+        code, out = run_cli(["state", "--eta", eta, "--beta", beta, "--format", fmt], capsys)
+        assert code == 0
+        if fmt == "text":
+            for cut in (1, 3):
+                assert f"entropy cut {cut}|rest = {value} bits\n" in out, (eta, beta, cut)
+        else:
+            entropies = json.loads(out)["vn_entropies_bits"]
+            assert entropies["1"] == entropies["3"] == float(value), (eta, beta)
 
 
 def test_state_and_reduce_print_the_parameters_of_a_block(capsys):
@@ -778,9 +804,18 @@ def test_zero_tolerance_is_valid(argv, capsys):
 
 def test_unset_flags_take_their_defaults_where_read(capsys):
     """--samples, --seed and --constraint-tol, where a chosen suite or mode
-    reads them, default to 1000, 0 and 1e-4; JSON meta reports the seed."""
-    code, out = run_cli(["verify", "--suite", "tl", "--format", "json"], capsys)
-    assert code == 0 and json.loads(out)["meta"]["seed"] == 0
+    reads them, default to 1000, 0 and 1e-4.  JSON meta records only what
+    the run read: verify's seed and samples when the ybe suite runs, and a
+    landscape's section."""
+    for argv, meta in [
+        (["verify", "--suite", "tl"], {"tol": 1e-12}),
+        (["verify", "--suite", "ybe", "--samples", "20"], {"tol": 1e-12, "samples": 20, "seed": 0}),
+        (["landscape", "--fn", "vn_xi", "--theta", "0:1:3"], {}),
+        (["landscape", "--fn", "l1_S3", "--section", "eta=0.5", "--beta", "0:1:3"],
+         {"section": "eta=0.5"}),
+    ]:
+        code, out = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["meta"] == dict(meta, version=cli.__version__), argv
     near = "0.1,0.19612,0.1"  # 4.3e-6 off the constraint line
     for unset, default in [
         (["verify", "--suite", "ybe"], ["--samples", "1000", "--seed", "0"]),
@@ -932,7 +967,7 @@ def test_json_matches_reference(repeats, data):
     shape = data.draw(st.sampled_from([(40,), (3,), (5, 7), (9, 3)]))
     values = data.draw(_column(math.prod(shape), repeats)).reshape(shape)
     axes = [AxisSpec(name, 0.0, 1.0, k) for name, k in zip(("eta", "beta"), shape)]
-    meta = {"seed": None, "tol": None, "section": '"values":[]'}
+    meta = {"section": '"values":[]'}
     assert (_joined(cli._json_text("l1_S3", axes, values, meta))
             == _json_text_reference("l1_S3", axes, values, meta))
 
@@ -972,7 +1007,7 @@ def test_writers_across_blocks(shape):
     assert len(chunks) == 1 + blocks
     assert _joined(chunks) == _csv_numbers_reference(columns)
     axes = [AxisSpec(name, 0.0, 1.0, k) for name, k in zip(names, shape) if k > 1]
-    meta = {"seed": None, "tol": None}
+    meta = {}
     chunks = list(cli._json_text("l1_S3", axes, values, meta))
     assert len(chunks) == 2 + blocks
     assert _joined(chunks) == _json_text_reference("l1_S3", axes, values, meta)

@@ -11,15 +11,15 @@ from ybekit.entanglement import (
     W_CLASS,
     binary_entropy,
     entanglement_report,
-    three_tangle,
 )
 from ybekit.landscape import FUNCTIONS
 from ybekit.rmatrix import type2_r_4x4
 from ybekit.tensor import kron
-from ybekit.threebody import BETA_STAR, ScatterParams, fusion_form, state_from_params
+from ybekit.threebody import (BETA_STAR, ScatterParams, fusion_form, state_coordinates,
+                              state_from_params)
 
-from reference import (classify_slocc, ket, l1_norm, von_neumann_entropy, wigner_d_half,
-                       wigner_l1)
+from reference import (classify_slocc, ket, l1_norm, three_tangle, von_neumann_entropy,
+                       wigner_d_half, wigner_l1)
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
@@ -285,7 +285,14 @@ def test_fusion_entropy_range(eta, beta):
     assert 0.0 <= landscape("vn_Sprime", ScatterParams(eta, beta)) <= 1.0 + 1e-12
 
 
+def report(params):
+    """The coordinate report of the state at ``params``, as ``state`` and
+    ``extrema`` compute it."""
+    return entanglement_report(state_coordinates(params.eta, params.beta))
+
+
 def test_three_tangle_ghz_point():
+    assert abs(report(GHZ_PARAMS).three_tangle - 1.0) < 1e-12
     assert abs(three_tangle(state_from_params(GHZ_PARAMS)) - 1.0) < 1e-12
 
 
@@ -295,159 +302,158 @@ def test_three_tangle_standard_ghz():
 
 
 def test_three_tangle_w_point_and_product():
-    assert three_tangle(state_from_params(W_PARAMS)) < 1e-12
+    assert report(W_PARAMS).three_tangle < 1e-12
+    assert report(ScatterParams(0.0, 0.4)).three_tangle == 0.0
+    assert three_tangle((ket("001") + ket("010") + ket("100")) / np.sqrt(3)) < 1e-15
     assert three_tangle(ket("000")) == 0.0
 
 
-@given(st.lists(st.floats(min_value=0, max_value=2 * np.pi), min_size=6, max_size=6))
-def test_three_tangle_invariant_under_local_phase_gates(phases):
-    psi = state_from_params(GHZ_PARAMS)
+@given(etas, betas, st.lists(st.floats(min_value=0, max_value=2 * np.pi), min_size=6,
+                             max_size=6))
+def test_three_tangle_is_the_hyperdeterminant_of_the_rephased_state(eta, beta, phases):
+    """8|a b^2 c| is the 3-tangle of the state, and of its image under
+    local phase gates, which leave the invariant as it is."""
+    params = ScatterParams(eta, beta)
     gates = [np.diag([np.exp(1j * phases[2 * k]), np.exp(1j * phases[2 * k + 1])])
              for k in range(3)]
     op = kron(kron(gates[0], gates[1]), gates[2])
-    assert abs(three_tangle(op @ psi) - three_tangle(psi)) < 1e-9
-
-
-def test_three_tangle_requires_three_qubits():
-    with pytest.raises(ValueError):
-        three_tangle(ket("00"))
+    assert abs(three_tangle(op @ state_from_params(params)) - report(params).three_tangle) < 1e-14
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_three_tangle_range_on_random_states(seed):
-    """A stack gives one value per state, and one state an np.float64."""
+    """Arrays give one value per state, and a point an np.float64."""
     rng = np.random.default_rng(seed)
-    psi = rng.standard_normal((2, 3, 8)) + 1j * rng.standard_normal((2, 3, 8))
-    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    tau = three_tangle(psi)
+    params = ScatterParams(rng.uniform(-7.0, 7.0, (2, 3)), rng.uniform(-3.2, 3.2, (2, 3)))
+    tau = report(params).three_tangle
     assert tau.shape == (2, 3)
-    assert np.all((-1e-9 <= tau) & (tau <= 1.0 + 1e-9))
-    assert type(three_tangle(psi[1, 2])) is np.float64
+    assert np.all((0.0 <= tau) & (tau <= 1.0 + 1e-15))
+    assert type(report(ScatterParams(params.eta[1, 2], params.beta[1, 2])).three_tangle) \
+        is np.float64
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_oracle_tangle_is_invariant_under_local_unitaries(seed):
+    """The hyperdeterminant oracle on random complex states: the 3-tangle
+    lies in [0, 1] and local unitaries on the three qubits keep it."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    psi /= np.linalg.norm(psi)
+    gates = [np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+             for _ in range(3)]
+    tau = three_tangle(psi)
+    assert -1e-15 <= tau <= 1.0 + 1e-12
+    assert abs(three_tangle(kron(kron(gates[0], gates[1]), gates[2]) @ psi) - tau) < 1e-12
 
 
 def test_classify_ghz_and_w():
-    assert classify_slocc(state_from_params(GHZ_PARAMS)) == GHZ_CLASS
-    assert classify_slocc(state_from_params(W_PARAMS)) == W_CLASS
+    for params, label in ((GHZ_PARAMS, GHZ_CLASS), (W_PARAMS, W_CLASS)):
+        assert classify_slocc(state_from_params(params)) == report(params).slocc_class == label
 
 
 def test_classify_biseparable_and_product():
+    """At eta = pi/2, beta = 0 the state is |1> on qubit 2 and a Bell pair
+    on qubits 1 and 3; at eta = 0 it is |000>."""
     bell = (ket("00") + ket("11")) / np.sqrt(2)
     assert classify_slocc(kron(ket("0").reshape(2, 1), bell.reshape(4, 1)).reshape(-1)) == BISEPARABLE
     assert classify_slocc(ket("010")) == PRODUCT
+    for params, label in ((ScatterParams(math.pi / 2, 0.0), BISEPARABLE),
+                          (ScatterParams(0.0, 0.4), PRODUCT)):
+        assert classify_slocc(state_from_params(params)) == report(params).slocc_class == label
 
 
 def test_entanglement_report_fields():
-    report = entanglement_report(state_from_params(GHZ_PARAMS))
-    assert report.slocc_class == GHZ_CLASS
-    assert set(report.vn_entropies) == {0, 1, 2}
-    assert all(abs(s - 1.0) < 1e-12 for s in report.vn_entropies.values())
-    assert abs(report.three_tangle - 1.0) < 1e-9
+    ghz = report(GHZ_PARAMS)
+    assert ghz.slocc_class == GHZ_CLASS
+    assert set(ghz.vn_entropies) == {0, 1, 2}
+    assert all(abs(s - 1.0) < 1e-12 for s in ghz.vn_entropies.values())
+    assert abs(ghz.three_tangle - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("psi", [
-    np.full(8, np.nan, dtype=complex),
-    np.array([np.inf, 0, 0, 0, 0, 0, 0, 0], dtype=complex),
-    2.0 * ket("000"),
-    (1.0 + 1e-9) * ket("000"),
-], ids=["nan", "inf", "norm-2", "norm-1+1e-9"])
-def test_non_finite_or_unnormalized_state_is_rejected(psi):
-    # unchecked, an all-NaN state read "product" and 2|000> read entropies
-    # of -8 bits with class "product"
-    with pytest.raises(ValueError, match="normalized"):
-        classify_slocc(psi)
-    with pytest.raises(ValueError, match="normalized"):
-        entanglement_report(psi)
+_RNG_12 = np.random.default_rng(12)
+SCATTERING = ScatterParams(_RNG_12.uniform(-7.0, 7.0, 400), _RNG_12.uniform(-3.2, 3.2, 400))
+# the class strata: poles, the biseparable line eta = pi/2, beta = 0, the
+# edges beta = +-pi/2, and the GHZ and W points
+_STRATA = np.meshgrid([0.0, 1e-9, np.pi / 3, np.pi / 2, np.pi, 4.0],
+                      [-np.pi / 2, 0.0, BETA_STAR, 1.0, np.pi / 2], indexing="ij")
+DENSE_POINTS = {"scattering": SCATTERING,
+                "strata": ScatterParams(_STRATA[0].ravel(), _STRATA[1].ravel())}
+# (eta, beta) arrays that broadcast to 20x20
+BLOCKS = {"block": ScatterParams(SCATTERING.eta.reshape(20, 20), SCATTERING.beta.reshape(20, 20)),
+          "sparse-mesh": ScatterParams(SCATTERING.eta[:20, None], SCATTERING.beta[None, :20])}
 
 
-def test_state_within_norm_tolerance_is_accepted():
-    assert classify_slocc((1.0 + 1e-12) * ket("000")) == PRODUCT
-
-
-def _random_states(seed, n):
-    """n seeded random normalized three-qubit states, complex amplitudes."""
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
-    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-
-
-def _scattering_states(seed, n):
-    """n output states at seeded random (eta, beta), and the parameters."""
-    rng = np.random.default_rng(seed)
-    params = ScatterParams(rng.uniform(-7.0, 7.0, n), rng.uniform(-3.2, 3.2, n))
-    return state_from_params(params), params
-
-
-STACKS = {"random": _random_states(11, 400), "scattering": _scattering_states(12, 400)[0]}
-
-
-@pytest.mark.parametrize("kind", STACKS)
-def test_stacked_report_gives_each_state_the_bits_of_its_own_call(kind):
-    stack = STACKS[kind].reshape(20, 20, 8)
-    report = entanglement_report(stack)
-    assert report.vn_entropies[0].shape == report.three_tangle.shape \
-        == report.slocc_class.shape == (20, 20)
-    assert sorted(report.vn_entropies) == [0, 1, 2]
+@pytest.mark.parametrize("form", BLOCKS)
+def test_arrays_give_each_state_the_bits_of_its_own_call(form):
+    """Parameters that broadcast to 20x20 give every field that shape and
+    each element the bits of that point's own call."""
+    params = BLOCKS[form]
+    eta, beta = np.broadcast_arrays(params.eta, params.beta)
+    block = report(params)
+    assert block.vn_entropies[0].shape == block.three_tangle.shape \
+        == block.slocc_class.shape == (20, 20)
+    assert sorted(block.vn_entropies) == [0, 1, 2]
     for index in np.ndindex(20, 20):
-        one = entanglement_report(stack[index])
-        assert report.three_tangle[index] == one.three_tangle
-        assert report.slocc_class[index] == one.slocc_class
-        assert [report.vn_entropies[k][index] for k in range(3)] \
+        one = report(ScatterParams(float(eta[index]), float(beta[index])))
+        assert block.three_tangle[index] == one.three_tangle
+        assert block.slocc_class[index] == one.slocc_class
+        assert [block.vn_entropies[k][index] for k in range(3)] \
             == [one.vn_entropies[k] for k in range(3)]
-    assert np.array_equal(classify_slocc(stack), report.slocc_class)
-    assert np.array_equal(three_tangle(stack), report.three_tangle)
 
 
 def test_report_of_an_empty_stack_is_empty():
-    report = entanglement_report(np.zeros((0, 8), dtype=complex))
-    assert report.slocc_class.shape == report.three_tangle.shape \
-        == report.vn_entropies[2].shape == (0,)
+    empty = report(ScatterParams(np.zeros(0), np.zeros(0)))
+    assert empty.slocc_class.shape == empty.three_tangle.shape \
+        == empty.vn_entropies[2].shape == (0,)
 
 
-@pytest.mark.parametrize("kind", STACKS)
-def test_cut_entropies_agree_with_the_dense_oracle(kind):
-    """The closed-form 2x2 spectra against the partial trace and
-    eigensolver of :func:`von_neumann_entropy`."""
-    stack = STACKS[kind]
-    entropies = entanglement_report(stack).vn_entropies
-    for n, psi in enumerate(stack):
+@pytest.mark.parametrize("points", DENSE_POINTS)
+def test_report_agrees_with_the_dense_oracle(points):
+    """Each cut's entropy against the partial trace and eigensolver of
+    :func:`von_neumann_entropy`, the 3-tangle against the hyperdeterminant
+    of the eight amplitudes, and the class against the oracle's rule."""
+    params = DENSE_POINTS[points]
+    coords = report(params)
+    for n, psi in enumerate(state_from_params(params)):
         for k in range(3):
-            assert abs(entropies[k][n] - von_neumann_entropy(psi, [k])) <= 1e-14
-
-
-@pytest.mark.parametrize("bad", [np.full(8, np.nan, dtype=complex), 2.0 * ket("000"),
-                                 (1.0 + 1e-9) * ket("000")], ids=["nan", "norm-2", "norm-1+1e-9"])
-def test_stack_with_one_bad_state_is_rejected(bad):
-    stack = STACKS["scattering"][:50].copy()
-    stack[37] = bad
-    with pytest.raises(ValueError, match="normalized"):
-        entanglement_report(stack)
-    with pytest.raises(ValueError, match="normalized"):
-        classify_slocc(stack.reshape(5, 10, 8))
+            assert abs(coords.vn_entropies[k][n] - von_neumann_entropy(psi, [k])) <= 1e-14
+        assert abs(coords.three_tangle[n] - three_tangle(psi)) <= 1e-14
+        assert coords.slocc_class[n] == classify_slocc(psi)
 
 
 def test_scattering_cut_entropies_are_the_fusion_entropy_and_its_partner():
     """The paper identity: qubits 1 and 3 of the output state carry the
-    fusion-space entropy vn_Sprime, and qubit 2 carries
+    fusion-space entropy vn_Sprime, bit for bit, and qubit 2 carries
     H(cos^2 eta + sin^2 beta sin^2 eta)."""
     eta, beta = np.meshgrid(np.linspace(0.0, 2.0 * np.pi, 73),
                             np.linspace(-np.pi / 2, np.pi / 2, 49), indexing="ij")
     params = ScatterParams(eta, beta)
-    entropies = entanglement_report(state_from_params(params)).vn_entropies
+    entropies = report(params).vn_entropies
     fusion = landscape("vn_Sprime", params)
     partner = binary_entropy(np.cos(eta) ** 2 + np.sin(beta) ** 2 * np.sin(eta) ** 2)
-    assert np.max(np.abs(entropies[0] - fusion)) <= 1e-14
-    assert np.max(np.abs(entropies[2] - fusion)) <= 1e-14
+    assert entropies[0].tobytes() == entropies[2].tobytes() == fusion.tobytes()
     assert np.max(np.abs(entropies[1] - partner)) <= 1e-14
+
+
+def test_state_cut_entropies_are_vn_sprime_bit_for_bit():
+    """At 10,000 seeded points, one at a time as ``state`` reads them, the
+    entropies of cuts 1 and 3 are the vn_Sprime landscape's bits."""
+    rng = np.random.default_rng(5)
+    vn_sprime = FUNCTIONS["vn_Sprime"]
+    for eta, beta in zip(rng.uniform(0.0, 2.0 * np.pi, 10_000).tolist(),
+                         rng.uniform(-np.pi / 2, np.pi / 2, 10_000).tolist()):
+        entropies = entanglement_report(state_coordinates(eta, beta)).vn_entropies
+        assert entropies[0] == entropies[2] == vn_sprime(eta, beta), (eta, beta)
 
 
 @pytest.mark.parametrize("eta", [1e-8, 1e-6, 1e-3, np.pi - 1e-7])
 def test_cut_entropies_keep_their_digits_near_a_product_state(eta):
-    """Near |000> each cut's smaller eigenvalue is tiny: taken as 1 less
-    the larger it cancels to a few correct digits; as det(r) over the
-    larger it keeps them.  The closed form here is p^2 + q^2 for qubits 1
-    and 3 and 2 p^2 for qubit 2."""
+    """Near |000> each cut's smaller probability is tiny: taken as 1 less
+    the larger it cancels to a few correct digits; summed from its own
+    coordinates it keeps them.  The closed form here is p^2 + q^2 for
+    qubits 1 and 3 and 2 p^2 for qubit 2."""
     beta = np.linspace(-1.5, 1.5, 31)
-    entropies = entanglement_report(state_from_params(ScatterParams(eta, beta))).vn_entropies
+    entropies = report(ScatterParams(eta, beta)).vn_entropies
     pair, lone = np.cos(beta) * np.sin(eta) / math.sqrt(2.0), np.sin(beta) * np.sin(eta)
     small = [pair ** 2 + lone ** 2, 2.0 * pair ** 2, pair ** 2 + lone ** 2]
     for k in range(3):
