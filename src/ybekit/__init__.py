@@ -47,7 +47,6 @@ from .rmatrix import (
 from .tensor import (
     kron,
     kron_all,
-    max_diff_up_to_phase,
 )
 from .threebody import (
     AngleTriple,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import block_size, by_blocks, lift, max_diff_up_to_phase
+from .tensor import block_size, by_blocks, lift
 from .threebody import (
     AngleTriple,
     DEFAULT_CONSTRAINT_TOL,
@@ -163,17 +163,18 @@ def reduce_three_body(triple: AngleTriple, constraint_tol: float = DEFAULT_CONST
     each matrix and one residual per triple.  Only the 8x8 products are
     made and reduced a block of ``block_size(8)`` triples at a time
     (:func:`~ybekit.tensor.by_blocks`); the rest takes all triples at once,
-    so the peak grows at about 2.5 times the returned data.  Raises
+    so the peak grows at about 1.8 times the returned data.  Raises
     :class:`ConstraintViolation` for a triple off the constraint line by
     more than ``constraint_tol``, before any product is built.
 
-    The fusion-basis matrix elements realize the 2x2 solution family with
-    reversed angle orientation, so the closed form is conjugated to match
-    that orientation before the single global phase is aligned.
+    The basis realizes the 2x2 family with reversed angle orientation: the
+    residual is the largest modulus of the reduced matrix minus the
+    conjugated closed form, with no phase aligned.  In exact arithmetic
+    that difference is i rho diag(1, -1), rho the signed constraint residual.
     """
     params = angles_to_params(triple, constraint_tol)
     reduced = by_blocks(lambda *t: reduce_operator(lift(product_form(AngleTriple(*t)), right=2),
                                                    fusion_basis_type2()),
                         triple.t1, triple.t2, triple.t3, size=block_size(8))
     closed = fusion_form(params)
-    return reduced, closed, params, max_diff_up_to_phase(reduced, closed.conj())
+    return reduced, closed, params, np.abs(reduced - closed.conj()).max(axis=(-2, -1))

@@ -114,27 +114,3 @@ def norm_inf(m: np.ndarray) -> float:
     """Largest entry modulus."""
     arr = np.asarray(m)
     return 0.0 if arr.size == 0 else float(np.max(np.abs(arr)))
-
-
-def max_diff_up_to_phase(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """Largest entry difference after aligning one global phase.
-
-    The phase is fixed on the largest-modulus entry of ``a``; a (..., m, n)
-    stack gives one difference per matrix.  A zero ``a`` gives
-    ``norm_inf(b)``.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    flat_a = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
-    idx = np.argmax(np.abs(flat_a), axis=-1)[..., None]
-    pivot = np.take_along_axis(flat_a, idx, axis=-1)[..., 0]
-    target = np.take_along_axis(b.reshape(flat_a.shape), idx, axis=-1)[..., 0]
-    modulus = np.abs(pivot)
-    phase = np.divide(target, pivot, out=np.zeros_like(target), where=modulus != 0.0)
-    mag = np.abs(phase)
-    phase = np.divide(phase, mag, out=np.ones_like(phase), where=mag > 0)
-    diff = np.where(modulus == 0.0, np.abs(b).max(axis=(-2, -1)),
-                    np.abs(a * phase[..., None, None] - b).max(axis=(-2, -1)))
-    return float(diff) if diff.ndim == 0 else diff

@@ -37,8 +37,7 @@ from ybekit.fusionbasis import phased_antiparallel_state, reduce_three_body
 from ybekit.landscape import LOCAL_MAX, LOCAL_MIN, SADDLE, get_function, sample
 from ybekit.rmatrix import _type1_scale, bundled_families, galilean, type2_r_4x4
 from ybekit.tensor import kron, kron_all, norm_inf, stack
-from ybekit.threebody import (RANDOM_SPAN, ScatterParams, constrained_triple,
-                              random_constrained_triple)
+from ybekit.threebody import RANDOM_SPAN, ScatterParams, constrained_triple
 
 
 # dense-matrix oracles
@@ -562,16 +561,6 @@ def scalar_random_triple(rng):
     return t1, math.atan2(math.sin(t1 + t3), math.cos(t1 - t3)), t3
 
 
-def scalar_max_diff_up_to_phase(a, b):
-    idx = np.unravel_index(np.argmax(np.abs(a)), a.shape)
-    if abs(a[idx]) == 0.0:
-        return norm_inf(b)
-    phase = b[idx] / a[idx]
-    mag = abs(phase)
-    phase = phase / mag if mag > 0 else 1.0
-    return norm_inf(a * phase - b)
-
-
 def scalar_product(t1, t2, t3):
     r12 = lambda t: kron(type2_r_4x4(t), IDENTITY_2)
     r23 = lambda t: kron(IDENTITY_2, type2_r_4x4(t))
@@ -613,10 +602,3 @@ def reduction_reference(seed, counts):
             states[n] = rng.bit_generator.state
     return np.array(residuals), states
 
-
-def many_triples():
-    """The reduced products and conjugated closed forms of 100,000 seeded
-    triples drawn in one call."""
-    reduced, closed = reduce_three_body(
-        random_constrained_triple(np.random.default_rng(20260), size=100_000))[:2]
-    return reduced, closed.conj()

@@ -13,6 +13,12 @@ difference of the two sides is a polynomial that must vanish modulo
 c1^2 + s1^2 = 1 and c3^2 + s3^2 = 1.  The Galilean rule on the same
 matrices is the negative control: its difference does not vanish.
 
+The two rational type-I families, R proportional to I + mu P in 4x4 form
+and its 2x2 pair, solve the equation on the Galilean rule
+mu2 = mu1 + mu3 as a polynomial identity in (mu1, mu3).  The roles of a
+family share the normalization 1/sqrt|1 - mu^2|, so each side carries the
+product of the three at mu1, mu1 + mu3 and mu3, and it cancels.
+
 The landscapes' coordinate maps are certified the same way, in the
 cosines and sines of (eta, beta): the state's coordinates are a unit
 vector, the fusion row is the first row of the 2x2 fusion matrix with the
@@ -21,6 +27,17 @@ fusion matrix's |m00|^2 on it.  For any real coordinates (a, b, c), every
 one-qubit cut of a|000> - b(|011> + |110>)/sqrt2 - c|101> is diagonal,
 with the 0-side weights that ``entanglement_report`` reads, and the
 state's hyperdeterminant gives the 3-tangle 8|a b^2 c|.
+
+The three-body reduction is certified with a free middle angle.  The
+type-II fusion basis has entries in Z[i]/sqrt8.  The lifted product
+R12(t1) R23(t2) R12(t3) keeps its span, and the reduced matrix minus the
+conjugated fusion form is i rho diag(1, -1).  The fusion form is read at
+(cos eta, sin eta cos beta, sin eta sin beta) = (cos t2 cos(t1 + t3),
+sqrt2 sin t2 cos(t1 - t3), -sin t2 sin(t1 - t3)), the map of
+``angles_to_params``, and rho = sin t2 cos(t1 - t3) - cos t2 sin(t1 + t3)
+is the signed constraint residual.  On the constraint line rho is 0 and
+the map is a unit vector.  So the reduced matrix is the conjugated fusion
+form entry by entry, with no phase between them.
 
 The face lemma that ``extrema`` enumerates is certified for the squared
 l1 weights of the registered landscapes on their unit spheres: (1, 2, 1)
@@ -34,8 +51,9 @@ Lagrangian's Hessian on the face is -lambda I with lambda > 0, and every
 weight off S is positive, so each direction off the face ascends.
 
 The symbolic matrices and maps are tied to the package: each equals its
-builder at sampled angles, and ``lorentzian`` gives the angle of the pair;
-the face points and kinds are the package's enumeration.
+builder at sampled angles, or at sampled mu once normalized, and
+``lorentzian`` gives the angle of the pair; the face points and kinds are
+the package's enumeration.
 """
 
 import itertools
@@ -46,10 +64,12 @@ import pytest
 import sympy as sp
 
 from ybekit.entanglement import binary_entropy, entanglement_report
+from ybekit.fusionbasis import fusion_basis_type2, reduce_operator
 from ybekit.landscape import FUNCTIONS, LOCAL_MAX, LOCAL_MIN, SADDLE
 from ybekit.rmatrix import bundled_families, galilean, lorentzian
-from ybekit.threebody import (ScatterParams, fusion_form, fusion_row, state_coordinates,
-                              state_from_params)
+from ybekit.tensor import lift
+from ybekit.threebody import (AngleTriple, ScatterParams, angles_to_params, fusion_form,
+                              fusion_row, product_form, state_coordinates, state_from_params)
 
 from reference import hyperdeterminant
 
@@ -81,7 +101,31 @@ ROLES = {
                    lambda c, s: sp.kronecker_product(sp.eye(2), r_4x4(c, s))), (r_4x4,)),
     "type2_2x2": ((r1_2x2, r2_2x2), (r1_2x2, r2_2x2)),
 }
-ANGLES = [0.0, 0.3, -1.2, np.pi / 2, 2.9, -np.pi / 2]
+ANGLES = [0.0, 0.3, -1.2, np.pi / 2, 2.9, -np.pi / 2]  # also sampled as mu
+
+mu1, mu3 = sp.symbols("mu1 mu3", real=True)
+SWAP = sp.Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+
+
+def rational_4x4(mu):
+    return sp.eye(4) + mu * SWAP
+
+
+def rational_r1_2x2(mu):
+    return sp.diag(1 - mu, 1 + mu)
+
+
+def rational_r2_2x2(mu):
+    return sp.Matrix([[2 + mu, -sp.sqrt(3) * mu], [-sp.sqrt(3) * mu, 2 - mu]]) / 2
+
+
+# type-I family -> its (R12, R23) roles in mu with the shared normalization
+# 1/sqrt|1 - mu^2| left out, and the builders they stand for
+RATIONAL_ROLES = {
+    "type1_4x4": ((lambda mu: sp.kronecker_product(rational_4x4(mu), sp.eye(2)),
+                   lambda mu: sp.kronecker_product(sp.eye(2), rational_4x4(mu))), (rational_4x4,)),
+    "type1_2x2": ((rational_r1_2x2, rational_r2_2x2), (rational_r1_2x2, rational_r2_2x2)),
+}
 
 
 def ybe_remainders(name, rule):
@@ -104,13 +148,26 @@ def test_galilean_rule_does_not_solve_the_type2_4x4_ybe():
     assert any(r != 0 for r in ybe_remainders("type2_4x4", galilean))
 
 
-@pytest.mark.parametrize("name", ROLES)
+@pytest.mark.parametrize("name", RATIONAL_ROLES)
+def test_galilean_rule_solves_the_type1_ybe_exactly(name):
+    assert bundled_families()[name].rule is galilean
+    r12, r23 = RATIONAL_ROLES[name][0]
+    middle = mu1 + mu3
+    diff = r12(mu1) * r23(middle) * r12(mu3) - r23(mu3) * r12(middle) * r23(mu1)
+    assert all(sp.expand(entry) == 0 for entry in diff)
+
+
+@pytest.mark.parametrize("name", [*ROLES, *RATIONAL_ROLES])
 def test_symbolic_roles_are_the_builders(name):
-    symbolic = ROLES[name][1]
-    for t in ANGLES:
+    """Each symbolic role is its builder at sampled angles, or at sampled mu
+    once divided by the type-I normalization sqrt|1 - mu^2|."""
+    trigonometric = name in ROLES
+    symbolic = (ROLES if trigonometric else RATIONAL_ROLES)[name][1]
+    for p in ANGLES:
+        args, scale = ((np.cos(p), np.sin(p)), 1.0) if trigonometric else ((p,), np.sqrt(abs(1 - p * p)))
         for sym, built in zip(symbolic, bundled_families()[name].evaluators):
-            expected = np.array(sym(np.cos(t), np.sin(t)).evalf(), dtype=complex)
-            assert np.max(np.abs(built(t) - expected)) <= 1e-15
+            expected = np.array(sym(*args).evalf(), dtype=complex) / scale
+            assert np.max(np.abs(built(p) - expected)) <= 1e-15
 
 
 def test_lorentzian_is_the_angle_of_the_middle_pair():
@@ -220,6 +277,68 @@ def test_symbolic_maps_are_the_package_maps():
         for k, (e, b) in enumerate(zip(eta, beta)):
             expected = evaluate(np.cos(e), np.sin(e), np.cos(b), np.sin(b))
             assert np.max(np.abs(built[k] - expected.reshape(built[k].shape))) <= 1e-15
+
+
+# the three-body reduction, in the cosines and sines of a free triple
+c2, s2 = sp.symbols("c2 s2", real=True)
+TRIPLE = (c1, s1, c2, s2, c3, s3)
+COS_SUM, COS_DIFF = c1 * c3 - s1 * s3, c1 * c3 + s1 * s3
+SIN_SUM, SIN_DIFF = s1 * c3 + c1 * s3, s1 * c3 - c1 * s3
+RHO = s2 * COS_DIFF - c2 * SIN_SUM
+# FUSION_FORM reads sin(eta) only through sin(eta) cos(beta) and
+# sin(eta) sin(beta), so setting se to 1 carries those products in cb and sb
+CLOSED = FUSION_FORM.subs({ce: c2 * COS_SUM, se: 1, cb: sp.sqrt(2) * s2 * COS_DIFF,
+                           sb: -s2 * SIN_DIFF}, simultaneous=True)
+
+
+def exact_type2_basis():
+    """e1 and e2 of fusion_basis_type2 with exact entries, Gaussian integers
+    over sqrt8, each within 1e-16 of the package's."""
+    vectors = []
+    for v in (fusion_basis_type2().e1, fusion_basis_type2().e2):
+        n = np.round(v * np.sqrt(8.0))
+        assert np.max(np.abs(v - n / np.sqrt(8.0))) <= 1e-16
+        vectors.append(sp.Matrix([int(x.real) + sp.I * int(x.imag) for x in n]) / sp.sqrt(8))
+    return vectors
+
+
+def symbolic_reduction():
+    """The lifted type-II product R12(t1) R23(t2) R12(t3) on four qubits,
+    and its 2x2 matrix <e_i| op |e_j> on the exact basis."""
+    r12 = lambda c, s: sp.kronecker_product(r_4x4(c, s), sp.eye(4))
+    r23 = lambda c, s: sp.kronecker_product(sp.eye(2), r_4x4(c, s), sp.eye(2))
+    op = r12(c1, s1) * r23(c2, s2) * r12(c3, s3)
+    basis = exact_type2_basis()
+    return op, sp.Matrix(2, 2, lambda i, j: (basis[i].H * op * basis[j])[0]).applyfunc(sp.expand)
+
+
+def test_the_reduction_is_the_conjugated_fusion_form_plus_the_constraint_residual():
+    """The span is invariant, and reduced - conj(closed) = i rho diag(1, -1),
+    with the middle angle free."""
+    op, reduced = symbolic_reduction()
+    e1, e2 = exact_type2_basis()
+    for j, v in enumerate((e1, e2)):
+        leak = (op * v - reduced[0, j] * e1 - reduced[1, j] * e2).applyfunc(sp.expand)
+        assert leak == sp.zeros(16, 1)
+    diff = reduced - CLOSED.conjugate() - sp.I * RHO * sp.diag(1, -1)
+    assert all(sp.expand(entry) == 0 for entry in diff)
+
+
+def test_symbolic_reduction_is_the_packages():
+    """At sampled triples with a free middle angle the package's reduction
+    is the symbolic one, and on the constraint line its fusion form at
+    ``angles_to_params`` is the symbolic closed form, within 1e-15."""
+    free = AngleTriple(*(x.ravel() for x in np.meshgrid(ANGLES, ANGLES, ANGLES)))
+    t1, t3 = (x.ravel() for x in np.meshgrid(ANGLES, ANGLES))
+    on_line = AngleTriple(t1, lorentzian(t1, t3), t3)
+    for symbolic, triple, built in (
+            (symbolic_reduction()[1], free,
+             reduce_operator(lift(product_form(free), right=2), fusion_basis_type2())),
+            (CLOSED, on_line, fusion_form(angles_to_params(on_line)))):
+        evaluate = sp.lambdify(TRIPLE, symbolic, "numpy")
+        for k, angles in enumerate(zip(triple.t1, triple.t2, triple.t3)):
+            expected = evaluate(*(f(t) for t in angles for f in (np.cos, np.sin)))
+            assert np.max(np.abs(built[k] - expected)) <= 1e-15
 
 
 # the face lemma, for the squared weights of each l1 landscape on its sphere

@@ -4,7 +4,7 @@ The suites draw each family's samples in one ``rng.uniform`` call (plus one
 per Galilean redraw) and check them one block at a time through
 ``tensor.by_blocks``, each block's matrix stack bounded by
 ``tensor.STACK_BYTES``: kron-free lifts, one builder call for all three
-parameters, the three-body parameters and the phase alignment as arrays.
+parameters, the three-body parameters and the residuals as arrays.
 Every drawn sample and the final generator state must be those of one
 draw per sample (``reference.py``); each YBE residual must be bit-equal to
 the per-sample matrix code, and each reduction residual to the reduction
@@ -35,7 +35,7 @@ from ybekit.fusionbasis import (
     reduce_three_body,
 )
 from ybekit.rmatrix import bundled_families, check_ybe, type1_r_4x4, type2_r_4x4
-from ybekit.tensor import block_size, kron, kron_all, lift, max_diff_up_to_phase, norm_inf, stack
+from ybekit.tensor import block_size, kron, kron_all, lift, stack
 from ybekit.threebody import (
     AngleTriple,
     ConstraintViolation,
@@ -44,9 +44,8 @@ from ybekit.threebody import (
     random_constrained_triple,
 )
 
-from reference import (IDENTITY_2, many_triples, reduction_reference, scalar_check_ybe,
-                       scalar_max_diff_up_to_phase, scalar_product, scalar_reduce, scalar_stack,
-                       scalar_ybe_parameters, ybe_reference)
+from reference import (IDENTITY_2, reduction_reference, scalar_check_ybe, scalar_product,
+                       scalar_reduce, scalar_stack, scalar_ybe_parameters, ybe_reference)
 
 SEEDS = [0, 7, 12345]
 # one sample, each side of a full block of 2x2 and of 8x8 matrices (the
@@ -111,7 +110,7 @@ def test_real_reduction_route_equals_the_complex_route(seed):
     product = r12[0] @ lift(r[1], left=2) @ r12[1]
     complex_reduced = reduce_operator(lift(product, right=2), fusion_basis_type2())
     assert np.array_equal(reduced, complex_reduced), f"type2_4x4 reduction at seed {seed}"
-    assert np.array_equal(residual, max_diff_up_to_phase(complex_reduced, closed.conj()))
+    assert np.array_equal(residual, np.abs(complex_reduced - closed.conj()).max(axis=(-2, -1)))
 
 
 @pytest.mark.parametrize("samples", COUNTS)
@@ -168,40 +167,6 @@ def test_triples_where_numpy_squares_apart_from_float_pow(angles):
         results.append([np.ravel(x)[0] for x in (triple.constraint_residual(), params.eta,
                                                  params.beta, reduce_three_body(triple)[3])])
     assert all(r == results[0] for r in results), results
-
-
-# the phase of the stack is normalized by np.abs, the loop's by abs() of one
-# complex number; the two may round apart, by a few ulps of the matrix entries
-PHASE_ALIGNMENT_TOL = 8 * np.finfo(float).eps
-
-
-def test_stacked_phase_alignment_equals_the_per_matrix_code():
-    reduced, closed = many_triples()
-    expected = [scalar_max_diff_up_to_phase(a, b) for a, b in zip(reduced, closed)]
-    assert np.max(np.abs(max_diff_up_to_phase(reduced, closed) - expected)) <= PHASE_ALIGNMENT_TOL
-    # phases off the unit circle (measured: 3.7 eps of the largest entry)
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2))
-    b = a * rng.uniform(0.5, 2.0, size=(2000, 1, 1)) * np.exp(1j * rng.uniform(0, 7, (2000, 1, 1)))
-    b += 1e-3 * rng.normal(size=b.shape)
-    expected = [scalar_max_diff_up_to_phase(x, y) for x, y in zip(a, b)]
-    scale = np.abs(b).max(axis=(-2, -1))
-    assert np.all(np.abs(max_diff_up_to_phase(a, b) - expected) <= PHASE_ALIGNMENT_TOL * scale)
-
-
-def test_phase_alignment_of_a_zero_matrix_is_the_norm_of_the_other():
-    rng = np.random.default_rng(3)
-    b = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-    a = b * np.exp(0.4j)
-    a[1] = 0.0
-    a[2] = b[2]
-    b[2].flat[np.argmax(np.abs(a[2]))] = 0.0  # a zero target keeps the unit phase
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        diffs = max_diff_up_to_phase(a, b)
-    assert diffs[1] == norm_inf(b[1])
-    assert np.array_equal(diffs, [scalar_max_diff_up_to_phase(x, y) for x, y in zip(a, b)])
-    assert max_diff_up_to_phase(np.zeros((2, 2)), b[0]) == norm_inf(b[0])
 
 
 def test_kron_free_lifts_equal_the_kron_products():

@@ -198,8 +198,8 @@ def test_reduction_residual_random_triples():
 
 @given(outer, outer)
 def test_reduction_equals_conjugated_closed_form_exactly(t1, t3):
-    # the strongest form of the cross-check: no phase alignment needed once
-    # the angle orientation of the fusion-space family is matched
+    # no phase between the two once the angle orientation of the
+    # fusion-space family is matched (certified in test_certificates.py)
     from ybekit.threebody import constrained_triple
 
     triple = constrained_triple(t1, t3)

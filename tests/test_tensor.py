@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ybekit.tensor import kron, kron_all, max_diff_up_to_phase, norm_inf
+from ybekit.tensor import kron, kron_all, norm_inf
 
 from reference import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, expm_involutive, expm_series,
                        is_unitary, ket, partial_trace)
@@ -173,13 +173,6 @@ def test_is_unitary_families():
 def test_is_unitary_rejects_rectangular():
     with pytest.raises(ValueError):
         is_unitary(np.ones((2, 3)))
-
-
-def test_max_diff_up_to_phase():
-    rng = np.random.default_rng(11)
-    a = random_complex_matrix(rng, 4)
-    assert max_diff_up_to_phase(a, np.exp(0.7j) * a) < 1e-13
-    assert max_diff_up_to_phase(a, a + 0.1) > 1e-3
 
 
 def test_ket_labels():
