@@ -75,6 +75,8 @@ CORPUS = [
     "extrema --fn vn_xi --format json --output out.json",
     "extrema --fn l1_Sprime --eta 0.5:2.5 --beta -1:1",
     "extrema --fn vn_Sprime --eta -10:10 --beta -4:4",
+    "extrema --fn l1_Sprime --format json",
+    "extrema --fn vn_Sprime --format json",
     "extrema --fn l1_S3 --eta 0:1:x",
     "extrema --fn vn_xi --theta 0.2:1.4:7",
     "extrema --coarse 400",

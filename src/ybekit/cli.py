@@ -297,14 +297,10 @@ def cmd_extrema(args) -> int:
     domain = [parse_fields(getattr(args, name), name, float, float) if getattr(args, name)
               is not None else bounds for name, bounds in zip(spec.axes, spec.default_domain)]
     points = find_critical_points(args.fn, domain)
-    header = [*spec.axes, "value", "kind", "smooth"]
-    rows = [[*map(float, p.location), float(p.value), p.kind, p.smooth] for p in points]
-    if spec.params is not None:  # a three-body landscape: label the states it maps to
-        header.append("slocc_class")
-        coords = np.array([p.location for p in points], dtype=float).reshape(-1, spec.arity).T
-        labels = entanglement_report(spec.params(*coords)).slocc_class
-        for row, label in zip(rows, labels):
-            row.append(str(label))
+    labelled = spec.chart.state is not None  # a three-body landscape labels each state's class
+    header = [*spec.axes, "value", "kind", "smooth"] + ["slocc_class"] * labelled
+    rows = [[*map(float, p.location), float(p.value), p.kind, p.smooth]
+            + [p.slocc_class] * labelled for p in points]
     if args.format == "json":  # the numbers as json.dumps writes them, smooth a boolean
         text = _json_doc({"fn": args.fn, "points": [dict(zip(header, row)) for row in rows]})
     else:  # the numbers as fmt renders them, smooth as true or false

@@ -13,8 +13,8 @@ Registering a landscape is a chart, a measure and a domain: one
 :data:`FUNCTIONS` entry, whose axes the ``ybekit landscape`` and
 ``extrema`` commands take as ``--NAME`` flags.  The chart's map takes the
 axis arrays to real coordinates of a state, which the measure reads
-(:mod:`ybekit.entanglement`); a three-body entry also maps its axes to the
-state coordinates (a, b, c) that ``extrema`` labels.  Function tags:
+(:mod:`ybekit.entanglement`); where a three-body chart places the state's
+(a, b, c) among them, each critical point has a class.  Function tags:
 
 ==========  ===========  ===================================  ==========================
 tag         axes         map                                  measure
@@ -39,13 +39,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 # the kinds of critical points are the measures', and are read here too
 from .entanglement import (LOCAL_MAX, LOCAL_MIN, RIDGE, SADDLE, Measure, cut_entropy,
-                           weighted_l1)
+                           entanglement_report, weighted_l1)
 from .tensor import by_blocks
 from .threebody import TWO_PI, fusion_row, state_coordinates
 
@@ -98,14 +98,15 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """A critical point of a landscape: its location on the axes, the
-    landscape's value there, its kind (``local-max``, ``local-min``,
-    ``saddle`` or ``ridge``) and whether the measure is smooth there."""
+    """A critical point: its location on the axes, the landscape's value
+    there, its kind (``local-max``, ``local-min``, ``saddle`` or ``ridge``),
+    whether the measure is smooth there, and its state's SLOCC class."""
 
     location: tuple[float, ...]
     value: float
     kind: str
     smooth: bool
+    slocc_class: str | None
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +117,19 @@ class CriticalPoint:
 class Chart:
     """A coordinate map from the axis arrays to real coordinates x, and its
     inverse.  ``scale`` takes x onto the unit sphere, y_i = scale_i x_i.
-    ``preimages(y, box)`` takes rows of unit vectors y and a box, one
-    (start, stop) per axis, and returns the axis points in the box that map
-    to them: the row of each and one coordinate array per axis."""
+    ``state``, if not None, places the state's (a, b, c) in y: ``y[:, state]``
+    is the unit state vector.  ``preimages(y, box)`` takes rows of unit
+    vectors y and a box, one (start, stop) per axis, and returns the axis
+    points in the box that map to them: the row of each and one coordinate
+    array per axis.  ``invert`` does so for rows in state order."""
 
     map: Callable
-    preimages: Callable[[np.ndarray, Sequence[tuple[float, float]]], tuple]
+    invert: Callable[[np.ndarray, Sequence[tuple[float, float]]], tuple]
     scale: tuple[float, ...]
+    state: tuple[int, ...] | None = None
+
+    def preimages(self, y: np.ndarray, box: Sequence[tuple[float, float]]) -> tuple:
+        return self.invert(y if self.state is None else y[:, self.state], box)
 
 
 def _shifts(base: np.ndarray, start: float, stop: float) -> tuple[np.ndarray, np.ndarray]:
@@ -160,11 +167,6 @@ def _spherical_preimages(y, box):
     return np.tile(rows, 2)[i[j]], (etas[j], betas)
 
 
-def _fusion_preimages(y, box):
-    # (Re m00, Re m01, sqrt2 Im m00) is (a, c, b) of the state
-    return _spherical_preimages(y[:, [0, 2, 1]], box)
-
-
 def _rotation(theta):
     # cos(theta)|00> - sin(theta)|11>, the two-qubit R-matrix's output, and half
     # the moduli of the spin-1/2 rotation; yielded one at a time, so that a
@@ -173,8 +175,9 @@ def _rotation(theta):
     yield np.sin(theta)
 
 
-SPHERE = Chart(state_coordinates, _spherical_preimages, (1.0, 1.0, 1.0))
-FUSION = Chart(fusion_row, _fusion_preimages, (1.0, 1.0, math.sqrt(2.0)))
+SPHERE = Chart(state_coordinates, _spherical_preimages, (1.0, 1.0, 1.0), (0, 1, 2))
+# (Re m00, Re m01, sqrt2 Im m00) is (a, c, b) of the state
+FUSION = Chart(fusion_row, _spherical_preimages, (1.0, 1.0, math.sqrt(2.0)), (0, 2, 1))
 CIRCLE = Chart(_rotation, _circle_preimages, (1.0, 1.0))
 
 
@@ -185,17 +188,15 @@ CIRCLE = Chart(_rotation, _circle_preimages, (1.0, 1.0))
 @dataclass(frozen=True)
 class LandscapeFunction:
     """A landscape ``fn`` of one broadcast array per axis named in
-    ``axes``, evaluated by calling the entry.  ``params``, if not None, maps
-    them to the state coordinates (a, b, c) that ``extrema`` labels.
-    ``default_domain`` holds one (start, stop) per axis.  An entry with a
-    ``chart`` and a ``measure``, of which ``fn`` is the composition, has
-    critical points that ``extrema`` can enumerate."""
+    ``axes``, evaluated by calling the entry.  ``default_domain`` holds one
+    (start, stop) per axis.  An entry with a ``chart`` and a ``measure``,
+    of which ``fn`` is the composition, has critical points that
+    ``extrema`` can enumerate."""
 
     tag: str
     axes: tuple[str, ...]
     fn: Callable[..., float]
     default_domain: tuple[tuple[float, float], ...]
-    params: Callable[..., Iterable] | None = None
     chart: Chart | None = None
     measure: Measure | None = None
 
@@ -214,7 +215,6 @@ def _landscape(tag: str, chart: Chart, measure: Measure, **kind) -> LandscapeFun
 
 
 _THREE_BODY = dict(axes=("eta", "beta"),
-                   params=state_coordinates,
                    default_domain=((0.0, 2.0 * math.pi), (-math.pi / 2, math.pi / 2)))
 _THETA = dict(axes=("theta",), default_domain=((0.0, math.pi / 2),))
 
@@ -253,8 +253,6 @@ def sample(tag: str, axes: Sequence[AxisSpec]) -> np.ndarray:
     return values
 
 
-
-
 # ---------------------------------------------------------------------------
 # critical points
 # ---------------------------------------------------------------------------
@@ -262,7 +260,9 @@ def sample(tag: str, axes: Sequence[AxisSpec]) -> np.ndarray:
 def find_critical_points(tag: str, domain: Sequence[tuple[float, float]]) -> list[CriticalPoint]:
     """Every critical point of a landscape in the closed box ``domain``, one
     (start, stop) per axis of the function in its order: one point per
-    preimage, sorted by location, with the value the landscape gives there.
+    preimage, sorted by location, with the value the landscape gives there
+    and the class that ``entanglement_report`` gives its declared point,
+    whose support, exact zeros off it, fixes it; None on a curve.
 
     The measure's critical points on the unit sphere are pulled back
     through the chart, over every 2 pi shift that fits in the box; pole
@@ -296,6 +296,9 @@ def find_critical_points(tag: str, domain: Sequence[tuple[float, float]]) -> lis
     values = spec(*coords)
     if not np.all(np.isfinite(values)):
         raise ValueError("critical values are not finite")
-    return [CriticalPoint(location, value, kind, is_smooth) for location, value, kind, is_smooth
-            in zip(zip(*(c.tolist() for c in coords)), np.ravel(values).tolist(),
-                   kinds[index].tolist(), smooth[index].tolist())]
+    state = spec.chart.state
+    classes = ([None] * index.size if state is None else
+               entanglement_report(points[:, state].T).slocc_class[index].tolist())
+    return [CriticalPoint(*row) for row in zip(
+        zip(*(c.tolist() for c in coords)), np.ravel(values).tolist(), kinds[index].tolist(),
+        smooth[index].tolist(), classes)]

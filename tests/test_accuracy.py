@@ -130,14 +130,32 @@ BUDGETS = {
 }
 
 
+def error(value, true, unit):
+    """|value - true| in ulps of the true value, or in eps."""
+    scale = np.spacing(abs(float(true))) if unit == "ulp" else np.finfo(float).eps
+    return float(abs(mpf(value) - true) / scale)
+
+
 @pytest.mark.parametrize("name", BUDGETS)
 def test_error_against_mpmath_is_within_budget(name):
     bound, unit, program, reference, columns = BUDGETS[name]
     exact = [x for point in zip(*(c.tolist() for c in columns)) for x in reference(*point)]
     values = np.ravel(program()).tolist()
     assert len(values) == len(exact)
-    worst = 0.0
-    for value, true in zip(values, exact):
-        scale = np.spacing(abs(float(true))) if unit == "ulp" else np.finfo(float).eps
-        worst = max(worst, float(abs(mpf(value) - true) / scale))
+    worst = max(error(value, true, unit) for value, true in zip(values, exact))
     assert worst <= bound, f"{name}: {worst:.3g} {unit} > {bound} {unit}"
+
+
+# (eta, beta) near the (pi/2, -+pi/2) strata, which the seeded draws miss,
+# where vn_Sprime is 5.24 and 4.25 ulp from mpmath
+VN_SPRIME_WORST = [(1.5707962830396431, -1.570796084607452),
+                   (1.5707963143238384, 1.5707349082636615)]
+
+
+@pytest.mark.xfail(strict=True, reason="vn_Sprime exceeds its 4-ulp budget off the seeded "
+                                       "points; ROADMAP item 23")
+@pytest.mark.parametrize("point", VN_SPRIME_WORST, ids=["5.24ulp", "4.25ulp"])
+def test_vn_sprime_is_within_budget_off_the_seeded_points(point):
+    bound, unit, _, reference, _ = BUDGETS["vn_Sprime"]
+    (true,) = reference(*point)
+    assert error(float(get_function("vn_Sprime")(*point)), true, unit) <= bound

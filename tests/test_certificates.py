@@ -13,6 +13,10 @@ difference of the two sides is a polynomial that must vanish modulo
 c1^2 + s1^2 = 1 and c3^2 + s3^2 = 1.  The Galilean rule on the same
 matrices is the negative control: its difference does not vanish.
 
+The type-II 4x4 matrix is a rotation generated by the Bell braid: with
+M = sqrt2 B - I for the Bell braid matrix B, M^2 = -I and
+R(t) = cos t I + sin t M, so R(pi/4) = B.
+
 The two rational type-I families, R proportional to I + mu P in 4x4 form
 and its 2x2 pair, solve the equation on the Galilean rule
 mu2 = mu1 + mu3 as a polynomial identity in (mu1, mu3).  The roles of a
@@ -26,7 +30,10 @@ state's l1-norm, and the state's qubit-1 cut is diagonal with the
 fusion matrix's |m00|^2 on it.  For any real coordinates (a, b, c), every
 one-qubit cut of a|000> - b(|011> + |110>)/sqrt2 - c|101> is diagonal,
 with the 0-side weights that ``entanglement_report`` reads, and the
-state's hyperdeterminant gives the 3-tangle 8|a b^2 c|.
+state's hyperdeterminant gives the 3-tangle 8|a b^2 c|.  So the support S
+of (a, b, c) fixes the SLOCC class: each cut's 0-side share is 0, 1 or
+strictly between, and the 3-tangle is nonzero only when S holds all
+three.
 
 The three-body reduction is certified with a free middle angle.  The
 type-II fusion basis has entries in Z[i]/sqrt8.  The lifted product
@@ -53,7 +60,7 @@ weight off S is positive, so each direction off the face ascends.
 The symbolic matrices and maps are tied to the package: each equals its
 builder at sampled angles, or at sampled mu once normalized, and
 ``lorentzian`` gives the angle of the pair; the face points and kinds are
-the package's enumeration.
+the package's enumeration, whose points carry the class of their support.
 """
 
 import itertools
@@ -63,10 +70,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from ybekit.entanglement import binary_entropy, entanglement_report
+from ybekit.braiding import bell_braid
+from ybekit.entanglement import (BISEPARABLE, GHZ_CLASS, PRODUCT, W_CLASS, binary_entropy,
+                                 entanglement_report)
 from ybekit.fusionbasis import fusion_basis_type2, reduce_operator
 from ybekit.landscape import FUNCTIONS, LOCAL_MAX, LOCAL_MIN, SADDLE
-from ybekit.rmatrix import bundled_families, galilean, lorentzian
+from ybekit.rmatrix import bundled_families, galilean, lorentzian, type2_r_4x4
 from ybekit.tensor import lift
 from ybekit.threebody import (AngleTriple, ScatterParams, angles_to_params, fusion_form,
                               fusion_row, product_form, state_coordinates, state_from_params)
@@ -179,6 +188,26 @@ def test_lorentzian_is_the_angle_of_the_middle_pair():
     assert np.all(np.cos(t2) * cos_pair + np.sin(t2) * sin_pair > 0.0)
 
 
+BELL_BRAID = sp.Matrix([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [-1, 0, 0, 1]]) / sp.sqrt(2)
+GENERATOR = (sp.sqrt(2) * BELL_BRAID - sp.eye(4)).applyfunc(sp.simplify)
+
+
+def test_the_type2_4x4_matrix_is_a_rotation_generated_by_the_bell_braid():
+    """M = sqrt2 B - I squares to -I, and R(t) = cos t I + sin t M, so
+    R(pi/4) = B, exactly; the Bell braid builder is B to 2e-16, an ulp of
+    1/sqrt2, and the type-II builder is R at sampled angles, bit for bit."""
+    assert GENERATOR * GENERATOR == -sp.eye(4)
+    c, s = sp.symbols("c s", real=True)
+    assert r_4x4(c, s) == c * sp.eye(4) + s * GENERATOR
+    half = sp.sqrt(2) / 2
+    assert r_4x4(half, half) == BELL_BRAID
+    assert np.max(np.abs(bell_braid() - np.array(BELL_BRAID, dtype=float))) <= 2e-16
+    generator = np.array(GENERATOR, dtype=float)
+    for theta in ANGLES:
+        expected = np.cos(theta) * np.eye(4) + np.sin(theta) * generator
+        assert np.array_equal(type2_r_4x4(theta), expected)
+
+
 # The landscapes' coordinate maps (ybekit.threebody) in the cosines and
 # sines (ce, se) of eta and (cb, sb) of beta: the state's (a, b, c) on
 # |000>, (|011> + |110>)/sqrt2 and |101>, and the fusion matrix's first row
@@ -264,6 +293,53 @@ def test_the_report_reads_the_certified_cuts_and_tangle():
         assert np.max(np.abs(report.vn_entropies[qubit] - want)) <= 1e-15
     tangle = sp.lambdify((a_, b_, c_), 8 * sp.Abs(a_ * b_ ** 2 * c_), "numpy")(*coords)
     assert np.max(np.abs(report.three_tangle - tangle)) <= 1e-15
+
+
+# each support of (a, b, c), as the indices of its nonzero coordinates, and
+# the class of every state with exactly that support
+SUPPORT_CLASSES = {(0,): PRODUCT, (2,): PRODUCT, (1,): BISEPARABLE, (0, 2): BISEPARABLE,
+                   (0, 1): W_CLASS, (1, 2): W_CLASS, (0, 1, 2): GHZ_CLASS}
+
+
+def certified_class(support):
+    """The class of every state with exactly ``support`` nonzero: each
+    cut's 0-side share p is 0, 1 or strictly between, shown exactly for
+    nonzero real coordinates, and the 3-tangle 8|a b^2 c| is zero or not.
+    GHZ-class with a nonzero 3-tangle, else by the number of entangled
+    cuts: none product, all three W-class, otherwise biseparable."""
+    nonzero = sp.symbols("x0:3", real=True, nonzero=True)
+    coords = [x if i in support else 0 for i, x in enumerate(nonzero)]
+    on = dict(zip((a_, b_, c_), coords))
+    total = sum(x ** 2 for x in coords)
+    entangled = 0
+    for weight in ZERO_SIDE:
+        p, q = sp.cancel(weight.subs(on) / total), sp.cancel((total - weight.subs(on)) / total)
+        assert p == 0 or q == 0 or (p.is_positive and q.is_positive), (support, p)
+        entangled += p != 0 and q != 0
+    tangle = 8 * sp.Abs(a_ * b_ ** 2 * c_).subs(on)
+    assert tangle == 0 or tangle.is_positive
+    if tangle != 0:
+        return GHZ_CLASS
+    return {0: PRODUCT, 3: W_CLASS}.get(entangled, BISEPARABLE)
+
+
+def test_the_support_of_the_coordinates_fixes_the_class():
+    """Of the 7 nonempty supports, {a} and {c} are product, {b} and {a, c}
+    biseparable, {a, b} and {b, c} W-class and only {a, b, c} GHZ-class."""
+    supports = [s for n in (1, 2, 3) for s in itertools.combinations(range(3), n)]
+    assert sorted(SUPPORT_CLASSES) == sorted(supports)
+    assert {s: certified_class(s) for s in supports} == SUPPORT_CLASSES
+
+
+@pytest.mark.parametrize("tag", ["l1_S3", "l1_Sprime", "vn_Sprime"])
+def test_the_report_gives_each_declared_point_the_class_of_its_support(tag):
+    """The report's class of each declared point, put in state order, is
+    the certified class of its support."""
+    spec = FUNCTIONS[tag]
+    points = spec.measure.critical(spec.chart.scale)[0][:, spec.chart.state]
+    labels = entanglement_report(points.T).slocc_class
+    for point, label in zip(points, labels):
+        assert label == SUPPORT_CLASSES[tuple(np.flatnonzero(point))], point
 
 
 def test_symbolic_maps_are_the_package_maps():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ybekit import checks, cli
+from ybekit import checks, cli, landscape
 from ybekit.landscape import FUNCTIONS, AxisSpec, LandscapeFunction, sample
 from ybekit.threebody import ScatterParams, angles_to_params, random_constrained_triple
 
@@ -338,26 +338,31 @@ def test_extrema_box_end_too_coarse_for_a_location_is_usage_error(capsys):
     assert len(rows) == 13
 
 
-def test_extrema_labels_every_point_in_one_call(monkeypatch, capsys):
-    """One report labels every point, from the coordinates (a, b, c) of
-    the states, one array each."""
-    report, calls = cli.entanglement_report, []
+def test_extrema_labels_the_declared_points_in_one_call(monkeypatch, capsys):
+    """One report labels the 26 faces of l1_S3's face lemma, from their
+    coordinates (a, b, c), one array each, however many rows they pull
+    back to; the command itself classifies nothing."""
+    report, calls = landscape.entanglement_report, []
 
     def counted(coords):
         coords = tuple(coords)
         calls.append([np.shape(x) for x in coords])
         return report(coords)
 
-    monkeypatch.setattr(cli, "entanglement_report", counted)
+    def unused(*args, **kwargs):
+        raise AssertionError("extrema called entanglement_report")
+
+    monkeypatch.setattr(landscape, "entanglement_report", counted)
+    monkeypatch.setattr(cli, "entanglement_report", unused)
     code, out = run_cli(["extrema", "--fn", "l1_S3"], capsys)
     _, rows = _csv_rows(out)
-    assert code == 0 and rows and calls == [[(len(rows),)] * 3]
+    assert code == 0 and len(rows) == 30 and calls == [[(26,)] * 3]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_extrema_with_no_points_labels_an_empty_stack(fmt, capsys):
-    """A three-body domain with no critical point passes an empty stack of
-    states through the labeller and prints a table with no rows."""
+    """A three-body domain with no critical point prints a table with no
+    rows, whose header still names the class column."""
     code, out = run_cli(["extrema", "--fn", "l1_S3", "--eta", "0:0.1", "--beta", "0:0.1",
                          "--format", fmt], capsys)
     assert code == 0
@@ -371,10 +376,11 @@ def test_extrema_with_no_points_labels_an_empty_stack(fmt, capsys):
 def test_extrema_json_holds_the_numbers_of_the_csv_rows(tag, capsys):
     """A JSON point gives its coordinates and value as the floats of its
     CSV row, bit for bit, and smooth as a boolean; kind and slocc_class
-    stay strings."""
+    stay strings.  A curve, which has no three-qubit state, has no class."""
     code, out = run_cli(["extrema", "--fn", tag], capsys)
     assert code == 0
     header, rows = _csv_rows(out)
+    assert ("slocc_class" in header) == (tag == "l1_S3")
     code, doc = run_cli(["extrema", "--fn", tag, "--format", "json"], capsys)
     assert code == 0
     points = json.loads(doc)["points"]
@@ -760,9 +766,9 @@ def test_axis_flags_follow_the_registry(tag, axis, capsys):
 def test_registered_function_gets_its_axis_flags(monkeypatch, capsys):
     """One registry entry over new axes is all that ``landscape`` needs,
     and ``extrema`` of an entry with a chart and a measure; an entry with
-    neither has no critical set to enumerate.  The points of an entry with
-    a ``params`` map, whatever its axis names, are labelled with the state
-    that map gives."""
+    neither has no critical set to enumerate.  The points of an entry whose
+    chart declares a three-qubit state, whatever its axis names, are
+    labelled with that state's class."""
     paraboloid = LandscapeFunction("X", ("u", "v"), lambda u, v: (u - 0.3) ** 2 + (v + 0.2) ** 2,
                                    ((-1.0, 1.0), (-1.0, 1.0)))
     renamed = dataclasses.replace(FUNCTIONS["l1_S3"], tag="Y", axes=("e", "b"))

@@ -27,7 +27,7 @@ from ybekit.landscape import (
 )
 from ybekit.rmatrix import type2_r_4x4
 from ybekit.tensor import STACK_BYTES, block_size, by_blocks
-from ybekit.threebody import BETA_STAR, ScatterParams
+from ybekit.threebody import BETA_STAR, ScatterParams, state_coordinates
 
 from conftest import finder_axes
 from reference import (_meshgrid_reference, _points_loop, _sample_curve_reference,
@@ -158,7 +158,7 @@ def test_sample_calls_a_function_on_a_strip_at_a_time(tag, monkeypatch):
         sizes.append(np.broadcast(*coords).size)
         return spec(*coords)
 
-    monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(spec, fn=counted, params=None))
+    monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(spec, fn=counted))
     if spec.arity == 1:
         meshes = [[AxisSpec("theta", 0.0, 1.0, 3 * BLOCK + 5)]]
     else:
@@ -542,14 +542,33 @@ def test_find_1d_entropy_max():
     assert p.smooth
 
 
-def _label(tag, p):
-    return entanglement_report(get_function(tag).params(*p.location)).slocc_class
+# the boxes on which the labels are cross-checked: the default box, two
+# boxes off it and a wide one of 5,730 points
+LABEL_BOXES = [None, ((-7.0, 13.0), (-4.0, 5.0)), ((0.1, 3.0), (-1.0, 0.2)),
+               ((-600.0, 600.0), (-2.0, 2.0))]
+
+
+@pytest.mark.parametrize("box", range(len(LABEL_BOXES)), ids=["default", "off", "small", "wide"])
+@pytest.mark.parametrize("tag", ["l1_S3", "l1_Sprime", "vn_Sprime"])
+def test_each_class_read_from_the_support_is_the_reports_at_the_location(tag, box):
+    """The class each row carries, read from its declared point, is the
+    class entanglement_report gives the state at its float location."""
+    rows = _rows(tag, LABEL_BOXES[box])
+    locations = np.array([p.location for p in rows]).T
+    labels = entanglement_report(state_coordinates(*locations)).slocc_class
+    assert rows and [p.slocc_class for p in rows] == labels.tolist()
+
+
+@pytest.mark.parametrize("tag", ["l1_wigner", "vn_xi"])
+def test_a_curve_row_has_no_class(tag):
+    rows = _rows(tag)
+    assert rows and {p.slocc_class for p in rows} == {None}
 
 
 def test_find_2d_ghz_maximum():
     ghz = _only(_rows("l1_S3"), LOCAL_MAX, (math.pi / 3, BETA_STAR))
     assert abs(ghz.value - 2.0) < 1e-15
-    assert ghz.smooth and _label("l1_S3", ghz) == GHZ_CLASS
+    assert ghz.smooth and ghz.slocc_class == GHZ_CLASS
 
 
 def test_find_2d_w_saddle():
@@ -559,7 +578,7 @@ def test_find_2d_w_saddle():
     w = _only(_rows("l1_S3"), SADDLE, (math.pi / 2, BETA_STAR))
     eta, beta = w.location
     assert abs(w.value - math.sqrt(3.0)) < 1e-15
-    assert not w.smooth and _label("l1_S3", w) == W_CLASS
+    assert not w.smooth and w.slocc_class == W_CLASS
     assert min(fn(eta - h, beta), fn(eta + h, beta)) > w.value
     assert max(fn(eta, beta - h), fn(eta, beta + h)) < w.value
 
@@ -567,7 +586,7 @@ def test_find_2d_w_saddle():
 def test_find_2d_biseparable_minimum():
     bisep = _only(_rows("l1_S3"), LOCAL_MIN, (math.pi / 2, 0.0))
     assert abs(bisep.value - math.sqrt(2.0)) < 1e-15
-    assert not bisep.smooth and _label("l1_S3", bisep) == BISEPARABLE
+    assert not bisep.smooth and bisep.slocc_class == BISEPARABLE
 
 
 def test_flat_rows_do_not_produce_points():
