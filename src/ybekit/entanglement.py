@@ -134,9 +134,10 @@ def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
 # the class of a state indexed by its number of entangled cuts, then GHZ
 _CLASSES = np.array([PRODUCT, BISEPARABLE, BISEPARABLE, W_CLASS, GHZ_CLASS])
 # Each one-qubit cut of a|000> - b(|011> + |110>)/sqrt2 - c|101> is diagonal,
-# with these 0-side shares of (a, b, c): qubits 1 and 3 are 0 on |000> and
-# on half of b's pair, qubit 2 on |000> and |101>.
-_CUTS = (cut_entropy(1.0, 0.5, 0.0), cut_entropy(1.0, 0.0, 1.0), cut_entropy(1.0, 0.5, 0.0))
+# with these 0-side shares of (a, b, c): qubits 1 and 3, which the state
+# exchanges, are 0 on |000> and half of b's pair, qubit 2 on |000> and |101>.
+OUTER_CUT = cut_entropy(1.0, 0.5, 0.0)
+_MIDDLE_CUT = cut_entropy(1.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -154,14 +155,15 @@ def entanglement_report(coords: Iterable, tol: float = CLASS_TOL) -> Entanglemen
     from its coordinates (a, b, c), as
     :func:`~ybekit.threebody.state_coordinates` gives them, of one state or
     of broadcast arrays: the entropy of each single-qubit cut (keyed 0, 1,
-    2), the 3-tangle 8|a b^2 c| and the SLOCC class.
+    2; 0 and 2 are one value), the 3-tangle 8|a b^2 c| and the SLOCC class.
 
     GHZ-class when the 3-tangle exceeds ``tol``; otherwise W-class when all
     three cuts carry entropy above ``tol``; otherwise biseparable or product
     by the number of zero-entropy cuts.
     """
     a, b, c = coords
-    entropies = [cut((a, b, c)) for cut in _CUTS]
+    outer = OUTER_CUT((a, b, c))
+    entropies = [outer, _MIDDLE_CUT((a, b, c)), outer]
     tau = 8.0 * np.abs(a * b * b * c)
     index = np.where(tau > tol, 4, np.count_nonzero(np.greater(entropies, tol), axis=0))
     return EntanglementReport(vn_entropies=dict(enumerate(entropies)), three_tangle=tau,

@@ -21,7 +21,7 @@ tag         axes         map                                  measure
 ==========  ===========  ===================================  ==========================
 l1_S3       eta, beta    state coordinates (a, b, c)          l1, weights (1, sqrt2, 1)
 l1_Sprime   eta, beta    fusion row (Re m00, Re m01, Im m00)  l1, weights (1, 1, 2)
-vn_Sprime   eta, beta    state coordinates (a, b, c)          qubit-1 cut entropy
+vn_Sprime   eta, beta    state coordinates (a, b, c)          qubit-1 and -3 cut entropy
 l1_wigner   theta        (cos theta, sin theta)               l1, weights (1, 1)
 vn_xi       theta        (cos theta, sin theta)               qubit-1 cut entropy
 ==========  ===========  ===================================  ==========================
@@ -44,8 +44,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 # the kinds of critical points are the measures', and are read here too
-from .entanglement import (LOCAL_MAX, LOCAL_MIN, RIDGE, SADDLE, Measure, cut_entropy,
-                           entanglement_report, weighted_l1)
+from .entanglement import (LOCAL_MAX, LOCAL_MIN, OUTER_CUT, RIDGE, SADDLE, Measure,
+                           cut_entropy, entanglement_report, weighted_l1)
 from .tensor import by_blocks
 from .threebody import TWO_PI, fusion_row, state_coordinates
 
@@ -118,18 +118,15 @@ class Chart:
     """A coordinate map from the axis arrays to real coordinates x, and its
     inverse.  ``scale`` takes x onto the unit sphere, y_i = scale_i x_i.
     ``state``, if not None, places the state's (a, b, c) in y: ``y[:, state]``
-    is the unit state vector.  ``preimages(y, box)`` takes rows of unit
-    vectors y and a box, one (start, stop) per axis, and returns the axis
-    points in the box that map to them: the row of each and one coordinate
-    array per axis.  ``invert`` does so for rows in state order."""
+    is the unit state vector.  ``invert(rows, box)`` takes rows of unit
+    vectors in that order (y's own where ``state`` is None) and a box, one
+    (start, stop) per axis, and returns the axis points in the box that map
+    to them: the row of each and one coordinate array per axis."""
 
     map: Callable
     invert: Callable[[np.ndarray, Sequence[tuple[float, float]]], tuple]
     scale: tuple[float, ...]
     state: tuple[int, ...] | None = None
-
-    def preimages(self, y: np.ndarray, box: Sequence[tuple[float, float]]) -> tuple:
-        return self.invert(y if self.state is None else y[:, self.state], box)
 
 
 def _shifts(base: np.ndarray, start: float, stop: float) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +218,7 @@ _THETA = dict(axes=("theta",), default_domain=((0.0, math.pi / 2),))
 FUNCTIONS: dict[str, LandscapeFunction] = {spec.tag: spec for spec in [
     _landscape("l1_S3", SPHERE, weighted_l1(1.0, math.sqrt(2.0), 1.0), **_THREE_BODY),
     _landscape("l1_Sprime", FUSION, weighted_l1(1.0, 1.0, 2.0), **_THREE_BODY),
-    # qubit 1 is 0 on |000> and half of b's pair, 1 on the other half and |101>
-    _landscape("vn_Sprime", SPHERE, cut_entropy(1.0, 0.5, 0.0), **_THREE_BODY),
+    _landscape("vn_Sprime", SPHERE, OUTER_CUT, **_THREE_BODY),
     _landscape("l1_wigner", CIRCLE, weighted_l1(1.0, 1.0), **_THETA),
     _landscape("vn_xi", CIRCLE, cut_entropy(1.0, 0.0), **_THETA),
 ]}
@@ -290,15 +286,16 @@ def find_critical_points(tag: str, domain: Sequence[tuple[float, float]]) -> lis
     if len(points) * cells > MAX_PREIMAGES:
         raise ValueError(f"the box could hold {len(points) * cells} critical points, "
                          f"above {MAX_PREIMAGES}")
-    index, coords = spec.chart.preimages(points, domain)
+    state = spec.chart.state
+    rows = points if state is None else points[:, state]
+    index, coords = spec.chart.invert(rows, domain)
     order = np.lexsort(coords[::-1])
     index, coords = index[order], [c[order] for c in coords]
     values = spec(*coords)
     if not np.all(np.isfinite(values)):
         raise ValueError("critical values are not finite")
-    state = spec.chart.state
     classes = ([None] * index.size if state is None else
-               entanglement_report(points[:, state].T).slocc_class[index].tolist())
+               entanglement_report(rows.T).slocc_class[index].tolist())
     return [CriticalPoint(*row) for row in zip(
         zip(*(c.tolist() for c in coords)), np.ravel(values).tolist(), kinds[index].tolist(),
         smooth[index].tolist(), classes)]

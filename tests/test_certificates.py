@@ -17,6 +17,14 @@ The type-II 4x4 matrix is a rotation generated by the Bell braid: with
 M = sqrt2 B - I for the Bell braid matrix B, M^2 = -I and
 R(t) = cos t I + sin t M, so R(pi/4) = B.
 
+The relations that the ``tl`` and ``braid`` suites sample hold exactly on
+the generators with exact entries (sqrt2, sqrt3, e^{-i pi/4}): T^2 = d T
+and T_i T_j T_i = T_i for both TL generators on 3 strands and both 2x2
+representations, the braid relation for the Bell braid and the
+permutation on 3 strands and both 2x2 braid representations, and far
+commutation.  ``braid_from_tl`` with (alpha, phase) = (i, -i) gives the
+permutation and with (e^{3i pi/8}, e^{-i pi/8}) the Bell braid.
+
 The two rational type-I families, R proportional to I + mu P in 4x4 form
 and its 2x2 pair, solve the equation on the Galilean rule
 mu2 = mu1 + mu3 as a polynomial identity in (mu1, mu3).  The roles of a
@@ -70,7 +78,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from ybekit.braiding import bell_braid
+from ybekit.braiding import (ALPHA_TYPE1, ALPHA_TYPE2, PHASE_TYPE1, PHASE_TYPE2, bell_braid,
+                             braid2x2_type1, braid2x2_type2, braid_from_tl, braid_rep_from_local,
+                             permutation_matrix, tl2x2_type1, tl2x2_type2, tl_rep_from_local,
+                             tl_type1_local, tl_type2_local)
 from ybekit.entanglement import (BISEPARABLE, GHZ_CLASS, PRODUCT, W_CLASS, binary_entropy,
                                  entanglement_report)
 from ybekit.fusionbasis import fusion_basis_type2, reduce_operator
@@ -206,6 +217,82 @@ def test_the_type2_4x4_matrix_is_a_rotation_generated_by_the_bell_braid():
     for theta in ANGLES:
         expected = np.cos(theta) * np.eye(4) + np.sin(theta) * generator
         assert np.array_equal(type2_r_4x4(theta), expected)
+
+
+# The generators that the tl and braid suites check, with exact entries:
+# suite row -> (generators, loop value, or None for a braid, and the package's
+# representation).
+SQRT2, SQRT3 = sp.sqrt(2), sp.sqrt(3)
+TL_TYPE1 = sp.Matrix([[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]])
+TL_TYPE2 = sp.Matrix([[1, 0, 0, sp.I], [0, 1, sp.I, 0], [0, -sp.I, 1, 0],
+                      [-sp.I, 0, 0, 1]]) / SQRT2
+TL1_ODD, TL1_MID = sp.diag(2, 0), sp.Matrix([[1, SQRT3], [SQRT3, 3]]) / 2
+TL2_ODD, TL2_MID = sp.diag(SQRT2, 0), sp.ones(2, 2) / SQRT2
+B1_ODD, B1_MID = sp.diag(-1, 1), sp.Matrix([[1, -SQRT3], [-SQRT3, -1]]) / 2
+B2_ODD = sp.exp(-sp.I * sp.pi / 4) * sp.diag(1, sp.I)
+B2_MID = sp.Matrix([[1, -sp.I], [-sp.I, 1]]) / SQRT2
+
+
+def three_strands(local):
+    return (sp.kronecker_product(local, sp.eye(2)), sp.kronecker_product(sp.eye(2), local))
+
+
+REPRESENTATIONS = {
+    "tl.type1.4x4.n3": (three_strands(TL_TYPE1), 2, tl_rep_from_local(tl_type1_local(), 3, 2.0)),
+    "tl.type2.4x4.n3": (three_strands(TL_TYPE2), SQRT2,
+                        tl_rep_from_local(tl_type2_local(), 3, np.sqrt(2.0))),
+    "tl.type1.2x2.strands4": ((TL1_ODD, TL1_MID, TL1_ODD), 2, tl2x2_type1()),
+    "tl.type2.2x2.strands4": ((TL2_ODD, TL2_MID, TL2_ODD), SQRT2, tl2x2_type2()),
+    "braid.bell.n3": (three_strands(BELL_BRAID), None, braid_rep_from_local(bell_braid(), 3)),
+    "braid.permutation.n3": (three_strands(SWAP), None,
+                             braid_rep_from_local(permutation_matrix(), 3)),
+    "braid.type1.2x2.strands4": ((B1_ODD, B1_MID, B1_ODD), None, braid2x2_type1()),
+    "braid.type2.2x2.strands4": ((B2_ODD, B2_MID, B2_ODD), None, braid2x2_type2()),
+}
+
+
+def vanishes(matrix):
+    return all(sp.expand(sp.expand_complex(sp.expand(x))) == 0 for x in matrix)
+
+
+@pytest.mark.parametrize("name", REPRESENTATIONS)
+def test_the_tl_and_braid_relations_hold_exactly(name):
+    """Far generators commute.  A TL representation has T^2 = d T, and
+    T_i T_j T_i = T_i for adjacent generators; a braid representation has
+    B_i B_j B_i = B_j B_i B_j, and B B^H = I, so each B is invertible.  Each
+    generator and loop value is the package's within 2e-16."""
+    gens, d, rep = REPRESENTATIONS[name]
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        a, b = gens[i], gens[j]
+        if j > i + 1:
+            assert vanishes(a * b - b * a)
+        elif d is None:
+            assert vanishes(a * b * a - b * a * b)
+        else:
+            assert vanishes(a * b * a - a) and vanishes(b * a * b - b)
+    for g in gens:
+        assert vanishes(g * g.H - sp.eye(g.rows) if d is None else g * g - d * g)
+    for g, built in zip(gens, rep.generators, strict=True):
+        assert np.max(np.abs(built - np.array(g.evalf(30), dtype=complex))) <= 2e-16
+    assert d is None or abs(rep.loop_value - float(d)) <= 2e-16
+
+
+@pytest.mark.parametrize("alpha, phase, constants, tl, braid", [
+    (sp.I, -sp.I, (ALPHA_TYPE1, PHASE_TYPE1), "tl.type1.4x4.n3", "braid.permutation.n3"),
+    (sp.exp(3 * sp.I * sp.pi / 8), sp.exp(-sp.I * sp.pi / 8), (ALPHA_TYPE2, PHASE_TYPE2),
+     "tl.type2.4x4.n3", "braid.bell.n3"),
+], ids=["type1", "type2"])
+def test_braid_from_tl_gives_the_bundled_braid_exactly(alpha, phase, constants, tl, braid):
+    """-alpha^2 - alpha^-2 is the TL loop value d, and phase (alpha I +
+    T_i / alpha) is B_i of the permutation for (alpha, phase) = (i, -i) and
+    of the Bell braid for (e^{3i pi/8}, e^{-i pi/8}); braid_from_tl with the
+    package's constants gives each B_i within 2e-16."""
+    (tl_gens, d, rep), braids = REPRESENTATIONS[tl], REPRESENTATIONS[braid][0]
+    assert vanishes([alpha ** 2 + alpha ** -2 + d])
+    built = braid_from_tl(constants[0], rep, constants[1]).generators
+    for t, b, g in zip(tl_gens, braids, built, strict=True):
+        assert vanishes(phase * (alpha * sp.eye(8) + t / alpha) - b)
+        assert np.max(np.abs(g - np.array(b.evalf(30), dtype=complex))) <= 2e-16
 
 
 # The landscapes' coordinate maps (ybekit.threebody) in the cosines and

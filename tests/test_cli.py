@@ -537,11 +537,48 @@ def test_reduce_random_batch(capsys):
                               "6.7131781369677144e-16 (tol 1.0e-10) PASS\n")
 
 
-# What the usage errors below say where the wording is pinned: a value
-# that starts with a minus sign reaches its own parser instead of being
-# taken for an option, an axis flag is read whole, and a flag that verify
-# no longer has is refused with any value and suite.
+# Each usage error and what it says: a value that starts with a minus
+# sign reaches its own parser instead of being taken for an option, an axis
+# flag is read whole, and a flag that verify no longer has is refused with
+# any value and suite.
 USAGE_ERRORS = {
+    "verify --samples 0": "argument --samples: expected an integer >= 1, got '0'",
+    "verify --suite ybe --samples -5": "argument --samples: expected an integer >= 1, got '-5'",
+    "verify --suite tl --tol nan": "argument --tol: expected a finite number >= 0, got 'nan'",
+    "reduce --random -3": "argument --random: expected an integer >= 1, got '-3'",
+    "reduce --random 5 --tol inf": "argument --tol: expected a finite number >= 0, got 'inf'",
+    "reduce --thetas nan,0,0": "argument --thetas: expected a finite number, got 'nan'",
+    "state --eta nan --beta 0": "argument --eta: expected a finite number, got 'nan'",
+    "state --eta 0 --beta inf": "argument --beta: expected a finite number, got 'inf'",
+    "state --thetas nan,0,0": "argument --thetas: expected a finite number, got 'nan'",
+    "state --eta 0 --beta 0 --tol nan": "argument --tol: expected a finite number >= 0, got 'nan'",
+    "reduce --random 5 --thetas 0.1,0.2,0.3":
+        "argument --thetas: not allowed with argument --random",
+    "landscape --fn l1_wigner --section eta=1":
+        "--section does not apply to the 1-parameter function l1_wigner",
+    "landscape --fn l1_wigner --eta 0:1:5":
+        "--eta does not apply to the 1-parameter function l1_wigner",
+    "landscape --fn vn_xi --beta 0:1:5": "--beta does not apply to the 1-parameter function vn_xi",
+    "landscape --fn l1_S3 --theta 0:1:5":
+        "--theta does not apply to the 2-parameter function l1_S3",
+    "extrema --fn l1_wigner --eta 0:1":
+        "--eta does not apply to the 1-parameter function l1_wigner",
+    "extrema --fn vn_xi --beta 0:1": "--beta does not apply to the 1-parameter function vn_xi",
+    "extrema --fn l1_S3 --theta 0:1": "--theta does not apply to the 2-parameter function l1_S3",
+    "landscape --fn l1_S3 --section eta=1 --eta 0:1:3":
+        "--eta does not apply: --section eta=1 fixes that axis",
+    "landscape --fn vn_Sprime --section beta=0.5 --beta 0:1:3":
+        "--beta does not apply: --section beta=0.5 fixes that axis",
+    "landscape --fn l1_Sprime --section beta=inf --format json":
+        "--section needs a finite value, got 'beta=inf'",
+    "landscape --fn vn_Sprime --section eta=nan": "--section needs a finite value, got 'eta=nan'",
+    "landscape --fn l1_S3 --section eta=-inf --format json":
+        "--section needs a finite value, got 'eta=-inf'",
+    "verify --suite tl --perturb nan": "unrecognized arguments: --perturb nan",
+    "verify --suite tl --perturb inf": "unrecognized arguments: --perturb inf",
+    "verify --suite tl --perturb=-inf": "unrecognized arguments: --perturb=-inf",
+    "verify --suite tl --tol -1": "argument --tol: expected a finite number >= 0, got '-1'",
+    "state --eta 1 --beta 0.5 --tol -1": "argument --tol: expected a finite number >= 0, got '-1'",
     "landscape --fn l1_S3 --eta 0:1:2 --beta 0:1:5":
         "axis eta needs at least 3 samples for a grid, got 2",
     "landscape --fn vn_Sprime --beta 1:1:1": "axis beta needs at least 3 samples for a grid, got 1",
@@ -604,91 +641,16 @@ USAGE_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--samples", "0"],
-    ["verify", "--suite", "ybe", "--samples", "-5"],
-    ["verify", "--suite", "tl", "--tol", "nan"],
-    ["reduce", "--random", "-3"],
-    ["reduce", "--random", "5", "--tol", "inf"],
-    ["reduce", "--thetas", "nan,0,0"],
-    ["state", "--eta", "nan", "--beta", "0"],
-    ["state", "--eta", "0", "--beta", "inf"],
-    ["state", "--thetas", "nan,0,0"],
-    ["state", "--eta", "0", "--beta", "0", "--tol", "nan"],
-    ["extrema", "--tol", "1e-8"],
-    ["reduce", "--random", "5", "--thetas", "0.1,0.2,0.3"],
-    ["landscape", "--fn", "l1_wigner", "--section", "eta=1"],
-    ["landscape", "--fn", "l1_wigner", "--eta", "0:1:5"],
-    ["landscape", "--fn", "vn_xi", "--beta", "0:1:5"],
-    ["landscape", "--fn", "l1_S3", "--theta", "0:1:5"],
-    ["extrema", "--fn", "l1_wigner", "--eta", "0:1"],
-    ["extrema", "--fn", "vn_xi", "--beta", "0:1"],
-    ["extrema", "--fn", "l1_S3", "--theta", "0:1"],
-    ["landscape", "--fn", "l1_S3", "--section", "eta=1", "--eta", "0:1:3"],
-    ["landscape", "--fn", "vn_Sprime", "--section", "beta=0.5", "--beta", "0:1:3"],
-    ["landscape", "--fn", "l1_S3", "--section", "beta=nan"],
-    ["landscape", "--fn", "l1_Sprime", "--section", "beta=inf", "--format", "json"],
-    ["landscape", "--fn", "vn_Sprime", "--section", "eta=nan"],
-    ["landscape", "--fn", "l1_S3", "--section", "eta=-inf", "--format", "json"],
-    ["verify", "--suite", "tl", "--perturb", "nan"],
-    ["verify", "--suite", "tl", "--perturb", "inf"],
-    ["verify", "--suite", "tl", "--perturb=-inf"],
-    ["verify", "--suite", "tl", "--perturb", "-inf"],
-    ["state", "--eta", "-inf", "--beta", "0"],
-    ["state", "--eta", "0", "--beta", "-nan"],
-    ["extrema", "--fn", "l1_wigner", "--theta", "0.2:1.4:7:junk"],
-    ["extrema", "--fn", "l1_wigner", "--theta", "0.2:1.4:abc"],
-    ["extrema", "--fn", "vn_xi", "--theta", "0.2"],
-    ["extrema", "--fn", "l1_S3", "--beta", "-1:1:2.5"],
-    ["extrema", "--fn", "l1_wigner", "--coarse", "400"],
-    ["extrema", "--fn", "vn_xi", "--theta", "0.2:1.4:7"],
-    ["extrema", "--fn", "l1_wigner", "--theta", "1e13:1.00000000001e13"],
-    ["extrema", "--eta", "-1e6:1e6"],
-    ["landscape", "--fn", "l1_wigner", "--theta", "0:1"],
-    ["landscape", "--fn", "l1_S3", "--eta", "0:1:2", "--beta", "0:1:5"],
-    ["landscape", "--fn", "vn_Sprime", "--beta", "1:1:1"],
-    ["landscape", "--fn", "l1_S3", "--section", "beta=abc"],
-    ["landscape", "--fn", "l1_S3", "--section", "gamma=1"],
-    ["landscape", "--fn", "l1_wigner", "--theta="],
-    ["landscape", "--fn", "l1_S3", "--section="],
-    ["landscape", "--fn", "vn_Sprime", "--eta=", "--beta", "0:1:3"],
-    ["extrema", "--fn", "l1_wigner", "--theta="],
-    ["extrema", "--fn", "l1_S3", "--beta="],
-    ["state", "--thetas", "0,0.7853981633974483,0.7853981633974483", "--eta", "1", "--beta", "1"],
-    ["state", "--thetas", "0,0.7853981633974483,0.7853981633974483", "--beta", "0"],
-    ["verify", "--perturb", "1e-3"],
-    ["verify", "--family", "type1"],
-    ["verify", "--suite", "braid", "--perturb", "0.5"],
-    ["verify", "--suite", "ybe", "--perturb", "-1e-3"],
-    ["verify", "--suite", "tl", "--family", "type1"],
-    ["verify", "--suite", "reduction", "--family", "type2"],
-    ["verify", "--suite", "tl", "--tol", "-1"],
-    ["reduce", "--thetas", "0,0,0", "--tol", "-1e-3"],
-    ["reduce", "--thetas", "0,0,0", "--constraint-tol", "-1"],
-    ["state", "--eta", "1", "--beta", "0.5", "--tol", "-1"],
-    ["verify", "--suite", "ybe", "--seed", "-1"],
-    ["verify", "--suite", "tl", "--seed", "-1"],
-    ["reduce", "--random", "5", "--seed", "-1"],
-    ["reduce", "--random", "0"],
-    ["verify", "--suite", "tl", "--samples", "5"],
-    ["verify", "--suite", "braid", "--seed", "3"],
-    ["verify", "--suite", "tl", "--seed", "0"],
-    ["verify", "--suite", "reduction", "--samples", "20"],
-    ["verify", "--suite", "reduction", "--seed", "7"],
-    ["reduce", "--thetas", "0,0,0", "--seed", "0"],
-    ["reduce", "--random", "5", "--constraint-tol", "1e-3"],
-    ["state", "--thetas", "1e308,0,1e308"],
-    ["reduce", "--thetas", "1e308,1e308,1e308"],
-], ids=" ".join)
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_vacuous_or_non_finite_input_is_usage_error(argv, capsys):
     """Exit 2 with the error, and numpy warns of nothing: t1 + t3 = inf
     once raised math's domain error on one path and warned on the other."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, _, err = run_cli_streams(argv, capsys)
+        code, _, err = run_cli_streams(argv.split(), capsys)
     assert [str(w.message) for w in caught] == []
     assert code == 2
-    assert USAGE_ERRORS.get(" ".join(argv), "error") in err
+    assert USAGE_ERRORS[argv] in err
 
 
 @pytest.mark.parametrize("argv, axis", [

@@ -435,17 +435,6 @@ def test_scattering_cut_entropies_are_the_fusion_entropy_and_its_partner():
     assert np.max(np.abs(entropies[1] - partner)) <= 1e-14
 
 
-def test_state_cut_entropies_are_vn_sprime_bit_for_bit():
-    """At 10,000 seeded points, one at a time as ``state`` reads them, the
-    entropies of cuts 1 and 3 are the vn_Sprime landscape's bits."""
-    rng = np.random.default_rng(5)
-    vn_sprime = FUNCTIONS["vn_Sprime"]
-    for eta, beta in zip(rng.uniform(0.0, 2.0 * np.pi, 10_000).tolist(),
-                         rng.uniform(-np.pi / 2, np.pi / 2, 10_000).tolist()):
-        entropies = entanglement_report(state_coordinates(eta, beta)).vn_entropies
-        assert entropies[0] == entropies[2] == vn_sprime(eta, beta), (eta, beta)
-
-
 @pytest.mark.parametrize("eta", [1e-8, 1e-6, 1e-3, np.pi - 1e-7])
 def test_cut_entropies_keep_their_digits_near_a_product_state(eta):
     """Near |000> each cut's smaller probability is tiny: taken as 1 less

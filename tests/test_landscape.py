@@ -614,22 +614,23 @@ CHARTS = {"sphere": (SPHERE, ((0.0, TWO_PI), (-math.pi, math.pi)), 2),
 @pytest.mark.parametrize("box", range(3), ids=["default", "narrow", "wide"])
 @pytest.mark.parametrize("name", sorted(CHARTS))
 def test_a_chart_maps_each_preimage_back_to_its_point(name, box):
-    """Each preimage a chart gives of 500 seeded unit vectors lies in the
-    box and maps, scaled, onto its vector to 1e-14; over one period of
-    every angle, each vector has as many preimages as the chart covers the
-    sphere (two for the spherical charts, (eta, beta) and (-eta, beta +
-    pi))."""
+    """Each preimage a chart's inverse gives of 500 seeded unit vectors, as
+    rows in state order, lies in the box and maps, scaled, onto its vector
+    to 1e-14; over one period of every angle, each vector has as many
+    preimages as the chart covers the sphere (two for the spherical
+    charts, (eta, beta) and (-eta, beta + pi))."""
     chart, period, covers = CHARTS[name]
     arity = len(period)
     domain = BOXES[arity][box] or get_function({2: "l1_S3", 1: "vn_xi"}[arity]).default_domain
     y = _unit_rows(len(chart.scale), 500, seed=box)
-    index, coords = chart.preimages(y, domain)
+    rows = y if chart.state is None else y[:, chart.state]
+    index, coords = chart.invert(rows, domain)
     assert index.size
     for c, (lo, hi) in zip(coords, domain):
         assert np.all((lo <= c) & (c <= hi))
     mapped = np.stack([s * x for s, x in zip(chart.scale, chart.map(*coords))], axis=-1)
     assert np.allclose(mapped, y[index], rtol=0.0, atol=1e-14)
-    index, _ = chart.preimages(y, period)
+    index, _ = chart.invert(rows, period)
     assert np.bincount(index, minlength=len(y)).tolist() == [covers] * len(y)
 
 

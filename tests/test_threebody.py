@@ -18,7 +18,7 @@ from ybekit.threebody import (
 )
 
 from reference import (IDENTITY_2, closed_form, expm_series, is_unitary, ket, lambda_operators,
-                       n_dot_lambda, scalar_random_triple)
+                       n_dot_lambda)
 
 etas = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 betas = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
@@ -118,17 +118,6 @@ def test_round_trip_closed_equals_product(t1, t3):
     closed = closed_form(angles_to_params(triple))
     product = product_form(triple)
     assert norm_inf(product - closed) < 1e-12
-
-
-def test_product_orderings_agree_on_constraint():
-    rng = np.random.default_rng(2)
-    r12 = lambda t: kron(type2_r_4x4(t), IDENTITY_2)
-    r23 = lambda t: kron(IDENTITY_2, type2_r_4x4(t))
-    for _ in range(25):
-        tr = AngleTriple(*scalar_random_triple(rng))
-        lhs = r12(tr.t1) @ r23(tr.t2) @ r12(tr.t3)
-        rhs = r23(tr.t3) @ r12(tr.t2) @ r23(tr.t1)
-        assert norm_inf(lhs - rhs) < 1e-12
 
 
 def test_product_rejects_off_constraint_and_orderings_disagree():
