@@ -57,7 +57,11 @@ def _landscapes() -> list[str]:
     return argvs + [f"landscape --fn vn_Sprime --eta 0:{PI}:7 --beta 0:1:5 --output out.csv",
                     f"landscape --fn l1_wigner --theta -1:1:9 --format json --output out.json",
                     "landscape --fn l1_S3 --theta 0:1:3",
-                    "landscape --fn vn_xi --section theta=0.5"]
+                    "landscape --fn vn_xi --section theta=0.5",
+                    # each chart's default box and sample count
+                    "landscape --fn vn_xi",
+                    f"landscape --fn l1_S3 --section beta={BETA_STAR}",
+                    f"landscape --fn vn_Sprime --section eta={HALF_PI} --format json"]
 
 
 CORPUS = [
