@@ -221,8 +221,7 @@ def _json_text(fn: str, axes: list[AxisSpec], values: np.ndarray,
 
 
 def cmd_landscape(args) -> int:
-    spec = get_function(args.fn)
-    axes, fixed = _axes(args, spec)
+    axes, fixed = _axes(args, get_function(args.fn).chart)
     values = sample(args.fn, axes)
     if args.format == "json":
         meta = {} if fixed is None else {"section": f"{fixed.name}={fmt(fixed.start)}"}
@@ -235,34 +234,35 @@ def cmd_landscape(args) -> int:
 
 def _axis_names() -> list[str]:
     """Every axis that a registered function has, in registry order."""
-    return list(dict.fromkeys(name for spec in FUNCTIONS.values() for name in spec.axes))
+    return list(dict.fromkeys(name for spec in FUNCTIONS.values() for name in spec.chart.axes))
 
 
-def _check_axis_flags(args, spec) -> None:
+def _check_axis_flags(args, chart) -> None:
     """Other functions' axis flags, and a section of a curve, are usage
     errors, not silently ignored."""
-    unused = [name for name in _axis_names() if name not in spec.axes]
-    for flag in unused + (["section"] if spec.arity == 1 else []):
+    unused = [name for name in _axis_names() if name not in chart.axes]
+    for flag in unused + (["section"] if len(chart.axes) == 1 else []):
         if getattr(args, flag, None) is not None:
             raise ValueError(f"--{flag} does not apply to the "
-                             f"{spec.arity}-parameter function {spec.tag}")
+                             f"{len(chart.axes)}-parameter function {args.fn}")
 
 
-def _axes(args, spec) -> tuple[list[AxisSpec], AxisSpec | None]:
-    """One axis per axis of ``spec``: the --NAME axis, or the function's
-    default domain.  ``--section NAME=VALUE`` makes axis NAME the 1-point
-    axis at VALUE, which is also returned; every axis of a surface with no
-    section needs 3 points.  The flag of the axis a section fixes is a
-    usage error, as are the flags :func:`_check_axis_flags` refuses."""
-    _check_axis_flags(args, spec)
+def _axes(args, chart) -> tuple[list[AxisSpec], AxisSpec | None]:
+    """One axis per axis of the ``--fn`` function's chart: the --NAME axis,
+    or the chart's default box and sample count.  ``--section NAME=VALUE``
+    makes axis NAME the 1-point axis at VALUE, which is also returned;
+    every axis of a surface with no section needs 3 points.  The flag of
+    the axis a section fixes is a usage error, as are the flags
+    :func:`_check_axis_flags` refuses."""
+    _check_axis_flags(args, chart)
     section = getattr(args, "section", None)
     fixed_name, _, raw = (section or "").partition("=")
     fixed_name = fixed_name.strip()
-    if fixed_name in spec.axes and getattr(args, fixed_name) is not None:
+    if fixed_name in chart.axes and getattr(args, fixed_name) is not None:
         raise ValueError(f"--{fixed_name} does not apply: --section {section} fixes that axis")
     if section is not None:
-        if fixed_name not in spec.axes or not raw:
-            forms = " or ".join(f"{name}=VALUE" for name in spec.axes)
+        if fixed_name not in chart.axes or not raw:
+            forms = " or ".join(f"{name}=VALUE" for name in chart.axes)
             raise ValueError(f"--section must be {forms}, got {section!r}")
         try:
             value = float(raw)
@@ -271,15 +271,15 @@ def _axes(args, spec) -> tuple[list[AxisSpec], AxisSpec | None]:
         if not math.isfinite(value):
             raise ValueError(f"--section needs a finite value, got {section!r}")
     axes, fixed = [], None
-    for name, (lo, hi) in zip(spec.axes, spec.default_domain):
+    for name, (lo, hi) in zip(chart.axes, chart.domain):
         if name == fixed_name:  # only a valid --section names an axis
             fixed = AxisSpec(name, value, value, 1)
             axes.append(fixed)
         elif getattr(args, name) is not None:
             axes.append(AxisSpec(name, *parse_fields(getattr(args, name), name, float, float, int)))
         else:
-            axes.append(AxisSpec(name, lo, hi, 500 if spec.arity == 1 else 200))
-    if spec.arity > 1 and fixed is None:
+            axes.append(AxisSpec(name, lo, hi, chart.samples))
+    if len(axes) > 1 and fixed is None:
         for axis in axes:
             if axis.n < 3:
                 raise ValueError(f"axis {axis.name} needs at least 3 samples for a grid, "
@@ -292,13 +292,13 @@ def _axes(args, spec) -> tuple[list[AxisSpec], AxisSpec | None]:
 # ---------------------------------------------------------------------------
 
 def cmd_extrema(args) -> int:
-    spec = get_function(args.fn)
-    _check_axis_flags(args, spec)
+    chart = get_function(args.fn).chart
+    _check_axis_flags(args, chart)
     domain = [parse_fields(getattr(args, name), name, float, float) if getattr(args, name)
-              is not None else bounds for name, bounds in zip(spec.axes, spec.default_domain)]
+              is not None else bounds for name, bounds in zip(chart.axes, chart.domain)]
     points = find_critical_points(args.fn, domain)
-    labelled = spec.chart.state is not None  # a three-body landscape labels each state's class
-    header = [*spec.axes, "value", "kind", "smooth"] + ["slocc_class"] * labelled
+    labelled = chart.state is not None  # a three-body landscape labels each state's class
+    header = [*chart.axes, "value", "kind", "smooth"] + ["slocc_class"] * labelled
     rows = [[*map(float, p.location), float(p.value), p.kind, p.smooth]
             + [p.slocc_class] * labelled for p in points]
     if args.format == "json":  # the numbers as json.dumps writes them, smooth a boolean
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_land.add_argument("--fn", required=True, choices=sorted(FUNCTIONS))
     p_ext.add_argument("--fn", default="l1_S3", choices=sorted(FUNCTIONS))
     for name in _axis_names():  # one flag per axis of the registered functions
-        tags = ", ".join(tag for tag, spec in FUNCTIONS.items() if name in spec.axes)
+        tags = ", ".join(tag for tag, spec in FUNCTIONS.items() if name in spec.chart.axes)
         p_land.add_argument(f"--{name}", default=None, help=f"start:stop:count ({tags})")
         p_ext.add_argument(f"--{name}", default=None, help=f"start:stop box side ({tags})")
     p_land.add_argument("--section", default=None, help="AXIS=VALUE (surfaces)")

@@ -9,12 +9,12 @@ beta), a curve over theta, or a section, which is a surface with a
 float, a 0-d array or an element of any array, so a value prints the same
 in ``landscape``, ``extrema`` and ``state``.
 
-Registering a landscape is a chart, a measure and a domain: one
-:data:`FUNCTIONS` entry, whose axes the ``ybekit landscape`` and
-``extrema`` commands take as ``--NAME`` flags.  The chart's map takes the
-axis arrays to real coordinates of a state, which the measure reads
-(:mod:`ybekit.entanglement`); where a three-body chart places the state's
-(a, b, c) among them, each critical point has a class.  Function tags:
+Registering a landscape is a chart and a measure: one :data:`FUNCTIONS`
+entry.  The chart declares its axes, which the ``ybekit landscape`` and
+``extrema`` commands take as ``--NAME`` flags, and its map to real
+coordinates of a state, which the measure reads (:mod:`ybekit.entanglement`);
+where a three-body chart places the state's (a, b, c) among them, each
+critical point has a class.  Function tags:
 
 ==========  ===========  ===================================  ==========================
 tag         axes         map                                  measure
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,14 +115,21 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class Chart:
-    """A coordinate map from the axis arrays to real coordinates x, and its
-    inverse.  ``scale`` takes x onto the unit sphere, y_i = scale_i x_i.
+    """A coordinate map from named axes, each of period 2 pi, to real
+    coordinates x, and its inverse.  ``domain``, one (start, stop) per axis,
+    is the default box, and ``samples`` the default number of points per
+    axis.  ``scale`` takes x onto the unit sphere, y_i = scale_i x_i.
     ``state``, if not None, places the state's (a, b, c) in y: ``y[:, state]``
     is the unit state vector.  ``invert(rows, box)`` takes rows of unit
-    vectors in that order (y's own where ``state`` is None) and a box, one
-    (start, stop) per axis, and returns the axis points in the box that map
-    to them: the row of each and one coordinate array per axis."""
+    vectors in that order (y's own where ``state`` is None) and a box, and
+    returns the axis points in the box that map to them, at most
+    ``preimages`` per row in each 2 pi cell of the box: the row of each and
+    one coordinate array per axis."""
 
+    axes: tuple[str, ...]
+    domain: tuple[tuple[float, float], ...]
+    samples: int
+    preimages: int
     map: Callable
     invert: Callable[[np.ndarray, Sequence[tuple[float, float]]], tuple]
     scale: tuple[float, ...]
@@ -172,55 +179,49 @@ def _rotation(theta):
     yield np.sin(theta)
 
 
-SPHERE = Chart(state_coordinates, _spherical_preimages, (1.0, 1.0, 1.0), (0, 1, 2))
+# (eta, beta) and (-eta, beta + pi) map to one point
+SPHERE = Chart(("eta", "beta"), ((0.0, TWO_PI), (-math.pi / 2, math.pi / 2)), 200, 2,
+               state_coordinates, _spherical_preimages, (1.0, 1.0, 1.0), (0, 1, 2))
 # (Re m00, Re m01, sqrt2 Im m00) is (a, c, b) of the state
-FUSION = Chart(fusion_row, _spherical_preimages, (1.0, 1.0, math.sqrt(2.0)), (0, 2, 1))
-CIRCLE = Chart(_rotation, _circle_preimages, (1.0, 1.0))
+FUSION = replace(SPHERE, map=fusion_row, scale=(1.0, 1.0, math.sqrt(2.0)), state=(0, 2, 1))
+CIRCLE = Chart(("theta",), ((0.0, math.pi / 2),), 500, 1, _rotation, _circle_preimages,
+               (1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # function registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LandscapeFunction:
-    """A landscape ``fn`` of one broadcast array per axis named in
-    ``axes``, evaluated by calling the entry.  ``default_domain`` holds one
-    (start, stop) per axis.  An entry with a ``chart`` and a ``measure``,
-    of which ``fn`` is the composition, has critical points that
-    ``extrema`` can enumerate."""
+    """The landscape ``measure(chart.map(*axes))`` of one broadcast array
+    per axis of ``chart``, evaluated by calling the entry, and its critical
+    points, which ``extrema`` enumerates.  ``fn`` is that composition; the
+    keyword ``fn`` puts a wrapper of it in its place, through which
+    ``perfbench/tracing.py`` counts the calls."""
 
     tag: str
-    axes: tuple[str, ...]
-    fn: Callable[..., float]
-    default_domain: tuple[tuple[float, float], ...]
-    chart: Chart | None = None
-    measure: Measure | None = None
+    chart: Chart
+    measure: Measure
 
-    def __call__(self, *coords):
-        return self.fn(*coords)
+    def __init__(self, tag: str, chart: Chart, measure: Measure, fn: Callable | None = None):
+        vars(self).update(tag=tag, chart=chart, measure=measure)
+        if fn is not None:  # in the method's place
+            vars(self)["fn"] = fn
 
-    @property
-    def arity(self) -> int:
-        return len(self.axes)
+    def fn(self, *axes):
+        return self.measure(self.chart.map(*axes))
 
+    def __call__(self, *axes):
+        return self.fn(*axes)
 
-def _landscape(tag: str, chart: Chart, measure: Measure, **kind) -> LandscapeFunction:
-    """The landscape ``measure(chart.map(*axes))``."""
-    return LandscapeFunction(tag, fn=lambda *axes: measure(chart.map(*axes)), chart=chart,
-                             measure=measure, **kind)
-
-
-_THREE_BODY = dict(axes=("eta", "beta"),
-                   default_domain=((0.0, 2.0 * math.pi), (-math.pi / 2, math.pi / 2)))
-_THETA = dict(axes=("theta",), default_domain=((0.0, math.pi / 2),))
 
 FUNCTIONS: dict[str, LandscapeFunction] = {spec.tag: spec for spec in [
-    _landscape("l1_S3", SPHERE, weighted_l1(1.0, math.sqrt(2.0), 1.0), **_THREE_BODY),
-    _landscape("l1_Sprime", FUSION, weighted_l1(1.0, 1.0, 2.0), **_THREE_BODY),
-    _landscape("vn_Sprime", SPHERE, OUTER_CUT, **_THREE_BODY),
-    _landscape("l1_wigner", CIRCLE, weighted_l1(1.0, 1.0), **_THETA),
-    _landscape("vn_xi", CIRCLE, cut_entropy(1.0, 0.0), **_THETA),
+    LandscapeFunction("l1_S3", SPHERE, weighted_l1(1.0, math.sqrt(2.0), 1.0)),
+    LandscapeFunction("l1_Sprime", FUSION, weighted_l1(1.0, 1.0, 2.0)),
+    LandscapeFunction("vn_Sprime", SPHERE, OUTER_CUT),
+    LandscapeFunction("l1_wigner", CIRCLE, weighted_l1(1.0, 1.0)),
+    LandscapeFunction("vn_xi", CIRCLE, cut_entropy(1.0, 0.0)),
 ]}
 
 
@@ -240,8 +241,8 @@ def sample(tag: str, axes: Sequence[AxisSpec]) -> np.ndarray:
     the bits of one call over the dense mesh."""
     spec = get_function(tag)
     names = tuple(axis.name for axis in axes)
-    if names != spec.axes:
-        raise ValueError(f"{tag} has axes {spec.axes}, got {names}")
+    if names != spec.chart.axes:
+        raise ValueError(f"{tag} has axes {spec.chart.axes}, got {names}")
     values = by_blocks(spec, *np.meshgrid(*(axis.points() for axis in axes),
                                           indexing="ij", sparse=True))
     if not np.all(np.isfinite(values)):
@@ -265,36 +266,34 @@ def find_critical_points(tag: str, domain: Sequence[tuple[float, float]]) -> lis
     lines are left out.  Before anything is enumerated, a box raises
     ValueError where the float spacing at an end exceeds
     ``LOCATION_RESOLUTION``, or where the preimages could number more
-    than ``MAX_PREIMAGES``: at most two per point of the sphere for each
-    2 pi cell of the box.
+    than ``MAX_PREIMAGES``: at most ``chart.preimages`` per point of the
+    sphere for each 2 pi cell of the box.
     """
     spec = get_function(tag)
-    if spec.chart is None or spec.measure is None:
-        raise ValueError(f"{tag} declares no critical set")
-    if len(domain) != spec.arity:
-        raise ValueError(f"{tag} has axes {spec.axes}, got {len(domain)} ranges")
-    cells = 2
-    for name, (start, stop) in zip(spec.axes, domain):
+    chart = spec.chart
+    if len(domain) != len(chart.axes):
+        raise ValueError(f"{tag} has axes {chart.axes}, got {len(domain)} ranges")
+    bound = chart.preimages
+    for name, (start, stop) in zip(chart.axes, domain):
         _check_range(name, start, stop)
         if stop <= start:
             raise ValueError(f"axis {name} has empty range [{start}, {stop}]")
         if max(np.spacing(abs(start)), np.spacing(abs(stop))) > LOCATION_RESOLUTION:
             raise ValueError(f"axis {name}: the float spacing at [{start}, {stop}] exceeds "
                              f"{LOCATION_RESOLUTION:g}, the resolution of a location")
-        cells *= math.floor((stop - start) / TWO_PI) + 1
-    points, kinds, smooth = spec.measure.critical(spec.chart.scale)
-    if len(points) * cells > MAX_PREIMAGES:
-        raise ValueError(f"the box could hold {len(points) * cells} critical points, "
+        bound *= math.floor((stop - start) / TWO_PI) + 1
+    points, kinds, smooth = spec.measure.critical(chart.scale)
+    if len(points) * bound > MAX_PREIMAGES:
+        raise ValueError(f"the box could hold {len(points) * bound} critical points, "
                          f"above {MAX_PREIMAGES}")
-    state = spec.chart.state
-    rows = points if state is None else points[:, state]
-    index, coords = spec.chart.invert(rows, domain)
+    rows = points if chart.state is None else points[:, chart.state]
+    index, coords = chart.invert(rows, domain)
     order = np.lexsort(coords[::-1])
     index, coords = index[order], [c[order] for c in coords]
     values = spec(*coords)
     if not np.all(np.isfinite(values)):
         raise ValueError("critical values are not finite")
-    classes = ([None] * index.size if state is None else
+    classes = ([None] * index.size if chart.state is None else
                entanglement_report(rows.T).slocc_class[index].tolist())
     return [CriticalPoint(*row) for row in zip(
         zip(*(c.tolist() for c in coords)), np.ravel(values).tolist(), kinds[index].tolist(),

@@ -2,6 +2,7 @@
 and the grids that the retired critical-point finder, the completeness
 oracle in ``tests/reference.py``, scans."""
 
+import dataclasses
 import time
 
 from hypothesis import HealthCheck, settings
@@ -26,7 +27,13 @@ def finder_axes(tag, n, domain=None):
     cached references can take it."""
     spec = get_function(tag)
     return tuple(AxisSpec(name, *bounds, n)
-                 for name, bounds in zip(spec.axes, domain or spec.default_domain))
+                 for name, bounds in zip(spec.chart.axes, domain or spec.chart.domain))
+
+
+def reading(spec, read):
+    """The registry entry ``spec`` with ``read`` as its measure's read, which
+    takes the chart's coordinates of a block."""
+    return dataclasses.replace(spec, measure=dataclasses.replace(spec.measure, read=read))
 
 
 def session_elapsed() -> float:

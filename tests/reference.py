@@ -480,7 +480,7 @@ def _points_loop(tag, axes):
     spec = get_function(tag)
     grid = sample(tag, axes)
     steps = [(a.stop - a.start) / (a.n - 1) for a in axes]
-    if spec.arity == 2:
+    if len(spec.chart.axes) == 2:
         etas, betas = axes[0].points(), axes[1].points()
         refined = (_refine_2d_loop(spec, (etas[i], betas[j]), steps, (kind_eta, kind_beta))
                    for i, j, kind_eta, kind_beta in _scan_2d_loop(grid))

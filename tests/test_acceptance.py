@@ -98,7 +98,7 @@ def _nearest(points, kind, location):
 
 def test_c04_l1_landscape_extrema():
     with criterion(4, "l1 landscape: GHZ maximum and kinked W saddle"):
-        points = find_critical_points("l1_S3", FUNCTIONS["l1_S3"].default_domain)
+        points = find_critical_points("l1_S3", FUNCTIONS["l1_S3"].chart.domain)
         maxima = [p for p in points if p.kind == LOCAL_MAX]
         assert len(maxima) == 8 and all(abs(p.value - 2.0) < 1e-15 for p in maxima)
         assert max(p.value for p in points) == max(p.value for p in maxima)
@@ -146,7 +146,7 @@ def test_c06_entropy_curve():
 def test_c07_two_qubit_figure_peaks():
     with criterion(7, "two-qubit l1 and entropy peak together at pi/4"):
         for tag, peak in (("l1_wigner", math.sqrt(2.0)), ("vn_xi", 1.0)):
-            points = find_critical_points(tag, FUNCTIONS[tag].default_domain)
+            points = find_critical_points(tag, FUNCTIONS[tag].chart.domain)
             assert [p.kind for p in points] == [LOCAL_MIN, LOCAL_MAX, LOCAL_MIN]
             assert abs(points[1].location[0] - math.pi / 4) < 1e-15
             assert abs(points[1].value - peak) < 1e-15

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ybekit import checks, cli, landscape
-from ybekit.landscape import FUNCTIONS, AxisSpec, LandscapeFunction, sample
+from ybekit.landscape import FUNCTIONS, AxisSpec, sample
 from ybekit.threebody import ScatterParams, angles_to_params, random_constrained_triple
 
+from conftest import reading
 from reference import _csv_numbers_reference, _json_text_reference
 
 
@@ -338,6 +339,13 @@ def test_extrema_box_end_too_coarse_for_a_location_is_usage_error(capsys):
     assert len(rows) == 13
 
 
+def test_the_preimage_bound_counts_what_the_chart_declares(capsys):
+    """A point of the circle has one preimage per 2 pi cell: a theta box of
+    width 6000 has 955 cells of 8 points, 7640 at most, within the bound."""
+    code, out = run_cli(["extrema", "--fn", "l1_wigner", "--theta", "-3000:3000"], capsys)
+    assert code == 0 and len(_csv_rows(out)[1]) == 7639
+
+
 def test_extrema_labels_the_declared_points_in_one_call(monkeypatch, capsys):
     """One report labels the 26 faces of l1_S3's face lemma, from their
     coordinates (a, b, c), one array each, however many rows they pull
@@ -616,6 +624,8 @@ USAGE_ERRORS = {
     "extrema --fn l1_wigner --theta 1e13:1.00000000001e13":
         "axis theta: the float spacing at [10000000000000.0, 10000000000100.0] exceeds 1e-07",
     "extrema --eta -1e6:1e6": "the box could hold 16552120 critical points, above 10000",
+    "extrema --fn l1_wigner --theta -1e5:1e5":
+        "the box could hold 254648 critical points, above 10000",
     "landscape --fn l1_wigner --theta 0:1": "--theta must look like start:stop:count",
     "reduce --thetas 0,0,0 --constraint-tol -1": "--constraint-tol: expected a finite number >= 0",
     "reduce --thetas 0,0,0 --tol -1e-3": "argument --tol: expected a finite number >= 0, got '-1e-3'",
@@ -719,43 +729,39 @@ def test_axis_flags_follow_the_registry(tag, axis, capsys):
     for argv in (["landscape", "--fn", tag, f"--{axis}", "-1:1:5"],
                  ["extrema", "--fn", tag, f"--{axis}", "-1:1"]):
         code, out, err = run_cli_streams(argv, capsys)
-        if axis in FUNCTIONS[tag].axes:
-            assert (code, out.split(",")[0]) == (0, FUNCTIONS[tag].axes[0]), err
+        if axis in FUNCTIONS[tag].chart.axes:
+            assert (code, out.split(",")[0]) == (0, FUNCTIONS[tag].chart.axes[0]), err
         else:
             assert code == 2 and f"--{axis} does not apply" in err
 
 
 def test_registered_function_gets_its_axis_flags(monkeypatch, capsys):
-    """One registry entry over new axes is all that ``landscape`` needs,
-    and ``extrema`` of an entry with a chart and a measure; an entry with
-    neither has no critical set to enumerate.  The points of an entry whose
-    chart declares a three-qubit state, whatever its axis names, are
-    labelled with that state's class."""
-    paraboloid = LandscapeFunction("X", ("u", "v"), lambda u, v: (u - 0.3) ** 2 + (v + 0.2) ** 2,
-                                   ((-1.0, 1.0), (-1.0, 1.0)))
-    renamed = dataclasses.replace(FUNCTIONS["l1_S3"], tag="Y", axes=("e", "b"))
-    monkeypatch.setitem(FUNCTIONS, "X", paraboloid)
+    """One registry entry over a chart with new axis names is all that
+    ``landscape`` and ``extrema`` need.  The points of an entry whose chart
+    declares a three-qubit state, whatever its axis names, are labelled
+    with that state's class."""
+    spec = FUNCTIONS["l1_S3"]
+    renamed = dataclasses.replace(spec, tag="Y", chart=dataclasses.replace(spec.chart,
+                                                                           axes=("e", "b")))
     monkeypatch.setitem(FUNCTIONS, "Y", renamed)
     monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
-    code, out, _ = run_cli_streams(["landscape", "--fn", "X", "--u", "-1:1:3", "--v", "-1:1:3"],
+    code, out, _ = run_cli_streams(["landscape", "--fn", "Y", "--e", "-1:1:3", "--b", "-1:1:3"],
                                    capsys)
     assert code == 0
     header, rows = _csv_rows(out)
-    assert header == ["u", "v", "value"] and len(rows) == 9
-    code, out, _ = run_cli_streams(["landscape", "--fn", "X", "--section", "u=0.5"], capsys)
-    assert code == 0 and _csv_rows(out)[0] == ["u", "v", "value"]
-    code, _, err = run_cli_streams(["landscape", "--fn", "X", "--section", "eta=1"], capsys)
-    assert code == 2 and "--section must be u=VALUE or v=VALUE, got 'eta=1'" in err
-    code, _, err = run_cli_streams(["landscape", "--fn", "X", "--eta", "0:1:3"], capsys)
-    assert code == 2 and "--eta does not apply to the 2-parameter function X" in err
-    assert run_cli_streams(["extrema", "--fn", "X"], capsys) == (
-        2, "", "error: X declares no critical set\n")
+    assert header == ["e", "b", "value"] and len(rows) == 9
+    code, out, _ = run_cli_streams(["landscape", "--fn", "Y", "--section", "e=0.5"], capsys)
+    assert code == 0 and _csv_rows(out)[0] == ["e", "b", "value"]
+    code, _, err = run_cli_streams(["landscape", "--fn", "Y", "--section", "eta=1"], capsys)
+    assert code == 2 and "--section must be e=VALUE or b=VALUE, got 'eta=1'" in err
+    code, _, err = run_cli_streams(["landscape", "--fn", "Y", "--eta", "0:1:3"], capsys)
+    assert code == 2 and "--eta does not apply to the 2-parameter function Y" in err
     outputs = {}
     for tag in ("l1_S3", "Y"):
         code, out, _ = run_cli_streams(["extrema", "--fn", tag], capsys)
         assert code == 0
         header, rows = _csv_rows(out)
-        assert header == [*FUNCTIONS[tag].axes, "value", "kind", "smooth", "slocc_class"]
+        assert header == [*FUNCTIONS[tag].chart.axes, "value", "kind", "smooth", "slocc_class"]
         outputs[tag] = rows
     assert {row[-1] for row in outputs["l1_S3"]} >= {"GHZ-class", "W-class"}
     assert outputs["Y"] == outputs["l1_S3"]
@@ -1123,12 +1129,12 @@ def test_a_non_finite_landscape_writes_nothing(fmt, monkeypatch, capsys):
     in its last value, in the second block, leaves stdout empty."""
     spec = FUNCTIONS["l1_S3"]
 
-    def nan_at_the_end(*coords):
-        values = spec.fn(*coords).copy()
+    def nan_at_the_end(coords):
+        values = spec.measure(coords).copy()
         values.flat[-1] = math.nan
         return values
 
-    monkeypatch.setitem(FUNCTIONS, "l1_S3", dataclasses.replace(spec, fn=nan_at_the_end))
+    monkeypatch.setitem(FUNCTIONS, "l1_S3", reading(spec, nan_at_the_end))
     assert (run_cli_streams(TWO_BLOCK_GRID + ["--format", fmt], capsys)
             == (2, "", "error: landscape contains non-finite values\n"))
 
@@ -1317,6 +1323,15 @@ def test_readme_names_only_flags_that_exist():
     assert named and named <= known, sorted(named - known)
 
 
+def test_readme_states_each_charts_default_sample_count():
+    """README's default counts per axis are the charts' ``samples``."""
+    text = " ".join(README.read_text().split())
+    surface, curve = map(int, re.search(r"at (\d+) points per surface axis and (\d+) on a "
+                                        r"curve", text).groups())
+    for spec in FUNCTIONS.values():
+        assert spec.chart.samples == {2: surface, 1: curve}[len(spec.chart.axes)], spec.tag
+
+
 # Functions in src/ybekit that no subcommand enters, each with the reason it stays.
 UNREACHED = {
     "tensor.kron": "perfbench/tracing.py counts its calls by name and fails without it",
@@ -1344,15 +1359,15 @@ runs = [["verify", "--tol", "0", "--samples", "2"],
         ["state", "--eta", "1", "--beta", "-0.6"], ["state", "--thetas", ghz, "--format", "json"],
         ["state", "--thetas", "0.1,0.2,0.3"]]
 for tag, spec in cli.FUNCTIONS.items():
-    axes = [f"--{name}=0:1:5" for name in spec.axes]
+    axes = [f"--{name}=0:1:5" for name in spec.chart.axes]
     runs += [["landscape", "--fn", tag, *axes],
              ["landscape", "--fn", tag, *axes, "--format", "json", "--output", os.path.join(out, "l")],
              ["extrema", "--fn", tag],
-             ["extrema", "--fn", tag, f"--{spec.axes[0]}=0:1", "--format", "json",
+             ["extrema", "--fn", tag, f"--{spec.chart.axes[0]}=0:1", "--format", "json",
               "--output", os.path.join(out, "e")]]
-    if spec.arity == 2:
-        runs.append(["landscape", "--fn", tag, f"--section={spec.axes[0]}=0.5",
-                     f"--{spec.axes[1]}=0:1:5"])
+    if len(spec.chart.axes) == 2:
+        runs.append(["landscape", "--fn", tag, f"--section={spec.chart.axes[0]}=0.5",
+                     f"--{spec.chart.axes[1]}=0:1:5"])
 codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -181,7 +181,7 @@ def test_kernels_take_every_input_form(tag, form):
     """Every registered landscape takes every input form with the
     broadcast shape of its axes and the values of its matrix route; a
     float or 0-d input gives a numpy float, any other an array."""
-    coords = KERNEL_FORMS[form][:FUNCTIONS[tag].arity]
+    coords = KERNEL_FORMS[form][:len(FUNCTIONS[tag].chart.axes)]
     value, expected = FUNCTIONS[tag](*coords), KERNEL_ORACLES[tag](*coords)
     assert np.shape(value) == np.shape(expected) == np.broadcast(*coords).shape
     assert np.max(np.abs(value - expected), initial=0.0) < 1e-13

@@ -29,7 +29,7 @@ from ybekit.rmatrix import type2_r_4x4
 from ybekit.tensor import STACK_BYTES, block_size, by_blocks
 from ybekit.threebody import BETA_STAR, ScatterParams, state_coordinates
 
-from conftest import finder_axes
+from conftest import finder_axes, reading
 from reference import (_meshgrid_reference, _points_loop, _sample_curve_reference,
                        _section_reference, closed_form, ket, l1_norm, von_neumann_entropy,
                        wigner_d_half, wigner_l1)
@@ -136,7 +136,7 @@ def test_sample_is_bit_equal_to_the_retired_curve_sampler(tag, start, width, n):
 def test_sections_and_curves_of_several_strips_keep_their_bits(tag, n):
     """A curve, or a section along either axis, of more points than a block
     has the bits of one call of the function over all its points."""
-    if FUNCTIONS[tag].arity == 1:
+    if len(FUNCTIONS[tag].chart.axes) == 1:
         axis = AxisSpec("theta", -0.0, 7.0, n)
         assert sample(tag, [axis]).tobytes() == _sample_curve_reference(tag, axis).tobytes()
         return
@@ -154,12 +154,13 @@ def test_sample_calls_a_function_on_a_strip_at_a_time(tag, monkeypatch):
     axis and a curve, each of several blocks, are covered once."""
     spec, sizes = FUNCTIONS[tag], []
 
-    def counted(*coords):
-        sizes.append(np.broadcast(*coords).size)
-        return spec(*coords)
+    def counted(coords):
+        values = spec.measure(coords)
+        sizes.append(values.size)
+        return values
 
-    monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(spec, fn=counted))
-    if spec.arity == 1:
+    monkeypatch.setitem(FUNCTIONS, tag, reading(spec, counted))
+    if len(spec.chart.axes) == 1:
         meshes = [[AxisSpec("theta", 0.0, 1.0, 3 * BLOCK + 5)]]
     else:
         meshes = [[AxisSpec("eta", 0.0, 1.0, 400), AxisSpec("beta", 0.0, 1.0, 400)],
@@ -247,12 +248,12 @@ def test_sample_rejects_non_finite_values(tag, axes, monkeypatch):
     """Curves and sections are checked as surfaces are."""
     spec = get_function(tag)
 
-    def nan_in_the_middle(*args):
-        values = spec.fn(*args).copy()
+    def nan_in_the_middle(coords):
+        values = spec.measure(coords).copy()
         values.flat[values.size // 2] = math.nan
         return values
 
-    monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(spec, fn=nan_in_the_middle))
+    monkeypatch.setitem(FUNCTIONS, tag, reading(spec, nan_in_the_middle))
     with pytest.raises(ValueError, match="non-finite"):
         sample(tag, axes)
 
@@ -353,7 +354,7 @@ def _dense_oracle(tag, *coords):
 
 
 def _kernel_inputs(spec):
-    if spec.arity == 2:
+    if len(spec.chart.axes) == 2:
         return np.meshgrid(np.linspace(-7.0, 7.0, 15), np.linspace(-3.0, 3.0, 13), indexing="ij")
     return (np.linspace(-3.0, 3.0, 41),)
 
@@ -375,8 +376,9 @@ def _consistency_inputs(spec):
     of vn_xi and vn_Sprime; flat, one array per axis."""
     rng = np.random.default_rng(41)
     grid = np.broadcast_arrays(*_kernel_inputs(spec))
-    seeded = [rng.uniform(lo, hi, 1000) for lo, hi in spec.default_domain]
-    split = {1: [0.22880459429307234], 2: [5.0709817017556755, -0.1357456672205808]}[spec.arity]
+    seeded = [rng.uniform(lo, hi, 1000) for lo, hi in spec.chart.domain]
+    split = {("theta",): [0.22880459429307234],
+             ("eta", "beta"): [5.0709817017556755, -0.1357456672205808]}[spec.chart.axes]
     return [np.concatenate([g.ravel(), s, [x]]) for g, s, x in zip(grid, seeded, split)]
 
 
@@ -425,7 +427,7 @@ RADIUS = 1e-5
 
 
 def _rows(tag, box=None):
-    return find_critical_points(tag, box or get_function(tag).default_domain)
+    return find_critical_points(tag, box or get_function(tag).chart.domain)
 
 
 @pytest.mark.parametrize("box", range(3), ids=["default", "narrow", "wide"])
@@ -436,9 +438,9 @@ def test_a_ring_of_probes_confirms_every_kind(tag, box):
     saddle probes on both sides, and a ridge none above by more than 4
     ulps and some below.  Each row's value is the landscape's there."""
     spec = get_function(tag)
-    points = _rows(tag, BOXES[spec.arity][box])
+    points = _rows(tag, BOXES[len(spec.chart.axes)][box])
     assert points
-    if spec.arity == 2:
+    if len(spec.chart.axes) == 2:
         angles = 2.0 * np.pi * np.arange(RING) / RING
         directions = np.stack([np.cos(angles), np.sin(angles)])
     else:
@@ -455,7 +457,7 @@ def test_a_ring_of_probes_confirms_every_kind(tag, box):
 
 
 def _on_an_edge(tag, location):
-    return any(x in bounds for x, bounds in zip(location, get_function(tag).default_domain))
+    return any(x in bounds for x, bounds in zip(location, get_function(tag).chart.domain))
 
 
 @pytest.mark.parametrize("coarse", [121, 200, 401])
@@ -604,11 +606,10 @@ def _unit_rows(size, count, seed):
     return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
-# (chart, the period box in which a point of the sphere off its poles has
-# this many preimages)
-CHARTS = {"sphere": (SPHERE, ((0.0, TWO_PI), (-math.pi, math.pi)), 2),
-          "fusion": (FUSION, ((0.0, TWO_PI), (-math.pi, math.pi)), 2),
-          "circle": (CIRCLE, ((-math.pi, math.pi),), 1)}
+# (chart, a box of one period of every axis)
+CHARTS = {"sphere": (SPHERE, ((0.0, TWO_PI), (-math.pi, math.pi))),
+          "fusion": (FUSION, ((0.0, TWO_PI), (-math.pi, math.pi))),
+          "circle": (CIRCLE, ((-math.pi, math.pi),))}
 
 
 @pytest.mark.parametrize("box", range(3), ids=["default", "narrow", "wide"])
@@ -617,11 +618,10 @@ def test_a_chart_maps_each_preimage_back_to_its_point(name, box):
     """Each preimage a chart's inverse gives of 500 seeded unit vectors, as
     rows in state order, lies in the box and maps, scaled, onto its vector
     to 1e-14; over one period of every angle, each vector has as many
-    preimages as the chart covers the sphere (two for the spherical
-    charts, (eta, beta) and (-eta, beta + pi))."""
-    chart, period, covers = CHARTS[name]
-    arity = len(period)
-    domain = BOXES[arity][box] or get_function({2: "l1_S3", 1: "vn_xi"}[arity]).default_domain
+    preimages as the chart declares (two for the spherical charts, (eta,
+    beta) and (-eta, beta + pi))."""
+    chart, period = CHARTS[name]
+    domain = BOXES[len(chart.axes)][box] or chart.domain
     y = _unit_rows(len(chart.scale), 500, seed=box)
     rows = y if chart.state is None else y[:, chart.state]
     index, coords = chart.invert(rows, domain)
@@ -631,7 +631,7 @@ def test_a_chart_maps_each_preimage_back_to_its_point(name, box):
     mapped = np.stack([s * x for s, x in zip(chart.scale, chart.map(*coords))], axis=-1)
     assert np.allclose(mapped, y[index], rtol=0.0, atol=1e-14)
     index, _ = chart.invert(rows, period)
-    assert np.bincount(index, minlength=len(y)).tolist() == [covers] * len(y)
+    assert np.bincount(index, minlength=len(y)).tolist() == [chart.preimages] * len(y)
 
 
 @pytest.mark.parametrize("tag", sorted(FUNCTIONS))
@@ -640,19 +640,19 @@ def test_rows_are_sorted_distinct_and_smooth_only_inside_a_full_face(tag):
     line sin eta = 0.  An l1 row is smooth exactly at a maximum, whose face
     holds every coordinate; every entropy row is smooth."""
     spec = get_function(tag)
-    for box in BOXES[spec.arity]:
+    for box in BOXES[len(spec.chart.axes)]:
         rows = _rows(tag, box)
         locations = [p.location for p in rows]
         assert locations == sorted(set(locations))
         for p in rows:
             assert p.smooth == (p.kind == LOCAL_MAX or tag.startswith("vn_")), p
-            assert spec.arity == 1 or abs(math.sin(p.location[0])) > 1e-3, p
+            assert len(spec.chart.axes) == 1 or abs(math.sin(p.location[0])) > 1e-3, p
 
 
 @pytest.mark.parametrize("tag", sorted(FUNCTIONS))
 def test_a_box_shifted_by_a_period_shifts_its_rows(tag):
     spec = get_function(tag)
-    for box in BOXES[spec.arity][1:]:
+    for box in BOXES[len(spec.chart.axes)][1:]:
         shifted = [(lo + TWO_PI, hi + TWO_PI) for lo, hi in box]
         rows, moved = _rows(tag, box), _rows(tag, shifted)
         assert [p.kind for p in rows] == [p.kind for p in moved]
@@ -682,20 +682,29 @@ def test_a_box_fails_closed(domain, message):
     assert len(find_critical_points("l1_S3", [(-600.0, 600.0), (-2.0, 2.0)])) == 5730
 
 
-def test_an_entry_with_no_chart_has_no_critical_set(monkeypatch):
-    plain = LandscapeFunction("X", ("u",), lambda u: u * u, ((-1.0, 1.0),))
-    monkeypatch.setitem(FUNCTIONS, "X", plain)
-    with pytest.raises(ValueError, match="X declares no critical set"):
-        find_critical_points("X", [(-1.0, 1.0)])
+def test_an_entry_is_a_tag_a_chart_and_a_measure():
+    """An entry is the measure of its chart's map; the keyword ``fn`` puts
+    a wrapper of that composition in its place, as the benchmark's tracer
+    does to count kernel calls."""
+    spec, calls = get_function("l1_S3"), []
+    assert [f.name for f in dataclasses.fields(LandscapeFunction)] == ["tag", "chart", "measure"]
+
+    def wrapper(*axes):
+        calls.append(axes)
+        return spec.fn(*axes)
+
+    wrapped = dataclasses.replace(spec, fn=wrapper)
+    assert wrapped(1.0, 0.5) == spec(1.0, 0.5) == spec.measure(spec.chart.map(1.0, 0.5))
+    assert calls == [(1.0, 0.5)]
 
 
 @pytest.mark.parametrize("tag", sorted(FUNCTIONS))
 def test_a_non_finite_critical_value_raises(tag, monkeypatch):
     spec = get_function(tag)
-    monkeypatch.setitem(FUNCTIONS, tag, dataclasses.replace(
-        spec, fn=lambda *coords: np.full(np.broadcast(*coords).shape, math.nan)))
+    monkeypatch.setitem(FUNCTIONS, tag, reading(
+        spec, lambda coords: np.full_like(spec.measure(coords), math.nan)))
     with pytest.raises(ValueError, match="critical values are not finite"):
-        find_critical_points(tag, spec.default_domain)
+        find_critical_points(tag, spec.chart.domain)
 
 
 @pytest.mark.parametrize("measure", [cut_entropy(1.0, 0.3, 0.0), cut_entropy(1.0, 1.0),
